@@ -72,6 +72,9 @@ def _parse_vector(text):
 
 
 def _cmd_verify(args):
+    for flag, value in (("--samples", args.samples), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     chart, omega = _load_fixture(args.fixture)
     checks = None
     if args.checks:
@@ -198,7 +201,7 @@ def _build_parser():
             p.add_argument(
                 "--format", choices=("json", "text"), default="json", help="report format"
             )
-            p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+            p.add_argument("--jobs", type=int, default=1, help="processes for the slide checks")
 
     p_verify = sub.add_parser("verify", help="run the full check suite")
     common(p_verify, samples=True)

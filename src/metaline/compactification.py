@@ -68,19 +68,12 @@ class OnSection:
     line: HorizontalLine
 
 
-def tangent_subgroup_data(chart: VarietyChart, param):
-    """Echelon basis and pivots of the tangent-frame span at a point."""
-    frame = affine_tangent_frame(chart, param)
-    reduced, pivots = frame.rref()
-    return reduced, pivots
-
-
 def canonical_coset_rep(
     chart: VarietyChart, omega: OmegaForm, param, x: GroupElement
 ) -> GroupElement:
     """The unique representative of x * T with zero W-part on the pivot
     coordinates of the tangent-frame span."""
-    reduced, pivots = tangent_subgroup_data(chart, param)
+    reduced, pivots = affine_tangent_frame(chart, param).rref()
     shift = [ZERO] * omega.dim_w
     for row, pivot in zip(reduced.entries, pivots):
         c = x.w_part[pivot]

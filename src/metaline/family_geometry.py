@@ -112,17 +112,6 @@ def direction_variation(chart: VarietyChart, omega: OmegaForm, param, x, delta, 
     return Mat([[_eps(entry, 0) for entry in row] for row in block])
 
 
-def radial_variation(chart: VarietyChart, omega: OmegaForm, param, x, t, pivots) -> Mat:
-    """Same derivative along the scaling arc (1 + tau) w: the plane does
-    not move, so this must be exactly zero."""
-    xt = _slid_base(chart, omega, param, x, t)
-    scale = Jet1(ONE, (ONE,))
-    w_tau = [scale * Q(c) for c in chart.evaluate(param)]
-    rows = line_matrix_rows(omega, xt, w_tau)
-    block = chart_block(rows, pivots)
-    return Mat([[_eps(entry, 0) for entry in row] for row in block])
-
-
 def direction_variation_symbolic(
     chart: VarietyChart, omega: OmegaForm, param, x, delta, t, pivots
 ) -> Mat:
@@ -222,10 +211,7 @@ def check_slide_identity(
     residual = tuple(r - scale * c for r, c in zip(residual, w_full))
     ok = all(r == 0 for r in residual)
 
-    span_cols = [
-        _direction_in_algebra(omega, frame_row)
-        for frame_row in _partial_rows(chart, param)
-    ]
+    span_cols = [_direction_in_algebra(omega, row) for row in chart.partial_rows(param)]
     span_cols.append(w_full)
     try:
         solve_in_span(Mat.from_cols(span_cols), coeffs)
@@ -233,14 +219,6 @@ def check_slide_identity(
     except NotInSpan:
         tangent_span_ok = False
     return SlideCheckResult(ok, tangent_span_ok, tuple(coeffs), residual)
-
-
-def _partial_rows(chart: VarietyChart, param):
-    point = tuple(param)
-    rows = []
-    for a in range(chart.param_dim):
-        rows.append(tuple(p.evaluate(point) for p in chart.partials[a]))
-    return rows
 
 
 def _unit(d, a):
@@ -260,9 +238,8 @@ def pencil_frames(chart: VarietyChart, omega: OmegaForm, param, x, pivots):
     bvm = basepoint_variation(omega, x, w, pivots)
     f0_cols = []
     finf_cols = []
-    for a in range(d):
+    for a, tangent in enumerate(chart.partial_rows(param)):
         f0_cols.append(_flatten(direction_variation(chart, omega, param, x, _unit(d, a), 0, pivots)))
-        tangent = tuple(p.evaluate(tuple(param)) for p in chart.partials[a])
         image = bvm.times_vector(_direction_in_algebra(omega, tangent))
         finf_cols.append([-v for v in image])
     frame0 = Mat.from_cols(f0_cols)

@@ -84,10 +84,6 @@ class Mat:
             raise ValueError("ragged matrix")
 
     @classmethod
-    def from_rows(cls, rows):
-        return cls(rows)
-
-    @classmethod
     def from_cols(cls, cols):
         cols = [list(c) for c in cols]
         if not cols:
@@ -169,27 +165,8 @@ def solve_in_span(basis: Mat, target):
     return tuple(coeffs)
 
 
-def kernel_basis(m: Mat):
-    """Basis of the column kernel, one vector per free column."""
-    reduced, pivots = m.rref()
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * m.ncols
-        vec[fc] = Q(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced.entries[r][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
 def pair_count(m):
     return m * (m - 1) // 2
-
-
-def pair_list(m):
-    return [(i, j) for i in range(m) for j in range(i + 1, m)]
 
 
 def pair_index(i, j, m):

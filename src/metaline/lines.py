@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, solve_in_span, NotInSpan
+from .linalg import Mat, NotInSpan, solve_in_span, wedge
 from .metabelian import GroupElement, OmegaForm, element, multiply
 from .scalars import HALF, ONE, Q, ZERO
 from .varieties import VarietyChart
@@ -52,14 +52,6 @@ def line_through(omega: OmegaForm, x: GroupElement, w) -> HorizontalLine:
 
 def point_at(omega: OmegaForm, line: HorizontalLine, t) -> GroupElement:
     return multiply(omega, line.base, element(omega, tuple(Q(t) * c for c in line.direction)))
-
-
-def parameter_of(omega: OmegaForm, line: HorizontalLine, x: GroupElement):
-    """Parameter of a group element known to lie on the line."""
-    t = x.w_part[line.pivot]
-    if point_at(omega, line, t) != x:
-        raise ValueError("point does not lie on the line")
-    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +93,6 @@ def line_of(omega: OmegaForm, alpha: TangentDirectionPoint) -> HorizontalLine:
     return line_through(omega, alpha.base, alpha.chart.evaluate(alpha.param))
 
 
-def line_and_parameter(omega: OmegaForm, alpha: TangentDirectionPoint):
-    """Decompose a marked point into its canonical line and slide parameter."""
-    line = line_of(omega, alpha)
-    return line, parameter_of(omega, line, alpha.base)
-
-
 def line_matrix_rows(omega: OmegaForm, x: GroupElement, w):
     """Spanning rows of the line's 2-plane in V = W + U + I."""
     half_corr = [HALF * c for c in omega.apply(x.w_part, w)]
@@ -122,21 +108,12 @@ class PlueckerLine:
     vector: tuple
 
 
-def pluecker_vector(rows):
-    r1, r2 = rows
-    out = []
-    for i in range(len(r1)):
-        for j in range(i + 1, len(r1)):
-            out.append(r1[i] * r2[j] - r1[j] * r2[i])
-    return tuple(out)
-
-
 def pluecker_embed(omega: OmegaForm, line: HorizontalLine) -> PlueckerLine:
     rows = line_matrix_rows(omega, line.base, line.direction)
     reduced, pivots = Mat(rows).rref()
     if len(pivots) != 2:
         raise ZeroDirection("degenerate line span")
-    return PlueckerLine(reduced, pivots, pluecker_vector(reduced.entries))
+    return PlueckerLine(reduced, pivots, tuple(wedge(*reduced.entries)))
 
 
 def pluecker_relations_hold(vector, ncols) -> bool:

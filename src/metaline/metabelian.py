@@ -124,11 +124,6 @@ def element(omega: OmegaForm, w, u=None) -> GroupElement:
     return GroupElement(w, u)
 
 
-def from_coords(omega: OmegaForm, coords) -> GroupElement:
-    coords = tuple(coords)
-    return element(omega, coords[: omega.dim_w], coords[omega.dim_w :])
-
-
 def multiply(omega: OmegaForm, a: GroupElement, b: GroupElement) -> GroupElement:
     correction = omega.apply(a.w_part, b.w_part)
     w = tuple(x + y for x, y in zip(a.w_part, b.w_part))
@@ -144,11 +139,6 @@ def bracket(omega: OmegaForm, a: GroupElement, b: GroupElement) -> GroupElement:
     """Lie bracket in log coordinates: W-part zero, U-part the form value."""
     u = omega.apply(a.w_part, b.w_part)
     return GroupElement((ZERO,) * omega.dim_w, tuple(u))
-
-
-def exp_w(omega: OmegaForm, w) -> GroupElement:
-    """Exponential of a W-direction (log coordinates, so just embedding)."""
-    return element(omega, w)
 
 
 class InternalConsistencyError(AssertionError):

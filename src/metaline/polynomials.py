@@ -268,10 +268,16 @@ def _tokenize(text):
     return tokens
 
 
+# Parentheses and unary signs each recurse; capping their nesting keeps
+# deep input a parse error instead of a stack overflow.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, names):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.index = {name: k for k, name in enumerate(names)}
         self.nvars = len(names)
 
@@ -282,6 +288,14 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def nested(self, parse):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PolyParseError(f"expression nested deeper than {MAX_NESTING} levels")
+        node = parse()
+        self.depth -= 1
+        return node
 
     def expr(self):
         node = self.term()
@@ -308,10 +322,10 @@ class _Parser:
         tok = self.peek()
         if tok == ("op", "-"):
             self.take()
-            return -self.factor()
+            return -self.nested(self.factor)
         if tok == ("op", "+"):
             self.take()
-            return self.factor()
+            return self.nested(self.factor)
         node = self.atom()
         if self.peek() == ("op", "^"):
             self.take()
@@ -330,7 +344,7 @@ class _Parser:
                 raise PolyParseError(f"unknown variable {text!r}")
             return Poly.var(self.index[text], self.nvars)
         if (kind, text) == ("op", "("):
-            node = self.expr()
+            node = self.nested(self.expr)
             if self.take() != ("op", ")"):
                 raise PolyParseError("missing closing parenthesis")
             return node

@@ -1,16 +1,20 @@
 """Verification pipeline: every check for one fixture, deterministically.
 
-Each check draws from its own named sampler stream derived from the
-base seed, so filtering checks never shifts the samples of the ones
-that remain, and reports are byte-identical across runs and across
+The checks form one table, `_CHECKS`, in report order, run by a single
+loop.  Each check draws from its own named sampler stream derived
+from the base seed, so filtering checks never shifts the samples of the
+ones that remain, and reports are byte-identical across runs and across
 --jobs settings.  Geometric checks presuppose the isotropy certificate;
 when it fails they are skipped (and the run fails on the certificate).
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import compactification as comp
 from . import family_geometry as fam
@@ -22,27 +26,13 @@ from .omega_builder import build_omega
 from .report import CheckResult, VerificationReport
 from .sampling import RationalSampler
 from .scalars import Q, qstr
-from .varieties import FrameDegenerate, VarietyChart, affine_tangent_frame, certify_isotropic
-
-CHECK_NAMES = (
-    "isotropy",
-    "group-law",
-    "maurer-cartan",
-    "levi-tensor",
-    "slide-identity",
-    "slide-identity-alt-chart",
-    "slide-identity-symbolic",
-    "pencil-split",
-    "splitting-type",
-    "family-dimension",
-    "boundary-cosets",
-    "group-action",
-    "equivariance",
-    "line-boundary",
+from .varieties import (
+    FrameDegenerate,
+    IsotropyCertificate,
+    VarietyChart,
+    affine_tangent_frame,
+    certify_isotropic,
 )
-
-_GEOMETRIC = frozenset(CHECK_NAMES[4:])
-
 
 def _sample_element(sampler, omega):
     return meta.element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
@@ -115,197 +105,26 @@ def _skipped(name, count, reason):
     return CheckResult(name, samples=count, passes=0, skips=count, witness=f"skip: {reason}")
 
 
-def run_verification(
-    chart: VarietyChart,
-    explicit_omega: OmegaForm | None = None,
-    seed: int = 42,
-    samples: int = 100,
-    checks=None,
-    jobs: int = 1,
-) -> VerificationReport:
-    start = time.monotonic()
-    base = RationalSampler(seed)
-    selected = set(checks) if checks else set(CHECK_NAMES)
-    unknown = selected - set(CHECK_NAMES)
-    if unknown:
-        raise ValueError(f"unknown checks: {', '.join(sorted(unknown))}")
+@dataclass
+class _Run:
+    """Inputs of one verification run.  Sample sets that several checks
+    share are drawn lazily, at most once per run."""
 
-    if explicit_omega is None:
-        construction = build_omega(chart, seed=seed)
-        omega = construction.omega
-        dim_w_prime = construction.dim_w_prime
-    else:
-        omega = explicit_omega
-        dim_w_prime = None
+    chart: VarietyChart
+    omega: OmegaForm
+    seed: int
+    samples: int
+    jobs: int
+    certificate: IsotropyCertificate
 
-    d = chart.param_dim
-    n = omega.dim_w + omega.dim_u
-    dims = {
-        "dimW": omega.dim_w,
-        "dimU": omega.dim_u,
-        "dimWprime": dim_w_prime,
-        "d": d,
-        "n": n,
-        "familyDim": n - 1 + d,
-    }
-    report = VerificationReport(chart.label, seed, samples, dims)
+    def stream(self, name):
+        return RationalSampler(self.seed).derive(name)
 
-    certificate = certify_isotropic(chart, omega)
-    pair_total = (d + 1) * d // 2
-    if "isotropy" in selected:
-        if certificate.proven:
-            report.checks.append(CheckResult("isotropy", pair_total, pair_total))
-        else:
-            result = CheckResult(
-                "isotropy",
-                samples=pair_total,
-                passes=certificate.pairs_checked - 1,
-                skips=pair_total - certificate.pairs_checked,
-                witness=certificate.witness.describe(),
-            )
-            report.checks.append(result)
-
-    if "group-law" in selected:
-        outcomes = [
-            ("pass" if meta.associativity_holds(omega) else "fail", "associativity broken"),
-            (
-                "pass" if meta.commutator_matches_bracket(omega) else "fail",
-                "commutator disagrees with the bracket",
-            ),
-            (
-                "pass" if meta.one_parameter_subgroup_holds(omega) else "fail",
-                "one-parameter subgroups not additive",
-            ),
-        ]
-        report.checks.append(_tally("group-law", outcomes))
-
-    if "maurer-cartan" in selected:
-        sampler = base.derive("maurer-cartan")
-        outcomes = []
-        for _ in range(samples):
-            x = _sample_element(sampler, omega)
-            v = sampler.nonzero_vector(omega.dim_w)
-            try:
-                meta.maurer_cartan_log_derivative(omega, x, v)
-                outcomes.append(("pass", None))
-            except InternalConsistencyError as exc:
-                outcomes.append(("fail", str(exc)))
-        report.checks.append(_tally("maurer-cartan", outcomes))
-
-    if "levi-tensor" in selected:
-        sampler = base.derive("levi-tensor")
-        outcomes = []
-        for _ in range(samples):
-            x = _sample_element(sampler, omega)
-            u = sampler.vector(omega.dim_w)
-            v = sampler.vector(omega.dim_w)
-            value = meta.levi_tensor(omega, x, u, v)
-            expected = tuple(omega.apply(u, v))
-            outcomes.append(
-                ("pass", None)
-                if value == expected
-                else ("fail", "field bracket disagrees with the form")
-            )
-        report.checks.append(_tally("levi-tensor", outcomes))
-
-    gate_reason = None if certificate.proven else "isotropy not proven"
-
-    slide_cfgs = _slide_configs(base.derive("slide-identity"), chart, omega, samples)
-    if "slide-identity" in selected:
-        report.checks.append(
-            _slide_check("slide-identity", chart, omega, slide_cfgs, False, jobs, gate_reason)
-        )
-    if "slide-identity-alt-chart" in selected:
-        report.checks.append(
-            _slide_check(
-                "slide-identity-alt-chart", chart, omega, slide_cfgs, True, jobs, gate_reason
-            )
-        )
-
-    if "slide-identity-symbolic" in selected:
-        count = min(5, samples)
-        if gate_reason:
-            report.checks.append(_skipped("slide-identity-symbolic", count, gate_reason))
-        else:
-            outcomes = [
-                _symbolic_outcome(chart, omega, cfg) for cfg in slide_cfgs[:count]
-            ]
-            report.checks.append(_tally("slide-identity-symbolic", outcomes))
-
-    pencil_count = max(1, samples // 5)
-    want_pencil = "pencil-split" in selected
-    want_split = "splitting-type" in selected
-    if want_pencil or want_split:
-        if gate_reason:
-            if want_pencil:
-                report.checks.append(_skipped("pencil-split", pencil_count, gate_reason))
-            if want_split:
-                report.checks.append(_skipped("splitting-type", pencil_count, gate_reason))
-        else:
-            pencil_out, split_out = _pencil_outcomes(
-                base.derive("pencil"), chart, omega, pencil_count
-            )
-            if want_pencil:
-                report.checks.append(_tally("pencil-split", pencil_out))
-            if want_split:
-                report.checks.append(_tally("splitting-type", split_out))
-
-    if "family-dimension" in selected:
-        if gate_reason:
-            report.checks.append(_skipped("family-dimension", 1, gate_reason))
-        else:
-            sampler = base.derive("family-dim")
-            measured = fam.family_dimension(chart, omega, sampler, points=10)
-            expected = n - 1 + d
-            if measured == expected:
-                report.checks.append(CheckResult("family-dimension", 1, 1))
-            else:
-                report.checks.append(
-                    CheckResult(
-                        "family-dimension",
-                        1,
-                        0,
-                        witness=f"measured {measured}, expected {expected}",
-                    )
-                )
-
-    if "boundary-cosets" in selected:
-        if gate_reason:
-            report.checks.append(_skipped("boundary-cosets", samples, gate_reason))
-        else:
-            outcomes = _coset_outcomes(base.derive("cosets"), chart, omega, samples)
-            report.checks.append(_tally("boundary-cosets", outcomes))
-
-    half = max(1, samples // 2)
-    if "group-action" in selected:
-        if gate_reason:
-            report.checks.append(_skipped("group-action", half, gate_reason))
-        else:
-            outcomes = _action_outcomes(base.derive("action"), chart, omega, half)
-            report.checks.append(_tally("group-action", outcomes))
-
-    if "equivariance" in selected:
-        if gate_reason:
-            report.checks.append(_skipped("equivariance", half, gate_reason))
-        else:
-            outcomes = _equivariance_outcomes(base.derive("equivariance"), chart, omega, half)
-            report.checks.append(_tally("equivariance", outcomes))
-
-    if "line-boundary" in selected:
-        if gate_reason:
-            report.checks.append(_skipped("line-boundary", half, gate_reason))
-        else:
-            outcomes = _line_boundary_outcomes(base.derive("lines"), chart, omega, half)
-            report.checks.append(_tally("line-boundary", outcomes))
-
-    report.wall_time = time.monotonic() - start
-    return report
-
-
-def _slide_configs(sampler, chart, omega, count):
-    cfgs = []
-    for _ in range(count):
-        cfgs.append(
+    @cached_property
+    def slide_cfgs(self):
+        sampler = self.stream("slide-identity")
+        chart, omega = self.chart, self.omega
+        return [
             (
                 sampler.vector(chart.param_dim),
                 sampler.vector(omega.dim_w),
@@ -313,22 +132,101 @@ def _slide_configs(sampler, chart, omega, count):
                 sampler.nonzero_vector(chart.param_dim),
                 sampler.nonzero_rational(),
             )
+            for _ in range(self.samples)
+        ]
+
+    @cached_property
+    def pencil(self):
+        """(pencil-split outcomes, splitting-type outcomes) of the same frames."""
+        return _pencil_outcomes(self)
+
+
+# Sample counts, as functions of the --samples budget, shared by a table
+# entry and the outcomes it runs.
+def _symbolic(samples):
+    return min(5, samples)
+
+
+def _fifth(samples):
+    return max(1, samples // 5)
+
+
+def _half(samples):
+    return max(1, samples // 2)
+
+
+def _isotropy_outcomes(run):
+    cert, d = run.certificate, run.chart.param_dim
+    outcomes = [("pass", None)] * cert.pairs_checked
+    if not cert.proven:
+        outcomes[-1] = ("fail", cert.witness.describe())
+    return outcomes + [("skip", "after the witness")] * ((d + 1) * d // 2 - cert.pairs_checked)
+
+
+def _group_law_outcomes(run):
+    proofs = (
+        (meta.associativity_holds, "associativity broken"),
+        (meta.commutator_matches_bracket, "commutator disagrees with the bracket"),
+        (meta.one_parameter_subgroup_holds, "one-parameter subgroups not additive"),
+    )
+    return [("pass" if holds(run.omega) else "fail", note) for holds, note in proofs]
+
+
+def _maurer_cartan_outcomes(run):
+    sampler = run.stream("maurer-cartan")
+    omega = run.omega
+    outcomes = []
+    for _ in range(run.samples):
+        x = _sample_element(sampler, omega)
+        v = sampler.nonzero_vector(omega.dim_w)
+        try:
+            meta.maurer_cartan_log_derivative(omega, x, v)
+            outcomes.append(("pass", None))
+        except InternalConsistencyError as exc:
+            outcomes.append(("fail", str(exc)))
+    return outcomes
+
+
+def _levi_tensor_outcomes(run):
+    sampler = run.stream("levi-tensor")
+    omega = run.omega
+    outcomes = []
+    for _ in range(run.samples):
+        x = _sample_element(sampler, omega)
+        u = sampler.vector(omega.dim_w)
+        v = sampler.vector(omega.dim_w)
+        value = meta.levi_tensor(omega, x, u, v)
+        expected = tuple(omega.apply(u, v))
+        outcomes.append(
+            ("pass", None)
+            if value == expected
+            else ("fail", "field bracket disagrees with the form")
         )
-    return cfgs
+    return outcomes
 
 
-def _slide_check(name, chart, omega, cfgs, use_alt, jobs, gate_reason):
-    if gate_reason:
-        return _skipped(name, len(cfgs), gate_reason)
-    if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(chart, omega, use_alt)
-        ) as pool:
-            chunk = max(1, len(cfgs) // (4 * jobs))
-            outcomes = list(pool.map(_worker_run, cfgs, chunksize=chunk))
-    else:
-        outcomes = [_slide_outcome(chart, omega, cfg, use_alt) for cfg in cfgs]
-    return _tally(name, outcomes)
+def _slide_outcomes(run, use_alt):
+    cfgs = run.slide_cfgs
+    workers = min(run.jobs, os.cpu_count() or 1, len(cfgs))
+    if workers <= 1:
+        return [_slide_outcome(run.chart, run.omega, cfg, use_alt) for cfg in cfgs]
+    args = (run.chart, run.omega, use_alt)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init, initargs=args) as pool:
+        return list(pool.map(_worker_run, cfgs, chunksize=max(1, len(cfgs) // (4 * workers))))
+
+
+def _family_dimension_outcomes(run):
+    chart, omega = run.chart, run.omega
+    measured = fam.family_dimension(chart, omega, run.stream("family-dim"), points=10)
+    expected = omega.dim_w + omega.dim_u - 1 + chart.param_dim
+    if measured == expected:
+        return [("pass", None)]
+    return [("fail", f"measured {measured}, expected {expected}")]
+
+
+def _symbolic_outcomes(run):
+    cfgs = run.slide_cfgs[: _symbolic(run.samples)]
+    return [_symbolic_outcome(run.chart, run.omega, cfg) for cfg in cfgs]
 
 
 def _symbolic_outcome(chart, omega, cfg):
@@ -354,10 +252,12 @@ def _symbolic_outcome(chart, omega, cfg):
     return ("fail", "identity failed on oracle sample")
 
 
-def _pencil_outcomes(sampler, chart, omega, count):
+def _pencil_outcomes(run):
+    sampler = run.stream("pencil")
+    chart, omega = run.chart, run.omega
     pencil_out = []
     split_out = []
-    for _ in range(count):
+    for _ in range(_fifth(run.samples)):
         param = sampler.vector(chart.param_dim)
         x = _sample_element(sampler, omega)
         if _frame_or_none(chart, param) is None:
@@ -385,9 +285,11 @@ def _pencil_outcomes(sampler, chart, omega, count):
     return pencil_out, split_out
 
 
-def _coset_outcomes(sampler, chart, omega, count):
+def _coset_outcomes(run):
+    sampler = run.stream("cosets")
+    chart, omega = run.chart, run.omega
     outcomes = []
-    for k in range(count):
+    for k in range(run.samples):
         param = sampler.vector(chart.param_dim)
         frame = _frame_or_none(chart, param)
         if frame is None:
@@ -456,10 +358,12 @@ def _different_param(sampler, chart, param):
     return None
 
 
-def _action_outcomes(sampler, chart, omega, count):
+def _action_outcomes(run):
+    sampler = run.stream("action")
+    chart, omega = run.chart, run.omega
     outcomes = []
     identity = meta.identity_element(omega)
-    for _ in range(count):
+    for _ in range(_half(run.samples)):
         param = sampler.vector(chart.param_dim)
         if _frame_or_none(chart, param) is None:
             outcomes.append(("skip", "degenerate frame"))
@@ -484,9 +388,11 @@ def _action_outcomes(sampler, chart, omega, count):
     return outcomes
 
 
-def _equivariance_outcomes(sampler, chart, omega, count):
+def _equivariance_outcomes(run):
+    sampler = run.stream("equivariance")
+    chart, omega = run.chart, run.omega
     outcomes = []
-    for _ in range(count):
+    for _ in range(_half(run.samples)):
         param = sampler.vector(chart.param_dim)
         if _frame_or_none(chart, param) is None:
             outcomes.append(("skip", "degenerate frame"))
@@ -506,9 +412,11 @@ def _equivariance_outcomes(sampler, chart, omega, count):
     return outcomes
 
 
-def _line_boundary_outcomes(sampler, chart, omega, count):
+def _line_boundary_outcomes(run):
+    sampler = run.stream("lines")
+    chart, omega = run.chart, run.omega
     outcomes = []
-    for _ in range(count):
+    for _ in range(_half(run.samples)):
         param = sampler.vector(chart.param_dim)
         if _frame_or_none(chart, param) is None:
             outcomes.append(("skip", "degenerate frame"))
@@ -529,3 +437,77 @@ def _line_boundary_outcomes(sampler, chart, omega, count):
                 ok = False
         outcomes.append(("pass", None) if ok else ("fail", "compactified line misbehaved"))
     return outcomes
+
+
+# name -> (sample count for a --samples budget, outcomes of one run), in
+# report order.  Checks in _GEOMETRIC report their count as skipped when
+# isotropy is not proven; the others are never gated and need no count.
+_CHECKS = {
+    "isotropy": (None, _isotropy_outcomes),
+    "group-law": (None, _group_law_outcomes),
+    "maurer-cartan": (None, _maurer_cartan_outcomes),
+    "levi-tensor": (None, _levi_tensor_outcomes),
+    "slide-identity": (lambda s: s, lambda run: _slide_outcomes(run, use_alt=False)),
+    "slide-identity-alt-chart": (lambda s: s, lambda run: _slide_outcomes(run, use_alt=True)),
+    "slide-identity-symbolic": (_symbolic, _symbolic_outcomes),
+    "pencil-split": (_fifth, lambda run: run.pencil[0]),
+    "splitting-type": (_fifth, lambda run: run.pencil[1]),
+    "family-dimension": (lambda s: 1, _family_dimension_outcomes),
+    "boundary-cosets": (lambda s: s, _coset_outcomes),
+    "group-action": (_half, _action_outcomes),
+    "equivariance": (_half, _equivariance_outcomes),
+    "line-boundary": (_half, _line_boundary_outcomes),
+}
+
+CHECK_NAMES = tuple(_CHECKS)
+
+_GEOMETRIC = frozenset(CHECK_NAMES[4:])
+
+
+def run_verification(
+    chart: VarietyChart,
+    explicit_omega: OmegaForm | None = None,
+    seed: int = 42,
+    samples: int = 100,
+    checks=None,
+    jobs: int = 1,
+) -> VerificationReport:
+    start = time.monotonic()
+    selected = set(checks) if checks else set(CHECK_NAMES)
+    unknown = selected - set(CHECK_NAMES)
+    if unknown:
+        raise ValueError(f"unknown checks: {', '.join(sorted(unknown))}")
+
+    if explicit_omega is None:
+        construction = build_omega(chart, seed=seed)
+        omega = construction.omega
+        dim_w_prime = construction.dim_w_prime
+    else:
+        omega = explicit_omega
+        dim_w_prime = None
+
+    d = chart.param_dim
+    n = omega.dim_w + omega.dim_u
+    dims = {
+        "dimW": omega.dim_w,
+        "dimU": omega.dim_u,
+        "dimWprime": dim_w_prime,
+        "d": d,
+        "n": n,
+        "familyDim": n - 1 + d,
+    }
+    report = VerificationReport(chart.label, seed, samples, dims)
+    certificate = certify_isotropic(chart, omega)
+    run = _Run(chart, omega, seed, samples, jobs, certificate)
+
+    for name, (count, outcomes) in _CHECKS.items():
+        if name not in selected:
+            continue
+        if name in _GEOMETRIC and not certificate.proven:
+            result = _skipped(name, count(samples), "isotropy not proven")
+        else:
+            result = _tally(name, outcomes(run))
+        report.checks.append(result)
+
+    report.wall_time = time.monotonic() - start
+    return report

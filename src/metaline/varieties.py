@@ -67,6 +67,11 @@ class VarietyChart:
         point = tuple(point)
         return tuple(poly.evaluate(point) for poly in self.coords)
 
+    def partial_rows(self, point):
+        """The d coordinate partials, each evaluated at the point."""
+        point = tuple(point)
+        return [tuple(p.evaluate(point) for p in row) for row in self.partials]
+
     def evaluate_generic(self, values, zero):
         return [poly.evaluate(values, zero=zero) for poly in self.coords]
 
@@ -128,10 +133,7 @@ def affine_tangent_frame(chart: VarietyChart, point):
     Raises FrameDegenerate unless the d+1 frame vectors are independent.
     """
     point = tuple(point)
-    rows = [chart.evaluate(point)]
-    for a in range(chart.param_dim):
-        rows.append(tuple(p.evaluate(point) for p in chart.partials[a]))
-    frame = Mat(rows)
+    frame = Mat([chart.evaluate(point), *chart.partial_rows(point)])
     if frame.rank() != chart.param_dim + 1:
         raise FrameDegenerate(
             f"frame rank below {chart.param_dim + 1} at {tuple(map(qstr, point))}"

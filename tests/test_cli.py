@@ -188,3 +188,25 @@ def test_jobs_flag_is_byte_identical(tmp_path, capsys):
         "--out", str(b), capsys=capsys,
     )
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--samples", "-3"), ("--samples", "0"), ("--jobs", "0"), ("--jobs", "-1")]
+)
+def test_verify_rejects_budgets_below_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "r.json"
+    code, _, err = run_cli(
+        "verify", "builtin:flat-conic", flag, value, "--out", str(out), capsys=capsys
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("coordinate", ["(" * 5000 + "s" + ")" * 5000, "-" * 5000 + "s"])
+def test_deeply_nested_coordinate_exits_two(tmp_path, capsys, coordinate):
+    bad = tmp_path / "deep.json"
+    bad.write_text(json.dumps({"label": "x", "variables": ["s"], "coordinates": ["1", coordinate]}))
+    code, _, err = run_cli("verify", str(bad), capsys=capsys)
+    assert code == 2
+    assert "malformed" in err and "nested" in err

@@ -15,7 +15,6 @@ from metaline.compactification import (
     g_action,
     in_tangent_span,
     recover_parameter,
-    tangent_subgroup_data,
 )
 from metaline.lines import direction_point, line_of, line_through
 from metaline.metabelian import element, identity_element, inverse, multiply
@@ -33,7 +32,7 @@ def test_canonical_rep_vanishes_on_pivots(twisted_cubic):
     param = (Q(2),)
     x = element(omega, (3, 1, 4, 1), (5,))
     rep = canonical_coset_rep(chart, omega, param, x)
-    _, pivots = tangent_subgroup_data(chart, param)
+    _, pivots = affine_tangent_frame(chart, param).rref()
     assert all(rep.w_part[p] == 0 for p in pivots)
 
 

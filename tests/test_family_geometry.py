@@ -1,7 +1,7 @@
 import pytest
 
 from metaline import family_geometry as fam
-from metaline.linalg import Mat, kernel_basis
+from metaline.linalg import Mat
 from metaline.metabelian import OmegaForm, element
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q
@@ -73,26 +73,11 @@ def test_basepoint_variation_kernel_is_line_direction(flat_conic):
     pivots = fam.primary_pivots(omega, x, w)
     bvm = fam.basepoint_variation(omega, x, w, pivots)
     n = omega.dim_w + omega.dim_u
+    # rank n - 1 leaves a one-dimensional kernel, and the line direction lies in it
     assert bvm.rank() == n - 1
-    kernel = kernel_basis(bvm)
-    assert len(kernel) == 1
-    vec = kernel[0]
-    lead = next(c for c in vec if c != 0)
     w_full = list(w) + [Q(0)] * omega.dim_u
-    w_lead = next(c for c in w_full if c != 0)
-    assert tuple(c / lead for c in vec) == tuple(c / w_lead for c in w_full)
-
-
-def test_radial_variation_is_zero(twisted_cubic):
-    chart, omega, _ = twisted_cubic
-    sampler = RationalSampler(23)
-    for _ in range(5):
-        param = sampler.vector(1)
-        x = element(omega, sampler.vector(4), sampler.vector(1))
-        w = chart.evaluate(param)
-        pivots = fam.primary_pivots(omega, x, w)
-        out = fam.radial_variation(chart, omega, param, x, sampler.rational(), pivots)
-        assert all(c == 0 for row in out.entries for c in row)
+    assert any(c != 0 for c in w_full)
+    assert bvm.times_vector(w_full) == (0,) * bvm.nrows
 
 
 def test_slide_identity_on_samples(twisted_cubic, quartic):

@@ -6,10 +6,8 @@ from metaline.linalg import (
     Mat,
     NotInSpan,
     SpanAccumulator,
-    kernel_basis,
     pair_count,
     pair_index,
-    pair_list,
     solve_in_span,
     wedge,
 )
@@ -180,17 +178,9 @@ def test_solve_in_span_canonical_with_non_unit_dependent_column():
     assert solve_in_span(basis, (4, 1)) == (2, 0, 3)
 
 
-def test_kernel_basis_spans_kernel():
-    m = Mat([[1, 2, 3], [2, 4, 6]])
-    basis = kernel_basis(m)
-    assert len(basis) == 2
-    for vec in basis:
-        assert m.times_vector(vec) == (0, 0)
-
-
 def test_pair_indexing():
     assert pair_count(4) == 6
-    pairs = pair_list(4)
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     assert pairs[0] == (0, 1) and pairs[-1] == (2, 3)
     for k, (i, j) in enumerate(pairs):
         assert pair_index(i, j, 4) == k

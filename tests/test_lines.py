@@ -5,14 +5,11 @@ from metaline.lines import (
     boundary_direction,
     contains_point,
     direction_point,
-    line_and_parameter,
     line_matrix_rows,
     line_of,
     line_through,
-    parameter_of,
     pluecker_embed,
     pluecker_relations_hold,
-    pluecker_vector,
     point_at,
     slide_action,
 )
@@ -53,16 +50,6 @@ def test_zero_direction_rejected():
         line_through(HEIS, x, (0, 0))
 
 
-def test_point_at_and_parameter_of():
-    x = element(HEIS, (0, 1), (0,))
-    line = line_through(HEIS, x, (1, 0))
-    y = point_at(HEIS, line, Q(5, 3))
-    assert parameter_of(HEIS, line, y) == Q(5, 3)
-    off = element(HEIS, (1, 2), (3,))
-    with pytest.raises(ValueError):
-        parameter_of(HEIS, line, off)
-
-
 def test_line_points_satisfy_group_parametrization():
     x = element(HEIS, (2, 3), (5,))
     line = line_through(HEIS, x, (1, 1))
@@ -78,15 +65,14 @@ def test_marked_point_slide_preserves_line(flat_conic):
     slid = slide_action(omega, Q(5), alpha)
     assert slid != alpha
     assert line_of(omega, slid) == line_of(omega, alpha)
-    line, t = line_and_parameter(omega, slid)
-    line0, t0 = line_and_parameter(omega, alpha)
-    assert line == line0
-    assert t - t0 == Q(5) * chart.evaluate((Q(2),))[0] / line.direction[line.pivot]
-
-
-def test_pluecker_vector_order():
-    rows = [[1, 0, 2], [0, 1, 3]]
-    assert pluecker_vector(rows) == (1, 3, -2)
+    line = line_of(omega, alpha)
+    # the canonical base sits at parameter 0 and the direction is 1 at the
+    # pivot, so a point's line parameter is its W-coordinate at the pivot
+    pivot = line.pivot
+    for marked in (alpha, slid):
+        assert point_at(omega, line, marked.base.w_part[pivot]) == marked.base
+    shift = slid.base.w_part[pivot] - alpha.base.w_part[pivot]
+    assert shift == Q(5) * chart.evaluate((Q(2),))[pivot]
 
 
 def test_pluecker_embedding_relations_and_membership(twisted_cubic):

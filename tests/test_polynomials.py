@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaline.jets import Jet1
-from metaline.polynomials import Poly, PolyParseError, parse_poly
+from metaline.polynomials import MAX_NESTING, Poly, PolyParseError, parse_poly
 from metaline.scalars import Q
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12).map(
@@ -30,6 +30,19 @@ def test_parser_rejects():
     for bad in ("x +* 2", "z", "x^y", "(x", "x/(y)", ""):
         with pytest.raises(PolyParseError):
             p(bad)
+
+
+def test_parser_caps_nesting_depth():
+    assert p("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == Poly.var(0, 2)
+    assert p("-" * MAX_NESTING + "x") == (-1) ** MAX_NESTING * Poly.var(0, 2)
+    for deep in (
+        "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+        "(" * 5000 + "x" + ")" * 5000,
+        "-" * 5000 + "x",
+        "-(" * 2500 + "x" + ")" * 2500,
+    ):
+        with pytest.raises(PolyParseError, match="nested"):
+            p(deep)
 
 
 def test_evaluate_matches_hand_value():

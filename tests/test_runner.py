@@ -1,7 +1,13 @@
+import hashlib
+import os
+
 import pytest
 
+from metaline import runner
+from metaline.metabelian import OmegaForm
 from metaline.runner import CHECK_NAMES, run_verification
-from metaline.varieties import builtin_chart
+from metaline.scalars import Q
+from metaline.varieties import builtin_chart, veronese_chart
 
 GOLDEN_DIMS = {
     "dimW": 4,
@@ -106,3 +112,106 @@ def test_flat_linear_boundary_cosets_have_fallback():
     cosets = next(c for c in report.checks if c.name == "boundary-cosets")
     assert cosets.failures == 0
     assert cosets.passes == cosets.samples
+
+
+# sha256 of the JSON report at seed 42, --samples 10.  Reports are the
+# verifier's output contract: a change that moves these bytes must say why.
+REPORT_DIGESTS = {
+    "flat-conic": "99f492dcf9aa25eb807d925095bb5cf3dec990492f9d85baad2630f0c5e490bf",
+    "flat-linear": "11e5bcca8d70186656ec7ff34f196c7174d8c0934739c036ef734cd071fce658",
+    "nonisotropic-cubic": "b18d68bfa85e45bebc1da9a1f6c6c789cd9d8e044d7a10cb21a36ef17a777602",
+    "veronese-2-3": "163f3027f024c8de1a34ac854a649936860b406a111fe5699e1a745a4844c569",
+    "veronese-2-4": "8d6bcccd79e38887ee96570f646a1d0f79fad9e7434638dd638491ec398201aa",
+    "veronese-3-3": "87ece2cb1b1ff70f92baff40e396cc1612e275d0c5ccb01991f2022885e61b5d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(name):
+    chart, explicit = builtin_chart(name)
+    report = run_verification(chart, explicit, seed=42, samples=10)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["veronese-2-3", "nonisotropic-cubic"])
+def test_every_single_check_run_matches_full_report(name):
+    chart, explicit = builtin_chart(name)
+    full = run_verification(chart, explicit, seed=42, samples=10)
+    entries = {c.name: c.to_dict() for c in full.checks}
+    for check in CHECK_NAMES:
+        alone = run_verification(chart, explicit, seed=42, samples=10, checks=[check])
+        assert [c.to_dict() for c in alone.checks] == [entries[check]], check
+
+
+@pytest.mark.parametrize("s", [1, 3, 7, 12])
+def test_gated_checks_skip_their_whole_budget(s):
+    chart, explicit = builtin_chart("nonisotropic-cubic")
+    report = run_verification(chart, explicit, seed=42, samples=s)
+    expected = {
+        "slide-identity": s,
+        "slide-identity-alt-chart": s,
+        "slide-identity-symbolic": min(5, s),
+        "pencil-split": max(1, s // 5),
+        "splitting-type": max(1, s // 5),
+        "family-dimension": 1,
+        "boundary-cosets": s,
+        "group-action": max(1, s // 2),
+        "equivariance": max(1, s // 2),
+        "line-boundary": max(1, s // 2),
+    }
+    skips = {c.name: (c.samples, c.skips) for c in report.checks if c.name in expected}
+    assert skips == {name: (count, count) for name, count in expected.items()}
+
+
+def test_isotropy_tally_counts_pairs_before_and_after_the_witness():
+    """The form e2^e5 vanishes on (value, first partial) of the conic
+    surface but not on (value, second partial): the certificate stops at
+    the second of three frame pairs."""
+    chart = veronese_chart(3, 2, "conic-surface")
+    omega = OmegaForm.from_entries(chart.ambient_dim, 1, [(2, 5, (Q(1),))])
+    report = run_verification(chart, omega, samples=2, checks=["isotropy"])
+    assert [c.to_dict() for c in report.checks] == [
+        {
+            "name": "isotropy",
+            "samples": 3,
+            "passes": 1,
+            "skips": 1,
+            "failures": 1,
+            "witness": "frame pair (0, 2) at point (0,1) maps to (1)",
+        }
+    ]
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    def __init__(self, sizes, max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, samples, workers",
+    [(64, 2, 6, 2), (64, 8, 3, 3), (2, 8, 6, 2), (64, None, 6, None), (1, 8, 6, None)],
+)
+def test_slide_pool_is_clamped(monkeypatch, jobs, cpus, samples, workers):
+    sizes = []
+    monkeypatch.setattr(
+        runner, "ProcessPoolExecutor", lambda **kw: _InlineExecutor(sizes, **kw)
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    chart, explicit = builtin_chart("flat-conic")
+    checks = ["slide-identity", "slide-identity-alt-chart"]
+    pooled = run_verification(chart, explicit, samples=samples, checks=checks, jobs=jobs)
+    assert sizes == ([workers] * 2 if workers else [])
+    serial = run_verification(chart, explicit, samples=samples, checks=checks)
+    assert pooled.to_json() == serial.to_json()
