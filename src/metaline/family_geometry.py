@@ -96,6 +96,13 @@ def chart_block(rows, pivots):
     return out
 
 
+def _block_jacobian(rows, pivots, width):
+    """Jacobian of the chart block of width-`width` jet rows: one row per
+    flattened block entry, one column per jet direction."""
+    block = chart_block(rows, pivots)
+    return Mat([[_eps(entry, k) for k in range(width)] for row in block for entry in row])
+
+
 def _slid_base(chart, omega, param, x, t):
     w0 = chart.evaluate(param)
     return multiply(omega, x, element(omega, tuple(Q(t) * c for c in w0)))
@@ -166,11 +173,7 @@ def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots) -> Mat:
     )
     moved = multiply(omega, x_jets, arg)
     rows = line_matrix_rows(omega, moved, list(w))
-    block = chart_block(rows, pivots)
-    cols = []
-    for k in range(n):
-        cols.append([_eps(entry, k) for row in block for entry in row])
-    return Mat.from_cols(cols)
+    return _block_jacobian(rows, pivots, n)
 
 
 def _flatten(mat: Mat):
@@ -303,13 +306,5 @@ def family_dimension(chart: VarietyChart, omega: OmegaForm, sampler, points: int
         _, pivots = Mat(value_rows).rref()
         if len(pivots) != 2:
             continue
-        block = chart_block(rows, pivots)
-        jacobian = Mat(
-            [
-                [_eps(entry, k) for k in range(width)]
-                for row in block
-                for entry in row
-            ]
-        )
-        best = max(best, jacobian.rank())
+        best = max(best, _block_jacobian(rows, pivots, width).rank())
     return best

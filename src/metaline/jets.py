@@ -54,10 +54,6 @@ class Jet1:
         eps[direction] = Q(scale)
         return cls(Q(value), tuple(eps))
 
-    @property
-    def width(self):
-        return len(self.eps)
-
     def _lift(self, other):
         if isinstance(other, Jet1):
             return other

@@ -98,14 +98,8 @@ class Mat:
     def identity(cls, n):
         return cls([[Q(1) if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    def row(self, i):
-        return self.entries[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.entries)
-
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self):
         return Mat(zip(*self.entries)) if self.nrows else Mat(())
@@ -193,53 +187,30 @@ def wedge(u, v):
 
 
 class SpanAccumulator:
-    """Incrementally row-reduced span with leftmost pivots."""
+    """Span kept in reduced row echelon form with leftmost pivots."""
 
     def __init__(self, dim):
         self.dim = dim
         self.rows = []
-        self.pivot_of_row = []
+        self.pivots = ()
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Eliminate all pivot coordinates; returns the residual vector."""
-        v = [Q(x) for x in vec]
-        for row, p in zip(self.rows, self.pivot_of_row):
-            f = v[p]
-            if f != 0:
-                for k in range(p, self.dim):
-                    v[k] -= f * row[k]
-        return v
-
     def insert(self, vec):
         """Add a vector; returns True when it increases the rank."""
-        v = self.reduce(vec)
-        pivot = next((k for k, x in enumerate(v) if x != 0), None)
-        if pivot is None:
+        rows, pivots = _rref(self.rows + [list(vec)])
+        if len(pivots) == len(self.pivots):
             return False
-        pv = v[pivot]
-        if pv != 1:
-            v = [x / pv for x in v]
-        for row, p in zip(self.rows, self.pivot_of_row):
-            f = row[pivot]
-            if f != 0:
-                for k in range(self.dim):
-                    row[k] -= f * v[k]
-        self.rows.append(v)
-        self.pivot_of_row.append(pivot)
-        order = sorted(range(len(self.rows)), key=lambda r: self.pivot_of_row[r])
-        self.rows = [self.rows[r] for r in order]
-        self.pivot_of_row = [self.pivot_of_row[r] for r in order]
+        self.rows, self.pivots = rows, pivots
         return True
 
     def pivot_columns(self):
-        return tuple(self.pivot_of_row)
+        return self.pivots
 
     def free_columns(self):
-        taken = set(self.pivot_of_row)
+        taken = set(self.pivots)
         return tuple(c for c in range(self.dim) if c not in taken)
 
     def basis_matrix(self):

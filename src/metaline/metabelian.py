@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .jets import Jet1
-from .linalg import pair_count, pair_index
+from .linalg import pair_count, pair_index, wedge
 from .polynomials import Poly
 from .scalars import HALF, Q, ZERO
 
@@ -72,18 +72,15 @@ class OmegaForm:
         v = list(v)
         if len(u) != self.dim_w or len(v) != self.dim_w:
             raise ValueError("vectors must have length dim_w")
+        return self.on_wedge(wedge(u, v))
+
+    def on_wedge(self, vector):
+        """Form on a second-exterior-power vector, pairs in lex order."""
         out = [ZERO] * self.dim_u
-        k = 0
-        for i in range(self.dim_w):
-            ui, vi = u[i], v[i]
-            for j in range(i + 1, self.dim_w):
-                minor = ui * v[j] - u[j] * vi
-                row = self.table[k]
-                k += 1
-                for c in range(self.dim_u):
-                    coeff = row[c]
-                    if coeff != 0:
-                        out[c] = out[c] + minor * coeff
+        for minor, row in zip(vector, self.table):
+            for c, coeff in enumerate(row):
+                if coeff != 0:
+                    out[c] = out[c] + minor * coeff
         return out
 
     def is_zero(self):

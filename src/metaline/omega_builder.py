@@ -127,8 +127,7 @@ def build_omega(
     omega = OmegaForm(m, dim_u, table)
 
     for row in basis.entries:
-        reduced = _apply_on_lambda2(omega, row)
-        if any(x != 0 for x in reduced):
+        if any(x != 0 for x in omega.on_wedge(row)):
             raise AssertionError("form failed to vanish on its own kernel basis")
 
     return OmegaConstruction(
@@ -143,14 +142,3 @@ def build_omega(
         seed=seed,
     )
 
-
-def _apply_on_lambda2(omega: OmegaForm, lambda2_vector):
-    """Push a raw exterior-power vector through the quotient form."""
-    out = [0] * omega.dim_u
-    for k, coeff in enumerate(lambda2_vector):
-        if coeff == 0:
-            continue
-        row = omega.table[k]
-        for c in range(omega.dim_u):
-            out[c] = out[c] + coeff * row[c]
-    return out

@@ -272,6 +272,15 @@ def _tokenize(text):
 # deep input a parse error instead of a stack overflow.
 MAX_NESTING = 100
 
+# Cap on exponents and on the total degree of every parsed polynomial,
+# checked before the power or product is formed (builtins reach 6).
+MAX_DEGREE = 64
+
+
+def _check_degree(what, value):
+    if value > MAX_DEGREE:
+        raise PolyParseError(f"{what} {value} exceeds the cap of {MAX_DEGREE}")
+
 
 class _Parser:
     def __init__(self, tokens, names):
@@ -311,10 +320,13 @@ class _Parser:
             op = self.take()[1]
             rhs = self.factor()
             if op == "*":
+                _check_degree("degree", node.total_degree() + rhs.total_degree())
                 node = node * rhs
             else:
                 if not rhs.is_constant():
                     raise PolyParseError("division only by rational constants")
+                if rhs.is_zero():
+                    raise PolyParseError("division by zero")
                 node = node / rhs
         return node
 
@@ -332,7 +344,10 @@ class _Parser:
             kind, text = self.take()
             if kind != "int":
                 raise PolyParseError("exponent must be a nonnegative integer")
-            node = node ** int(text)
+            exponent = int(text)
+            _check_degree("exponent", exponent)
+            _check_degree("degree", node.total_degree() * exponent)
+            node = node ** exponent
         return node
 
     def atom(self):

@@ -103,6 +103,8 @@ def make_chart(label, coords, recovery=None) -> VarietyChart:
     if not coords:
         raise ValueError("chart needs at least one coordinate")
     d = coords[0].nvars
+    if d == 0:
+        raise ValueError("chart needs at least one variable")
     if any(p.nvars != d for p in coords):
         raise ValueError("chart coordinates must share one parameter list")
     partials = tuple(tuple(p.diff(a) for p in coords) for a in range(d))
@@ -290,6 +292,11 @@ def chart_from_json(data) -> VarietyChart:
         recovery = DirectionRecovery(
             int(raw["constantIndex"]), tuple(int(i) for i in raw["parameterIndices"])
         )
+        indices = (recovery.constant_index, *recovery.parameter_indices)
+        if any(not 0 <= i < len(coords) for i in indices):
+            raise ValueError(f"recovery indices must lie in 0..{len(coords) - 1}")
+        if len(recovery.parameter_indices) != len(variables):
+            raise ValueError(f"recovery needs {len(variables)} parameterIndices")
     return make_chart(label, coords, recovery)
 
 

@@ -210,3 +210,26 @@ def test_deeply_nested_coordinate_exits_two(tmp_path, capsys, coordinate):
     code, _, err = run_cli("verify", str(bad), capsys=capsys)
     assert code == 2
     assert "malformed" in err and "nested" in err
+
+
+_CUBIC = {"variables": ["t"], "coordinates": ["1", "t", "t^2", "t^3"]}
+
+
+@pytest.mark.parametrize("command", ["verify", "info", "sample-line"])
+@pytest.mark.parametrize(
+    "fixture, message",
+    [
+        ({"variables": [], "coordinates": ["1", "2"]}, "at least one variable"),
+        ({"variables": ["t"], "coordinates": ["1", "t/0"]}, "division by zero"),
+        ({"variables": ["t"], "coordinates": ["1", "t^100000"]}, "exceeds the cap"),
+        ({**_CUBIC, "recovery": {"constantIndex": 9, "parameterIndices": [1]}}, "0..3"),
+        ({**_CUBIC, "recovery": {"constantIndex": 0, "parameterIndices": [-1]}}, "0..3"),
+        ({**_CUBIC, "recovery": {"constantIndex": 0, "parameterIndices": []}}, "parameterIndices"),
+    ],
+)
+def test_malformed_chart_exits_two(tmp_path, capsys, command, fixture, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"label": "x", **fixture}))
+    code, _, err = run_cli(command, str(bad), capsys=capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "malformed" in err and message in err

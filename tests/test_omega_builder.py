@@ -2,7 +2,6 @@ import pytest
 
 from metaline.omega_builder import (
     SaturationNotReached,
-    _apply_on_lambda2,
     build_omega,
     sl2_exterior_square_dims,
     symmetric_power_dims,
@@ -74,7 +73,7 @@ def test_clebsch_gordan_cross_check():
 def test_form_vanishes_on_kernel_basis(twisted_cubic):
     _, omega, construction = twisted_cubic
     for row in construction.w_prime_basis.entries:
-        assert all(v == 0 for v in _apply_on_lambda2(omega, row))
+        assert all(v == 0 for v in omega.on_wedge(row))
 
 
 def test_constructed_form_is_isotropic(fixture_cache):

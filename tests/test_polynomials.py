@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaline.jets import Jet1
-from metaline.polynomials import MAX_NESTING, Poly, PolyParseError, parse_poly
+from metaline.polynomials import MAX_DEGREE, MAX_NESTING, Poly, PolyParseError, parse_poly
 from metaline.scalars import Q
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12).map(
@@ -43,6 +43,29 @@ def test_parser_caps_nesting_depth():
     ):
         with pytest.raises(PolyParseError, match="nested"):
             p(deep)
+
+
+def test_parser_caps_degree():
+    half = MAX_DEGREE // 2
+    assert p(f"x^{MAX_DEGREE}").total_degree() == MAX_DEGREE
+    assert p(f"(1+x)^{half}*y^{half}").total_degree() == MAX_DEGREE
+    assert p(f"2^{MAX_DEGREE}") == Poly.const(2**MAX_DEGREE, 2)
+    for big in (
+        f"x^{MAX_DEGREE + 1}",
+        f"(x*y)^{half + 1}",
+        f"x^{MAX_DEGREE}*y",
+        f"2^{MAX_DEGREE + 1}",
+        "x^100000",
+        "(1+x)^3000",
+    ):
+        with pytest.raises(PolyParseError, match="exceeds the cap"):
+            p(big)
+
+
+def test_parser_rejects_division_by_zero():
+    for text in ("x/0", "x/(1-1)", "1/0*y"):
+        with pytest.raises(PolyParseError, match="division by zero"):
+            p(text)
 
 
 def test_evaluate_matches_hand_value():

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from metaline import family_geometry as fam
 from metaline import runner
 from metaline.metabelian import OmegaForm
 from metaline.runner import CHECK_NAMES, run_verification
@@ -179,6 +180,34 @@ def test_isotropy_tally_counts_pairs_before_and_after_the_witness():
             "failures": 1,
             "witness": "frame pair (0, 2) at point (0,1) maps to (1)",
         }
+    ]
+
+
+def test_rank_deficient_pencil_fails_split_and_skips_splitting_type(monkeypatch):
+    def drop_rank(*args):
+        raise fam.RankDeficient("combined pencil frames drop rank")
+
+    monkeypatch.setattr(fam, "pencil_frames", drop_rank)
+    chart, explicit = builtin_chart("flat-conic")
+    checks = ["pencil-split", "splitting-type"]
+    report = run_verification(chart, explicit, samples=10, checks=checks)
+    assert [c.to_dict() for c in report.checks] == [
+        {
+            "name": "pencil-split",
+            "samples": 2,
+            "passes": 0,
+            "skips": 0,
+            "failures": 2,
+            "witness": "combined pencil frames drop rank",
+        },
+        {
+            "name": "splitting-type",
+            "samples": 2,
+            "passes": 0,
+            "skips": 2,
+            "failures": 0,
+            "witness": "skip: pencil frames unavailable",
+        },
     ]
 
 
