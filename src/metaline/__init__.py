@@ -7,11 +7,7 @@ the rationals with zero tolerance.
 """
 
 from .compactification import (
-    Boundary,
     BoundaryPoint,
-    Interior,
-    OffSection,
-    OnSection,
     boundary_point,
     bundle_to_space,
     compactified_line,
@@ -55,18 +51,14 @@ from .varieties import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Boundary",
     "BoundaryPoint",
     "CHECK_NAMES",
     "CheckResult",
     "GroupElement",
     "HorizontalLine",
-    "Interior",
     "IsotropyCertificate",
-    "OffSection",
     "OmegaConstruction",
     "OmegaForm",
-    "OnSection",
     "PlueckerLine",
     "Q",
     "RationalSampler",

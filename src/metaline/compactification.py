@@ -1,29 +1,32 @@
-"""Boundary cosets and the partial compactification of the group.
+"""The partial compactification of the group and its boundary cosets.
 
 For an isotropic chart the tangent-space frame at a chart point spans
 an abelian subalgebra sitting inside W; its exponential is a subgroup T
 whose elements are (a, 0) with a in the frame span.  The compactified
 space is the disjoint union of the group (interior) and, over every
 chart point, the coset space G / T (boundary).  Cosets are stored by a
-canonical representative: the unique coset member whose W-part vanishes
-at all pivot coordinates of the frame span, with the U-part adjusted
-through the group law.
+canonical representative (lines.canonical_rep): the unique coset member
+whose W-part vanishes at all pivot coordinates of the frame span.
 
-Points of the line-pencil bundle map into this space: a marked base
-point off the section goes to its interior point, a line on the section
-goes to the boundary coset of its base over its direction's chart
-point.  The left action of the group extends to the boundary by
-translating coset representatives and recanonicalizing.
+Points are the objects themselves, told apart by type:
+
+* space points: a GroupElement (interior) or a BoundaryPoint (boundary);
+* bundle points: a TangentDirectionPoint, a marked base point off the
+  section, or a HorizontalLine, the line itself on the section.
+
+The evaluation map sends a marked point to its base and a line to the
+boundary coset of its base over its direction's chart point.  The left
+action of the group extends to the boundary by translating coset
+representatives and recanonicalizing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import NotInSpan, solve_in_span
-from .lines import HorizontalLine, TangentDirectionPoint, line_through
-from .metabelian import GroupElement, OmegaForm, element, multiply
-from .scalars import Q, ZERO
+from .lines import HorizontalLine, TangentDirectionPoint, canonical_rep, line_through, translate
+from .metabelian import GroupElement, OmegaForm, multiply
+from .scalars import Q
 from .varieties import VarietyChart, affine_tangent_frame
 
 
@@ -38,56 +41,12 @@ class BoundaryPoint:
     coset_rep: GroupElement
 
 
-@dataclass(frozen=True)
-class Interior:
-    point: GroupElement
-
-
-@dataclass(frozen=True)
-class Boundary:
-    datum: BoundaryPoint
-
-
-@dataclass(frozen=True, eq=False)
-class OffSection:
-    """Bundle point below the section: a marked line point."""
-
-    marked: TangentDirectionPoint
-
-    def __eq__(self, other):
-        return isinstance(other, OffSection) and self.marked == other.marked
-
-    def __hash__(self):
-        return hash(("off", self.marked))
-
-
-@dataclass(frozen=True)
-class OnSection:
-    """Bundle point on the section: the line itself."""
-
-    line: HorizontalLine
-
-
-def canonical_coset_rep(
-    chart: VarietyChart, omega: OmegaForm, param, x: GroupElement
-) -> GroupElement:
-    """The unique representative of x * T with zero W-part on the pivot
-    coordinates of the tangent-frame span."""
-    reduced, pivots = affine_tangent_frame(chart, param).rref()
-    shift = [ZERO] * omega.dim_w
-    for row, pivot in zip(reduced.entries, pivots):
-        c = x.w_part[pivot]
-        if c != 0:
-            for k in range(omega.dim_w):
-                shift[k] -= c * row[k]
-    return multiply(omega, x, element(omega, shift))
-
-
 def boundary_point(
     chart: VarietyChart, omega: OmegaForm, param, x: GroupElement
 ) -> BoundaryPoint:
     param = tuple(Q(c) for c in param)
-    return BoundaryPoint(chart.label, param, canonical_coset_rep(chart, omega, param, x))
+    reduced, pivots = affine_tangent_frame(chart, param).rref()
+    return BoundaryPoint(chart.label, param, canonical_rep(omega, x, reduced.entries, pivots))
 
 
 def recover_parameter(chart: VarietyChart, direction):
@@ -114,58 +73,40 @@ def recover_parameter(chart: VarietyChart, direction):
 
 def bundle_to_space(chart: VarietyChart, omega: OmegaForm, point):
     """Evaluation map of the bundle into the compactified space."""
-    if isinstance(point, OffSection):
-        return Interior(point.marked.base)
-    if isinstance(point, OnSection):
-        param = recover_parameter(chart, point.line.direction)
-        return Boundary(boundary_point(chart, omega, param, point.line.base))
+    if isinstance(point, TangentDirectionPoint):
+        return point.base
+    if isinstance(point, HorizontalLine):
+        param = recover_parameter(chart, point.direction)
+        return boundary_point(chart, omega, param, point.base)
     raise TypeError(f"not a bundle point: {point!r}")
 
 
 def compactified_line(
     chart: VarietyChart, omega: OmegaForm, param, x: GroupElement, t_grid
 ):
-    """Interior points of the line at the grid parameters plus its
+    """The line's points at the grid parameters (interior) plus its
     single boundary point."""
     w = chart.evaluate(param)
-    interiors = []
-    for t in t_grid:
-        shift = element(omega, tuple(Q(t) * c for c in w))
-        interiors.append(Interior(multiply(omega, x, shift)))
-    return interiors, Boundary(boundary_point(chart, omega, param, x))
+    interiors = [translate(omega, x, w, t) for t in t_grid]
+    return interiors, boundary_point(chart, omega, param, x)
 
 
 def g_action(chart: VarietyChart, omega: OmegaForm, g: GroupElement, point):
     """Left translation extended over the boundary."""
-    if isinstance(point, Interior):
-        return Interior(multiply(omega, g, point.point))
-    if isinstance(point, Boundary):
-        datum = point.datum
-        if datum.chart_label != chart.label:
+    if isinstance(point, GroupElement):
+        return multiply(omega, g, point)
+    if isinstance(point, BoundaryPoint):
+        if point.chart_label != chart.label:
             raise ValueError("boundary point belongs to a different chart")
-        moved = multiply(omega, g, datum.coset_rep)
-        return Boundary(boundary_point(chart, omega, datum.param, moved))
+        moved = multiply(omega, g, point.coset_rep)
+        return boundary_point(chart, omega, point.param, moved)
     raise TypeError(f"not a space point: {point!r}")
 
 
 def act_on_bundle(omega: OmegaForm, g: GroupElement, point):
     """Left translation on the bundle itself (lines and marked points)."""
-    if isinstance(point, OffSection):
-        marked = point.marked
-        return OffSection(
-            TangentDirectionPoint(marked.chart, marked.param, multiply(omega, g, marked.base))
-        )
-    if isinstance(point, OnSection):
-        line = point.line
-        return OnSection(line_through(omega, multiply(omega, g, line.base), line.direction))
+    if isinstance(point, TangentDirectionPoint):
+        return TangentDirectionPoint(point.chart, point.param, multiply(omega, g, point.base))
+    if isinstance(point, HorizontalLine):
+        return line_through(omega, multiply(omega, g, point.base), point.direction)
     raise TypeError(f"not a bundle point: {point!r}")
-
-
-def in_tangent_span(chart: VarietyChart, param, vector) -> bool:
-    """Whether a W-vector lies in the tangent-frame span at the point."""
-    frame = affine_tangent_frame(chart, param)
-    try:
-        solve_in_span(frame.transpose(), vector)
-        return True
-    except NotInSpan:
-        return False

@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .jets import Jet1
-from .linalg import Mat, NotInSpan, solve_in_span
-from .lines import line_matrix_rows
-from .metabelian import GroupElement, OmegaForm, element, multiply
+from .linalg import Mat, solve_in_span
+from .lines import line_matrix_rows, translate
+from .metabelian import GroupElement, OmegaForm, multiply
 from .polynomials import Poly
 from .scalars import ONE, Q, ZERO
-from .varieties import VarietyChart
+from .varieties import VarietyChart, in_tangent_span
 
 PENCIL_SLIDES = (Q(1), Q(2), Q(-1), Q(1, 2), Q(7))
 SPLITTING_SAMPLES = (ZERO, Q(1), Q(-1), Q(2), Q(1, 3), Q(5))
@@ -103,15 +103,10 @@ def _block_jacobian(rows, pivots, width):
     return Mat([[_eps(entry, k) for k in range(width)] for row in block for entry in row])
 
 
-def _slid_base(chart, omega, param, x, t):
-    w0 = chart.evaluate(param)
-    return multiply(omega, x, element(omega, tuple(Q(t) * c for c in w0)))
-
-
 def direction_variation(chart: VarietyChart, omega: OmegaForm, param, x, delta, t, pivots) -> Mat:
     """Derivative of the chart coordinates of the line's plane as the
     parameter moves along delta, the base slid by t along the line."""
-    xt = _slid_base(chart, omega, param, x, t)
+    xt = translate(omega, x, chart.evaluate(param), t)
     jets = [Jet1(Q(pv), (Q(dv),)) for pv, dv in zip(param, delta)]
     w_tau = chart.evaluate_generic(jets, zero=Jet1.const(0, 1))
     rows = line_matrix_rows(omega, xt, w_tau)
@@ -125,7 +120,7 @@ def direction_variation_symbolic(
     """Independent recomputation of direction_variation by polynomial
     calculus: the chart coordinates are rational functions of the arc
     parameter, differentiated by the quotient rule at zero."""
-    xt = _slid_base(chart, omega, param, x, t)
+    xt = translate(omega, x, chart.evaluate(param), t)
     subs = [
         Poly.const(pv, 1) + Q(dv) * Poly.var(0, 1) for pv, dv in zip(param, delta)
     ]
@@ -197,7 +192,9 @@ def check_slide_identity(
 ) -> SlideCheckResult:
     """Verify: (variation slid by t) - (variation at 0), pulled back
     through the basepoint variation, equals -t times the chart tangent
-    modulo the line direction.  Exact, zero tolerance."""
+    modulo the line direction.  Exact, zero tolerance.  The pulled-back
+    coefficients must also have no U-part and a W-part in the tangent
+    frame's span (tangent_span_ok)."""
     w = chart.evaluate(param)
     j_t = direction_variation(chart, omega, param, x, delta, t, pivots)
     j_0 = direction_variation(chart, omega, param, x, delta, 0, pivots)
@@ -214,13 +211,9 @@ def check_slide_identity(
     residual = tuple(r - scale * c for r, c in zip(residual, w_full))
     ok = all(r == 0 for r in residual)
 
-    span_cols = [_direction_in_algebra(omega, row) for row in chart.partial_rows(param)]
-    span_cols.append(w_full)
-    try:
-        solve_in_span(Mat.from_cols(span_cols), coeffs)
-        tangent_span_ok = True
-    except NotInSpan:
-        tangent_span_ok = False
+    tangent_span_ok = all(c == 0 for c in coeffs[omega.dim_w :]) and in_tangent_span(
+        chart, param, coeffs[: omega.dim_w]
+    )
     return SlideCheckResult(ok, tangent_span_ok, tuple(coeffs), residual)
 
 

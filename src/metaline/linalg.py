@@ -90,17 +90,6 @@ class Mat:
             return cls(())
         return cls([[col[i] for col in cols] for i in range(len(cols[0]))])
 
-    @classmethod
-    def zero(cls, nrows, ncols):
-        return cls([[ZERO] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[Q(1) if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    def col(self, j):
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self):
         return Mat(zip(*self.entries)) if self.nrows else Mat(())
 

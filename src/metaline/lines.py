@@ -17,8 +17,9 @@ the classical quadratic relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .linalg import Mat, NotInSpan, solve_in_span, wedge
+from .linalg import Mat, NotInSpan, pair_index, solve_in_span, wedge
 from .metabelian import GroupElement, OmegaForm, element, multiply
 from .scalars import HALF, ONE, Q, ZERO
 from .varieties import VarietyChart
@@ -35,6 +36,24 @@ class HorizontalLine:
     pivot: int
 
 
+def translate(omega: OmegaForm, x: GroupElement, w, t) -> GroupElement:
+    """x * exp(t w): x slid by t along the horizontal line in direction w."""
+    t = Q(t)
+    return multiply(omega, x, element(omega, tuple(t * c for c in w)))
+
+
+def canonical_rep(omega: OmegaForm, x: GroupElement, reduced_rows, pivots) -> GroupElement:
+    """The member of the coset x * exp(span) whose W-part vanishes at the
+    pivots, the span given by rows in reduced echelon form."""
+    shift = [ZERO] * omega.dim_w
+    for row, pivot in zip(reduced_rows, pivots):
+        c = x.w_part[pivot]
+        if c != 0:
+            for k in range(omega.dim_w):
+                shift[k] += c * row[k]
+    return translate(omega, x, shift, -1)
+
+
 def line_through(omega: OmegaForm, x: GroupElement, w) -> HorizontalLine:
     """Canonical horizontal line through x in direction w."""
     w = tuple(Q(c) for c in w)
@@ -45,16 +64,14 @@ def line_through(omega: OmegaForm, x: GroupElement, w) -> HorizontalLine:
         raise ZeroDirection("direction is the zero vector")
     lead = w[pivot]
     w = tuple(c / lead for c in w)
-    t0 = -x.w_part[pivot]
-    base = multiply(omega, x, element(omega, tuple(t0 * c for c in w)))
-    return HorizontalLine(w, base, pivot)
+    return HorizontalLine(w, canonical_rep(omega, x, [w], [pivot]), pivot)
 
 
 def point_at(omega: OmegaForm, line: HorizontalLine, t) -> GroupElement:
-    return multiply(omega, line.base, element(omega, tuple(Q(t) * c for c in line.direction)))
+    return translate(omega, line.base, line.direction, t)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TangentDirectionPoint:
     """A chart parameter together with a base point: one line with a
     marked base, the direction being the chart value at the parameter."""
@@ -62,17 +79,6 @@ class TangentDirectionPoint:
     chart: VarietyChart
     param: tuple
     base: GroupElement
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TangentDirectionPoint)
-            and self.chart == other.chart
-            and self.param == other.param
-            and self.base == other.base
-        )
-
-    def __hash__(self):
-        return hash((self.chart, self.param, self.base))
 
 
 def direction_point(chart: VarietyChart, omega: OmegaForm, param, base: GroupElement):
@@ -85,8 +91,7 @@ def direction_point(chart: VarietyChart, omega: OmegaForm, param, base: GroupEle
 def slide_action(omega: OmegaForm, t, alpha: TangentDirectionPoint) -> TangentDirectionPoint:
     """Slide the base along the marked direction: base -> base * (t w, 0)."""
     w = alpha.chart.evaluate(alpha.param)
-    shift = element(omega, tuple(Q(t) * c for c in w))
-    return TangentDirectionPoint(alpha.chart, alpha.param, multiply(omega, alpha.base, shift))
+    return TangentDirectionPoint(alpha.chart, alpha.param, translate(omega, alpha.base, w, t))
 
 
 def line_of(omega: OmegaForm, alpha: TangentDirectionPoint) -> HorizontalLine:
@@ -118,25 +123,14 @@ def pluecker_embed(omega: OmegaForm, line: HorizontalLine) -> PlueckerLine:
 
 def pluecker_relations_hold(vector, ncols) -> bool:
     """Quadratic relations p_ij p_kl - p_ik p_jl + p_il p_jk == 0."""
-    index = {}
-    k = 0
-    for i in range(ncols):
-        for j in range(i + 1, ncols):
-            index[(i, j)] = k
-            k += 1
-    p = vector
-    for i in range(ncols):
-        for j in range(i + 1, ncols):
-            for a in range(j + 1, ncols):
-                for b in range(a + 1, ncols):
-                    lhs = (
-                        p[index[(i, j)]] * p[index[(a, b)]]
-                        - p[index[(i, a)]] * p[index[(j, b)]]
-                        + p[index[(i, b)]] * p[index[(j, a)]]
-                    )
-                    if lhs != 0:
-                        return False
-    return True
+
+    def p(i, j):
+        return vector[pair_index(i, j, ncols)]
+
+    return all(
+        p(i, j) * p(k, l) - p(i, k) * p(j, l) + p(i, l) * p(j, k) == 0
+        for i, j, k, l in combinations(range(ncols), 4)
+    )
 
 
 def contains_point(omega: OmegaForm, pline: PlueckerLine, point: GroupElement) -> bool:

@@ -41,10 +41,6 @@ class OmegaForm:
         self.table = table
 
     @classmethod
-    def zero(cls, dim_w, dim_u=0):
-        return cls(dim_w, dim_u, [[ZERO] * dim_u for _ in range(pair_count(dim_w))])
-
-    @classmethod
     def heisenberg(cls):
         return cls.from_entries(2, 1, [(0, 1, (Q(1),))])
 
@@ -57,14 +53,6 @@ class OmegaForm:
                 raise ValueError("entry indices must satisfy 0 <= i < j < dim_w")
             table[pair_index(i, j, dim_w)] = [Q(x) for x in vec]
         return cls(dim_w, dim_u, table)
-
-    def value(self, i, j):
-        """Form on basis vectors e_i, e_j."""
-        if i == j:
-            return (ZERO,) * self.dim_u
-        if i < j:
-            return self.table[pair_index(i, j, self.dim_w)]
-        return tuple(-x for x in self.table[pair_index(j, i, self.dim_w)])
 
     def apply(self, u, v):
         """Form on coordinate vectors; generic over the coordinate ring."""
@@ -82,9 +70,6 @@ class OmegaForm:
                 if coeff != 0:
                     out[c] = out[c] + minor * coeff
         return out
-
-    def is_zero(self):
-        return all(x == 0 for row in self.table for x in row)
 
     def __eq__(self, other):
         return (

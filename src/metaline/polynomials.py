@@ -10,6 +10,8 @@ the input grammar: integers, rational literals a/b, variables, + - * ^
 
 from __future__ import annotations
 
+from math import comb
+
 from .scalars import Q, ZERO, qstr
 
 _SCALARS = (int,) + ((type(Q(0)),) if not isinstance(Q(0), int) else ())
@@ -277,9 +279,21 @@ MAX_NESTING = 100
 MAX_DEGREE = 64
 
 
+# Cap on the terms of every parsed polynomial, checked on a bound before
+# each sum, product or power is formed: polynomials with a and b terms
+# have a sum of at most a + b terms, a product of at most a * b, and the
+# e-th power of the first has at most C(a + e - 1, e).
+MAX_TERMS = 1000
+
+
 def _check_degree(what, value):
     if value > MAX_DEGREE:
         raise PolyParseError(f"{what} {value} exceeds the cap of {MAX_DEGREE}")
+
+
+def _check_terms(bound):
+    if bound > MAX_TERMS:
+        raise PolyParseError(f"up to {bound} terms exceeds the cap of {MAX_TERMS}")
 
 
 class _Parser:
@@ -311,6 +325,7 @@ class _Parser:
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             op = self.take()[1]
             rhs = self.term()
+            _check_terms(len(node.terms) + len(rhs.terms))
             node = node + rhs if op == "+" else node - rhs
         return node
 
@@ -321,6 +336,7 @@ class _Parser:
             rhs = self.factor()
             if op == "*":
                 _check_degree("degree", node.total_degree() + rhs.total_degree())
+                _check_terms(len(node.terms) * len(rhs.terms))
                 node = node * rhs
             else:
                 if not rhs.is_constant():
@@ -347,6 +363,7 @@ class _Parser:
             exponent = int(text)
             _check_degree("exponent", exponent)
             _check_degree("degree", node.total_degree() * exponent)
+            _check_terms(comb(max(len(node.terms), 1) + exponent - 1, exponent))
             node = node ** exponent
         return node
 

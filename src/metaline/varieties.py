@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import Mat
+from .linalg import Mat, NotInSpan, solve_in_span
 from .metabelian import OmegaForm
 from .polynomials import Poly, parse_poly
-from .scalars import Q, qstr
+from .scalars import Q, ZERO, qstr
 
 __all__ = [
     "VarietyChart",
@@ -27,6 +27,7 @@ __all__ = [
     "IsotropyWitness",
     "make_chart",
     "affine_tangent_frame",
+    "in_tangent_span",
     "certify_isotropic",
     "veronese_chart",
     "linear_chart",
@@ -77,14 +78,11 @@ class VarietyChart:
 
     def tangent_vector(self, point, delta):
         """Differential of the chart at point applied to delta."""
-        point = tuple(point)
-        delta = tuple(delta)
-        out = [Q(0)] * self.ambient_dim
-        for a in range(self.param_dim):
-            if delta[a] == 0:
-                continue
-            for i in range(self.ambient_dim):
-                out[i] += delta[a] * self.partials[a][i].evaluate(point)
+        out = [ZERO] * self.ambient_dim
+        for d, row in zip(delta, self.partial_rows(point)):
+            if d != 0:
+                for i, v in enumerate(row):
+                    out[i] += d * v
         return tuple(out)
 
     def __eq__(self, other):
@@ -141,6 +139,15 @@ def affine_tangent_frame(chart: VarietyChart, point):
             f"frame rank below {chart.param_dim + 1} at {tuple(map(qstr, point))}"
         )
     return frame
+
+
+def in_tangent_span(chart: VarietyChart, point, vector) -> bool:
+    """Whether a W-vector lies in the span of the tangent frame at the point."""
+    try:
+        solve_in_span(affine_tangent_frame(chart, point).transpose(), vector)
+    except NotInSpan:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import metaline
 from metaline.cli import main
 
 
@@ -171,9 +174,12 @@ def test_sample_line_rejects_bad_arity(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same package as this test, installed or not
+    src = str(Path(metaline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "metaline.cli", "info", "builtin:flat-conic"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "dimU:        0" in proc.stdout
@@ -225,6 +231,7 @@ _CUBIC = {"variables": ["t"], "coordinates": ["1", "t", "t^2", "t^3"]}
         ({**_CUBIC, "recovery": {"constantIndex": 9, "parameterIndices": [1]}}, "0..3"),
         ({**_CUBIC, "recovery": {"constantIndex": 0, "parameterIndices": [-1]}}, "0..3"),
         ({**_CUBIC, "recovery": {"constantIndex": 0, "parameterIndices": []}}, "parameterIndices"),
+        ({"variables": ["x", "y", "z"], "coordinates": ["1", "(1+x+y+z)^64"]}, "terms"),
     ],
 )
 def test_malformed_chart_exits_two(tmp_path, capsys, command, fixture, message):

@@ -1,26 +1,20 @@
 import pytest
 
 from metaline.compactification import (
-    Boundary,
     BoundaryPoint,
     DirectionNotOnChart,
-    Interior,
-    OffSection,
-    OnSection,
     act_on_bundle,
     boundary_point,
     bundle_to_space,
-    canonical_coset_rep,
     compactified_line,
     g_action,
-    in_tangent_span,
     recover_parameter,
 )
 from metaline.lines import direction_point, line_of, line_through
 from metaline.metabelian import element, identity_element, inverse, multiply
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q
-from metaline.varieties import affine_tangent_frame
+from metaline.varieties import affine_tangent_frame, in_tangent_span
 
 
 def _sample_element(sampler, omega):
@@ -31,7 +25,7 @@ def test_canonical_rep_vanishes_on_pivots(twisted_cubic):
     chart, omega, _ = twisted_cubic
     param = (Q(2),)
     x = element(omega, (3, 1, 4, 1), (5,))
-    rep = canonical_coset_rep(chart, omega, param, x)
+    rep = boundary_point(chart, omega, param, x).coset_rep
     _, pivots = affine_tangent_frame(chart, param).rref()
     assert all(rep.w_part[p] == 0 for p in pivots)
 
@@ -43,7 +37,7 @@ def test_canonical_rep_is_coset_invariant(twisted_cubic):
     sampler = RationalSampler(47)
     frame = affine_tangent_frame(chart, param)
     x = _sample_element(sampler, omega)
-    rep = canonical_coset_rep(chart, omega, param, x)
+    rep = boundary_point(chart, omega, param, x)
     for _ in range(5):
         coeffs = sampler.vector(frame.nrows)
         shift = [Q(0)] * omega.dim_w
@@ -51,7 +45,7 @@ def test_canonical_rep_is_coset_invariant(twisted_cubic):
             for k in range(omega.dim_w):
                 shift[k] += c * row[k]
         moved = multiply(omega, x, element(omega, shift))
-        assert canonical_coset_rep(chart, omega, param, moved) == rep
+        assert boundary_point(chart, omega, param, moved) == rep
 
 
 def test_boundary_points_differ_off_coset(twisted_cubic):
@@ -94,7 +88,7 @@ def test_bundle_to_space_off_section(twisted_cubic):
     chart, omega, _ = twisted_cubic
     x = element(omega, (1, 2, 3, 4), (5,))
     alpha = direction_point(chart, omega, (Q(2),), x)
-    assert bundle_to_space(chart, omega, OffSection(alpha)) == Interior(x)
+    assert bundle_to_space(chart, omega, alpha) == x
 
 
 def test_bundle_to_space_on_section(twisted_cubic):
@@ -102,10 +96,9 @@ def test_bundle_to_space_on_section(twisted_cubic):
     param = (Q(2),)
     x = element(omega, (1, 2, 3, 4), (5,))
     line = line_through(omega, x, chart.evaluate(param))
-    out = bundle_to_space(chart, omega, OnSection(line))
-    assert isinstance(out, Boundary)
-    assert out.datum == boundary_point(chart, omega, param, x)
-    assert out.datum.chart_label == chart.label
+    out = bundle_to_space(chart, omega, line)
+    assert out == boundary_point(chart, omega, param, x)
+    assert out.chart_label == chart.label
 
 
 def test_compactified_line_single_boundary(twisted_cubic):
@@ -115,10 +108,9 @@ def test_compactified_line_single_boundary(twisted_cubic):
     grid = (Q(0), Q(1), Q(-1), Q(5, 2))
     interiors, boundary = compactified_line(chart, omega, param, x, grid)
     assert len(interiors) == len(grid)
-    assert len({p.point for p in interiors}) == len(grid)
+    assert len(set(interiors)) == len(grid)
     for interior in interiors:
-        again = boundary_point(chart, omega, param, interior.point)
-        assert Boundary(again) == boundary
+        assert boundary_point(chart, omega, param, interior) == boundary
 
 
 def test_g_action_axioms(twisted_cubic):
@@ -128,11 +120,7 @@ def test_g_action_axioms(twisted_cubic):
     x = _sample_element(sampler, omega)
     g = _sample_element(sampler, omega)
     h = _sample_element(sampler, omega)
-    points = [
-        Interior(x),
-        Boundary(boundary_point(chart, omega, (Q(1),), x)),
-    ]
-    for point in points:
+    for point in (x, boundary_point(chart, omega, (Q(1),), x)):
         assert g_action(chart, omega, e, point) == point
         lhs = g_action(chart, omega, multiply(omega, g, h), point)
         rhs = g_action(chart, omega, g, g_action(chart, omega, h, point))
@@ -145,7 +133,7 @@ def test_g_action_interior_is_translation(twisted_cubic):
     chart, omega, _ = twisted_cubic
     x = element(omega, (1, 2, 3, 4), (5,))
     g = element(omega, (1, 1, 0, 0), (2,))
-    assert g_action(chart, omega, g, Interior(x)) == Interior(multiply(omega, g, x))
+    assert g_action(chart, omega, g, x) == multiply(omega, g, x)
 
 
 def test_g_action_transitive_on_boundary_fiber(twisted_cubic):
@@ -155,8 +143,8 @@ def test_g_action_transitive_on_boundary_fiber(twisted_cubic):
     x = element(omega, (1, 2, 3, 4), (5,))
     x2 = element(omega, (0, 1, 0, 1), (-7,))
     g = multiply(omega, x2, inverse(x))
-    moved = g_action(chart, omega, g, Boundary(boundary_point(chart, omega, param, x)))
-    assert moved == Boundary(boundary_point(chart, omega, param, x2))
+    moved = g_action(chart, omega, g, boundary_point(chart, omega, param, x))
+    assert moved == boundary_point(chart, omega, param, x2)
 
 
 def test_evaluation_equivariance(twisted_cubic):
@@ -167,10 +155,27 @@ def test_evaluation_equivariance(twisted_cubic):
         g = _sample_element(sampler, omega)
         param = sampler.vector(1)
         alpha = direction_point(chart, omega, param, x)
-        for point in (OffSection(alpha), OnSection(line_of(omega, alpha))):
+        for point in (alpha, line_of(omega, alpha)):
             lhs = bundle_to_space(chart, omega, act_on_bundle(omega, g, point))
             rhs = g_action(chart, omega, g, bundle_to_space(chart, omega, point))
             assert lhs == rhs
+
+
+def test_maps_reject_points_of_the_other_space(twisted_cubic):
+    """Group elements and boundary points live in the space, marked points
+    and lines in the bundle; each map refuses the other kind."""
+    chart, omega, _ = twisted_cubic
+    x = element(omega, (1, 2, 3, 4), (5,))
+    alpha = direction_point(chart, omega, (Q(2),), x)
+    line = line_of(omega, alpha)
+    for point in (x, boundary_point(chart, omega, (Q(2),), x)):
+        with pytest.raises(TypeError):
+            bundle_to_space(chart, omega, point)
+        with pytest.raises(TypeError):
+            act_on_bundle(omega, x, point)
+    for point in (alpha, line):
+        with pytest.raises(TypeError):
+            g_action(chart, omega, x, point)
 
 
 def test_boundary_point_dataclass_equality(twisted_cubic):
@@ -187,6 +192,6 @@ def test_g_action_rejects_foreign_chart(twisted_cubic, quartic):
     chart, omega, _ = twisted_cubic
     other_chart, _, _ = quartic
     x = element(omega, (1, 2, 3, 4), (5,))
-    bd = Boundary(boundary_point(chart, omega, (Q(1),), x))
+    bd = boundary_point(chart, omega, (Q(1),), x)
     with pytest.raises(ValueError):
         g_action(other_chart, omega, x, bd)

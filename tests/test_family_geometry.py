@@ -5,7 +5,7 @@ from metaline.linalg import Mat
 from metaline.metabelian import OmegaForm, element
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q
-from metaline.varieties import linear_chart
+from metaline.varieties import in_tangent_span, linear_chart
 
 HEIS = OmegaForm.heisenberg()
 
@@ -49,6 +49,29 @@ def test_slide_identity_fails_off_isotropy():
     result = fam.check_slide_identity(chart, HEIS, (Q(0),), x, (Q(1),), Q(2), pivots)
     assert not result.ok
     assert any(c != 0 for c in result.residual)
+
+
+def test_tangent_span_check_rejects_a_u_component():
+    """Off isotropy the pulled-back shift gains a U-component, while its
+    W-part stays in the tangent span (here all of W)."""
+    chart = linear_chart(2, "p1")
+    x = element(HEIS, (0, 1), (0,))
+    result = fam.check_slide_identity(chart, HEIS, (Q(0),), x, (Q(1),), Q(2), (0, 1))
+    assert result.coefficients == (0, -2, -2)
+    assert in_tangent_span(chart, (Q(0),), result.coefficients[:2])
+    assert not result.tangent_span_ok
+
+
+def test_tangent_span_check_rejects_a_w_part_off_the_frame(twisted_cubic, monkeypatch):
+    """With a zero U-component, the W-part alone decides: a chart value
+    passes, a vector outside the tangent frame's span does not."""
+    chart, omega, _ = twisted_cubic
+    param, x, delta = (Q(2),), element(omega, (1, 2, 3, 4), (5,)), (Q(1),)
+    pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+    for coeffs, inside in (((1, 2, 4, 8, 0), True), ((1, 0, 0, 0, 0), False)):
+        monkeypatch.setattr(fam, "solve_in_span", lambda basis, target, c=coeffs: c)
+        result = fam.check_slide_identity(chart, omega, param, x, delta, Q(3), pivots)
+        assert result.tangent_span_ok is inside
 
 
 def test_slide_identity_frozen_flat_conic(flat_conic):

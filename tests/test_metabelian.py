@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaline.linalg import pair_index
 from metaline.metabelian import (
     GroupElement,
     InternalConsistencyError,
@@ -29,12 +30,12 @@ HEIS = OmegaForm.heisenberg()
 
 def test_form_table_and_values():
     form = OmegaForm.from_entries(3, 2, [(0, 2, (1, 0)), (1, 2, (0, Q(1, 2)))])
-    assert form.value(0, 2) == (1, 0)
-    assert form.value(2, 0) == (-1, 0)
-    assert form.value(1, 1) == (0, 0)
+    assert form.table[pair_index(0, 2, 3)] == (1, 0)
+    assert form.table[pair_index(0, 1, 3)] == (0, 0)
     assert form.apply((1, 0, 0), (0, 0, 1)) == [1, 0]
+    assert form.apply((0, 0, 1), (1, 0, 0)) == [-1, 0]
+    assert form.apply((0, 1, 0), (0, 1, 0)) == [0, 0]
     assert form.apply((0, 1, 0), (0, 0, 2)) == [0, 1]
-    assert OmegaForm.zero(3, 2).is_zero()
     with pytest.raises(ValueError):
         OmegaForm.from_entries(3, 1, [(2, 1, (1,))])
 
@@ -168,6 +169,6 @@ def test_levi_tensor_degenerate_arguments():
     x = element(HEIS, sampler.vector(2), sampler.vector(1))
     u = sampler.vector(2)
     assert levi_tensor(HEIS, x, u, u) == (Q(0),)
-    flat = OmegaForm.zero(3, 0)
+    flat = OmegaForm.from_entries(3, 0, [])
     y = element(flat, sampler.vector(3))
     assert levi_tensor(flat, y, sampler.vector(3), sampler.vector(3)) == ()

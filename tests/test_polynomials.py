@@ -3,7 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaline.jets import Jet1
-from metaline.polynomials import MAX_DEGREE, MAX_NESTING, Poly, PolyParseError, parse_poly
+from metaline.polynomials import (
+    MAX_DEGREE,
+    MAX_NESTING,
+    MAX_TERMS,
+    Poly,
+    PolyParseError,
+    parse_poly,
+)
 from metaline.scalars import Q
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12).map(
@@ -60,6 +67,33 @@ def test_parser_caps_degree():
     ):
         with pytest.raises(PolyParseError, match="exceeds the cap"):
             p(big)
+
+
+def test_parser_caps_terms():
+    """Sums, products and powers are rejected on a term bound before they
+    are formed: a + b, a * b and C(a + e - 1, e) for a- and b-term inputs."""
+    assert MAX_TERMS == 1000  # the inputs below sit at the cap and just past it
+
+    def powers(name, count):
+        return "(" + "+".join(f"{name}^{i}" for i in range(count)) + ")"
+
+    def grid(count):
+        return "(" + "+".join(f"x^{i % 11}*y^{i // 11}" for i in range(count)) + ")"
+
+    assert len(p(powers("x", 40) + "*" + powers("y", 25)).terms) == MAX_TERMS
+    assert len(p("+".join(f"x^{i % 32}*y^{i // 32}" for i in range(MAX_TERMS))).terms) == MAX_TERMS
+    assert len(p(grid(44) + "^2").terms) == 21 * 7  # bound C(45, 2) = 990
+    assert p("(1+x)^64") == (1 + Poly.var(0, 2)) ** 64
+    for big in (
+        powers("x", 41) + "*" + powers("y", 25),
+        "+".join(f"x^{i % 32}*y^{i // 32}" for i in range(MAX_TERMS + 1)),
+        grid(45) + "^2",
+        "(1+x+y)^44",
+    ):
+        with pytest.raises(PolyParseError, match="terms exceeds the cap"):
+            p(big)
+    with pytest.raises(PolyParseError, match="terms exceeds the cap"):
+        p("(1+x+y+z)^64", "xyz")
 
 
 def test_parser_rejects_division_by_zero():

@@ -1,5 +1,6 @@
 import pytest
 
+from metaline.linalg import pair_index
 from metaline.metabelian import OmegaForm
 from metaline.polynomials import Poly, parse_poly
 from metaline.scalars import Q
@@ -100,7 +101,7 @@ def test_certify_flat_cases(flat_conic, flat_linear):
 def test_dimension_mismatch_rejected():
     chart = veronese_chart(2, 3)
     with pytest.raises(ValueError):
-        certify_isotropic(chart, OmegaForm.zero(3, 1))
+        certify_isotropic(chart, OmegaForm.from_entries(3, 1, []))
 
 
 def test_compose_veronese3_values():
@@ -149,8 +150,8 @@ def test_omega_from_json():
     form = omega_from_json(
         3, {"dimU": 2, "entries": [{"i": 0, "j": 2, "uVector": ["1/2", -3]}]}
     )
-    assert form.value(0, 2) == (Q(1, 2), -3)
-    assert form.value(1, 2) == (0, 0)
+    assert form.table[pair_index(0, 2, 3)] == (Q(1, 2), -3)
+    assert form.table[pair_index(1, 2, 3)] == (0, 0)
     with pytest.raises(ValueError):
         omega_from_json(3, {"dimU": 1, "entries": [{"i": 0, "j": 1, "uVector": [1.5]}]})
 
