@@ -211,8 +211,11 @@ def check_slide_identity(
     residual = tuple(r - scale * c for r, c in zip(residual, w_full))
     ok = all(r == 0 for r in residual)
 
-    tangent_span_ok = all(c == 0 for c in coeffs[omega.dim_w :]) and in_tangent_span(
-        chart, param, coeffs[: omega.dim_w]
+    # When ok, coeffs = -t (tangent, 0) + scale (w, 0) lies in the frame span
+    # by construction, so the frame is rebuilt only to explain a failure.
+    tangent_span_ok = ok or (
+        all(c == 0 for c in coeffs[omega.dim_w :])
+        and in_tangent_span(chart, param, coeffs[: omega.dim_w])
     )
     return SlideCheckResult(ok, tangent_span_ok, tuple(coeffs), residual)
 

@@ -17,9 +17,8 @@ the classical quadratic relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .linalg import Mat, NotInSpan, pair_index, solve_in_span, wedge
+from .linalg import Mat, wedge
 from .metabelian import GroupElement, OmegaForm, element, multiply
 from .scalars import HALF, ONE, Q, ZERO
 from .varieties import VarietyChart
@@ -119,28 +118,6 @@ def pluecker_embed(omega: OmegaForm, line: HorizontalLine) -> PlueckerLine:
     if len(pivots) != 2:
         raise ZeroDirection("degenerate line span")
     return PlueckerLine(reduced, pivots, tuple(wedge(*reduced.entries)))
-
-
-def pluecker_relations_hold(vector, ncols) -> bool:
-    """Quadratic relations p_ij p_kl - p_ik p_jl + p_il p_jk == 0."""
-
-    def p(i, j):
-        return vector[pair_index(i, j, ncols)]
-
-    return all(
-        p(i, j) * p(k, l) - p(i, k) * p(j, l) + p(i, l) * p(j, k) == 0
-        for i, j, k, l in combinations(range(ncols), 4)
-    )
-
-
-def contains_point(omega: OmegaForm, pline: PlueckerLine, point: GroupElement) -> bool:
-    """Membership of a group point in the embedded 2-plane."""
-    vec = list(point.w_part) + list(point.u_part) + [ONE]
-    try:
-        solve_in_span(pline.basis.transpose(), vec)
-    except NotInSpan:
-        return False
-    return True
 
 
 def boundary_direction(omega: OmegaForm, line: HorizontalLine):

@@ -11,7 +11,6 @@ isotropy certificate then closes the gap for the whole chart.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .linalg import Mat, SpanAccumulator, pair_count, wedge
@@ -35,21 +34,6 @@ class OmegaConstruction:
     omega: OmegaForm
     rank_history: tuple
     seed: int
-
-    @property
-    def dims(self):
-        return {
-            "dimW": self.dim_w,
-            "dimU": self.dim_u,
-            "dimWprime": self.dim_w_prime,
-        }
-
-
-def symmetric_power_dims(r, k):
-    """(dim of the k-th symmetric power of an r-space, dim of its
-    second exterior power)."""
-    n = math.comb(k + r - 1, r - 1)
-    return n, math.comb(n, 2)
 
 
 def sl2_exterior_square_dims(k):

@@ -32,7 +32,6 @@ from .varieties import (
     VarietyChart,
     affine_tangent_frame,
     certify_isotropic,
-    in_tangent_span,
 )
 
 def _sample_element(sampler, omega):
@@ -46,7 +45,10 @@ def _frame_or_none(chart, param):
         return None
 
 
-def _slide_outcome(chart, omega, cfg, use_alt):
+def _slide_outcome(chart, omega, cfg, variant):
+    """One slide-identity sample on the primary chart ("primary"), on the
+    next chart ("alt"), or on the primary chart after checking the jet
+    derivative against the symbolic oracle ("symbolic")."""
     param, base_w, base_u, delta, t = cfg
     x = meta.element(omega, base_w, base_u)
     if _frame_or_none(chart, param) is None:
@@ -54,18 +56,23 @@ def _slide_outcome(chart, omega, cfg, use_alt):
     w = chart.evaluate(param)
     try:
         pivots = fam.primary_pivots(omega, x, w)
-        if use_alt:
-            alt = fam.next_pivots(omega, x, w, pivots)
-            if alt is None:
+        if variant == "alt":
+            pivots = fam.next_pivots(omega, x, w, pivots)
+            if pivots is None:
                 return ("skip", "no second chart")
-            pivots = alt
+        elif variant == "symbolic":
+            for slide in (t, Q(0)):
+                args = (chart, omega, param, x, delta, slide, pivots)
+                if fam.direction_variation(*args) != fam.direction_variation_symbolic(*args):
+                    note = f"jet and symbolic derivatives disagree at slide {qstr(slide)}"
+                    return ("fail", note)
         result = fam.check_slide_identity(chart, omega, param, x, delta, t, pivots)
     except fam.ChartMiss as exc:
         return ("skip", f"chart miss: {exc}")
     except NotInSpan as exc:
         head = ",".join(qstr(c) for c in exc.residual[:4])
         return ("fail", f"shift escaped the basepoint-variation image ({head},...)")
-    if result.ok and result.tangent_span_ok:
+    if result.ok:
         return ("pass", None)
     detail = ",".join(qstr(c) for c in result.residual)
     if not result.tangent_span_ok:
@@ -76,13 +83,13 @@ def _slide_outcome(chart, omega, cfg, use_alt):
 _WORKER_ARGS = {}
 
 
-def _worker_init(chart, omega, use_alt):
-    _WORKER_ARGS["state"] = (chart, omega, use_alt)
+def _worker_init(chart, omega, variant):
+    _WORKER_ARGS["state"] = (chart, omega, variant)
 
 
 def _worker_run(cfg):
-    chart, omega, use_alt = _WORKER_ARGS["state"]
-    return _slide_outcome(chart, omega, cfg, use_alt)
+    chart, omega, variant = _WORKER_ARGS["state"]
+    return _slide_outcome(chart, omega, cfg, variant)
 
 
 def _tally(name, outcomes):
@@ -206,12 +213,17 @@ def _levi_tensor_outcomes(run):
     return outcomes
 
 
-def _slide_outcomes(run, use_alt):
-    cfgs = run.slide_cfgs
-    workers = min(run.jobs, os.cpu_count() or 1, len(cfgs))
+def _slide_outcomes(run, variant):
+    """Outcomes of the slide configs; the oracle variant runs serially on
+    the first _symbolic(samples) of them."""
+    if variant == "symbolic":
+        cfgs, jobs = run.slide_cfgs[: _symbolic(run.samples)], 1
+    else:
+        cfgs, jobs = run.slide_cfgs, run.jobs
+    workers = min(jobs, os.cpu_count() or 1, len(cfgs))
     if workers <= 1:
-        return [_slide_outcome(run.chart, run.omega, cfg, use_alt) for cfg in cfgs]
-    args = (run.chart, run.omega, use_alt)
+        return [_slide_outcome(run.chart, run.omega, cfg, variant) for cfg in cfgs]
+    args = (run.chart, run.omega, variant)
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init, initargs=args) as pool:
         return list(pool.map(_worker_run, cfgs, chunksize=max(1, len(cfgs) // (4 * workers))))
 
@@ -223,34 +235,6 @@ def _family_dimension_outcomes(run):
     if measured == expected:
         return [("pass", None)]
     return [("fail", f"measured {measured}, expected {expected}")]
-
-
-def _symbolic_outcomes(run):
-    cfgs = run.slide_cfgs[: _symbolic(run.samples)]
-    return [_symbolic_outcome(run.chart, run.omega, cfg) for cfg in cfgs]
-
-
-def _symbolic_outcome(chart, omega, cfg):
-    param, base_w, base_u, delta, t = cfg
-    x = meta.element(omega, base_w, base_u)
-    if _frame_or_none(chart, param) is None:
-        return ("skip", "degenerate frame")
-    w = chart.evaluate(param)
-    try:
-        pivots = fam.primary_pivots(omega, x, w)
-        for slide in (t, Q(0)):
-            jet = fam.direction_variation(chart, omega, param, x, delta, slide, pivots)
-            symbolic = fam.direction_variation_symbolic(
-                chart, omega, param, x, delta, slide, pivots
-            )
-            if jet != symbolic:
-                return ("fail", f"jet and symbolic derivatives disagree at slide {qstr(slide)}")
-        result = fam.check_slide_identity(chart, omega, param, x, delta, t, pivots)
-    except fam.ChartMiss as exc:
-        return ("skip", f"chart miss: {exc}")
-    if result.ok:
-        return ("pass", None)
-    return ("fail", "identity failed on oracle sample")
 
 
 def _pencil_outcomes(run):
@@ -286,68 +270,72 @@ def _pencil_outcomes(run):
     return pencil_out, split_out
 
 
-def _coset_outcomes(run):
-    sampler = run.stream("cosets")
-    chart, omega = run.chart, run.omega
+def _chart_samples(run, stream, count, body):
+    """Outcomes of count chart samples drawn from one stream.  A sample
+    draws a parameter and is skipped on a degenerate frame; otherwise it
+    draws a base point x and gives body(run, sampler, k, param, frame, x),
+    or a skip when the chart cannot recover a direction's parameter."""
+    sampler = run.stream(stream)
     outcomes = []
-    for k in range(run.samples):
-        param = sampler.vector(chart.param_dim)
-        frame = _frame_or_none(chart, param)
+    for k in range(count):
+        param = sampler.vector(run.chart.param_dim)
+        frame = _frame_or_none(run.chart, param)
         if frame is None:
             outcomes.append(("skip", "degenerate frame"))
             continue
-        x = _sample_element(sampler, omega)
-        w = chart.evaluate(param)
-        line_a = lin.line_through(omega, x, w)
-        if k % 2 == 0:
-            coeffs = sampler.vector(chart.param_dim + 1)
-            shift = [Q(0)] * omega.dim_w
-            for c, row in zip(coeffs, frame.entries):
-                for i in range(omega.dim_w):
-                    shift[i] += c * row[i]
-            x2 = lin.translate(omega, x, shift, 1)
-            line_b = lin.line_through(omega, x2, w)
-            expect_equal = True
-        elif omega.dim_u > 0 and (k // 2) % 2 == 0:
-            u_shift = sampler.nonzero_vector(omega.dim_u)
-            x2 = meta.multiply(
-                omega, x, meta.element(omega, [Q(0)] * omega.dim_w, u_shift)
-            )
-            line_b = lin.line_through(omega, x2, w)
-            expect_equal = False
-        else:
-            escape = _escape_vector(chart, param, omega)
-            if escape is not None:
-                x2 = lin.translate(omega, x, escape, 1)
-                line_b = lin.line_through(omega, x2, w)
-                expect_equal = False
-            else:
-                param2 = _different_param(sampler, chart, param)
-                if param2 is None:
-                    outcomes.append(("skip", "no distinguishable coset available"))
-                    continue
-                line_b = lin.line_through(omega, x, chart.evaluate(param2))
-                expect_equal = False
+        x = _sample_element(sampler, run.omega)
         try:
-            img_a = comp.bundle_to_space(chart, omega, line_a)
-            img_b = comp.bundle_to_space(chart, omega, line_b)
+            outcomes.append(body(run, sampler, k, param, frame, x))
         except comp.DirectionNotOnChart as exc:
             outcomes.append(("skip", f"direction recovery unavailable: {exc}"))
-            continue
-        equal = img_a == img_b
-        outcomes.append(
-            ("pass", None)
-            if equal == expect_equal
-            else ("fail", f"coset equality expected {expect_equal}, got {equal}")
-        )
     return outcomes
 
 
-def _escape_vector(chart, param, omega):
-    for i in range(omega.dim_w):
-        basis_vec = tuple(Q(1) if j == i else Q(0) for j in range(omega.dim_w))
-        if not in_tangent_span(chart, param, basis_vec):
-            return basis_vec
+def _chart_check(stream, count, body):
+    """Table entry of a check made of chart samples."""
+    return count, lambda run: _chart_samples(run, stream, count(run.samples), body)
+
+
+def _coset_sample(run, sampler, k, param, frame, x):
+    """The line through x and one through a second base point have equal
+    boundary images when the second is x shifted inside the tangent
+    frame (even k), and distinct ones when it is x shifted centrally,
+    shifted out of the frame, or x on another chart direction."""
+    chart, omega = run.chart, run.omega
+    w = w2 = chart.evaluate(param)
+    if k % 2 == 0:
+        shift = frame.transpose().times_vector(sampler.vector(chart.param_dim + 1))
+        x2 = lin.translate(omega, x, shift, 1)
+    elif omega.dim_u > 0 and (k // 2) % 2 == 0:
+        u_shift = sampler.nonzero_vector(omega.dim_u)
+        x2 = meta.multiply(omega, x, meta.element(omega, [Q(0)] * omega.dim_w, u_shift))
+    else:
+        escape = _escape_vector(frame)
+        if escape is not None:
+            x2 = lin.translate(omega, x, escape, 1)
+        else:
+            param2 = _different_param(sampler, chart, param)
+            if param2 is None:
+                return ("skip", "no distinguishable coset available")
+            x2, w2 = x, chart.evaluate(param2)
+    img_a = comp.bundle_to_space(chart, omega, lin.line_through(omega, x, w))
+    img_b = comp.bundle_to_space(chart, omega, lin.line_through(omega, x2, w2))
+    expect_equal = k % 2 == 0
+    equal = img_a == img_b
+    if equal == expect_equal:
+        return ("pass", None)
+    return ("fail", f"coset equality expected {expect_equal}, got {equal}")
+
+
+def _escape_vector(frame):
+    """The first unit vector outside the frame's span, or None.  From one
+    RREF: e_i lies in the span exactly when i is a pivot whose reduced
+    row is e_i."""
+    reduced, pivots = frame.rref()
+    inside = {p for p, row in zip(pivots, reduced.entries) if sum(c != 0 for c in row) == 1}
+    for i in range(frame.ncols):
+        if i not in inside:
+            return tuple(Q(1) if j == i else Q(0) for j in range(frame.ncols))
     return None
 
 
@@ -359,80 +347,53 @@ def _different_param(sampler, chart, param):
     return None
 
 
-def _action_outcomes(run):
-    sampler = run.stream("action")
+def _action_sample(run, sampler, k, param, frame, x):
     chart, omega = run.chart, run.omega
-    outcomes = []
+    g1 = _sample_element(sampler, omega)
+    g2 = _sample_element(sampler, omega)
     identity = meta.identity_element(omega)
-    for _ in range(_half(run.samples)):
-        param = sampler.vector(chart.param_dim)
-        if _frame_or_none(chart, param) is None:
-            outcomes.append(("skip", "degenerate frame"))
-            continue
-        x = _sample_element(sampler, omega)
-        g1 = _sample_element(sampler, omega)
-        g2 = _sample_element(sampler, omega)
-        boundary = comp.boundary_point(chart, omega, param, x)
-        ok = True
-        for point in (x, boundary):
-            if comp.g_action(chart, omega, identity, point) != point:
-                ok = False
-            lhs = comp.g_action(chart, omega, meta.multiply(omega, g1, g2), point)
-            rhs = comp.g_action(chart, omega, g1, comp.g_action(chart, omega, g2, point))
-            if lhs != rhs:
-                ok = False
-        if comp.g_action(chart, omega, g1, x) != meta.multiply(omega, g1, x):
+    boundary = comp.boundary_point(chart, omega, param, x)
+    ok = True
+    for point in (x, boundary):
+        if comp.g_action(chart, omega, identity, point) != point:
             ok = False
-        outcomes.append(("pass", None) if ok else ("fail", "action axiom violated"))
-    return outcomes
+        lhs = comp.g_action(chart, omega, meta.multiply(omega, g1, g2), point)
+        rhs = comp.g_action(chart, omega, g1, comp.g_action(chart, omega, g2, point))
+        if lhs != rhs:
+            ok = False
+    if comp.g_action(chart, omega, g1, x) != meta.multiply(omega, g1, x):
+        ok = False
+    return ("pass", None) if ok else ("fail", "action axiom violated")
 
 
-def _equivariance_outcomes(run):
-    sampler = run.stream("equivariance")
+def _equivariance_sample(run, sampler, k, param, frame, x):
     chart, omega = run.chart, run.omega
-    outcomes = []
-    for _ in range(_half(run.samples)):
-        param = sampler.vector(chart.param_dim)
-        if _frame_or_none(chart, param) is None:
-            outcomes.append(("skip", "degenerate frame"))
-            continue
-        x = _sample_element(sampler, omega)
-        g = _sample_element(sampler, omega)
-        marked = lin.direction_point(chart, omega, param, x)
-        ok = True
-        for point in (marked, lin.line_of(omega, marked)):
-            lhs = comp.bundle_to_space(chart, omega, comp.act_on_bundle(omega, g, point))
-            rhs = comp.g_action(chart, omega, g, comp.bundle_to_space(chart, omega, point))
-            if lhs != rhs:
-                ok = False
-        outcomes.append(("pass", None) if ok else ("fail", "evaluation not equivariant"))
-    return outcomes
+    g = _sample_element(sampler, omega)
+    marked = lin.direction_point(chart, omega, param, x)
+    ok = True
+    for point in (marked, lin.line_of(omega, marked)):
+        lhs = comp.bundle_to_space(chart, omega, comp.act_on_bundle(omega, g, point))
+        rhs = comp.g_action(chart, omega, g, comp.bundle_to_space(chart, omega, point))
+        if lhs != rhs:
+            ok = False
+    return ("pass", None) if ok else ("fail", "evaluation not equivariant")
 
 
-def _line_boundary_outcomes(run):
-    sampler = run.stream("lines")
+def _line_boundary_sample(run, sampler, k, param, frame, x):
     chart, omega = run.chart, run.omega
-    outcomes = []
-    for _ in range(_half(run.samples)):
-        param = sampler.vector(chart.param_dim)
-        if _frame_or_none(chart, param) is None:
-            outcomes.append(("skip", "degenerate frame"))
-            continue
-        x = _sample_element(sampler, omega)
-        grid = sampler.distinct_rationals(5)
-        interiors, boundary = comp.compactified_line(chart, omega, param, x, grid)
-        ok = len(set(interiors)) == len(grid)
-        for interior in interiors:
-            if comp.boundary_point(chart, omega, param, interior) != boundary:
-                ok = False
-        marked = lin.direction_point(chart, omega, param, x)
-        base_line = lin.line_of(omega, marked)
-        for t in grid:
-            slid = lin.slide_action(omega, t, marked)
-            if lin.line_of(omega, slid) != base_line:
-                ok = False
-        outcomes.append(("pass", None) if ok else ("fail", "compactified line misbehaved"))
-    return outcomes
+    grid = sampler.distinct_rationals(5)
+    interiors, boundary = comp.compactified_line(chart, omega, param, x, grid)
+    ok = len(set(interiors)) == len(grid)
+    for interior in interiors:
+        if comp.boundary_point(chart, omega, param, interior) != boundary:
+            ok = False
+    marked = lin.direction_point(chart, omega, param, x)
+    base_line = lin.line_of(omega, marked)
+    for t in grid:
+        slid = lin.slide_action(omega, t, marked)
+        if lin.line_of(omega, slid) != base_line:
+            ok = False
+    return ("pass", None) if ok else ("fail", "compactified line misbehaved")
 
 
 # name -> (sample count for a --samples budget, outcomes of one run), in
@@ -443,16 +404,16 @@ _CHECKS = {
     "group-law": (None, _group_law_outcomes),
     "maurer-cartan": (None, _maurer_cartan_outcomes),
     "levi-tensor": (None, _levi_tensor_outcomes),
-    "slide-identity": (lambda s: s, lambda run: _slide_outcomes(run, use_alt=False)),
-    "slide-identity-alt-chart": (lambda s: s, lambda run: _slide_outcomes(run, use_alt=True)),
-    "slide-identity-symbolic": (_symbolic, _symbolic_outcomes),
+    "slide-identity": (lambda s: s, lambda run: _slide_outcomes(run, "primary")),
+    "slide-identity-alt-chart": (lambda s: s, lambda run: _slide_outcomes(run, "alt")),
+    "slide-identity-symbolic": (_symbolic, lambda run: _slide_outcomes(run, "symbolic")),
     "pencil-split": (_fifth, lambda run: run.pencil[0]),
     "splitting-type": (_fifth, lambda run: run.pencil[1]),
     "family-dimension": (lambda s: 1, _family_dimension_outcomes),
-    "boundary-cosets": (lambda s: s, _coset_outcomes),
-    "group-action": (_half, _action_outcomes),
-    "equivariance": (_half, _equivariance_outcomes),
-    "line-boundary": (_half, _line_boundary_outcomes),
+    "boundary-cosets": _chart_check("cosets", lambda s: s, _coset_sample),
+    "group-action": _chart_check("action", _half, _action_sample),
+    "equivariance": _chart_check("equivariance", _half, _equivariance_sample),
+    "line-boundary": _chart_check("lines", _half, _line_boundary_sample),
 }
 
 CHECK_NAMES = tuple(_CHECKS)

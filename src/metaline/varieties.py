@@ -177,14 +177,30 @@ def _symbolic_frame(chart: VarietyChart):
     return rows
 
 
+def _grid_by_sum(nvars, bound):
+    """Points of {0..bound}^nvars, by coordinate sum and then lexicographically,
+    generated lazily."""
+
+    def parts(n, total):
+        if n == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(max(0, total - bound * (n - 1)), min(bound, total) + 1):
+            for rest in parts(n - 1, total - first):
+                yield (first, *rest)
+
+    for total in range(nvars * bound + 1):
+        yield from parts(nvars, total)
+
+
 def _nonzero_point(polys, nvars):
     """Integer point where some polynomial in the list is nonzero.
 
     A finite grid with per-variable size degree+1 must contain one.
     """
     degree = max(max((p.degree_in(a) for p in polys), default=0) for a in range(nvars))
-    grid = range(degree + 1)
-    for raw in sorted(itertools.product(grid, repeat=nvars), key=lambda t: (sum(t), t)):
+    for raw in _grid_by_sum(nvars, degree):
         point = tuple(Q(c) for c in raw)
         values = tuple(p.evaluate(point) for p in polys)
         if any(v != 0 for v in values):

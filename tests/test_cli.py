@@ -240,3 +240,37 @@ def test_malformed_chart_exits_two(tmp_path, capsys, command, fixture, message):
     code, _, err = run_cli(command, str(bad), capsys=capsys)
     assert code == 2
     assert err.count("\n") == 1 and "malformed" in err and message in err
+
+
+# Fixture files under tests/fixtures, with the exit code of `verify
+# --samples 4` and each check's (samples, passes, skips, failures).
+# Checks not listed pass every sample.
+_FIXTURE_DIR = Path(__file__).parent / "fixtures"
+_NO_RECOVERY = (
+    "skip: direction recovery unavailable: chart 'no-recovery' declares no recovery hints"
+)
+FIXTURE_FILES = {
+    "no-recovery.json": (
+        0,
+        {
+            "boundary-cosets": ((4, 0, 4, 0), _NO_RECOVERY),
+            "equivariance": ((2, 0, 2, 0), _NO_RECOVERY),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in _FIXTURE_DIR.glob("*.json")))
+def test_fixture_file_verifies(tmp_path, capsys, name):
+    out = tmp_path / "r.json"
+    code, _, _ = run_cli(
+        "verify", str(_FIXTURE_DIR / name), "--samples", "4", "--out", str(out), capsys=capsys
+    )
+    expected_code, exceptions = FIXTURE_FILES[name]
+    assert code == expected_code
+    for check in json.loads(out.read_text())["checks"]:
+        counts = tuple(check[k] for k in ("samples", "passes", "skips", "failures"))
+        if check["name"] in exceptions:
+            assert (counts, check["witness"]) == exceptions[check["name"]], check["name"]
+        else:
+            assert counts[1] == counts[0] and check["witness"] is None, check["name"]

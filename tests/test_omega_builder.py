@@ -4,7 +4,6 @@ from metaline.omega_builder import (
     SaturationNotReached,
     build_omega,
     sl2_exterior_square_dims,
-    symmetric_power_dims,
 )
 from metaline.scalars import Q
 from metaline.varieties import builtin_chart, certify_isotropic, veronese_chart
@@ -18,12 +17,6 @@ GOLDEN = {
     "flat-conic": (3, 3, 0),
     "flat-linear": (3, 3, 0),
 }
-
-
-def test_symmetric_power_dims():
-    assert symmetric_power_dims(2, 3) == (4, 6)
-    assert symmetric_power_dims(2, 4) == (5, 10)
-    assert symmetric_power_dims(3, 3) == (10, 45)
 
 
 def test_sl2_oracle_dimensions():
@@ -111,4 +104,5 @@ def test_saturation_not_reached():
 
 def test_dims_property(twisted_cubic):
     _, _, construction = twisted_cubic
-    assert construction.dims == {"dimW": 4, "dimU": 1, "dimWprime": 5}
+    dims = (construction.dim_w, construction.dim_u, construction.dim_w_prime)
+    assert dims == (4, 1, 5)

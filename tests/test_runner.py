@@ -5,10 +5,18 @@ import pytest
 
 from metaline import family_geometry as fam
 from metaline import runner
+from metaline.linalg import NotInSpan
 from metaline.metabelian import OmegaForm
 from metaline.runner import CHECK_NAMES, run_verification
 from metaline.scalars import Q
-from metaline.varieties import builtin_chart, veronese_chart
+from metaline.sampling import RationalSampler
+from metaline.varieties import (
+    FrameDegenerate,
+    affine_tangent_frame,
+    builtin_chart,
+    in_tangent_span,
+    veronese_chart,
+)
 
 GOLDEN_DIMS = {
     "dimW": 4,
@@ -244,3 +252,42 @@ def test_slide_pool_is_clamped(monkeypatch, jobs, cpus, samples, workers):
     assert sizes == ([workers] * 2 if workers else [])
     serial = run_verification(chart, explicit, samples=samples, checks=checks)
     assert pooled.to_json() == serial.to_json()
+
+
+def test_symbolic_variant_reports_a_failed_pull_back(monkeypatch):
+    def escape(*args):
+        raise NotInSpan((Q(1),))
+
+    monkeypatch.setattr(fam, "check_slide_identity", escape)
+    chart, explicit = builtin_chart("flat-conic")
+    report = run_verification(chart, explicit, samples=5, checks=["slide-identity-symbolic"])
+    assert [c.to_dict() for c in report.checks] == [
+        {
+            "name": "slide-identity-symbolic",
+            "samples": 5,
+            "passes": 0,
+            "skips": 0,
+            "failures": 5,
+            "witness": "shift escaped the basepoint-variation image (1,...)",
+        }
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, spans_w", [("veronese-2-3", False), ("veronese-3-3", False), ("flat-linear", True)]
+)
+def test_escape_vector_is_the_first_unit_vector_off_the_frame(name, spans_w):
+    chart, _ = builtin_chart(name)
+    sampler = RationalSampler(5)
+    units = [
+        tuple(Q(int(j == i)) for j in range(chart.ambient_dim)) for i in range(chart.ambient_dim)
+    ]
+    for _ in range(10):
+        param = sampler.vector(chart.param_dim)
+        try:
+            frame = affine_tangent_frame(chart, param)
+        except FrameDegenerate:
+            continue
+        expected = next((e for e in units if not in_tangent_span(chart, param, e)), None)
+        assert runner._escape_vector(frame) == expected
+        assert (expected is None) == spans_w

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from metaline.linalg import pair_index
@@ -5,6 +7,7 @@ from metaline.metabelian import OmegaForm
 from metaline.polynomials import Poly, parse_poly
 from metaline.scalars import Q
 from metaline.varieties import (
+    _grid_by_sum,
     DirectionRecovery,
     FrameDegenerate,
     affine_tangent_frame,
@@ -217,3 +220,9 @@ def test_isotropy_invariant_under_reparametrization(veronese33, adversarial):
     for m in ([[1]], [[-1]], [[3]]):
         again = certify_isotropic(_substituted_chart(bad_chart, m), bad_omega)
         assert not again.proven and again.witness is not None
+
+
+def test_grid_by_sum_is_the_sorted_grid():
+    for n, c in itertools.product(range(5), repeat=2):
+        grid = itertools.product(range(c + 1), repeat=n)
+        assert list(_grid_by_sum(n, c)) == sorted(grid, key=lambda t: (sum(t), t)), (n, c)
