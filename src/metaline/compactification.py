@@ -6,7 +6,8 @@ whose elements are (a, 0) with a in the frame span.  The compactified
 space is the disjoint union of the group (interior) and, over every
 chart point, the coset space G / T (boundary).  Cosets are stored by a
 canonical representative (lines.canonical_rep): the unique coset member
-whose W-part vanishes at all pivot coordinates of the frame span.
+whose W-part vanishes at all pivot coordinates of the frame span.  A
+boundary point carries that reduced frame, the tangent subalgebra of its fiber.
 
 Points are the objects themselves, told apart by type:
 
@@ -22,7 +23,7 @@ representatives and recanonicalizing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .lines import HorizontalLine, TangentDirectionPoint, canonical_rep, line_through, translate
 from .metabelian import GroupElement, OmegaForm, multiply
@@ -39,6 +40,13 @@ class BoundaryPoint:
     chart_label: str
     param: tuple
     coset_rep: GroupElement
+    # (reduced rows, pivots) of the tangent frame at the chart point
+    tangent: tuple = field(compare=False, repr=False)
+
+    def coset_of(self, omega: OmegaForm, x: GroupElement) -> BoundaryPoint:
+        """The boundary point over the same chart point whose coset holds x."""
+        rep = canonical_rep(omega, x, *self.tangent)
+        return BoundaryPoint(self.chart_label, self.param, rep, self.tangent)
 
 
 def boundary_point(
@@ -46,7 +54,8 @@ def boundary_point(
 ) -> BoundaryPoint:
     param = tuple(Q(c) for c in param)
     reduced, pivots = affine_tangent_frame(chart, param).rref()
-    return BoundaryPoint(chart.label, param, canonical_rep(omega, x, reduced.entries, pivots))
+    tangent = (reduced.entries, pivots)
+    return BoundaryPoint(chart.label, param, canonical_rep(omega, x, *tangent), tangent)
 
 
 def recover_parameter(chart: VarietyChart, direction):
@@ -91,15 +100,12 @@ def compactified_line(
     return interiors, boundary_point(chart, omega, param, x)
 
 
-def g_action(chart: VarietyChart, omega: OmegaForm, g: GroupElement, point):
+def g_action(omega: OmegaForm, g: GroupElement, point):
     """Left translation extended over the boundary."""
     if isinstance(point, GroupElement):
         return multiply(omega, g, point)
     if isinstance(point, BoundaryPoint):
-        if point.chart_label != chart.label:
-            raise ValueError("boundary point belongs to a different chart")
-        moved = multiply(omega, g, point.coset_rep)
-        return boundary_point(chart, omega, point.param, moved)
+        return point.coset_of(omega, multiply(omega, g, point.coset_rep))
     raise TypeError(f"not a space point: {point!r}")
 
 

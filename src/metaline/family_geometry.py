@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .jets import Jet1
 from .linalg import Mat, solve_in_span
 from .lines import line_matrix_rows, translate
-from .metabelian import GroupElement, OmegaForm, multiply
+from .metabelian import GroupElement, OmegaForm, element, multiply
 from .polynomials import Poly
 from .scalars import ONE, Q, ZERO
 from .varieties import VarietyChart, in_tangent_span
@@ -64,10 +64,6 @@ def next_pivots(omega: OmegaForm, x: GroupElement, w, exclude):
     return None
 
 
-def _value(entry):
-    return entry.val if isinstance(entry, Jet1) else entry
-
-
 def _eps(entry, k):
     return entry.eps[k] if isinstance(entry, Jet1) else ZERO
 
@@ -82,7 +78,7 @@ def chart_block(rows, pivots):
     a, b = rows[0][c1], rows[0][c2]
     c, d = rows[1][c1], rows[1][c2]
     det = a * d - b * c
-    if _value(det) == 0:
+    if (det.val if isinstance(det, Jet1) else det) == 0:
         raise ChartMiss(f"pivot columns {pivots} are singular here")
     inv = ((d / det, (-b) / det), ((-c) / det, a / det))
     out = []
@@ -94,13 +90,6 @@ def chart_block(rows, pivots):
             row.append(inv[r][0] * rows[0][col] + inv[r][1] * rows[1][col])
         out.append(row)
     return out
-
-
-def _block_jacobian(rows, pivots, width):
-    """Jacobian of the chart block of width-`width` jet rows: one row per
-    flattened block entry, one column per jet direction."""
-    block = chart_block(rows, pivots)
-    return Mat([[_eps(entry, k) for k in range(width)] for row in block for entry in row])
 
 
 def direction_variation(chart: VarietyChart, omega: OmegaForm, param, x, delta, t, pivots) -> Mat:
@@ -167,8 +156,8 @@ def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots) -> Mat:
         tuple(Jet1.variable(0, n, omega.dim_w + c) for c in range(omega.dim_u)),
     )
     moved = multiply(omega, x_jets, arg)
-    rows = line_matrix_rows(omega, moved, list(w))
-    return _block_jacobian(rows, pivots, n)
+    block = chart_block(line_matrix_rows(omega, moved, list(w)), pivots)
+    return Mat([[_eps(entry, k) for k in range(n)] for row in block for entry in row])
 
 
 def _flatten(mat: Mat):
@@ -277,30 +266,25 @@ def check_splitting_type(frame0: Mat, frame_inf: Mat) -> bool:
 
 def family_dimension(chart: VarietyChart, omega: OmegaForm, sampler, points: int = 10) -> int:
     """Max rank over sample points of the Jacobian of
-    (parameter, base point) -> chart coordinates of the line's plane."""
+    (parameter, base point) -> chart coordinates of the line's plane: the
+    direction variations along the parameter axes beside the basepoint
+    variation (moving the base by x * exp(a) keeps the rank)."""
     d = chart.param_dim
-    n = omega.dim_w + omega.dim_u
-    width = d + n
     best = 0
     for _ in range(points):
         param = sampler.vector(d)
-        if all(c == 0 for c in chart.evaluate(param)):
+        w = chart.evaluate(param)
+        if all(c == 0 for c in w):
             continue
-        base_w = sampler.vector(omega.dim_w)
-        base_u = sampler.vector(omega.dim_u)
-        p_jets = [Jet1.variable(param[a], width, a) for a in range(d)]
-        x_jets = GroupElement(
-            tuple(Jet1.variable(base_w[i], width, d + i) for i in range(omega.dim_w)),
-            tuple(
-                Jet1.variable(base_u[c], width, d + omega.dim_w + c)
-                for c in range(omega.dim_u)
-            ),
-        )
-        w_jets = chart.evaluate_generic(p_jets, zero=Jet1.const(0, width))
-        rows = line_matrix_rows(omega, x_jets, w_jets)
-        value_rows = [[_value(entry) for entry in row] for row in rows]
-        _, pivots = Mat(value_rows).rref()
-        if len(pivots) != 2:
+        x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+        try:
+            pivots = primary_pivots(omega, x, w)
+            cols = [
+                _flatten(direction_variation(chart, omega, param, x, _unit(d, a), 0, pivots))
+                for a in range(d)
+            ]
+            jacobian = Mat.from_cols(cols).hstack(basepoint_variation(omega, x, w, pivots))
+        except ChartMiss:
             continue
-        best = max(best, _block_jacobian(rows, pivots, width).rank())
+        best = max(best, jacobian.rank())
     return best

@@ -49,9 +49,9 @@ class Jet1:
         return cls(Q(value), (ZERO,) * width)
 
     @classmethod
-    def variable(cls, value, width, direction, scale=ONE):
+    def variable(cls, value, width, direction):
         eps = [ZERO] * width
-        eps[direction] = Q(scale)
+        eps[direction] = ONE
         return cls(Q(value), tuple(eps))
 
     def _lift(self, other):

@@ -66,10 +66,6 @@ def line_through(omega: OmegaForm, x: GroupElement, w) -> HorizontalLine:
     return HorizontalLine(w, canonical_rep(omega, x, [w], [pivot]), pivot)
 
 
-def point_at(omega: OmegaForm, line: HorizontalLine, t) -> GroupElement:
-    return translate(omega, line.base, line.direction, t)
-
-
 @dataclass(frozen=True)
 class TangentDirectionPoint:
     """A chart parameter together with a base point: one line with a

@@ -348,20 +348,20 @@ def _different_param(sampler, chart, param):
 
 
 def _action_sample(run, sampler, k, param, frame, x):
-    chart, omega = run.chart, run.omega
+    omega = run.omega
     g1 = _sample_element(sampler, omega)
     g2 = _sample_element(sampler, omega)
     identity = meta.identity_element(omega)
-    boundary = comp.boundary_point(chart, omega, param, x)
+    boundary = comp.boundary_point(run.chart, omega, param, x)
     ok = True
     for point in (x, boundary):
-        if comp.g_action(chart, omega, identity, point) != point:
+        if comp.g_action(omega, identity, point) != point:
             ok = False
-        lhs = comp.g_action(chart, omega, meta.multiply(omega, g1, g2), point)
-        rhs = comp.g_action(chart, omega, g1, comp.g_action(chart, omega, g2, point))
+        lhs = comp.g_action(omega, meta.multiply(omega, g1, g2), point)
+        rhs = comp.g_action(omega, g1, comp.g_action(omega, g2, point))
         if lhs != rhs:
             ok = False
-    if comp.g_action(chart, omega, g1, x) != meta.multiply(omega, g1, x):
+    if comp.g_action(omega, g1, x) != meta.multiply(omega, g1, x):
         ok = False
     return ("pass", None) if ok else ("fail", "action axiom violated")
 
@@ -373,7 +373,7 @@ def _equivariance_sample(run, sampler, k, param, frame, x):
     ok = True
     for point in (marked, lin.line_of(omega, marked)):
         lhs = comp.bundle_to_space(chart, omega, comp.act_on_bundle(omega, g, point))
-        rhs = comp.g_action(chart, omega, g, comp.bundle_to_space(chart, omega, point))
+        rhs = comp.g_action(omega, g, comp.bundle_to_space(chart, omega, point))
         if lhs != rhs:
             ok = False
     return ("pass", None) if ok else ("fail", "evaluation not equivariant")
@@ -385,7 +385,7 @@ def _line_boundary_sample(run, sampler, k, param, frame, x):
     interiors, boundary = comp.compactified_line(chart, omega, param, x, grid)
     ok = len(set(interiors)) == len(grid)
     for interior in interiors:
-        if comp.boundary_point(chart, omega, param, interior) != boundary:
+        if boundary.coset_of(omega, interior) != boundary:
             ok = False
     marked = lin.direction_point(chart, omega, param, x)
     base_line = lin.line_of(omega, marked)

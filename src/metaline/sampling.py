@@ -68,18 +68,3 @@ class RationalSampler:
             if value not in seen:
                 seen.append(value)
         return tuple(seen)
-
-    def unimodular_matrix(self, n: int, shears: int = 6):
-        """Integer matrix with determinant +-1, built from random shears."""
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        if n == 1:
-            return [[1 if self.integer(2) == 0 else -1]]
-        for _ in range(shears):
-            i = self.integer(n)
-            j = self.integer(n)
-            if i == j:
-                continue
-            factor = self.integer(5) - 2
-            for k in range(n):
-                rows[i][k] += factor * rows[j][k]
-        return rows

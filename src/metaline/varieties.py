@@ -96,10 +96,16 @@ class VarietyChart:
         return hash((self.label, self.coords))
 
 
+# Every builtin has at most 10; building the form for 32 takes about 30 s.
+MAX_COORDINATES = 32
+
+
 def make_chart(label, coords, recovery=None) -> VarietyChart:
     coords = tuple(coords)
     if not coords:
         raise ValueError("chart needs at least one coordinate")
+    if len(coords) > MAX_COORDINATES:
+        raise ValueError(f"chart has {len(coords)} coordinates, more than {MAX_COORDINATES}")
     d = coords[0].nvars
     if d == 0:
         raise ValueError("chart needs at least one variable")

@@ -242,6 +242,17 @@ def test_malformed_chart_exits_two(tmp_path, capsys, command, fixture, message):
     assert err.count("\n") == 1 and "malformed" in err and message in err
 
 
+@pytest.mark.parametrize("command", ["verify", "info", "build-omega", "sample-line"])
+def test_chart_past_the_coordinate_cap_exits_two(tmp_path, capsys, command):
+    curve = tmp_path / "moment-32.json"
+    coordinates = ["1"] + [f"t^{k}" for k in range(1, 33)]
+    fixture = {"label": "moment-32", "variables": ["t"], "coordinates": coordinates}
+    curve.write_text(json.dumps(fixture))
+    code, _, err = run_cli(command, str(curve), capsys=capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "malformed" in err and "33 coordinates, more than 32" in err
+
+
 # Fixture files under tests/fixtures, with the exit code of `verify
 # --samples 4` and each check's (samples, passes, skips, failures).
 # Checks not listed pass every sample.
@@ -257,6 +268,13 @@ FIXTURE_FILES = {
             "equivariance": ((2, 0, 2, 0), _NO_RECOVERY),
         },
     ),
+    # Charts beyond the Veronese family: a smooth rational quartic that is
+    # not a rational normal curve, veronese-2-4 after a linear change of
+    # coordinates, a surface and the scroll S(2,2); the last two have d = 2.
+    "rational-quartic.json": (0, {}),
+    "sheared-veronese-2-4.json": (0, {}),
+    "surface-s3.json": (0, {}),
+    "scroll-2-2.json": (0, {}),
 }
 
 

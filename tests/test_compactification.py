@@ -121,19 +121,19 @@ def test_g_action_axioms(twisted_cubic):
     g = _sample_element(sampler, omega)
     h = _sample_element(sampler, omega)
     for point in (x, boundary_point(chart, omega, (Q(1),), x)):
-        assert g_action(chart, omega, e, point) == point
-        lhs = g_action(chart, omega, multiply(omega, g, h), point)
-        rhs = g_action(chart, omega, g, g_action(chart, omega, h, point))
+        assert g_action(omega, e, point) == point
+        lhs = g_action(omega, multiply(omega, g, h), point)
+        rhs = g_action(omega, g, g_action(omega, h, point))
         assert lhs == rhs
-        moved = g_action(chart, omega, g, point)
-        assert g_action(chart, omega, inverse(g), moved) == point
+        moved = g_action(omega, g, point)
+        assert g_action(omega, inverse(g), moved) == point
 
 
 def test_g_action_interior_is_translation(twisted_cubic):
     chart, omega, _ = twisted_cubic
     x = element(omega, (1, 2, 3, 4), (5,))
     g = element(omega, (1, 1, 0, 0), (2,))
-    assert g_action(chart, omega, g, x) == multiply(omega, g, x)
+    assert g_action(omega, g, x) == multiply(omega, g, x)
 
 
 def test_g_action_transitive_on_boundary_fiber(twisted_cubic):
@@ -143,7 +143,7 @@ def test_g_action_transitive_on_boundary_fiber(twisted_cubic):
     x = element(omega, (1, 2, 3, 4), (5,))
     x2 = element(omega, (0, 1, 0, 1), (-7,))
     g = multiply(omega, x2, inverse(x))
-    moved = g_action(chart, omega, g, boundary_point(chart, omega, param, x))
+    moved = g_action(omega, g, boundary_point(chart, omega, param, x))
     assert moved == boundary_point(chart, omega, param, x2)
 
 
@@ -157,7 +157,7 @@ def test_evaluation_equivariance(twisted_cubic):
         alpha = direction_point(chart, omega, param, x)
         for point in (alpha, line_of(omega, alpha)):
             lhs = bundle_to_space(chart, omega, act_on_bundle(omega, g, point))
-            rhs = g_action(chart, omega, g, bundle_to_space(chart, omega, point))
+            rhs = g_action(omega, g, bundle_to_space(chart, omega, point))
             assert lhs == rhs
 
 
@@ -175,7 +175,7 @@ def test_maps_reject_points_of_the_other_space(twisted_cubic):
             act_on_bundle(omega, x, point)
     for point in (alpha, line):
         with pytest.raises(TypeError):
-            g_action(chart, omega, x, point)
+            g_action(omega, x, point)
 
 
 def test_boundary_point_dataclass_equality(twisted_cubic):
@@ -187,11 +187,3 @@ def test_boundary_point_dataclass_equality(twisted_cubic):
     assert a == b and isinstance(a, BoundaryPoint)
     assert hash(a) == hash(b)
 
-
-def test_g_action_rejects_foreign_chart(twisted_cubic, quartic):
-    chart, omega, _ = twisted_cubic
-    other_chart, _, _ = quartic
-    x = element(omega, (1, 2, 3, 4), (5,))
-    bd = boundary_point(chart, omega, (Q(1),), x)
-    with pytest.raises(ValueError):
-        g_action(other_chart, omega, x, bd)

@@ -1,8 +1,10 @@
 import pytest
 
 from metaline import family_geometry as fam
+from metaline.jets import Jet1
 from metaline.linalg import Mat
-from metaline.metabelian import OmegaForm, element
+from metaline.lines import line_matrix_rows
+from metaline.metabelian import GroupElement, OmegaForm, element
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q
 from metaline.varieties import in_tangent_span, linear_chart
@@ -192,6 +194,49 @@ def test_family_dimension(fixture_cache):
 def test_family_dimension_veronese33(veronese33):
     chart, omega, _ = veronese33
     assert fam.family_dimension(chart, omega, RationalSampler(43), points=4) == 21
+
+
+def _coordinate_jacobian_rank(chart, omega, param, base_w, base_u):
+    """Rank of the family Jacobian with the parameter and the base point's
+    coordinates perturbed directly, as width-(d+n) jets: an oracle for
+    family_dimension, which moves the base through the group instead."""
+    d = chart.param_dim
+    width = d + omega.dim_w + omega.dim_u
+    p_jets = [Jet1.variable(param[a], width, a) for a in range(d)]
+    x_jets = GroupElement(
+        tuple(Jet1.variable(c, width, d + i) for i, c in enumerate(base_w)),
+        tuple(Jet1.variable(c, width, d + omega.dim_w + i) for i, c in enumerate(base_u)),
+    )
+    w_jets = chart.evaluate_generic(p_jets, zero=Jet1.const(0, width))
+    rows = line_matrix_rows(omega, x_jets, w_jets)
+    _, pivots = Mat([[getattr(e, "val", e) for e in row] for row in rows]).rref()
+    block = fam.chart_block(rows, pivots)
+    return Mat([[e.eps[k] for k in range(width)] for row in block for e in row]).rank()
+
+
+class _Replay:
+    """A sampler that hands out the given vectors in order."""
+
+    def __init__(self, *vectors):
+        self.vectors = list(vectors)
+
+    def vector(self, length):
+        vec = self.vectors.pop(0)
+        assert len(vec) == length
+        return vec
+
+
+# The isotropic builtins but veronese3-of-conic, whose width-45 jets are slow.
+@pytest.mark.parametrize(
+    "name", ["veronese-2-3", "veronese-2-4", "veronese-3-3", "flat-conic", "flat-linear"]
+)
+def test_family_dimension_rank_matches_coordinate_jacobian(fixture_cache, name):
+    chart, omega, _ = fixture_cache(name)
+    sampler = RationalSampler(61)
+    for _ in range(3):
+        draws = [sampler.vector(k) for k in (chart.param_dim, omega.dim_w, omega.dim_u)]
+        rank = fam.family_dimension(chart, omega, _Replay(*draws), points=1)
+        assert rank == _coordinate_jacobian_rank(chart, omega, *draws) > 0
 
 
 def test_splitting_rejects_rank_drop():

@@ -19,7 +19,6 @@ def test_constructors():
     assert c.val == Q(3, 2) and c.eps == (0, 0)
     x = Jet1.variable(Q(5), 3, 1)
     assert x.val == 5 and x.eps == (0, 1, 0)
-    assert Jet1.variable(0, 2, 0, scale=Q(1, 3)).eps == (Q(1, 3), 0)
 
 
 def test_sum_and_difference():

@@ -215,18 +215,6 @@ def test_span_accumulator_rejects_dependents():
     assert acc.rank == 2
 
 
-def _det3(m):
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def test_unimodular_matrices_have_unit_determinant():
-    sampler = RationalSampler(11)
-    for _ in range(10):
-        m = sampler.unimodular_matrix(3)
-        assert abs(_det3(m)) == 1
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(rationals, min_size=3, max_size=3), st.lists(rationals, min_size=3, max_size=3))
 def test_wedge_bilinear(u, v):

@@ -9,8 +9,8 @@ from metaline.lines import (
     line_of,
     line_through,
     pluecker_embed,
-    point_at,
     slide_action,
+    translate,
 )
 from metaline.metabelian import OmegaForm, element, multiply
 from metaline.sampling import RationalSampler
@@ -32,7 +32,7 @@ def test_same_line_same_canonical_form():
     x = element(HEIS, (3, 5), (7,))
     line = line_through(HEIS, x, (2, 4))
     # any point of the line with any rescaled direction gives the same form
-    y = point_at(HEIS, line, Q(9, 2))
+    y = translate(HEIS, line.base, line.direction, Q(9, 2))
     assert line_through(HEIS, y, (-6, -12)) == line
 
 
@@ -54,7 +54,7 @@ def test_line_points_satisfy_group_parametrization():
     line = line_through(HEIS, x, (1, 1))
     t = Q(7, 2)
     expected = multiply(HEIS, line.base, element(HEIS, tuple(t * c for c in line.direction)))
-    assert point_at(HEIS, line, t) == expected
+    assert translate(HEIS, line.base, line.direction, t) == expected
 
 
 def test_marked_point_slide_preserves_line(flat_conic):
@@ -69,7 +69,8 @@ def test_marked_point_slide_preserves_line(flat_conic):
     # pivot, so a point's line parameter is its W-coordinate at the pivot
     pivot = line.pivot
     for marked in (alpha, slid):
-        assert point_at(omega, line, marked.base.w_part[pivot]) == marked.base
+        t = marked.base.w_part[pivot]
+        assert translate(omega, line.base, line.direction, t) == marked.base
     shift = slid.base.w_part[pivot] - alpha.base.w_part[pivot]
     assert shift == Q(5) * chart.evaluate((Q(2),))[pivot]
 
@@ -90,7 +91,7 @@ def test_pluecker_embedding_relations_and_membership(twisted_cubic):
         line = line_through(omega, x, w)
         plane = pluecker_embed(omega, line)
         for t in (Q(0), Q(1), Q(-3, 2)):
-            assert _rank_with(plane, point_at(omega, line, t)) == 2
+            assert _rank_with(plane, translate(omega, line.base, line.direction, t)) == 2
         off_line = multiply(omega, x, element(omega, (0,) * omega.dim_w, (1,)))
         assert _rank_with(plane, off_line) == 3
 
@@ -119,7 +120,7 @@ def test_boundary_direction_base_invariance(twisted_cubic):
     x = element(omega, (1, 2, 3, 4), (5,))
     w = chart.evaluate((Q(2),))
     line = line_through(omega, x, w)
-    slid = line_through(omega, point_at(omega, line, Q(7)), w)
+    slid = line_through(omega, translate(omega, line.base, line.direction, Q(7)), w)
     assert boundary_direction(omega, line) == boundary_direction(omega, slid)
     # leading entry normalized to one
     vec = boundary_direction(omega, line)

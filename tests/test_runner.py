@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from metaline import compactification as comp
 from metaline import family_geometry as fam
 from metaline import runner
 from metaline.linalg import NotInSpan
@@ -291,3 +292,22 @@ def test_escape_vector_is_the_first_unit_vector_off_the_frame(name, spans_w):
         expected = next((e for e in units if not in_tangent_span(chart, param, e)), None)
         assert runner._escape_vector(frame) == expected
         assert (expected is None) == spans_w
+
+
+def test_each_boundary_sample_builds_one_tangent_frame(monkeypatch):
+    """A boundary point carries its fiber: the group action and the
+    interior points of a compactified line reuse the frame of the one
+    boundary point a sample builds."""
+    built = []
+    original = comp.affine_tangent_frame
+
+    def counting(chart, point):
+        built.append(point)
+        return original(chart, point)
+
+    monkeypatch.setattr(comp, "affine_tangent_frame", counting)
+    chart, explicit = builtin_chart("flat-conic")
+    checks = ["group-action", "line-boundary"]
+    report = run_verification(chart, explicit, samples=10, checks=checks)
+    assert report.passed
+    assert len(built) == sum(c.samples - c.skips for c in report.checks) > 0

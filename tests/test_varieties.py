@@ -211,9 +211,16 @@ def test_isotropy_invariant_under_reparametrization(veronese33, adversarial):
     from metaline.sampling import RationalSampler
 
     chart, omega, _ = veronese33
+    d = chart.param_dim
     sampler = RationalSampler(37)
     for _ in range(5):
-        m = sampler.unimodular_matrix(chart.param_dim)
+        # a product of random integer shears: determinant 1
+        m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+        for _ in range(6):
+            i, j = sampler.integer(d), sampler.integer(d)
+            if i != j:
+                factor = sampler.integer(5) - 2
+                m[i] = [a + factor * b for a, b in zip(m[i], m[j])]
         again = certify_isotropic(_substituted_chart(chart, m), omega)
         assert again.proven
     bad_chart, bad_omega, _ = adversarial
@@ -226,3 +233,10 @@ def test_grid_by_sum_is_the_sorted_grid():
     for n, c in itertools.product(range(5), repeat=2):
         grid = itertools.product(range(c + 1), repeat=n)
         assert list(_grid_by_sum(n, c)) == sorted(grid, key=lambda t: (sum(t), t)), (n, c)
+
+
+def test_make_chart_caps_the_coordinate_count():
+    moment = [Poly.var(0, 1) ** k for k in range(33)]
+    assert make_chart("moment-31", moment[:32]).ambient_dim == 32
+    with pytest.raises(ValueError, match="33 coordinates, more than 32"):
+        make_chart("moment-32", moment)
