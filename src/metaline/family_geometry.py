@@ -3,8 +3,11 @@
 A horizontal line in an isotropic chart direction embeds into the
 Grassmannian of 2-planes; around any such plane a chart is given by a
 pair of pivot columns, normalizing the spanning rows against them and
-reading the remaining 2 x (n-1) block as coordinates.  Everything here
-differentiates that picture exactly:
+reading the remaining 2 x (n-1) block as coordinates.  With P the pivot
+minor and N the other columns, the block B = P^-1 N moves by
+dB = P^-1 (dN - dP B) when the rows move by (dP | dN) (Magnus &
+Neudecker, Matrix Differential Calculus, ch. 8); both variations below
+are that closed form.  Everything here differentiates the picture exactly:
 
 * direction_variation: derivative of the family map when the chart
   parameter moves and the base point is slid along the line;
@@ -22,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .jets import Jet1
 from .linalg import Mat, solve_in_span
 from .lines import line_matrix_rows, translate
-from .metabelian import GroupElement, OmegaForm, element, multiply
+from .metabelian import GroupElement, OmegaForm, element
 from .polynomials import Poly
-from .scalars import ONE, Q, ZERO
+from .scalars import HALF, ONE, Q, ZERO
 from .varieties import VarietyChart, in_tangent_span
 
 PENCIL_SLIDES = (Q(1), Q(2), Q(-1), Q(1, 2), Q(7))
@@ -64,43 +66,59 @@ def next_pivots(omega: OmegaForm, x: GroupElement, w, exclude):
     return None
 
 
-def _eps(entry, k):
-    return entry.eps[k] if isinstance(entry, Jet1) else ZERO
-
-
 def chart_block(rows, pivots):
-    """Non-pivot block of the plane normalized at the pivot columns.
-
-    Generic over scalars and jets; raises ChartMiss when the pivot
-    minor's value part vanishes.
-    """
+    """Inverse pivot minor P^-1 and non-pivot block B = P^-1 N of the
+    plane normalized at the pivot columns; raises ChartMiss when P is
+    singular."""
     c1, c2 = pivots
     a, b = rows[0][c1], rows[0][c2]
     c, d = rows[1][c1], rows[1][c2]
     det = a * d - b * c
-    if (det.val if isinstance(det, Jet1) else det) == 0:
+    if det == 0:
         raise ChartMiss(f"pivot columns {pivots} are singular here")
-    inv = ((d / det, (-b) / det), ((-c) / det, a / det))
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    block = [
+        [i0 * p + i1 * q for col, (p, q) in enumerate(zip(*rows)) if col != c1 and col != c2]
+        for i0, i1 in inv
+    ]
+    return inv, block
+
+
+def _block_variation(inv, block, drows, pivots):
+    """P^-1 (dN - dP B): the derivative of the chart block B = P^-1 N as
+    the plane's rows move by drows.  Zero operands are skipped; the
+    values are the same either way."""
+    c1, c2 = pivots
+    moved = []
+    for drow in drows:
+        rest = [v for col, v in enumerate(drow) if col != c1 and col != c2]
+        for dp, b_row in ((drow[c1], block[0]), (drow[c2], block[1])):
+            if dp:
+                rest = [v - dp * b if b else v for v, b in zip(rest, b_row)]
+        moved.append(rest)
     out = []
-    for r in range(2):
+    for i0, i1 in inv:
         row = []
-        for col in range(len(rows[0])):
-            if col == c1 or col == c2:
-                continue
-            row.append(inv[r][0] * rows[0][col] + inv[r][1] * rows[1][col])
+        for m0, m1 in zip(*moved):
+            if m0:
+                row.append(i0 * m0 + i1 * m1 if m1 else i0 * m0)
+            else:
+                row.append(i1 * m1 if m1 else ZERO)
         out.append(row)
     return out
 
 
 def direction_variation(chart: VarietyChart, omega: OmegaForm, param, x, delta, t, pivots) -> Mat:
     """Derivative of the chart coordinates of the line's plane as the
-    parameter moves along delta, the base slid by t along the line."""
-    xt = translate(omega, x, chart.evaluate(param), t)
-    jets = [Jet1(Q(pv), (Q(dv),)) for pv, dv in zip(param, delta)]
-    w_tau = chart.evaluate_generic(jets, zero=Jet1.const(0, 1))
-    rows = line_matrix_rows(omega, xt, w_tau)
-    block = chart_block(rows, pivots)
-    return Mat([[_eps(entry, 0) for entry in row] for row in block])
+    parameter moves along delta, the base slid by t along the line.  Only
+    the direction row moves, by that of the chart tangent."""
+    w = chart.evaluate(param)
+    xt = translate(omega, x, w, t)
+    rows = line_matrix_rows(omega, xt, w)
+    inv, block = chart_block(rows, pivots)
+    tangent = chart.tangent_vector(param, delta)
+    drows = [[ZERO] * len(rows[0]), line_matrix_rows(omega, xt, tangent)[1]]
+    return Mat(_block_variation(inv, block, drows, pivots))
 
 
 def direction_variation_symbolic(
@@ -143,21 +161,27 @@ def direction_variation_symbolic(
 
 
 def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots) -> Mat:
-    """Derivative of the plane as the base moves: one column per algebra
-    basis direction, rows the flattened chart block.  The kernel is the
+    """Derivative of the plane as the base moves to x * exp(a): one
+    column per algebra basis direction a, rows the flattened chart
+    block.  The point row moves by (a_w, a_u + (1/2) form(x_w, a_w), 0)
+    and the direction row by (0, (1/2) form(a_w, w), 0), so a
+    U-direction moves one entry of the point row.  The kernel is the
     span of the line direction."""
-    n = omega.dim_w + omega.dim_u
-    x_jets = GroupElement(
-        tuple(Jet1.const(c, n) for c in x.w_part),
-        tuple(Jet1.const(c, n) for c in x.u_part),
-    )
-    arg = GroupElement(
-        tuple(Jet1.variable(0, n, i) for i in range(omega.dim_w)),
-        tuple(Jet1.variable(0, n, omega.dim_w + c) for c in range(omega.dim_u)),
-    )
-    moved = multiply(omega, x_jets, arg)
-    block = chart_block(line_matrix_rows(omega, moved, list(w)), pivots)
-    return Mat([[_eps(entry, k) for k in range(n)] for row in block for entry in row])
+    rows = line_matrix_rows(omega, x, w)
+    inv, block = chart_block(rows, pivots)
+    dim_w, width = omega.dim_w, len(rows[0])
+    cols = []
+    for k in range(dim_w + omega.dim_u):
+        d_point = [ZERO] * width
+        d_dir = [ZERO] * width
+        d_point[k] = ONE
+        if k < dim_w:
+            a_w = _unit(dim_w, k)
+            d_point[dim_w:-1] = [HALF * c for c in omega.apply(x.w_part, a_w)]
+            d_dir[dim_w:-1] = [HALF * c for c in omega.apply(a_w, w)]
+        moved = _block_variation(inv, block, [d_point, d_dir], pivots)
+        cols.append(moved[0] + moved[1])
+    return Mat.from_cols(cols)
 
 
 def _flatten(mat: Mat):

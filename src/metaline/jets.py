@@ -12,31 +12,6 @@ from __future__ import annotations
 from .scalars import ONE, Q, ZERO
 
 
-# Most partials of a wide jet are zero.  The helpers below skip the
-# arithmetic on zero operands; the values are the same either way.
-
-
-def _sum_partial(da, db):
-    """da + db."""
-    if da and db:
-        return da + db
-    return da or db
-
-
-def _difference_partial(da, db):
-    """da - db."""
-    if not db:
-        return da
-    return da - db if da else -db
-
-
-def _product_partial(a, da, b, db):
-    """a * db + b * da."""
-    if da:
-        return a * db + b * da if db else b * da
-    return a * db if db else ZERO
-
-
 class Jet1:
     __slots__ = ("val", "eps")
 
@@ -48,12 +23,6 @@ class Jet1:
     def const(cls, value, width):
         return cls(Q(value), (ZERO,) * width)
 
-    @classmethod
-    def variable(cls, value, width, direction):
-        eps = [ZERO] * width
-        eps[direction] = ONE
-        return cls(Q(value), tuple(eps))
-
     def _lift(self, other):
         if isinstance(other, Jet1):
             return other
@@ -61,17 +30,17 @@ class Jet1:
 
     def __add__(self, other):
         o = self._lift(other)
-        return Jet1(self.val + o.val, tuple(map(_sum_partial, self.eps, o.eps)))
+        return Jet1(self.val + o.val, tuple(a + b for a, b in zip(self.eps, o.eps)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._lift(other)
-        return Jet1(self.val - o.val, tuple(map(_difference_partial, self.eps, o.eps)))
+        return Jet1(self.val - o.val, tuple(a - b for a, b in zip(self.eps, o.eps)))
 
     def __rsub__(self, other):
         o = self._lift(other)
-        return Jet1(o.val - self.val, tuple(map(_difference_partial, o.eps, self.eps)))
+        return Jet1(o.val - self.val, tuple(a - b for a, b in zip(o.eps, self.eps)))
 
     def __neg__(self):
         return Jet1(-self.val, tuple(-a for a in self.eps))
@@ -79,10 +48,9 @@ class Jet1:
     def __mul__(self, other):
         if isinstance(other, Jet1):
             a, b = self.val, other.val
-            eps = (_product_partial(a, da, b, db) for da, db in zip(self.eps, other.eps))
-            return Jet1(a * b, eps)
+            return Jet1(a * b, (a * db + b * da for da, db in zip(self.eps, other.eps)))
         c = Q(other)
-        return Jet1(self.val * c, tuple(c * da if da else ZERO for da in self.eps))
+        return Jet1(self.val * c, tuple(c * da for da in self.eps))
 
     __rmul__ = __mul__
 

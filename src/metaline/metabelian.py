@@ -66,6 +66,8 @@ class OmegaForm:
         """Form on a second-exterior-power vector, pairs in lex order."""
         out = [ZERO] * self.dim_u
         for minor, row in zip(vector, self.table):
+            if not minor:  # a zero scalar; jets and polynomials are truthy
+                continue
             for c, coeff in enumerate(row):
                 if coeff != 0:
                     out[c] = out[c] + minor * coeff

@@ -47,8 +47,8 @@ def _frame_or_none(chart, param):
 
 def _slide_outcome(chart, omega, cfg, variant):
     """One slide-identity sample on the primary chart ("primary"), on the
-    next chart ("alt"), or on the primary chart after checking the jet
-    derivative against the symbolic oracle ("symbolic")."""
+    next chart ("alt"), or on the primary chart after checking the
+    closed-form derivative against the symbolic oracle ("symbolic")."""
     param, base_w, base_u, delta, t = cfg
     x = meta.element(omega, base_w, base_u)
     if _frame_or_none(chart, param) is None:
@@ -64,7 +64,7 @@ def _slide_outcome(chart, omega, cfg, variant):
             for slide in (t, Q(0)):
                 args = (chart, omega, param, x, delta, slide, pivots)
                 if fam.direction_variation(*args) != fam.direction_variation_symbolic(*args):
-                    note = f"jet and symbolic derivatives disagree at slide {qstr(slide)}"
+                    note = f"closed-form and symbolic derivatives disagree at slide {qstr(slide)}"
                     return ("fail", note)
         result = fam.check_slide_identity(chart, omega, param, x, delta, t, pivots)
     except fam.ChartMiss as exc:

@@ -73,9 +73,6 @@ class VarietyChart:
         point = tuple(point)
         return [tuple(p.evaluate(point) for p in row) for row in self.partials]
 
-    def evaluate_generic(self, values, zero):
-        return [poly.evaluate(values, zero=zero) for poly in self.coords]
-
     def tangent_vector(self, point, delta):
         """Differential of the chart at point applied to delta."""
         out = [ZERO] * self.ambient_dim

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -275,6 +276,21 @@ FIXTURE_FILES = {
     "sheared-veronese-2-4.json": (0, {}),
     "surface-s3.json": (0, {}),
     "scroll-2-2.json": (0, {}),
+    # veronese-2-4 with the constructed form's three U-coordinates summed
+    # into one: an explicit form, dimU 1.
+    "veronese-2-4-summed-form.json": (0, {}),
+}
+
+# sha256 of each fixture's report file at seed 42, --samples 4.
+FIXTURE_DIGESTS = {
+    "no-recovery.json": "6f8304d75193c5f773729d73a7526bb6c0bec276fcb07264c1e9f1c1551b0aa1",
+    "rational-quartic.json": "b94bd4736917d85014eedab87d57e8230446746579beb3acfc1163f7ec6aa54c",
+    "scroll-2-2.json": "5d828996437f6f15c20d01cc5dc50608db3bfb06fe89ff5ed24fd3e67486873a",
+    "sheared-veronese-2-4.json": "a62c76dec68b6c4dcefec9d6b9c9ffd8beda11e0da3cea98f28ec6da3ffeb02c",
+    "surface-s3.json": "c5a5fc723eb4024089694256bae7ba5a3f0c50d49744ae311182614db25c25d7",
+    "veronese-2-4-summed-form.json": (
+        "b6ea98f2cedfae8e1cff7cd316e8e6b6cc7f8c09c17acfd30b7fd95911e524b9"
+    ),
 }
 
 
@@ -286,6 +302,7 @@ def test_fixture_file_verifies(tmp_path, capsys, name):
     )
     expected_code, exceptions = FIXTURE_FILES[name]
     assert code == expected_code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXTURE_DIGESTS[name]
     for check in json.loads(out.read_text())["checks"]:
         counts = tuple(check[k] for k in ("samples", "passes", "skips", "failures"))
         if check["name"] in exceptions:

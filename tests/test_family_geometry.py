@@ -1,15 +1,19 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from metaline import family_geometry as fam
 from metaline.jets import Jet1
 from metaline.linalg import Mat
-from metaline.lines import line_matrix_rows
-from metaline.metabelian import GroupElement, OmegaForm, element
+from metaline.lines import line_matrix_rows, translate
+from metaline.metabelian import GroupElement, OmegaForm, element, multiply
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q
-from metaline.varieties import in_tangent_span, linear_chart
+from metaline.varieties import chart_from_json, in_tangent_span, linear_chart, omega_from_json
 
 HEIS = OmegaForm.heisenberg()
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 def test_primary_and_next_pivots(twisted_cubic):
@@ -23,8 +27,9 @@ def test_primary_and_next_pivots(twisted_cubic):
 
 
 def test_chart_block_normalizes_pivots():
-    rows = [[2, 0, 4, 6], [0, 3, 3, 9]]
-    block = fam.chart_block(rows, (0, 1))
+    rows = [[Q(v) for v in row] for row in ([2, 0, 4, 6], [0, 3, 3, 9])]
+    inv, block = fam.chart_block(rows, (0, 1))
+    assert inv == ((Q(1, 2), 0), (0, Q(1, 3)))
     assert block == [[2, 3], [1, 3]]
     with pytest.raises(fam.ChartMiss):
         fam.chart_block([[1, 2, 0], [2, 4, 1]], (0, 1))
@@ -196,21 +201,150 @@ def test_family_dimension_veronese33(veronese33):
     assert fam.family_dimension(chart, omega, RationalSampler(43), points=4) == 21
 
 
+# Forward-mode oracles: the chart block computed on jets, whose partials
+# are the derivatives that the closed forms in family_geometry state.
+
+
+def _jet_variable(value, width, direction):
+    return Jet1(Q(value), tuple(Q(int(k == direction)) for k in range(width)))
+
+
+def _eps(entry, k):
+    return entry.eps[k] if isinstance(entry, Jet1) else Q(0)
+
+
+def _jet_block(rows, pivots):
+    """Non-pivot block of the plane normalized at the pivot columns, on
+    scalars or jets."""
+    c1, c2 = pivots
+    a, b = rows[0][c1], rows[0][c2]
+    c, d = rows[1][c1], rows[1][c2]
+    det = a * d - b * c
+    inv = ((d / det, (-b) / det), ((-c) / det, a / det))
+    return [
+        [
+            inv[r][0] * rows[0][col] + inv[r][1] * rows[1][col]
+            for col in range(len(rows[0]))
+            if col != c1 and col != c2
+        ]
+        for r in range(2)
+    ]
+
+
+def _jet_direction_variation(chart, omega, param, x, delta, t, pivots):
+    """direction_variation with the chart parameter as a width-1 jet."""
+    xt = translate(omega, x, chart.evaluate(param), t)
+    jets = [Jet1(Q(pv), (Q(dv),)) for pv, dv in zip(param, delta)]
+    w_tau = [poly.evaluate(jets, zero=Jet1.const(0, 1)) for poly in chart.coords]
+    block = _jet_block(line_matrix_rows(omega, xt, w_tau), pivots)
+    return Mat([[_eps(entry, 0) for entry in row] for row in block])
+
+
+def _jet_basepoint_variation(omega, x, w, pivots):
+    """basepoint_variation with x * exp(a) moved by a width-n jet in a."""
+    n = omega.dim_w + omega.dim_u
+    x_jets = GroupElement(
+        tuple(Jet1.const(c, n) for c in x.w_part),
+        tuple(Jet1.const(c, n) for c in x.u_part),
+    )
+    arg = GroupElement(
+        tuple(_jet_variable(0, n, i) for i in range(omega.dim_w)),
+        tuple(_jet_variable(0, n, omega.dim_w + c) for c in range(omega.dim_u)),
+    )
+    moved = multiply(omega, x_jets, arg)
+    block = _jet_block(line_matrix_rows(omega, moved, list(w)), pivots)
+    return Mat([[_eps(entry, k) for k in range(n)] for row in block for entry in row])
+
+
+def _pivot_choices(omega, x, w):
+    """Primary and next pivots, the first valid pair with a W and a U
+    column, and the first with a U and the constant column.  With a pivot
+    in U, a U-direction moves the pivot minor."""
+    rows = line_matrix_rows(omega, x, w)
+    last = len(rows[0]) - 1
+    u_cols = range(omega.dim_w, last)
+
+    def first_valid(pairs):
+        return next(
+            (
+                (i, j)
+                for i, j in pairs
+                if rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i] != 0
+            ),
+            None,
+        )
+
+    primary = fam.primary_pivots(omega, x, w)
+    choices = {
+        "primary": primary,
+        "next": fam.next_pivots(omega, x, w, primary),
+        "w-u": first_valid((i, j) for i in range(omega.dim_w) for j in u_cols),
+        "u-constant": first_valid((j, last) for j in u_cols),
+    }
+    return {kind: pivots for kind, pivots in choices.items() if pivots is not None}
+
+
+def _chart_and_form(fixture_cache, name):
+    if name.endswith(".json"):
+        data = json.loads((FIXTURE_DIR / name).read_text())
+        chart = chart_from_json(data)
+        return chart, omega_from_json(chart.ambient_dim, data["omega"])
+    chart, omega, _ = fixture_cache(name)
+    return chart, omega
+
+
+# The isotropic builtins but veronese3-of-conic, whose width-44 jets are
+# slow, and a fixture with an explicit form.
+@pytest.mark.parametrize(
+    "name",
+    [
+        "veronese-2-3",
+        "veronese-2-4",
+        "veronese-3-3",
+        "flat-conic",
+        "flat-linear",
+        "veronese-2-4-summed-form.json",
+    ],
+)
+def test_closed_form_variations_match_jets(fixture_cache, name):
+    chart, omega = _chart_and_form(fixture_cache, name)
+    sampler = RationalSampler(67)
+    kinds = set()
+    for _ in range(3):
+        param = sampler.vector(chart.param_dim)
+        x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+        delta = sampler.nonzero_vector(chart.param_dim)
+        t = sampler.nonzero_rational()
+        w = chart.evaluate(param)
+        for kind, pivots in _pivot_choices(omega, x, w).items():
+            kinds.add(kind)
+            assert fam.basepoint_variation(omega, x, w, pivots) == _jet_basepoint_variation(
+                omega, x, w, pivots
+            ), (kind, pivots)
+            args = (chart, omega, param, x, delta, t, pivots)
+            assert fam.direction_variation(*args) == _jet_direction_variation(*args), (
+                kind,
+                pivots,
+            )
+    expected = {"primary", "next"} | ({"w-u", "u-constant"} if omega.dim_u else set())
+    assert kinds == expected
+
+
 def _coordinate_jacobian_rank(chart, omega, param, base_w, base_u):
     """Rank of the family Jacobian with the parameter and the base point's
     coordinates perturbed directly, as width-(d+n) jets: an oracle for
     family_dimension, which moves the base through the group instead."""
     d = chart.param_dim
     width = d + omega.dim_w + omega.dim_u
-    p_jets = [Jet1.variable(param[a], width, a) for a in range(d)]
+    p_jets = [_jet_variable(param[a], width, a) for a in range(d)]
     x_jets = GroupElement(
-        tuple(Jet1.variable(c, width, d + i) for i, c in enumerate(base_w)),
-        tuple(Jet1.variable(c, width, d + omega.dim_w + i) for i, c in enumerate(base_u)),
+        tuple(_jet_variable(c, width, d + i) for i, c in enumerate(base_w)),
+        tuple(_jet_variable(c, width, d + omega.dim_w + i) for i, c in enumerate(base_u)),
     )
-    w_jets = chart.evaluate_generic(p_jets, zero=Jet1.const(0, width))
+    w_jets = [poly.evaluate(p_jets, zero=Jet1.const(0, width)) for poly in chart.coords]
     rows = line_matrix_rows(omega, x_jets, w_jets)
     _, pivots = Mat([[getattr(e, "val", e) for e in row] for row in rows]).rref()
-    block = fam.chart_block(rows, pivots)
+    block = _jet_block(rows, pivots)
     return Mat([[e.eps[k] for k in range(width)] for row in block for e in row]).rank()
 
 

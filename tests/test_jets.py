@@ -17,7 +17,7 @@ def jet(v, dv):
 def test_constructors():
     c = Jet1.const(Q(3, 2), 2)
     assert c.val == Q(3, 2) and c.eps == (0, 0)
-    x = Jet1.variable(Q(5), 3, 1)
+    x = Jet1(Q(5), (Q(0), Q(1), Q(0)))
     assert x.val == 5 and x.eps == (0, 1, 0)
 
 

@@ -117,7 +117,7 @@ def test_diff():
 def test_evaluate_on_jets_matches_diff():
     q = p("x^2*y + y^3 - 4")
     point = (Q(3), Q(-2))
-    jets = [Jet1.variable(point[i], 2, i) for i in range(2)]
+    jets = [Jet1(point[0], (Q(1), Q(0))), Jet1(point[1], (Q(0), Q(1)))]
     out = q.evaluate(jets, zero=Jet1.const(0, 2))
     assert out.val == q.evaluate(point)
     assert out.eps == (q.diff(0).evaluate(point), q.diff(1).evaluate(point))

@@ -6,7 +6,7 @@ import pytest
 from metaline import compactification as comp
 from metaline import family_geometry as fam
 from metaline import runner
-from metaline.linalg import NotInSpan
+from metaline.linalg import Mat, NotInSpan
 from metaline.metabelian import OmegaForm
 from metaline.runner import CHECK_NAMES, run_verification
 from metaline.scalars import Q
@@ -270,6 +270,34 @@ def test_symbolic_variant_reports_a_failed_pull_back(monkeypatch):
             "skips": 0,
             "failures": 5,
             "witness": "shift escaped the basepoint-variation image (1,...)",
+        }
+    ]
+
+
+def test_symbolic_variant_reports_a_derivative_disagreement(monkeypatch):
+    """A closed-form derivative off by one entry at slide zero only: the
+    witness names that slide, after the sample's own slide agreed."""
+    closed_form = fam.direction_variation
+
+    def perturbed(chart, omega, param, x, delta, t, pivots):
+        mat = closed_form(chart, omega, param, x, delta, t, pivots)
+        if t != 0:
+            return mat
+        entries = [list(row) for row in mat.entries]
+        entries[0][0] += 1
+        return Mat(entries)
+
+    monkeypatch.setattr(fam, "direction_variation", perturbed)
+    chart, explicit = builtin_chart("flat-conic")
+    report = run_verification(chart, explicit, samples=5, checks=["slide-identity-symbolic"])
+    assert [c.to_dict() for c in report.checks] == [
+        {
+            "name": "slide-identity-symbolic",
+            "samples": 5,
+            "passes": 0,
+            "skips": 0,
+            "failures": 5,
+            "witness": "closed-form and symbolic derivatives disagree at slide 0",
         }
     ]
 
