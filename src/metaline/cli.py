@@ -15,9 +15,10 @@ import json
 import sys
 
 from .compactification import boundary_point
+from .linalg import pair_count
 from .lines import ZeroDirection, boundary_direction, line_through, pluecker_embed
 from .metabelian import element
-from .omega_builder import SaturationNotReached, build_omega
+from .omega_builder import build_omega
 from .polynomials import Poly, PolyParseError
 from .runner import CHECK_NAMES, run_verification
 from .sampling import RationalSampler
@@ -100,12 +101,12 @@ def _cmd_info(args):
         f"fixture:     {chart.label}",
         f"dimW:        {dim_w}",
         f"d:           {chart.param_dim}",
-        f"dimLambda2W: {dim_w * (dim_w - 1) // 2}",
+        f"dimLambda2W: {pair_count(dim_w)}",
     ]
     if omega is None:
-        construction = build_omega(chart, seed=args.seed)
+        construction = build_omega(chart)
         lines.append(f"dimWprime:   {construction.dim_w_prime}")
-        dim_u = construction.dim_u
+        dim_u = construction.omega.dim_u
     else:
         lines.append("dimWprime:   n/a (explicit form)")
         dim_u = omega.dim_u
@@ -113,19 +114,19 @@ def _cmd_info(args):
     lines.append(f"dimU:        {dim_u}")
     lines.append(f"n:           {n}")
     lines.append(f"familyDim:   {n - 1 + chart.param_dim}")
-    print("\n".join(lines))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_build_omega(args):
     chart, _ = _load_fixture(args.fixture)
-    construction = build_omega(chart, seed=args.seed)
+    construction = build_omega(chart)
     payload = {
         "label": chart.label,
-        "seed": construction.seed,
-        "dimW": construction.dim_w,
-        "dimU": construction.dim_u,
-        "dimLambda2W": construction.dim_lambda2,
+        "seed": args.seed,
+        "dimW": chart.ambient_dim,
+        "dimU": construction.omega.dim_u,
+        "dimLambda2W": pair_count(chart.ambient_dim),
         "dimWprime": construction.dim_w_prime,
         "wPrimeBasis": [
             [qstr(c) for c in row] for row in construction.w_prime_basis.entries
@@ -138,7 +139,7 @@ def _cmd_build_omega(args):
 
 def _cmd_sample_line(args):
     chart, explicit = _load_fixture(args.fixture)
-    omega = explicit if explicit is not None else build_omega(chart, seed=args.seed).omega
+    omega = explicit if explicit is not None else build_omega(chart).omega
     sampler = RationalSampler(args.seed).derive("sample-line")
     param = _parse_vector(args.param) if args.param else sampler.vector(chart.param_dim)
     if len(param) != chart.param_dim:
@@ -208,8 +209,7 @@ def _build_parser():
     p_verify.set_defaults(func=_cmd_verify)
 
     p_info = sub.add_parser("info", help="print dimension summary")
-    p_info.add_argument("fixture")
-    p_info.add_argument("--seed", type=int, default=42)
+    common(p_info)
     p_info.set_defaults(func=_cmd_info)
 
     p_build = sub.add_parser("build-omega", help="construct the form and emit JSON")
@@ -230,9 +230,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SaturationNotReached as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (FixtureError, FrameDegenerate, ZeroDirection, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

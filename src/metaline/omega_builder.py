@@ -1,12 +1,15 @@
 """Derive the antisymmetric form whose kernel contains all tangent planes.
 
-Sampling the chart at deterministic rational points, the wedges of all
-frame pairs accumulate into a subspace of the second exterior power of
-W.  Once the rank stays flat across a stability window the subspace is
-taken as saturated; the quotient by it defines the form, with the
-non-pivot exterior coordinates as the basis of the value space U.  By
-construction the form kills every sampled tangent plane; the symbolic
-isotropy certificate then closes the gap for the whole chart.
+The wedge of two rows of the symbolic frame (the chart and its d
+partials) is a vector of polynomials in the chart parameters.  A
+polynomial that vanishes on all of Q^d is zero (Cox, Little & O'Shea,
+Ideals, Varieties, and Algorithms, ch. 1 §1, Prop. 5), so the span of
+its values over all parameter points is exactly the span of its
+monomial coefficient vectors.  Those vectors, over all frame pairs,
+span W'; the quotient by W' defines the form, with the non-pivot
+exterior coordinates as the basis of the value space U.  No point is
+sampled, and the symbolic isotropy certificate checks the result
+independently.
 """
 
 from __future__ import annotations
@@ -15,25 +18,16 @@ from dataclasses import dataclass
 
 from .linalg import Mat, SpanAccumulator, pair_count, wedge
 from .metabelian import OmegaForm
-from .sampling import RationalSampler
-from .varieties import FrameDegenerate, VarietyChart, affine_tangent_frame
-
-
-class SaturationNotReached(Exception):
-    """Rank kept moving after the grid was exhausted and doubled once."""
+from .scalars import ZERO
+from .varieties import VarietyChart, symbolic_frame
 
 
 @dataclass(frozen=True)
 class OmegaConstruction:
-    label: str
-    dim_w: int
-    dim_u: int
-    dim_lambda2: int
-    dim_w_prime: int
-    w_prime_basis: Mat
     omega: OmegaForm
+    w_prime_basis: Mat
+    dim_w_prime: int
     rank_history: tuple
-    seed: int
 
 
 def sl2_exterior_square_dims(k):
@@ -47,48 +41,24 @@ def sl2_exterior_square_dims(k):
     return tuple(dims)
 
 
-def build_omega(
-    chart: VarietyChart,
-    seed: int = 42,
-    stability_window: int = 25,
-    grid_limit: int = 200,
-) -> OmegaConstruction:
-    """Quotient form saturated from sampled tangent-plane wedges.
+def build_omega(chart: VarietyChart, seed=None) -> OmegaConstruction:
+    """Quotient form by the exact span W' of the tangent-plane wedges.
 
-    Stops once `stability_window` consecutive sample points add no rank;
-    the sample budget doubles once before SaturationNotReached is raised.
+    rank_history holds the rank of W' after each frame pair.  The seed
+    is accepted for callers that pass one and is not read: the
+    construction draws no samples.
     """
     m = chart.ambient_dim
     dim_l2 = pair_count(m)
     accumulator = SpanAccumulator(dim_l2)
-    sampler = RationalSampler(seed).derive("omega-builder")
-    stable = 0
-    used = 0
-    budget = grid_limit
-    doubled = False
+    frame = symbolic_frame(chart)
     history = []
-    while stable < stability_window:
-        if used >= budget:
-            if doubled:
-                raise SaturationNotReached(
-                    f"rank {accumulator.rank} still moving after {used} points"
-                )
-            budget *= 2
-            doubled = True
-        point = sampler.vector(chart.param_dim)
-        used += 1
-        try:
-            frame = affine_tangent_frame(chart, point)
-        except FrameDegenerate:
-            continue
-        grew = False
-        rows = frame.entries
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                if accumulator.insert(wedge(rows[a], rows[b])):
-                    grew = True
-        history.append(accumulator.rank)
-        stable = 0 if grew else stable + 1
+    for a in range(len(frame)):
+        for b in range(a + 1, len(frame)):
+            minors = wedge(frame[a], frame[b])
+            for monomial in sorted({e for p in minors for e in p.terms}):
+                accumulator.insert([p.terms.get(monomial, ZERO) for p in minors])
+            history.append(accumulator.rank)
 
     basis = accumulator.basis_matrix()
     pivots = accumulator.pivot_columns()
@@ -115,14 +85,8 @@ def build_omega(
             raise AssertionError("form failed to vanish on its own kernel basis")
 
     return OmegaConstruction(
-        label=chart.label,
-        dim_w=m,
-        dim_u=dim_u,
-        dim_lambda2=dim_l2,
-        dim_w_prime=accumulator.rank,
-        w_prime_basis=basis,
         omega=omega,
+        w_prime_basis=basis,
+        dim_w_prime=accumulator.rank,
         rank_history=tuple(history),
-        seed=seed,
     )
-

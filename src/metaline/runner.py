@@ -436,7 +436,7 @@ def run_verification(
         raise ValueError(f"unknown checks: {', '.join(sorted(unknown))}")
 
     if explicit_omega is None:
-        construction = build_omega(chart, seed=seed)
+        construction = build_omega(chart)
         omega = construction.omega
         dim_w_prime = construction.dim_w_prime
     else:

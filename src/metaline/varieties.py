@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import Mat, NotInSpan, solve_in_span
+from .linalg import Mat, NotInSpan, pair_count, solve_in_span
 from .metabelian import OmegaForm
 from .polynomials import Poly, parse_poly
 from .scalars import Q, ZERO, qstr
@@ -28,6 +28,7 @@ __all__ = [
     "make_chart",
     "affine_tangent_frame",
     "in_tangent_span",
+    "symbolic_frame",
     "certify_isotropic",
     "veronese_chart",
     "linear_chart",
@@ -93,7 +94,7 @@ class VarietyChart:
         return hash((self.label, self.coords))
 
 
-# Every builtin has at most 10; building the form for 32 takes about 30 s.
+# Every builtin has at most 10; building the form for 32 takes about 1 s.
 MAX_COORDINATES = 32
 
 
@@ -173,7 +174,8 @@ class IsotropyCertificate:
     witness: IsotropyWitness | None
 
 
-def _symbolic_frame(chart: VarietyChart):
+def symbolic_frame(chart: VarietyChart):
+    """The frame as polynomials: the chart and its d partials."""
     rows = [list(chart.coords)]
     for a in range(chart.param_dim):
         rows.append(list(chart.partials[a]))
@@ -216,7 +218,7 @@ def certify_isotropic(chart: VarietyChart, omega: OmegaForm) -> IsotropyCertific
     a parameter point where it does not."""
     if omega.dim_w != chart.ambient_dim:
         raise ValueError("form and chart have different ambient dimension")
-    frame = _symbolic_frame(chart)
+    frame = symbolic_frame(chart)
     pairs = 0
     for a in range(len(frame)):
         for b in range(a + 1, len(frame)):
@@ -327,8 +329,14 @@ def chart_from_json(data) -> VarietyChart:
 
 
 def omega_from_json(dim_w, data) -> OmegaForm:
-    """Form from {dimU, entries: [{i, j, uVector}]}."""
+    """Form from {dimU, entries: [{i, j, uVector}]}.
+
+    A form's values span at most dim Lambda^2 W dimensions, so a larger
+    dimU is rejected before its table is allocated.
+    """
     dim_u = int(data["dimU"])
+    if not 0 <= dim_u <= pair_count(dim_w):
+        raise ValueError(f"dimU must lie in 0..{pair_count(dim_w)}, got {dim_u}")
     entries = []
     for entry in data.get("entries", []):
         vec = [_scalar_from_json(x) for x in entry["uVector"]]

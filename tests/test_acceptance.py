@@ -100,9 +100,9 @@ def test_criterion_4_example_dimensions():
     quartic_dims = set()
     for seed in (42, 7, 1234):
         c = build_omega(cubic_chart, seed=seed)
-        cubic_dims.add((c.dim_w_prime, c.dim_u))
+        cubic_dims.add((c.dim_w_prime, c.omega.dim_u))
         q = build_omega(quartic_chart, seed=seed)
-        quartic_dims.add((q.dim_w_prime, q.dim_u))
+        quartic_dims.add((q.dim_w_prime, q.omega.dim_u))
     oracle3 = sl2_exterior_square_dims(3)
     oracle4 = sl2_exterior_square_dims(4)
     assert cubic_dims == {(5, 1)} == {(oracle3[0], sum(oracle3[1:]))}

@@ -126,6 +126,16 @@ def test_info_output(capsys):
     assert "familyDim:   21" in out
 
 
+def test_info_out_writes_the_stdout_bytes(tmp_path, capsys):
+    out = tmp_path / "info.txt"
+    code, printed, _ = run_cli("info", "builtin:flat-conic", capsys=capsys)
+    code_out, printed_out, _ = run_cli(
+        "info", "builtin:flat-conic", "--out", str(out), capsys=capsys
+    )
+    assert code == code_out == 0 and printed_out == ""
+    assert out.read_bytes() == printed.encode()
+
+
 def test_info_quartic(capsys):
     code, out, _ = run_cli("info", "builtin:veronese-2-4", capsys=capsys)
     assert code == 0
@@ -233,6 +243,8 @@ _CUBIC = {"variables": ["t"], "coordinates": ["1", "t", "t^2", "t^3"]}
         ({**_CUBIC, "recovery": {"constantIndex": 0, "parameterIndices": [-1]}}, "0..3"),
         ({**_CUBIC, "recovery": {"constantIndex": 0, "parameterIndices": []}}, "parameterIndices"),
         ({"variables": ["x", "y", "z"], "coordinates": ["1", "(1+x+y+z)^64"]}, "terms"),
+        ({**_CUBIC, "omega": {"dimU": -1, "entries": []}}, "dimU must lie in 0..6"),
+        ({**_CUBIC, "omega": {"dimU": 7, "entries": []}}, "dimU must lie in 0..6"),
     ],
 )
 def test_malformed_chart_exits_two(tmp_path, capsys, command, fixture, message):
@@ -279,10 +291,33 @@ FIXTURE_FILES = {
     # veronese-2-4 with the constructed form's three U-coordinates summed
     # into one: an explicit form, dimU 1.
     "veronese-2-4-summed-form.json": (0, {}),
+    # (1, s+t, (s+t)^2, (s+t)^3): its frame drops rank everywhere, so W'
+    # is the twisted cubic's and the family falls one dimension short.
+    "degenerate-frame.json": (
+        1,
+        {
+            **{
+                name: ((count, 0, count, 0), "skip: degenerate frame")
+                for name, count in (
+                    ("slide-identity", 4),
+                    ("slide-identity-alt-chart", 4),
+                    ("slide-identity-symbolic", 4),
+                    ("pencil-split", 1),
+                    ("splitting-type", 1),
+                    ("boundary-cosets", 4),
+                    ("group-action", 2),
+                    ("equivariance", 2),
+                    ("line-boundary", 2),
+                )
+            },
+            "family-dimension": ((1, 0, 0, 1), "measured 5, expected 6"),
+        },
+    ),
 }
 
 # sha256 of each fixture's report file at seed 42, --samples 4.
 FIXTURE_DIGESTS = {
+    "degenerate-frame.json": "8838d1f04015a69227d902ef1896cc8b83b1e0fd6c77c4a8da78a2d4d471da8d",
     "no-recovery.json": "6f8304d75193c5f773729d73a7526bb6c0bec276fcb07264c1e9f1c1551b0aa1",
     "rational-quartic.json": "b94bd4736917d85014eedab87d57e8230446746579beb3acfc1163f7ec6aa54c",
     "scroll-2-2.json": "5d828996437f6f15c20d01cc5dc50608db3bfb06fe89ff5ed24fd3e67486873a",

@@ -1,12 +1,21 @@
+import itertools
+import json
+from pathlib import Path
+
 import pytest
 
-from metaline.omega_builder import (
-    SaturationNotReached,
-    build_omega,
-    sl2_exterior_square_dims,
-)
+from metaline.linalg import SpanAccumulator, pair_count, wedge
+from metaline.omega_builder import build_omega, sl2_exterior_square_dims
+from metaline.sampling import RationalSampler
 from metaline.scalars import Q
-from metaline.varieties import builtin_chart, certify_isotropic, veronese_chart
+from metaline.varieties import (
+    FrameDegenerate,
+    affine_tangent_frame,
+    builtin_chart,
+    builtin_names,
+    certify_isotropic,
+    chart_from_json,
+)
 
 # frozen after three-seed stability runs (42, 7, 1234)
 GOLDEN = {
@@ -31,17 +40,17 @@ def test_sl2_oracle_dimensions():
 def test_golden_dimensions(name, fixture_cache):
     chart, _, construction = fixture_cache(name)
     dim_w, dim_w_prime, dim_u = GOLDEN[name]
-    assert construction.dim_w == dim_w
+    assert construction.omega.dim_w == dim_w
     assert construction.dim_w_prime == dim_w_prime
-    assert construction.dim_u == dim_u
-    assert construction.dim_lambda2 == dim_w * (dim_w - 1) // 2
+    assert construction.omega.dim_u == dim_u
+    assert construction.w_prime_basis.ncols == dim_w * (dim_w - 1) // 2
 
 
 @pytest.mark.parametrize("name", ["veronese-2-3", "veronese-2-4", "flat-conic"])
 def test_seed_independence(name):
     chart, _ = builtin_chart(name)
     dims = {
-        (build_omega(chart, seed=s).dim_w_prime, build_omega(chart, seed=s).dim_u)
+        (build_omega(chart, seed=s).dim_w_prime, build_omega(chart, seed=s).omega.dim_u)
         for s in (42, 7, 1234)
     }
     assert len(dims) == 1
@@ -60,7 +69,7 @@ def test_clebsch_gordan_cross_check():
         construction = build_omega(chart, seed=42)
         oracle = sl2_exterior_square_dims(k)
         assert construction.dim_w_prime == oracle[0]
-        assert construction.dim_u == sum(oracle[1:])
+        assert construction.omega.dim_u == sum(oracle[1:])
 
 
 def test_form_vanishes_on_kernel_basis(twisted_cubic):
@@ -80,7 +89,7 @@ def test_rank_history_monotone(quartic):
     history = construction.rank_history
     assert all(a <= b for a, b in zip(history, history[1:]))
     assert history[-1] == construction.dim_w_prime
-    assert history[-1] <= construction.dim_lambda2
+    assert history[-1] <= pair_count(construction.omega.dim_w)
 
 
 def test_quotient_projection_structure(twisted_cubic):
@@ -89,20 +98,74 @@ def test_quotient_projection_structure(twisted_cubic):
     pivots = set()
     reduced, pivot_cols = construction.w_prime_basis.rref()
     pivots.update(pivot_cols)
-    free = [k for k in range(construction.dim_lambda2) if k not in pivots]
-    assert len(free) == construction.dim_u
+    free = [k for k in range(pair_count(omega.dim_w)) if k not in pivots]
+    assert len(free) == omega.dim_u
     for slot, k in enumerate(free):
         expected = tuple(Q(1) if c == slot else Q(0) for c in range(omega.dim_u))
         assert omega.table[k] == expected
 
 
-def test_saturation_not_reached():
-    chart = veronese_chart(2, 3)
-    with pytest.raises(SaturationNotReached):
-        build_omega(chart, seed=42, stability_window=10 ** 6, grid_limit=50)
-
-
 def test_dims_property(twisted_cubic):
-    _, _, construction = twisted_cubic
-    dims = (construction.dim_w, construction.dim_u, construction.dim_w_prime)
+    _, omega, construction = twisted_cubic
+    dims = (omega.dim_w, omega.dim_u, construction.dim_w_prime)
     assert dims == (4, 1, 5)
+
+
+def _tangent_rows(chart, point):
+    return affine_tangent_frame(chart, point).entries
+
+
+def _raw_frame_rows(chart, point):
+    return [chart.evaluate(point), *chart.partial_rows(point)]
+
+
+def _sampled_span(chart, frame_rows=_tangent_rows, window=25, budget=400):
+    """Oracle: the span of frame-pair wedges at seeded points, taken as
+    saturated once `window` points in a row add no rank.  Points where
+    frame_rows raises FrameDegenerate are skipped."""
+    accumulator = SpanAccumulator(pair_count(chart.ambient_dim))
+    sampler = RationalSampler(42).derive("omega-builder")
+    stable = 0
+    for _ in range(budget):
+        try:
+            rows = frame_rows(chart, sampler.vector(chart.param_dim))
+        except FrameDegenerate:
+            continue
+        grew = False
+        for u, v in itertools.combinations(rows, 2):
+            grew |= accumulator.insert(wedge(u, v))
+        stable = 0 if grew else stable + 1
+        if stable == window:
+            return accumulator.basis_matrix()
+    raise AssertionError(f"rank {accumulator.rank} still moving after {budget} points")
+
+
+_FIXTURE_DIR = Path(__file__).parent / "fixtures"
+_DEGENERATE = "degenerate-frame.json"
+
+
+def _derived_charts():
+    """Every builtin chart and every fixture-file chart without an explicit
+    form, except the one whose frame is degenerate everywhere."""
+    charts = [builtin_chart(name)[0] for name in builtin_names()]
+    for path in sorted(_FIXTURE_DIR.glob("*.json")):
+        data = json.loads(path.read_text())
+        if "omega" not in data and path.name != _DEGENERATE:
+            charts.append(chart_from_json(data))
+    return charts
+
+
+@pytest.mark.parametrize("chart", _derived_charts(), ids=lambda chart: chart.label)
+def test_exact_span_matches_sampled_saturation(chart):
+    assert build_omega(chart).w_prime_basis == _sampled_span(chart)
+
+
+def test_degenerate_frame_span_matches_pointwise_wedges():
+    """With a frame that drops rank everywhere, W' is still the span of
+    the pointwise frame wedges."""
+    chart = chart_from_json(json.loads((_FIXTURE_DIR / _DEGENERATE).read_text()))
+    with pytest.raises(FrameDegenerate):
+        affine_tangent_frame(chart, (Q(1), Q(2)))
+    construction = build_omega(chart)
+    assert (construction.dim_w_prime, construction.omega.dim_u) == (5, 1)
+    assert construction.w_prime_basis == _sampled_span(chart, _raw_frame_rows)
