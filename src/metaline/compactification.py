@@ -13,26 +13,24 @@ Points are the objects themselves, told apart by type:
 
 * space points: a GroupElement (interior) or a BoundaryPoint (boundary);
 * bundle points: a TangentDirectionPoint, a marked base point off the
-  section, or a HorizontalLine, the line itself on the section.
+  section, or a HorizontalLine built from one (lines.line_of), the line
+  itself on the section.  Such a line carries the chart parameter of
+  its direction; a line through a bare direction is not a bundle point.
 
 The evaluation map sends a marked point to its base and a line to the
-boundary coset of its base over its direction's chart point.  The left
+boundary coset of its base over the chart point it carries.  The left
 action of the group extends to the boundary by translating coset
 representatives and recanonicalizing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .lines import HorizontalLine, TangentDirectionPoint, canonical_rep, line_through, translate
 from .metabelian import GroupElement, OmegaForm, multiply
 from .scalars import Q
 from .varieties import VarietyChart, affine_tangent_frame
-
-
-class DirectionNotOnChart(Exception):
-    """The line direction is not the chart value at any parameter."""
 
 
 @dataclass(frozen=True)
@@ -58,35 +56,12 @@ def boundary_point(
     return BoundaryPoint(chart.label, param, canonical_rep(omega, x, *tangent), tangent)
 
 
-def recover_parameter(chart: VarietyChart, direction):
-    """Chart parameter whose value is projectively the given direction.
-
-    Uses the chart's recovery hints (a constant-one coordinate and one
-    bare-parameter coordinate per variable); raises DirectionNotOnChart
-    when the hints are missing or the candidate fails verification.
-    """
-    if chart.recovery is None:
-        raise DirectionNotOnChart(f"chart {chart.label!r} declares no recovery hints")
-    direction = tuple(Q(c) for c in direction)
-    if len(direction) != chart.ambient_dim:
-        raise ValueError("direction arity mismatch")
-    lead = direction[chart.recovery.constant_index]
-    if lead == 0:
-        raise DirectionNotOnChart("direction misses the chart's affine cell")
-    param = tuple(direction[i] / lead for i in chart.recovery.parameter_indices)
-    value = chart.evaluate(param)
-    if tuple(c * lead for c in value) != direction:
-        raise DirectionNotOnChart("direction is not a chart value")
-    return param
-
-
 def bundle_to_space(chart: VarietyChart, omega: OmegaForm, point):
     """Evaluation map of the bundle into the compactified space."""
     if isinstance(point, TangentDirectionPoint):
         return point.base
-    if isinstance(point, HorizontalLine):
-        param = recover_parameter(chart, point.direction)
-        return boundary_point(chart, omega, param, point.base)
+    if isinstance(point, HorizontalLine) and point.param is not None:
+        return boundary_point(chart, omega, point.param, point.base)
     raise TypeError(f"not a bundle point: {point!r}")
 
 
@@ -113,6 +88,7 @@ def act_on_bundle(omega: OmegaForm, g: GroupElement, point):
     """Left translation on the bundle itself (lines and marked points)."""
     if isinstance(point, TangentDirectionPoint):
         return TangentDirectionPoint(point.chart, point.param, multiply(omega, g, point.base))
-    if isinstance(point, HorizontalLine):
-        return line_through(omega, multiply(omega, g, point.base), point.direction)
+    if isinstance(point, HorizontalLine) and point.param is not None:
+        line = line_through(omega, multiply(omega, g, point.base), point.direction)
+        return replace(line, param=point.param)
     raise TypeError(f"not a bundle point: {point!r}")

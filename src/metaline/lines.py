@@ -7,7 +7,9 @@ a W-direction.  Its points are
 
 Canonical form: the direction is scaled so its leftmost nonzero entry
 is one (the pivot), and the base point slides along the line until its
-W-part vanishes at the pivot coordinate.  Lines embed into the
+W-part vanishes at the pivot coordinate; lines are equal when their
+canonical forms are.  A line built from a marked point (line_of) also
+carries its direction's chart parameter.  Lines embed into the
 Grassmannian of 2-planes of V = W + U + I (I a line of constants) by
 the row span of the base point (affine part 1) and the direction
 (affine part 0); the exterior-square coordinates of that span satisfy
@@ -16,7 +18,7 @@ the classical quadratic relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .linalg import Mat, wedge
 from .metabelian import GroupElement, OmegaForm, element, multiply
@@ -33,6 +35,8 @@ class HorizontalLine:
     direction: tuple
     base: GroupElement
     pivot: int
+    # chart parameter of the direction, set by line_of; None for a bare direction
+    param: tuple | None = field(default=None, compare=False)
 
 
 def translate(omega: OmegaForm, x: GroupElement, w, t) -> GroupElement:
@@ -90,7 +94,9 @@ def slide_action(omega: OmegaForm, t, alpha: TangentDirectionPoint) -> TangentDi
 
 
 def line_of(omega: OmegaForm, alpha: TangentDirectionPoint) -> HorizontalLine:
-    return line_through(omega, alpha.base, alpha.chart.evaluate(alpha.param))
+    """The marked point's line, carrying its chart parameter."""
+    line = line_through(omega, alpha.base, alpha.chart.evaluate(alpha.param))
+    return replace(line, param=alpha.param)
 
 
 def line_matrix_rows(omega: OmegaForm, x: GroupElement, w):

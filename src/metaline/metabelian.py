@@ -46,11 +46,16 @@ class OmegaForm:
 
     @classmethod
     def from_entries(cls, dim_w, dim_u, entries):
-        """Build from sparse entries [(i, j, u_vector), ...] with i < j."""
+        """Build from sparse entries [(i, j, u_vector), ...] with i < j,
+        each pair given at most once."""
         table = [[ZERO] * dim_u for _ in range(pair_count(dim_w))]
+        seen = set()
         for i, j, vec in entries:
             if not 0 <= i < j < dim_w:
                 raise ValueError("entry indices must satisfy 0 <= i < j < dim_w")
+            if (i, j) in seen:
+                raise ValueError(f"entry ({i}, {j}) is given twice")
+            seen.add((i, j))
             table[pair_index(i, j, dim_w)] = [Q(x) for x in vec]
         return cls(dim_w, dim_u, table)
 

@@ -48,9 +48,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def is_one(self):
-        return self.terms == {(0,) * self.nvars: Q(1)}
-
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 

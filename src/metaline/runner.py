@@ -273,8 +273,7 @@ def _pencil_outcomes(run):
 def _chart_samples(run, stream, count, body):
     """Outcomes of count chart samples drawn from one stream.  A sample
     draws a parameter and is skipped on a degenerate frame; otherwise it
-    draws a base point x and gives body(run, sampler, k, param, frame, x),
-    or a skip when the chart cannot recover a direction's parameter."""
+    draws a base point x and gives body(run, sampler, k, param, frame, x)."""
     sampler = run.stream(stream)
     outcomes = []
     for k in range(count):
@@ -284,10 +283,7 @@ def _chart_samples(run, stream, count, body):
             outcomes.append(("skip", "degenerate frame"))
             continue
         x = _sample_element(sampler, run.omega)
-        try:
-            outcomes.append(body(run, sampler, k, param, frame, x))
-        except comp.DirectionNotOnChart as exc:
-            outcomes.append(("skip", f"direction recovery unavailable: {exc}"))
+        outcomes.append(body(run, sampler, k, param, frame, x))
     return outcomes
 
 
@@ -302,7 +298,7 @@ def _coset_sample(run, sampler, k, param, frame, x):
     frame (even k), and distinct ones when it is x shifted centrally,
     shifted out of the frame, or x on another chart direction."""
     chart, omega = run.chart, run.omega
-    w = w2 = chart.evaluate(param)
+    param2 = param
     if k % 2 == 0:
         shift = frame.transpose().times_vector(sampler.vector(chart.param_dim + 1))
         x2 = lin.translate(omega, x, shift, 1)
@@ -317,11 +313,11 @@ def _coset_sample(run, sampler, k, param, frame, x):
             param2 = _different_param(sampler, chart, param)
             if param2 is None:
                 return ("skip", "no distinguishable coset available")
-            x2, w2 = x, chart.evaluate(param2)
-    img_a = comp.bundle_to_space(chart, omega, lin.line_through(omega, x, w))
-    img_b = comp.bundle_to_space(chart, omega, lin.line_through(omega, x2, w2))
+            x2 = x
+    line_a = lin.line_of(omega, lin.direction_point(chart, omega, param, x))
+    line_b = lin.line_of(omega, lin.direction_point(chart, omega, param2, x2))
     expect_equal = k % 2 == 0
-    equal = img_a == img_b
+    equal = comp.bundle_to_space(chart, omega, line_a) == comp.bundle_to_space(chart, omega, line_b)
     if equal == expect_equal:
         return ("pass", None)
     return ("fail", f"coset equality expected {expect_equal}, got {equal}")

@@ -12,16 +12,16 @@ never by sampling.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 
 from .linalg import Mat, NotInSpan, pair_count, solve_in_span
 from .metabelian import OmegaForm
 from .polynomials import Poly, parse_poly
-from .scalars import Q, ZERO, qstr
+from .scalars import Q, ZERO, parse_rational, qstr
 
 __all__ = [
     "VarietyChart",
-    "DirectionRecovery",
     "FrameDegenerate",
     "IsotropyCertificate",
     "IsotropyWitness",
@@ -44,18 +44,6 @@ class FrameDegenerate(Exception):
     """The chart frame dropped rank at a sample point."""
 
 
-@dataclass(frozen=True)
-class DirectionRecovery:
-    """Coordinate hints inverting a chart on its image.
-
-    constant_index points at a coordinate identically one; each entry of
-    parameter_indices points at a coordinate equal to the bare parameter.
-    """
-
-    constant_index: int
-    parameter_indices: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class VarietyChart:
     label: str
@@ -63,7 +51,6 @@ class VarietyChart:
     ambient_dim: int
     coords: tuple
     partials: tuple
-    recovery: DirectionRecovery | None
 
     def evaluate(self, point):
         point = tuple(point)
@@ -98,7 +85,7 @@ class VarietyChart:
 MAX_COORDINATES = 32
 
 
-def make_chart(label, coords, recovery=None) -> VarietyChart:
+def make_chart(label, coords) -> VarietyChart:
     coords = tuple(coords)
     if not coords:
         raise ValueError("chart needs at least one coordinate")
@@ -110,25 +97,7 @@ def make_chart(label, coords, recovery=None) -> VarietyChart:
     if any(p.nvars != d for p in coords):
         raise ValueError("chart coordinates must share one parameter list")
     partials = tuple(tuple(p.diff(a) for p in coords) for a in range(d))
-    if recovery is None:
-        recovery = _detect_recovery(coords, d)
-    return VarietyChart(label, d, len(coords), coords, partials, recovery)
-
-
-def _detect_recovery(coords, d):
-    constant_index = None
-    param_indices = [None] * d
-    for k, poly in enumerate(coords):
-        if constant_index is None and poly.is_one():
-            constant_index = k
-            continue
-        for a in range(d):
-            if param_indices[a] is None and poly == Poly.var(a, d):
-                param_indices[a] = k
-                break
-    if constant_index is None or any(i is None for i in param_indices):
-        return None
-    return DirectionRecovery(constant_index, tuple(param_indices))
+    return VarietyChart(label, d, len(coords), coords, partials)
 
 
 def affine_tangent_frame(chart: VarietyChart, point):
@@ -309,23 +278,27 @@ def builtin_chart(name):
     return builder()
 
 
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list"}
+
+
+def _json_field(data, key, kind):
+    """data[key], which must be of the given JSON type (a boolean is not an integer)."""
+    value = data[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    return value
+
+
 def chart_from_json(data) -> VarietyChart:
-    """Chart from {label, variables, coordinates, recovery?}."""
-    label = data["label"]
-    variables = list(data["variables"])
-    coords = [parse_poly(text, variables) for text in data["coordinates"]]
-    recovery = None
-    if "recovery" in data:
-        raw = data["recovery"]
-        recovery = DirectionRecovery(
-            int(raw["constantIndex"]), tuple(int(i) for i in raw["parameterIndices"])
-        )
-        indices = (recovery.constant_index, *recovery.parameter_indices)
-        if any(not 0 <= i < len(coords) for i in indices):
-            raise ValueError(f"recovery indices must lie in 0..{len(coords) - 1}")
-        if len(recovery.parameter_indices) != len(variables):
-            raise ValueError(f"recovery needs {len(variables)} parameterIndices")
-    return make_chart(label, coords, recovery)
+    """Chart from {label, variables, coordinates}; other keys are ignored."""
+    label = _json_field(data, "label", str)
+    variables = _json_field(data, "variables", list)
+    if any(type(v) is not str for v in variables) or len(set(variables)) != len(variables):
+        raise ValueError(f"variables must be distinct strings, got {json.dumps(variables)}")
+    coordinates = _json_field(data, "coordinates", list)
+    if any(type(c) is not str for c in coordinates):
+        raise ValueError(f"coordinates must be strings, got {json.dumps(coordinates)}")
+    return make_chart(label, [parse_poly(text, variables) for text in coordinates])
 
 
 def omega_from_json(dim_w, data) -> OmegaForm:
@@ -334,21 +307,17 @@ def omega_from_json(dim_w, data) -> OmegaForm:
     A form's values span at most dim Lambda^2 W dimensions, so a larger
     dimU is rejected before its table is allocated.
     """
-    dim_u = int(data["dimU"])
+    dim_u = _json_field(data, "dimU", int)
     if not 0 <= dim_u <= pair_count(dim_w):
         raise ValueError(f"dimU must lie in 0..{pair_count(dim_w)}, got {dim_u}")
     entries = []
     for entry in data.get("entries", []):
-        vec = [_scalar_from_json(x) for x in entry["uVector"]]
-        entries.append((int(entry["i"]), int(entry["j"]), vec))
+        vec = [_scalar_from_json(x) for x in _json_field(entry, "uVector", list)]
+        entries.append((_json_field(entry, "i", int), _json_field(entry, "j", int), vec))
     return OmegaForm.from_entries(dim_w, dim_u, entries)
 
 
 def _scalar_from_json(x):
-    if isinstance(x, str):
-        from .scalars import parse_rational
-
-        return parse_rational(x)
-    if isinstance(x, int):
-        return Q(x)
-    raise ValueError(f"rational expected, got {x!r}")
+    if type(x) in (str, int):
+        return parse_rational(x) if type(x) is str else Q(x)
+    raise ValueError(f"uVector entries must be rationals, got {json.dumps(x)}")

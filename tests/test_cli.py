@@ -232,6 +232,12 @@ def test_deeply_nested_coordinate_exits_two(tmp_path, capsys, coordinate):
 _CUBIC = {"variables": ["t"], "coordinates": ["1", "t", "t^2", "t^3"]}
 
 
+def _form_with(entry):
+    """The README's cubic with its isotropic form plus one more entry."""
+    entries = [{"i": 0, "j": 3, "uVector": ["-1/3"]}, {"i": 1, "j": 2, "uVector": ["1"]}]
+    return {**_CUBIC, "omega": {"dimU": 1, "entries": [*entries, entry]}}
+
+
 @pytest.mark.parametrize("command", ["verify", "info", "sample-line"])
 @pytest.mark.parametrize(
     "fixture, message",
@@ -239,12 +245,22 @@ _CUBIC = {"variables": ["t"], "coordinates": ["1", "t", "t^2", "t^3"]}
         ({"variables": [], "coordinates": ["1", "2"]}, "at least one variable"),
         ({"variables": ["t"], "coordinates": ["1", "t/0"]}, "division by zero"),
         ({"variables": ["t"], "coordinates": ["1", "t^100000"]}, "exceeds the cap"),
-        ({**_CUBIC, "recovery": {"constantIndex": 9, "parameterIndices": [1]}}, "0..3"),
-        ({**_CUBIC, "recovery": {"constantIndex": 0, "parameterIndices": [-1]}}, "0..3"),
-        ({**_CUBIC, "recovery": {"constantIndex": 0, "parameterIndices": []}}, "parameterIndices"),
+        ({"variables": "st", "coordinates": ["1", "s", "t"]}, "variables must be a list"),
+        ({**_CUBIC, "coordinates": "1t"}, "coordinates must be a list"),
+        ({"variables": ["t", "t"], "coordinates": ["1", "t"]}, "variables must be distinct"),
         ({"variables": ["x", "y", "z"], "coordinates": ["1", "(1+x+y+z)^64"]}, "terms"),
         ({**_CUBIC, "omega": {"dimU": -1, "entries": []}}, "dimU must lie in 0..6"),
         ({**_CUBIC, "omega": {"dimU": 7, "entries": []}}, "dimU must lie in 0..6"),
+        ({**_CUBIC, "label": 5}, "label must be a string"),
+        ({**_CUBIC, "coordinates": ["1", "t", 2]}, "coordinates must be strings"),
+        ({**_CUBIC, "omega": {"dimU": 1.9, "entries": []}}, "dimU must be an integer"),
+        ({**_CUBIC, "omega": {"dimU": True, "entries": []}}, "dimU must be an integer"),
+        (_form_with({"i": 0.5, "j": 1.7, "uVector": [1]}), "i must be an integer"),
+        (_form_with({"i": True, "j": 2, "uVector": [1]}), "i must be an integer"),
+        (_form_with({"i": 0, "j": True, "uVector": [1]}), "j must be an integer"),
+        (_form_with({"i": 0, "j": 2, "uVector": "1"}), "uVector must be a list"),
+        (_form_with({"i": 0, "j": 2, "uVector": [True]}), "rationals, got true"),
+        (_form_with({"i": 1, "j": 2, "uVector": [0]}), "entry (1, 2) is given twice"),
     ],
 )
 def test_malformed_chart_exits_two(tmp_path, capsys, command, fixture, message):
@@ -270,17 +286,12 @@ def test_chart_past_the_coordinate_cap_exits_two(tmp_path, capsys, command):
 # --samples 4` and each check's (samples, passes, skips, failures).
 # Checks not listed pass every sample.
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
-_NO_RECOVERY = (
-    "skip: direction recovery unavailable: chart 'no-recovery' declares no recovery hints"
-)
 FIXTURE_FILES = {
-    "no-recovery.json": (
-        0,
-        {
-            "boundary-cosets": ((4, 0, 4, 0), _NO_RECOVERY),
-            "equivariance": ((2, 0, 2, 0), _NO_RECOVERY),
-        },
-    ),
+    # Charts with no coordinate equal to the bare parameter t: (1, t^2, t^3)
+    # with dimU 0, and the twisted cubic after an invertible linear change
+    # of coordinates, with dimU 1 and so every branch of boundary-cosets.
+    "no-recovery.json": (0, {}),
+    "moved-twisted-cubic.json": (0, {}),
     # Charts beyond the Veronese family: a smooth rational quartic that is
     # not a rational normal curve, veronese-2-4 after a linear change of
     # coordinates, a surface and the scroll S(2,2); the last two have d = 2.
@@ -318,7 +329,8 @@ FIXTURE_FILES = {
 # sha256 of each fixture's report file at seed 42, --samples 4.
 FIXTURE_DIGESTS = {
     "degenerate-frame.json": "8838d1f04015a69227d902ef1896cc8b83b1e0fd6c77c4a8da78a2d4d471da8d",
-    "no-recovery.json": "6f8304d75193c5f773729d73a7526bb6c0bec276fcb07264c1e9f1c1551b0aa1",
+    "moved-twisted-cubic.json": "dbbd39c25d13cbdeebdc1431f34f09c45c131a1917c7592738fe2ba9e8d4b226",
+    "no-recovery.json": "c912984596760aa1529b759fa7d5dc74b326f88b5f55286f30ce711b3c560371",
     "rational-quartic.json": "b94bd4736917d85014eedab87d57e8230446746579beb3acfc1163f7ec6aa54c",
     "scroll-2-2.json": "5d828996437f6f15c20d01cc5dc50608db3bfb06fe89ff5ed24fd3e67486873a",
     "sheared-veronese-2-4.json": "a62c76dec68b6c4dcefec9d6b9c9ffd8beda11e0da3cea98f28ec6da3ffeb02c",

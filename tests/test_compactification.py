@@ -2,13 +2,11 @@ import pytest
 
 from metaline.compactification import (
     BoundaryPoint,
-    DirectionNotOnChart,
     act_on_bundle,
     boundary_point,
     bundle_to_space,
     compactified_line,
     g_action,
-    recover_parameter,
 )
 from metaline.lines import direction_point, line_of, line_through
 from metaline.metabelian import element, identity_element, inverse, multiply
@@ -69,21 +67,6 @@ def test_in_tangent_span(twisted_cubic):
     assert not in_tangent_span(chart, param, (1, 0, 0, 0))
 
 
-def test_recover_parameter_round_trip(veronese33):
-    chart, _, _ = veronese33
-    param = (Q(1, 2), Q(-3))
-    direction = tuple(Q(7) * c for c in chart.evaluate(param))
-    assert recover_parameter(chart, direction) == param
-
-
-def test_recover_parameter_rejects_off_chart(twisted_cubic):
-    chart, _, _ = twisted_cubic
-    with pytest.raises(DirectionNotOnChart):
-        recover_parameter(chart, (1, 2, 3, 4))
-    with pytest.raises(DirectionNotOnChart):
-        recover_parameter(chart, (0, 1, 1, 1))
-
-
 def test_bundle_to_space_off_section(twisted_cubic):
     chart, omega, _ = twisted_cubic
     x = element(omega, (1, 2, 3, 4), (5,))
@@ -95,7 +78,8 @@ def test_bundle_to_space_on_section(twisted_cubic):
     chart, omega, _ = twisted_cubic
     param = (Q(2),)
     x = element(omega, (1, 2, 3, 4), (5,))
-    line = line_through(omega, x, chart.evaluate(param))
+    line = line_of(omega, direction_point(chart, omega, param, x))
+    assert line.param == param
     out = bundle_to_space(chart, omega, line)
     assert out == boundary_point(chart, omega, param, x)
     assert out.chart_label == chart.label
@@ -163,17 +147,20 @@ def test_evaluation_equivariance(twisted_cubic):
 
 def test_maps_reject_points_of_the_other_space(twisted_cubic):
     """Group elements and boundary points live in the space, marked points
-    and lines in the bundle; each map refuses the other kind."""
+    and their lines in the bundle; each map refuses the other kind, and a
+    line through a bare direction, which carries no chart point, lies in
+    neither."""
     chart, omega, _ = twisted_cubic
     x = element(omega, (1, 2, 3, 4), (5,))
     alpha = direction_point(chart, omega, (Q(2),), x)
     line = line_of(omega, alpha)
-    for point in (x, boundary_point(chart, omega, (Q(2),), x)):
+    bare = line_through(omega, x, chart.evaluate((Q(2),)))
+    for point in (x, boundary_point(chart, omega, (Q(2),), x), bare):
         with pytest.raises(TypeError):
             bundle_to_space(chart, omega, point)
         with pytest.raises(TypeError):
             act_on_bundle(omega, x, point)
-    for point in (alpha, line):
+    for point in (alpha, line, bare):
         with pytest.raises(TypeError):
             g_action(omega, x, point)
 

@@ -65,6 +65,9 @@ def test_marked_point_slide_preserves_line(flat_conic):
     assert slid != alpha
     assert line_of(omega, slid) == line_of(omega, alpha)
     line = line_of(omega, alpha)
+    # the line carries its chart parameter, which equality ignores
+    assert line.param == alpha.param
+    assert line == line_through(omega, x, chart.evaluate((Q(2),)))
     # the canonical base sits at parameter 0 and the direction is 1 at the
     # pivot, so a point's line parameter is its W-coordinate at the pivot
     pivot = line.pivot

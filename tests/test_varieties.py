@@ -8,7 +8,6 @@ from metaline.polynomials import Poly, parse_poly
 from metaline.scalars import Q
 from metaline.varieties import (
     _grid_by_sum,
-    DirectionRecovery,
     FrameDegenerate,
     affine_tangent_frame,
     builtin_chart,
@@ -37,16 +36,6 @@ def test_linear_chart():
     chart = linear_chart(3)
     assert chart.evaluate((Q(5), Q(7))) == (1, 5, 7)
     assert chart.param_dim == 2
-
-
-def test_recovery_detection():
-    cubic = veronese_chart(2, 3)
-    assert cubic.recovery == DirectionRecovery(0, (1,))
-    surface = veronese_chart(3, 3)
-    assert surface.recovery == DirectionRecovery(0, (1, 2))
-    # a chart with no constant-one coordinate gets no hints
-    bare = make_chart("bare", [Poly.var(0, 1), Poly.var(0, 1) ** 2])
-    assert bare.recovery is None
 
 
 def test_tangent_vector_matches_partials():
@@ -134,19 +123,6 @@ def test_chart_from_json():
         }
     )
     assert chart.evaluate((Q(2), Q(3))) == (1, 2, 3, Q(11, 2))
-    assert chart.recovery == DirectionRecovery(0, (1, 2))
-
-
-def test_chart_from_json_explicit_recovery():
-    chart = chart_from_json(
-        {
-            "label": "swapped",
-            "variables": ["a"],
-            "coordinates": ["a", "1"],
-            "recovery": {"constantIndex": 1, "parameterIndices": [0]},
-        }
-    )
-    assert chart.recovery == DirectionRecovery(1, (0,))
 
 
 def test_omega_from_json():
