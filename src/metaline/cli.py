@@ -4,20 +4,23 @@ Subcommands: verify (full check suite, JSON or text report), info
 (dimension summary), build-omega (emit the constructed form as JSON)
 and sample-line (one horizontal line end to end, as JSON).  Fixtures
 are either catalog entries (builtin:NAME) or JSON files; see the
-README for the file grammar.  Exit codes: 0 success, 1 a check or
-certificate failed, 2 the fixture did not parse.
+README for the file grammar.  Exit codes: 0 success, 1 a check,
+certificate or internal consistency check failed, 2 the fixture did not
+parse.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 
 from .compactification import boundary_point
 from .linalg import pair_count
 from .lines import ZeroDirection, boundary_direction, line_through, pluecker_embed
-from .metabelian import element
+from .metabelian import InternalConsistencyError, element
 from .omega_builder import build_omega
 from .polynomials import Poly, PolyParseError
 from .runner import CHECK_NAMES, run_verification
@@ -61,11 +64,24 @@ def _load_fixture(source):
 
 
 def _emit(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    """Write text to stdout, or over the file at out in place.
+
+    The file is not truncated to zero before the write: on ext4 with
+    auto_da_alloc (its default), truncating a recently written file, or
+    renaming over it, waits for that file's writeback.  A regular file is
+    cut at the end of the new text, so the result is exactly the text;
+    devices such as /dev/null and pipes are left as they are.  Like the
+    plain open-and-write it replaces, this makes no durability promise.
+    """
+    if not out:
         sys.stdout.write(text)
+        return
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.flush()
+            handle.truncate()
 
 
 def _parse_vector(text):
@@ -233,6 +249,9 @@ def main(argv=None) -> int:
     except (FixtureError, FrameDegenerate, ZeroDirection, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

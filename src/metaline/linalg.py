@@ -8,6 +8,7 @@ second exterior powers throughout the package.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd, lcm
 
 from .scalars import Q, ZERO
@@ -188,11 +189,30 @@ class SpanAccumulator:
         return len(self.rows)
 
     def insert(self, vec):
-        """Add a vector; returns True when it increases the rank."""
-        rows, pivots = _rref(self.rows + [list(vec)])
-        if len(pivots) == len(self.pivots):
+        """Add a vector; returns True when it increases the rank.
+
+        Only the new vector is reduced, against the stored pivot rows; a
+        remainder becomes a pivot row and is cleared from the stored rows
+        above and below it.  The reduced row echelon form of a span is
+        unique, so the rows equal those of a full reduction.
+        """
+        vec = [Q(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            f = vec[p]
+            if f:
+                vec = [a - f * b if b else a for a, b in zip(vec, row)]
+        p = next((c for c, x in enumerate(vec) if x), None)
+        if p is None:
             return False
-        self.rows, self.pivots = rows, pivots
+        pv = vec[p]
+        vec = [x / pv if x else x for x in vec]
+        for k, row in enumerate(self.rows):
+            f = row[p]
+            if f:
+                self.rows[k] = [a - f * b if b else a for a, b in zip(row, vec)]
+        k = bisect_left(self.pivots, p)
+        self.rows.insert(k, vec)
+        self.pivots = self.pivots[:k] + (p,) + self.pivots[k:]
         return True
 
     def pivot_columns(self):

@@ -15,9 +15,10 @@ identity proofs below).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .jets import Jet1
-from .linalg import pair_count, pair_index, wedge
+from .linalg import pair_count, pair_index
 from .polynomials import Poly
 from .scalars import HALF, Q, ZERO
 
@@ -26,9 +27,13 @@ class OmegaForm:
     """Antisymmetric bilinear form on W with values in U.
 
     Stored as one U-vector per unordered index pair (i < j, lex order).
+    `terms` keeps only the pairs whose vector is nonzero, each as
+    (pair index, i, j, ((c, coefficient), ...)) over its nonzero
+    coordinates, in the same order; the form is contracted over those
+    alone.
     """
 
-    __slots__ = ("dim_w", "dim_u", "table")
+    __slots__ = ("dim_w", "dim_u", "table", "terms")
 
     def __init__(self, dim_w, dim_u, table):
         self.dim_w = int(dim_w)
@@ -39,6 +44,11 @@ class OmegaForm:
         if any(len(row) != self.dim_u for row in table):
             raise ValueError("table entries must have length dim_u")
         self.table = table
+        self.terms = tuple(
+            (k, i, j, nonzero)
+            for k, ((i, j), row) in enumerate(zip(combinations(range(self.dim_w), 2), table))
+            if (nonzero := tuple((c, x) for c, x in enumerate(row) if x != 0))
+        )
 
     @classmethod
     def heisenberg(cls):
@@ -60,22 +70,26 @@ class OmegaForm:
         return cls(dim_w, dim_u, table)
 
     def apply(self, u, v):
-        """Form on coordinate vectors; generic over the coordinate ring."""
-        u = list(u)
-        v = list(v)
+        """Form on coordinate vectors; generic over the coordinate ring.
+
+        Only the minors u_i v_j - u_j v_i of pairs in `terms` are formed.
+        """
         if len(u) != self.dim_w or len(v) != self.dim_w:
             raise ValueError("vectors must have length dim_w")
-        return self.on_wedge(wedge(u, v))
+        return self._contract((u[i] * v[j] - u[j] * v[i], row) for _, i, j, row in self.terms)
 
     def on_wedge(self, vector):
         """Form on a second-exterior-power vector, pairs in lex order."""
+        return self._contract((vector[k], row) for k, _, _, row in self.terms)
+
+    def _contract(self, minors):
+        """Sum of minor * coefficient into U, over (minor, row) pairs."""
         out = [ZERO] * self.dim_u
-        for minor, row in zip(vector, self.table):
+        for minor, row in minors:
             if not minor:  # a zero scalar; jets and polynomials are truthy
                 continue
-            for c, coeff in enumerate(row):
-                if coeff != 0:
-                    out[c] = out[c] + minor * coeff
+            for c, coeff in row:
+                out[c] = out[c] + minor * coeff
         return out
 
     def __eq__(self, other):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Mat, SpanAccumulator, pair_count, wedge
-from .metabelian import OmegaForm
+from .metabelian import InternalConsistencyError, OmegaForm
 from .scalars import ZERO
 from .varieties import VarietyChart, symbolic_frame
 
@@ -82,7 +82,7 @@ def build_omega(chart: VarietyChart, seed=None) -> OmegaConstruction:
 
     for row in basis.entries:
         if any(x != 0 for x in omega.on_wedge(row)):
-            raise AssertionError("form failed to vanish on its own kernel basis")
+            raise InternalConsistencyError("form failed to vanish on its own kernel basis")
 
     return OmegaConstruction(
         omega=omega,

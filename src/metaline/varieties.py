@@ -278,19 +278,23 @@ def builtin_chart(name):
     return builder()
 
 
-_JSON_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list"}
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _json_value(value, name, kind):
+    """value, which must be of the given JSON type (a boolean is not an integer)."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {_JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    return value
 
 
 def _json_field(data, key, kind):
-    """data[key], which must be of the given JSON type (a boolean is not an integer)."""
-    value = data[key]
-    if type(value) is not kind:
-        raise ValueError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}")
-    return value
+    return _json_value(data[key], key, kind)
 
 
 def chart_from_json(data) -> VarietyChart:
     """Chart from {label, variables, coordinates}; other keys are ignored."""
+    _json_value(data, "fixture", dict)
     label = _json_field(data, "label", str)
     variables = _json_field(data, "variables", list)
     if any(type(v) is not str for v in variables) or len(set(variables)) != len(variables):
@@ -307,11 +311,13 @@ def omega_from_json(dim_w, data) -> OmegaForm:
     A form's values span at most dim Lambda^2 W dimensions, so a larger
     dimU is rejected before its table is allocated.
     """
+    _json_value(data, "omega", dict)
     dim_u = _json_field(data, "dimU", int)
     if not 0 <= dim_u <= pair_count(dim_w):
         raise ValueError(f"dimU must lie in 0..{pair_count(dim_w)}, got {dim_u}")
     entries = []
-    for entry in data.get("entries", []):
+    for n, entry in enumerate(_json_value(data.get("entries", []), "entries", list)):
+        _json_value(entry, f"entries[{n}]", dict)
         vec = [_scalar_from_json(x) for x in _json_field(entry, "uVector", list)]
         entries.append((_json_field(entry, "i", int), _json_field(entry, "j", int), vec))
     return OmegaForm.from_entries(dim_w, dim_u, entries)

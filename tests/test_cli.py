@@ -9,6 +9,7 @@ import pytest
 
 import metaline
 from metaline.cli import main
+from metaline.metabelian import OmegaForm
 
 
 def run_cli(*argv, capsys=None):
@@ -91,6 +92,14 @@ def test_malformed_fixture_exits_two(tmp_path, capsys):
     assert "malformed" in err
 
 
+def test_fixture_that_is_not_an_object_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1]")
+    code, _, err = run_cli("info", str(bad), capsys=capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "malformed: fixture must be an object, got [1]" in err
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli("info", "no-such-file.json", capsys=capsys)
     assert code == 2
@@ -134,6 +143,53 @@ def test_info_out_writes_the_stdout_bytes(tmp_path, capsys):
     )
     assert code == code_out == 0 and printed_out == ""
     assert out.read_bytes() == printed.encode()
+
+
+def test_out_over_a_longer_file_leaves_exactly_the_output(tmp_path, capsys):
+    out = tmp_path / "info.txt"
+    out.write_bytes(b"x" * 100_000)
+    _, printed, _ = run_cli("info", "builtin:flat-conic", capsys=capsys)
+    assert run_cli("info", "builtin:flat-conic", "--out", str(out), capsys=capsys)[0] == 0
+    assert out.read_bytes() == printed.encode()
+
+
+def test_out_to_dev_null_exits_zero(capsys):
+    code, printed, _ = run_cli(
+        "verify", "builtin:flat-conic", "--samples", "2", "--out", os.devnull, capsys=capsys
+    )
+    assert code == 0 and printed == ""
+
+
+def test_out_through_a_symlink_updates_the_target(tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_text("old contents, longer than the report would be" * 10)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    _, printed, _ = run_cli("info", "builtin:flat-conic", capsys=capsys)
+    run_cli("info", "builtin:flat-conic", "--out", str(link), capsys=capsys)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == printed.encode()
+
+
+def test_repeated_out_keeps_bytes_and_mode(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ("verify", "builtin:flat-conic", "--samples", "2", "--out", str(out))
+    run_cli(*argv, capsys=capsys)
+    first = out.read_bytes()
+    out.chmod(0o640)
+    run_cli(*argv, capsys=capsys)
+    assert out.read_bytes() == first
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
+def test_form_failing_its_own_kernel_exits_one(monkeypatch, capsys):
+    """A constructed form that does not vanish on W' is an internal fault:
+    one line and exit 1, for every command that builds the form."""
+    monkeypatch.setattr(OmegaForm, "on_wedge", lambda self, vector: [1] * self.dim_u)
+    for command in ("verify", "info", "build-omega", "sample-line"):
+        code, out, err = run_cli(command, "builtin:veronese-2-3", capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == "error: form failed to vanish on its own kernel basis\n"
 
 
 def test_info_quartic(capsys):
@@ -261,6 +317,12 @@ def _form_with(entry):
         (_form_with({"i": 0, "j": 2, "uVector": "1"}), "uVector must be a list"),
         (_form_with({"i": 0, "j": 2, "uVector": [True]}), "rationals, got true"),
         (_form_with({"i": 1, "j": 2, "uVector": [0]}), "entry (1, 2) is given twice"),
+        ({**_CUBIC, "omega": {"dimU": 1, "entries": "ab"}}, 'entries must be a list, got "ab"'),
+        (
+            {**_CUBIC, "omega": {"dimU": 1, "entries": [[0, 1, [1]]]}},
+            "entries[0] must be an object, got [0, 1, [1]]",
+        ),
+        ({**_CUBIC, "omega": [1]}, "omega must be an object, got [1]"),
     ],
 )
 def test_malformed_chart_exits_two(tmp_path, capsys, command, fixture, message):

@@ -206,6 +206,19 @@ def test_span_accumulator_matches_rref_rank():
     assert set(acc.pivot_columns()) | set(acc.free_columns()) == set(range(5))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(sparse_rationals, min_size=5, max_size=5), min_size=1, max_size=8))
+def test_span_accumulator_rows_are_the_rref_of_its_inputs(vectors):
+    acc = SpanAccumulator(5)
+    for k, vec in enumerate(vectors):
+        rank = acc.rank
+        grew = acc.insert(vec)
+        reduced, pivots = _rational_rref(vectors[: k + 1])
+        assert acc.rows == reduced[: len(pivots)]
+        assert acc.pivot_columns() == pivots
+        assert grew == (len(pivots) > rank)
+
+
 def test_span_accumulator_rejects_dependents():
     acc = SpanAccumulator(3)
     assert acc.insert((1, 2, 3))

@@ -1,8 +1,13 @@
+import functools
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaline.linalg import pair_index
+from metaline.jets import Jet1
+from metaline.linalg import pair_count, pair_index, wedge
 from metaline.metabelian import (
     GroupElement,
     InternalConsistencyError,
@@ -18,8 +23,11 @@ from metaline.metabelian import (
     multiply,
     one_parameter_subgroup_holds,
 )
+from metaline.omega_builder import build_omega
+from metaline.polynomials import Poly
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q
+from metaline.varieties import builtin_chart, builtin_names, chart_from_json, omega_from_json
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(
     lambda f: Q(f.numerator, f.denominator)
@@ -172,3 +180,61 @@ def test_levi_tensor_degenerate_arguments():
     flat = OmegaForm.from_entries(3, 0, [])
     y = element(flat, sampler.vector(3))
     assert levi_tensor(flat, y, sampler.vector(3), sampler.vector(3)) == ()
+
+
+_FIXTURE_DIR = Path(__file__).parent / "fixtures"
+_FORM_SOURCES = [f"builtin:{name}" for name in builtin_names()] + sorted(
+    p.name for p in _FIXTURE_DIR.glob("*.json")
+)
+
+
+@functools.cache
+def _form_of(source):
+    """The explicit form of a builtin or fixture file, else the constructed one."""
+    if source.startswith("builtin:"):
+        chart, omega = builtin_chart(source[len("builtin:") :])
+    else:
+        data = json.loads((_FIXTURE_DIR / source).read_text())
+        chart = chart_from_json(data)
+        omega = omega_from_json(chart.ambient_dim, data["omega"]) if "omega" in data else None
+    return omega if omega is not None else build_omega(chart).omega
+
+
+def _dense_on_wedge(form, vector):
+    """Oracle: every entry of the table contracted with every coordinate."""
+    out = [Q(0)] * form.dim_u
+    for minor, row in zip(vector, form.table, strict=True):
+        for c, coeff in enumerate(row):
+            out[c] = out[c] + minor * coeff
+    return out
+
+
+@pytest.mark.parametrize("source", _FORM_SOURCES)
+def test_sparse_contraction_matches_dense_table(source):
+    form = _form_of(source)
+    m = form.dim_w
+    sampler = RationalSampler(5).derive(source)
+    units = [tuple(Q(int(k == i)) for k in range(m)) for i in range(m)]
+    vectors = units + [(Q(0),) * m] + [sampler.vector(m) for _ in range(4)]
+    for u in vectors:
+        for v in vectors:
+            assert form.apply(u, v) == _dense_on_wedge(form, wedge(u, v))
+    for _ in range(4):
+        minors = sampler.vector(pair_count(m))
+        assert form.on_wedge(minors) == _dense_on_wedge(form, minors)
+
+
+@pytest.mark.parametrize("source", _FORM_SOURCES)
+def test_sparse_contraction_on_polynomials_and_jets(source):
+    form = _form_of(source)
+    m = form.dim_w
+    sampler = RationalSampler(6).derive(source)
+    z = [Poly.var(i, 2 * m) for i in range(m)]
+    y = [Poly.var(m + i, 2 * m) for i in range(m)]
+    constant = [Poly.const(c, 2 * m) for c in sampler.vector(m)]
+    for u, v in ((z, y), (z, constant), (constant, z)):
+        assert form.apply(u, v) == _dense_on_wedge(form, wedge(u, v))
+    ju = [Jet1(a, (b,)) for a, b in zip(sampler.vector(m), sampler.vector(m))]
+    jv = [Jet1(a, (b,)) for a, b in zip(sampler.vector(m), sampler.vector(m))]
+    assert form.apply(ju, jv) == _dense_on_wedge(form, wedge(ju, jv))
+    assert form.on_wedge(wedge(ju, jv)) == _dense_on_wedge(form, wedge(ju, jv))

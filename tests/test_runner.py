@@ -5,9 +5,11 @@ import pytest
 
 from metaline import compactification as comp
 from metaline import family_geometry as fam
+from metaline import metabelian as meta
 from metaline import runner
 from metaline.linalg import Mat, NotInSpan
 from metaline.metabelian import OmegaForm
+from metaline.polynomials import Poly
 from metaline.runner import CHECK_NAMES, run_verification
 from metaline.scalars import Q
 from metaline.sampling import RationalSampler
@@ -218,6 +220,32 @@ def test_rank_deficient_pencil_fails_split_and_skips_splitting_type(monkeypatch)
             "witness": "skip: pencil frames unavailable",
         },
     ]
+
+
+def test_levi_bracket_leaving_the_center_is_a_failure(monkeypatch):
+    """A field that is not left-invariant makes the bracket leave the center;
+    levi-tensor records that as a failed sample, not a traceback."""
+    invariant_field = meta._invariant_field
+
+    def drifting_field(omega, direction):
+        coeffs = invariant_field(omega, direction)
+        coeffs[0] = coeffs[0] + Poly.var(0, len(coeffs))
+        return coeffs
+
+    monkeypatch.setattr(meta, "_invariant_field", drifting_field)
+    chart, explicit = builtin_chart("flat-conic")
+    report = run_verification(chart, explicit, samples=3, checks=["levi-tensor"])
+    assert [c.to_dict() for c in report.checks] == [
+        {
+            "name": "levi-tensor",
+            "samples": 3,
+            "passes": 0,
+            "skips": 0,
+            "failures": 3,
+            "witness": "field bracket left the center",
+        }
+    ]
+    assert not report.passed
 
 
 class _InlineExecutor:
