@@ -166,19 +166,22 @@ def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots) -> Mat:
     block.  The point row moves by (a_w, a_u + (1/2) form(x_w, a_w), 0)
     and the direction row by (0, (1/2) form(a_w, w), 0), so a
     U-direction moves one entry of the point row.  The kernel is the
-    span of the line direction."""
+    span of the line direction.  Both form blocks come from one pass
+    over the form each: form(x_w, e_k) = columns(x_w)[k] and
+    form(e_k, w) = -columns(w)[k]."""
     rows = line_matrix_rows(omega, x, w)
     inv, block = chart_block(rows, pivots)
     dim_w, width = omega.dim_w, len(rows[0])
+    at_x = omega.columns(x.w_part)
+    at_w = omega.columns(w)
     cols = []
     for k in range(dim_w + omega.dim_u):
         d_point = [ZERO] * width
         d_dir = [ZERO] * width
         d_point[k] = ONE
         if k < dim_w:
-            a_w = _unit(dim_w, k)
-            d_point[dim_w:-1] = [HALF * c for c in omega.apply(x.w_part, a_w)]
-            d_dir[dim_w:-1] = [HALF * c for c in omega.apply(a_w, w)]
+            d_point[dim_w:-1] = [HALF * c if c else ZERO for c in at_x[k]]
+            d_dir[dim_w:-1] = [-(HALF * c) if c else ZERO for c in at_w[k]]
         moved = _block_variation(inv, block, [d_point, d_dir], pivots)
         cols.append(moved[0] + moved[1])
     return Mat.from_cols(cols)
@@ -292,8 +295,14 @@ def family_dimension(chart: VarietyChart, omega: OmegaForm, sampler, points: int
     """Max rank over sample points of the Jacobian of
     (parameter, base point) -> chart coordinates of the line's plane: the
     direction variations along the parameter axes beside the basepoint
-    variation (moving the base by x * exp(a) keeps the rank)."""
+    variation (moving the base by x * exp(a) keeps the rank).
+
+    No point exceeds rank n - 1 + d (n = dim_w + dim_u): the basepoint
+    variation along the line direction is zero.  So the scan stops at the
+    first point that reaches it; a chart that never does runs all points.
+    """
     d = chart.param_dim
+    bound = omega.dim_w + omega.dim_u - 1 + d
     best = 0
     for _ in range(points):
         param = sampler.vector(d)
@@ -311,4 +320,6 @@ def family_dimension(chart: VarietyChart, omega: OmegaForm, sampler, points: int
         except ChartMiss:
             continue
         best = max(best, jacobian.rank())
+        if best == bound:
+            break
     return best

@@ -23,61 +23,70 @@ class NotInSpan(Exception):
 
 
 def _integer_row(row):
-    """The row scaled to coprime integers by a positive rational factor."""
-    scale = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (scale // x.denominator) for x in row]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    """The row's nonzero entries as {column: integer}, scaled to coprime
+    integers by a positive rational factor."""
+    nonzero = {k: x for k, x in enumerate(row) if x}
+    scale = lcm(*(x.denominator for x in nonzero.values()))
+    ints = {k: x.numerator * (scale // x.denominator) for k, x in nonzero.items()}
+    g = gcd(*ints.values())
+    return {k: x // g for k, x in ints.items()} if g > 1 else ints
 
 
-def _rref(rows, limit=None):
-    """Reduced row echelon form with leftmost pivots; returns (pivot_rows, pivots).
+def _rref(rows, ncols):
+    """Row reduction with leftmost pivots; returns (pivot_rows, pivots).
 
-    pivot_rows are the nonzero rows of the reduced form, in pivot order;
-    the remaining rows of a full reduction are zero.  With limit set,
-    pivots are only taken from the first limit columns; later columns
-    are carried along (used for augmented solves) and the rows past the
-    pivots are dropped.
+    Pivots are taken from the first ncols columns; later columns are
+    carried along (used for augmented solves).  The rows are eliminated
+    as sparse integer rows ({column: integer}, zero entries absent), and
+    pivot_rows are the nonzero rows of the reduced form in that
+    representation, in pivot order: the rational reduced row reads
+    row[k] / row[pivot] at column k and zero where k is absent.  The
+    rows past the pivots are dropped; without carried columns they are
+    zero.  So rank and solve materialize only the pivots and the
+    solution column; Mat.rref alone builds the dense rational rows.
 
     Elimination is fraction-free (integer-preserving, after Bareiss,
     Math. Comp. 22, 1968): every row is cleared to integers, combined
     as pv * row_i - f * row_r and divided by its content.  Each integer
     row is then a nonzero multiple of the row that rational elimination
-    would hold at the same step, so zero patterns and pivots agree, and
-    dividing each pivot row by its pivot at the end yields exactly the
-    rational reduced rows.
+    would hold at the same step, so zero patterns and pivots agree.
     """
     work = [_integer_row(r) for r in rows]
     nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
     pivots = []
     r = 0
-    for c in range(ncols if limit is None else limit):
+    for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if work[i][c]), None)
+        pr = next((i for i in range(r, nrows) if c in work[i]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
         row_r = work[r]
         pv = row_r[c]
-        for i in range(nrows):
-            f = work[i][c]
-            if i != r and f:
-                row = [pv * a - f * b for a, b in zip(work[i], row_r)]
-                g = gcd(*row)
-                work[i] = [x // g for x in row] if g > 1 else row
+        for i, row_i in enumerate(work):
+            f = row_i.get(c)
+            if f is None or i == r:
+                continue
+            row = {k: pv * a for k, a in row_i.items()}
+            for k, b in row_r.items():
+                a = row.get(k, 0) - f * b
+                if a:
+                    row[k] = a
+                else:  # a cancellation: k was in row_i
+                    del row[k]
+            g = gcd(*row.values())
+            work[i] = {k: x // g for k, x in row.items()} if g > 1 else row
         pivots.append(c)
         r += 1
-    reduced = [[Q(x, row[c]) for x in row] for row, c in zip(work, pivots)]
-    return reduced, tuple(pivots)
+    return work[:r], tuple(pivots)
 
 
 class Mat:
     __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(Q(x) for x in row) for row in entries)
+        rows = tuple(tuple(x if type(x) is Q else Q(x) for x in row) for row in entries)
         self.entries = rows
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
@@ -95,19 +104,24 @@ class Mat:
         return Mat(zip(*self.entries)) if self.nrows else Mat(())
 
     def rref(self):
-        rows, pivots = _rref(self.entries)
+        rows, pivots = _rref(self.entries, self.ncols)
+        reduced = [
+            [Q(row[k], row[c]) if k in row else ZERO for k in range(self.ncols)]
+            for row, c in zip(rows, pivots)
+        ]
         zero_rows = [[ZERO] * self.ncols] * (self.nrows - len(rows))
-        return Mat(rows + zero_rows), pivots
+        return Mat(reduced + zero_rows), pivots
 
     def rank(self):
-        return len(_rref(self.entries)[1])
+        return len(_rref(self.entries, self.ncols)[1])
 
     def times_vector(self, v):
         v = list(v)
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
+        support = [(k, b) for k, b in enumerate(v) if b]
         return tuple(
-            sum((a * b for a, b in zip(row, v) if a and b), ZERO) for row in self.entries
+            sum((row[k] * b for k, b in support if row[k]), ZERO) for row in self.entries
         )
 
     def hstack(self, other):
@@ -136,13 +150,13 @@ def solve_in_span(basis: Mat, target):
     target = [Q(x) for x in target]
     if len(target) != basis.nrows:
         raise ValueError("dimension mismatch")
-    augmented = [list(row) + [t] for row, t in zip(basis.entries, target)]
-    if not augmented:
-        return (ZERO,) * basis.ncols
-    reduced, pivots = _rref(augmented, limit=basis.ncols)
-    coeffs = [ZERO] * basis.ncols
-    for r, c in enumerate(pivots):
-        coeffs[c] = reduced[r][basis.ncols]
+    ncols = basis.ncols
+    augmented = (row + (t,) for row, t in zip(basis.entries, target))
+    rows, pivots = _rref(augmented, ncols)
+    coeffs = [ZERO] * ncols
+    for row, c in zip(rows, pivots):
+        if ncols in row:
+            coeffs[c] = Q(row[ncols], row[c])
     residual = [t - s for t, s in zip(target, basis.times_vector(coeffs))]
     if any(x != 0 for x in residual):
         raise NotInSpan(residual)

@@ -78,6 +78,28 @@ class OmegaForm:
             raise ValueError("vectors must have length dim_w")
         return self._contract((u[i] * v[j] - u[j] * v[i], row) for _, i, j, row in self.terms)
 
+    def columns(self, x):
+        """form(x, e_k) for every basis vector e_k of W, from one pass
+        over `terms`: apply(x, v) == sum over k of v_k * columns(x)[k].
+
+        At pair (i, j) the minor of (x, e_j) is x_i and that of (x, e_i)
+        is -x_j; a zero coordinate of x contributes nothing.
+        """
+        if len(x) != self.dim_w:
+            raise ValueError("vector must have length dim_w")
+        cols = [[ZERO] * self.dim_u for _ in range(self.dim_w)]
+        for _, i, j, row in self.terms:
+            xi, xj = x[i], x[j]
+            if xi:
+                col = cols[j]
+                for c, coeff in row:
+                    col[c] = col[c] + xi * coeff
+            if xj:
+                col = cols[i]
+                for c, coeff in row:
+                    col[c] = col[c] - xj * coeff
+        return cols
+
     def on_wedge(self, vector):
         """Form on a second-exterior-power vector, pairs in lex order."""
         return self._contract((vector[k], row) for k, _, _, row in self.terms)

@@ -289,6 +289,8 @@ def _json_value(value, name, kind):
 
 
 def _json_field(data, key, kind):
+    if key not in data:
+        raise ValueError(f"{key} is missing")
     return _json_value(data[key], key, kind)
 
 

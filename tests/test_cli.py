@@ -333,6 +333,25 @@ def test_malformed_chart_exits_two(tmp_path, capsys, command, fixture, message):
     assert err.count("\n") == 1 and "malformed" in err and message in err
 
 
+def _missing(key):
+    """The cubic chart with a one-entry form, less one required key."""
+    entry = {"i": 0, "j": 1, "uVector": [1]}
+    omega = {"dimU": 1, "entries": [entry]}
+    fixture = {"label": "x", **_CUBIC, "omega": omega}
+    for part in (fixture, omega, entry):
+        part.pop(key, None)
+    return fixture
+
+
+@pytest.mark.parametrize("key", ["label", "variables", "coordinates", "dimU", "i", "j", "uVector"])
+def test_fixture_missing_a_key_exits_two(tmp_path, capsys, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_missing(key)))
+    code, _, err = run_cli("info", str(bad), capsys=capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.rstrip().endswith(f"is malformed: {key} is missing")
+
+
 @pytest.mark.parametrize("command", ["verify", "info", "build-omega", "sample-line"])
 def test_chart_past_the_coordinate_cap_exits_two(tmp_path, capsys, command):
     curve = tmp_path / "moment-32.json"

@@ -8,8 +8,9 @@ from metaline.jets import Jet1
 from metaline.linalg import Mat
 from metaline.lines import line_matrix_rows, translate
 from metaline.metabelian import GroupElement, OmegaForm, element, multiply
+from metaline.omega_builder import build_omega
 from metaline.sampling import RationalSampler
-from metaline.scalars import Q
+from metaline.scalars import HALF, ONE, Q, ZERO
 from metaline.varieties import chart_from_json, in_tangent_span, linear_chart, omega_from_json
 
 HEIS = OmegaForm.heisenberg()
@@ -199,6 +200,73 @@ def test_family_dimension(fixture_cache):
 def test_family_dimension_veronese33(veronese33):
     chart, omega, _ = veronese33
     assert fam.family_dimension(chart, omega, RationalSampler(43), points=4) == 21
+
+
+def _count_basepoint_variations(monkeypatch):
+    calls = []
+    original = fam.basepoint_variation
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fam, "basepoint_variation", counting)
+    return calls
+
+
+def test_family_dimension_stops_at_the_rank_bound(twisted_cubic, monkeypatch):
+    """The first sampled point already reaches n - 1 + d; no later point
+    can exceed it, so no later point is sampled."""
+    chart, omega, _ = twisted_cubic
+    calls = _count_basepoint_variations(monkeypatch)
+    bound = omega.dim_w + omega.dim_u - 1 + chart.param_dim
+    assert fam.family_dimension(chart, omega, RationalSampler(43)) == bound
+    assert len(calls) == 1
+
+
+def test_family_dimension_below_the_bound_scans_every_point(monkeypatch):
+    """A chart whose frame drops rank everywhere stays one below the
+    bound, so all ten points are sampled."""
+    data = json.loads((FIXTURE_DIR / "degenerate-frame.json").read_text())
+    chart = chart_from_json(data)
+    omega = build_omega(chart).omega
+    calls = _count_basepoint_variations(monkeypatch)
+    bound = omega.dim_w + omega.dim_u - 1 + chart.param_dim
+    assert fam.family_dimension(chart, omega, RationalSampler(43)) == bound - 1
+    assert len(calls) == 10
+
+
+def _unit_basepoint_variation(omega, x, w, pivots):
+    """basepoint_variation with each form block read off one apply call
+    per unit vector a_w: form(x_w, a_w) and form(a_w, w)."""
+    rows = line_matrix_rows(omega, x, w)
+    inv, block = fam.chart_block(rows, pivots)
+    dim_w, width = omega.dim_w, len(rows[0])
+    cols = []
+    for k in range(dim_w + omega.dim_u):
+        d_point = [ZERO] * width
+        d_dir = [ZERO] * width
+        d_point[k] = ONE
+        if k < dim_w:
+            a_w = tuple(ONE if i == k else ZERO for i in range(dim_w))
+            d_point[dim_w:-1] = [HALF * c for c in omega.apply(x.w_part, a_w)]
+            d_dir[dim_w:-1] = [HALF * c for c in omega.apply(a_w, w)]
+        moved = fam._block_variation(inv, block, [d_point, d_dir], pivots)
+        cols.append(moved[0] + moved[1])
+    return Mat.from_cols(cols)
+
+
+@pytest.mark.parametrize("name", ["veronese-2-4", "veronese3-of-conic"])
+def test_basepoint_variation_matches_unit_vector_oracle(fixture_cache, name):
+    chart, omega, _ = fixture_cache(name)
+    sampler = RationalSampler(71).derive(name)
+    for _ in range(3):
+        param = sampler.vector(chart.param_dim)
+        x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+        w = chart.evaluate(param)
+        for kind, pivots in _pivot_choices(omega, x, w).items():
+            expected = _unit_basepoint_variation(omega, x, w, pivots)
+            assert fam.basepoint_variation(omega, x, w, pivots) == expected, (kind, pivots)
 
 
 # Forward-mode oracles: the chart block computed on jets, whose partials

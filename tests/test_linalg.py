@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaline import family_geometry as fam
 from metaline.linalg import (
     Mat,
     NotInSpan,
@@ -11,8 +12,11 @@ from metaline.linalg import (
     solve_in_span,
     wedge,
 )
+from metaline.metabelian import element
+from metaline.omega_builder import build_omega
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q
+from metaline.varieties import builtin_chart
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(
     lambda f: Q(f.numerator, f.denominator)
@@ -72,6 +76,25 @@ def matrices(draw, max_rows=5, max_cols=5):
     return rows
 
 
+@st.composite
+def tall_sparse_matrices(draw, max_rows=24, max_cols=12):
+    """Taller rational matrices, up to 24 x 12, with about one entry in
+    six nonzero, so rows and columns of zeros and rank deficiency occur."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    cells = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+            rationals.filter(bool),
+            max_size=max(1, nrows * ncols // 6),
+        )
+    )
+    return [[cells.get((i, j), Q(0)) for j in range(ncols)] for i in range(nrows)]
+
+
+any_matrices = st.one_of(matrices(), tall_sparse_matrices())
+
+
 def test_rref_takes_leftmost_pivots():
     m = Mat([[0, 2, 4], [1, 1, 1], [1, 3, 5]])
     reduced, pivots = m.rref()
@@ -102,8 +125,8 @@ def test_rref_with_negative_and_non_unit_pivots():
     assert reduced.entries == ((0, 1, 0), (0, 0, 1))
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrices())
+@settings(max_examples=300, deadline=None)
+@given(any_matrices)
 def test_rref_matches_rational_elimination(rows):
     reduced, pivots = Mat(rows).rref()
     expected, expected_pivots = _rational_rref(rows)
@@ -112,10 +135,17 @@ def test_rref_matches_rational_elimination(rows):
     assert Mat(rows).rank() == len(expected_pivots)
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+@given(any_matrices, st.data())
 def test_solve_in_span_matches_rational_elimination(rows, data):
-    target = data.draw(st.lists(sparse_rationals, min_size=len(rows), max_size=len(rows)))
+    """Targets drawn freely (mostly outside the span of a tall matrix) and
+    targets inside it, as the image of a sparse coefficient vector."""
+    if data.draw(st.booleans()):
+        target = data.draw(st.lists(sparse_rationals, min_size=len(rows), max_size=len(rows)))
+    else:
+        ncols = len(rows[0])
+        c = data.draw(st.lists(sparse_rationals, min_size=ncols, max_size=ncols))
+        target = Mat(rows).times_vector(c)
     coeffs, residual = _rational_solve(rows, target)
     if any(x != 0 for x in residual):
         with pytest.raises(NotInSpan) as err:
@@ -123,6 +153,39 @@ def test_solve_in_span_matches_rational_elimination(rows, data):
         assert err.value.residual == residual
     else:
         assert solve_in_span(Mat(rows), target) == coeffs
+
+
+def _conic_slide_solve():
+    """The basepoint variation and the slide shift of one slide-identity
+    sample on veronese3-of-conic, as check_slide_identity hands them to
+    solve_in_span (an 86 x 44 solve)."""
+    chart, omega = builtin_chart("veronese3-of-conic")
+    omega = build_omega(chart).omega
+    sampler = RationalSampler(42).derive("linalg-replay")
+    param = sampler.vector(chart.param_dim)
+    x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+    delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
+    w = chart.evaluate(param)
+    pivots = fam.primary_pivots(omega, x, w)
+    j_t = fam.direction_variation(chart, omega, param, x, delta, t, pivots)
+    j_0 = fam.direction_variation(chart, omega, param, x, delta, 0, pivots)
+    shift = [a - b for ra, rb in zip(j_t.entries, j_0.entries) for a, b in zip(ra, rb)]
+    return fam.basepoint_variation(omega, x, w, pivots), shift
+
+
+def test_real_slide_solve_matches_rational_elimination():
+    bvm, shift = _conic_slide_solve()
+    assert (bvm.nrows, bvm.ncols) == (86, 44)
+    coeffs, residual = _rational_solve(bvm.entries, shift)
+    assert not any(residual)
+    assert solve_in_span(bvm, shift) == coeffs
+    # Off the span, the residual depends on which rows the elimination
+    # takes as pivot rows; moving the last entry makes that choice show.
+    shift[-1] += 1
+    coeffs, residual = _rational_solve(bvm.entries, shift)
+    with pytest.raises(NotInSpan) as err:
+        solve_in_span(bvm, shift)
+    assert err.value.residual == residual and any(residual)
 
 
 def test_rref_is_idempotent():

@@ -238,3 +238,25 @@ def test_sparse_contraction_on_polynomials_and_jets(source):
     jv = [Jet1(a, (b,)) for a, b in zip(sampler.vector(m), sampler.vector(m))]
     assert form.apply(ju, jv) == _dense_on_wedge(form, wedge(ju, jv))
     assert form.on_wedge(wedge(ju, jv)) == _dense_on_wedge(form, wedge(ju, jv))
+
+
+@pytest.mark.parametrize("source", _FORM_SOURCES)
+def test_columns_contract_to_apply(source):
+    """One pass over the form gives form(x, e_k) for every k: contracting
+    those columns with v is apply(x, v)."""
+    form = _form_of(source)
+    m = form.dim_w
+    sampler = RationalSampler(8).derive(source)
+    units = [tuple(Q(int(k == i)) for k in range(m)) for i in range(m)]
+    vectors = units[:2] + [(Q(0),) * m] + [sampler.vector(m) for _ in range(4)]
+    for x in vectors:
+        cols = form.columns(x)
+        assert len(cols) == m and all(len(col) == form.dim_u for col in cols)
+        for v in vectors:
+            contracted = [
+                sum((v[k] * col[c] for k, col in enumerate(cols)), Q(0))
+                for c in range(form.dim_u)
+            ]
+            assert form.apply(x, v) == contracted
+    with pytest.raises(ValueError):
+        form.columns((Q(1),) * (m + 1))
