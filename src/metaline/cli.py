@@ -19,13 +19,13 @@ import sys
 
 from .compactification import boundary_point
 from .linalg import pair_count
-from .lines import ZeroDirection, boundary_direction, line_through, pluecker_embed
+from .lines import ZeroDirection, boundary_direction, line_matrix_rows, line_through, pluecker_embed
 from .metabelian import InternalConsistencyError, element
 from .omega_builder import build_omega
 from .polynomials import Poly, PolyParseError
 from .runner import CHECK_NAMES, run_verification
 from .sampling import RationalSampler
-from .scalars import HALF, parse_rational, qstr
+from .scalars import parse_rational, qstr
 from .varieties import (
     FrameDegenerate,
     builtin_chart,
@@ -53,6 +53,8 @@ def _load_fixture(source):
         raise FixtureError(f"cannot read fixture {source!r}: {exc}")
     except json.JSONDecodeError as exc:
         raise FixtureError(f"fixture {source!r} is not valid JSON: {exc}")
+    except RecursionError:
+        raise FixtureError(f"fixture {source!r} is nested too deeply")
     try:
         chart = chart_from_json(data)
         omega = None
@@ -168,13 +170,8 @@ def _cmd_sample_line(args):
     direction = chart.evaluate(param)
     line = line_through(omega, x, direction)
     plane = pluecker_embed(omega, line)
-    half_corr = omega.apply(x.w_part, line.direction)
-    arc = [
-        Poly.const(c, 1) + Poly.var(0, 1) * d for c, d in zip(x.w_part, line.direction)
-    ] + [
-        Poly.const(c, 1) + Poly.var(0, 1) * (HALF * d)
-        for c, d in zip(x.u_part, half_corr)
-    ]
+    row_point, row_dir = line_matrix_rows(omega, x, line.direction)
+    arc = [Poly.const(c, 1) + Poly.var(0, 1) * d for c, d in zip(row_point[:-1], row_dir[:-1])]
     datum = boundary_point(chart, omega, param, x)
     payload = {
         "fixture": chart.label,

@@ -7,7 +7,8 @@ space is the disjoint union of the group (interior) and, over every
 chart point, the coset space G / T (boundary).  Cosets are stored by a
 canonical representative (lines.canonical_rep): the unique coset member
 whose W-part vanishes at all pivot coordinates of the frame span.  A
-boundary point carries that reduced frame, the tangent subalgebra of its fiber.
+boundary point carries its frame as affine_tangent_frame reduced it,
+once: the tangent subalgebra of its fiber.
 
 Points are the objects themselves, told apart by type:
 
@@ -51,8 +52,7 @@ def boundary_point(
     chart: VarietyChart, omega: OmegaForm, param, x: GroupElement
 ) -> BoundaryPoint:
     param = tuple(Q(c) for c in param)
-    reduced, pivots = affine_tangent_frame(chart, param).rref()
-    tangent = (reduced.entries, pivots)
+    tangent = affine_tangent_frame(chart, param)
     return BoundaryPoint(chart.label, param, canonical_rep(omega, x, *tangent), tangent)
 
 

@@ -44,26 +44,31 @@ class RankDeficient(Exception):
     """A frame expected to have full rank dropped rank."""
 
 
+def _pivot_pairs(rows):
+    """Column pairs, in lex order, where the plane's two rows have a
+    nonzero 2 x 2 minor.  The first is the echelon pivot pair: the first
+    nonzero column and the first column not parallel to it."""
+    top, bottom = rows
+    ncols = len(top)
+    for i in range(ncols):
+        for j in range(i + 1, ncols):
+            if top[i] * bottom[j] != top[j] * bottom[i]:
+                yield (i, j)
+
+
 def primary_pivots(omega: OmegaForm, x: GroupElement, w):
     """Leftmost valid pivot pair: the echelon pivots of the line's plane."""
-    reduced, pivots = Mat(line_matrix_rows(omega, x, w)).rref()
-    if len(pivots) != 2:
+    pivots = next(_pivot_pairs(line_matrix_rows(omega, x, w)), None)
+    if pivots is None:
         raise ChartMiss("line span is degenerate")
     return pivots
 
 
 def next_pivots(omega: OmegaForm, x: GroupElement, w, exclude):
     """Next pivot pair (lex order) with invertible minor, or None."""
-    rows = line_matrix_rows(omega, x, w)
-    ncols = len(rows[0])
-    for i in range(ncols):
-        for j in range(i + 1, ncols):
-            if (i, j) == tuple(exclude):
-                continue
-            minor = rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i]
-            if minor != 0:
-                return (i, j)
-    return None
+    exclude = tuple(exclude)
+    pairs = _pivot_pairs(line_matrix_rows(omega, x, w))
+    return next((pair for pair in pairs if pair != exclude), None)
 
 
 def chart_block(rows, pivots):

@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Row reduction always takes the leftmost available pivot, so every rank,
-kernel and solve below is deterministic.  Matrices are immutable value
-types; the wedge helpers fix the lexicographic pair ordering used for
-second exterior powers throughout the package.
+Every row reduction in the package is one engine, _rref, which always
+takes the leftmost available pivot, so every rank, span, kernel and
+solve below is deterministic.  Matrices are immutable value types; the
+wedge helpers fix the lexicographic pair ordering used for second
+exterior powers throughout the package.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import gcd, lcm
 
 from .scalars import Q, ZERO
@@ -40,10 +40,13 @@ def _rref(rows, ncols):
     as sparse integer rows ({column: integer}, zero entries absent), and
     pivot_rows are the nonzero rows of the reduced form in that
     representation, in pivot order: the rational reduced row reads
-    row[k] / row[pivot] at column k and zero where k is absent.  The
-    rows past the pivots are dropped; without carried columns they are
-    zero.  So rank and solve materialize only the pivots and the
-    solution column; Mat.rref alone builds the dense rational rows.
+    row[k] / row[pivot] at column k and zero where k is absent
+    (_rational_rows).  A row given as a dict is taken to be in that
+    representation, any other as a sequence of rationals.  The rows
+    past the pivots are dropped; without carried columns they are zero.
+    So rank and solve materialize only the pivots and the solution
+    column; Mat.rref and SpanAccumulator.basis_matrix alone build dense
+    rational rows.
 
     Elimination is fraction-free (integer-preserving, after Bareiss,
     Math. Comp. 22, 1968): every row is cleared to integers, combined
@@ -51,7 +54,7 @@ def _rref(rows, ncols):
     row is then a nonzero multiple of the row that rational elimination
     would hold at the same step, so zero patterns and pivots agree.
     """
-    work = [_integer_row(r) for r in rows]
+    work = [r if type(r) is dict else _integer_row(r) for r in rows]
     nrows = len(work)
     pivots = []
     r = 0
@@ -82,6 +85,14 @@ def _rref(rows, ncols):
     return work[:r], tuple(pivots)
 
 
+def _rational_rows(rows, pivots, ncols):
+    """The dense rational rows of _rref's sparse integer pivot rows."""
+    return [
+        [Q(row[k], row[c]) if k in row else ZERO for k in range(ncols)]
+        for row, c in zip(rows, pivots)
+    ]
+
+
 class Mat:
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -100,15 +111,9 @@ class Mat:
             return cls(())
         return cls([[col[i] for col in cols] for i in range(len(cols[0]))])
 
-    def transpose(self):
-        return Mat(zip(*self.entries)) if self.nrows else Mat(())
-
     def rref(self):
         rows, pivots = _rref(self.entries, self.ncols)
-        reduced = [
-            [Q(row[k], row[c]) if k in row else ZERO for k in range(self.ncols)]
-            for row, c in zip(rows, pivots)
-        ]
+        reduced = _rational_rows(rows, pivots, self.ncols)
         zero_rows = [[ZERO] * self.ncols] * (self.nrows - len(rows))
         return Mat(reduced + zero_rows), pivots
 
@@ -191,7 +196,8 @@ def wedge(u, v):
 
 
 class SpanAccumulator:
-    """Span kept in reduced row echelon form with leftmost pivots."""
+    """Span kept in reduced row echelon form with leftmost pivots, as
+    _rref's sparse integer pivot rows."""
 
     def __init__(self, dim):
         self.dim = dim
@@ -205,29 +211,15 @@ class SpanAccumulator:
     def insert(self, vec):
         """Add a vector; returns True when it increases the rank.
 
-        Only the new vector is reduced, against the stored pivot rows; a
-        remainder becomes a pivot row and is cleared from the stored rows
-        above and below it.  The reduced row echelon form of a span is
+        The stored rows and the new vector are reduced again by _rref.
+        The stored rows are already reduced, so each of their pivots
+        clears at most the new row, and a remainder clears its own column
+        from the rows above it.  The reduced row echelon form of a span is
         unique, so the rows equal those of a full reduction.
         """
-        vec = [Q(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            f = vec[p]
-            if f:
-                vec = [a - f * b if b else a for a, b in zip(vec, row)]
-        p = next((c for c, x in enumerate(vec) if x), None)
-        if p is None:
-            return False
-        pv = vec[p]
-        vec = [x / pv if x else x for x in vec]
-        for k, row in enumerate(self.rows):
-            f = row[p]
-            if f:
-                self.rows[k] = [a - f * b if b else a for a, b in zip(row, vec)]
-        k = bisect_left(self.pivots, p)
-        self.rows.insert(k, vec)
-        self.pivots = self.pivots[:k] + (p,) + self.pivots[k:]
-        return True
+        rank = len(self.rows)
+        self.rows, self.pivots = _rref([*self.rows, vec], self.dim)
+        return len(self.rows) > rank
 
     def pivot_columns(self):
         return self.pivots
@@ -237,4 +229,4 @@ class SpanAccumulator:
         return tuple(c for c in range(self.dim) if c not in taken)
 
     def basis_matrix(self):
-        return Mat(self.rows)
+        return Mat(_rational_rows(self.rows, self.pivots, self.dim))

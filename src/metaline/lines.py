@@ -128,7 +128,6 @@ def boundary_direction(omega: OmegaForm, line: HorizontalLine):
     Coordinates [w : (1/2) form(x_w, w)], scaled so the leftmost nonzero
     entry is one; independent of the base point chosen on the line.
     """
-    half_corr = [HALF * c for c in omega.apply(line.base.w_part, line.direction)]
-    vec = list(line.direction) + half_corr
+    vec = line_matrix_rows(omega, line.base, line.direction)[1][:-1]
     lead = next(c for c in vec if c != 0)
     return tuple(c / lead for c in vec)

@@ -64,7 +64,6 @@ def build_omega(chart: VarietyChart, seed=None) -> OmegaConstruction:
     pivots = accumulator.pivot_columns()
     free = accumulator.free_columns()
     dim_u = len(free)
-    free_position = {c: k for k, c in enumerate(free)}
     pivot_row = {c: r for r, c in enumerate(pivots)}
 
     table = []
@@ -73,11 +72,7 @@ def build_omega(chart: VarietyChart, seed=None) -> OmegaConstruction:
             row = basis.entries[pivot_row[pair_idx]]
             table.append(tuple(-row[c] for c in free))
         else:
-            table.append(
-                tuple(
-                    1 if k == free_position[pair_idx] else 0 for k in range(dim_u)
-                )
-            )
+            table.append(tuple(int(c == pair_idx) for c in free))
     omega = OmegaForm(m, dim_u, table)
 
     for row in basis.entries:

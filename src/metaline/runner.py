@@ -20,7 +20,7 @@ from . import compactification as comp
 from . import family_geometry as fam
 from . import lines as lin
 from . import metabelian as meta
-from .linalg import NotInSpan
+from .linalg import Mat, NotInSpan
 from .metabelian import InternalConsistencyError, OmegaForm
 from .omega_builder import build_omega
 from .report import CheckResult, VerificationReport
@@ -277,7 +277,8 @@ def _pencil_outcomes(run):
 def _chart_samples(run, stream, count, body):
     """Outcomes of count chart samples drawn from one stream.  A sample
     draws a parameter and is skipped on a degenerate frame; otherwise it
-    draws a base point x and gives body(run, sampler, k, param, frame, x)."""
+    draws a base point x and gives body(run, sampler, k, param, frame, x),
+    frame being the (reduced rows, pivots) of affine_tangent_frame."""
     sampler = run.stream(stream)
     outcomes = []
     for k in range(count):
@@ -304,7 +305,7 @@ def _coset_sample(run, sampler, k, param, frame, x):
     chart, omega = run.chart, run.omega
     param2 = param
     if k % 2 == 0:
-        shift = frame.transpose().times_vector(sampler.vector(chart.param_dim + 1))
+        shift = Mat.from_cols(frame[0]).times_vector(sampler.vector(chart.param_dim + 1))
         x2 = lin.translate(omega, x, shift, 1)
     elif omega.dim_u > 0 and (k // 2) % 2 == 0:
         u_shift = sampler.nonzero_vector(omega.dim_u)
@@ -328,14 +329,15 @@ def _coset_sample(run, sampler, k, param, frame, x):
 
 
 def _escape_vector(frame):
-    """The first unit vector outside the frame's span, or None.  From one
-    RREF: e_i lies in the span exactly when i is a pivot whose reduced
+    """The first unit vector outside the span of the reduced frame, or
+    None: e_i lies in the span exactly when i is a pivot whose reduced
     row is e_i."""
-    reduced, pivots = frame.rref()
-    inside = {p for p, row in zip(pivots, reduced.entries) if sum(c != 0 for c in row) == 1}
-    for i in range(frame.ncols):
+    reduced, pivots = frame
+    inside = {p for p, row in zip(pivots, reduced) if sum(c != 0 for c in row) == 1}
+    ncols = len(reduced[0])
+    for i in range(ncols):
         if i not in inside:
-            return tuple(Q(1) if j == i else Q(0) for j in range(frame.ncols))
+            return tuple(Q(1) if j == i else Q(0) for j in range(ncols))
     return None
 
 

@@ -15,7 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .linalg import Mat, NotInSpan, pair_count, solve_in_span
+from .linalg import Mat, pair_count
 from .metabelian import OmegaForm
 from .polynomials import Poly, parse_poly
 from .scalars import Q, ZERO, parse_rational, qstr
@@ -96,31 +96,34 @@ def make_chart(label, coords) -> VarietyChart:
         raise ValueError("chart needs at least one variable")
     if any(p.nvars != d for p in coords):
         raise ValueError("chart coordinates must share one parameter list")
+    if d >= len(coords):  # then no d+1 frame vectors are independent
+        raise ValueError(f"chart has {d} variables, not fewer than its {len(coords)} coordinates")
     partials = tuple(tuple(p.diff(a) for p in coords) for a in range(d))
     return VarietyChart(label, d, len(coords), coords, partials)
 
 
 def affine_tangent_frame(chart: VarietyChart, point):
-    """Frame of the cone's tangent space: chart value plus all partials.
+    """Frame of the cone's tangent space, chart value plus all partials,
+    as (reduced rows, pivots) of its one leftmost-pivot reduction.
 
     Raises FrameDegenerate unless the d+1 frame vectors are independent.
     """
     point = tuple(point)
-    frame = Mat([chart.evaluate(point), *chart.partial_rows(point)])
-    if frame.rank() != chart.param_dim + 1:
+    reduced, pivots = Mat([chart.evaluate(point), *chart.partial_rows(point)]).rref()
+    if len(pivots) != chart.param_dim + 1:
         raise FrameDegenerate(
             f"frame rank below {chart.param_dim + 1} at {tuple(map(qstr, point))}"
         )
-    return frame
+    return reduced.entries, pivots
 
 
 def in_tangent_span(chart: VarietyChart, point, vector) -> bool:
-    """Whether a W-vector lies in the span of the tangent frame at the point."""
-    try:
-        solve_in_span(affine_tangent_frame(chart, point).transpose(), vector)
-    except NotInSpan:
-        return False
-    return True
+    """Whether a W-vector lies in the span of the tangent frame at the
+    point: whether it is the combination of the reduced frame rows with
+    its own entries at their pivots."""
+    rows, pivots = affine_tangent_frame(chart, point)
+    pairs = list(zip(rows, pivots))
+    return all(x == sum(vector[p] * row[k] for row, p in pairs) for k, x in enumerate(vector))
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,14 @@ def test_deeply_nested_coordinate_exits_two(tmp_path, capsys, coordinate):
     assert "malformed" in err and "nested" in err
 
 
+def test_deeply_nested_fixture_exits_two(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200000 + "]" * 200000)
+    code, _, err = run_cli("info", str(bad), capsys=capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and "nested too deeply" in err
+
+
 _CUBIC = {"variables": ["t"], "coordinates": ["1", "t", "t^2", "t^3"]}
 
 
@@ -323,6 +331,7 @@ def _form_with(entry):
             "entries[0] must be an object, got [0, 1, [1]]",
         ),
         ({**_CUBIC, "omega": [1]}, "omega must be an object, got [1]"),
+        ({"variables": ["s", "t"], "coordinates": ["1", "s"]}, "not fewer than its 2 coordinates"),
     ],
 )
 def test_malformed_chart_exits_two(tmp_path, capsys, command, fixture, message):

@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaline import family_geometry as fam
 from metaline.jets import Jet1
@@ -25,6 +28,57 @@ def test_primary_and_next_pivots(twisted_cubic):
     assert len(pivots) == 2 and pivots[0] < pivots[1]
     alt = fam.next_pivots(omega, x, w, pivots)
     assert alt is not None and alt != tuple(pivots)
+
+
+def _minor_scan(rows, exclude):
+    """The earlier next_pivots: the first pair (lex order) but exclude
+    whose 2 x 2 minor is nonzero, or None."""
+    ncols = len(rows[0])
+    for i in range(ncols):
+        for j in range(i + 1, ncols):
+            if (i, j) == tuple(exclude):
+                continue
+            if rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i] != 0:
+                return (i, j)
+    return None
+
+
+_plane_entries = st.one_of(
+    st.just(Q(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=5).map(
+        lambda f: Q(f.numerator, f.denominator)
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.lists(_plane_entries, min_size=n, max_size=n), min_size=2, max_size=2
+        )
+    ),
+    st.booleans(),
+    st.data(),
+)
+def test_pivot_pair_scan_matches_rref_and_minor_scan(rows, parallel, data):
+    """On 2-row planes of every rank: primary_pivots is the echelon pivot
+    pair of the plane, or ChartMiss when its rank is below 2, and
+    next_pivots is the earlier minor scan."""
+    if parallel:
+        rows = [rows[0], [Q(3, 2) * c for c in rows[0]]]
+    _, echelon = Mat(rows).rref()
+    with patch.object(fam, "line_matrix_rows", lambda *args: rows):
+        if len(echelon) < 2:
+            with pytest.raises(fam.ChartMiss):
+                fam.primary_pivots(None, None, None)
+        else:
+            assert fam.primary_pivots(None, None, None) == echelon
+        ncols = len(rows[0])
+        exclude = data.draw(
+            st.sampled_from([(i, j) for i in range(ncols) for j in range(i + 1, ncols)])
+        )
+        assert fam.next_pivots(None, None, None, exclude) == _minor_scan(rows, exclude)
 
 
 def test_chart_block_normalizes_pivots():

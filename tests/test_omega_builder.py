@@ -111,12 +111,13 @@ def test_dims_property(twisted_cubic):
     assert dims == (4, 1, 5)
 
 
-def _tangent_rows(chart, point):
-    return affine_tangent_frame(chart, point).entries
-
-
 def _raw_frame_rows(chart, point):
     return [chart.evaluate(point), *chart.partial_rows(point)]
+
+
+def _tangent_rows(chart, point):
+    affine_tangent_frame(chart, point)  # raises FrameDegenerate
+    return _raw_frame_rows(chart, point)
 
 
 def _sampled_span(chart, frame_rows=_tangent_rows, window=25, budget=400):

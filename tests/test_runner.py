@@ -5,6 +5,7 @@ import pytest
 
 from metaline import compactification as comp
 from metaline import family_geometry as fam
+from metaline import linalg
 from metaline import metabelian as meta
 from metaline import runner
 from metaline.linalg import Mat, NotInSpan
@@ -353,17 +354,35 @@ def test_escape_vector_is_the_first_unit_vector_off_the_frame(name, spans_w):
 def test_each_boundary_sample_builds_one_tangent_frame(monkeypatch):
     """A boundary point carries its fiber: the group action and the
     interior points of a compactified line reuse the frame of the one
-    boundary point a sample builds."""
+    boundary point a sample builds, and building that point reduces its
+    frame exactly once."""
     built = []
-    original = comp.affine_tangent_frame
+    reductions = []
+    per_point = []
+    original_frame = comp.affine_tangent_frame
+    original_point = comp.boundary_point
+    original_rref = linalg._rref
 
-    def counting(chart, point):
+    def counting_frame(chart, point):
         built.append(point)
-        return original(chart, point)
+        return original_frame(chart, point)
 
-    monkeypatch.setattr(comp, "affine_tangent_frame", counting)
+    def counting_point(*args):
+        before = len(reductions)
+        point = original_point(*args)
+        per_point.append(len(reductions) - before)
+        return point
+
+    def counting_rref(rows, ncols):
+        reductions.append(ncols)
+        return original_rref(rows, ncols)
+
+    monkeypatch.setattr(comp, "affine_tangent_frame", counting_frame)
+    monkeypatch.setattr(comp, "boundary_point", counting_point)
+    monkeypatch.setattr(linalg, "_rref", counting_rref)
     chart, explicit = builtin_chart("flat-conic")
     checks = ["group-action", "line-boundary"]
     report = run_verification(chart, explicit, samples=10, checks=checks)
     assert report.passed
     assert len(built) == sum(c.samples - c.skips for c in report.checks) > 0
+    assert per_point == [1] * len(built)

@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
-from metaline.linalg import pair_index
+from metaline.linalg import Mat, NotInSpan, pair_index, solve_in_span
 from metaline.metabelian import OmegaForm
 from metaline.polynomials import Poly, parse_poly
+from metaline.sampling import RationalSampler
 from metaline.scalars import Q
 from metaline.varieties import (
     _grid_by_sum,
@@ -15,6 +16,7 @@ from metaline.varieties import (
     certify_isotropic,
     chart_from_json,
     compose_veronese3,
+    in_tangent_span,
     linear_chart,
     make_chart,
     omega_from_json,
@@ -46,8 +48,48 @@ def test_tangent_vector_matches_partials():
 
 def test_affine_tangent_frame_rank():
     chart = veronese_chart(3, 2)
-    frame = affine_tangent_frame(chart, (Q(1), Q(2)))
-    assert frame.nrows == 3 and frame.rank() == 3
+    rows, pivots = affine_tangent_frame(chart, (Q(1), Q(2)))
+    assert len(rows) == 3 and len(pivots) == 3
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_affine_tangent_frame_is_the_rref_of_the_frame(name):
+    chart, _ = builtin_chart(name)
+    sampler = RationalSampler(11).derive(name)
+    for _ in range(10):
+        point = sampler.vector(chart.param_dim)
+        frame = Mat([chart.evaluate(point), *chart.partial_rows(point)])
+        reduced, pivots = frame.rref()
+        if len(pivots) < chart.param_dim + 1:
+            with pytest.raises(FrameDegenerate):
+                affine_tangent_frame(chart, point)
+        else:
+            assert affine_tangent_frame(chart, point) == (reduced.entries, pivots)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_in_tangent_span_matches_the_frame_solve(name):
+    """Oracle: the vector is in the span exactly when the frame's columns
+    solve for it."""
+    chart, _ = builtin_chart(name)
+    sampler = RationalSampler(13).derive(name)
+    m = chart.ambient_dim
+    for _ in range(5):
+        point = sampler.vector(chart.param_dim)
+        rows = [chart.evaluate(point), *chart.partial_rows(point)]
+        try:
+            affine_tangent_frame(chart, point)
+        except FrameDegenerate:
+            continue
+        combination = Mat.from_cols(rows).times_vector(sampler.vector(len(rows)))
+        units = [tuple(Q(int(j == i)) for j in range(m)) for i in range(m)]
+        for vector in [combination, sampler.vector(m), *units]:
+            try:
+                solve_in_span(Mat.from_cols(rows), vector)
+                expected = True
+            except NotInSpan:
+                expected = False
+            assert in_tangent_span(chart, point, vector) == expected
 
 
 def test_frame_degenerate():
@@ -57,7 +99,7 @@ def test_frame_degenerate():
     )
     with pytest.raises(FrameDegenerate):
         affine_tangent_frame(cusp, (Q(0),))
-    assert affine_tangent_frame(cusp, (Q(1),)).rank() == 2
+    assert affine_tangent_frame(cusp, (Q(1),))[1] == (0, 1)
 
 
 def test_certify_isotropic_positive(twisted_cubic):
@@ -153,7 +195,7 @@ def test_frame_rank_on_builtin_charts_100_points():
                 frame = affine_tangent_frame(chart, p)
             except FrameDegenerate:
                 continue
-            assert frame.rank() == chart.param_dim + 1
+            assert len(frame[1]) == chart.param_dim + 1
             seen += 1
 
 
