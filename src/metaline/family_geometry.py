@@ -19,13 +19,21 @@ are that closed form.  Everything here differentiates the picture exactly:
   derivative frames is exactly linear in the slide parameter, and the
   combined frame has full rank with the limit frame nowhere dropping;
 * family_dimension: rank of the full parametrization Jacobian.
+
+Multiplied by P, a U direction off the pivot columns moves one entry of
+the block's first row and nothing else.  So the slide solve
+(solve_basepoint_variation) and the Jacobian rank eliminate each U
+unknown through its own row, a Schur complement (F. Zhang (ed.), The
+Schur Complement and Its Applications, Springer 2005), and only the
+rows left over the W (and parameter) unknowns reach _rref.  With a pivot
+in U or no U unknown they use the full variation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, solve_in_span
+from .linalg import Mat, _canonical_solution, _rref, solve_in_span
 from .lines import line_matrix_rows, translate
 from .metabelian import GroupElement, OmegaForm, element
 from .polynomials import Poly
@@ -89,10 +97,10 @@ def chart_block(rows, pivots):
     return inv, block
 
 
-def _block_variation(inv, block, drows, pivots):
-    """P^-1 (dN - dP B): the derivative of the chart block B = P^-1 N as
-    the plane's rows move by drows.  Zero operands are skipped; the
-    values are the same either way."""
+def _moved_rows(block, drows, pivots):
+    """dN - dP B: the variation of the chart block before P^-1 is
+    applied, as the plane's rows move by drows.  Zero operands are
+    skipped; the values are the same either way."""
     c1, c2 = pivots
     moved = []
     for drow in drows:
@@ -101,6 +109,11 @@ def _block_variation(inv, block, drows, pivots):
             if dp:
                 rest = [v - dp * b if b else v for v, b in zip(rest, b_row)]
         moved.append(rest)
+    return moved
+
+
+def _times_inverse(inv, moved):
+    """P^-1 applied to the two rows of a _moved_rows result."""
     out = []
     for i0, i1 in inv:
         row = []
@@ -111,6 +124,12 @@ def _block_variation(inv, block, drows, pivots):
                 row.append(i1 * m1 if m1 else ZERO)
         out.append(row)
     return out
+
+
+def _block_variation(inv, block, drows, pivots):
+    """P^-1 (dN - dP B): the derivative of the chart block B = P^-1 N as
+    the plane's rows move by drows."""
+    return _times_inverse(inv, _moved_rows(block, drows, pivots))
 
 
 def direction_variation(chart: VarietyChart, omega: OmegaForm, param, x, delta, t, pivots) -> Mat:
@@ -165,31 +184,116 @@ def direction_variation_symbolic(
     return Mat(out)
 
 
+def _basepoint_drows(a_w, form_x, form_w):
+    """How the plane's rows move as the base moves to x * exp(a_w, 0):
+    the point row by (a_w, (1/2) form(x_w, a_w), 0) and the direction
+    row by (0, (1/2) form(a_w, w), 0), given form_x = form(x_w, a_w) and
+    form_w = form(a_w, w)."""
+    return [
+        [*a_w, *(HALF * c if c else ZERO for c in form_x), ZERO],
+        [*(ZERO for _ in a_w), *(HALF * c if c else ZERO for c in form_w), ZERO],
+    ]
+
+
+def _w_variation(omega: OmegaForm, x: GroupElement, w, pivots):
+    """The plane's rows, its chart block (P^-1, B) and, for each W
+    direction e_k, the basepoint variation before P^-1 is applied,
+    dN - dP B.  Both form blocks come from one pass over the form each:
+    form(x_w, e_k) = columns(x_w)[k] and form(e_k, w) = -columns(w)[k]."""
+    rows = line_matrix_rows(omega, x, w)
+    inv, block = chart_block(rows, pivots)
+    at_x = omega.columns(x.w_part)
+    at_w = omega.columns(w)
+    moves = []
+    for k in range(omega.dim_w):
+        drows = _basepoint_drows(_unit(omega.dim_w, k), at_x[k], [-c for c in at_w[k]])
+        moves.append(_moved_rows(block, drows, pivots))
+    return rows, inv, block, moves
+
+
 def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots) -> Mat:
     """Derivative of the plane as the base moves to x * exp(a): one
     column per algebra basis direction a, rows the flattened chart
-    block.  The point row moves by (a_w, a_u + (1/2) form(x_w, a_w), 0)
-    and the direction row by (0, (1/2) form(a_w, w), 0), so a
-    U-direction moves one entry of the point row.  The kernel is the
-    span of the line direction.  Both form blocks come from one pass
-    over the form each: form(x_w, e_k) = columns(x_w)[k] and
-    form(e_k, w) = -columns(w)[k]."""
-    rows = line_matrix_rows(omega, x, w)
-    inv, block = chart_block(rows, pivots)
-    dim_w, width = omega.dim_w, len(rows[0])
-    at_x = omega.columns(x.w_part)
-    at_w = omega.columns(w)
-    cols = []
-    for k in range(dim_w + omega.dim_u):
+    block.  A W-direction moves both rows (_w_variation); a U-direction
+    moves one entry of the point row.  The kernel is the span of the
+    line direction."""
+    rows, inv, block, w_moves = _w_variation(omega, x, w, pivots)
+    cols = [sum(_times_inverse(inv, moved), []) for moved in w_moves]
+    width = len(rows[0])
+    for k in range(omega.dim_w, width - 1):
         d_point = [ZERO] * width
-        d_dir = [ZERO] * width
         d_point[k] = ONE
-        if k < dim_w:
-            d_point[dim_w:-1] = [HALF * c if c else ZERO for c in at_x[k]]
-            d_dir[dim_w:-1] = [-(HALF * c) if c else ZERO for c in at_w[k]]
-        moved = _block_variation(inv, block, [d_point, d_dir], pivots)
-        cols.append(moved[0] + moved[1])
+        cols.append(sum(_block_variation(inv, block, [d_point, [ZERO] * width], pivots), []))
     return Mat.from_cols(cols)
+
+
+def _schur_applies(omega: OmegaForm, pivots):
+    """Whether the U unknowns are eliminated through their own rows:
+    there is one, and no pivot column lies in U."""
+    u_cols = range(omega.dim_w, omega.dim_w + omega.dim_u)
+    return bool(u_cols) and not any(c in u_cols for c in pivots)
+
+
+def _times_minor(rows, pivots, flat):
+    """P times a flattened 2 x (n-1) chart-block variation, P the pivot
+    minor of the plane's rows: the block rows (P dB)_0 and (P dB)_1."""
+    c1, c2 = pivots
+    half = len(flat) // 2
+    return [
+        [p0 * u + p1 * v for u, v in zip(flat[:half], flat[half:])]
+        for p0, p1 in ((rows[0][c1], rows[0][c2]), (rows[1][c1], rows[1][c2]))
+    ]
+
+
+def _schur_rows(omega: OmegaForm, pivots, cols):
+    """The rows of the column pairs (block rows of P dB) that no U
+    unknown enters, and the positions in block row 0 of the U columns.
+
+    With no pivot in U, a U direction's column of P dB is the unit
+    vector at its own position p in block row 0, where p counts the
+    non-pivot columns before it.  Eliminating it through that row (a
+    Schur complement) leaves the other rows over the other columns."""
+    first = omega.dim_w - sum(c < omega.dim_w for c in pivots)
+    u_pos = range(first, first + omega.dim_u)
+    half = len(cols[0][0])
+    rows = [[col[0][p] for col in cols] for p in range(half) if p not in u_pos]
+    rows += [[col[1][p] for col in cols] for p in range(half)]
+    return rows, u_pos
+
+
+def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shift):
+    """solve_in_span(basepoint_variation(omega, x, w, pivots), shift),
+    through a Schur complement over the U unknowns.
+
+    Each block pair of the shift is multiplied by the pivot minor P, and
+    the W columns are built in the same un-inverted form (_w_variation).
+    A U unknown then enters only its own row of block row 0 (_schur_rows),
+    so the (2(dim_w - 1) + dim_u) x dim_w system of the other rows is
+    solved by _rref, and each U unknown is back-substituted:
+    c_u = t0[p] - sum over k of moved_k[0][p] c_k, where the sum is the
+    un-inverted variation along (c_w, 0), built from two form applies.
+
+    The kernel of the full variation is the line direction (w, 0) exactly
+    when the reduced rank is dim_w - 1; then the reduced solution with
+    its free coordinate zero is the full solve's canonical solution.  The
+    full solve runs instead when there is no U unknown or a pivot lies
+    in U, when the reduced rank is not dim_w - 1, and when the shift is
+    out of span, so that NotInSpan carries the full solve's residual.
+    """
+    if _schur_applies(omega, pivots):
+        rows, _, block, w_moves = _w_variation(omega, x, w, pivots)
+        target = _times_minor(rows, pivots, shift)
+        reduced, u_pos = _schur_rows(omega, pivots, w_moves + [target])
+        dim_w = omega.dim_w
+        # the shift's column takes a pivot exactly when it is out of span
+        pivot_rows, found = _rref(reduced, dim_w + 1)
+        if len(found) == dim_w - 1 and dim_w not in found:
+            coeffs = _canonical_solution(pivot_rows, found, dim_w)
+            # sum over k of c_k moved_k is the variation along (c_w, 0)
+            drows = _basepoint_drows(coeffs, omega.apply(x.w_part, coeffs), omega.apply(coeffs, w))
+            moved = _moved_rows(block, drows, pivots)
+            return tuple(coeffs + [target[0][p] - moved[0][p] for p in u_pos])
+    return solve_in_span(basepoint_variation(omega, x, w, pivots), shift)
 
 
 def _flatten(mat: Mat):
@@ -215,13 +319,19 @@ def check_slide_identity(
     through the basepoint variation, equals -t times the chart tangent
     modulo the line direction.  Exact, zero tolerance.  The pulled-back
     coefficients must also have no U-part and a W-part in the tangent
-    frame's span (tangent_span_ok)."""
+    frame's span (tangent_span_ok).
+
+    The pull-back is solve_basepoint_variation: the U unknowns are
+    eliminated through their own rows and only the W unknowns are
+    solved.  It falls back to solve_in_span on the full variation when
+    a pivot lies in U or there is no U unknown, when the reduced rank is
+    not dim_w - 1, and when the shift is out of span.  Either way the
+    coefficients and a NotInSpan residual are those of the full solve."""
     w = chart.evaluate(param)
     j_t = direction_variation(chart, omega, param, x, delta, t, pivots)
     j_0 = direction_variation(chart, omega, param, x, delta, 0, pivots)
     shift = [a - b for a, b in zip(_flatten(j_t), _flatten(j_0))]
-    bvm = basepoint_variation(omega, x, w, pivots)
-    coeffs = solve_in_span(bvm, shift)
+    coeffs = solve_basepoint_variation(omega, x, w, pivots, shift)
 
     tangent = chart.tangent_vector(param, delta)
     target = _direction_in_algebra(omega, tangent)
@@ -255,13 +365,14 @@ def pencil_frames(chart: VarietyChart, omega: OmegaForm, param, x, pivots):
     """
     d = chart.param_dim
     w = chart.evaluate(param)
-    bvm = basepoint_variation(omega, x, w, pivots)
+    # the limit frame is minus the basepoint variation along (tangent, 0)
+    inv, block = chart_block(line_matrix_rows(omega, x, w), pivots)
     f0_cols = []
     finf_cols = []
     for a, tangent in enumerate(chart.partial_rows(param)):
         f0_cols.append(_flatten(direction_variation(chart, omega, param, x, _unit(d, a), 0, pivots)))
-        image = bvm.times_vector(_direction_in_algebra(omega, tangent))
-        finf_cols.append([-v for v in image])
+        drows = _basepoint_drows(tangent, omega.apply(x.w_part, tangent), omega.apply(tangent, w))
+        finf_cols.append([-v for v in sum(_block_variation(inv, block, drows, pivots), [])])
     frame0 = Mat.from_cols(f0_cols)
     frame_inf = Mat.from_cols(finf_cols)
 
@@ -296,6 +407,26 @@ def check_splitting_type(frame0: Mat, frame_inf: Mat) -> bool:
     return True
 
 
+def _jacobian_rank(chart: VarietyChart, omega: OmegaForm, param, x, w, pivots) -> int:
+    """Rank of [direction variations | basepoint variation] at one point.
+
+    With no pivot in U, P times the matrix has each U column a unit
+    vector in its own row of block row 0, so the rank is dim_u plus the
+    rank of the other rows over the d + dim_w other columns (_schur_rows).
+    """
+    d = chart.param_dim
+    dir_cols = [
+        _flatten(direction_variation(chart, omega, param, x, _unit(d, a), 0, pivots))
+        for a in range(d)
+    ]
+    if not _schur_applies(omega, pivots):
+        return Mat.from_cols(dir_cols).hstack(basepoint_variation(omega, x, w, pivots)).rank()
+    rows, _, _, w_moves = _w_variation(omega, x, w, pivots)
+    dir_moves = [_times_minor(rows, pivots, col) for col in dir_cols]
+    reduced, _ = _schur_rows(omega, pivots, dir_moves + w_moves)
+    return omega.dim_u + Mat(reduced).rank()
+
+
 def family_dimension(chart: VarietyChart, omega: OmegaForm, sampler, points: int = 10) -> int:
     """Max rank over sample points of the Jacobian of
     (parameter, base point) -> chart coordinates of the line's plane: the
@@ -317,14 +448,10 @@ def family_dimension(chart: VarietyChart, omega: OmegaForm, sampler, points: int
         x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
         try:
             pivots = primary_pivots(omega, x, w)
-            cols = [
-                _flatten(direction_variation(chart, omega, param, x, _unit(d, a), 0, pivots))
-                for a in range(d)
-            ]
-            jacobian = Mat.from_cols(cols).hstack(basepoint_variation(omega, x, w, pivots))
+            rank = _jacobian_rank(chart, omega, param, x, w, pivots)
         except ChartMiss:
             continue
-        best = max(best, jacobian.rank())
+        best = max(best, rank)
         if best == bound:
             break
     return best

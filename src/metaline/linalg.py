@@ -144,6 +144,16 @@ class Mat:
         return f"Mat({[list(map(str, r)) for r in self.entries]!r})"
 
 
+def _canonical_solution(rows, pivots, ncols):
+    """The solution that _rref's pivot rows of a system augmented at
+    column ncols give with every free coordinate zero."""
+    coeffs = [ZERO] * ncols
+    for row, c in zip(rows, pivots):
+        if ncols in row:
+            coeffs[c] = Q(row[ncols], row[c])
+    return coeffs
+
+
 def solve_in_span(basis: Mat, target):
     """Coefficients c with basis @ c == target, basis columns spanning.
 
@@ -157,11 +167,7 @@ def solve_in_span(basis: Mat, target):
         raise ValueError("dimension mismatch")
     ncols = basis.ncols
     augmented = (row + (t,) for row, t in zip(basis.entries, target))
-    rows, pivots = _rref(augmented, ncols)
-    coeffs = [ZERO] * ncols
-    for row, c in zip(rows, pivots):
-        if ncols in row:
-            coeffs[c] = Q(row[ncols], row[c])
+    coeffs = _canonical_solution(*_rref(augmented, ncols), ncols)
     residual = [t - s for t, s in zip(target, basis.times_vector(coeffs))]
     if any(x != 0 for x in residual):
         raise NotInSpan(residual)

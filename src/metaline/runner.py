@@ -32,17 +32,11 @@ from .varieties import (
     VarietyChart,
     affine_tangent_frame,
     certify_isotropic,
+    frame_is_degenerate,
 )
 
 def _sample_element(sampler, omega):
     return meta.element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
-
-
-def _frame_or_none(chart, param):
-    try:
-        return affine_tangent_frame(chart, param)
-    except FrameDegenerate:
-        return None
 
 
 def _slide_outcome(chart, omega, cfg, variant):
@@ -51,7 +45,7 @@ def _slide_outcome(chart, omega, cfg, variant):
     closed-form derivative against the symbolic oracle ("symbolic")."""
     param, base_w, base_u, delta, t = cfg
     x = meta.element(omega, base_w, base_u)
-    if _frame_or_none(chart, param) is None:
+    if frame_is_degenerate(chart, param):
         return ("skip", "degenerate frame")
     w = chart.evaluate(param)
     try:
@@ -249,7 +243,7 @@ def _pencil_outcomes(run):
     for _ in range(_fifth(run.samples)):
         param = sampler.vector(chart.param_dim)
         x = _sample_element(sampler, omega)
-        if _frame_or_none(chart, param) is None:
+        if frame_is_degenerate(chart, param):
             pencil_out.append(("skip", "degenerate frame"))
             split_out.append(("skip", "degenerate frame"))
             continue
@@ -283,8 +277,9 @@ def _chart_samples(run, stream, count, body):
     outcomes = []
     for k in range(count):
         param = sampler.vector(run.chart.param_dim)
-        frame = _frame_or_none(run.chart, param)
-        if frame is None:
+        try:
+            frame = affine_tangent_frame(run.chart, param)
+        except FrameDegenerate:
             outcomes.append(("skip", "degenerate frame"))
             continue
         x = _sample_element(sampler, run.omega)
@@ -344,7 +339,7 @@ def _escape_vector(frame):
 def _different_param(sampler, chart, param):
     for _ in range(8):
         candidate = sampler.vector(chart.param_dim)
-        if candidate != tuple(param) and _frame_or_none(chart, candidate) is not None:
+        if candidate != tuple(param) and not frame_is_degenerate(chart, candidate):
             return candidate
     return None
 

@@ -27,6 +27,7 @@ __all__ = [
     "IsotropyWitness",
     "make_chart",
     "affine_tangent_frame",
+    "frame_is_degenerate",
     "in_tangent_span",
     "symbolic_frame",
     "certify_isotropic",
@@ -102,6 +103,11 @@ def make_chart(label, coords) -> VarietyChart:
     return VarietyChart(label, d, len(coords), coords, partials)
 
 
+def _frame(chart: VarietyChart, point):
+    """The frame at the point as a matrix: the chart value, then the partials."""
+    return Mat([chart.evaluate(point), *chart.partial_rows(point)])
+
+
 def affine_tangent_frame(chart: VarietyChart, point):
     """Frame of the cone's tangent space, chart value plus all partials,
     as (reduced rows, pivots) of its one leftmost-pivot reduction.
@@ -109,12 +115,18 @@ def affine_tangent_frame(chart: VarietyChart, point):
     Raises FrameDegenerate unless the d+1 frame vectors are independent.
     """
     point = tuple(point)
-    reduced, pivots = Mat([chart.evaluate(point), *chart.partial_rows(point)]).rref()
+    reduced, pivots = _frame(chart, point).rref()
     if len(pivots) != chart.param_dim + 1:
         raise FrameDegenerate(
             f"frame rank below {chart.param_dim + 1} at {tuple(map(qstr, point))}"
         )
     return reduced.entries, pivots
+
+
+def frame_is_degenerate(chart: VarietyChart, point) -> bool:
+    """Whether the d+1 frame vectors are dependent at the point, the test
+    of affine_tangent_frame, read off the pivot count alone."""
+    return _frame(chart, point).rank() != chart.param_dim + 1
 
 
 def in_tangent_span(chart: VarietyChart, point, vector) -> bool:

@@ -392,6 +392,9 @@ FIXTURE_FILES = {
     # veronese-2-4 with the constructed form's three U-coordinates summed
     # into one: an explicit form, dimU 1.
     "veronese-2-4-summed-form.json": (0, {}),
+    # The moment curve (1, t, ..., t^11): dimU 45 against dimW 12, so the
+    # slide solve and the family rank eliminate many U unknowns.
+    "moment-curve-12.json": (0, {}),
     # (1, s+t, (s+t)^2, (s+t)^3): its frame drops rank everywhere, so W'
     # is the twisted cubic's and the family falls one dimension short.
     "degenerate-frame.json": (
@@ -419,6 +422,7 @@ FIXTURE_FILES = {
 # sha256 of each fixture's report file at seed 42, --samples 4.
 FIXTURE_DIGESTS = {
     "degenerate-frame.json": "8838d1f04015a69227d902ef1896cc8b83b1e0fd6c77c4a8da78a2d4d471da8d",
+    "moment-curve-12.json": "0689609f05dd165bb1c8dca4467d9b1bc287eeddafdbc7685ff7e80cee1c9fa7",
     "moved-twisted-cubic.json": "dbbd39c25d13cbdeebdc1431f34f09c45c131a1917c7592738fe2ba9e8d4b226",
     "no-recovery.json": "c912984596760aa1529b759fa7d5dc74b326f88b5f55286f30ce711b3c560371",
     "rational-quartic.json": "b94bd4736917d85014eedab87d57e8230446746579beb3acfc1163f7ec6aa54c",

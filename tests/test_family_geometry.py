@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 from unittest.mock import patch
@@ -8,13 +9,19 @@ from hypothesis import strategies as st
 
 from metaline import family_geometry as fam
 from metaline.jets import Jet1
-from metaline.linalg import Mat
+from metaline.linalg import Mat, NotInSpan, solve_in_span
 from metaline.lines import line_matrix_rows, translate
 from metaline.metabelian import GroupElement, OmegaForm, element, multiply
 from metaline.omega_builder import build_omega
 from metaline.sampling import RationalSampler
 from metaline.scalars import HALF, ONE, Q, ZERO
-from metaline.varieties import chart_from_json, in_tangent_span, linear_chart, omega_from_json
+from metaline.varieties import (
+    builtin_names,
+    chart_from_json,
+    in_tangent_span,
+    linear_chart,
+    omega_from_json,
+)
 
 HEIS = OmegaForm.heisenberg()
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -131,7 +138,7 @@ def test_tangent_span_check_rejects_a_w_part_off_the_frame(twisted_cubic, monkey
     param, x, delta = (Q(2),), element(omega, (1, 2, 3, 4), (5,)), (Q(1),)
     pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
     for coeffs, inside in (((1, 2, 4, 8, 0), True), ((1, 0, 0, 0, 0), False)):
-        monkeypatch.setattr(fam, "solve_in_span", lambda basis, target, c=coeffs: c)
+        monkeypatch.setattr(fam, "solve_basepoint_variation", lambda *args, c=coeffs: c)
         result = fam.check_slide_identity(chart, omega, param, x, delta, Q(3), pivots)
         assert result.tangent_span_ok is inside
 
@@ -257,14 +264,16 @@ def test_family_dimension_veronese33(veronese33):
 
 
 def _count_basepoint_variations(monkeypatch):
+    """Calls of _w_variation, which builds the basepoint variation of one
+    point, on the Schur path and on the full one alike."""
     calls = []
-    original = fam.basepoint_variation
+    original = fam._w_variation
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(fam, "basepoint_variation", counting)
+    monkeypatch.setattr(fam, "_w_variation", counting)
     return calls
 
 
@@ -406,11 +415,20 @@ def _pivot_choices(omega, x, w):
     return {kind: pivots for kind, pivots in choices.items() if pivots is not None}
 
 
+@functools.cache
+def _fixture_file(name):
+    """Chart and form of a tests/fixtures file, the form constructed when
+    the file gives none."""
+    data = json.loads((FIXTURE_DIR / name).read_text())
+    chart = chart_from_json(data)
+    if "omega" in data:
+        return chart, omega_from_json(chart.ambient_dim, data["omega"])
+    return chart, build_omega(chart).omega
+
+
 def _chart_and_form(fixture_cache, name):
     if name.endswith(".json"):
-        data = json.loads((FIXTURE_DIR / name).read_text())
-        chart = chart_from_json(data)
-        return chart, omega_from_json(chart.ambient_dim, data["omega"])
+        return _fixture_file(name)
     chart, omega, _ = fixture_cache(name)
     return chart, omega
 
@@ -499,3 +517,181 @@ def test_splitting_rejects_rank_drop():
     frame0 = Mat([[1], [0], [0], [0]])
     collinear = Mat([[2], [0], [0], [0]])
     assert not fam.check_splitting_type(frame0, collinear)
+
+
+# The Schur solve over the U unknowns against the full solve.
+
+_ALL_CHARTS = builtin_names() + sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
+
+
+def _pivot_in_u(omega, pivots):
+    return any(omega.dim_w <= c < omega.dim_w + omega.dim_u for c in pivots)
+
+
+def _schur_pivot_choices(omega, x, w):
+    """_pivot_choices and the first W column paired with the constant
+    column, which leaves two non-pivot W columns fewer than (0, 1) does."""
+    choices = _pivot_choices(omega, x, w)
+    last = omega.dim_w + omega.dim_u
+    choices["w-constant"] = (next(k for k, c in enumerate(w) if c != 0), last)
+    return choices
+
+
+def _slide_shift(chart, omega, param, x, delta, t, pivots):
+    j_t = fam.direction_variation(chart, omega, param, x, delta, t, pivots)
+    j_0 = fam.direction_variation(chart, omega, param, x, delta, 0, pivots)
+    return [a - b for ra, rb in zip(j_t.entries, j_0.entries) for a, b in zip(ra, rb)]
+
+
+def _outcome(solve, *args):
+    """("coefficients", c) from a solve, or ("residual", r) from its NotInSpan."""
+    try:
+        return "coefficients", solve(*args)
+    except NotInSpan as exc:
+        return "residual", exc.residual
+
+
+def _counting_solve_in_span(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_in_span(*args)
+
+    monkeypatch.setattr(fam, "solve_in_span", counting)
+    return calls
+
+
+def _full_solve(omega, x, w, pivots, target):
+    return solve_in_span(fam.basepoint_variation(omega, x, w, pivots), target)
+
+
+@pytest.mark.parametrize("name", _ALL_CHARTS)
+def test_schur_solve_matches_the_full_solve(fixture_cache, name, monkeypatch):
+    """On the slide shift, on a combination of the variation's columns and
+    on two shifts moved off the span, at every pivot choice: the same
+    coefficients, or the same NotInSpan residual.  The full solve runs
+    only with a pivot in U, with no U unknown, or off the span."""
+    chart, omega = _chart_and_form(fixture_cache, name)
+    calls = _counting_solve_in_span(monkeypatch)
+    sampler = RationalSampler(73).derive(name)
+    seen = set()
+    for _ in range(2):
+        param = sampler.vector(chart.param_dim)
+        x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+        delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
+        w = chart.evaluate(param)
+        for kind, pivots in _schur_pivot_choices(omega, x, w).items():
+            shift = _slide_shift(chart, omega, param, x, delta, t, pivots)
+            bvm = fam.basepoint_variation(omega, x, w, pivots)
+            combination = list(bvm.times_vector(sampler.vector(bvm.ncols)))
+            off_last = shift[:-1] + [shift[-1] + 1]
+            off_first = [shift[0] + 1] + shift[1:]
+            for target in (shift, combination, off_last, off_first):
+                expected = _outcome(solve_in_span, bvm, target)
+                del calls[:]
+                got = _outcome(fam.solve_basepoint_variation, omega, x, w, pivots, target)
+                assert got == expected, (kind, pivots)
+                schur = omega.dim_u > 0 and not _pivot_in_u(omega, pivots)
+                seen.add((schur, expected[0]))
+                assert len(calls) == (0 if schur and expected[0] == "coefficients" else 1)
+    assert (False, "residual") in seen or (True, "residual") in seen
+    if omega.dim_u:
+        assert {(True, "coefficients"), (False, "coefficients")} <= seen
+
+
+def test_schur_solve_falls_back_with_a_pivot_in_u(quartic, monkeypatch):
+    """With x_w = 3w and x_u nonzero, the plane's W columns are parallel,
+    so its second echelon pivot is the first U column: the full solve runs,
+    and the slide identity still holds."""
+    chart, omega, _ = quartic
+    param, delta, t = (Q(2),), (Q(1),), Q(5)
+    w = chart.evaluate(param)
+    x = element(omega, tuple(Q(3) * c for c in w), (Q(1),) * omega.dim_u)
+    pivots = fam.primary_pivots(omega, x, w)
+    assert pivots[1] == omega.dim_w
+    calls = _counting_solve_in_span(monkeypatch)
+    shift = _slide_shift(chart, omega, param, x, delta, t, pivots)
+    assert fam.solve_basepoint_variation(omega, x, w, pivots, shift) == _full_solve(
+        omega, x, w, pivots, shift
+    )
+    assert len(calls) == 1
+    assert fam.check_slide_identity(chart, omega, param, x, delta, t, pivots).ok
+
+
+def _full_jacobian_rank(chart, omega, param, x, w, pivots):
+    d = chart.param_dim
+    units = [tuple(Q(int(k == a)) for k in range(d)) for a in range(d)]
+    variations = [fam.direction_variation(chart, omega, param, x, u, 0, pivots) for u in units]
+    cols = [[e for row in var.entries for e in row] for var in variations]
+    return Mat.from_cols(cols).hstack(fam.basepoint_variation(omega, x, w, pivots)).rank()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "veronese-2-3",
+        "veronese-3-3",
+        "veronese3-of-conic",
+        "flat-linear",
+        "degenerate-frame.json",
+        "moment-curve-12.json",
+        "scroll-2-2.json",
+    ],
+)
+def test_family_rank_matches_the_full_jacobian_rank(fixture_cache, name):
+    """The Schur rank, dim_u plus the rank of the rows no U unknown
+    enters, equals the rank of the full Jacobian at every pivot choice;
+    degenerate-frame.json stays one below the bound."""
+    chart, omega = _chart_and_form(fixture_cache, name)
+    sampler = RationalSampler(79).derive(name)
+    for _ in range(2):
+        param = sampler.vector(chart.param_dim)
+        x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+        w = chart.evaluate(param)
+        for kind, pivots in _schur_pivot_choices(omega, x, w).items():
+            args = (chart, omega, param, x, w, pivots)
+            assert fam._jacobian_rank(*args) == _full_jacobian_rank(*args), (kind, pivots)
+
+
+def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeypatch):
+    """A direction column that the basepoint variation already spans adds
+    no rank; the Schur rows see that only when the direction column is
+    multiplied by P like the basepoint columns."""
+    chart, omega, _ = quartic
+    sampler = RationalSampler(89)
+    param = sampler.vector(chart.param_dim)
+    x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+    w = chart.evaluate(param)
+    for kind, pivots in _schur_pivot_choices(omega, x, w).items():
+        bvm = fam.basepoint_variation(omega, x, w, pivots)
+        image = bvm.times_vector(sampler.vector(bvm.ncols))
+        half = len(image) // 2
+        monkeypatch.setattr(fam, "direction_variation", lambda *a: Mat([image[:half], image[half:]]))
+        args = (chart, omega, param, x, w, pivots)
+        rank = omega.dim_w + omega.dim_u - 1
+        assert fam._jacobian_rank(*args) == _full_jacobian_rank(*args) == rank, kind
+
+
+# Off isotropy the pencil is not linear in the slide, so the slide
+# samples are dropped here to read the limit frame of nonisotropic-cubic,
+# whose form does not vanish on (tangent, w).
+@pytest.mark.parametrize(
+    "name", ["veronese-2-3", "veronese-3-3", "flat-conic", "scroll-2-2.json", "nonisotropic-cubic"]
+)
+def test_limit_frame_is_minus_the_basepoint_variation_along_the_tangent(
+    fixture_cache, name, monkeypatch
+):
+    monkeypatch.setattr(fam, "PENCIL_SLIDES", ())
+    chart, omega = _chart_and_form(fixture_cache, name)
+    sampler = RationalSampler(83).derive(name)
+    for _ in range(2):
+        param = sampler.vector(chart.param_dim)
+        x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+        w = chart.evaluate(param)
+        for kind, pivots in _schur_pivot_choices(omega, x, w).items():
+            _, frame_inf = fam.pencil_frames(chart, omega, param, x, pivots)
+            bvm = fam.basepoint_variation(omega, x, w, pivots)
+            for a, tangent in enumerate(chart.partial_rows(param)):
+                image = bvm.times_vector(list(tangent) + [ZERO] * omega.dim_u)
+                assert [row[a] for row in frame_inf.entries] == [-v for v in image], (kind, a)
