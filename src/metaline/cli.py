@@ -5,8 +5,8 @@ Subcommands: verify (full check suite, JSON or text report), info
 and sample-line (one horizontal line end to end, as JSON).  Fixtures
 are either catalog entries (builtin:NAME) or JSON files; see the
 README for the file grammar.  Exit codes: 0 success, 1 a check,
-certificate or internal consistency check failed, 2 the fixture did not
-parse.
+certificate or internal consistency check failed, 2 an input was
+malformed or the output could not be written.
 """
 
 from __future__ import annotations
@@ -74,16 +74,20 @@ def _emit(text, out):
     cut at the end of the new text, so the result is exactly the text;
     devices such as /dev/null and pipes are left as they are.  Like the
     plain open-and-write it replaces, this makes no durability promise.
+    A path that cannot be written raises ValueError, reported as exit 2.
     """
     if not out:
         sys.stdout.write(text)
         return
-    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            handle.flush()
-            handle.truncate()
+    try:
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                handle.flush()
+                handle.truncate()
+    except OSError as exc:
+        raise ValueError(f"cannot write {out!r}: {exc.strerror}") from exc
 
 
 def _parse_vector(text):
@@ -141,7 +145,6 @@ def _cmd_build_omega(args):
     construction = build_omega(chart)
     payload = {
         "label": chart.label,
-        "seed": args.seed,
         "dimW": chart.ambient_dim,
         "dimU": construction.omega.dim_u,
         "dimLambda2W": pair_count(chart.ambient_dim),
@@ -202,38 +205,31 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=False):
+    def command(name, func, summary, seeded=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("fixture", help="builtin:NAME or path to a fixture JSON file")
-        p.add_argument("--seed", type=int, default=42, help="deterministic seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=42, help="deterministic seed")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        if samples:
-            p.add_argument("--samples", type=int, default=100, help="samples per check")
-            p.add_argument(
-                "--checks",
-                help="comma-separated subset of: " + ", ".join(CHECK_NAMES),
-            )
-            p.add_argument(
-                "--format", choices=("json", "text"), default="json", help="report format"
-            )
-            p.add_argument("--jobs", type=int, default=1, help="processes for the slide checks")
+        return p
 
-    p_verify = sub.add_parser("verify", help="run the full check suite")
-    common(p_verify, samples=True)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify = command("verify", _cmd_verify, "run the full check suite", seeded=True)
+    p_verify.add_argument("--samples", type=int, default=100, help="samples per check")
+    p_verify.add_argument("--checks", help="comma-separated subset of: " + ", ".join(CHECK_NAMES))
+    p_verify.add_argument(
+        "--format", choices=("json", "text"), default="json", help="report format"
+    )
+    p_verify.add_argument("--jobs", type=int, default=1, help="processes for the slide checks")
 
-    p_info = sub.add_parser("info", help="print dimension summary")
-    common(p_info)
-    p_info.set_defaults(func=_cmd_info)
+    command("info", _cmd_info, "print dimension summary")
+    command("build-omega", _cmd_build_omega, "construct the form and emit JSON")
 
-    p_build = sub.add_parser("build-omega", help="construct the form and emit JSON")
-    common(p_build)
-    p_build.set_defaults(func=_cmd_build_omega)
-
-    p_line = sub.add_parser("sample-line", help="print one horizontal line as JSON")
-    common(p_line)
+    p_line = command(
+        "sample-line", _cmd_sample_line, "print one horizontal line as JSON", seeded=True
+    )
     p_line.add_argument("--param", help="comma-separated chart parameters")
     p_line.add_argument("--base", help="comma-separated base point coordinates")
-    p_line.set_defaults(func=_cmd_sample_line)
 
     return parser
 

@@ -273,12 +273,12 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
     c_u = t0[p] - sum over k of moved_k[0][p] c_k, where the sum is the
     un-inverted variation along (c_w, 0), built from two form applies.
 
-    The kernel of the full variation is the line direction (w, 0) exactly
-    when the reduced rank is dim_w - 1; then the reduced solution with
-    its free coordinate zero is the full solve's canonical solution.  The
-    full solve runs instead when there is no U unknown or a pivot lies
-    in U, when the reduced rank is not dim_w - 1, and when the shift is
-    out of span, so that NotInSpan carries the full solve's residual.
+    For w nonzero the kernel of the full variation is exactly the line
+    direction (w, 0), so the reduced rank is dim_w - 1, and the reduced
+    solution with its free coordinate zero is the full solve's canonical
+    solution.  The full solve runs instead when there is no U unknown or
+    a pivot lies in U, and when the shift is out of span, so that
+    NotInSpan carries the full solve's residual.
     """
     if _schur_applies(omega, pivots):
         rows, _, block, w_moves = _w_variation(omega, x, w, pivots)
@@ -287,7 +287,7 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
         dim_w = omega.dim_w
         # the shift's column takes a pivot exactly when it is out of span
         pivot_rows, found = _rref(reduced, dim_w + 1)
-        if len(found) == dim_w - 1 and dim_w not in found:
+        if dim_w not in found:
             coeffs = _canonical_solution(pivot_rows, found, dim_w)
             # sum over k of c_k moved_k is the variation along (c_w, 0)
             drows = _basepoint_drows(coeffs, omega.apply(x.w_part, coeffs), omega.apply(coeffs, w))
@@ -324,9 +324,9 @@ def check_slide_identity(
     The pull-back is solve_basepoint_variation: the U unknowns are
     eliminated through their own rows and only the W unknowns are
     solved.  It falls back to solve_in_span on the full variation when
-    a pivot lies in U or there is no U unknown, when the reduced rank is
-    not dim_w - 1, and when the shift is out of span.  Either way the
-    coefficients and a NotInSpan residual are those of the full solve."""
+    a pivot lies in U or there is no U unknown, and when the shift is out
+    of span.  Either way the coefficients and a NotInSpan residual are
+    those of the full solve."""
     w = chart.evaluate(param)
     j_t = direction_variation(chart, omega, param, x, delta, t, pivots)
     j_0 = direction_variation(chart, omega, param, x, delta, 0, pivots)

@@ -80,7 +80,7 @@ class TangentDirectionPoint:
     base: GroupElement
 
 
-def direction_point(chart: VarietyChart, omega: OmegaForm, param, base: GroupElement):
+def direction_point(chart: VarietyChart, param, base: GroupElement):
     param = tuple(Q(c) for c in param)
     if len(param) != chart.param_dim:
         raise ValueError("parameter arity mismatch")
@@ -116,9 +116,8 @@ class PlueckerLine:
 
 def pluecker_embed(omega: OmegaForm, line: HorizontalLine) -> PlueckerLine:
     rows = line_matrix_rows(omega, line.base, line.direction)
+    # rank 2: the rows end in 1 and 0, and the direction's W part is nonzero
     reduced, pivots = Mat(rows).rref()
-    if len(pivots) != 2:
-        raise ZeroDirection("degenerate line span")
     return PlueckerLine(reduced, pivots, tuple(wedge(*reduced.entries)))
 
 

@@ -2,8 +2,8 @@
 
 The JSON form contains only deterministic content (label, seed, sample
 counts, dims, per-check tallies), so two runs with the same seed emit
-identical bytes.  Wall time is kept on the object for the text
-rendering but never serialized.
+identical bytes.  Wall time is kept on the object, for the CLI to
+print to stderr, and is in neither the JSON nor the text rendering.
 """
 
 from __future__ import annotations

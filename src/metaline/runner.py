@@ -26,14 +26,7 @@ from .omega_builder import build_omega
 from .report import CheckResult, VerificationReport
 from .sampling import RationalSampler
 from .scalars import Q, qstr
-from .varieties import (
-    FrameDegenerate,
-    IsotropyCertificate,
-    VarietyChart,
-    affine_tangent_frame,
-    certify_isotropic,
-    frame_is_degenerate,
-)
+from .varieties import IsotropyCertificate, VarietyChart, certify_isotropic, frame_is_degenerate
 
 def _sample_element(sampler, omega):
     return meta.element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
@@ -271,19 +264,16 @@ def _pencil_outcomes(run):
 def _chart_samples(run, stream, count, body):
     """Outcomes of count chart samples drawn from one stream.  A sample
     draws a parameter and is skipped on a degenerate frame; otherwise it
-    draws a base point x and gives body(run, sampler, k, param, frame, x),
-    frame being the (reduced rows, pivots) of affine_tangent_frame."""
+    draws a base point x and gives body(run, sampler, k, param, x)."""
     sampler = run.stream(stream)
     outcomes = []
     for k in range(count):
         param = sampler.vector(run.chart.param_dim)
-        try:
-            frame = affine_tangent_frame(run.chart, param)
-        except FrameDegenerate:
+        if frame_is_degenerate(run.chart, param):
             outcomes.append(("skip", "degenerate frame"))
             continue
         x = _sample_element(sampler, run.omega)
-        outcomes.append(body(run, sampler, k, param, frame, x))
+        outcomes.append(body(run, sampler, k, param, x))
     return outcomes
 
 
@@ -292,12 +282,16 @@ def _chart_check(stream, count, body):
     return count, lambda run: _chart_samples(run, stream, count(run.samples), body)
 
 
-def _coset_sample(run, sampler, k, param, frame, x):
+def _coset_sample(run, sampler, k, param, x):
     """The line through x and one through a second base point have equal
     boundary images when the second is x shifted inside the tangent
     frame (even k), and distinct ones when it is x shifted centrally,
-    shifted out of the frame, or x on another chart direction."""
+    shifted out of the frame, or x on another chart direction.  The
+    frame is the one the first line's boundary image carries."""
     chart, omega = run.chart, run.omega
+    line_a = lin.line_of(omega, lin.direction_point(chart, param, x))
+    image_a = comp.bundle_to_space(chart, omega, line_a)
+    frame = image_a.tangent
     param2 = param
     if k % 2 == 0:
         shift = Mat.from_cols(frame[0]).times_vector(sampler.vector(chart.param_dim + 1))
@@ -314,10 +308,9 @@ def _coset_sample(run, sampler, k, param, frame, x):
             if param2 is None:
                 return ("skip", "no distinguishable coset available")
             x2 = x
-    line_a = lin.line_of(omega, lin.direction_point(chart, omega, param, x))
-    line_b = lin.line_of(omega, lin.direction_point(chart, omega, param2, x2))
+    line_b = lin.line_of(omega, lin.direction_point(chart, param2, x2))
     expect_equal = k % 2 == 0
-    equal = comp.bundle_to_space(chart, omega, line_a) == comp.bundle_to_space(chart, omega, line_b)
+    equal = image_a == comp.bundle_to_space(chart, omega, line_b)
     if equal == expect_equal:
         return ("pass", None)
     return ("fail", f"coset equality expected {expect_equal}, got {equal}")
@@ -344,7 +337,7 @@ def _different_param(sampler, chart, param):
     return None
 
 
-def _action_sample(run, sampler, k, param, frame, x):
+def _action_sample(run, sampler, k, param, x):
     omega = run.omega
     g1 = _sample_element(sampler, omega)
     g2 = _sample_element(sampler, omega)
@@ -363,10 +356,10 @@ def _action_sample(run, sampler, k, param, frame, x):
     return ("pass", None) if ok else ("fail", "action axiom violated")
 
 
-def _equivariance_sample(run, sampler, k, param, frame, x):
+def _equivariance_sample(run, sampler, k, param, x):
     chart, omega = run.chart, run.omega
     g = _sample_element(sampler, omega)
-    marked = lin.direction_point(chart, omega, param, x)
+    marked = lin.direction_point(chart, param, x)
     ok = True
     for point in (marked, lin.line_of(omega, marked)):
         lhs = comp.bundle_to_space(chart, omega, comp.act_on_bundle(omega, g, point))
@@ -376,7 +369,7 @@ def _equivariance_sample(run, sampler, k, param, frame, x):
     return ("pass", None) if ok else ("fail", "evaluation not equivariant")
 
 
-def _line_boundary_sample(run, sampler, k, param, frame, x):
+def _line_boundary_sample(run, sampler, k, param, x):
     chart, omega = run.chart, run.omega
     grid = sampler.distinct_rationals(5)
     interiors, boundary = comp.compactified_line(chart, omega, param, x, grid)
@@ -384,7 +377,7 @@ def _line_boundary_sample(run, sampler, k, param, frame, x):
     for interior in interiors:
         if boundary.coset_of(omega, interior) != boundary:
             ok = False
-    marked = lin.direction_point(chart, omega, param, x)
+    marked = lin.direction_point(chart, param, x)
     base_line = lin.line_of(omega, marked)
     for t in grid:
         slid = lin.slide_action(omega, t, marked)

@@ -210,6 +210,28 @@ def test_build_omega_golden(capsys):
     assert len(payload["omegaTable"]) == 6
     # frozen table of the twisted cubic's invariant pairing
     assert payload["omegaTable"] == [["0"], ["0"], ["-1/3"], ["1"], ["0"], ["0"]]
+    # the construction draws no samples, so no seed is echoed
+    assert "seed" not in payload
+
+
+def test_sampled_commands_take_a_seed(capsys):
+    code, out, _ = run_cli(
+        "verify", "builtin:flat-conic", "--samples", "2", "--seed", "5", capsys=capsys
+    )
+    assert code == 0 and json.loads(out)["seed"] == 5
+    five, seven = (
+        run_cli("sample-line", "builtin:flat-conic", "--seed", seed, capsys=capsys)
+        for seed in ("5", "7")
+    )
+    assert five[0] == seven[0] == 0 and five[1] != seven[1]
+
+
+@pytest.mark.parametrize("command", ["info", "build-omega"])
+def test_unsampled_commands_take_no_seed(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "builtin:flat-conic", "--seed", "5"])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_sample_line_output(capsys):
@@ -274,6 +296,26 @@ def test_verify_rejects_budgets_below_one(tmp_path, capsys, flag, value):
     assert code == 2
     assert err.count("\n") == 1 and flag in err
     assert not out.exists()
+
+
+_COMMAND_ARGS = {
+    "verify": ["--samples", "2"],
+    "info": [],
+    "build-omega": [],
+    "sample-line": [],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_ARGS))
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_two(tmp_path, capsys, command, target):
+    out = tmp_path / "no-such-dir" / "x" if target == "missing-dir" else tmp_path
+    code, _, err = run_cli(
+        command, "builtin:flat-conic", *_COMMAND_ARGS[command], "--out", str(out), capsys=capsys
+    )
+    assert code == 2
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not (tmp_path / "no-such-dir").exists()
 
 
 @pytest.mark.parametrize("coordinate", ["(" * 5000 + "s" + ")" * 5000, "-" * 5000 + "s"])

@@ -70,7 +70,7 @@ def test_in_tangent_span(twisted_cubic):
 def test_bundle_to_space_off_section(twisted_cubic):
     chart, omega, _ = twisted_cubic
     x = element(omega, (1, 2, 3, 4), (5,))
-    alpha = direction_point(chart, omega, (Q(2),), x)
+    alpha = direction_point(chart, (Q(2),), x)
     assert bundle_to_space(chart, omega, alpha) == x
 
 
@@ -78,7 +78,7 @@ def test_bundle_to_space_on_section(twisted_cubic):
     chart, omega, _ = twisted_cubic
     param = (Q(2),)
     x = element(omega, (1, 2, 3, 4), (5,))
-    line = line_of(omega, direction_point(chart, omega, param, x))
+    line = line_of(omega, direction_point(chart, param, x))
     assert line.param == param
     out = bundle_to_space(chart, omega, line)
     assert out == boundary_point(chart, omega, param, x)
@@ -138,7 +138,7 @@ def test_evaluation_equivariance(twisted_cubic):
         x = _sample_element(sampler, omega)
         g = _sample_element(sampler, omega)
         param = sampler.vector(1)
-        alpha = direction_point(chart, omega, param, x)
+        alpha = direction_point(chart, param, x)
         for point in (alpha, line_of(omega, alpha)):
             lhs = bundle_to_space(chart, omega, act_on_bundle(omega, g, point))
             rhs = g_action(omega, g, bundle_to_space(chart, omega, point))
@@ -152,7 +152,7 @@ def test_maps_reject_points_of_the_other_space(twisted_cubic):
     neither."""
     chart, omega, _ = twisted_cubic
     x = element(omega, (1, 2, 3, 4), (5,))
-    alpha = direction_point(chart, omega, (Q(2),), x)
+    alpha = direction_point(chart, (Q(2),), x)
     line = line_of(omega, alpha)
     bare = line_through(omega, x, chart.evaluate((Q(2),)))
     for point in (x, boundary_point(chart, omega, (Q(2),), x), bare):

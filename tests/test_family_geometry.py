@@ -167,7 +167,7 @@ def test_basepoint_variation_kernel_is_line_direction(flat_conic):
     n = omega.dim_w + omega.dim_u
     # rank n - 1 leaves a one-dimensional kernel, and the line direction lies in it
     assert bvm.rank() == n - 1
-    w_full = list(w) + [Q(0)] * omega.dim_u
+    w_full = list(w) + [ZERO] * omega.dim_u
     assert any(c != 0 for c in w_full)
     assert bvm.times_vector(w_full) == (0,) * bvm.nrows
 
@@ -571,7 +571,9 @@ def test_schur_solve_matches_the_full_solve(fixture_cache, name, monkeypatch):
     """On the slide shift, on a combination of the variation's columns and
     on two shifts moved off the span, at every pivot choice: the same
     coefficients, or the same NotInSpan residual.  The full solve runs
-    only with a pivot in U, with no U unknown, or off the span."""
+    only with a pivot in U, with no U unknown, or off the span.  The
+    variation's kernel is exactly (w, 0), so the Schur solve needs no
+    rank test."""
     chart, omega = _chart_and_form(fixture_cache, name)
     calls = _counting_solve_in_span(monkeypatch)
     sampler = RationalSampler(73).derive(name)
@@ -584,6 +586,9 @@ def test_schur_solve_matches_the_full_solve(fixture_cache, name, monkeypatch):
         for kind, pivots in _schur_pivot_choices(omega, x, w).items():
             shift = _slide_shift(chart, omega, param, x, delta, t, pivots)
             bvm = fam.basepoint_variation(omega, x, w, pivots)
+            # the kernel is exactly the line direction (w, 0)
+            assert bvm.rank() == omega.dim_w + omega.dim_u - 1, (kind, pivots)
+            assert not any(bvm.times_vector(list(w) + [ZERO] * omega.dim_u)), (kind, pivots)
             combination = list(bvm.times_vector(sampler.vector(bvm.ncols)))
             off_last = shift[:-1] + [shift[-1] + 1]
             off_first = [shift[0] + 1] + shift[1:]

@@ -60,7 +60,7 @@ def test_line_points_satisfy_group_parametrization():
 def test_marked_point_slide_preserves_line(flat_conic):
     chart, omega, _ = flat_conic
     x = element(omega, (1, 2, 3))
-    alpha = direction_point(chart, omega, (Q(2),), x)
+    alpha = direction_point(chart, (Q(2),), x)
     slid = slide_action(omega, Q(5), alpha)
     assert slid != alpha
     assert line_of(omega, slid) == line_of(omega, alpha)
@@ -158,7 +158,7 @@ def test_slide_action_is_additive(twisted_cubic):
     sampler = RationalSampler(41)
     for _ in range(20):
         base = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
-        alpha = direction_point(chart, omega, sampler.vector(chart.param_dim), base)
+        alpha = direction_point(chart, sampler.vector(chart.param_dim), base)
         s, t = sampler.rational(), sampler.rational()
         assert slide_action(omega, Q(0), alpha) == alpha
         assert slide_action(omega, s, slide_action(omega, t, alpha)) == slide_action(

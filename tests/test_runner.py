@@ -1,5 +1,6 @@
 import hashlib
 import os
+import sys
 
 import pytest
 
@@ -7,7 +8,7 @@ from metaline import compactification as comp
 from metaline import family_geometry as fam
 from metaline import linalg
 from metaline import metabelian as meta
-from metaline import runner
+from metaline import runner, varieties
 from metaline.linalg import Mat, NotInSpan
 from metaline.metabelian import OmegaForm
 from metaline.polynomials import Poly
@@ -352,19 +353,21 @@ def test_escape_vector_is_the_first_unit_vector_off_the_frame(name, spans_w):
 
 
 def test_each_boundary_sample_builds_one_tangent_frame(monkeypatch):
-    """A boundary point carries its fiber: the group action and the
-    interior points of a compactified line reuse the frame of the one
-    boundary point a sample builds, and building that point reduces its
-    frame exactly once."""
+    """A boundary point carries its fiber, and only boundary points reduce
+    tangent frames: every affine_tangent_frame call, at every module that
+    binds it, comes from compactification.boundary_point, which reduces
+    its frame exactly once.  The chart samples test a degenerate frame by
+    its rank, and the coset check reads the frame of its first line's
+    boundary image."""
     built = []
     reductions = []
     per_point = []
-    original_frame = comp.affine_tangent_frame
+    original_frame = varieties.affine_tangent_frame
     original_point = comp.boundary_point
     original_rref = linalg._rref
 
     def counting_frame(chart, point):
-        built.append(point)
+        built.append(sys._getframe(1).f_code)
         return original_frame(chart, point)
 
     def counting_point(*args):
@@ -377,12 +380,27 @@ def test_each_boundary_sample_builds_one_tangent_frame(monkeypatch):
         reductions.append(ncols)
         return original_rref(rows, ncols)
 
-    monkeypatch.setattr(comp, "affine_tangent_frame", counting_frame)
+    for name, module in list(sys.modules.items()):
+        binds = vars(module).get("affine_tangent_frame") is original_frame
+        if name.split(".")[0] == "metaline" and binds:
+            monkeypatch.setattr(module, "affine_tangent_frame", counting_frame)
     monkeypatch.setattr(comp, "boundary_point", counting_point)
     monkeypatch.setattr(linalg, "_rref", counting_rref)
+    # frames per unskipped sample: the coset check maps two lines, the
+    # equivariance check one line on each side of its identity
+    frames_per_sample = {
+        "boundary-cosets": 2, "group-action": 1, "equivariance": 2, "line-boundary": 1,
+    }
     chart, explicit = builtin_chart("flat-conic")
-    checks = ["group-action", "line-boundary"]
-    report = run_verification(chart, explicit, samples=10, checks=checks)
+    report = run_verification(chart, explicit, samples=10, checks=list(frames_per_sample))
     assert report.passed
-    assert len(built) == sum(c.samples - c.skips for c in report.checks) > 0
+    expected = sum(frames_per_sample[c.name] * (c.samples - c.skips) for c in report.checks)
+    assert len(built) == expected > 0
+    assert set(built) == {original_point.__code__}
     assert per_point == [1] * len(built)
+
+    del built[:]
+    chart, explicit = builtin_chart("veronese-2-3")
+    assert run_verification(chart, explicit, samples=10).passed
+    assert len(built) == 40
+    assert set(built) == {original_point.__code__}
