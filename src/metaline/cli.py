@@ -16,6 +16,7 @@ import json
 import os
 import stat
 import sys
+from contextlib import contextmanager
 
 from .compactification import boundary_point
 from .linalg import pair_count
@@ -65,29 +66,46 @@ def _load_fixture(source):
     return chart, omega
 
 
-def _emit(text, out):
-    """Write text to stdout, or over the file at out in place.
+@contextmanager
+def _output(out):
+    """Yield write(text): to stdout, or over the file at out in place.
 
-    The file is not truncated to zero before the write: on ext4 with
-    auto_da_alloc (its default), truncating a recently written file, or
-    renaming over it, waits for that file's writeback.  A regular file is
-    cut at the end of the new text, so the result is exactly the text;
-    devices such as /dev/null and pipes are left as they are.  Like the
-    plain open-and-write it replaces, this makes no durability promise.
-    A path that cannot be written raises ValueError, reported as exit 2.
+    The file is opened (created if absent) before the body runs, so an
+    unwritable path fails at once as ValueError (exit 2); if the body
+    raises, a file this call created is removed and an existing one keeps
+    its bytes.  A regular file is cut at the end of the text, never
+    truncated to zero first: on ext4 (auto_da_alloc) that, or a rename
+    over it, waits for the file's writeback.  No fsync is made.
     """
     if not out:
-        sys.stdout.write(text)
+        yield sys.stdout.write
         return
-    try:
-        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+
+    def write(text):
+        try:
+            data = text.encode("utf-8")
+            while data:
+                data = data[os.write(fd, data) :]
             if stat.S_ISREG(os.fstat(fd).st_mode):
-                handle.flush()
-                handle.truncate()
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        except OSError as exc:
+            raise ValueError(f"cannot write {out!r}: {exc.strerror}") from exc
+
+    try:
+        try:
+            fd, created = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+        except FileExistsError:
+            fd, created = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), False
     except OSError as exc:
         raise ValueError(f"cannot write {out!r}: {exc.strerror}") from exc
+    try:
+        yield write
+    except BaseException:
+        if created:
+            os.unlink(out)
+        raise
+    finally:
+        os.close(fd)
 
 
 def _parse_vector(text):
@@ -102,16 +120,12 @@ def _cmd_verify(args):
     checks = None
     if args.checks:
         checks = [name.strip() for name in args.checks.split(",") if name.strip()]
-    report = run_verification(
-        chart,
-        omega,
-        seed=args.seed,
-        samples=args.samples,
-        checks=checks,
-        jobs=args.jobs,
-    )
-    # wall time never enters the report body: byte-stable outputs
-    _emit(report.to_json() if args.format == "json" else report.to_text(), args.out)
+    with _output(args.out) as write:
+        report = run_verification(
+            chart, omega, seed=args.seed, samples=args.samples, checks=checks, jobs=args.jobs
+        )
+        # wall time never enters the report body: byte-stable outputs
+        write(report.to_json() if args.format == "json" else report.to_text())
     print(f"wall time: {report.wall_time:.2f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
@@ -136,7 +150,8 @@ def _cmd_info(args):
     lines.append(f"dimU:        {dim_u}")
     lines.append(f"n:           {n}")
     lines.append(f"familyDim:   {n - 1 + chart.param_dim}")
-    _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as write:
+        write("\n".join(lines) + "\n")
     return 0
 
 
@@ -154,7 +169,8 @@ def _cmd_build_omega(args):
         ],
         "omegaTable": [[qstr(c) for c in row] for row in construction.omega.table],
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    with _output(args.out) as write:
+        write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -191,7 +207,8 @@ def _cmd_sample_line(args):
             "cosetRep": [qstr(c) for c in datum.coset_rep.coords],
         },
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    with _output(args.out) as write:
+        write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
 

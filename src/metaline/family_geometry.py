@@ -37,7 +37,7 @@ from .linalg import Mat, _canonical_solution, _rref, solve_in_span
 from .lines import line_matrix_rows, translate
 from .metabelian import GroupElement, OmegaForm, element
 from .polynomials import Poly
-from .scalars import HALF, ONE, Q, ZERO
+from .scalars import HALF, ONE, Q, ZERO, as_integers, from_integers
 from .varieties import VarietyChart, in_tangent_span
 
 PENCIL_SLIDES = (Q(1), Q(2), Q(-1), Q(1, 2), Q(7))
@@ -82,18 +82,18 @@ def next_pivots(omega: OmegaForm, x: GroupElement, w, exclude):
 def chart_block(rows, pivots):
     """Inverse pivot minor P^-1 and non-pivot block B = P^-1 N of the
     plane normalized at the pivot columns; raises ChartMiss when P is
-    singular."""
+    singular.  Row r scaled to integers by the lcm l_r of its denominators
+    keeps B, and P^-1 = adj(P') diag(l_0, l_1) / det P' for the scaled P'."""
+    (top, l0), (bottom, l1) = as_integers(rows[0]), as_integers(rows[1])
     c1, c2 = pivots
-    a, b = rows[0][c1], rows[0][c2]
-    c, d = rows[1][c1], rows[1][c2]
+    a, b, c, d = top[c1], top[c2], bottom[c1], bottom[c2]
     det = a * d - b * c
     if det == 0:
         raise ChartMiss(f"pivot columns {pivots} are singular here")
-    inv = ((d / det, -b / det), (-c / det, a / det))
-    block = [
-        [i0 * p + i1 * q for col, (p, q) in enumerate(zip(*rows)) if col != c1 and col != c2]
-        for i0, i1 in inv
-    ]
+    adj = ((d, -b), (-c, a))
+    rest = [pq for col, pq in enumerate(zip(top, bottom)) if col != c1 and col != c2]
+    inv = tuple(tuple(from_integers((i0 * l0, i1 * l1), det)) for i0, i1 in adj)
+    block = [from_integers([i0 * p + i1 * q for p, q in rest], det) for i0, i1 in adj]
     return inv, block
 
 
@@ -132,17 +132,27 @@ def _block_variation(inv, block, drows, pivots):
     return _times_inverse(inv, _moved_rows(block, drows, pivots))
 
 
+def _plane(omega: OmegaForm, x: GroupElement, w, pivots):
+    """The line's plane through x: its rows, P^-1 and B (chart_block)."""
+    rows = line_matrix_rows(omega, x, w)
+    return (rows, *chart_block(rows, pivots))
+
+
+def _tangent_variation(omega: OmegaForm, plane, x: GroupElement, tangent, pivots):
+    """Block rows of the direction variation: the plane's direction row
+    moves by that of the chart tangent."""
+    rows, inv, block = plane
+    drows = [[ZERO] * len(rows[0]), line_matrix_rows(omega, x, tangent)[1]]
+    return _block_variation(inv, block, drows, pivots)
+
+
 def direction_variation(chart: VarietyChart, omega: OmegaForm, param, x, delta, t, pivots) -> Mat:
     """Derivative of the chart coordinates of the line's plane as the
-    parameter moves along delta, the base slid by t along the line.  Only
-    the direction row moves, by that of the chart tangent."""
+    parameter moves along delta, the base slid by t along the line."""
     w = chart.evaluate(param)
     xt = translate(omega, x, w, t)
-    rows = line_matrix_rows(omega, xt, w)
-    inv, block = chart_block(rows, pivots)
     tangent = chart.tangent_vector(param, delta)
-    drows = [[ZERO] * len(rows[0]), line_matrix_rows(omega, xt, tangent)[1]]
-    return Mat(_block_variation(inv, block, drows, pivots))
+    return Mat(_tangent_variation(omega, _plane(omega, xt, w, pivots), xt, tangent, pivots))
 
 
 def direction_variation_symbolic(
@@ -195,13 +205,12 @@ def _basepoint_drows(a_w, form_x, form_w):
     ]
 
 
-def _w_variation(omega: OmegaForm, x: GroupElement, w, pivots):
-    """The plane's rows, its chart block (P^-1, B) and, for each W
-    direction e_k, the basepoint variation before P^-1 is applied,
-    dN - dP B.  Both form blocks come from one pass over the form each:
+def _w_variation(omega: OmegaForm, x: GroupElement, w, pivots, plane=None):
+    """The _plane (rows, P^-1, B), unless given, and, for each W direction
+    e_k, the basepoint variation before P^-1 is applied, dN - dP B.  Both
+    form blocks come from one pass over the form each:
     form(x_w, e_k) = columns(x_w)[k] and form(e_k, w) = -columns(w)[k]."""
-    rows = line_matrix_rows(omega, x, w)
-    inv, block = chart_block(rows, pivots)
+    rows, inv, block = plane or _plane(omega, x, w, pivots)
     at_x = omega.columns(x.w_part)
     at_w = omega.columns(w)
     moves = []
@@ -211,13 +220,13 @@ def _w_variation(omega: OmegaForm, x: GroupElement, w, pivots):
     return rows, inv, block, moves
 
 
-def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots) -> Mat:
+def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, plane=None) -> Mat:
     """Derivative of the plane as the base moves to x * exp(a): one
     column per algebra basis direction a, rows the flattened chart
     block.  A W-direction moves both rows (_w_variation); a U-direction
     moves one entry of the point row.  The kernel is the span of the
     line direction."""
-    rows, inv, block, w_moves = _w_variation(omega, x, w, pivots)
+    rows, inv, block, w_moves = _w_variation(omega, x, w, pivots, plane)
     cols = [sum(_times_inverse(inv, moved), []) for moved in w_moves]
     width = len(rows[0])
     for k in range(omega.dim_w, width - 1):
@@ -261,9 +270,9 @@ def _schur_rows(omega: OmegaForm, pivots, cols):
     return rows, u_pos
 
 
-def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shift):
+def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shift, plane=None):
     """solve_in_span(basepoint_variation(omega, x, w, pivots), shift),
-    through a Schur complement over the U unknowns.
+    through a Schur complement over the U unknowns (on the given _plane).
 
     Each block pair of the shift is multiplied by the pivot minor P, and
     the W columns are built in the same un-inverted form (_w_variation).
@@ -281,7 +290,7 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
     NotInSpan carries the full solve's residual.
     """
     if _schur_applies(omega, pivots):
-        rows, _, block, w_moves = _w_variation(omega, x, w, pivots)
+        rows, _, block, w_moves = _w_variation(omega, x, w, pivots, plane)
         target = _times_minor(rows, pivots, shift)
         reduced, u_pos = _schur_rows(omega, pivots, w_moves + [target])
         dim_w = omega.dim_w
@@ -293,11 +302,7 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
             drows = _basepoint_drows(coeffs, omega.apply(x.w_part, coeffs), omega.apply(coeffs, w))
             moved = _moved_rows(block, drows, pivots)
             return tuple(coeffs + [target[0][p] - moved[0][p] for p in u_pos])
-    return solve_in_span(basepoint_variation(omega, x, w, pivots), shift)
-
-
-def _flatten(mat: Mat):
-    return [entry for row in mat.entries for entry in row]
+    return solve_in_span(basepoint_variation(omega, x, w, pivots, plane), shift)
 
 
 def _direction_in_algebra(omega: OmegaForm, w):
@@ -326,14 +331,17 @@ def check_slide_identity(
     solved.  It falls back to solve_in_span on the full variation when
     a pivot lies in U or there is no U unknown, and when the shift is out
     of span.  Either way the coefficients and a NotInSpan residual are
-    those of the full solve."""
+    those of the full solve.  The variation at 0 and the pull-back share
+    the plane at slide zero."""
     w = chart.evaluate(param)
-    j_t = direction_variation(chart, omega, param, x, delta, t, pivots)
-    j_0 = direction_variation(chart, omega, param, x, delta, 0, pivots)
-    shift = [a - b for a, b in zip(_flatten(j_t), _flatten(j_0))]
-    coeffs = solve_basepoint_variation(omega, x, w, pivots, shift)
-
     tangent = chart.tangent_vector(param, delta)
+    xt = translate(omega, x, w, t)
+    plane = _plane(omega, x, w, pivots)
+    j_t = _tangent_variation(omega, _plane(omega, xt, w, pivots), xt, tangent, pivots)
+    j_0 = _tangent_variation(omega, plane, x, tangent, pivots)
+    shift = [a - b for a, b in zip(sum(j_t, []), sum(j_0, []))]
+    coeffs = solve_basepoint_variation(omega, x, w, pivots, shift, plane)
+
     target = _direction_in_algebra(omega, tangent)
     residual = [c + Q(t) * v for c, v in zip(coeffs, target)]
     w_full = _direction_in_algebra(omega, w)
@@ -365,20 +373,22 @@ def pencil_frames(chart: VarietyChart, omega: OmegaForm, param, x, pivots):
     """
     d = chart.param_dim
     w = chart.evaluate(param)
+    tangents = chart.partial_rows(param)
     # the limit frame is minus the basepoint variation along (tangent, 0)
-    inv, block = chart_block(line_matrix_rows(omega, x, w), pivots)
-    f0_cols = []
-    finf_cols = []
-    for a, tangent in enumerate(chart.partial_rows(param)):
-        f0_cols.append(_flatten(direction_variation(chart, omega, param, x, _unit(d, a), 0, pivots)))
+    _, inv, block = plane = _plane(omega, x, w, pivots)
+    f0_cols, finf_cols = [], []
+    for tangent in tangents:
+        f0_cols.append(sum(_tangent_variation(omega, plane, x, tangent, pivots), []))
         drows = _basepoint_drows(tangent, omega.apply(x.w_part, tangent), omega.apply(tangent, w))
         finf_cols.append([-v for v in sum(_block_variation(inv, block, drows, pivots), [])])
     frame0 = Mat.from_cols(f0_cols)
     frame_inf = Mat.from_cols(finf_cols)
 
     for t in PENCIL_SLIDES:
-        for a in range(d):
-            slid = _flatten(direction_variation(chart, omega, param, x, _unit(d, a), t, pivots))
+        xt = translate(omega, x, w, t)
+        slid_plane = _plane(omega, xt, w, pivots)
+        for a, tangent in enumerate(tangents):
+            slid = sum(_tangent_variation(omega, slid_plane, xt, tangent, pivots), [])
             expected = [u + t * v for u, v in zip(f0_cols[a], finf_cols[a])]
             if slid != expected:
                 raise AssertionError(f"pencil not linear at slide {t}")
@@ -416,7 +426,7 @@ def _jacobian_rank(chart: VarietyChart, omega: OmegaForm, param, x, w, pivots) -
     """
     d = chart.param_dim
     dir_cols = [
-        _flatten(direction_variation(chart, omega, param, x, _unit(d, a), 0, pivots))
+        sum(direction_variation(chart, omega, param, x, _unit(d, a), 0, pivots).entries, ())
         for a in range(d)
     ]
     if not _schur_applies(omega, pivots):

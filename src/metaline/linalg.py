@@ -9,9 +9,10 @@ exterior powers throughout the package.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd
 
-from .scalars import Q, ZERO
+from .scalars import Q, ZERO, as_integers
 
 
 class NotInSpan(Exception):
@@ -25,11 +26,9 @@ class NotInSpan(Exception):
 def _integer_row(row):
     """The row's nonzero entries as {column: integer}, scaled to coprime
     integers by a positive rational factor."""
-    nonzero = {k: x for k, x in enumerate(row) if x}
-    scale = lcm(*(x.denominator for x in nonzero.values()))
-    ints = {k: x.numerator * (scale // x.denominator) for k, x in nonzero.items()}
-    g = gcd(*ints.values())
-    return {k: x // g for k, x in ints.items()} if g > 1 else ints
+    ints, _ = as_integers(row)
+    g = gcd(*ints) or 1
+    return {k: x // g for k, x in enumerate(ints) if x}
 
 
 def _rref(rows, ncols):
@@ -106,10 +105,7 @@ class Mat:
 
     @classmethod
     def from_cols(cls, cols):
-        cols = [list(c) for c in cols]
-        if not cols:
-            return cls(())
-        return cls([[col[i] for col in cols] for i in range(len(cols[0]))])
+        return cls(list(zip(*cols)))
 
     def rref(self):
         rows, pivots = _rref(self.entries, self.ncols)
@@ -189,16 +185,9 @@ def wedge(u, v):
 
     Generic over ring elements (rationals, jets, polynomials).
     """
-    u = list(u)
-    v = list(v)
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    out = []
-    for i in range(len(u)):
-        ui, vi = u[i], v[i]
-        for j in range(i + 1, len(u)):
-            out.append(ui * v[j] - u[j] * vi)
-    return out
+    return [u[i] * v[j] - u[j] * v[i] for i, j in combinations(range(len(u)), 2)]
 
 
 class SpanAccumulator:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .linalg import Mat, wedge
-from .metabelian import GroupElement, OmegaForm, element, multiply
+from .metabelian import GroupElement, OmegaForm
 from .scalars import HALF, ONE, Q, ZERO
 from .varieties import VarietyChart
 
@@ -40,9 +40,15 @@ class HorizontalLine:
 
 
 def translate(omega: OmegaForm, x: GroupElement, w, t) -> GroupElement:
-    """x * exp(t w): x slid by t along the horizontal line in direction w."""
-    t = Q(t)
-    return multiply(omega, x, element(omega, tuple(t * c for c in w)))
+    """x * exp(t w) = (x_w + t w, x_u + (t/2) form(x_w, w)): x slid by t
+    along the horizontal line in direction w; x itself if t or w is 0."""
+    if not t or not any(w):
+        return x
+    half_t = HALF * t
+    return GroupElement(
+        tuple(a + t * c if c else a for a, c in zip(x.w_part, w)),
+        tuple(a + half_t * c if c else a for a, c in zip(x.u_part, omega.apply(x.w_part, w))),
+    )
 
 
 def canonical_rep(omega: OmegaForm, x: GroupElement, reduced_rows, pivots) -> GroupElement:
@@ -50,10 +56,8 @@ def canonical_rep(omega: OmegaForm, x: GroupElement, reduced_rows, pivots) -> Gr
     pivots, the span given by rows in reduced echelon form."""
     shift = [ZERO] * omega.dim_w
     for row, pivot in zip(reduced_rows, pivots):
-        c = x.w_part[pivot]
-        if c != 0:
-            for k in range(omega.dim_w):
-                shift[k] += c * row[k]
+        if c := x.w_part[pivot]:
+            shift = [s + c * r if r else s for s, r in zip(shift, row)]
     return translate(omega, x, shift, -1)
 
 

@@ -6,21 +6,22 @@ group lives on W + U in logarithmic coordinates with product
     (w, u) * (w', u') = (w + w', u + u' + (1/2) * form(w, w')).
 
 The commutator subgroup sits inside U, which is central, and the
-exponential map is the identity on coordinates.  All operations are
-generic over the coordinate ring, so the same code path runs on
-rationals, first-order jets, and polynomials (used for the symbolic
-identity proofs below).
+exponential map is the identity on coordinates.  The group law is
+generic over the coordinate ring: first-order jets and polynomials (the
+symbolic identity proofs below) run the code that rationals run, except
+that OmegaForm.apply contracts rationals in Python integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 from .jets import Jet1
 from .linalg import pair_count, pair_index
 from .polynomials import Poly
-from .scalars import HALF, Q, ZERO
+from .scalars import HALF, Q, ZERO, as_integers, from_integers
 
 
 class OmegaForm:
@@ -30,15 +31,15 @@ class OmegaForm:
     `terms` keeps only the pairs whose vector is nonzero, each as
     (pair index, i, j, ((c, coefficient), ...)) over its nonzero
     coordinates, in the same order; the form is contracted over those
-    alone.
+    alone; `_int_terms` has them as integers over one denominator `_den`.
     """
 
-    __slots__ = ("dim_w", "dim_u", "table", "terms")
+    __slots__ = ("dim_w", "dim_u", "table", "terms", "_int_terms", "_den")
 
     def __init__(self, dim_w, dim_u, table):
         self.dim_w = int(dim_w)
         self.dim_u = int(dim_u)
-        table = tuple(tuple(Q(x) for x in row) for row in table)
+        table = tuple(tuple(x if type(x) is Q else Q(x) for x in row) for row in table)
         if len(table) != pair_count(self.dim_w):
             raise ValueError("table must cover every index pair i < j")
         if any(len(row) != self.dim_u for row in table):
@@ -48,6 +49,11 @@ class OmegaForm:
             (k, i, j, nonzero)
             for k, ((i, j), row) in enumerate(zip(combinations(range(self.dim_w), 2), table))
             if (nonzero := tuple((c, x) for c, x in enumerate(row) if x != 0))
+        )
+        den = self._den = lcm(*(x.denominator for *_, row in self.terms for _, x in row))
+        self._int_terms = tuple(
+            (i, j, tuple((c, x.numerator * (den // x.denominator)) for c, x in row))
+            for _, i, j, row in self.terms
         )
 
     @classmethod
@@ -70,43 +76,48 @@ class OmegaForm:
         return cls(dim_w, dim_u, table)
 
     def apply(self, u, v):
-        """Form on coordinate vectors; generic over the coordinate ring.
-
-        Only the minors u_i v_j - u_j v_i of pairs in `terms` are formed.
-        """
+        """Form on coordinate vectors, from the minors u_i v_j - u_j v_i of
+        the pairs in `terms` alone.  Rationals are scaled to integers, one
+        denominator per vector (fraction-free, after Bareiss, Math. Comp. 22,
+        1968); polynomials and jets are contracted in their own ring."""
         if len(u) != self.dim_w or len(v) != self.dim_w:
             raise ValueError("vectors must have length dim_w")
-        return self._contract((u[i] * v[j] - u[j] * v[i], row) for _, i, j, row in self.terms)
+        su, sv = as_integers(u), as_integers(v)
+        if su is None or sv is None:
+            return self._contract((u[i] * v[j] - u[j] * v[i], row) for _, i, j, row in self.terms)
+        (iu, du), (iv, dv) = su, sv
+        minors = ((iu[i] * iv[j] - iu[j] * iv[i], row) for i, j, row in self._int_terms)
+        return from_integers(self._contract(minors, 0), du * dv * self._den)
 
     def columns(self, x):
-        """form(x, e_k) for every basis vector e_k of W, from one pass
-        over `terms`: apply(x, v) == sum over k of v_k * columns(x)[k].
+        """form(x, e_k) for every basis vector e_k of W, x rational, from one
+        pass over `_int_terms`: apply(x, v) == sum over k of v_k * columns(x)[k].
 
         At pair (i, j) the minor of (x, e_j) is x_i and that of (x, e_i)
         is -x_j; a zero coordinate of x contributes nothing.
         """
         if len(x) != self.dim_w:
             raise ValueError("vector must have length dim_w")
-        cols = [[ZERO] * self.dim_u for _ in range(self.dim_w)]
-        for _, i, j, row in self.terms:
-            xi, xj = x[i], x[j]
-            if xi:
+        ix, dx = as_integers(x)
+        cols = [[0] * self.dim_u for _ in range(self.dim_w)]
+        for i, j, row in self._int_terms:
+            if xi := ix[i]:
                 col = cols[j]
                 for c, coeff in row:
-                    col[c] = col[c] + xi * coeff
-            if xj:
+                    col[c] += xi * coeff
+            if xj := ix[j]:
                 col = cols[i]
                 for c, coeff in row:
-                    col[c] = col[c] - xj * coeff
-        return cols
+                    col[c] -= xj * coeff
+        return [from_integers(col, dx * self._den) for col in cols]
 
     def on_wedge(self, vector):
         """Form on a second-exterior-power vector, pairs in lex order."""
         return self._contract((vector[k], row) for k, _, _, row in self.terms)
 
-    def _contract(self, minors):
-        """Sum of minor * coefficient into U, over (minor, row) pairs."""
-        out = [ZERO] * self.dim_u
+    def _contract(self, minors, zero=ZERO):
+        """Sum from zero of minor * coefficient into U, over (minor, row) pairs."""
+        out = [zero] * self.dim_u
         for minor, row in minors:
             if not minor:  # a zero scalar; jets and polynomials are truthy
                 continue
@@ -142,8 +153,8 @@ def identity_element(omega: OmegaForm) -> GroupElement:
 
 
 def element(omega: OmegaForm, w, u=None) -> GroupElement:
-    w = tuple(Q(x) for x in w)
-    u = tuple(Q(x) for x in u) if u is not None else (ZERO,) * omega.dim_u
+    w = tuple(x if type(x) is Q else Q(x) for x in w)
+    u = tuple(x if type(x) is Q else Q(x) for x in u) if u is not None else (ZERO,) * omega.dim_u
     if len(w) != omega.dim_w or len(u) != omega.dim_u:
         raise ValueError("coordinate arity mismatch")
     return GroupElement(w, u)

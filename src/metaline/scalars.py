@@ -10,6 +10,7 @@ denominator and expose .numerator / .denominator.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 try:
     from gmpy2 import mpq as Q
@@ -19,6 +20,21 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 ZERO = Q(0)
 ONE = Q(1)
 HALF = Q(1, 2)
+
+
+def as_integers(vec):
+    """(ints, d) with vec[k] == ints[k] / d, d the lcm of the denominators;
+    None when an entry is not a rational (int, Q) but, say, a polynomial."""
+    try:
+        den = lcm(*(x.denominator for x in vec))
+    except AttributeError:
+        return None
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def from_integers(ints, den):
+    """The rationals ints[k] / den, one Q per nonzero entry."""
+    return [Q(x, den) if x else ZERO for x in ints]
 
 
 def qstr(x) -> str:

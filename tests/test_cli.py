@@ -318,6 +318,43 @@ def test_unwritable_out_exits_two(tmp_path, capsys, command, target):
     assert not (tmp_path / "no-such-dir").exists()
 
 
+def test_unwritable_verify_out_fails_before_any_check(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_verification ran before --out was opened")
+
+    monkeypatch.setattr(metaline.cli, "run_verification", no_run)
+    out = tmp_path / "no-such-dir" / "x"
+    code, printed, err = run_cli("verify", "builtin:flat-conic", "--out", str(out), capsys=capsys)
+    assert code == 2 and printed == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+def test_verify_exiting_two_removes_the_out_file_it_created(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ("verify", "builtin:flat-conic", "--checks", "bogus", "--out", str(out))
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 2 and "bogus" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_exiting_two_keeps_an_existing_out_file(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    out.write_bytes(b"an earlier report\n")
+    argv = ("verify", "builtin:flat-conic", "--checks", "bogus", "--out", str(out))
+    assert run_cli(*argv, capsys=capsys)[0] == 2
+    assert out.read_bytes() == b"an earlier report\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", list(_COMMAND_ARGS))
+def test_out_that_fails_on_write_exits_two(capsys, command):
+    code, _, err = run_cli(
+        command, "builtin:flat-conic", *_COMMAND_ARGS[command], "--out", "/dev/full", capsys=capsys
+    )
+    assert code == 2
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("coordinate", ["(" * 5000 + "s" + ")" * 5000, "-" * 5000 + "s"])
 def test_deeply_nested_coordinate_exits_two(tmp_path, capsys, coordinate):
     bad = tmp_path / "deep.json"
