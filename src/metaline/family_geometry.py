@@ -24,16 +24,16 @@ Multiplied by P, a U direction off the pivot columns moves one entry of
 the block's first row and nothing else.  So the slide solve
 (solve_basepoint_variation) and the Jacobian rank eliminate each U
 unknown through its own row, a Schur complement (F. Zhang (ed.), The
-Schur Complement and Its Applications, Springer 2005), and only the
-rows left over the W (and parameter) unknowns reach _rref.  With a pivot
-in U or no U unknown they use the full variation.
+Schur Complement and Its Applications, Springer 2005), at every pivot
+pair and dim_u; the full basepoint_variation is solved only to give an
+out-of-span shift its residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, _canonical_solution, _rref, solve_in_span
+from .linalg import Mat, NotInSpan, solve_in_span
 from .lines import line_matrix_rows, translate
 from .metabelian import GroupElement, OmegaForm, element
 from .polynomials import Poly
@@ -236,13 +236,6 @@ def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, plane=None
     return Mat.from_cols(cols)
 
 
-def _schur_applies(omega: OmegaForm, pivots):
-    """Whether the U unknowns are eliminated through their own rows:
-    there is one, and no pivot column lies in U."""
-    u_cols = range(omega.dim_w, omega.dim_w + omega.dim_u)
-    return bool(u_cols) and not any(c in u_cols for c in pivots)
-
-
 def _times_minor(rows, pivots, flat):
     """P times a flattened 2 x (n-1) chart-block variation, P the pivot
     minor of the plane's rows: the block rows (P dB)_0 and (P dB)_1."""
@@ -254,20 +247,28 @@ def _times_minor(rows, pivots, flat):
     ]
 
 
-def _schur_rows(omega: OmegaForm, pivots, cols):
-    """The rows of the column pairs (block rows of P dB) that no U
-    unknown enters, and the positions in block row 0 of the U columns.
+def _schur_system(omega: OmegaForm, pivots, block, moves):
+    """Eliminate the U unknowns off the pivot columns from a system of
+    column pairs (block rows of P dB): moves, then one column per U
+    direction at a pivot column.  Returns the rows left over all of those
+    columns, the U pivot columns, and the positions in block row 0 of the
+    eliminated U unknowns.
 
-    With no pivot in U, a U direction's column of P dB is the unit
-    vector at its own position p in block row 0, where p counts the
-    non-pivot columns before it.  Eliminating it through that row (a
-    Schur complement) leaves the other rows over the other columns."""
+    A U direction off the pivot columns moves one entry of the point row
+    and not P, so its column of P dB is the unit vector at its own
+    position p in block row 0, where p counts the non-pivot columns
+    before it.  Eliminating it through that row (a Schur complement)
+    leaves the other rows over the other columns.  A U direction at pivot
+    column j moves P by a unit column, so its column is (-B_j, 0)."""
+    u_cols = range(omega.dim_w, omega.dim_w + omega.dim_u)
+    kept = [c for c in pivots if c in u_cols]
+    half = len(block[0])
+    cols = moves + [[[-b for b in block[pivots.index(c)]], [ZERO] * half] for c in kept]
     first = omega.dim_w - sum(c < omega.dim_w for c in pivots)
-    u_pos = range(first, first + omega.dim_u)
-    half = len(cols[0][0])
+    u_pos = range(first, first + omega.dim_u - len(kept))
     rows = [[col[0][p] for col in cols] for p in range(half) if p not in u_pos]
     rows += [[col[1][p] for col in cols] for p in range(half)]
-    return rows, u_pos
+    return rows, kept, u_pos
 
 
 def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shift, plane=None):
@@ -276,33 +277,36 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
 
     Each block pair of the shift is multiplied by the pivot minor P, and
     the W columns are built in the same un-inverted form (_w_variation).
-    A U unknown then enters only its own row of block row 0 (_schur_rows),
-    so the (2(dim_w - 1) + dim_u) x dim_w system of the other rows is
-    solved by _rref, and each U unknown is back-substituted:
-    c_u = t0[p] - sum over k of moved_k[0][p] c_k, where the sum is the
-    un-inverted variation along (c_w, 0), built from two form applies.
+    Every U unknown off the pivot columns enters only its own row of block
+    row 0 (_schur_system), so solve_in_span takes only the other rows, over
+    the W unknowns and any U unknown at a pivot column.  Each eliminated U
+    unknown is back-substituted: c_u = t0[p] - (the un-inverted variation
+    along the reduced solution)[0][p], built from two form applies with
+    the kept U values added to the point row.
 
     For w nonzero the kernel of the full variation is exactly the line
-    direction (w, 0), so the reduced rank is dim_w - 1, and the reduced
-    solution with its free coordinate zero is the full solve's canonical
-    solution.  The full solve runs instead when there is no U unknown or
-    a pivot lies in U, and when the shift is out of span, so that
-    NotInSpan carries the full solve's residual.
+    direction (w, 0), so the reduced solution with its free coordinate
+    zero is the full solve's canonical solution.  When the shift is out
+    of span the full variation is solved instead, so that NotInSpan
+    carries the full system's residual.
     """
-    if _schur_applies(omega, pivots):
-        rows, _, block, w_moves = _w_variation(omega, x, w, pivots, plane)
-        target = _times_minor(rows, pivots, shift)
-        reduced, u_pos = _schur_rows(omega, pivots, w_moves + [target])
-        dim_w = omega.dim_w
-        # the shift's column takes a pivot exactly when it is out of span
-        pivot_rows, found = _rref(reduced, dim_w + 1)
-        if dim_w not in found:
-            coeffs = _canonical_solution(pivot_rows, found, dim_w)
-            # sum over k of c_k moved_k is the variation along (c_w, 0)
-            drows = _basepoint_drows(coeffs, omega.apply(x.w_part, coeffs), omega.apply(coeffs, w))
-            moved = _moved_rows(block, drows, pivots)
-            return tuple(coeffs + [target[0][p] - moved[0][p] for p in u_pos])
-    return solve_in_span(basepoint_variation(omega, x, w, pivots, plane), shift)
+    rows, _, block, w_moves = _w_variation(omega, x, w, pivots, plane)
+    target = _times_minor(rows, pivots, shift)
+    reduced, kept, u_pos = _schur_system(omega, pivots, block, [target] + w_moves)
+    try:
+        coeffs = solve_in_span(Mat([row[1:] for row in reduced]), [row[0] for row in reduced])
+    except NotInSpan:
+        return solve_in_span(basepoint_variation(omega, x, w, pivots, plane), shift)
+    dim_w = omega.dim_w
+    c_w, c_kept = coeffs[:dim_w], coeffs[dim_w:]
+    drows = _basepoint_drows(c_w, omega.apply(x.w_part, c_w), omega.apply(c_w, w))
+    for c, value in zip(kept, c_kept):
+        drows[0][c] += value
+    moved = _moved_rows(block, drows, pivots)
+    c_u = [target[0][p] - moved[0][p] for p in u_pos]
+    for c, value in zip(kept, c_kept):
+        c_u.insert(c - dim_w, value)
+    return c_w + tuple(c_u)
 
 
 def _direction_in_algebra(omega: OmegaForm, w):
@@ -326,13 +330,11 @@ def check_slide_identity(
     coefficients must also have no U-part and a W-part in the tangent
     frame's span (tangent_span_ok).
 
-    The pull-back is solve_basepoint_variation: the U unknowns are
-    eliminated through their own rows and only the W unknowns are
-    solved.  It falls back to solve_in_span on the full variation when
-    a pivot lies in U or there is no U unknown, and when the shift is out
-    of span.  Either way the coefficients and a NotInSpan residual are
-    those of the full solve.  The variation at 0 and the pull-back share
-    the plane at slide zero."""
+    The pull-back is solve_basepoint_variation: the U unknowns off the
+    pivot columns are eliminated through their own rows and only the
+    others are solved.  Its coefficients, and the residual of NotInSpan
+    when the shift is out of span, are those of the full solve.  The
+    variation at 0 and the pull-back share the plane at slide zero."""
     w = chart.evaluate(param)
     tangent = chart.tangent_vector(param, delta)
     xt = translate(omega, x, w, t)
@@ -420,21 +422,20 @@ def check_splitting_type(frame0: Mat, frame_inf: Mat) -> bool:
 def _jacobian_rank(chart: VarietyChart, omega: OmegaForm, param, x, w, pivots) -> int:
     """Rank of [direction variations | basepoint variation] at one point.
 
-    With no pivot in U, P times the matrix has each U column a unit
-    vector in its own row of block row 0, so the rank is dim_u plus the
-    rank of the other rows over the d + dim_w other columns (_schur_rows).
+    P times the matrix has the column of each U direction off the pivot
+    columns a unit vector in its own row of block row 0, so the rank is
+    the number of those plus the rank of the other rows over the other
+    columns (_schur_system).
     """
     d = chart.param_dim
     dir_cols = [
         sum(direction_variation(chart, omega, param, x, _unit(d, a), 0, pivots).entries, ())
         for a in range(d)
     ]
-    if not _schur_applies(omega, pivots):
-        return Mat.from_cols(dir_cols).hstack(basepoint_variation(omega, x, w, pivots)).rank()
-    rows, _, _, w_moves = _w_variation(omega, x, w, pivots)
+    rows, _, block, w_moves = _w_variation(omega, x, w, pivots)
     dir_moves = [_times_minor(rows, pivots, col) for col in dir_cols]
-    reduced, _ = _schur_rows(omega, pivots, dir_moves + w_moves)
-    return omega.dim_u + Mat(reduced).rank()
+    reduced, _, u_pos = _schur_system(omega, pivots, block, dir_moves + w_moves)
+    return len(u_pos) + Mat(reduced).rank()
 
 
 def family_dimension(chart: VarietyChart, omega: OmegaForm, sampler, points: int = 10) -> int:

@@ -140,33 +140,31 @@ class Mat:
         return f"Mat({[list(map(str, r)) for r in self.entries]!r})"
 
 
-def _canonical_solution(rows, pivots, ncols):
-    """The solution that _rref's pivot rows of a system augmented at
-    column ncols give with every free coordinate zero."""
-    coeffs = [ZERO] * ncols
-    for row, c in zip(rows, pivots):
-        if ncols in row:
-            coeffs[c] = Q(row[ncols], row[c])
-    return coeffs
-
-
 def solve_in_span(basis: Mat, target):
     """Coefficients c with basis @ c == target, basis columns spanning.
 
     When the columns are dependent the solution is the canonical
     representative with every free coordinate set to zero (free = the
-    non-pivot columns under leftmost-pivot reduction).  Raises NotInSpan
-    with the exact residual when no solution exists.
+    non-pivot columns under leftmost-pivot reduction).  The target is in
+    the span exactly when its column in [basis | target] takes no pivot;
+    otherwise NotInSpan carries its exact residual against the solution
+    of a second reduction, pivoting on the basis columns only.
     """
     target = [Q(x) for x in target]
     if len(target) != basis.nrows:
         raise ValueError("dimension mismatch")
     ncols = basis.ncols
-    augmented = (row + (t,) for row, t in zip(basis.entries, target))
-    coeffs = _canonical_solution(*_rref(augmented, ncols), ncols)
-    residual = [t - s for t, s in zip(target, basis.times_vector(coeffs))]
-    if any(x != 0 for x in residual):
-        raise NotInSpan(residual)
+    augmented = [row + (t,) for row, t in zip(basis.entries, target)]
+    rows, pivots = _rref(augmented, ncols + 1)
+    in_span = ncols not in pivots
+    if not in_span:
+        rows, pivots = _rref(augmented, ncols)
+    coeffs = [ZERO] * ncols
+    for row, c in zip(rows, pivots):
+        if ncols in row:
+            coeffs[c] = Q(row[ncols], row[c])
+    if not in_span:
+        raise NotInSpan([t - s for t, s in zip(target, basis.times_vector(coeffs))])
     return tuple(coeffs)
 
 

@@ -265,7 +265,7 @@ def test_family_dimension_veronese33(veronese33):
 
 def _count_basepoint_variations(monkeypatch):
     """Calls of _w_variation, which builds the basepoint variation of one
-    point, on the Schur path and on the full one alike."""
+    point."""
     calls = []
     original = fam._w_variation
 
@@ -389,8 +389,9 @@ def _jet_basepoint_variation(omega, x, w, pivots):
 
 def _pivot_choices(omega, x, w):
     """Primary and next pivots, the first valid pair with a W and a U
-    column, and the first with a U and the constant column.  With a pivot
-    in U, a U-direction moves the pivot minor."""
+    column, the first with a U and the constant column, and the first with
+    two U columns.  With a pivot in U, a U-direction moves the pivot
+    minor."""
     rows = line_matrix_rows(omega, x, w)
     last = len(rows[0]) - 1
     u_cols = range(omega.dim_w, last)
@@ -411,6 +412,7 @@ def _pivot_choices(omega, x, w):
         "next": fam.next_pivots(omega, x, w, primary),
         "w-u": first_valid((i, j) for i in range(omega.dim_w) for j in u_cols),
         "u-constant": first_valid((j, last) for j in u_cols),
+        "u-u": first_valid((i, j) for i in u_cols for j in u_cols if i < j),
     }
     return {kind: pivots for kind, pivots in choices.items() if pivots is not None}
 
@@ -467,6 +469,7 @@ def test_closed_form_variations_match_jets(fixture_cache, name):
                 pivots,
             )
     expected = {"primary", "next"} | ({"w-u", "u-constant"} if omega.dim_u else set())
+    expected |= {"u-u"} if omega.dim_u >= 2 else set()
     assert kinds == expected
 
 
@@ -524,8 +527,10 @@ def test_splitting_rejects_rank_drop():
 _ALL_CHARTS = builtin_names() + sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
 
 
-def _pivot_in_u(omega, pivots):
-    return any(omega.dim_w <= c < omega.dim_w + omega.dim_u for c in pivots)
+def _eliminated(omega, pivots):
+    """How many U unknowns lie off the pivot columns: the Schur solve
+    eliminates one row and one column for each."""
+    return omega.dim_u - sum(omega.dim_w <= c < omega.dim_w + omega.dim_u for c in pivots)
 
 
 def _schur_pivot_choices(omega, x, w):
@@ -570,9 +575,10 @@ def _full_solve(omega, x, w, pivots, target):
 def test_schur_solve_matches_the_full_solve(fixture_cache, name, monkeypatch):
     """On the slide shift, on a combination of the variation's columns and
     on two shifts moved off the span, at every pivot choice: the same
-    coefficients, or the same NotInSpan residual.  The full solve runs
-    only with a pivot in U, with no U unknown, or off the span.  The
-    variation's kernel is exactly (w, 0), so the Schur solve needs no
+    coefficients, or the same NotInSpan residual.  solve_in_span runs once
+    on the reduced system, one row and one column fewer per eliminated U
+    unknown, and a second time on the full variation only off the span.
+    The variation's kernel is exactly (w, 0), so the Schur solve needs no
     rank test."""
     chart, omega = _chart_and_form(fixture_cache, name)
     calls = _counting_solve_in_span(monkeypatch)
@@ -597,18 +603,23 @@ def test_schur_solve_matches_the_full_solve(fixture_cache, name, monkeypatch):
                 del calls[:]
                 got = _outcome(fam.solve_basepoint_variation, omega, x, w, pivots, target)
                 assert got == expected, (kind, pivots)
-                schur = omega.dim_u > 0 and not _pivot_in_u(omega, pivots)
-                seen.add((schur, expected[0]))
-                assert len(calls) == (0 if schur and expected[0] == "coefficients" else 1)
-    assert (False, "residual") in seen or (True, "residual") in seen
-    if omega.dim_u:
-        assert {(True, "coefficients"), (False, "coefficients")} <= seen
+                seen.add(expected[0])
+                reduced = calls[0][0]
+                eliminated = _eliminated(omega, pivots)
+                assert reduced.nrows == bvm.nrows - eliminated, (kind, pivots)
+                assert reduced.ncols == bvm.ncols - eliminated, (kind, pivots)
+                if expected[0] == "coefficients":
+                    assert len(calls) == 1
+                else:
+                    assert len(calls) == 2 and calls[1][0] == bvm
+    assert seen == {"coefficients", "residual"}
 
 
-def test_schur_solve_falls_back_with_a_pivot_in_u(quartic, monkeypatch):
+def test_schur_solve_with_a_pivot_in_u(quartic, monkeypatch):
     """With x_w = 3w and x_u nonzero, the plane's W columns are parallel,
-    so its second echelon pivot is the first U column: the full solve runs,
-    and the slide identity still holds."""
+    so its second echelon pivot is the first U column: that U unknown stays
+    in the reduced system beside the W unknowns, the solve matches the full
+    one, and the slide identity still holds."""
     chart, omega, _ = quartic
     param, delta, t = (Q(2),), (Q(1),), Q(5)
     w = chart.evaluate(param)
@@ -620,7 +631,7 @@ def test_schur_solve_falls_back_with_a_pivot_in_u(quartic, monkeypatch):
     assert fam.solve_basepoint_variation(omega, x, w, pivots, shift) == _full_solve(
         omega, x, w, pivots, shift
     )
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0][0].ncols == omega.dim_w + 1
     assert fam.check_slide_identity(chart, omega, param, x, delta, t, pivots).ok
 
 
@@ -645,9 +656,10 @@ def _full_jacobian_rank(chart, omega, param, x, w, pivots):
     ],
 )
 def test_family_rank_matches_the_full_jacobian_rank(fixture_cache, name):
-    """The Schur rank, dim_u plus the rank of the rows no U unknown
-    enters, equals the rank of the full Jacobian at every pivot choice;
-    degenerate-frame.json stays one below the bound."""
+    """The Schur rank, the number of U unknowns off the pivot columns plus
+    the rank of the rows none of them enters, equals the rank of the full
+    Jacobian at every pivot choice; degenerate-frame.json stays one below
+    the bound."""
     chart, omega = _chart_and_form(fixture_cache, name)
     sampler = RationalSampler(79).derive(name)
     for _ in range(2):

@@ -324,3 +324,23 @@ def test_wedge_bilinear_alternating_deterministic():
         w = sampler.vector(4)
         left = wedge([x + y for x, y in zip(u, w)], v)
         assert left == [x + y for x, y in zip(wedge(u, v), wedge(w, v))]
+
+
+def test_solve_in_span_zero_target():
+    basis = Mat.from_cols([(1, 2), (2, 4), (0, 5)])
+    assert solve_in_span(basis, (0, 0)) == (0, 0, 0)
+
+
+def test_solve_in_span_zero_width_basis():
+    basis = Mat([[], [], []])
+    assert solve_in_span(basis, (0, 0, 0)) == ()
+    with pytest.raises(NotInSpan) as err:
+        solve_in_span(basis, (0, Q(1, 2), 0))
+    assert err.value.residual == (0, Q(1, 2), 0)
+
+
+def test_solve_in_span_through_a_dependent_column():
+    # the target is twice the third column, which is three times the first:
+    # the third column takes no pivot, so the first carries the solution
+    basis = Mat.from_cols([(1, 2, 0), (0, 0, 1), (3, 6, 0)])
+    assert solve_in_span(basis, (6, 12, 0)) == (6, 0, 0)
