@@ -33,10 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .jets import Jet1
 from .linalg import Mat, NotInSpan, solve_in_span
 from .lines import line_matrix_rows, translate
 from .metabelian import GroupElement, OmegaForm, element
-from .polynomials import Poly
 from .scalars import HALF, ONE, Q, ZERO, as_integers, from_integers
 from .varieties import VarietyChart, in_tangent_span
 
@@ -158,40 +158,29 @@ def direction_variation(chart: VarietyChart, omega: OmegaForm, param, x, delta, 
 def direction_variation_symbolic(
     chart: VarietyChart, omega: OmegaForm, param, x, delta, t, pivots
 ) -> Mat:
-    """Independent recomputation of direction_variation by polynomial
-    calculus: the chart coordinates are rational functions of the arc
-    parameter, differentiated by the quotient rule at zero."""
+    """Independent recomputation of direction_variation by forward-mode
+    differentiation: the chart coordinates are evaluated on first-order
+    jets p + delta tau, the plane's two rows are built on those, and each
+    block entry (adj(P) rows) / det P is read off by the jet quotient rule.
+    No closed form (chart_block, line_matrix_rows, the chart partials) is
+    used."""
     xt = translate(omega, x, chart.evaluate(param), t)
-    subs = [
-        Poly.const(pv, 1) + Q(dv) * Poly.var(0, 1) for pv, dv in zip(param, delta)
+    w_tau = chart.evaluate(Jet1(Q(p), (Q(d),)) for p, d in zip(param, delta))
+    half_corr = omega.apply(xt.w_part, w_tau)
+    rows = [
+        [*xt.w_part, *xt.u_part, ONE],
+        [*w_tau, *(HALF * c for c in half_corr), ZERO],
     ]
-    w_tau = [coord.compose(subs) for coord in chart.coords]
-    row_point = [Poly.const(c, 1) for c in xt.w_part + xt.u_part] + [Poly.const(1, 1)]
-    half_corr = omega.apply([Poly.const(c, 1) for c in xt.w_part], w_tau)
-    row_dir = list(w_tau) + [Q(1, 2) * c for c in half_corr] + [Poly.zero(1)]
-    rows = [row_point, row_dir]
+    rows = [[c if isinstance(c, Jet1) else Jet1.const(c, 1) for c in row] for row in rows]
 
     c1, c2 = pivots
-    p00, p01 = rows[0][c1], rows[0][c2]
-    p10, p11 = rows[1][c1], rows[1][c2]
+    (p00, p01), (p10, p11) = (rows[0][c1], rows[0][c2]), (rows[1][c1], rows[1][c2])
     det = p00 * p11 - p01 * p10
-    det0 = det.evaluate((ZERO,))
-    if det0 == 0:
+    if det.val == 0:
         raise ChartMiss(f"pivot columns {pivots} are singular here")
-    det_prime0 = det.diff(0).evaluate((ZERO,))
     adj = ((p11, -p01), (-p10, p00))
-    out = []
-    for r in range(2):
-        row = []
-        for col in range(len(rows[0])):
-            if col == c1 or col == c2:
-                continue
-            numerator = adj[r][0] * rows[0][col] + adj[r][1] * rows[1][col]
-            n0 = numerator.evaluate((ZERO,))
-            n_prime0 = numerator.diff(0).evaluate((ZERO,))
-            row.append((n_prime0 * det0 - n0 * det_prime0) / (det0 * det0))
-        out.append(row)
-    return Mat(out)
+    rest = [pq for col, pq in enumerate(zip(*rows)) if col != c1 and col != c2]
+    return Mat([[((a0 * p + a1 * q) / det).eps[0] for p, q in rest] for a0, a1 in adj])
 
 
 def _basepoint_drows(a_w, form_x, form_w):
@@ -282,7 +271,8 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
     the W unknowns and any U unknown at a pivot column.  Each eliminated U
     unknown is back-substituted: c_u = t0[p] - (the un-inverted variation
     along the reduced solution)[0][p], built from two form applies with
-    the kept U values added to the point row.
+    the kept U values added to the point row.  With none eliminated (dim_u
+    0, or every U column a pivot) the reduced solution is the solution.
 
     For w nonzero the kernel of the full variation is exactly the line
     direction (w, 0), so the reduced solution with its free coordinate
@@ -297,6 +287,8 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
         coeffs = solve_in_span(Mat([row[1:] for row in reduced]), [row[0] for row in reduced])
     except NotInSpan:
         return solve_in_span(basepoint_variation(omega, x, w, pivots, plane), shift)
+    if not u_pos:  # every U unknown is kept, in column order
+        return coeffs
     dim_w = omega.dim_w
     c_w, c_kept = coeffs[:dim_w], coeffs[dim_w:]
     drows = _basepoint_drows(c_w, omega.apply(x.w_part, c_w), omega.apply(c_w, w))

@@ -7,9 +7,11 @@ group lives on W + U in logarithmic coordinates with product
 
 The commutator subgroup sits inside U, which is central, and the
 exponential map is the identity on coordinates.  The group law is
-generic over the coordinate ring: first-order jets and polynomials (the
-symbolic identity proofs below) run the code that rationals run, except
-that OmegaForm.apply contracts rationals in Python integers.
+generic over the coordinate ring: polynomials (the symbolic identity
+proofs below) and first-order jets (the one derivative ring, in which the
+Maurer-Cartan and Levi-tensor oracles differentiate) run the code that
+rationals run, except that OmegaForm.apply contracts rationals in Python
+integers.
 """
 
 from __future__ import annotations
@@ -209,43 +211,36 @@ def maurer_cartan_log_derivative(omega: OmegaForm, x: GroupElement, v) -> GroupE
     return closed
 
 
-def _invariant_field(omega: OmegaForm, direction):
-    """Left-invariant vector field of a W-direction, as polynomial coefficients."""
-    n = omega.dim_w + omega.dim_u
-    z_w = [Poly.var(i, n) for i in range(omega.dim_w)]
-    const_dir = [Poly.const(c, n) for c in direction]
-    corr = omega.apply(z_w, const_dir)
-    coeffs = [Poly.const(c, n) for c in direction]
-    coeffs.extend(HALF * c for c in corr)
+def _invariant_field(omega: OmegaForm, direction, z_w):
+    """Left-invariant vector field of a W-direction, valued at a point
+    with W-part z_w: (direction, (1/2) form(z_w, direction))."""
+    coeffs = list(direction)
+    coeffs.extend(HALF * c for c in omega.apply(z_w, direction))
     return coeffs
 
 
 def levi_tensor(omega: OmegaForm, x: GroupElement, u, v):
     """U-component of the bracket of the left-invariant extensions of u, v.
 
-    The bracket is computed on polynomial vector fields by
-    differentiating coefficients, then evaluated at the basepoint x.
+    The bracket at x is D_{X_u} X_v - D_{X_v} X_u; each term evaluates
+    one field on first-order jets at x.w_part that move along the other
+    field's value at x (the fields do not depend on the U coordinates).
     """
-    u = tuple(u)
-    v = tuple(v)
-    n = omega.dim_w + omega.dim_u
-    fu = _invariant_field(omega, u)
-    fv = _invariant_field(omega, v)
-    point = x.coords
-    values = []
-    for c in range(n):
-        total = Poly.zero(n)
-        for a in range(n):
-            if not fu[a].is_zero():
-                da = fv[c].diff(a)
-                if not da.is_zero():
-                    total = total + fu[a] * da
-            if not fv[a].is_zero():
-                da = fu[c].diff(a)
-                if not da.is_zero():
-                    total = total - fv[a] * da
-        values.append(total.evaluate(point))
-    if any(x != 0 for x in values[: omega.dim_w]):
+    u, v = tuple(u), tuple(v)
+
+    def derivative(direction, along):
+        z_w = tuple(Jet1(c, (d,)) for c, d in zip(x.w_part, along))
+        field = _invariant_field(omega, direction, z_w)
+        return [c.eps[0] if isinstance(c, Jet1) else ZERO for c in field]
+
+    values = [
+        a - b
+        for a, b in zip(
+            derivative(v, _invariant_field(omega, u, x.w_part)),
+            derivative(u, _invariant_field(omega, v, x.w_part)),
+        )
+    ]
+    if any(c != 0 for c in values[: omega.dim_w]):
         raise InternalConsistencyError("field bracket left the center")
     return tuple(values[omega.dim_w :])
 

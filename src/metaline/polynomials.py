@@ -2,10 +2,10 @@
 
 Terms live in a dict mapping exponent tuples to nonzero rational
 coefficients.  Evaluation is generic: the inputs may be rationals,
-first-order jets, or other polynomials (which makes composition a
-special case of evaluation).  A small recursive-descent parser covers
-the input grammar: integers, rational literals a/b, variables, + - * ^
-(also **), unary minus and parentheses.
+first-order jets (the symbolic slide oracle differentiates a chart
+along a direction that way), or other polynomials (compose).  A small
+recursive-descent parser covers the input grammar: integers, rational
+literals a/b, variables, + - * ^ (also **), unary minus and parentheses.
 """
 
 from __future__ import annotations

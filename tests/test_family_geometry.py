@@ -13,9 +13,11 @@ from metaline.linalg import Mat, NotInSpan, solve_in_span
 from metaline.lines import line_matrix_rows, translate
 from metaline.metabelian import GroupElement, OmegaForm, element, multiply
 from metaline.omega_builder import build_omega
+from metaline.polynomials import Poly
 from metaline.sampling import RationalSampler
 from metaline.scalars import HALF, ONE, Q, ZERO
 from metaline.varieties import (
+    VarietyChart,
     builtin_names,
     chart_from_json,
     in_tangent_span,
@@ -712,3 +714,79 @@ def test_limit_frame_is_minus_the_basepoint_variation_along_the_tangent(
             for a, tangent in enumerate(chart.partial_rows(param)):
                 image = bvm.times_vector(list(tangent) + [ZERO] * omega.dim_u)
                 assert [row[a] for row in frame_inf.entries] == [-v for v in image], (kind, a)
+
+
+@pytest.mark.parametrize("name, applies", [("flat-conic", 0), ("veronese-2-3", 2)])
+def test_slide_solve_back_substitutes_only_eliminated_unknowns(fixture_cache, name, applies):
+    """With the plane given, the slide solve reads the form through
+    columns alone, and applies it twice only to back-substitute eliminated
+    U unknowns: flat-conic (dim_u 0) eliminates none."""
+    chart, omega = _chart_and_form(fixture_cache, name)
+    sampler = RationalSampler(97).derive(name)
+    param = sampler.vector(chart.param_dim)
+    x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+    delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
+    w = chart.evaluate(param)
+    pivots = fam.primary_pivots(omega, x, w)
+    shift = _slide_shift(chart, omega, param, x, delta, t, pivots)
+    plane = fam._plane(omega, x, w, pivots)
+    apply = OmegaForm.apply
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return apply(*args)
+
+    with patch.object(OmegaForm, "apply", counting):
+        coeffs = fam.solve_basepoint_variation(omega, x, w, pivots, shift, plane)
+    assert len(calls) == applies
+    assert coeffs == _full_solve(omega, x, w, pivots, shift)
+
+
+# The symbolic direction variation is an independent oracle of the closed form.
+
+
+@pytest.mark.parametrize("name", _ALL_CHARTS)
+def test_symbolic_variation_matches_at_every_pivot_pair(fixture_cache, name):
+    """At every _pivot_choices kind, at the slide and at slide zero; constant
+    coordinates and the constant column enter the jet rows as rationals."""
+    chart, omega = _chart_and_form(fixture_cache, name)
+    sampler = RationalSampler(101).derive(name)
+    param = sampler.vector(chart.param_dim)
+    x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+    delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
+    for kind, pivots in _pivot_choices(omega, x, chart.evaluate(param)).items():
+        for slide in (t, ZERO):
+            args = (chart, omega, param, x, delta, slide, pivots)
+            assert fam.direction_variation_symbolic(*args) == fam.direction_variation(*args), (
+                kind,
+                slide,
+            )
+
+
+def test_symbolic_variation_uses_no_closed_form(twisted_cubic, monkeypatch):
+    """The oracle still gives the same matrix with every closed-form piece
+    of direction_variation, and polynomial calculus, made to raise."""
+    chart, omega, _ = twisted_cubic
+    sampler = RationalSampler(103)
+    param = sampler.vector(chart.param_dim)
+    x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+    delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
+    pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+    args = (chart, omega, param, x, delta, t, pivots)
+    expected = fam.direction_variation(*args)
+
+    def closed_form(*_):
+        raise AssertionError("the oracle reached the closed form")
+
+    for owner, attr in (
+        (fam, "chart_block"),
+        (fam, "_block_variation"),
+        (fam, "line_matrix_rows"),
+        (VarietyChart, "partial_rows"),
+        (VarietyChart, "tangent_vector"),
+        (Poly, "diff"),
+        (Poly, "compose"),
+    ):
+        monkeypatch.setattr(owner, attr, closed_form)
+    assert fam.direction_variation_symbolic(*args) == expected

@@ -117,6 +117,22 @@ def test_levi_tensor_equals_form():
         assert levi_tensor(form, x, u, v) == tuple(form.apply(u, v))
 
 
+def test_levi_tensor_needs_no_polynomial_calculus(twisted_cubic, monkeypatch):
+    """The bracket is taken on jets: with Poly.diff and Poly.compose made
+    to raise, the tensor still equals the form."""
+    _, form, _ = twisted_cubic
+
+    def calculus(*_):
+        raise AssertionError("levi_tensor reached polynomial calculus")
+
+    monkeypatch.setattr(Poly, "diff", calculus)
+    monkeypatch.setattr(Poly, "compose", calculus)
+    sampler = RationalSampler(23)
+    x = element(form, sampler.vector(form.dim_w), sampler.vector(form.dim_u))
+    u, v = sampler.vector(form.dim_w), sampler.vector(form.dim_w)
+    assert levi_tensor(form, x, u, v) == tuple(form.apply(u, v))
+
+
 def test_levi_tensor_basepoint_independent():
     u, v = (1, 2), (3, 4)
     at_origin = levi_tensor(HEIS, identity_element(HEIS), u, v)

@@ -11,7 +11,6 @@ from metaline import metabelian as meta
 from metaline import runner, varieties
 from metaline.linalg import Mat, NotInSpan
 from metaline.metabelian import OmegaForm
-from metaline.polynomials import Poly
 from metaline.runner import CHECK_NAMES, run_verification
 from metaline.scalars import Q
 from metaline.sampling import RationalSampler
@@ -229,9 +228,9 @@ def test_levi_bracket_leaving_the_center_is_a_failure(monkeypatch):
     levi-tensor records that as a failed sample, not a traceback."""
     invariant_field = meta._invariant_field
 
-    def drifting_field(omega, direction):
-        coeffs = invariant_field(omega, direction)
-        coeffs[0] = coeffs[0] + Poly.var(0, len(coeffs))
+    def drifting_field(omega, direction, z_w):
+        coeffs = invariant_field(omega, direction, z_w)
+        coeffs[0] = coeffs[0] + z_w[0]
         return coeffs
 
     monkeypatch.setattr(meta, "_invariant_field", drifting_field)
