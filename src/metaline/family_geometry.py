@@ -27,11 +27,28 @@ unknown through its own row, a Schur complement (F. Zhang (ed.), The
 Schur Complement and Its Applications, Springer 2005), at every pivot
 pair and dim_u; the full basepoint_variation is solved only to give an
 out-of-span shift its residual.
+
+All of it runs fraction-free (after Bareiss, Math. Comp. 22, 1968), on
+integer rows with one positive scale each (_plane).  Scale row r of the
+plane to integers, R_r = l_r r_r; then P' = diag(l) P and
+N' = diag(l) N, so B = P^-1 N = P'^-1 N' and
+
+    det B = adj(P') N'          (chart_block, det = det P' > 0, adj
+                                 negated with det when det P' < 0).
+
+A row move D_r / m_r (integer row D_r, scale m_r) gives P dB = dN - dP B
+row by row as (det DN_r - DP_r adj(P') N') / (m_r det): an integer row
+over one scale (_moved_rows).  P^-1 = adj(P') diag(l) / det then gives dB
+(_times_inverse).  Columns of P dB share one scale per block row, so each
+row of the slide system is cleared to integers by the lcm of its block
+row's scales, which leaves the solution alone.  A Q is built only for
+what leaves the module: matrices, coefficients and residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .jets import Jet1
 from .linalg import Mat, NotInSpan, solve_in_span
@@ -80,79 +97,110 @@ def next_pivots(omega: OmegaForm, x: GroupElement, w, exclude):
 
 
 def chart_block(rows, pivots):
-    """Inverse pivot minor P^-1 and non-pivot block B = P^-1 N of the
-    plane normalized at the pivot columns; raises ChartMiss when P is
-    singular.  Row r scaled to integers by the lcm l_r of its denominators
-    keeps B, and P^-1 = adj(P') diag(l_0, l_1) / det P' for the scaled P'."""
-    (top, l0), (bottom, l1) = as_integers(rows[0]), as_integers(rows[1])
+    """The plane's chart at the pivot columns, from its two rows scaled to
+    integers: (adj, det, block) with det > 0, adj the adjugate of the
+    integer pivot minor P' (negated with det when det P' < 0) and
+    block = adj N' = det B.  Raises ChartMiss when P' is singular."""
+    top, bottom = rows
     c1, c2 = pivots
     a, b, c, d = top[c1], top[c2], bottom[c1], bottom[c2]
     det = a * d - b * c
     if det == 0:
         raise ChartMiss(f"pivot columns {pivots} are singular here")
-    adj = ((d, -b), (-c, a))
+    adj = ((d, -b), (-c, a)) if det > 0 else ((-d, b), (c, -a))
     rest = [pq for col, pq in enumerate(zip(top, bottom)) if col != c1 and col != c2]
-    inv = tuple(tuple(from_integers((i0 * l0, i1 * l1), det)) for i0, i1 in adj)
-    block = [from_integers([i0 * p + i1 * q for p, q in rest], det) for i0, i1 in adj]
-    return inv, block
+    block = tuple([i0 * p + i1 * q for p, q in rest] for i0, i1 in adj)
+    return adj, abs(det), block
 
 
-def _moved_rows(block, drows, pivots):
-    """dN - dP B: the variation of the chart block before P^-1 is
-    applied, as the plane's rows move by drows.  Zero operands are
-    skipped; the values are the same either way."""
-    c1, c2 = pivots
-    moved = []
-    for drow in drows:
-        rest = [v for col, v in enumerate(drow) if col != c1 and col != c2]
-        for dp, b_row in ((drow[c1], block[0]), (drow[c2], block[1])):
-            if dp:
-                rest = [v - dp * b if b else v for v, b in zip(rest, b_row)]
-        moved.append(rest)
-    return moved
+@dataclass(frozen=True)
+class _Plane:
+    """The line's plane in integers: row r is rows[r] / scales[r], and
+    (adj, det, block) is its chart_block at the pivots."""
+
+    rows: tuple
+    scales: tuple
+    pivots: tuple
+    adj: tuple
+    det: int
+    block: tuple
 
 
-def _times_inverse(inv, moved):
-    """P^-1 applied to the two rows of a _moved_rows result."""
-    out = []
-    for i0, i1 in inv:
-        row = []
-        for m0, m1 in zip(*moved):
-            if m0:
-                row.append(i0 * m0 + i1 * m1 if m1 else i0 * m0)
-            else:
-                row.append(i1 * m1 if m1 else ZERO)
-        out.append(row)
-    return out
-
-
-def _block_variation(inv, block, drows, pivots):
-    """P^-1 (dN - dP B): the derivative of the chart block B = P^-1 N as
-    the plane's rows move by drows."""
-    return _times_inverse(inv, _moved_rows(block, drows, pivots))
+def _direction_row(omega: OmegaForm, point, scale, iv, dv):
+    """(v, (1/2) form(x_w, v), 0) as an integer row and its scale, for
+    v = iv / dv and x the point whose integer row over scale is point."""
+    form, den = omega.apply_integers(point[: omega.dim_w], iv)
+    return [*(2 * scale * den * c for c in iv), *form, 0], 2 * scale * dv * den
 
 
 def _plane(omega: OmegaForm, x: GroupElement, w, pivots):
-    """The line's plane through x: its rows, P^-1 and B (chart_block)."""
-    rows = line_matrix_rows(omega, x, w)
-    return (rows, *chart_block(rows, pivots))
+    """The line's plane through x: its point row (x_w, x_u, 1) and
+    direction row (w, (1/2) form(x_w, w), 0), each scaled to integers once,
+    and chart_block at the pivots."""
+    point, l0 = as_integers((*x.w_part, *x.u_part, ONE))
+    direction, l1 = _direction_row(omega, point, l0, *as_integers(w))
+    g = gcd(l1, *direction)
+    direction, l1 = [c // g for c in direction], l1 // g
+    rows = (point, direction)
+    return _Plane(rows, (l0, l1), pivots, *chart_block(rows, pivots))
 
 
-def _tangent_variation(omega: OmegaForm, plane, x: GroupElement, tangent, pivots):
-    """Block rows of the direction variation: the plane's direction row
-    moves by that of the chart tangent."""
-    rows, inv, block = plane
-    drows = [[ZERO] * len(rows[0]), line_matrix_rows(omega, x, tangent)[1]]
-    return _block_variation(inv, block, drows, pivots)
+def _moved_rows(plane: _Plane, drows):
+    """P dB = dN - dP B, block row by block row, as the plane's rows move
+    by drows, each an integer row with its scale: the integer row
+    det dN - dP block over (its scale) * det."""
+    c1, c2 = plane.pivots
+    det, block = plane.det, plane.block
+    moved = []
+    for ints, scale in drows:
+        rest = [det * v for col, v in enumerate(ints) if col != c1 and col != c2]
+        for dp, b_row in ((ints[c1], block[0]), (ints[c2], block[1])):
+            if dp:
+                rest = [v - dp * b for v, b in zip(rest, b_row)]
+        moved.append((rest, scale * det))
+    return moved
+
+
+def _times_inverse(plane: _Plane, moved):
+    """dB = P^-1 (P dB) for two _moved_rows block rows, as (rows, scale):
+    P^-1 = adj diag(l_0, l_1) / det for the row scales l_r, so over
+    L = lcm(s_0, s_1) of the moved scales s_r, row i of dB is
+    sum over r of adj[i][r] l_r (L / s_r) M_r, divided by L det."""
+    (m0, s0), (m1, s1) = moved
+    lcm_s = lcm(s0, s1)
+    f0, f1 = plane.scales[0] * (lcm_s // s0), plane.scales[1] * (lcm_s // s1)
+    rows = [[i0 * f0 * a + i1 * f1 * b for a, b in zip(m0, m1)] for i0, i1 in plane.adj]
+    return rows, lcm_s * plane.det
+
+
+def _block_variation(plane: _Plane, drows):
+    """P^-1 (dN - dP B): the derivative of the chart block B = P^-1 N as
+    the plane's rows move by drows (integer rows with scales), as integer
+    rows over one scale."""
+    return _times_inverse(plane, _moved_rows(plane, drows))
+
+
+def _rational(rows, scale):
+    """The rational block rows of integer rows over one scale."""
+    return [from_integers(row, scale) for row in rows]
+
+
+def _tangent_variation(omega: OmegaForm, plane: _Plane, tangent):
+    """Block rows of the direction variation, integer rows over one scale:
+    the plane's direction row moves by that of the chart tangent, given as
+    (integers, scale)."""
+    point, l0 = plane.rows[0], plane.scales[0]
+    zero = [0] * len(point)
+    return _block_variation(plane, [(zero, 1), _direction_row(omega, point, l0, *tangent)])
 
 
 def direction_variation(chart: VarietyChart, omega: OmegaForm, param, x, delta, t, pivots) -> Mat:
     """Derivative of the chart coordinates of the line's plane as the
     parameter moves along delta, the base slid by t along the line."""
     w = chart.evaluate(param)
-    xt = translate(omega, x, w, t)
-    tangent = chart.tangent_vector(param, delta)
-    return Mat(_tangent_variation(omega, _plane(omega, xt, w, pivots), xt, tangent, pivots))
+    plane = _plane(omega, translate(omega, x, w, t), w, pivots)
+    tangent = as_integers(chart.tangent_vector(param, delta))
+    return Mat(_rational(*_tangent_variation(omega, plane, tangent)))
 
 
 def direction_variation_symbolic(
@@ -162,14 +210,17 @@ def direction_variation_symbolic(
     differentiation: the chart coordinates are evaluated on first-order
     jets p + delta tau, the plane's two rows are built on those, and each
     block entry (adj(P) rows) / det P is read off by the jet quotient rule.
-    No closed form (chart_block, line_matrix_rows, the chart partials) is
-    used."""
+    The form is bilinear, so form(x_w, v + tau s) = form(x_w, v) +
+    tau form(x_w, s): two rational contractions.  No closed form
+    (chart_block, line_matrix_rows, the chart partials) is used."""
     xt = translate(omega, x, chart.evaluate(param), t)
     w_tau = chart.evaluate(Jet1(Q(p), (Q(d),)) for p, d in zip(param, delta))
-    half_corr = omega.apply(xt.w_part, w_tau)
+    w_tau = [c if isinstance(c, Jet1) else Jet1.const(c, 1) for c in w_tau]
+    values = omega.apply(xt.w_part, [c.val for c in w_tau])
+    slopes = omega.apply(xt.w_part, [c.eps[0] for c in w_tau])
     rows = [
         [*xt.w_part, *xt.u_part, ONE],
-        [*w_tau, *(HALF * c for c in half_corr), ZERO],
+        [*w_tau, *(Jet1(HALF * a, (HALF * b,)) for a, b in zip(values, slopes)), ZERO],
     ]
     rows = [[c if isinstance(c, Jet1) else Jet1.const(c, 1) for c in row] for row in rows]
 
@@ -183,30 +234,26 @@ def direction_variation_symbolic(
     return Mat([[((a0 * p + a1 * q) / det).eps[0] for p, q in rest] for a0, a1 in adj])
 
 
-def _basepoint_drows(a_w, form_x, form_w):
-    """How the plane's rows move as the base moves to x * exp(a_w, 0):
-    the point row by (a_w, (1/2) form(x_w, a_w), 0) and the direction
-    row by (0, (1/2) form(a_w, w), 0), given form_x = form(x_w, a_w) and
-    form_w = form(a_w, w)."""
-    return [
-        [*a_w, *(HALF * c if c else ZERO for c in form_x), ZERO],
-        [*(ZERO for _ in a_w), *(HALF * c if c else ZERO for c in form_w), ZERO],
-    ]
-
-
-def _w_variation(omega: OmegaForm, x: GroupElement, w, pivots, plane=None):
-    """The _plane (rows, P^-1, B), unless given, and, for each W direction
-    e_k, the basepoint variation before P^-1 is applied, dN - dP B.  Both
-    form blocks come from one pass over the form each:
-    form(x_w, e_k) = columns(x_w)[k] and form(e_k, w) = -columns(w)[k]."""
-    rows, inv, block = plane or _plane(omega, x, w, pivots)
-    at_x = omega.columns(x.w_part)
-    at_w = omega.columns(w)
+def _w_variation(omega: OmegaForm, plane: _Plane):
+    """For each W direction e_k, P dB of the basepoint variation
+    (_moved_rows): the point row moves by (e_k, (1/2) form(x_w, e_k), 0)
+    and the direction row by (0, (1/2) form(e_k, w), 0).  Both form blocks
+    come from one pass over the form each, form(x_w, e_k) = columns(x_w)[k]
+    and form(e_k, w) = -columns(w)[k], so every e_k shares the row scales
+    2 l_r den of the plane's row scales l_r and the form's denominator."""
+    (point, direction), (l0, l1) = plane.rows, plane.scales
+    dim_w = omega.dim_w
+    at_x, den = omega.columns(point[:dim_w])
+    at_w, _ = omega.columns(direction[:dim_w])
+    m0, m1 = 2 * l0 * den, 2 * l1 * den
+    w_zero = [0] * dim_w
     moves = []
-    for k in range(omega.dim_w):
-        drows = _basepoint_drows(_unit(omega.dim_w, k), at_x[k], [-c for c in at_w[k]])
-        moves.append(_moved_rows(block, drows, pivots))
-    return rows, inv, block, moves
+    for k in range(dim_w):
+        unit = w_zero[:]
+        unit[k] = m0
+        drows = [([*unit, *at_x[k], 0], m0), ([*w_zero, *(-c for c in at_w[k]), 0], m1)]
+        moves.append(_moved_rows(plane, drows))
+    return moves
 
 
 def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, plane=None) -> Mat:
@@ -215,33 +262,38 @@ def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, plane=None
     block.  A W-direction moves both rows (_w_variation); a U-direction
     moves one entry of the point row.  The kernel is the span of the
     line direction."""
-    rows, inv, block, w_moves = _w_variation(omega, x, w, pivots, plane)
-    cols = [sum(_times_inverse(inv, moved), []) for moved in w_moves]
-    width = len(rows[0])
+    plane = plane or _plane(omega, x, w, pivots)
+    cols = [_times_inverse(plane, moved) for moved in _w_variation(omega, plane)]
+    width = len(plane.rows[0])
     for k in range(omega.dim_w, width - 1):
-        d_point = [ZERO] * width
-        d_point[k] = ONE
-        cols.append(sum(_block_variation(inv, block, [d_point, [ZERO] * width], pivots), []))
-    return Mat.from_cols(cols)
+        d_point = [0] * width
+        d_point[k] = 1
+        cols.append(_block_variation(plane, [(d_point, 1), ([0] * width, 1)]))
+    return Mat.from_cols(sum(_rational(*col), []) for col in cols)
 
 
-def _times_minor(rows, pivots, flat):
-    """P times a flattened 2 x (n-1) chart-block variation, P the pivot
-    minor of the plane's rows: the block rows (P dB)_0 and (P dB)_1."""
-    c1, c2 = pivots
-    half = len(flat) // 2
+def _times_minor(plane: _Plane, flat):
+    """P times a flattened rational 2 x (n-1) chart-block variation, P the
+    pivot minor of the plane's rows, as two integer block rows with their
+    scales: with flat = S / s and P = diag(1/l_0, 1/l_1) P', block row r
+    is (P'[r][0] S_0 + P'[r][1] S_1) / (l_r s)."""
+    c1, c2 = plane.pivots
+    ints, scale = as_integers(flat)
+    half = len(ints) // 2
+    top, bottom = ints[:half], ints[half:]
     return [
-        [p0 * u + p1 * v for u, v in zip(flat[:half], flat[half:])]
-        for p0, p1 in ((rows[0][c1], rows[0][c2]), (rows[1][c1], rows[1][c2]))
+        ([row[c1] * u + row[c2] * v for u, v in zip(top, bottom)], l_r * scale)
+        for row, l_r in zip(plane.rows, plane.scales)
     ]
 
 
-def _schur_system(omega: OmegaForm, pivots, block, moves):
+def _schur_system(omega: OmegaForm, plane: _Plane, cols):
     """Eliminate the U unknowns off the pivot columns from a system of
-    column pairs (block rows of P dB): moves, then one column per U
-    direction at a pivot column.  Returns the rows left over all of those
-    columns, the U pivot columns, and the positions in block row 0 of the
-    eliminated U unknowns.
+    columns, each two block rows of P dB as integer rows with scales:
+    cols, then one column per U direction at a pivot column.  Returns the
+    rows left over all of those columns, each scaled to integers by the
+    lcm of its block row's scales, the U pivot columns, and the positions
+    in block row 0 of the eliminated U unknowns.
 
     A U direction off the pivot columns moves one entry of the point row
     and not P, so its column of P dB is the unit vector at its own
@@ -249,14 +301,20 @@ def _schur_system(omega: OmegaForm, pivots, block, moves):
     before it.  Eliminating it through that row (a Schur complement)
     leaves the other rows over the other columns.  A U direction at pivot
     column j moves P by a unit column, so its column is (-B_j, 0)."""
+    pivots = plane.pivots
     u_cols = range(omega.dim_w, omega.dim_w + omega.dim_u)
     kept = [c for c in pivots if c in u_cols]
-    half = len(block[0])
-    cols = moves + [[[-b for b in block[pivots.index(c)]], [ZERO] * half] for c in kept]
+    half = len(plane.block[0])
+    cols = cols + [
+        (([-b for b in plane.block[pivots.index(c)]], plane.det), ([0] * half, 1)) for c in kept
+    ]
     first = omega.dim_w - sum(c < omega.dim_w for c in pivots)
     u_pos = range(first, first + omega.dim_u - len(kept))
-    rows = [[col[0][p] for col in cols] for p in range(half) if p not in u_pos]
-    rows += [[col[1][p] for col in cols] for p in range(half)]
+    rows = []
+    for r in (0, 1):
+        common = lcm(*(col[r][1] for col in cols))
+        scaled = [[a * (common // scale) for a in ints] for ints, scale in (col[r] for col in cols)]
+        rows += [[col[p] for col in scaled] for p in range(half) if r or p not in u_pos]
     return rows, kept, u_pos
 
 
@@ -264,15 +322,18 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
     """solve_in_span(basepoint_variation(omega, x, w, pivots), shift),
     through a Schur complement over the U unknowns (on the given _plane).
 
-    Each block pair of the shift is multiplied by the pivot minor P, and
-    the W columns are built in the same un-inverted form (_w_variation).
-    Every U unknown off the pivot columns enters only its own row of block
-    row 0 (_schur_system), so solve_in_span takes only the other rows, over
-    the W unknowns and any U unknown at a pivot column.  Each eliminated U
-    unknown is back-substituted: c_u = t0[p] - (the un-inverted variation
-    along the reduced solution)[0][p], built from two form applies with
-    the kept U values added to the point row.  With none eliminated (dim_u
-    0, or every U column a pivot) the reduced solution is the solution.
+    The shift is multiplied by the pivot minor P, and the W columns are
+    built in the same un-inverted form (_w_variation), all as integer rows
+    with one scale per block row.  Every U unknown off the pivot columns
+    enters only its own row of block row 0 (_schur_system), so
+    solve_in_span takes only the other rows, in integers, over the W
+    unknowns and any U unknown at a pivot column.  Each eliminated U
+    unknown is back-substituted: c_u = (P shift)[0][p] - (P dB along the
+    reduced solution)[0][p], whose point row moves by (c_w,
+    (1/2) form(x_w, c_w), 0) with the kept U values added: one form
+    contraction, since block row 0 of P dB reads the point row alone.
+    With none eliminated (dim_u 0, or every U column a pivot) the reduced
+    solution is the solution.
 
     For w nonzero the kernel of the full variation is exactly the line
     direction (w, 0), so the reduced solution with its free coordinate
@@ -280,9 +341,9 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
     of span the full variation is solved instead, so that NotInSpan
     carries the full system's residual.
     """
-    rows, _, block, w_moves = _w_variation(omega, x, w, pivots, plane)
-    target = _times_minor(rows, pivots, shift)
-    reduced, kept, u_pos = _schur_system(omega, pivots, block, [target] + w_moves)
+    plane = plane or _plane(omega, x, w, pivots)
+    target = _times_minor(plane, shift)
+    reduced, kept, u_pos = _schur_system(omega, plane, [target] + _w_variation(omega, plane))
     try:
         coeffs = solve_in_span(Mat([row[1:] for row in reduced]), [row[0] for row in reduced])
     except NotInSpan:
@@ -290,19 +351,17 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
     if not u_pos:  # every U unknown is kept, in column order
         return coeffs
     dim_w = omega.dim_w
-    c_w, c_kept = coeffs[:dim_w], coeffs[dim_w:]
-    drows = _basepoint_drows(c_w, omega.apply(x.w_part, c_w), omega.apply(c_w, w))
-    for c, value in zip(kept, c_kept):
-        drows[0][c] += value
-    moved = _moved_rows(block, drows, pivots)
-    c_u = [target[0][p] - moved[0][p] for p in u_pos]
-    for c, value in zip(kept, c_kept):
+    ints, scale = as_integers(coeffs)
+    point, l0 = plane.rows[0], plane.scales[0]
+    d_point, m0 = _direction_row(omega, point, l0, ints[:dim_w], scale)
+    for c, value in zip(kept, ints[dim_w:]):
+        d_point[c] += value * (m0 // scale)
+    [(moved, s0)] = _moved_rows(plane, [(d_point, m0)])
+    t0, ts0 = target[0]
+    c_u = [Q(t0[p] * s0 - moved[p] * ts0, ts0 * s0) for p in u_pos]
+    for c, value in zip(kept, coeffs[dim_w:]):
         c_u.insert(c - dim_w, value)
-    return c_w + tuple(c_u)
-
-
-def _direction_in_algebra(omega: OmegaForm, w):
-    return list(w) + [ZERO] * omega.dim_u
+    return coeffs[:dim_w] + tuple(c_u)
 
 
 @dataclass(frozen=True)
@@ -328,21 +387,15 @@ def check_slide_identity(
     when the shift is out of span, are those of the full solve.  The
     variation at 0 and the pull-back share the plane at slide zero."""
     w = chart.evaluate(param)
-    tangent = chart.tangent_vector(param, delta)
-    xt = translate(omega, x, w, t)
+    tangent = as_integers(chart.tangent_vector(param, delta))
     plane = _plane(omega, x, w, pivots)
-    j_t = _tangent_variation(omega, _plane(omega, xt, w, pivots), xt, tangent, pivots)
-    j_0 = _tangent_variation(omega, plane, x, tangent, pivots)
-    shift = [a - b for a, b in zip(sum(j_t, []), sum(j_0, []))]
-    coeffs = solve_basepoint_variation(omega, x, w, pivots, shift, plane)
-
-    target = _direction_in_algebra(omega, tangent)
-    residual = [c + Q(t) * v for c, v in zip(coeffs, target)]
-    w_full = _direction_in_algebra(omega, w)
-    lead = next(k for k, c in enumerate(w_full) if c != 0)
-    scale = residual[lead] / w_full[lead]
-    residual = tuple(r - scale * c for r, c in zip(residual, w_full))
-    ok = all(r == 0 for r in residual)
+    slid = _plane(omega, translate(omega, x, w, t), w, pivots)
+    j_t, e_t = _tangent_variation(omega, slid, tangent)
+    j_0, e_0 = _tangent_variation(omega, plane, tangent)
+    shift = [a * e_0 - b * e_t for row_t, row_0 in zip(j_t, j_0) for a, b in zip(row_t, row_0)]
+    coeffs = solve_basepoint_variation(omega, x, w, pivots, from_integers(shift, e_t * e_0), plane)
+    residual = _slide_residual(omega, coeffs, tangent, t, plane.rows[1][: omega.dim_w])
+    ok = not any(residual)
 
     # When ok, coeffs = -t (tangent, 0) + scale (w, 0) lies in the frame span
     # by construction, so the frame is rebuilt only to explain a failure.
@@ -351,6 +404,26 @@ def check_slide_identity(
         and in_tangent_span(chart, param, coeffs[: omega.dim_w])
     )
     return SlideCheckResult(ok, tangent_span_ok, tuple(coeffs), residual)
+
+
+def _slide_residual(omega: OmegaForm, coeffs, tangent, t, iw):
+    """coeffs + t (tangent, 0) minus the multiple of (w, 0) that clears
+    its entry at the leading coordinate of w, for the tangent given as
+    (integers, scale) and w a positive multiple of iw.  Over the common
+    denominator D the sum is r / D, and the result is
+    (r iw_lead - r_lead (iw, 0)) / (D iw_lead)."""
+    ints, scale = as_integers(coeffs)
+    it, dt = tangent
+    tn, td = t.numerator, t.denominator
+    r = [c * dt * td for c in ints]
+    for k, c in enumerate(it):
+        r[k] += tn * c * scale
+    lead = next(k for k, c in enumerate(iw) if c)
+    a, b = iw[lead], r[lead]
+    if a < 0:
+        a, b = -a, -b
+    iw = [*iw, *(0 for _ in range(omega.dim_u))]
+    return tuple(from_integers([c * a - b * v for c, v in zip(r, iw)], scale * dt * td * a))
 
 
 def _unit(d, a):
@@ -367,25 +440,33 @@ def pencil_frames(chart: VarietyChart, omega: OmegaForm, param, x, pivots):
     """
     d = chart.param_dim
     w = chart.evaluate(param)
-    tangents = chart.partial_rows(param)
-    # the limit frame is minus the basepoint variation along (tangent, 0)
-    _, inv, block = plane = _plane(omega, x, w, pivots)
-    f0_cols, finf_cols = [], []
-    for tangent in tangents:
-        f0_cols.append(sum(_tangent_variation(omega, plane, x, tangent, pivots), []))
-        drows = _basepoint_drows(tangent, omega.apply(x.w_part, tangent), omega.apply(tangent, w))
-        finf_cols.append([-v for v in sum(_block_variation(inv, block, drows, pivots), [])])
-    frame0 = Mat.from_cols(f0_cols)
-    frame_inf = Mat.from_cols(finf_cols)
+    tangents = [as_integers(tangent) for tangent in chart.partial_rows(param)]
+    plane = _plane(omega, x, w, pivots)
+    (point, direction), (l0, l1) = plane.rows, plane.scales
+    f0, f_inf = [], []
+    for it, dt in tangents:
+        f0.append(_tangent_variation(omega, plane, (it, dt)))
+        # the limit frame is minus the basepoint variation along (tangent, 0):
+        # the point row moves by the tangent's direction row, the direction
+        # row by (0, (1/2) form(tangent, w), 0)
+        d_point = _direction_row(omega, point, l0, it, dt)
+        form, den = omega.apply_integers(it, direction[: omega.dim_w])
+        d_dir = ([*(0 for _ in it), *form, 0], 2 * dt * l1 * den)
+        rows, scale = _block_variation(plane, [d_point, d_dir])
+        f_inf.append(([[-v for v in row] for row in rows], scale))
+    frame0 = Mat.from_cols(sum(_rational(*col), []) for col in f0)
+    frame_inf = Mat.from_cols(sum(_rational(*col), []) for col in f_inf)
 
     for t in PENCIL_SLIDES:
-        xt = translate(omega, x, w, t)
-        slid_plane = _plane(omega, xt, w, pivots)
-        for a, tangent in enumerate(tangents):
-            slid = sum(_tangent_variation(omega, slid_plane, xt, tangent, pivots), [])
-            expected = [u + t * v for u, v in zip(f0_cols[a], finf_cols[a])]
-            if slid != expected:
-                raise AssertionError(f"pencil not linear at slide {t}")
+        slid_plane = _plane(omega, translate(omega, x, w, t), w, pivots)
+        tn, td = t.numerator, t.denominator
+        for tangent, (rows_0, e_0), (rows_inf, e_inf) in zip(tangents, f0, f_inf):
+            rows, scale = _tangent_variation(omega, slid_plane, tangent)
+            # rows / scale == rows_0 / e_0 + t rows_inf / e_inf, over e_0 e_inf td
+            lhs, a, b = e_0 * e_inf * td, e_inf * td, tn * e_0
+            for row, row_0, row_inf in zip(rows, rows_0, rows_inf):
+                if any(s * lhs != scale * (u * a + v * b) for s, u, v in zip(row, row_0, row_inf)):
+                    raise AssertionError(f"pencil not linear at slide {t}")
 
     if frame0.hstack(frame_inf).rank() != 2 * d:
         raise RankDeficient("combined pencil frames drop rank")
@@ -424,9 +505,9 @@ def _jacobian_rank(chart: VarietyChart, omega: OmegaForm, param, x, w, pivots) -
         sum(direction_variation(chart, omega, param, x, _unit(d, a), 0, pivots).entries, ())
         for a in range(d)
     ]
-    rows, _, block, w_moves = _w_variation(omega, x, w, pivots)
-    dir_moves = [_times_minor(rows, pivots, col) for col in dir_cols]
-    reduced, _, u_pos = _schur_system(omega, pivots, block, dir_moves + w_moves)
+    plane = _plane(omega, x, w, pivots)
+    moves = [_times_minor(plane, col) for col in dir_cols] + _w_variation(omega, plane)
+    reduced, _, u_pos = _schur_system(omega, plane, moves)
     return len(u_pos) + Mat(reduced).rank()
 
 

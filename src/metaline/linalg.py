@@ -92,11 +92,16 @@ def _rational_rows(rows, pivots, ncols):
     ]
 
 
+# Entries kept as given: integers are rationals too, and _rref reads them
+# without building a Q each (a fraction-free system stays in integers).
+_EXACT = (Q, int)
+
+
 class Mat:
     __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(x if type(x) is Q else Q(x) for x in row) for row in entries)
+        rows = tuple(tuple(x if type(x) in _EXACT else Q(x) for x in row) for row in entries)
         self.entries = rows
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
@@ -150,7 +155,7 @@ def solve_in_span(basis: Mat, target):
     otherwise NotInSpan carries its exact residual against the solution
     of a second reduction, pivoting on the basis columns only.
     """
-    target = [Q(x) for x in target]
+    target = [x if type(x) in _EXACT else Q(x) for x in target]
     if len(target) != basis.nrows:
         raise ValueError("dimension mismatch")
     ncols = basis.ncols

@@ -14,6 +14,12 @@ Grassmannian of 2-planes of V = W + U + I (I a line of constants) by
 the row span of the base point (affine part 1) and the direction
 (affine part 0); the exterior-square coordinates of that span satisfy
 the classical quadratic relations.
+
+Sliding along a line (translate) and the coset normal form
+(canonical_rep) run in Python integers: x_w, the direction and the
+slide are each scaled to integers over one positive denominator, the
+form is contracted on those (OmegaForm.apply_integers), and every moved
+coordinate is built as one Q from its numerator and denominator.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 from .linalg import Mat, wedge
 from .metabelian import GroupElement, OmegaForm
-from .scalars import HALF, ONE, Q, ZERO
+from .scalars import HALF, ONE, Q, ZERO, as_integers
 from .varieties import VarietyChart
 
 
@@ -44,33 +50,58 @@ def translate(omega: OmegaForm, x: GroupElement, w, t) -> GroupElement:
     along the horizontal line in direction w; x itself if t or w is 0."""
     if not t or not any(w):
         return x
-    half_t = HALF * t
-    return GroupElement(
-        tuple(a + t * c if c else a for a, c in zip(x.w_part, w)),
-        tuple(a + half_t * c if c else a for a, c in zip(x.u_part, omega.apply(x.w_part, w))),
+    return _slid(omega, x, *as_integers(x.w_part), *as_integers(w), t.numerator, t.denominator)
+
+
+def _slid(omega: OmegaForm, x: GroupElement, ix, dx, iw, dw, tn, td) -> GroupElement:
+    """translate(omega, x, w, tn / td) for x_w = ix / dx and w = iw / dw,
+    all integers with dx, dw, td > 0.  Over the common denominators
+
+        x_w + t w = (ix dw td + tn iw dx) / (dx dw td),
+        x_u + (t/2) form(x_w, w) = x_u + tn F / (2 td dx dw e),
+
+    with form(ix, iw) = F / e, each moved coordinate is one Q."""
+    den = dx * dw * td
+    w_part = tuple(
+        Q(i * dw * td + tn * c * dx, den) if c else a for a, i, c in zip(x.w_part, ix, iw)
     )
+    form, e = omega.apply_integers(ix, iw)
+    den = 2 * den * e
+    u_part = tuple(
+        Q(a.numerator * den + tn * f * a.denominator, a.denominator * den) if f else a
+        for a, f in zip(x.u_part, form)
+    )
+    return GroupElement(w_part, u_part)
 
 
 def canonical_rep(omega: OmegaForm, x: GroupElement, reduced_rows, pivots) -> GroupElement:
     """The member of the coset x * exp(span) whose W-part vanishes at the
-    pivots, the span given by rows in reduced echelon form."""
-    shift = [ZERO] * omega.dim_w
-    for row, pivot in zip(reduced_rows, pivots):
-        if c := x.w_part[pivot]:
-            shift = [s + c * r if r else s for s, r in zip(shift, row)]
-    return translate(omega, x, shift, -1)
+    pivots, the span given by rows in reduced echelon form: x slid by -1
+    along shift = sum of x_w[pivot] * row.  With x_w = ix / dx and the rows
+    over their common denominator, rows[r] = R_r / den, the shift is the
+    integer row sum of ix[pivot_r] * R_r over dx * den.  x itself when x_w
+    vanishes at every pivot."""
+    ix, dx = as_integers(x.w_part)
+    used = [(ix[p], row) for row, p in zip(reduced_rows, pivots) if ix[p]]
+    if not used:
+        return x
+    ints, den = as_integers([a for _, row in used for a in row])
+    rows = [ints[k : k + omega.dim_w] for k in range(0, len(ints), omega.dim_w)]
+    shift = [sum(c * a for (c, _), a in zip(used, col)) for col in zip(*rows)]
+    return _slid(omega, x, ix, dx, shift, dx * den, -1, 1)
 
 
 def line_through(omega: OmegaForm, x: GroupElement, w) -> HorizontalLine:
     """Canonical horizontal line through x in direction w."""
-    w = tuple(Q(c) for c in w)
+    w = tuple(c if type(c) is Q else Q(c) for c in w)
     if len(w) != omega.dim_w:
         raise ValueError("direction must lie in W")
-    pivot = next((k for k, c in enumerate(w) if c != 0), None)
+    ints, _ = as_integers(w)
+    pivot = next((k for k, c in enumerate(ints) if c), None)
     if pivot is None:
         raise ZeroDirection("direction is the zero vector")
-    lead = w[pivot]
-    w = tuple(c / lead for c in w)
+    lead = ints[pivot]
+    w = tuple(Q(c, lead) if c else ZERO for c in ints)
     return HorizontalLine(w, canonical_rep(omega, x, [w], [pivot]), pivot)
 
 

@@ -88,19 +88,26 @@ class OmegaForm:
         if su is None or sv is None:
             return self._contract((u[i] * v[j] - u[j] * v[i], row) for _, i, j, row in self.terms)
         (iu, du), (iv, dv) = su, sv
-        minors = ((iu[i] * iv[j] - iu[j] * iv[i], row) for i, j, row in self._int_terms)
-        return from_integers(self._contract(minors, 0), du * dv * self._den)
+        ints, den = self.apply_integers(iu, iv)
+        return from_integers(ints, du * dv * den)
 
-    def columns(self, x):
-        """form(x, e_k) for every basis vector e_k of W, x rational, from one
-        pass over `_int_terms`: apply(x, v) == sum over k of v_k * columns(x)[k].
+    def apply_integers(self, iu, iv):
+        """The form on two integer vectors of length dim_w, as (ints, den):
+        form(iu, iv)[c] == ints[c] / den, den > 0 one denominator for the
+        whole table."""
+        minors = ((iu[i] * iv[j] - iu[j] * iv[i], row) for i, j, row in self._int_terms)
+        return self._contract(minors, 0), self._den
+
+    def columns(self, ix):
+        """form(x, e_k) for every basis vector e_k of W, x an integer vector,
+        from one pass over `_int_terms`, as (cols, den): form(x, e_k)[c] ==
+        cols[k][c] / den, so apply(x, v) == sum over k of v_k * cols[k] / den.
 
         At pair (i, j) the minor of (x, e_j) is x_i and that of (x, e_i)
         is -x_j; a zero coordinate of x contributes nothing.
         """
-        if len(x) != self.dim_w:
+        if len(ix) != self.dim_w:
             raise ValueError("vector must have length dim_w")
-        ix, dx = as_integers(x)
         cols = [[0] * self.dim_u for _ in range(self.dim_w)]
         for i, j, row in self._int_terms:
             if xi := ix[i]:
@@ -111,7 +118,7 @@ class OmegaForm:
                 col = cols[i]
                 for c, coeff in row:
                     col[c] -= xj * coeff
-        return [from_integers(col, dx * self._den) for col in cols]
+        return cols, self._den
 
     def on_wedge(self, vector):
         """Form on a second-exterior-power vector, pairs in lex order."""

@@ -1,11 +1,18 @@
-"""The integer scalar kernels against rational references.
+"""The integer kernels against rational references kept only here.
 
-OmegaForm.apply and OmegaForm.columns on rational operands, chart_block
-and lines.translate all compute in Python integers over one denominator
-per operand.  Each is compared here with the plain rational formula it
-replaces, on random forms, including dim_u = 0, zero vectors, int
-entries and large denominators.
+OmegaForm.apply and OmegaForm.columns, chart_block, the block variation
+of family_geometry (_moved_rows, _block_variation), the Schur slide solve
+and lines.translate / canonical_rep all compute in Python integers, one
+positive scale per row or vector, and build a Q only for what they
+return.  Each is compared here with the plain Fraction formula it
+replaces: on random forms, rows and pivot pairs (including dim_u = 0,
+zero vectors, int entries and large denominators), and the slide solve on
+every builtin and fixture chart at every kind of pivot pair.
 """
+
+import functools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +20,17 @@ from hypothesis import strategies as st
 
 from metaline import family_geometry as fam
 from metaline.jets import Jet1
-from metaline.linalg import pair_count
-from metaline.lines import translate
-from metaline.metabelian import OmegaForm, element, multiply
+from metaline.linalg import Mat, NotInSpan, pair_count, solve_in_span
+from metaline.lines import canonical_rep, line_matrix_rows, translate
+from metaline.metabelian import GroupElement, OmegaForm, element, multiply
+from metaline.omega_builder import build_omega
 from metaline.polynomials import Poly
 from metaline.runner import run_verification
-from metaline.scalars import Q
-from metaline.varieties import builtin_chart, builtin_names
+from metaline.sampling import RationalSampler
+from metaline.scalars import HALF, ONE, Q, ZERO, as_integers
+from metaline.varieties import builtin_chart, builtin_names, chart_from_json, omega_from_json
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 large_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**15).map(
     lambda f: Q(f.numerator, f.denominator)
@@ -66,12 +77,25 @@ def test_integer_apply_matches_the_generic_contraction(case):
 @given(forms_and_vectors())
 def test_columns_contract_to_apply(case):
     form, x, v = case
-    cols = form.columns(x)
-    assert len(cols) == form.dim_w and all(type(e) is Q for col in cols for e in col)
+    ints, scale = as_integers(x)
+    cols, den = form.columns(ints)
+    assert len(cols) == form.dim_w and all(type(e) is int for col in cols for e in col)
+    assert den > 0 and (den, scale) == (form.apply_integers(ints, ints)[1], scale)
     contracted = [
-        sum((v[k] * col[c] for k, col in enumerate(cols)), Q(0)) for c in range(form.dim_u)
+        sum((v[k] * Q(col[c], scale * den) for k, col in enumerate(cols)), Q(0))
+        for c in range(form.dim_u)
     ]
     assert form.apply(x, v) == contracted
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms_and_vectors())
+def test_integer_apply_is_apply_over_one_denominator(case):
+    form, u, v = case
+    (iu, du), (iv, dv) = as_integers(u), as_integers(v)
+    ints, den = form.apply_integers(iu, iv)
+    assert all(type(e) is int for e in ints) and den > 0
+    assert [Q(e, du * dv * den) for e in ints] == _generic_apply(form, u, v)
 
 
 def test_polynomial_and_jet_operands_take_the_generic_loop(monkeypatch):
@@ -113,31 +137,201 @@ def test_levi_tensor_check_passes_on_every_builtin(name):
     assert [(c.name, c.passes, c.failures) for c in report.checks] == [("levi-tensor", 3, 0)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_chart_block_matches_the_rational_formula(data):
-    ncols = data.draw(st.integers(2, 7))
-    rows = data.draw(st.lists(_vectors(ncols), min_size=2, max_size=2))
-    c1 = data.draw(st.integers(0, ncols - 2))
-    c2 = data.draw(st.integers(c1 + 1, ncols - 1))
-    if data.draw(st.booleans()):  # a singular pivot minor: row 1 is k times row 0 there
-        k = data.draw(scalars)
-        rows[1][c1], rows[1][c2] = k * rows[0][c1], k * rows[0][c2]
+def _rational_chart(rows, pivots):
+    """P^-1 and B = P^-1 N of a plane's rational rows, or None when the
+    pivot minor P is singular."""
+    c1, c2 = pivots
     (a, b), (c, d) = ((Q(row[c1]), Q(row[c2])) for row in rows)
     det = a * d - b * c
     if det == 0:
-        with pytest.raises(fam.ChartMiss) as err:
-            fam.chart_block(rows, (c1, c2))
-        assert str(err.value) == f"pivot columns {(c1, c2)} are singular here"
-        return
+        return None
     inv = ((d / det, -b / det), (-c / det, a / det))
     block = [
-        [i0 * p + i1 * q for col, (p, q) in enumerate(zip(*rows)) if col not in (c1, c2)]
+        [i0 * p + i1 * q for col, (p, q) in enumerate(zip(*rows)) if col not in pivots]
         for i0, i1 in inv
     ]
-    got_inv, got_block = fam.chart_block(rows, (c1, c2))
-    assert (got_inv, got_block) == (inv, block)
-    assert all(type(e) is Q for row in (*got_inv, *got_block) for e in row)
+    return inv, block
+
+
+def _rational_moved(rows, pivots, drows):
+    """dN - dP B in Fractions, block row by block row."""
+    _, block = _rational_chart(rows, pivots)
+    rest = [[v for col, v in enumerate(drow) if col not in pivots] for drow in drows]
+    return [
+        [n - drow[pivots[0]] * b0 - drow[pivots[1]] * b1 for n, b0, b1 in zip(row, *block)]
+        for row, drow in zip(rest, drows)
+    ]
+
+
+def _rational_block_variation(rows, pivots, drows):
+    """P^-1 (dN - dP B) in Fractions."""
+    inv, _ = _rational_chart(rows, pivots)
+    moved = _rational_moved(rows, pivots, drows)
+    return [[i0 * m0 + i1 * m1 for m0, m1 in zip(*moved)] for i0, i1 in inv]
+
+
+@st.composite
+def planes(draw, singular=True):
+    """Two rational rows, a pivot pair, and, at random, a singular pivot
+    minor (row 1 is k times row 0 there)."""
+    ncols = draw(st.integers(2, 7))
+    rows = draw(st.lists(_vectors(ncols), min_size=2, max_size=2))
+    c1 = draw(st.integers(0, ncols - 2))
+    c2 = draw(st.integers(c1 + 1, ncols - 1))
+    if singular and draw(st.booleans()):
+        k = draw(scalars)
+        rows[1][c1], rows[1][c2] = k * rows[0][c1], k * rows[0][c2]
+    return rows, (c1, c2)
+
+
+def _integer_plane(rows, pivots):
+    scaled = [as_integers(row) for row in rows]
+    ints = tuple(row for row, _ in scaled)
+    scales = tuple(scale for _, scale in scaled)
+    return fam._Plane(ints, scales, pivots, *fam.chart_block(ints, pivots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planes())
+def test_chart_block_matches_the_rational_formula(case):
+    """On the rows scaled to integers, one positive scale l_r each:
+    P^-1 = adj diag(l_0, l_1) / det and B = block / det, with det > 0;
+    a singular minor raises ChartMiss with its message."""
+    rows, pivots = case
+    expected = _rational_chart(rows, pivots)
+    if expected is None:
+        with pytest.raises(fam.ChartMiss) as err:
+            _integer_plane(rows, pivots)
+        assert str(err.value) == f"pivot columns {pivots} are singular here"
+        return
+    plane = _integer_plane(rows, pivots)
+    l0, l1 = plane.scales
+    assert plane.det > 0 and all(type(e) is int for e in (*plane.adj[0], *plane.adj[1]))
+    inv = tuple((Q(i0 * l0, plane.det), Q(i1 * l1, plane.det)) for i0, i1 in plane.adj)
+    block = [[Q(b, plane.det) for b in row] for row in plane.block]
+    assert (inv, block) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(planes(), st.data())
+def test_block_variation_matches_the_rational_formula(case, data):
+    """P dB = dN - dP B (_moved_rows) and dB = P^-1 (dN - dP B)
+    (_block_variation), from integer drows with their scales, equal the
+    Fraction formulas on random rows, drows and pivot pairs."""
+    rows, pivots = case
+    ncols = len(rows[0])
+    drows = data.draw(st.lists(_vectors(ncols), min_size=2, max_size=2))
+    if _rational_chart(rows, pivots) is None:
+        with pytest.raises(fam.ChartMiss) as err:
+            _integer_plane(rows, pivots)
+        assert str(err.value) == f"pivot columns {pivots} are singular here"
+        return
+    plane = _integer_plane(rows, pivots)
+    scaled = [as_integers(drow) for drow in drows]
+    moved = fam._moved_rows(plane, scaled)
+    assert [[Q(v, scale) for v in row] for row, scale in moved] == _rational_moved(
+        rows, pivots, drows
+    )
+    dB, scale = fam._block_variation(plane, scaled)
+    assert scale > 0 and all(type(v) is int for row in dB for v in row)
+    assert [[Q(v, scale) for v in row] for row in dB] == _rational_block_variation(
+        rows, pivots, drows
+    )
+
+
+@functools.cache
+def _chart_and_form(name):
+    if name.endswith(".json"):
+        data = json.loads((FIXTURE_DIR / name).read_text())
+        chart = chart_from_json(data)
+        if "omega" in data:
+            return chart, omega_from_json(chart.ambient_dim, data["omega"])
+        return chart, build_omega(chart).omega
+    chart, omega = builtin_chart(name)
+    return chart, omega if omega is not None else build_omega(chart).omega
+
+
+def _pivot_kinds(omega, x, w):
+    """Primary and next pivots, and the first valid pair of each kind with
+    a U column: W-U, U-constant, U-U."""
+    rows = line_matrix_rows(omega, x, w)
+    last = len(rows[0]) - 1
+    u_cols = range(omega.dim_w, last)
+
+    def first_valid(pairs):
+        return next(
+            ((i, j) for i, j in pairs if rows[0][i] * rows[1][j] != rows[0][j] * rows[1][i]),
+            None,
+        )
+
+    primary = fam.primary_pivots(omega, x, w)
+    kinds = {
+        "primary": primary,
+        "next": fam.next_pivots(omega, x, w, primary),
+        "w-u": first_valid((i, j) for i in range(omega.dim_w) for j in u_cols),
+        "u-constant": first_valid((j, last) for j in u_cols),
+        "u-u": first_valid((i, j) for i in u_cols for j in u_cols if i < j),
+    }
+    return {kind: pivots for kind, pivots in kinds.items() if pivots is not None}
+
+
+def _rational_basepoint_variation(omega, x, w, pivots):
+    """The full basepoint variation in Fractions: one column per algebra
+    direction a, the point row moved by (a_w, (1/2) form(x_w, a_w) + a_u, 0)
+    and the direction row by (0, (1/2) form(a_w, w), 0)."""
+    rows = line_matrix_rows(omega, x, w)
+    dim_w, width = omega.dim_w, len(rows[0])
+    cols = []
+    for k in range(dim_w + omega.dim_u):
+        d_point, d_dir = [ZERO] * width, [ZERO] * width
+        d_point[k] = ONE
+        if k < dim_w:
+            unit = [ONE if i == k else ZERO for i in range(dim_w)]
+            d_point[dim_w:-1] = [HALF * c for c in _generic_apply(omega, x.w_part, unit)]
+            d_dir[dim_w:-1] = [HALF * c for c in _generic_apply(omega, unit, w)]
+        moved = _rational_block_variation(rows, pivots, [d_point, d_dir])
+        cols.append(moved[0] + moved[1])
+    return Mat.from_cols(cols)
+
+
+def _outcome(solve, *args):
+    try:
+        return "coefficients", solve(*args)
+    except NotInSpan as exc:
+        return "residual", exc.residual
+
+
+_ALL_CHARTS = builtin_names() + sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", _ALL_CHARTS)
+def test_slide_solve_matches_the_rational_full_solve(name):
+    """solve_basepoint_variation, on integer rows, against solve_in_span on
+    the Fraction basepoint variation, at every pivot kind: on the slide
+    shift, on a combination of the columns and on a shift moved off the
+    span, the same coefficients or the same NotInSpan residual."""
+    chart, omega = _chart_and_form(name)
+    sampler = RationalSampler(107).derive(name)
+    param = sampler.vector(chart.param_dim)
+    x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+    delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
+    w = chart.evaluate(param)
+    seen = set()
+    for kind, pivots in _pivot_kinds(omega, x, w).items():
+        j_t = fam.direction_variation(chart, omega, param, x, delta, t, pivots)
+        j_0 = fam.direction_variation(chart, omega, param, x, delta, 0, pivots)
+        shift = [a - b for ra, rb in zip(j_t.entries, j_0.entries) for a, b in zip(ra, rb)]
+        full = _rational_basepoint_variation(omega, x, w, pivots)
+        assert fam.basepoint_variation(omega, x, w, pivots) == full, kind
+        combination = list(full.times_vector(sampler.vector(full.ncols)))
+        off_span = [shift[0] + 1] + shift[1:]
+        for target in (shift, combination, off_span):
+            expected = _outcome(solve_in_span, full, target)
+            got = _outcome(fam.solve_basepoint_variation, omega, x, w, pivots, target)
+            assert got == expected, kind
+            assert all(type(v) is Q for v in got[1]), kind
+            seen.add(expected[0])
+    assert seen == {"coefficients", "residual"}
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,3 +344,37 @@ def test_translate_is_the_group_product(data):
     assert translate(form, x, w, t) == multiply(form, x, element(form, [t * c for c in w]))
     assert translate(form, x, w, 0) is x
     assert translate(form, x, [0] * form.dim_w, t) is x
+
+
+def _rational_canonical_rep(form, x, reduced_rows, pivots):
+    """x * exp(-shift), shift = sum of x_w[pivot] * row, in Fractions."""
+    shift = [Q(0)] * form.dim_w
+    for row, pivot in zip(reduced_rows, pivots):
+        shift = [s + x.w_part[pivot] * r for s, r in zip(shift, row)]
+    correction = _generic_apply(form, x.w_part, shift)
+    return GroupElement(
+        tuple(a - s for a, s in zip(x.w_part, shift)),
+        tuple(a - HALF * c for a, c in zip(x.u_part, correction)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_rep_matches_the_rational_formula(data):
+    """On random forms (dim_u 0 included) and spans in reduced echelon
+    form: the canonical representative is the Fraction formula, vanishes
+    at the pivots, and is x itself when x_w vanishes at every pivot."""
+    form = data.draw(forms().filter(lambda f: f.dim_w > 0))
+    dim_w = form.dim_w
+    spanning = data.draw(st.lists(_vectors(dim_w), min_size=1, max_size=dim_w))
+    reduced, pivots = Mat(spanning).rref()
+    reduced = reduced.entries[: len(pivots)]
+    x = element(form, data.draw(_vectors(dim_w)), data.draw(_vectors(form.dim_u)))
+    if data.draw(st.booleans()):  # x_w zero at every pivot
+        x = element(form, [0 if k in pivots else c for k, c in enumerate(x.w_part)], x.u_part)
+    got = canonical_rep(form, x, reduced, pivots)
+    assert got == _rational_canonical_rep(form, x, reduced, pivots)
+    assert all(got.w_part[p] == 0 for p in pivots)
+    assert all(type(c) is Q for c in got.coords)
+    if all(x.w_part[p] == 0 for p in pivots):
+        assert got is x

@@ -26,7 +26,7 @@ from metaline.metabelian import (
 from metaline.omega_builder import build_omega
 from metaline.polynomials import Poly
 from metaline.sampling import RationalSampler
-from metaline.scalars import Q
+from metaline.scalars import Q, as_integers
 from metaline.varieties import builtin_chart, builtin_names, chart_from_json, omega_from_json
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(
@@ -258,16 +258,18 @@ def test_sparse_contraction_on_polynomials_and_jets(source):
 
 @pytest.mark.parametrize("source", _FORM_SOURCES)
 def test_columns_contract_to_apply(source):
-    """One pass over the form gives form(x, e_k) for every k: contracting
-    those columns with v is apply(x, v)."""
+    """One pass over the form gives form(x, e_k) for every k, x scaled to
+    integers: contracting those columns with v is apply(x, v)."""
     form = _form_of(source)
     m = form.dim_w
     sampler = RationalSampler(8).derive(source)
     units = [tuple(Q(int(k == i)) for k in range(m)) for i in range(m)]
     vectors = units[:2] + [(Q(0),) * m] + [sampler.vector(m) for _ in range(4)]
     for x in vectors:
-        cols = form.columns(x)
+        ints, scale = as_integers(x)
+        cols, den = form.columns(ints)
         assert len(cols) == m and all(len(col) == form.dim_u for col in cols)
+        cols = [[Q(c, scale * den) for c in col] for col in cols]
         for v in vectors:
             contracted = [
                 sum((v[k] * col[c] for k, col in enumerate(cols)), Q(0))
@@ -275,4 +277,4 @@ def test_columns_contract_to_apply(source):
             ]
             assert form.apply(x, v) == contracted
     with pytest.raises(ValueError):
-        form.columns((Q(1),) * (m + 1))
+        form.columns((1,) * (m + 1))
