@@ -5,8 +5,9 @@ Subcommands: verify (full check suite, JSON or text report), info
 and sample-line (one horizontal line end to end, as JSON).  Fixtures
 are either catalog entries (builtin:NAME) or JSON files; see the
 README for the file grammar.  Exit codes: 0 success, 1 a check,
-certificate or internal consistency check failed, 2 an input was
-malformed or the output could not be written.
+certificate or internal consistency check failed or a selected check
+skipped every sample, 2 an input was malformed or the output could not
+be written.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .lines import ZeroDirection, boundary_direction, line_matrix_rows, line_thr
 from .metabelian import InternalConsistencyError, element
 from .omega_builder import build_omega
 from .polynomials import Poly, PolyParseError
-from .runner import CHECK_NAMES, run_verification
+from .runner import CHECK_NAMES, form_and_dimensions, run_verification
 from .sampling import RationalSampler
 from .scalars import parse_rational, qstr
 from .varieties import (
@@ -131,25 +132,19 @@ def _cmd_verify(args):
 
 
 def _cmd_info(args):
-    chart, omega = _load_fixture(args.fixture)
-    dim_w = chart.ambient_dim
+    chart, explicit = _load_fixture(args.fixture)
+    _, dims = form_and_dimensions(chart, explicit)
+    dim_w_prime = dims["dimWprime"]
     lines = [
         f"fixture:     {chart.label}",
-        f"dimW:        {dim_w}",
-        f"d:           {chart.param_dim}",
-        f"dimLambda2W: {pair_count(dim_w)}",
+        f"dimW:        {dims['dimW']}",
+        f"d:           {dims['d']}",
+        f"dimLambda2W: {pair_count(dims['dimW'])}",
+        f"dimWprime:   {'n/a (explicit form)' if dim_w_prime is None else dim_w_prime}",
+        f"dimU:        {dims['dimU']}",
+        f"n:           {dims['n']}",
+        f"familyDim:   {dims['familyDim']}",
     ]
-    if omega is None:
-        construction = build_omega(chart)
-        lines.append(f"dimWprime:   {construction.dim_w_prime}")
-        dim_u = construction.omega.dim_u
-    else:
-        lines.append("dimWprime:   n/a (explicit form)")
-        dim_u = omega.dim_u
-    n = dim_w + dim_u
-    lines.append(f"dimU:        {dim_u}")
-    lines.append(f"n:           {n}")
-    lines.append(f"familyDim:   {n - 1 + chart.param_dim}")
     with _output(args.out) as write:
         write("\n".join(lines) + "\n")
     return 0
@@ -176,12 +171,12 @@ def _cmd_build_omega(args):
 
 def _cmd_sample_line(args):
     chart, explicit = _load_fixture(args.fixture)
-    omega = explicit if explicit is not None else build_omega(chart).omega
+    omega, dims = form_and_dimensions(chart, explicit)
     sampler = RationalSampler(args.seed).derive("sample-line")
     param = _parse_vector(args.param) if args.param else sampler.vector(chart.param_dim)
     if len(param) != chart.param_dim:
         raise FixtureError(f"parameter point needs {chart.param_dim} coordinates")
-    n = omega.dim_w + omega.dim_u
+    n = dims["n"]
     base = _parse_vector(args.base) if args.base else sampler.vector(n)
     if len(base) != n:
         raise FixtureError(f"base point needs {n} coordinates")

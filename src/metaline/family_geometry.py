@@ -185,13 +185,16 @@ def _rational(rows, scale):
     return [from_integers(row, scale) for row in rows]
 
 
-def _tangent_variation(omega: OmegaForm, plane: _Plane, tangent):
-    """Block rows of the direction variation, integer rows over one scale:
-    the plane's direction row moves by that of the chart tangent, given as
-    (integers, scale)."""
+def _tangent_rows(omega: OmegaForm, plane: _Plane, tangent):
+    """The plane's row moves of the direction variation: the direction row
+    moves by that of the chart tangent, given as (integers, scale)."""
     point, l0 = plane.rows[0], plane.scales[0]
-    zero = [0] * len(point)
-    return _block_variation(plane, [(zero, 1), _direction_row(omega, point, l0, *tangent)])
+    return [([0] * len(point), 1), _direction_row(omega, point, l0, *tangent)]
+
+
+def _tangent_variation(omega: OmegaForm, plane: _Plane, tangent):
+    """Block rows of the direction variation, integer rows over one scale."""
+    return _block_variation(plane, _tangent_rows(omega, plane, tangent))
 
 
 def direction_variation(chart: VarietyChart, omega: OmegaForm, param, x, delta, t, pivots) -> Mat:
@@ -426,10 +429,6 @@ def _slide_residual(omega: OmegaForm, coeffs, tangent, t, iw):
     return tuple(from_integers([c * a - b * v for c, v in zip(r, iw)], scale * dt * td * a))
 
 
-def _unit(d, a):
-    return tuple(ONE if i == a else ZERO for i in range(d))
-
-
 def pencil_frames(chart: VarietyChart, omega: OmegaForm, param, x, pivots):
     """Frames spanning the pencil of direction-derivative planes.
 
@@ -495,19 +494,20 @@ def check_splitting_type(frame0: Mat, frame_inf: Mat) -> bool:
 def _jacobian_rank(chart: VarietyChart, omega: OmegaForm, param, x, w, pivots) -> int:
     """Rank of [direction variations | basepoint variation] at one point.
 
-    P times the matrix has the column of each U direction off the pivot
-    columns a unit vector in its own row of block row 0, so the rank is
-    the number of those plus the rank of the other rows over the other
-    columns (_schur_system).
+    Every column is read as P dB on one plane (_moved_rows): along
+    parameter axis a the direction row moves by that of the chart partial
+    a (_tangent_rows), and the W directions move as in _w_variation.  The
+    column of each U direction off the pivot columns is then a unit
+    vector in its own row of block row 0, so the rank is the number of
+    those plus the rank of the other rows over the other columns
+    (_schur_system).
     """
-    d = chart.param_dim
-    dir_cols = [
-        sum(direction_variation(chart, omega, param, x, _unit(d, a), 0, pivots).entries, ())
-        for a in range(d)
-    ]
     plane = _plane(omega, x, w, pivots)
-    moves = [_times_minor(plane, col) for col in dir_cols] + _w_variation(omega, plane)
-    reduced, _, u_pos = _schur_system(omega, plane, moves)
+    moves = [
+        _moved_rows(plane, _tangent_rows(omega, plane, as_integers(partial)))
+        for partial in chart.partial_rows(param)
+    ]
+    reduced, _, u_pos = _schur_system(omega, plane, moves + _w_variation(omega, plane))
     return len(u_pos) + Mat(reduced).rank()
 
 

@@ -59,10 +59,6 @@ class OmegaForm:
         )
 
     @classmethod
-    def heisenberg(cls):
-        return cls.from_entries(2, 1, [(0, 1, (Q(1),))])
-
-    @classmethod
     def from_entries(cls, dim_w, dim_u, entries):
         """Build from sparse entries [(i, j, u_vector), ...] with i < j,
         each pair given at most once."""

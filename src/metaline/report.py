@@ -46,7 +46,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.failures == 0 for c in self.checks)
+        """No check failed, and none skipped every sample it drew."""
+        return all(c.failures == 0 and (c.passes or not c.samples) for c in self.checks)
 
     def to_dict(self):
         return {

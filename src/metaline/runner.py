@@ -4,8 +4,11 @@ The checks form one table, `_CHECKS`, in report order, run by a single
 loop.  Each check draws from its own named sampler stream derived
 from the base seed, so filtering checks never shifts the samples of the
 ones that remain, and reports are byte-identical across runs and across
---jobs settings.  Geometric checks presuppose the isotropy certificate;
-when it fails they are skipped (and the run fails on the certificate).
+--jobs settings.  The checks whose table entry gives a sample count
+are geometric and presuppose the isotropy certificate; when it fails
+they are skipped (and the run fails on the certificate).  A run also
+fails when a selected check skipped every sample: it never passes
+vacuously.
 """
 
 from __future__ import annotations
@@ -80,24 +83,12 @@ def _worker_run(cfg):
 
 
 def _tally(name, outcomes):
-    passes = skips = 0
-    fail_note = None
-    skip_note = None
-    for status, note in outcomes:
-        if status == "pass":
-            passes += 1
-        elif status == "skip":
-            skips += 1
-            if skip_note is None:
-                skip_note = f"skip: {note}"
-        elif fail_note is None:
-            fail_note = note
-    witness = fail_note if fail_note is not None else (skip_note if skips else None)
-    return CheckResult(name, len(outcomes), passes, skips, witness)
-
-
-def _skipped(name, count, reason):
-    return CheckResult(name, samples=count, passes=0, skips=count, witness=f"skip: {reason}")
+    """A check's row: its counts, and as witness the first failure's note,
+    else the first skip's."""
+    fails = [note for status, note in outcomes if status == "fail"]
+    skips = [f"skip: {note}" for status, note in outcomes if status == "skip"]
+    passes = len(outcomes) - len(fails) - len(skips)
+    return CheckResult(name, len(outcomes), passes, len(skips), (fails + skips or [None])[0])
 
 
 @dataclass
@@ -133,7 +124,8 @@ class _Run:
     @cached_property
     def pencil(self):
         """(pencil-split outcomes, splitting-type outcomes) of the same frames."""
-        return _pencil_outcomes(self)
+        pairs = _chart_samples(self, "pencil", _fifth(self.samples), _pencil_sample)
+        return tuple(zip(*((o, o) if o[0] == "skip" else o for o in pairs)))
 
 
 # Sample counts, as functions of the --samples budget, shared by a table
@@ -228,43 +220,12 @@ def _family_dimension_outcomes(run):
     return [("fail", f"measured {measured}, expected {expected}")]
 
 
-def _pencil_outcomes(run):
-    sampler = run.stream("pencil")
-    chart, omega = run.chart, run.omega
-    pencil_out = []
-    split_out = []
-    for _ in range(_fifth(run.samples)):
-        param = sampler.vector(chart.param_dim)
-        x = _sample_element(sampler, omega)
-        if frame_is_degenerate(chart, param):
-            pencil_out.append(("skip", "degenerate frame"))
-            split_out.append(("skip", "degenerate frame"))
-            continue
-        w = chart.evaluate(param)
-        try:
-            pivots = fam.primary_pivots(omega, x, w)
-            frame0, frame_inf = fam.pencil_frames(chart, omega, param, x, pivots)
-        except fam.ChartMiss as exc:
-            pencil_out.append(("skip", f"chart miss: {exc}"))
-            split_out.append(("skip", f"chart miss: {exc}"))
-            continue
-        except (fam.RankDeficient, AssertionError) as exc:
-            pencil_out.append(("fail", str(exc)))
-            split_out.append(("skip", "pencil frames unavailable"))
-            continue
-        pencil_out.append(("pass", None))
-        split_out.append(
-            ("pass", None)
-            if fam.check_splitting_type(frame0, frame_inf)
-            else ("fail", "a pencil member dropped rank")
-        )
-    return pencil_out, split_out
-
-
 def _chart_samples(run, stream, count, body):
     """Outcomes of count chart samples drawn from one stream.  A sample
     draws a parameter and is skipped on a degenerate frame; otherwise it
-    draws a base point x and gives body(run, sampler, k, param, x)."""
+    draws a base point x and gives body(run, sampler, k, param, x): one
+    outcome, or one per check for a body that serves several (a skip
+    stays a single outcome, for all of them)."""
     sampler = run.stream(stream)
     outcomes = []
     for k in range(count):
@@ -280,6 +241,21 @@ def _chart_samples(run, stream, count, body):
 def _chart_check(stream, count, body):
     """Table entry of a check made of chart samples."""
     return count, lambda run: _chart_samples(run, stream, count(run.samples), body)
+
+
+def _pencil_sample(run, sampler, k, param, x):
+    """(pencil-split outcome, splitting-type outcome) of one pencil."""
+    chart, omega = run.chart, run.omega
+    try:
+        pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+        frame0, frame_inf = fam.pencil_frames(chart, omega, param, x, pivots)
+    except fam.ChartMiss as exc:
+        return ("skip", f"chart miss: {exc}")
+    except (fam.RankDeficient, AssertionError) as exc:
+        return ("fail", str(exc)), ("skip", "pencil frames unavailable")
+    if fam.check_splitting_type(frame0, frame_inf):
+        return ("pass", None), ("pass", None)
+    return ("pass", None), ("fail", "a pencil member dropped rank")
 
 
 def _coset_sample(run, sampler, k, param, x):
@@ -387,8 +363,8 @@ def _line_boundary_sample(run, sampler, k, param, x):
 
 
 # name -> (sample count for a --samples budget, outcomes of one run), in
-# report order.  Checks in _GEOMETRIC report their count as skipped when
-# isotropy is not proven; the others are never gated and need no count.
+# report order.  The checks with a count presuppose isotropy: when it is
+# not proven each reports its count as skipped.  The others need no count.
 _CHECKS = {
     "isotropy": (None, _isotropy_outcomes),
     "group-law": (None, _group_law_outcomes),
@@ -408,7 +384,26 @@ _CHECKS = {
 
 CHECK_NAMES = tuple(_CHECKS)
 
-_GEOMETRIC = frozenset(CHECK_NAMES[4:])
+
+def form_and_dimensions(chart: VarietyChart, explicit_omega: OmegaForm | None):
+    """(form, dims): the explicit form, or else the one built from the
+    chart, and the report's dimensions of the group and the line family
+    (dimWprime is None for an explicit form)."""
+    if explicit_omega is None:
+        construction = build_omega(chart)
+        omega, dim_w_prime = construction.omega, construction.dim_w_prime
+    else:
+        omega, dim_w_prime = explicit_omega, None
+    n = omega.dim_w + omega.dim_u
+    dims = {
+        "dimW": omega.dim_w,
+        "dimU": omega.dim_u,
+        "dimWprime": dim_w_prime,
+        "d": chart.param_dim,
+        "n": n,
+        "familyDim": n - 1 + chart.param_dim,
+    }
+    return omega, dims
 
 
 def run_verification(
@@ -425,24 +420,7 @@ def run_verification(
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(sorted(unknown))}")
 
-    if explicit_omega is None:
-        construction = build_omega(chart)
-        omega = construction.omega
-        dim_w_prime = construction.dim_w_prime
-    else:
-        omega = explicit_omega
-        dim_w_prime = None
-
-    d = chart.param_dim
-    n = omega.dim_w + omega.dim_u
-    dims = {
-        "dimW": omega.dim_w,
-        "dimU": omega.dim_u,
-        "dimWprime": dim_w_prime,
-        "d": d,
-        "n": n,
-        "familyDim": n - 1 + d,
-    }
+    omega, dims = form_and_dimensions(chart, explicit_omega)
     report = VerificationReport(chart.label, seed, samples, dims)
     certificate = certify_isotropic(chart, omega)
     run = _Run(chart, omega, seed, samples, jobs, certificate)
@@ -450,11 +428,10 @@ def run_verification(
     for name, (count, outcomes) in _CHECKS.items():
         if name not in selected:
             continue
-        if name in _GEOMETRIC and not certificate.proven:
-            result = _skipped(name, count(samples), "isotropy not proven")
+        if count is not None and not certificate.proven:
+            report.checks.append(_tally(name, [("skip", "isotropy not proven")] * count(samples)))
         else:
-            result = _tally(name, outcomes(run))
-        report.checks.append(result)
+            report.checks.append(_tally(name, outcomes(run)))
 
     report.wall_time = time.monotonic() - start
     return report

@@ -2,8 +2,12 @@
 
 import pytest
 
+from metaline.metabelian import OmegaForm
 from metaline.omega_builder import build_omega
 from metaline.varieties import builtin_chart
+
+# The Heisenberg form: dimW 2, dimU 1, form(e_0, e_1) = f_0.
+HEISENBERG = OmegaForm.from_entries(2, 1, [(0, 1, (1,))])
 
 
 @pytest.fixture(scope="session")

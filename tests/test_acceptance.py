@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from conftest import HEISENBERG
 from metaline.cli import main as cli_main
 from metaline.metabelian import (
     OmegaForm,
@@ -47,7 +48,7 @@ def _random_form(dim_w, dim_u, seed):
 def test_criterion_1_metabelian_axioms(fixture_cache):
     start = time.monotonic()
     forms = [
-        OmegaForm.heisenberg(),
+        HEISENBERG,
         fixture_cache("veronese-2-3")[1],
         fixture_cache("veronese-2-4")[1],
         _random_form(10, 5, seed=61),

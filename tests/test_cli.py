@@ -9,7 +9,10 @@ import pytest
 
 import metaline
 from metaline.cli import main
-from metaline.metabelian import OmegaForm
+from metaline.lines import boundary_direction, line_through
+from metaline.metabelian import OmegaForm, element
+from metaline.scalars import parse_rational, qstr
+from metaline.varieties import omega_from_json
 
 
 def run_cli(*argv, capsys=None):
@@ -55,6 +58,41 @@ def test_verify_adversarial_exits_one(tmp_path, capsys):
     isotropy = next(c for c in payload["checks"] if c["name"] == "isotropy")
     assert isotropy["failures"] == 1
     assert "frame pair" in isotropy["witness"]
+
+
+@pytest.mark.parametrize(
+    "source, checks, rows",
+    [
+        (
+            "builtin:nonisotropic-cubic",
+            "slide-identity",
+            [("slide-identity", 5, "skip: isotropy not proven")],
+        ),
+        (
+            "diagonal",
+            "slide-identity,boundary-cosets",
+            [
+                ("slide-identity", 5, "skip: degenerate frame"),
+                ("boundary-cosets", 5, "skip: degenerate frame"),
+            ],
+        ),
+    ],
+)
+def test_a_check_that_skipped_every_sample_fails_the_run(tmp_path, capsys, source, checks, rows):
+    """A selected check that skipped every sample proves nothing, so the run
+    exits 1; its row still counts the skips and no failure."""
+    if source == "diagonal":  # every frame of (t, t, t) is degenerate
+        source = tmp_path / "diagonal.json"
+        source.write_text(json.dumps({"label": "diag", "variables": ["t"], "coordinates": ["t"] * 3}))
+    code, out, _ = run_cli(
+        "verify", str(source), "--checks", checks, "--samples", "5", capsys=capsys
+    )
+    payload = json.loads(out)
+    assert code == 1 and payload["verdict"] == "fail"
+    assert payload["checks"] == [
+        {"name": name, "samples": n, "passes": 0, "skips": n, "failures": 0, "witness": witness}
+        for name, n, witness in rows
+    ]
 
 
 def test_verify_text_format(capsys):
@@ -192,6 +230,31 @@ def test_form_failing_its_own_kernel_exits_one(monkeypatch, capsys):
         assert err == "error: form failed to vanish on its own kernel basis\n"
 
 
+_EXPLICIT_FORM_FIXTURE = str(Path(__file__).parent / "fixtures" / "veronese-2-4-summed-form.json")
+
+
+@pytest.mark.parametrize(
+    "source", ["builtin:veronese-2-3", "builtin:nonisotropic-cubic", _EXPLICIT_FORM_FIXTURE]
+)
+def test_info_prints_the_verify_dims(capsys, source):
+    """info and verify read their dimensions from one function, for a
+    constructed form and for an explicit one."""
+    code, out, _ = run_cli("info", source, capsys=capsys)
+    assert code == 0
+    info = dict(line.split(":", 1) for line in out.splitlines())
+    info = {key: value.strip() for key, value in info.items()}
+    _, report, _ = run_cli(
+        "verify", source, "--checks", "isotropy", "--samples", "1", capsys=capsys
+    )
+    dims = json.loads(report)["dims"]
+    explicit = dims["dimWprime"] is None
+    assert explicit == (source != "builtin:veronese-2-3")
+    expected = {key: str(value) for key, value in dims.items()}
+    if explicit:
+        expected["dimWprime"] = "n/a (explicit form)"
+    assert {key: info[key] for key in expected} == expected
+
+
 def test_info_quartic(capsys):
     code, out, _ = run_cli("info", "builtin:veronese-2-4", capsys=capsys)
     assert code == 0
@@ -252,6 +315,24 @@ def test_sample_line_defaults_are_deterministic(capsys):
     code_b, out_b, _ = run_cli("sample-line", "builtin:flat-conic", capsys=capsys)
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+def test_sample_line_uses_the_fixture_form(capsys):
+    """A fixture's explicit form is the form of the line: its dimU is 1,
+    where the form constructed from the same chart has dimU 3."""
+    data = json.loads(Path(_EXPLICIT_FORM_FIXTURE).read_text())
+    omega = omega_from_json(5, data["omega"])
+    base = ("1", "0", "2", "0", "-1", "3")
+    code, out, _ = run_cli(
+        "sample-line", _EXPLICIT_FORM_FIXTURE, "--param", "2", "--base", ",".join(base),
+        capsys=capsys,
+    )
+    assert code == 0
+    x = element(omega, [parse_rational(c) for c in base[:5]], [parse_rational(base[5])])
+    line = line_through(omega, x, (1, 2, 4, 8, 16))
+    payload = json.loads(out)
+    assert payload["canonicalBase"] == [qstr(c) for c in line.base.coords]
+    assert payload["boundaryDirection"] == [qstr(c) for c in boundary_direction(omega, line)]
 
 
 def test_sample_line_rejects_bad_arity(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import HEISENBERG as HEIS
 from metaline import family_geometry as fam
 from metaline.jets import Jet1
 from metaline.linalg import Mat, NotInSpan, solve_in_span
@@ -25,7 +26,6 @@ from metaline.varieties import (
     omega_from_json,
 )
 
-HEIS = OmegaForm.heisenberg()
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
@@ -698,7 +698,9 @@ def test_family_rank_matches_the_full_jacobian_rank(fixture_cache, name):
 def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeypatch):
     """A direction column that the basepoint variation already spans adds
     no rank; the Schur rows see that only when the direction column is
-    multiplied by P like the basepoint columns."""
+    multiplied by P like the basepoint columns.  The column dB is injected
+    as a move of the plane's rows that fixes the pivot columns and moves
+    the others by P dB, so both ranks read it."""
     chart, omega, _ = quartic
     sampler = RationalSampler(89)
     param = sampler.vector(chart.param_dim)
@@ -707,8 +709,16 @@ def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeyp
     for kind, pivots in _schur_pivot_choices(omega, x, w).items():
         bvm = fam.basepoint_variation(omega, x, w, pivots)
         image = bvm.times_vector(sampler.vector(bvm.ncols))
-        half = len(image) // 2
-        monkeypatch.setattr(fam, "direction_variation", lambda *a: Mat([image[:half], image[half:]]))
+        plane = fam._plane(omega, x, w, pivots)
+        width = len(plane.rows[0])
+        drows = []
+        for ints, scale in fam._times_minor(plane, image):
+            rest = iter(ints)
+            drows.append(([0 if c in pivots else next(rest) for c in range(width)], scale))
+        monkeypatch.setattr(fam, "_tangent_rows", lambda *a: drows)
+        assert fam.direction_variation(chart, omega, param, x, (Q(1),), Q(0), pivots) == Mat(
+            [image[: len(image) // 2], image[len(image) // 2 :]]
+        )
         args = (chart, omega, param, x, w, pivots)
         rank = omega.dim_w + omega.dim_u - 1
         assert fam._jacobian_rank(*args) == _full_jacobian_rank(*args) == rank, kind

@@ -53,3 +53,33 @@ def test_only_scalars_reaches_the_fraction_backend(path):
     only Fraction has, so every kernel runs on either backend's Q."""
     expected = ["fractions"] if path.name == "scalars.py" else []
     assert _fraction_uses(path) == expected
+
+
+def _callers(path, name):
+    """The functions of the file whose bodies call name, by bare name or as
+    an attribute; a call outside any function is listed as None."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_one_function_decides_the_form():
+    """The form is built from the chart in one place, for verify, info and
+    sample-line alike; build-omega prints the construction itself."""
+    callers = {
+        (path.name, function)
+        for path in SRC.glob("*.py")
+        for function in _callers(path, "build_omega")
+    }
+    assert callers == {("runner.py", "form_and_dimensions"), ("cli.py", "_cmd_build_omega")}

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import HEISENBERG as HEIS
 from metaline.linalg import Mat
 from metaline.lines import (
     ZeroDirection,
@@ -12,11 +13,10 @@ from metaline.lines import (
     slide_action,
     translate,
 )
-from metaline.metabelian import OmegaForm, element, multiply
+from metaline.metabelian import element, multiply
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q
 
-HEIS = OmegaForm.heisenberg()
 
 
 def test_canonical_form_invariants():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import HEISENBERG as HEIS
 from metaline.jets import Jet1
 from metaline.linalg import pair_count, pair_index, wedge
 from metaline.metabelian import (
@@ -33,7 +34,6 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(
     lambda f: Q(f.numerator, f.denominator)
 )
 
-HEIS = OmegaForm.heisenberg()
 
 
 def test_form_table_and_values():

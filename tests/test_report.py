@@ -59,3 +59,14 @@ def test_text_rendering():
     assert "verdict: pass" in text
     assert "wall" not in text.lower()
     assert "witness: skip: test" in text
+
+
+def test_a_check_that_skipped_every_sample_fails_the_verdict():
+    """A check that drew samples and skipped them all proves nothing, so
+    the run fails; its row keeps its counts and no failure is added."""
+    report = _report()
+    report.checks.append(CheckResult("gamma", 4, 0, skips=4, witness="skip: all"))
+    assert report.checks[-1].failures == 0
+    assert not report.passed
+    assert json.loads(report.to_json())["verdict"] == "fail"
+    assert report.to_text().endswith("verdict: fail\n")
