@@ -8,7 +8,13 @@ chart point, the coset space G / T (boundary).  Cosets are stored by a
 canonical representative (lines.canonical_rep): the unique coset member
 whose W-part vanishes at all pivot coordinates of the frame span.  A
 boundary point carries its frame as affine_tangent_frame reduced it,
-once: the tangent subalgebra of its fiber.
+once: the tangent subalgebra of its fiber.  Every boundary point over the
+same chart point shares that frame: coset_of moves within the fiber
+without reducing it again, and the evaluation map and the compactified
+line take a boundary point over their chart point (a fiber) and give
+their boundary points in it.  The verification runner reduces the frame
+once per chart sample, as the fiber at the identity, where it tests the
+frame's rank, and takes every boundary point of the sample in that fiber.
 
 Points are the objects themselves, told apart by type:
 
@@ -56,23 +62,28 @@ def boundary_point(
     return BoundaryPoint(chart.label, param, canonical_rep(omega, x, *tangent), tangent)
 
 
-def bundle_to_space(chart: VarietyChart, omega: OmegaForm, point):
-    """Evaluation map of the bundle into the compactified space."""
+def bundle_to_space(omega: OmegaForm, point, fiber: BoundaryPoint):
+    """Evaluation map of the bundle into the compactified space, over the
+    chart point of fiber, a boundary point there: a marked point goes to
+    its base, a line to the coset of its base in fiber."""
     if isinstance(point, TangentDirectionPoint):
         return point.base
     if isinstance(point, HorizontalLine) and point.param is not None:
-        return boundary_point(chart, omega, point.param, point.base)
+        if tuple(point.param) != fiber.param:
+            raise ValueError("the line lies over another chart point than the fiber")
+        return fiber.coset_of(omega, point.base)
     raise TypeError(f"not a bundle point: {point!r}")
 
 
 def compactified_line(
-    chart: VarietyChart, omega: OmegaForm, param, x: GroupElement, t_grid
+    chart: VarietyChart, omega: OmegaForm, fiber: BoundaryPoint, x: GroupElement, t_grid
 ):
-    """The line's points at the grid parameters (interior) plus its
-    single boundary point."""
-    w = chart.evaluate(param)
+    """The line through x over the chart point of fiber, a boundary point
+    there: its points at the grid parameters (interior) plus its single
+    boundary point, the coset of x in fiber."""
+    w = chart.evaluate(fiber.param)
     interiors = [translate(omega, x, w, t) for t in t_grid]
-    return interiors, boundary_point(chart, omega, param, x)
+    return interiors, fiber.coset_of(omega, x)
 
 
 def g_action(omega: OmegaForm, g: GroupElement, point):

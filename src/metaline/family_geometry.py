@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .jets import Jet1
-from .linalg import Mat, NotInSpan, solve_in_span
+from .linalg import Mat, NotInSpan, integer_rref, solve_in_span
 from .lines import line_matrix_rows, translate
 from .metabelian import GroupElement, OmegaForm, element
 from .scalars import HALF, ONE, Q, ZERO, as_integers, from_integers
@@ -202,7 +202,7 @@ def direction_variation(chart: VarietyChart, omega: OmegaForm, param, x, delta, 
     parameter moves along delta, the base slid by t along the line."""
     w = chart.evaluate(param)
     plane = _plane(omega, translate(omega, x, w, t), w, pivots)
-    tangent = as_integers(chart.tangent_vector(param, delta))
+    tangent = chart.tangent_integers(param, delta)
     return Mat(_rational(*_tangent_variation(omega, plane, tangent)))
 
 
@@ -217,7 +217,8 @@ def direction_variation_symbolic(
     tau form(x_w, s): two rational contractions.  No closed form
     (chart_block, line_matrix_rows, the chart partials) is used."""
     xt = translate(omega, x, chart.evaluate(param), t)
-    w_tau = chart.evaluate(Jet1(Q(p), (Q(d),)) for p, d in zip(param, delta))
+    jets = [Jet1(Q(p), (Q(d),)) for p, d in zip(param, delta)]
+    w_tau = [poly.evaluate(jets, zero=Jet1.const(0, 1)) for poly in chart.coords]
     w_tau = [c if isinstance(c, Jet1) else Jet1.const(c, 1) for c in w_tau]
     values = omega.apply(xt.w_part, [c.val for c in w_tau])
     slopes = omega.apply(xt.w_part, [c.eps[0] for c in w_tau])
@@ -276,12 +277,12 @@ def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, plane=None
 
 
 def _times_minor(plane: _Plane, flat):
-    """P times a flattened rational 2 x (n-1) chart-block variation, P the
-    pivot minor of the plane's rows, as two integer block rows with their
-    scales: with flat = S / s and P = diag(1/l_0, 1/l_1) P', block row r
-    is (P'[r][0] S_0 + P'[r][1] S_1) / (l_r s)."""
+    """P times a flattened 2 x (n-1) chart-block variation given as
+    (integers S, scale s), P the pivot minor of the plane's rows, as two
+    integer block rows with their scales: with P = diag(1/l_0, 1/l_1) P',
+    block row r is (P'[r][0] S_0 + P'[r][1] S_1) / (l_r s)."""
     c1, c2 = plane.pivots
-    ints, scale = as_integers(flat)
+    ints, scale = flat
     half = len(ints) // 2
     top, bottom = ints[:half], ints[half:]
     return [
@@ -322,8 +323,9 @@ def _schur_system(omega: OmegaForm, plane: _Plane, cols):
 
 
 def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shift, plane=None):
-    """solve_in_span(basepoint_variation(omega, x, w, pivots), shift),
-    through a Schur complement over the U unknowns (on the given _plane).
+    """solve_in_span(basepoint_variation(omega, x, w, pivots), S / s) for
+    the shift given as (integers S, scale s > 0), through a Schur
+    complement over the U unknowns (on the given _plane).
 
     The shift is multiplied by the pivot minor P, and the W columns are
     built in the same un-inverted form (_w_variation), all as integer rows
@@ -341,8 +343,8 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
     For w nonzero the kernel of the full variation is exactly the line
     direction (w, 0), so the reduced solution with its free coordinate
     zero is the full solve's canonical solution.  When the shift is out
-    of span the full variation is solved instead, so that NotInSpan
-    carries the full system's residual.
+    of span the full variation is solved instead, on the rational shift,
+    so that NotInSpan carries the full system's residual.
     """
     plane = plane or _plane(omega, x, w, pivots)
     target = _times_minor(plane, shift)
@@ -350,7 +352,8 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
     try:
         coeffs = solve_in_span(Mat([row[1:] for row in reduced]), [row[0] for row in reduced])
     except NotInSpan:
-        return solve_in_span(basepoint_variation(omega, x, w, pivots, plane), shift)
+        full = basepoint_variation(omega, x, w, pivots, plane)
+        return solve_in_span(full, from_integers(*shift))
     if not u_pos:  # every U unknown is kept, in column order
         return coeffs
     dim_w = omega.dim_w
@@ -390,13 +393,13 @@ def check_slide_identity(
     when the shift is out of span, are those of the full solve.  The
     variation at 0 and the pull-back share the plane at slide zero."""
     w = chart.evaluate(param)
-    tangent = as_integers(chart.tangent_vector(param, delta))
+    tangent = chart.tangent_integers(param, delta)
     plane = _plane(omega, x, w, pivots)
     slid = _plane(omega, translate(omega, x, w, t), w, pivots)
     j_t, e_t = _tangent_variation(omega, slid, tangent)
     j_0, e_0 = _tangent_variation(omega, plane, tangent)
     shift = [a * e_0 - b * e_t for row_t, row_0 in zip(j_t, j_0) for a, b in zip(row_t, row_0)]
-    coeffs = solve_basepoint_variation(omega, x, w, pivots, from_integers(shift, e_t * e_0), plane)
+    coeffs = solve_basepoint_variation(omega, x, w, pivots, (shift, e_t * e_0), plane)
     residual = _slide_residual(omega, coeffs, tangent, t, plane.rows[1][: omega.dim_w])
     ok = not any(residual)
 
@@ -438,8 +441,8 @@ def pencil_frames(chart: VarietyChart, omega: OmegaForm, param, x, pivots):
     the combined rank drops.
     """
     d = chart.param_dim
-    w = chart.evaluate(param)
-    tangents = [as_integers(tangent) for tangent in chart.partial_rows(param)]
+    value, *tangents = chart.frame_integers(param)
+    w = from_integers(*value)
     plane = _plane(omega, x, w, pivots)
     (point, direction), (l0, l1) = plane.rows, plane.scales
     f0, f_inf = [], []
@@ -467,26 +470,37 @@ def pencil_frames(chart: VarietyChart, omega: OmegaForm, param, x, pivots):
                 if any(s * lhs != scale * (u * a + v * b) for s, u, v in zip(row, row_0, row_inf)):
                     raise AssertionError(f"pencil not linear at slide {t}")
 
-    if frame0.hstack(frame_inf).rank() != 2 * d:
+    if _column_rank([sum(rows, []) for rows, _ in f0 + f_inf]) != 2 * d:
         raise RankDeficient("combined pencil frames drop rank")
     return frame0, frame_inf
+
+
+def _column_rank(columns):
+    """Rank of a matrix given by its integer columns, read as rows."""
+    return len(integer_rref(columns, len(columns[0]))[1]) if columns else 0
 
 
 def check_splitting_type(frame0: Mat, frame_inf: Mat) -> bool:
     """Witness that every pencil member, including the limit, spans a
     d-plane: s * frame0 + frame_inf keeps rank d at s = 0 and beyond,
-    while the combined frame has rank 2d."""
+    while the combined frame has rank 2d.
+
+    Each column is scaled to integers once, I / e; for s = sn / sd the
+    column of s * frame0 + frame_inf is then the integer column
+    sn e_inf I_0 + sd e_0 I_inf over sd e_0 e_inf, and each rank is taken
+    on those columns as integer rows."""
     d = frame0.ncols
-    if frame0.hstack(frame_inf).rank() != 2 * d:
+    cols0 = [as_integers(col) for col in zip(*frame0.entries)]
+    cols_inf = [as_integers(col) for col in zip(*frame_inf.entries)]
+    if _column_rank([ints for ints, _ in cols0 + cols_inf]) != 2 * d:
         return False
     for s in SPLITTING_SAMPLES:
-        mixed = Mat(
-            [
-                [s * a + b for a, b in zip(row_a, row_b)]
-                for row_a, row_b in zip(frame0.entries, frame_inf.entries)
-            ]
-        )
-        if mixed.rank() != d:
+        sn, sd = s.numerator, s.denominator
+        mixed = [
+            [sn * e_inf * a + sd * e_0 * b for a, b in zip(i_0, i_inf)]
+            for (i_0, e_0), (i_inf, e_inf) in zip(cols0, cols_inf)
+        ]
+        if _column_rank(mixed) != d:
             return False
     return True
 
@@ -504,8 +518,8 @@ def _jacobian_rank(chart: VarietyChart, omega: OmegaForm, param, x, w, pivots) -
     """
     plane = _plane(omega, x, w, pivots)
     moves = [
-        _moved_rows(plane, _tangent_rows(omega, plane, as_integers(partial)))
-        for partial in chart.partial_rows(param)
+        _moved_rows(plane, _tangent_rows(omega, plane, partial))
+        for partial in chart.frame_integers(param)[1:]
     ]
     reduced, _, u_pos = _schur_system(omega, plane, moves + _w_variation(omega, plane))
     return len(u_pos) + Mat(reduced).rank()

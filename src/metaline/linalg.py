@@ -23,12 +23,17 @@ class NotInSpan(Exception):
         super().__init__(f"target not in span, residual {self.residual!r}")
 
 
+def _sparse(ints):
+    """An integer row's nonzero entries as {column: integer}, divided by
+    their content."""
+    g = gcd(*ints) or 1
+    return {k: x // g for k, x in enumerate(ints) if x}
+
+
 def _integer_row(row):
     """The row's nonzero entries as {column: integer}, scaled to coprime
     integers by a positive rational factor."""
-    ints, _ = as_integers(row)
-    g = gcd(*ints) or 1
-    return {k: x // g for k, x in enumerate(ints) if x}
+    return _sparse(as_integers(row)[0])
 
 
 def _rref(rows, ncols):
@@ -40,12 +45,12 @@ def _rref(rows, ncols):
     pivot_rows are the nonzero rows of the reduced form in that
     representation, in pivot order: the rational reduced row reads
     row[k] / row[pivot] at column k and zero where k is absent
-    (_rational_rows).  A row given as a dict is taken to be in that
+    (rational_rows).  A row given as a dict is taken to be in that
     representation, any other as a sequence of rationals.  The rows
     past the pivots are dropped; without carried columns they are zero.
     So rank and solve materialize only the pivots and the solution
-    column; Mat.rref and SpanAccumulator.basis_matrix alone build dense
-    rational rows.
+    column; Mat.rref, SpanAccumulator.basis_matrix and the reduced chart
+    frame alone build dense rational rows.
 
     Elimination is fraction-free (integer-preserving, after Bareiss,
     Math. Comp. 22, 1968): every row is cleared to integers, combined
@@ -84,7 +89,15 @@ def _rref(rows, ncols):
     return work[:r], tuple(pivots)
 
 
-def _rational_rows(rows, pivots, ncols):
+def integer_rref(rows, ncols):
+    """_rref of rows of Python integers, each given as a sequence: its
+    (pivot_rows, pivots), the pivot rows sparse as _rref returns them.  A
+    positive factor on a row moves neither, so rows of integers over one
+    positive scale each are reduced without their scales."""
+    return _rref([_sparse(row) for row in rows], ncols)
+
+
+def rational_rows(rows, pivots, ncols):
     """The dense rational rows of _rref's sparse integer pivot rows."""
     return [
         [Q(row[k], row[c]) if k in row else ZERO for k in range(ncols)]
@@ -114,7 +127,7 @@ class Mat:
 
     def rref(self):
         rows, pivots = _rref(self.entries, self.ncols)
-        reduced = _rational_rows(rows, pivots, self.ncols)
+        reduced = rational_rows(rows, pivots, self.ncols)
         zero_rows = [[ZERO] * self.ncols] * (self.nrows - len(rows))
         return Mat(reduced + zero_rows), pivots
 
@@ -129,11 +142,6 @@ class Mat:
         return tuple(
             sum((row[k] * b for k, b in support if row[k]), ZERO) for row in self.entries
         )
-
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise ValueError("row mismatch")
-        return Mat([ra + rb for ra, rb in zip(self.entries, other.entries)])
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.entries == other.entries
@@ -227,4 +235,4 @@ class SpanAccumulator:
         return tuple(c for c in range(self.dim) if c not in taken)
 
     def basis_matrix(self):
-        return Mat(_rational_rows(self.rows, self.pivots, self.dim))
+        return Mat(rational_rows(self.rows, self.pivots, self.dim))

@@ -10,8 +10,10 @@ exponential map is the identity on coordinates.  The group law is
 generic over the coordinate ring: polynomials (the symbolic identity
 proofs below) and first-order jets (the one derivative ring, in which the
 Maurer-Cartan and Levi-tensor oracles differentiate) run the code that
-rationals run, except that OmegaForm.apply contracts rationals in Python
-integers.
+rationals run, except that rationals take Python integers in two places:
+OmegaForm.apply contracts them as integer minors, and multiply builds
+each coordinate of a rational product as one Q from integers over the
+operands' common denominators.
 """
 
 from __future__ import annotations
@@ -166,9 +168,34 @@ def element(omega: OmegaForm, w, u=None) -> GroupElement:
 
 
 def multiply(omega: OmegaForm, a: GroupElement, b: GroupElement) -> GroupElement:
-    correction = omega.apply(a.w_part, b.w_part)
-    w = tuple(x + y for x, y in zip(a.w_part, b.w_part))
-    u = tuple(x + y + HALF * c for x, y, c in zip(a.u_part, b.u_part, correction))
+    """The product (a_w + b_w, a_u + b_u + (1/2) form(a_w, b_w)).
+
+    Rational operands run in integers: the W-parts over one denominator
+    dw, a_w = A / dw and b_w = B / dw, and the U-parts over one du.  With
+    form(A, B) = F / e, U coordinate c is (a_u + b_u)[c] + F_c / m for
+    m = 2 e dw^2, one Q from integers; a coordinate where one summand is
+    zero keeps the other.  Polynomial and jet operands take the generic
+    loop in their own ring."""
+    sw, su = as_integers(a.w_part + b.w_part), as_integers(a.u_part + b.u_part)
+    if sw is None or su is None:
+        correction = omega.apply(a.w_part, b.w_part)
+        w = tuple(x + y for x, y in zip(a.w_part, b.w_part))
+        u = tuple(x + y + HALF * c for x, y, c in zip(a.u_part, b.u_part, correction))
+        return GroupElement(w, u)
+    (iw, dw), (iu, du) = sw, su
+    dim_w, dim_u = omega.dim_w, omega.dim_u
+    if len(a.w_part) != dim_w or len(b.w_part) != dim_w:
+        raise ValueError("vectors must have length dim_w")
+    w = tuple(
+        y if not i else x if not j else Q(i + j, dw)
+        for x, y, i, j in zip(a.w_part, b.w_part, iw, iw[dim_w:])
+    )
+    form, e = omega.apply_integers(iw[:dim_w], iw[dim_w:])
+    m = 2 * e * dw * dw
+    u = tuple(
+        Q((i + j) * m + f * du, du * m) if f else y if not i else x if not j else Q(i + j, du)
+        for x, y, i, j, f in zip(a.u_part, b.u_part, iu, iu[dim_u:], form)
+    )
     return GroupElement(w, u)
 
 

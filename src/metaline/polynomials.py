@@ -3,7 +3,9 @@
 Terms live in a dict mapping exponent tuples to nonzero rational
 coefficients.  Evaluation is generic: the inputs may be rationals,
 first-order jets (the symbolic slide oracle differentiates a chart
-along a direction that way), or other polynomials (compose).  A small
+along a direction that way), or other polynomials (compose).  A chart
+at a rational point is evaluated by its own compiled integer evaluator
+(varieties), not here.  A small
 recursive-descent parser covers the input grammar: integers, rational
 literals a/b, variables, + - * ^ (also **), unary minus and parentheses.
 """

@@ -29,7 +29,13 @@ from .omega_builder import build_omega
 from .report import CheckResult, VerificationReport
 from .sampling import RationalSampler
 from .scalars import Q, qstr
-from .varieties import IsotropyCertificate, VarietyChart, certify_isotropic, frame_is_degenerate
+from .varieties import (
+    FrameDegenerate,
+    IsotropyCertificate,
+    VarietyChart,
+    certify_isotropic,
+    frame_is_degenerate,
+)
 
 def _sample_element(sampler, omega):
     return meta.element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
@@ -220,21 +226,31 @@ def _family_dimension_outcomes(run):
     return [("fail", f"measured {measured}, expected {expected}")]
 
 
+def _fiber(run, param):
+    """The boundary point at the identity over param: the one reduction
+    of the tangent frame there, which every boundary point of a sample
+    over param shares (BoundaryPoint.coset_of).  Raises FrameDegenerate
+    on a rank drop."""
+    return comp.boundary_point(run.chart, run.omega, param, meta.identity_element(run.omega))
+
+
 def _chart_samples(run, stream, count, body):
     """Outcomes of count chart samples drawn from one stream.  A sample
-    draws a parameter and is skipped on a degenerate frame; otherwise it
-    draws a base point x and gives body(run, sampler, k, param, x): one
-    outcome, or one per check for a body that serves several (a skip
-    stays a single outcome, for all of them)."""
+    draws a parameter, reduces its frame once (_fiber) and is skipped on
+    a degenerate frame; otherwise it draws a base point x and gives
+    body(run, sampler, k, fiber, x): one outcome, or one per check for a
+    body that serves several (a skip stays a single outcome, for all of
+    them)."""
     sampler = run.stream(stream)
     outcomes = []
     for k in range(count):
-        param = sampler.vector(run.chart.param_dim)
-        if frame_is_degenerate(run.chart, param):
+        try:
+            fiber = _fiber(run, sampler.vector(run.chart.param_dim))
+        except FrameDegenerate:
             outcomes.append(("skip", "degenerate frame"))
             continue
         x = _sample_element(sampler, run.omega)
-        outcomes.append(body(run, sampler, k, param, x))
+        outcomes.append(body(run, sampler, k, fiber, x))
     return outcomes
 
 
@@ -243,9 +259,9 @@ def _chart_check(stream, count, body):
     return count, lambda run: _chart_samples(run, stream, count(run.samples), body)
 
 
-def _pencil_sample(run, sampler, k, param, x):
+def _pencil_sample(run, sampler, k, fiber, x):
     """(pencil-split outcome, splitting-type outcome) of one pencil."""
-    chart, omega = run.chart, run.omega
+    chart, omega, param = run.chart, run.omega, fiber.param
     try:
         pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
         frame0, frame_inf = fam.pencil_frames(chart, omega, param, x, pivots)
@@ -258,17 +274,17 @@ def _pencil_sample(run, sampler, k, param, x):
     return ("pass", None), ("fail", "a pencil member dropped rank")
 
 
-def _coset_sample(run, sampler, k, param, x):
+def _coset_sample(run, sampler, k, fiber, x):
     """The line through x and one through a second base point have equal
     boundary images when the second is x shifted inside the tangent
     frame (even k), and distinct ones when it is x shifted centrally,
-    shifted out of the frame, or x on another chart direction.  The
-    frame is the one the first line's boundary image carries."""
+    shifted out of the frame, or x on another chart direction.  Each
+    image is taken in the fiber over its line's chart point."""
     chart, omega = run.chart, run.omega
-    line_a = lin.line_of(omega, lin.direction_point(chart, param, x))
-    image_a = comp.bundle_to_space(chart, omega, line_a)
-    frame = image_a.tangent
-    param2 = param
+    line_a = lin.line_of(omega, lin.direction_point(chart, fiber.param, x))
+    image_a = comp.bundle_to_space(omega, line_a, fiber)
+    frame = fiber.tangent
+    fiber_b = fiber
     if k % 2 == 0:
         shift = Mat.from_cols(frame[0]).times_vector(sampler.vector(chart.param_dim + 1))
         x2 = lin.translate(omega, x, shift, 1)
@@ -280,13 +296,13 @@ def _coset_sample(run, sampler, k, param, x):
         if escape is not None:
             x2 = lin.translate(omega, x, escape, 1)
         else:
-            param2 = _different_param(sampler, chart, param)
-            if param2 is None:
+            fiber_b = _other_fiber(run, sampler, fiber.param)
+            if fiber_b is None:
                 return ("skip", "no distinguishable coset available")
             x2 = x
-    line_b = lin.line_of(omega, lin.direction_point(chart, param2, x2))
+    line_b = lin.line_of(omega, lin.direction_point(chart, fiber_b.param, x2))
     expect_equal = k % 2 == 0
-    equal = image_a == comp.bundle_to_space(chart, omega, line_b)
+    equal = image_a == comp.bundle_to_space(omega, line_b, fiber_b)
     if equal == expect_equal:
         return ("pass", None)
     return ("fail", f"coset equality expected {expect_equal}, got {equal}")
@@ -305,20 +321,25 @@ def _escape_vector(frame):
     return None
 
 
-def _different_param(sampler, chart, param):
+def _other_fiber(run, sampler, param):
+    """The fiber over the first of up to 8 fresh parameters that differs
+    from param and has a full-rank frame, or None."""
     for _ in range(8):
-        candidate = sampler.vector(chart.param_dim)
-        if candidate != tuple(param) and not frame_is_degenerate(chart, candidate):
-            return candidate
+        candidate = sampler.vector(run.chart.param_dim)
+        if candidate != param:
+            try:
+                return _fiber(run, candidate)
+            except FrameDegenerate:
+                pass
     return None
 
 
-def _action_sample(run, sampler, k, param, x):
+def _action_sample(run, sampler, k, fiber, x):
     omega = run.omega
     g1 = _sample_element(sampler, omega)
     g2 = _sample_element(sampler, omega)
     identity = meta.identity_element(omega)
-    boundary = comp.boundary_point(run.chart, omega, param, x)
+    boundary = fiber.coset_of(omega, x)
     ok = True
     for point in (x, boundary):
         if comp.g_action(omega, identity, point) != point:
@@ -332,28 +353,29 @@ def _action_sample(run, sampler, k, param, x):
     return ("pass", None) if ok else ("fail", "action axiom violated")
 
 
-def _equivariance_sample(run, sampler, k, param, x):
+def _equivariance_sample(run, sampler, k, fiber, x):
     chart, omega = run.chart, run.omega
     g = _sample_element(sampler, omega)
-    marked = lin.direction_point(chart, param, x)
+    marked = lin.direction_point(chart, fiber.param, x)
     ok = True
     for point in (marked, lin.line_of(omega, marked)):
-        lhs = comp.bundle_to_space(chart, omega, comp.act_on_bundle(omega, g, point))
-        rhs = comp.g_action(omega, g, comp.bundle_to_space(chart, omega, point))
+        moved = comp.act_on_bundle(omega, g, point)
+        lhs = comp.bundle_to_space(omega, moved, fiber)
+        rhs = comp.g_action(omega, g, comp.bundle_to_space(omega, point, fiber))
         if lhs != rhs:
             ok = False
     return ("pass", None) if ok else ("fail", "evaluation not equivariant")
 
 
-def _line_boundary_sample(run, sampler, k, param, x):
+def _line_boundary_sample(run, sampler, k, fiber, x):
     chart, omega = run.chart, run.omega
     grid = sampler.distinct_rationals(5)
-    interiors, boundary = comp.compactified_line(chart, omega, param, x, grid)
+    interiors, boundary = comp.compactified_line(chart, omega, fiber, x, grid)
     ok = len(set(interiors)) == len(grid)
     for interior in interiors:
         if boundary.coset_of(omega, interior) != boundary:
             ok = False
-    marked = lin.direction_point(chart, param, x)
+    marked = lin.direction_point(chart, fiber.param, x)
     base_line = lin.line_of(omega, marked)
     for t in grid:
         slid = lin.slide_action(omega, t, marked)

@@ -7,6 +7,16 @@ chart value together with the d coordinate partials (the frame), and a
 chart is isotropic for a form when the form vanishes identically on
 every pair of frame vectors - proved here as a polynomial identity,
 never by sampling.
+
+A chart evaluates in Python integers.  On first use it compiles each
+frame row (the coordinates, then each partial) to integer coefficients
+over one denominator; at a rational point p_i = n_i / d_i every
+coordinate and every partial is then read off one table of the powers
+n_i^e d_i^(deg_i - e), deg_i the chart's maximum degree in variable i,
+as integer rows with one positive scale each (frame_integers).  The
+frame reduction takes those rows as they are, and evaluate builds one Q
+per coordinate from them.  Poly.evaluate stays the generic evaluator,
+for jets and polynomials.
 """
 
 from __future__ import annotations
@@ -14,11 +24,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 
-from .linalg import Mat, pair_count
+from .linalg import integer_rref, pair_count, rational_rows
 from .metabelian import OmegaForm
 from .polynomials import Poly, parse_poly
-from .scalars import Q, ZERO, parse_rational, qstr
+from .scalars import Q, from_integers, parse_rational, qstr
 
 __all__ = [
     "VarietyChart",
@@ -53,23 +65,69 @@ class VarietyChart:
     coords: tuple
     partials: tuple
 
+    @cached_property
+    def _compiled(self):
+        """(degrees, rows): the chart's maximum degree in each variable, and
+        per frame row (the coordinates, then each partial) its denominator
+        and, per coordinate, its terms as (integer coefficient, exponents)."""
+        degrees = tuple(max(p.degree_in(i) for p in self.coords) for i in range(self.param_dim))
+        rows = []
+        for polys in (self.coords, *self.partials):
+            den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+            terms = tuple(
+                tuple((c.numerator * (den // c.denominator), e) for e, c in p.terms.items())
+                for p in polys
+            )
+            rows.append((den, terms))
+        return degrees, tuple(rows)
+
+    def _integer_rows(self, point, rows):
+        """The compiled rows at a rational point, as (ints, scale) with
+        row == ints / scale: over D = prod d_i^deg_i a monomial p^e reads
+        prod (n_i^e_i d_i^(deg_i - e_i)) / D."""
+        point = tuple(point)
+        if len(point) != self.param_dim:
+            raise ValueError("wrong number of values")
+        degrees, _ = self._compiled
+        tables, scale = [], 1
+        for x, deg in zip(point, degrees):
+            n, d = x.numerator, x.denominator
+            tables.append([n**e * d ** (deg - e) for e in range(deg + 1)])
+            scale *= d**deg
+        out = []
+        for den, polys in rows:
+            ints = []
+            for terms in polys:
+                total = 0
+                for c, exps in terms:
+                    for table, e in zip(tables, exps):
+                        c *= table[e]
+                    total += c
+                ints.append(total)
+            out.append((ints, den * scale))
+        return out
+
+    def frame_integers(self, point):
+        """The frame at a rational point, the chart value and then the d
+        partials, as integer rows with one positive scale each."""
+        return self._integer_rows(point, self._compiled[1])
+
     def evaluate(self, point):
-        point = tuple(point)
-        return tuple(poly.evaluate(point) for poly in self.coords)
+        [value] = self._integer_rows(point, self._compiled[1][:1])
+        return tuple(from_integers(*value))
 
-    def partial_rows(self, point):
-        """The d coordinate partials, each evaluated at the point."""
-        point = tuple(point)
-        return [tuple(p.evaluate(point) for p in row) for row in self.partials]
-
-    def tangent_vector(self, point, delta):
-        """Differential of the chart at point applied to delta."""
-        out = [ZERO] * self.ambient_dim
-        for d, row in zip(delta, self.partial_rows(point)):
-            if d != 0:
-                for i, v in enumerate(row):
-                    out[i] += d * v
-        return tuple(out)
+    def tangent_integers(self, point, delta):
+        """Differential of the chart at point applied to delta, as (ints,
+        scale): the sum of delta_a times partial a over the lcm of their
+        denominators."""
+        rows = self._integer_rows(point, self._compiled[1][1:])
+        terms = [(x.numerator, x.denominator * s, ints) for x, (ints, s) in zip(delta, rows) if x]
+        scale = lcm(*(den for _, den, _ in terms))
+        out = [0] * self.ambient_dim
+        for num, den, ints in terms:
+            f = num * (scale // den)
+            out = [a + f * v for a, v in zip(out, ints)]
+        return out, scale
 
     def __eq__(self, other):
         return (
@@ -103,9 +161,10 @@ def make_chart(label, coords) -> VarietyChart:
     return VarietyChart(label, d, len(coords), coords, partials)
 
 
-def _frame(chart: VarietyChart, point):
-    """The frame at the point as a matrix: the chart value, then the partials."""
-    return Mat([chart.evaluate(point), *chart.partial_rows(point)])
+def _reduced_frame(chart: VarietyChart, point):
+    """The leftmost-pivot reduction of the frame at the point, taken on
+    its integer rows: (sparse integer pivot rows, pivots)."""
+    return integer_rref([ints for ints, _ in chart.frame_integers(point)], chart.ambient_dim)
 
 
 def affine_tangent_frame(chart: VarietyChart, point):
@@ -115,18 +174,18 @@ def affine_tangent_frame(chart: VarietyChart, point):
     Raises FrameDegenerate unless the d+1 frame vectors are independent.
     """
     point = tuple(point)
-    reduced, pivots = _frame(chart, point).rref()
+    rows, pivots = _reduced_frame(chart, point)
     if len(pivots) != chart.param_dim + 1:
         raise FrameDegenerate(
             f"frame rank below {chart.param_dim + 1} at {tuple(map(qstr, point))}"
         )
-    return reduced.entries, pivots
+    return tuple(map(tuple, rational_rows(rows, pivots, chart.ambient_dim))), pivots
 
 
 def frame_is_degenerate(chart: VarietyChart, point) -> bool:
     """Whether the d+1 frame vectors are dependent at the point, the test
     of affine_tangent_frame, read off the pivot count alone."""
-    return _frame(chart, point).rank() != chart.param_dim + 1
+    return len(_reduced_frame(chart, point)[1]) != chart.param_dim + 1
 
 
 def in_tangent_span(chart: VarietyChart, point, vector) -> bool:

@@ -11,12 +11,17 @@ from metaline.compactification import (
 from metaline.lines import direction_point, line_of, line_through
 from metaline.metabelian import element, identity_element, inverse, multiply
 from metaline.sampling import RationalSampler
-from metaline.scalars import Q
+from metaline.scalars import Q, from_integers
 from metaline.varieties import affine_tangent_frame, in_tangent_span
 
 
 def _sample_element(sampler, omega):
     return element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+
+
+def _fiber(chart, omega, param):
+    """The boundary point at the identity over param."""
+    return boundary_point(chart, omega, param, identity_element(omega))
 
 
 def test_canonical_rep_vanishes_on_pivots(twisted_cubic):
@@ -61,7 +66,7 @@ def test_in_tangent_span(twisted_cubic):
     chart, omega, _ = twisted_cubic
     param = (Q(2),)
     w = chart.evaluate(param)
-    tangent = chart.tangent_vector(param, (Q(1),))
+    tangent = from_integers(*chart.tangent_integers(param, (Q(1),)))
     combo = tuple(3 * a - 2 * b for a, b in zip(w, tangent))
     assert in_tangent_span(chart, param, combo)
     assert not in_tangent_span(chart, param, (1, 0, 0, 0))
@@ -71,7 +76,7 @@ def test_bundle_to_space_off_section(twisted_cubic):
     chart, omega, _ = twisted_cubic
     x = element(omega, (1, 2, 3, 4), (5,))
     alpha = direction_point(chart, (Q(2),), x)
-    assert bundle_to_space(chart, omega, alpha) == x
+    assert bundle_to_space(omega, alpha, _fiber(chart, omega, (Q(2),))) == x
 
 
 def test_bundle_to_space_on_section(twisted_cubic):
@@ -80,9 +85,17 @@ def test_bundle_to_space_on_section(twisted_cubic):
     x = element(omega, (1, 2, 3, 4), (5,))
     line = line_of(omega, direction_point(chart, param, x))
     assert line.param == param
-    out = bundle_to_space(chart, omega, line)
+    out = bundle_to_space(omega, line, _fiber(chart, omega, param))
     assert out == boundary_point(chart, omega, param, x)
     assert out.chart_label == chart.label
+
+
+def test_bundle_to_space_rejects_a_fiber_over_another_chart_point(twisted_cubic):
+    chart, omega, _ = twisted_cubic
+    x = element(omega, (1, 2, 3, 4), (5,))
+    line = line_of(omega, direction_point(chart, (Q(2),), x))
+    with pytest.raises(ValueError):
+        bundle_to_space(omega, line, _fiber(chart, omega, (Q(3),)))
 
 
 def test_compactified_line_single_boundary(twisted_cubic):
@@ -90,7 +103,7 @@ def test_compactified_line_single_boundary(twisted_cubic):
     param = (Q(3),)
     x = element(omega, (1, 0, 2, 0), (1,))
     grid = (Q(0), Q(1), Q(-1), Q(5, 2))
-    interiors, boundary = compactified_line(chart, omega, param, x, grid)
+    interiors, boundary = compactified_line(chart, omega, _fiber(chart, omega, param), x, grid)
     assert len(interiors) == len(grid)
     assert len(set(interiors)) == len(grid)
     for interior in interiors:
@@ -138,10 +151,11 @@ def test_evaluation_equivariance(twisted_cubic):
         x = _sample_element(sampler, omega)
         g = _sample_element(sampler, omega)
         param = sampler.vector(1)
+        fiber = _fiber(chart, omega, param)
         alpha = direction_point(chart, param, x)
         for point in (alpha, line_of(omega, alpha)):
-            lhs = bundle_to_space(chart, omega, act_on_bundle(omega, g, point))
-            rhs = g_action(omega, g, bundle_to_space(chart, omega, point))
+            lhs = bundle_to_space(omega, act_on_bundle(omega, g, point), fiber)
+            rhs = g_action(omega, g, bundle_to_space(omega, point, fiber))
             assert lhs == rhs
 
 
@@ -157,7 +171,7 @@ def test_maps_reject_points_of_the_other_space(twisted_cubic):
     bare = line_through(omega, x, chart.evaluate((Q(2),)))
     for point in (x, boundary_point(chart, omega, (Q(2),), x), bare):
         with pytest.raises(TypeError):
-            bundle_to_space(chart, omega, point)
+            bundle_to_space(omega, point, _fiber(chart, omega, (Q(2),)))
         with pytest.raises(TypeError):
             act_on_bundle(omega, x, point)
     for point in (alpha, line, bare):

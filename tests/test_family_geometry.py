@@ -16,7 +16,7 @@ from metaline.metabelian import GroupElement, OmegaForm, element, multiply
 from metaline.omega_builder import build_omega
 from metaline.polynomials import Poly
 from metaline.sampling import RationalSampler
-from metaline.scalars import HALF, ONE, Q, ZERO
+from metaline.scalars import HALF, ONE, Q, ZERO, as_integers
 from metaline.varieties import (
     VarietyChart,
     builtin_names,
@@ -235,7 +235,7 @@ def test_pencil_frames_flat_conic(flat_conic):
     assert frame0.ncols == frame_inf.ncols == 1
     # frozen: j_inf column equals the slide shift at t = 1
     assert [row[0] for row in frame_inf.entries] == [1, -2, -1, 2]
-    assert frame0.hstack(frame_inf).rank() == 2
+    assert Mat.from_cols([*zip(*frame0.entries), *zip(*frame_inf.entries)]).rank() == 2
     assert fam.check_splitting_type(frame0, frame_inf)
 
 
@@ -248,7 +248,8 @@ def test_pencil_and_splitting_on_samples(twisted_cubic, veronese33):
             x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
             pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
             frame0, frame_inf = fam.pencil_frames(chart, omega, param, x, pivots)
-            assert frame0.hstack(frame_inf).rank() == 2 * d
+            cols = [*zip(*frame0.entries), *zip(*frame_inf.entries)]
+            assert Mat.from_cols(cols).rank() == 2 * d
             assert fam.check_splitting_type(frame0, frame_inf)
 
 
@@ -625,7 +626,7 @@ def test_schur_solve_matches_the_full_solve(fixture_cache, name, monkeypatch):
             for target in (shift, combination, off_last, off_first):
                 expected = _outcome(solve_in_span, bvm, target)
                 del calls[:]
-                got = _outcome(fam.solve_basepoint_variation, omega, x, w, pivots, target)
+                got = _outcome(fam.solve_basepoint_variation, omega, x, w, pivots, as_integers(target))
                 assert got == expected, (kind, pivots)
                 seen.add(expected[0])
                 reduced = calls[0][0]
@@ -652,9 +653,8 @@ def test_schur_solve_with_a_pivot_in_u(quartic, monkeypatch):
     assert pivots[1] == omega.dim_w
     calls = _counting_solve_in_span(monkeypatch)
     shift = _slide_shift(chart, omega, param, x, delta, t, pivots)
-    assert fam.solve_basepoint_variation(omega, x, w, pivots, shift) == _full_solve(
-        omega, x, w, pivots, shift
-    )
+    got = fam.solve_basepoint_variation(omega, x, w, pivots, as_integers(shift))
+    assert got == _full_solve(omega, x, w, pivots, shift)
     assert len(calls) == 1 and calls[0][0].ncols == omega.dim_w + 1
     assert fam.check_slide_identity(chart, omega, param, x, delta, t, pivots).ok
 
@@ -664,7 +664,8 @@ def _full_jacobian_rank(chart, omega, param, x, w, pivots):
     units = [tuple(Q(int(k == a)) for k in range(d)) for a in range(d)]
     variations = [fam.direction_variation(chart, omega, param, x, u, 0, pivots) for u in units]
     cols = [[e for row in var.entries for e in row] for var in variations]
-    return Mat.from_cols(cols).hstack(fam.basepoint_variation(omega, x, w, pivots)).rank()
+    bvm = fam.basepoint_variation(omega, x, w, pivots)
+    return Mat.from_cols([*cols, *zip(*bvm.entries)]).rank()
 
 
 @pytest.mark.parametrize(
@@ -712,7 +713,7 @@ def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeyp
         plane = fam._plane(omega, x, w, pivots)
         width = len(plane.rows[0])
         drows = []
-        for ints, scale in fam._times_minor(plane, image):
+        for ints, scale in fam._times_minor(plane, as_integers(image)):
             rest = iter(ints)
             drows.append(([0 if c in pivots else next(rest) for c in range(width)], scale))
         monkeypatch.setattr(fam, "_tangent_rows", lambda *a: drows)
@@ -743,8 +744,9 @@ def test_limit_frame_is_minus_the_basepoint_variation_along_the_tangent(
         for kind, pivots in _schur_pivot_choices(omega, x, w).items():
             _, frame_inf = fam.pencil_frames(chart, omega, param, x, pivots)
             bvm = fam.basepoint_variation(omega, x, w, pivots)
-            for a, tangent in enumerate(chart.partial_rows(param)):
-                image = bvm.times_vector(list(tangent) + [ZERO] * omega.dim_u)
+            for a, partial in enumerate(chart.partials):
+                tangent = [p.evaluate(param) for p in partial]
+                image = bvm.times_vector(tangent + [ZERO] * omega.dim_u)
                 assert [row[a] for row in frame_inf.entries] == [-v for v in image], (kind, a)
 
 
@@ -771,7 +773,7 @@ def test_slide_solve_back_substitutes_only_eliminated_unknowns(fixture_cache, na
         return apply(*args)
 
     with patch.object(OmegaForm, "apply_integers", counting):
-        coeffs = fam.solve_basepoint_variation(omega, x, w, pivots, shift, plane)
+        coeffs = fam.solve_basepoint_variation(omega, x, w, pivots, as_integers(shift), plane)
     assert len(calls) == applies
     assert coeffs == _full_solve(omega, x, w, pivots, shift)
 
@@ -818,8 +820,8 @@ def test_symbolic_variation_uses_no_closed_form(twisted_cubic, monkeypatch):
         (fam, "_moved_rows"),
         (fam, "_block_variation"),
         (fam, "line_matrix_rows"),
-        (VarietyChart, "partial_rows"),
-        (VarietyChart, "tangent_vector"),
+        (VarietyChart, "frame_integers"),
+        (VarietyChart, "tangent_integers"),
         (Poly, "diff"),
         (Poly, "compose"),
     ):

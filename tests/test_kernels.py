@@ -1,17 +1,19 @@
 """The integer kernels against rational references kept only here.
 
 OmegaForm.apply and OmegaForm.columns, chart_block, the block variation
-of family_geometry (_moved_rows, _block_variation), the Schur slide solve
-and lines.translate / canonical_rep all compute in Python integers, one
-positive scale per row or vector, and build a Q only for what they
-return.  Each is compared here with the plain Fraction formula it
-replaces: on random forms, rows and pivot pairs (including dim_u = 0,
-zero vectors, int entries and large denominators), and the slide solve on
-every builtin and fixture chart at every kind of pivot pair.
+of family_geometry (_moved_rows, _block_variation), the Schur slide solve,
+lines.translate / canonical_rep, the compiled chart evaluator and the
+rational group product all compute in Python integers, one positive scale
+per row or vector, and build a Q only for what they return.  Each is
+compared here with the plain Fraction formula it replaces: on random
+forms, charts, rows and pivot pairs (including dim_u = 0, zero vectors,
+int entries and large denominators), and the slide solve and the chart
+evaluator on every builtin and fixture chart.
 """
 
 import functools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,13 +24,26 @@ from metaline import family_geometry as fam
 from metaline.jets import Jet1
 from metaline.linalg import Mat, NotInSpan, pair_count, solve_in_span
 from metaline.lines import canonical_rep, line_matrix_rows, translate
-from metaline.metabelian import GroupElement, OmegaForm, element, multiply
+from metaline.metabelian import (
+    GroupElement,
+    OmegaForm,
+    element,
+    identity_element,
+    inverse,
+    multiply,
+)
 from metaline.omega_builder import build_omega
 from metaline.polynomials import Poly
 from metaline.runner import run_verification
 from metaline.sampling import RationalSampler
 from metaline.scalars import HALF, ONE, Q, ZERO, as_integers
-from metaline.varieties import builtin_chart, builtin_names, chart_from_json, omega_from_json
+from metaline.varieties import (
+    builtin_chart,
+    builtin_names,
+    chart_from_json,
+    make_chart,
+    omega_from_json,
+)
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -327,7 +342,7 @@ def test_slide_solve_matches_the_rational_full_solve(name):
         off_span = [shift[0] + 1] + shift[1:]
         for target in (shift, combination, off_span):
             expected = _outcome(solve_in_span, full, target)
-            got = _outcome(fam.solve_basepoint_variation, omega, x, w, pivots, target)
+            got = _outcome(fam.solve_basepoint_variation, omega, x, w, pivots, as_integers(target))
             assert got == expected, kind
             assert all(type(v) is Q for v in got[1]), kind
             seen.add(expected[0])
@@ -378,3 +393,139 @@ def test_canonical_rep_matches_the_rational_formula(data):
     assert all(type(c) is Q for c in got.coords)
     if all(x.w_part[p] == 0 for p in pivots):
         assert got is x
+
+
+# The compiled chart evaluator against Poly.evaluate.
+
+
+@st.composite
+def charts(draw):
+    """A chart with d = 1 or 2 and up to 5 coordinates: random rational
+    polynomials of degree at most 3 in each variable, at random with one
+    coordinate zero."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(d + 1, 5))
+    exponents = st.tuples(*[st.integers(0, 3)] * d)
+    coefficients = st.one_of(st.integers(-9, 9), large_rationals)
+    polys = st.dictionaries(exponents, coefficients, max_size=4).map(lambda t: Poly(d, t))
+    coords = draw(st.lists(polys, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        coords[draw(st.integers(0, n - 1))] = Poly.zero(d)
+    return make_chart("random", coords)
+
+
+def _assert_compiled_matches_poly_evaluate(chart, point, delta):
+    """evaluate, frame_integers and tangent_integers against Poly.evaluate
+    of the coordinates and the partials at one point."""
+    values = tuple(poly.evaluate(point) for poly in chart.coords)
+    partials = [tuple(poly.evaluate(point) for poly in row) for row in chart.partials]
+    assert chart.evaluate(point) == values
+    rows = chart.frame_integers(point)
+    assert [tuple(Q(v, scale) for v in ints) for ints, scale in rows] == [values, *partials]
+    assert all(scale > 0 and all(type(v) is int for v in ints) for ints, scale in rows)
+    tangent = tuple(sum((c * v for c, v in zip(delta, col)), ZERO) for col in zip(*partials))
+    ints, scale = chart.tangent_integers(point, delta)
+    assert scale > 0 and tuple(Q(v, scale) for v in ints) == tangent
+    assert all(type(c) is Q for c in chart.evaluate(point))
+
+
+@settings(max_examples=300, deadline=None)
+@given(charts(), st.data())
+def test_compiled_chart_matches_poly_evaluate(chart, data):
+    point = data.draw(_vectors(chart.param_dim))
+    delta = data.draw(_vectors(chart.param_dim))
+    _assert_compiled_matches_poly_evaluate(chart, point, delta)
+
+
+@pytest.mark.parametrize("name", _ALL_CHARTS)
+def test_compiled_chart_matches_poly_evaluate_on_every_chart(name):
+    chart, _ = _chart_and_form(name)
+    sampler = RationalSampler(109).derive(name)
+    d = chart.param_dim
+    points = [sampler.vector(d) for _ in range(3)]
+    points += [(0,) * d, tuple(range(-1, d - 1)), (Q(10**6 + 1, 10**12 - 11),) * d]
+    for point in points:
+        _assert_compiled_matches_poly_evaluate(chart, point, sampler.nonzero_vector(d))
+
+
+# The rational group product against x + y + (1/2) form(x_w, y_w).
+
+
+def _generic_multiply(form, a, b):
+    correction = _generic_apply(form, a.w_part, b.w_part)
+    return GroupElement(
+        tuple(x + y for x, y in zip(a.w_part, b.w_part)),
+        tuple(x + y + HALF * c for x, y, c in zip(a.u_part, b.u_part, correction)),
+    )
+
+
+@st.composite
+def element_pairs(draw):
+    """A form (dim_u 0 included) and two elements, each at random with a
+    zero W-part."""
+    form = draw(forms())
+
+    def one():
+        w = [0] * form.dim_w if draw(st.booleans()) else draw(_vectors(form.dim_w))
+        return element(form, w, draw(_vectors(form.dim_u)))
+
+    return form, one(), one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_pairs())
+def test_rational_multiply_matches_the_generic_formula(case):
+    form, a, b = case
+    got = multiply(form, a, b)
+    assert got == _generic_multiply(form, a, b)
+    assert all(type(c) is Q for c in got.coords)
+    # coordinates that cancel: a's inverse, and b with W-part -a_w
+    assert multiply(form, a, inverse(a)) == identity_element(form)
+    cancelling = GroupElement(inverse(a).w_part, b.u_part)
+    assert multiply(form, a, cancelling) == _generic_multiply(form, a, cancelling)
+
+
+# Backend parity: a stand-in for gmpy2's mpq.
+
+
+class _Mpz(int):
+    """An integer whose type is not int, as gmpy2's mpz is not."""
+
+
+class _Mpq(Fraction):
+    """A rational whose numerator and denominator are _Mpz."""
+
+    @property
+    def numerator(self):
+        return _Mpz(super().numerator)
+
+    @property
+    def denominator(self):
+        return _Mpz(super().denominator)
+
+
+def _stand_in(values):
+    return tuple(_Mpq(c) for c in values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(charts(), element_pairs(), st.data())
+def test_integer_paths_take_an_mpz_like_backend(chart, case, data):
+    """The compiled evaluator and the rational multiply read a rational
+    only through .numerator and .denominator, and combine those with
+    Python integers.  On _Mpq, whose numerator and denominator are an int
+    subclass as gmpy2's mpz is not an int at all, they give the Fraction
+    results.  This is evidence that the mpq backend gives the same
+    results, not a proof of it: mpz is no int subclass, and gmpy2 is no
+    dependency of the test suite."""
+    point = data.draw(_vectors(chart.param_dim))
+    delta = data.draw(_vectors(chart.param_dim))
+    assert chart.evaluate(_stand_in(point)) == chart.evaluate(point)
+    assert chart.frame_integers(_stand_in(point)) == chart.frame_integers(point)
+    stand_tangent = chart.tangent_integers(_stand_in(point), _stand_in(delta))
+    assert stand_tangent == chart.tangent_integers(point, delta)
+    form, a, b = case
+    stand_a = GroupElement(_stand_in(a.w_part), _stand_in(a.u_part))
+    stand_b = GroupElement(_stand_in(b.w_part), _stand_in(b.u_part))
+    assert multiply(form, stand_a, stand_b) == multiply(form, a, b)
+    assert type(_Mpq(1, 2).numerator) is _Mpz and not type(_Mpq(1, 2).denominator) is int

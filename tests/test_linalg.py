@@ -197,7 +197,6 @@ def test_rref_is_idempotent():
 def test_matrix_helpers():
     m = Mat([[1, 2, 3], [4, 5, 6]])
     assert m.times_vector((1, 0, -1)) == (-2, -2)
-    assert m.hstack(Mat([[7], [8]])).entries == ((1, 2, 3, 7), (4, 5, 6, 8))
     assert Mat.from_cols([(1, 2), (3, 4)]) == Mat([[1, 3], [2, 4]])
     with pytest.raises(ValueError):
         Mat([[1, 2], [3]])

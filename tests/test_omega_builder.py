@@ -112,7 +112,7 @@ def test_dims_property(twisted_cubic):
 
 
 def _raw_frame_rows(chart, point):
-    return [chart.evaluate(point), *chart.partial_rows(point)]
+    return [tuple(p.evaluate(point) for p in row) for row in (chart.coords, *chart.partials)]
 
 
 def _tangent_rows(chart, point):

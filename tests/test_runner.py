@@ -11,6 +11,7 @@ from metaline import metabelian as meta
 from metaline import runner, varieties
 from metaline.linalg import Mat, NotInSpan
 from metaline.metabelian import OmegaForm
+from metaline.omega_builder import build_omega
 from metaline.runner import CHECK_NAMES, run_verification
 from metaline.scalars import Q
 from metaline.sampling import RationalSampler
@@ -355,9 +356,9 @@ def test_each_boundary_sample_builds_one_tangent_frame(monkeypatch):
     """A boundary point carries its fiber, and only boundary points reduce
     tangent frames: every affine_tangent_frame call, at every module that
     binds it, comes from compactification.boundary_point, which reduces
-    its frame exactly once.  The chart samples test a degenerate frame by
-    its rank, and the coset check reads the frame of its first line's
-    boundary image."""
+    its frame exactly once.  A chart sample reduces its frame once, as the
+    fiber that tests its rank, degenerate or not, and every boundary point
+    of the sample is taken in that fiber: one frame per sample."""
     built = []
     reductions = []
     per_point = []
@@ -371,9 +372,10 @@ def test_each_boundary_sample_builds_one_tangent_frame(monkeypatch):
 
     def counting_point(*args):
         before = len(reductions)
-        point = original_point(*args)
-        per_point.append(len(reductions) - before)
-        return point
+        try:
+            return original_point(*args)
+        finally:
+            per_point.append(len(reductions) - before)
 
     def counting_rref(rows, ncols):
         reductions.append(ncols)
@@ -385,21 +387,50 @@ def test_each_boundary_sample_builds_one_tangent_frame(monkeypatch):
             monkeypatch.setattr(module, "affine_tangent_frame", counting_frame)
     monkeypatch.setattr(comp, "boundary_point", counting_point)
     monkeypatch.setattr(linalg, "_rref", counting_rref)
-    # frames per unskipped sample: the coset check maps two lines, the
-    # equivariance check one line on each side of its identity
-    frames_per_sample = {
-        "boundary-cosets": 2, "group-action": 1, "equivariance": 2, "line-boundary": 1,
-    }
+    checks = ["boundary-cosets", "group-action", "equivariance", "line-boundary"]
     chart, explicit = builtin_chart("flat-conic")
-    report = run_verification(chart, explicit, samples=10, checks=list(frames_per_sample))
+    report = run_verification(chart, explicit, samples=10, checks=checks)
     assert report.passed
-    expected = sum(frames_per_sample[c.name] * (c.samples - c.skips) for c in report.checks)
-    assert len(built) == expected > 0
+    assert len(built) == sum(c.samples for c in report.checks) > 0
     assert set(built) == {original_point.__code__}
     assert per_point == [1] * len(built)
 
     del built[:]
     chart, explicit = builtin_chart("veronese-2-3")
     assert run_verification(chart, explicit, samples=10).passed
-    assert len(built) == 40
+    # 10 coset, 5 action, 5 equivariance, 5 line and 2 pencil samples
+    assert len(built) == 27
     assert set(built) == {original_point.__code__}
+
+
+def test_the_boundary_checks_reduce_each_chart_point_once(monkeypatch):
+    """Guard: across the four boundary checks the frame reductions (every
+    _rref call, the form given so that building it reduces nothing) number
+    at most the chart parameters drawn, one per sample: flat-conic's frame
+    never spans W, so no coset sample draws a second parameter.  Every
+    point the chart is evaluated at is one of them and is reduced.  The
+    bound counts draws, not distinct values: the sampler repeats a
+    parameter now and then, and each sample reduces its own frame."""
+    chart, _ = builtin_chart("flat-conic")
+    omega = build_omega(chart).omega
+    reductions = []
+    points = set()
+    original_rref = linalg._rref
+    original_rows = varieties.VarietyChart._integer_rows
+
+    def counting_rref(rows, ncols):
+        reductions.append(ncols)
+        return original_rref(rows, ncols)
+
+    def recording_rows(chart, point, rows):
+        point = tuple(point)
+        points.add(point)
+        return original_rows(chart, point, rows)
+
+    monkeypatch.setattr(linalg, "_rref", counting_rref)
+    monkeypatch.setattr(varieties.VarietyChart, "_integer_rows", recording_rows)
+    checks = ["boundary-cosets", "group-action", "equivariance", "line-boundary"]
+    report = run_verification(chart, omega, samples=50, checks=checks)
+    assert report.passed
+    drawn = sum(c.samples for c in report.checks)
+    assert 0 < len(points) <= len(reductions) <= drawn

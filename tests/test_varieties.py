@@ -6,7 +6,7 @@ from metaline.linalg import Mat, NotInSpan, pair_index, solve_in_span
 from metaline.metabelian import OmegaForm
 from metaline.polynomials import Poly, parse_poly
 from metaline.sampling import RationalSampler
-from metaline.scalars import Q
+from metaline.scalars import Q, from_integers
 from metaline.varieties import (
     _grid_by_sum,
     FrameDegenerate,
@@ -44,7 +44,13 @@ def test_linear_chart():
 def test_tangent_vector_matches_partials():
     chart = veronese_chart(2, 3)
     point = (Q(3),)
-    assert chart.tangent_vector(point, (Q(2),)) == (0, 2, 2 * 2 * 3, 2 * 3 * 9)
+    tangent = from_integers(*chart.tangent_integers(point, (Q(2),)))
+    assert tangent == [0, 2, 2 * 2 * 3, 2 * 3 * 9]
+
+
+def _frame_rows(chart, point):
+    """The chart value, then the d partials, at the point, by Poly.evaluate."""
+    return [tuple(p.evaluate(point) for p in row) for row in (chart.coords, *chart.partials)]
 
 
 def test_affine_tangent_frame_rank():
@@ -59,7 +65,7 @@ def test_affine_tangent_frame_is_the_rref_of_the_frame(name):
     sampler = RationalSampler(11).derive(name)
     for _ in range(10):
         point = sampler.vector(chart.param_dim)
-        frame = Mat([chart.evaluate(point), *chart.partial_rows(point)])
+        frame = Mat(_frame_rows(chart, point))
         reduced, pivots = frame.rref()
         assert frame_is_degenerate(chart, point) == (len(pivots) < chart.param_dim + 1)
         if len(pivots) < chart.param_dim + 1:
@@ -78,7 +84,7 @@ def test_in_tangent_span_matches_the_frame_solve(name):
     m = chart.ambient_dim
     for _ in range(5):
         point = sampler.vector(chart.param_dim)
-        rows = [chart.evaluate(point), *chart.partial_rows(point)]
+        rows = _frame_rows(chart, point)
         try:
             affine_tangent_frame(chart, point)
         except FrameDegenerate:
@@ -120,11 +126,7 @@ def test_certify_isotropic_negative(adversarial):
     witness = cert.witness
     assert witness is not None
     # the witness point really does violate vanishing
-    frame = [chart.evaluate(witness.point)]
-    for a in range(chart.param_dim):
-        frame.append(chart.tangent_vector(witness.point, tuple(
-            Q(1) if i == a else Q(0) for i in range(chart.param_dim)
-        )))
+    frame = _frame_rows(chart, witness.point)
     i, j = witness.pair
     values = omega.apply(frame[i], frame[j])
     assert tuple(values) == witness.values
