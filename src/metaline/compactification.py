@@ -45,7 +45,8 @@ class BoundaryPoint:
     chart_label: str
     param: tuple
     coset_rep: GroupElement
-    # (reduced rows, pivots) of the tangent frame at the chart point
+    # (sparse integer pivot rows, pivots) of the tangent frame at the chart
+    # point, as affine_tangent_frame gives them
     tangent: tuple = field(compare=False, repr=False)
 
     def coset_of(self, omega: OmegaForm, x: GroupElement) -> BoundaryPoint:

@@ -10,7 +10,7 @@ exterior powers throughout the package.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import Q, ZERO, as_integers
 
@@ -49,8 +49,8 @@ def _rref(rows, ncols):
     representation, any other as a sequence of rationals.  The rows
     past the pivots are dropped; without carried columns they are zero.
     So rank and solve materialize only the pivots and the solution
-    column; Mat.rref, SpanAccumulator.basis_matrix and the reduced chart
-    frame alone build dense rational rows.
+    column; Mat.rref and SpanAccumulator.basis_matrix alone build dense
+    rational rows.
 
     Elimination is fraction-free (integer-preserving, after Bareiss,
     Math. Comp. 22, 1968): every row is cleared to integers, combined
@@ -103,6 +103,20 @@ def rational_rows(rows, pivots, ncols):
         [Q(row[k], row[c]) if k in row else ZERO for k in range(ncols)]
         for row, c in zip(rows, pivots)
     ]
+
+
+def combine_rows(rows, pivots, coeffs, ncols):
+    """The sum over r of coeffs[r] times rational row r of _rref's sparse
+    integer pivot rows (row[k] / row[pivots[r]]), for integer coeffs, as
+    (sums, den) with den > 0: the sum reads sums[k] / den at column k."""
+    terms = [(c, row, row[p]) for c, row, p in zip(coeffs, rows, pivots) if c]
+    den = lcm(*(pv for _, _, pv in terms))
+    sums = [0] * ncols
+    for c, row, pv in terms:
+        f = c * (den // pv)
+        for k, a in row.items():
+            sums[k] += f * a
+    return sums, den
 
 
 # Entries kept as given: integers are rationals too, and _rref reads them

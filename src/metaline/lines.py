@@ -19,14 +19,16 @@ Sliding along a line (translate) and the coset normal form
 (canonical_rep) run in Python integers: x_w, the direction and the
 slide are each scaled to integers over one positive denominator, the
 form is contracted on those (OmegaForm.apply_integers), and every moved
-coordinate is built as one Q from its numerator and denominator.
+coordinate is built as one Q from its numerator and denominator.  The
+span of a coset is given as _rref's sparse integer pivot rows, as the
+tangent frame of a boundary point keeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .linalg import Mat, wedge
+from .linalg import Mat, combine_rows, wedge
 from .metabelian import GroupElement, OmegaForm
 from .scalars import HALF, ONE, Q, ZERO, as_integers
 from .varieties import VarietyChart
@@ -74,20 +76,17 @@ def _slid(omega: OmegaForm, x: GroupElement, ix, dx, iw, dw, tn, td) -> GroupEle
     return GroupElement(w_part, u_part)
 
 
-def canonical_rep(omega: OmegaForm, x: GroupElement, reduced_rows, pivots) -> GroupElement:
+def canonical_rep(omega: OmegaForm, x: GroupElement, rows, pivots) -> GroupElement:
     """The member of the coset x * exp(span) whose W-part vanishes at the
-    pivots, the span given by rows in reduced echelon form: x slid by -1
-    along shift = sum of x_w[pivot] * row.  With x_w = ix / dx and the rows
-    over their common denominator, rows[r] = R_r / den, the shift is the
-    integer row sum of ix[pivot_r] * R_r over dx * den.  x itself when x_w
-    vanishes at every pivot."""
+    pivots, the span given by reduced echelon rows as _rref's sparse
+    integer pivot rows (row r reads row[k] / row[pivots[r]]): x slid by
+    -1 along shift = sum of x_w[pivot_r] * row r.  With x_w = ix / dx the
+    shift is combine_rows of the ix[pivot_r], S / den, over dx.  x itself
+    when x_w vanishes at every pivot."""
     ix, dx = as_integers(x.w_part)
-    used = [(ix[p], row) for row, p in zip(reduced_rows, pivots) if ix[p]]
-    if not used:
+    shift, den = combine_rows(rows, pivots, [ix[p] for p in pivots], omega.dim_w)
+    if not any(shift):
         return x
-    ints, den = as_integers([a for _, row in used for a in row])
-    rows = [ints[k : k + omega.dim_w] for k in range(0, len(ints), omega.dim_w)]
-    shift = [sum(c * a for (c, _), a in zip(used, col)) for col in zip(*rows)]
     return _slid(omega, x, ix, dx, shift, dx * den, -1, 1)
 
 
@@ -102,7 +101,8 @@ def line_through(omega: OmegaForm, x: GroupElement, w) -> HorizontalLine:
         raise ZeroDirection("direction is the zero vector")
     lead = ints[pivot]
     w = tuple(Q(c, lead) if c else ZERO for c in ints)
-    return HorizontalLine(w, canonical_rep(omega, x, [w], [pivot]), pivot)
+    row = {k: c for k, c in enumerate(ints) if c}
+    return HorizontalLine(w, canonical_rep(omega, x, [row], [pivot]), pivot)
 
 
 @dataclass(frozen=True)

@@ -31,28 +31,25 @@ from .scalars import HALF, Q, ZERO, as_integers, from_integers
 class OmegaForm:
     """Antisymmetric bilinear form on W with values in U.
 
-    Stored as one U-vector per unordered index pair (i < j, lex order).
-    `terms` keeps only the pairs whose vector is nonzero, each as
-    (pair index, i, j, ((c, coefficient), ...)) over its nonzero
-    coordinates, in the same order; the form is contracted over those
-    alone; `_int_terms` has them as integers over one denominator `_den`.
+    Stored as its nonzero coefficients alone.  `terms` keeps the index
+    pairs i < j (lex order) whose U-vector is nonzero, each as (pair
+    index, i, j, ((c, coefficient), ...)) over its nonzero coordinates in
+    increasing c; the form is contracted over those alone.  `_int_terms`
+    has them as integers over one denominator `_den`.  The dense `table`,
+    one U-vector per pair, is built on first read (for printing) and kept.
     """
 
-    __slots__ = ("dim_w", "dim_u", "table", "terms", "_int_terms", "_den")
+    __slots__ = ("dim_w", "dim_u", "terms", "_int_terms", "_den", "_table")
 
-    def __init__(self, dim_w, dim_u, table):
-        self.dim_w = int(dim_w)
-        self.dim_u = int(dim_u)
-        table = tuple(tuple(x if type(x) is Q else Q(x) for x in row) for row in table)
-        if len(table) != pair_count(self.dim_w):
-            raise ValueError("table must cover every index pair i < j")
-        if any(len(row) != self.dim_u for row in table):
-            raise ValueError("table entries must have length dim_u")
-        self.table = table
+    def __init__(self, dim_w, dim_u, rows):
+        """From one row per index pair in lex order, each the pair's
+        nonzero coordinates as (c, rational) in increasing c, taken as
+        given; from_entries is the checked constructor."""
+        self.dim_w, self.dim_u, self._table = int(dim_w), int(dim_u), None
         self.terms = tuple(
-            (k, i, j, nonzero)
-            for k, ((i, j), row) in enumerate(zip(combinations(range(self.dim_w), 2), table))
-            if (nonzero := tuple((c, x) for c, x in enumerate(row) if x != 0))
+            (k, i, j, tuple(row))
+            for k, ((i, j), row) in enumerate(zip(combinations(range(self.dim_w), 2), rows))
+            if row
         )
         den = self._den = lcm(*(x.denominator for *_, row in self.terms for _, x in row))
         self._int_terms = tuple(
@@ -64,16 +61,30 @@ class OmegaForm:
     def from_entries(cls, dim_w, dim_u, entries):
         """Build from sparse entries [(i, j, u_vector), ...] with i < j,
         each pair given at most once."""
-        table = [[ZERO] * dim_u for _ in range(pair_count(dim_w))]
-        seen = set()
+        vectors = {}
         for i, j, vec in entries:
             if not 0 <= i < j < dim_w:
                 raise ValueError("entry indices must satisfy 0 <= i < j < dim_w")
-            if (i, j) in seen:
+            if (i, j) in vectors:
                 raise ValueError(f"entry ({i}, {j}) is given twice")
-            seen.add((i, j))
-            table[pair_index(i, j, dim_w)] = [Q(x) for x in vec]
-        return cls(dim_w, dim_u, table)
+            vectors[i, j] = [Q(x) for x in vec]
+        if any(len(vec) != dim_u for vec in vectors.values()):
+            raise ValueError("table entries must have length dim_u")
+        rows = [()] * pair_count(dim_w)
+        for (i, j), vec in vectors.items():
+            rows[pair_index(i, j, dim_w)] = [(c, x) for c, x in enumerate(vec) if x]
+        return cls(dim_w, dim_u, rows)
+
+    @property
+    def table(self):
+        """One U-vector of rationals per index pair i < j, in lex order."""
+        if self._table is None:
+            table = [[ZERO] * self.dim_u for _ in range(pair_count(self.dim_w))]
+            for k, _, _, row in self.terms:
+                for c, x in row:
+                    table[k][c] = x
+            self._table = tuple(map(tuple, table))
+        return self._table
 
     def apply(self, u, v):
         """Form on coordinate vectors, from the minors u_i v_j - u_j v_i of
@@ -132,15 +143,16 @@ class OmegaForm:
                 out[c] = out[c] + minor * coeff
         return out
 
+    def _key(self):
+        """The form's coefficients, canonical: in increasing c per pair,
+        as integers over the lcm of their reduced denominators."""
+        return self.dim_w, self.dim_u, self._den, self._int_terms
+
     def __eq__(self, other):
-        return (
-            isinstance(other, OmegaForm)
-            and (self.dim_w, self.dim_u) == (other.dim_w, other.dim_u)
-            and self.table == other.table
-        )
+        return isinstance(other, OmegaForm) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.dim_w, self.dim_u, self.table))
+        return hash(self._key())
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,25 @@ span W'; the quotient by W' defines the form, with the non-pivot
 exterior coordinates as the basis of the value space U.  No point is
 sampled, and the symbolic isotropy certificate checks the result
 independently.
+
+The wedges are taken on the chart's integer frame (each row a positive
+multiple of its symbolic frame row), so every coefficient vector is an
+integer row, a positive multiple of the rational one, and W' is kept as
+the span's sparse integer rows.  The form is read off those rows: a
+pivot pair p maps to -row[c] / row[p] at each free pair c, a free pair
+to its unit vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import add
 
-from .linalg import Mat, SpanAccumulator, pair_count, wedge
+from .linalg import Mat, SpanAccumulator, pair_count
 from .metabelian import InternalConsistencyError, OmegaForm
-from .scalars import ZERO
-from .varieties import VarietyChart, symbolic_frame
+from .scalars import ONE, Q
+from .varieties import VarietyChart
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,22 @@ def sl2_exterior_square_dims(k):
     return tuple(dims)
 
 
+def _wedge_rows(row_a, row_b):
+    """The monomial coefficient vectors of the wedge of two integer frame
+    rows (VarietyChart.integer_frame), as (monomial, row) by increasing
+    monomial, each row sparse {pair index: integer coefficient}; a
+    monomial whose vector cancels is left out."""
+    by_monomial = {}
+    for k, (i, j) in enumerate(combinations(range(len(row_a)), 2)):
+        for sign, left, right in ((1, row_a[i], row_b[j]), (-1, row_a[j], row_b[i])):
+            for c, e in left:
+                for d, f in right:
+                    vec = by_monomial.setdefault(tuple(map(add, e, f)), {})
+                    vec[k] = vec.get(k, 0) + sign * c * d
+    rows = ((e, {k: x for k, x in vec.items() if x}) for e, vec in sorted(by_monomial.items()))
+    return [(e, row) for e, row in rows if row]
+
+
 def build_omega(chart: VarietyChart, seed=None) -> OmegaConstruction:
     """Quotient form by the exact span W' of the tangent-plane wedges.
 
@@ -48,40 +73,28 @@ def build_omega(chart: VarietyChart, seed=None) -> OmegaConstruction:
     is accepted for callers that pass one and is not read: the
     construction draws no samples.
     """
-    m = chart.ambient_dim
-    dim_l2 = pair_count(m)
+    dim_l2 = pair_count(chart.ambient_dim)
     accumulator = SpanAccumulator(dim_l2)
-    frame = symbolic_frame(chart)
+    frame = chart.integer_frame
     history = []
-    for a in range(len(frame)):
-        for b in range(a + 1, len(frame)):
-            minors = wedge(frame[a], frame[b])
-            for monomial in sorted({e for p in minors for e in p.terms}):
-                accumulator.insert([p.terms.get(monomial, ZERO) for p in minors])
-            history.append(accumulator.rank)
+    for row_a, row_b in combinations(frame, 2):
+        for _, vec in _wedge_rows(row_a, row_b):
+            accumulator.insert(vec)
+        history.append(accumulator.rank)
 
-    basis = accumulator.basis_matrix()
-    pivots = accumulator.pivot_columns()
-    free = accumulator.free_columns()
-    dim_u = len(free)
-    pivot_row = {c: r for r, c in enumerate(pivots)}
+    slot = {c: n for n, c in enumerate(accumulator.free_columns())}
+    rows = [((slot[k], ONE),) if k in slot else () for k in range(dim_l2)]
+    for row, p in zip(accumulator.rows, accumulator.pivot_columns()):
+        rows[p] = [(slot[c], Q(-x, row[p])) for c, x in sorted(row.items()) if c != p]
+    omega = OmegaForm(chart.ambient_dim, len(slot), rows)
 
-    table = []
-    for pair_idx in range(dim_l2):
-        if pair_idx in pivot_row:
-            row = basis.entries[pivot_row[pair_idx]]
-            table.append(tuple(-row[c] for c in free))
-        else:
-            table.append(tuple(int(c == pair_idx) for c in free))
-    omega = OmegaForm(m, dim_u, table)
-
-    for row in basis.entries:
-        if any(x != 0 for x in omega.on_wedge(row)):
+    for row in accumulator.rows:
+        if any(omega.on_wedge([row.get(k, 0) for k in range(dim_l2)])):
             raise InternalConsistencyError("form failed to vanish on its own kernel basis")
 
     return OmegaConstruction(
         omega=omega,
-        w_prime_basis=basis,
+        w_prime_basis=accumulator.basis_matrix(),
         dim_w_prime=accumulator.rank,
         rank_history=tuple(history),
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,12 +22,12 @@ from . import compactification as comp
 from . import family_geometry as fam
 from . import lines as lin
 from . import metabelian as meta
-from .linalg import Mat, NotInSpan
+from .linalg import NotInSpan, combine_rows
 from .metabelian import InternalConsistencyError, OmegaForm
 from .omega_builder import build_omega
 from .report import CheckResult, VerificationReport
 from .sampling import RationalSampler
-from .scalars import Q, qstr
+from .scalars import Q, as_integers, from_integers, qstr
 from .varieties import (
     FrameDegenerate,
     IsotropyCertificate,
@@ -212,6 +211,8 @@ def _slide_outcomes(run, variant):
     workers = min(jobs, os.cpu_count() or 1, len(cfgs))
     if workers <= 1:
         return [_slide_outcome(run.chart, run.omega, cfg, variant) for cfg in cfgs]
+    from concurrent.futures import ProcessPoolExecutor  # only --jobs above 1 loads it
+
     args = (run.chart, run.omega, variant)
     with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init, initargs=args) as pool:
         return list(pool.map(_worker_run, cfgs, chunksize=max(1, len(cfgs) // (4 * workers))))
@@ -286,13 +287,14 @@ def _coset_sample(run, sampler, k, fiber, x):
     frame = fiber.tangent
     fiber_b = fiber
     if k % 2 == 0:
-        shift = Mat.from_cols(frame[0]).times_vector(sampler.vector(chart.param_dim + 1))
-        x2 = lin.translate(omega, x, shift, 1)
+        coeffs, scale = as_integers(sampler.vector(chart.param_dim + 1))
+        sums, den = combine_rows(*frame, coeffs, omega.dim_w)
+        x2 = lin.translate(omega, x, from_integers(sums, den * scale), 1)
     elif omega.dim_u > 0 and (k // 2) % 2 == 0:
         u_shift = sampler.nonzero_vector(omega.dim_u)
         x2 = meta.multiply(omega, x, meta.element(omega, [Q(0)] * omega.dim_w, u_shift))
     else:
-        escape = _escape_vector(frame)
+        escape = _escape_vector(frame, omega.dim_w)
         if escape is not None:
             x2 = lin.translate(omega, x, escape, 1)
         else:
@@ -308,13 +310,12 @@ def _coset_sample(run, sampler, k, fiber, x):
     return ("fail", f"coset equality expected {expect_equal}, got {equal}")
 
 
-def _escape_vector(frame):
-    """The first unit vector outside the span of the reduced frame, or
-    None: e_i lies in the span exactly when i is a pivot whose reduced
-    row is e_i."""
+def _escape_vector(frame, ncols):
+    """The first unit vector of length ncols outside the span of the
+    reduced frame, or None: e_i lies in the span exactly when i is a pivot
+    whose reduced row is e_i, a row with one nonzero entry."""
     reduced, pivots = frame
-    inside = {p for p, row in zip(pivots, reduced) if sum(c != 0 for c in row) == 1}
-    ncols = len(reduced[0])
+    inside = {p for p, row in zip(pivots, reduced) if len(row) == 1}
     for i in range(ncols):
         if i not in inside:
             return tuple(Q(1) if j == i else Q(0) for j in range(ncols))

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from .linalg import integer_rref, pair_count, rational_rows
+from .linalg import combine_rows, integer_rref, pair_count
 from .metabelian import OmegaForm
 from .polynomials import Poly, parse_poly
-from .scalars import Q, from_integers, parse_rational, qstr
+from .scalars import Q, as_integers, from_integers, parse_rational, qstr
 
 __all__ = [
     "VarietyChart",
@@ -80,6 +80,13 @@ class VarietyChart:
             )
             rows.append((den, terms))
         return degrees, tuple(rows)
+
+    @property
+    def integer_frame(self):
+        """The frame as integer polynomials: per frame row (the coordinates,
+        then each partial) that row times its positive denominator, per
+        coordinate its terms as (integer coefficient, exponents)."""
+        return tuple(terms for _, terms in self._compiled[1])
 
     def _integer_rows(self, point, rows):
         """The compiled rows at a rational point, as (ints, scale) with
@@ -169,7 +176,9 @@ def _reduced_frame(chart: VarietyChart, point):
 
 def affine_tangent_frame(chart: VarietyChart, point):
     """Frame of the cone's tangent space, chart value plus all partials,
-    as (reduced rows, pivots) of its one leftmost-pivot reduction.
+    as (rows, pivots) of its one leftmost-pivot reduction, the rows sparse
+    integer pivot rows as integer_rref gives them: reduced row r reads
+    row[k] / row[pivots[r]] at column k and zero where k is absent.
 
     Raises FrameDegenerate unless the d+1 frame vectors are independent.
     """
@@ -179,7 +188,7 @@ def affine_tangent_frame(chart: VarietyChart, point):
         raise FrameDegenerate(
             f"frame rank below {chart.param_dim + 1} at {tuple(map(qstr, point))}"
         )
-    return tuple(map(tuple, rational_rows(rows, pivots, chart.ambient_dim))), pivots
+    return rows, pivots
 
 
 def frame_is_degenerate(chart: VarietyChart, point) -> bool:
@@ -191,10 +200,11 @@ def frame_is_degenerate(chart: VarietyChart, point) -> bool:
 def in_tangent_span(chart: VarietyChart, point, vector) -> bool:
     """Whether a W-vector lies in the span of the tangent frame at the
     point: whether it is the combination of the reduced frame rows with
-    its own entries at their pivots."""
+    its own entries at their pivots, compared in integers."""
     rows, pivots = affine_tangent_frame(chart, point)
-    pairs = list(zip(rows, pivots))
-    return all(x == sum(vector[p] * row[k] for row, p in pairs) for k, x in enumerate(vector))
+    ints, _ = as_integers(vector)
+    sums, den = combine_rows(rows, pivots, [ints[p] for p in pivots], len(ints))
+    return all(s == den * v for s, v in zip(sums, ints))
 
 
 @dataclass(frozen=True)
@@ -385,7 +395,7 @@ def omega_from_json(dim_w, data) -> OmegaForm:
     """Form from {dimU, entries: [{i, j, uVector}]}.
 
     A form's values span at most dim Lambda^2 W dimensions, so a larger
-    dimU is rejected before its table is allocated.
+    dimU is rejected before any entry is read.
     """
     _json_value(data, "omega", dict)
     dim_u = _json_field(data, "dimU", int)

@@ -1,5 +1,7 @@
 """Shared fixtures: charts and constructed forms, built once per session."""
 
+from itertools import combinations
+
 import pytest
 
 from metaline.metabelian import OmegaForm
@@ -8,6 +10,12 @@ from metaline.varieties import builtin_chart
 
 # The Heisenberg form: dimW 2, dimU 1, form(e_0, e_1) = f_0.
 HEISENBERG = OmegaForm.from_entries(2, 1, [(0, 1, (1,))])
+
+
+def form_from_table(dim_w, dim_u, table):
+    """The form with one U-vector per index pair i < j, in lex order."""
+    pairs = combinations(range(dim_w), 2)
+    return OmegaForm.from_entries(dim_w, dim_u, [(i, j, r) for (i, j), r in zip(pairs, table)])
 
 
 @pytest.fixture(scope="session")

@@ -10,10 +10,9 @@ import time
 
 import pytest
 
-from conftest import HEISENBERG
+from conftest import HEISENBERG, form_from_table
 from metaline.cli import main as cli_main
 from metaline.metabelian import (
-    OmegaForm,
     associativity_holds,
     commutator_matches_bracket,
     element,
@@ -42,7 +41,7 @@ def _report(name, detail=""):
 def _random_form(dim_w, dim_u, seed):
     sampler = RationalSampler(seed)
     table = [sampler.vector(dim_u) for _ in range(dim_w * (dim_w - 1) // 2)]
-    return OmegaForm(dim_w, dim_u, table)
+    return form_from_table(dim_w, dim_u, table)
 
 
 def test_criterion_1_metabelian_axioms(fixture_cache):

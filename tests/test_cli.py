@@ -610,3 +610,43 @@ def test_fixture_file_verifies(tmp_path, capsys, name):
             assert (counts, check["witness"]) == exceptions[check["name"]], check["name"]
         else:
             assert counts[1] == counts[0] and check["witness"] is None, check["name"]
+
+
+# sha256 of each build-omega output (omegaTable, wPrimeBasis and the
+# dimensions), pinned when the form was stored as a dense table of rationals.
+BUILD_OMEGA_DIGESTS = {
+    "builtin:flat-conic": "0ff0ad2720ac25d32afcfa0654784506329930cdfefb3771d4df1419e6f979ce",
+    "builtin:flat-linear": "5e7302be617763bc209e918d055ce91fbdc3eaac5759b6126e6d59b91e81e75b",
+    "builtin:nonisotropic-cubic": (
+        "4ab11a4258c57c4dfda41292c07fa574ba1b36a6195ca52ae8a7eb0acb0c415d"
+    ),
+    "builtin:veronese-2-3": "250463a8cd28ca62a408d886ab6b3f8ec5f232eb5053d9cc8a22a963d10f92ce",
+    "builtin:veronese-2-4": "46f589e232b953a1d529372b115b9b3f16dd8769ff69b785aaa7207ef832fccc",
+    "builtin:veronese-3-3": "00bcbe0ec6974b1875386a96302462542488cbaa2865fdcf3499a36c1e512a1c",
+    "builtin:veronese3-of-conic": (
+        "3cd27b659b16f3fb200b3ac48ae7ddd2b821ed5c502fbb9ac237f313383aa3b4"
+    ),
+    "degenerate-frame.json": "ba3ac64e3f31b37a811c345ddd097092d28c780a086eb13ec1a354e0c6b3e3b2",
+    "moment-curve-12.json": "06171789c3741a148d157ab5e5d2550ada3d0f40922b64309779f96b83c154e2",
+    "moved-twisted-cubic.json": "a4d4ea76244c870ab7747399dd884cd24dad07c64866e93fe8c5f0956f00f7c9",
+    "no-recovery.json": "b1c09db1d38d97bd5b5fe0e19f99612cfa930b2ea96ae2f4a3bd77025efff055",
+    "rational-quartic.json": "c40cc4ed0fd8d80843c4304227a1455f7ece7a5e391a86536115c638daec881b",
+    "scroll-2-2.json": "a514192d085051a317526e4a7b8eff0b3000b69f63046ec3990d9b9f50069c6d",
+    "sheared-veronese-2-4.json": "1efcf66bffdb2e96698c2adee070b42046078e4eaff68ab3eff291b3faad560a",
+    "surface-s3.json": "b9305045e91cf9a7091dd0e14d9129e8e3b986afc0f2afae06c9a4fdc557e718",
+    "veronese-2-4-summed-form.json": (
+        "c69ff38ec93bdcb41ccedea7e8c6a4b576ca9e13efdd2227723dfbac61f3a797"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_OMEGA_DIGESTS))
+def test_build_omega_bytes_are_pinned(tmp_path, capsys, name):
+    """The form is stored sparse and its table built only to be printed:
+    build-omega prints the bytes it printed from the dense table, on every
+    builtin and fixture file (the explicit forms of fixtures are not read)."""
+    source = name if name.startswith("builtin:") else str(_FIXTURE_DIR / name)
+    out = tmp_path / "omega.json"
+    code, _, _ = run_cli("build-omega", source, "--out", str(out), capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_OMEGA_DIGESTS[name]

@@ -8,6 +8,7 @@ from metaline.compactification import (
     compactified_line,
     g_action,
 )
+from metaline.linalg import rational_rows
 from metaline.lines import direction_point, line_of, line_through
 from metaline.metabelian import element, identity_element, inverse, multiply
 from metaline.sampling import RationalSampler
@@ -38,7 +39,7 @@ def test_canonical_rep_is_coset_invariant(twisted_cubic):
     chart, omega, _ = twisted_cubic
     param = (Q(2),)
     sampler = RationalSampler(47)
-    rows, _ = affine_tangent_frame(chart, param)
+    rows = rational_rows(*affine_tangent_frame(chart, param), omega.dim_w)
     x = _sample_element(sampler, omega)
     rep = boundary_point(chart, omega, param, x)
     for _ in range(5):

@@ -14,15 +14,25 @@ evaluator on every builtin and fixture chart.
 import functools
 import json
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import form_from_table
 from metaline import family_geometry as fam
 from metaline.jets import Jet1
-from metaline.linalg import Mat, NotInSpan, pair_count, solve_in_span
+from metaline.linalg import (
+    Mat,
+    NotInSpan,
+    integer_rref,
+    pair_count,
+    rational_rows,
+    solve_in_span,
+    wedge,
+)
 from metaline.lines import canonical_rep, line_matrix_rows, translate
 from metaline.metabelian import (
     GroupElement,
@@ -32,7 +42,7 @@ from metaline.metabelian import (
     inverse,
     multiply,
 )
-from metaline.omega_builder import build_omega
+from metaline.omega_builder import _wedge_rows, build_omega
 from metaline.polynomials import Poly
 from metaline.runner import run_verification
 from metaline.sampling import RationalSampler
@@ -43,6 +53,7 @@ from metaline.varieties import (
     chart_from_json,
     make_chart,
     omega_from_json,
+    symbolic_frame,
 )
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -63,7 +74,7 @@ def forms(draw):
     dim_u = draw(st.integers(0, 3))
     rows = st.lists(st.one_of(st.just(0), scalars), min_size=dim_u, max_size=dim_u)
     table = draw(st.lists(rows, min_size=pair_count(dim_w), max_size=pair_count(dim_w)))
-    return OmegaForm(dim_w, dim_u, table)
+    return form_from_table(dim_w, dim_u, table)
 
 
 @st.composite
@@ -75,6 +86,44 @@ def forms_and_vectors(draw):
 def _generic_apply(form, u, v):
     """The contraction that polynomials and jets take, on the same vectors."""
     return form._contract((u[i] * v[j] - u[j] * v[i], row) for _, i, j, row in form.terms)
+
+
+@st.composite
+def sparse_tables(draw):
+    """(dim_w, dim_u, table): a pair's U-vector is zero at random, and the
+    others have zero coordinates at random."""
+    dim_w = draw(st.integers(0, 6))
+    dim_u = draw(st.integers(0, 4))
+    row = st.one_of(st.just([0] * dim_u), _vectors(dim_u))
+    count = pair_count(dim_w)
+    return dim_w, dim_u, draw(st.lists(row, min_size=count, max_size=count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_tables(), st.data())
+def test_every_constructor_stores_one_sparse_form(case, data):
+    """from_entries (zero pairs given or left out, in any order) and the
+    constructor on sparse rows, which build_omega fills from the span's
+    rows, store one form: the same table, terms, equality and hash.  A
+    changed coefficient makes another form."""
+    dim_w, dim_u, table = case
+    pairs = list(combinations(range(dim_w), 2))
+    dense = form_from_table(dim_w, dim_u, table)
+    entries = [(i, j, r) for (i, j), r in zip(pairs, table) if any(r) or data.draw(st.booleans())]
+    sparse = OmegaForm.from_entries(dim_w, dim_u, data.draw(st.permutations(entries)))
+    built = OmegaForm(dim_w, dim_u, [[(c, Q(x)) for c, x in enumerate(r) if x] for r in table])
+    expected = tuple(tuple(Q(x) for x in r) for r in table)
+    for form in (dense, sparse, built):
+        assert form.table == expected
+        assert form.terms == dense.terms
+        assert form == dense and hash(form) == hash(dense)
+    for k, i, j, row in dense.terms:
+        assert pairs[k] == (i, j) and row == tuple((c, x) for c, x in enumerate(expected[k]) if x)
+    if dense.terms:
+        k, _, _, ((c, x), *_) = dense.terms[0]
+        changed = [list(r) for r in table]
+        changed[k][c] = x + 1
+        assert form_from_table(dim_w, dim_u, changed) != dense
 
 
 @settings(max_examples=300, deadline=None)
@@ -320,6 +369,40 @@ _ALL_CHARTS = builtin_names() + sorted(p.name for p in FIXTURE_DIR.glob("*.json"
 
 
 @pytest.mark.parametrize("name", _ALL_CHARTS)
+def test_integer_wedges_are_the_symbolic_wedges(name):
+    """build_omega's monomial rows, wedged from the integer frame, against
+    linalg.wedge on the symbolic frame: per frame pair the same monomials
+    in the same order, and rows that are one positive multiple of the
+    rational coefficient vectors."""
+    chart, _ = _chart_and_form(name)
+    symbolic = symbolic_frame(chart)
+    dim_l2 = pair_count(chart.ambient_dim)
+    frame_pairs = zip(combinations(symbolic, 2), combinations(chart.integer_frame, 2))
+    for (poly_a, poly_b), (row_a, row_b) in frame_pairs:
+        minors = wedge(poly_a, poly_b)
+        monomials = sorted({e for p in minors for e in p.terms})
+        rows = _wedge_rows(row_a, row_b)
+        assert [e for e, _ in rows] == monomials
+        scales = set()
+        for e, row in rows:
+            vector = [p.terms.get(e, ZERO) for p in minors]
+            ints = [row.get(k, 0) for k in range(dim_l2)]
+            assert all(type(v) is int for v in row.values())
+            assert [v != 0 for v in ints] == [x != 0 for x in vector]
+            scales |= {Q(v) / x for v, x in zip(ints, vector) if x}
+        assert len(scales) <= 1 and all(s > 0 for s in scales)
+
+
+@pytest.mark.parametrize("name", _ALL_CHARTS)
+def test_built_form_is_its_dense_table(name):
+    """build_omega's sparse form equals the form of its own dense table."""
+    chart, _ = _chart_and_form(name)
+    omega = build_omega(chart).omega
+    dense = form_from_table(omega.dim_w, omega.dim_u, omega.table)
+    assert dense == omega and hash(dense) == hash(omega) and dense.terms == omega.terms
+
+
+@pytest.mark.parametrize("name", _ALL_CHARTS)
 def test_slide_solve_matches_the_rational_full_solve(name):
     """solve_basepoint_variation, on integer rows, against solve_in_span on
     the Fraction basepoint variation, at every pivot kind: on the slide
@@ -376,18 +459,21 @@ def _rational_canonical_rep(form, x, reduced_rows, pivots):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_canonical_rep_matches_the_rational_formula(data):
-    """On random forms (dim_u 0 included) and spans in reduced echelon
-    form: the canonical representative is the Fraction formula, vanishes
-    at the pivots, and is x itself when x_w vanishes at every pivot."""
+    """On random forms (dim_u 0 included) and spans given as the sparse
+    integer pivot rows of integer_rref: the canonical representative is
+    the Fraction formula on the rational reduced rows, vanishes at the
+    pivots, and is x itself when x_w vanishes at every pivot."""
     form = data.draw(forms().filter(lambda f: f.dim_w > 0))
     dim_w = form.dim_w
     spanning = data.draw(st.lists(_vectors(dim_w), min_size=1, max_size=dim_w))
     reduced, pivots = Mat(spanning).rref()
     reduced = reduced.entries[: len(pivots)]
+    rows, row_pivots = integer_rref([as_integers(v)[0] for v in spanning], dim_w)
+    assert row_pivots == pivots
     x = element(form, data.draw(_vectors(dim_w)), data.draw(_vectors(form.dim_u)))
     if data.draw(st.booleans()):  # x_w zero at every pivot
         x = element(form, [0 if k in pivots else c for k, c in enumerate(x.w_part)], x.u_part)
-    got = canonical_rep(form, x, reduced, pivots)
+    got = canonical_rep(form, x, rows, pivots)
     assert got == _rational_canonical_rep(form, x, reduced, pivots)
     assert all(got.w_part[p] == 0 for p in pivots)
     assert all(type(c) is Q for c in got.coords)

@@ -1,6 +1,9 @@
+import concurrent.futures
 import hashlib
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,11 +140,20 @@ REPORT_DIGESTS = {
     "veronese-2-3": "163f3027f024c8de1a34ac854a649936860b406a111fe5699e1a745a4844c569",
     "veronese-2-4": "8d6bcccd79e38887ee96570f646a1d0f79fad9e7434638dd638491ec398201aa",
     "veronese-3-3": "87ece2cb1b1ff70f92baff40e396cc1612e275d0c5ccb01991f2022885e61b5d",
+    "veronese3-of-conic": "26d568b99f2f194d0ba6eedc30b709ae61782d5da708d0095fd4dc99887096e2",
 }
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
-def test_report_bytes_are_pinned(name):
+def test_report_bytes_are_pinned(monkeypatch, name):
+    """Every builtin's report bytes, from the form's sparse coefficients
+    alone: verify never builds the dense table, which only build-omega
+    prints."""
+
+    def refuse(form):
+        raise AssertionError("verify built the dense form table")
+
+    monkeypatch.setattr(OmegaForm, "table", property(refuse))
     chart, explicit = builtin_chart(name)
     report = run_verification(chart, explicit, seed=42, samples=10)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_DIGESTS[name]
@@ -274,7 +286,7 @@ class _InlineExecutor:
 def test_slide_pool_is_clamped(monkeypatch, jobs, cpus, samples, workers):
     sizes = []
     monkeypatch.setattr(
-        runner, "ProcessPoolExecutor", lambda **kw: _InlineExecutor(sizes, **kw)
+        concurrent.futures, "ProcessPoolExecutor", lambda **kw: _InlineExecutor(sizes, **kw)
     )
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     chart, explicit = builtin_chart("flat-conic")
@@ -283,6 +295,23 @@ def test_slide_pool_is_clamped(monkeypatch, jobs, cpus, samples, workers):
     assert sizes == ([workers] * 2 if workers else [])
     serial = run_verification(chart, explicit, samples=samples, checks=checks)
     assert pooled.to_json() == serial.to_json()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only a pool of --jobs above 1 needs concurrent.futures, and with it
+    multiprocessing: a fresh interpreter that imports the CLI loads neither."""
+    src = str(Path(runner.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, metaline.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_symbolic_variant_reports_a_failed_pull_back(monkeypatch):
@@ -348,7 +377,7 @@ def test_escape_vector_is_the_first_unit_vector_off_the_frame(name, spans_w):
         except FrameDegenerate:
             continue
         expected = next((e for e in units if not in_tangent_span(chart, param, e)), None)
-        assert runner._escape_vector(frame) == expected
+        assert runner._escape_vector(frame, chart.ambient_dim) == expected
         assert (expected is None) == spans_w
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from metaline.linalg import Mat, NotInSpan, pair_index, solve_in_span
+from metaline.linalg import Mat, NotInSpan, pair_index, rational_rows, solve_in_span
 from metaline.metabelian import OmegaForm
 from metaline.polynomials import Poly, parse_poly
 from metaline.sampling import RationalSampler
@@ -72,7 +72,10 @@ def test_affine_tangent_frame_is_the_rref_of_the_frame(name):
             with pytest.raises(FrameDegenerate):
                 affine_tangent_frame(chart, point)
         else:
-            assert affine_tangent_frame(chart, point) == (reduced.entries, pivots)
+            rows, frame_pivots = affine_tangent_frame(chart, point)
+            assert frame_pivots == pivots
+            assert all(type(v) is int for row in rows for v in row.values())
+            assert Mat(rational_rows(rows, pivots, chart.ambient_dim)) == reduced
 
 
 @pytest.mark.parametrize("name", builtin_names())
