@@ -20,7 +20,7 @@ import sys
 from contextlib import contextmanager
 
 from .compactification import boundary_point
-from .linalg import pair_count
+from .linalg import pair_count, rational_rows
 from .lines import ZeroDirection, boundary_direction, line_matrix_rows, line_through, pluecker_embed
 from .metabelian import InternalConsistencyError, element
 from .omega_builder import build_omega
@@ -119,7 +119,7 @@ def _cmd_verify(args):
             raise ValueError(f"{flag} must be at least 1, got {value}")
     chart, omega = _load_fixture(args.fixture)
     checks = None
-    if args.checks:
+    if args.checks is not None:
         checks = [name.strip() for name in args.checks.split(",") if name.strip()]
     with _output(args.out) as write:
         report = run_verification(
@@ -153,15 +153,15 @@ def _cmd_info(args):
 def _cmd_build_omega(args):
     chart, _ = _load_fixture(args.fixture)
     construction = build_omega(chart)
+    dim_l2 = pair_count(chart.ambient_dim)
+    basis = rational_rows(construction.w_prime_rows, construction.w_prime_pivots, dim_l2)
     payload = {
         "label": chart.label,
         "dimW": chart.ambient_dim,
         "dimU": construction.omega.dim_u,
-        "dimLambda2W": pair_count(chart.ambient_dim),
+        "dimLambda2W": dim_l2,
         "dimWprime": construction.dim_w_prime,
-        "wPrimeBasis": [
-            [qstr(c) for c in row] for row in construction.w_prime_basis.entries
-        ],
+        "wPrimeBasis": [[qstr(c) for c in row] for row in basis],
         "omegaTable": [[qstr(c) for c in row] for row in construction.omega.table],
     }
     with _output(args.out) as write:
@@ -173,11 +173,11 @@ def _cmd_sample_line(args):
     chart, explicit = _load_fixture(args.fixture)
     omega, dims = form_and_dimensions(chart, explicit)
     sampler = RationalSampler(args.seed).derive("sample-line")
-    param = _parse_vector(args.param) if args.param else sampler.vector(chart.param_dim)
+    param = _parse_vector(args.param) if args.param is not None else sampler.vector(chart.param_dim)
     if len(param) != chart.param_dim:
         raise FixtureError(f"parameter point needs {chart.param_dim} coordinates")
     n = dims["n"]
-    base = _parse_vector(args.base) if args.base else sampler.vector(n)
+    base = _parse_vector(args.base) if args.base is not None else sampler.vector(n)
     if len(base) != n:
         raise FixtureError(f"base point needs {n} coordinates")
     x = element(omega, base[: omega.dim_w], base[omega.dim_w :])

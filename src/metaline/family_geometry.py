@@ -435,10 +435,10 @@ def _slide_residual(omega: OmegaForm, coeffs, tangent, t, iw):
 def pencil_frames(chart: VarietyChart, omega: OmegaForm, param, x, pivots):
     """Frames spanning the pencil of direction-derivative planes.
 
-    Returns (frame at slide zero, limit frame).  Asserts the pencil is
-    exactly linear in the slide parameter at several slides, and that
-    the two frames together have rank 2d.  Raises RankDeficient when
-    the combined rank drops.
+    Returns (frame at slide zero, limit frame), each d columns given as
+    (integers, scale).  Asserts the pencil is exactly linear in the slide
+    parameter at several slides, and that the two frames together have
+    rank 2d.  Raises RankDeficient when the combined rank drops.
     """
     d = chart.param_dim
     value, *tangents = chart.frame_integers(param)
@@ -447,7 +447,8 @@ def pencil_frames(chart: VarietyChart, omega: OmegaForm, param, x, pivots):
     (point, direction), (l0, l1) = plane.rows, plane.scales
     f0, f_inf = [], []
     for it, dt in tangents:
-        f0.append(_tangent_variation(omega, plane, (it, dt)))
+        rows, scale = _tangent_variation(omega, plane, (it, dt))
+        f0.append((sum(rows, []), scale))
         # the limit frame is minus the basepoint variation along (tangent, 0):
         # the point row moves by the tangent's direction row, the direction
         # row by (0, (1/2) form(tangent, w), 0)
@@ -455,24 +456,22 @@ def pencil_frames(chart: VarietyChart, omega: OmegaForm, param, x, pivots):
         form, den = omega.apply_integers(it, direction[: omega.dim_w])
         d_dir = ([*(0 for _ in it), *form, 0], 2 * dt * l1 * den)
         rows, scale = _block_variation(plane, [d_point, d_dir])
-        f_inf.append(([[-v for v in row] for row in rows], scale))
-    frame0 = Mat.from_cols(sum(_rational(*col), []) for col in f0)
-    frame_inf = Mat.from_cols(sum(_rational(*col), []) for col in f_inf)
+        f_inf.append(([-v for row in rows for v in row], scale))
 
     for t in PENCIL_SLIDES:
         slid_plane = _plane(omega, translate(omega, x, w, t), w, pivots)
         tn, td = t.numerator, t.denominator
-        for tangent, (rows_0, e_0), (rows_inf, e_inf) in zip(tangents, f0, f_inf):
+        for tangent, (col_0, e_0), (col_inf, e_inf) in zip(tangents, f0, f_inf):
             rows, scale = _tangent_variation(omega, slid_plane, tangent)
-            # rows / scale == rows_0 / e_0 + t rows_inf / e_inf, over e_0 e_inf td
+            # rows / scale == col_0 / e_0 + t col_inf / e_inf, over e_0 e_inf td
             lhs, a, b = e_0 * e_inf * td, e_inf * td, tn * e_0
-            for row, row_0, row_inf in zip(rows, rows_0, rows_inf):
-                if any(s * lhs != scale * (u * a + v * b) for s, u, v in zip(row, row_0, row_inf)):
-                    raise AssertionError(f"pencil not linear at slide {t}")
+            col = sum(rows, [])
+            if any(s * lhs != scale * (u * a + v * b) for s, u, v in zip(col, col_0, col_inf)):
+                raise AssertionError(f"pencil not linear at slide {t}")
 
-    if _column_rank([sum(rows, []) for rows, _ in f0 + f_inf]) != 2 * d:
+    if _column_rank([col for col, _ in f0 + f_inf]) != 2 * d:
         raise RankDeficient("combined pencil frames drop rank")
-    return frame0, frame_inf
+    return f0, f_inf
 
 
 def _column_rank(columns):
@@ -480,25 +479,23 @@ def _column_rank(columns):
     return len(integer_rref(columns, len(columns[0]))[1]) if columns else 0
 
 
-def check_splitting_type(frame0: Mat, frame_inf: Mat) -> bool:
+def check_splitting_type(frame0, frame_inf) -> bool:
     """Witness that every pencil member, including the limit, spans a
     d-plane: s * frame0 + frame_inf keeps rank d at s = 0 and beyond,
     while the combined frame has rank 2d.
 
-    Each column is scaled to integers once, I / e; for s = sn / sd the
-    column of s * frame0 + frame_inf is then the integer column
+    The frames are pencil_frames' integer columns I / e; for s = sn / sd
+    the column of s * frame0 + frame_inf is the integer column
     sn e_inf I_0 + sd e_0 I_inf over sd e_0 e_inf, and each rank is taken
     on those columns as integer rows."""
-    d = frame0.ncols
-    cols0 = [as_integers(col) for col in zip(*frame0.entries)]
-    cols_inf = [as_integers(col) for col in zip(*frame_inf.entries)]
-    if _column_rank([ints for ints, _ in cols0 + cols_inf]) != 2 * d:
+    d = len(frame0)
+    if _column_rank([ints for ints, _ in frame0 + frame_inf]) != 2 * d:
         return False
     for s in SPLITTING_SAMPLES:
         sn, sd = s.numerator, s.denominator
         mixed = [
             [sn * e_inf * a + sd * e_0 * b for a, b in zip(i_0, i_inf)]
-            for (i_0, e_0), (i_inf, e_inf) in zip(cols0, cols_inf)
+            for (i_0, e_0), (i_inf, e_inf) in zip(frame0, frame_inf)
         ]
         if _column_rank(mixed) != d:
             return False

@@ -49,8 +49,8 @@ def _rref(rows, ncols):
     representation, any other as a sequence of rationals.  The rows
     past the pivots are dropped; without carried columns they are zero.
     So rank and solve materialize only the pivots and the solution
-    column; Mat.rref and SpanAccumulator.basis_matrix alone build dense
-    rational rows.
+    column; dense rational rows are built only by rational_rows, for
+    Mat.rref and for the W' basis that build-omega prints.
 
     Elimination is fraction-free (integer-preserving, after Bareiss,
     Math. Comp. 22, 1968): every row is cleared to integers, combined
@@ -241,12 +241,6 @@ class SpanAccumulator:
         self.rows, self.pivots = _rref([*self.rows, vec], self.dim)
         return len(self.rows) > rank
 
-    def pivot_columns(self):
-        return self.pivots
-
     def free_columns(self):
         taken = set(self.pivots)
         return tuple(c for c in range(self.dim) if c not in taken)
-
-    def basis_matrix(self):
-        return Mat(rational_rows(self.rows, self.pivots, self.dim))

@@ -215,12 +215,6 @@ def inverse(a: GroupElement) -> GroupElement:
     return GroupElement(tuple(-x for x in a.w_part), tuple(-x for x in a.u_part))
 
 
-def bracket(omega: OmegaForm, a: GroupElement, b: GroupElement) -> GroupElement:
-    """Lie bracket in log coordinates: W-part zero, U-part the form value."""
-    u = omega.apply(a.w_part, b.w_part)
-    return GroupElement((ZERO,) * omega.dim_w, tuple(u))
-
-
 class InternalConsistencyError(AssertionError):
     pass
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 
-from .linalg import Mat, SpanAccumulator, pair_count
+from .linalg import SpanAccumulator, pair_count
 from .metabelian import InternalConsistencyError, OmegaForm
 from .scalars import ONE, Q
 from .varieties import VarietyChart
@@ -34,20 +34,10 @@ from .varieties import VarietyChart
 @dataclass(frozen=True)
 class OmegaConstruction:
     omega: OmegaForm
-    w_prime_basis: Mat
+    w_prime_rows: tuple
+    w_prime_pivots: tuple
     dim_w_prime: int
     rank_history: tuple
-
-
-def sl2_exterior_square_dims(k):
-    """Irreducible dimensions of the second exterior power of the k-th
-    symmetric power of a 2-space: weights 2k-2, 2k-6, ... down to >= 0."""
-    dims = []
-    top = 2 * k - 2
-    while top >= 0:
-        dims.append(top + 1)
-        top -= 4
-    return tuple(dims)
 
 
 def _wedge_rows(row_a, row_b):
@@ -84,7 +74,7 @@ def build_omega(chart: VarietyChart, seed=None) -> OmegaConstruction:
 
     slot = {c: n for n, c in enumerate(accumulator.free_columns())}
     rows = [((slot[k], ONE),) if k in slot else () for k in range(dim_l2)]
-    for row, p in zip(accumulator.rows, accumulator.pivot_columns()):
+    for row, p in zip(accumulator.rows, accumulator.pivots):
         rows[p] = [(slot[c], Q(-x, row[p])) for c, x in sorted(row.items()) if c != p]
     omega = OmegaForm(chart.ambient_dim, len(slot), rows)
 
@@ -94,7 +84,8 @@ def build_omega(chart: VarietyChart, seed=None) -> OmegaConstruction:
 
     return OmegaConstruction(
         omega=omega,
-        w_prime_basis=accumulator.basis_matrix(),
+        w_prime_rows=tuple(accumulator.rows),
+        w_prime_pivots=accumulator.pivots,
         dim_w_prime=accumulator.rank,
         rank_history=tuple(history),
     )

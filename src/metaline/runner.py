@@ -438,10 +438,12 @@ def run_verification(
     jobs: int = 1,
 ) -> VerificationReport:
     start = time.monotonic()
-    selected = set(checks) if checks else set(CHECK_NAMES)
+    selected = set(CHECK_NAMES) if checks is None else set(checks)
     unknown = selected - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(sorted(unknown))}")
+    if not selected:
+        raise ValueError("no checks selected")
 
     omega, dims = form_and_dimensions(chart, explicit_omega)
     report = VerificationReport(chart.label, seed, samples, dims)

@@ -32,26 +32,6 @@ from .metabelian import OmegaForm
 from .polynomials import Poly, parse_poly
 from .scalars import Q, as_integers, from_integers, parse_rational, qstr
 
-__all__ = [
-    "VarietyChart",
-    "FrameDegenerate",
-    "IsotropyCertificate",
-    "IsotropyWitness",
-    "make_chart",
-    "affine_tangent_frame",
-    "frame_is_degenerate",
-    "in_tangent_span",
-    "symbolic_frame",
-    "certify_isotropic",
-    "veronese_chart",
-    "linear_chart",
-    "compose_veronese3",
-    "builtin_chart",
-    "builtin_names",
-    "chart_from_json",
-    "omega_from_json",
-]
-
 
 class FrameDegenerate(Exception):
     """The chart frame dropped rank at a sample point."""
@@ -227,14 +207,6 @@ class IsotropyCertificate:
     witness: IsotropyWitness | None
 
 
-def symbolic_frame(chart: VarietyChart):
-    """The frame as polynomials: the chart and its d partials."""
-    rows = [list(chart.coords)]
-    for a in range(chart.param_dim):
-        rows.append(list(chart.partials[a]))
-    return rows
-
-
 def _grid_by_sum(nvars, bound):
     """Points of {0..bound}^nvars, by coordinate sum and then lexicographically,
     generated lazily."""
@@ -271,7 +243,7 @@ def certify_isotropic(chart: VarietyChart, omega: OmegaForm) -> IsotropyCertific
     a parameter point where it does not."""
     if omega.dim_w != chart.ambient_dim:
         raise ValueError("form and chart have different ambient dimension")
-    frame = symbolic_frame(chart)
+    frame = [chart.coords, *chart.partials]
     pairs = 0
     for a in range(len(frame)):
         for b in range(a + 1, len(frame)):

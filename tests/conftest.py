@@ -18,6 +18,19 @@ def form_from_table(dim_w, dim_u, table):
     return OmegaForm.from_entries(dim_w, dim_u, [(i, j, r) for (i, j), r in zip(pairs, table)])
 
 
+def sl2_exterior_square_dims(k):
+    """Irreducible dimensions of the second exterior power of the k-th
+    symmetric power of a 2-space: weights 2k-2, 2k-6, ... down to >= 0.
+    The oracle for the rational normal curve of degree k: dimW' is the
+    first, dimU the sum of the rest."""
+    dims = []
+    top = 2 * k - 2
+    while top >= 0:
+        dims.append(top + 1)
+        top -= 4
+    return tuple(dims)
+
+
 @pytest.fixture(scope="session")
 def fixture_cache():
     """name -> (chart, omega, construction-or-None), constructed lazily."""

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import HEISENBERG, form_from_table
+from conftest import HEISENBERG, form_from_table, sl2_exterior_square_dims
 from metaline.cli import main as cli_main
 from metaline.metabelian import (
     associativity_holds,
@@ -18,7 +18,7 @@ from metaline.metabelian import (
     element,
     levi_tensor,
 )
-from metaline.omega_builder import build_omega, sl2_exterior_square_dims
+from metaline.omega_builder import build_omega
 from metaline.runner import run_verification
 from metaline.sampling import RationalSampler
 from metaline.varieties import builtin_chart, certify_isotropic

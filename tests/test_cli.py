@@ -343,6 +343,15 @@ def test_sample_line_rejects_bad_arity(capsys):
     assert "coordinates" in err or "parameter" in err
 
 
+@pytest.mark.parametrize("flag", ["--param", "--base"])
+def test_sample_line_rejects_an_empty_point(capsys, flag):
+    """An empty --param or --base is a malformed point, never a request
+    for a random one."""
+    code, printed, err = run_cli("sample-line", "builtin:veronese-2-3", flag, "", capsys=capsys)
+    assert code == 2 and printed == ""
+    assert err == "error: not a rational literal: ''\n"
+
+
 def test_console_script_entry_point():
     # the child imports the same package as this test, installed or not
     src = str(Path(metaline.__file__).resolve().parents[1])
@@ -408,6 +417,16 @@ def test_unwritable_verify_out_fails_before_any_check(tmp_path, capsys, monkeypa
     code, printed, err = run_cli("verify", "builtin:flat-conic", "--out", str(out), capsys=capsys)
     assert code == 2 and printed == ""
     assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_verify_with_an_empty_check_selection_exits_two(tmp_path, capsys, checks):
+    out = tmp_path / "r.json"
+    argv = ("verify", "builtin:flat-conic", "--checks", checks, "--out", str(out))
+    code, printed, err = run_cli(*argv, capsys=capsys)
+    assert code == 2 and printed == ""
+    assert err == "error: no checks selected\n"
+    assert not out.exists()
 
 
 def test_verify_exiting_two_removes_the_out_file_it_created(tmp_path, capsys):

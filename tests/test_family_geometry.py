@@ -16,7 +16,7 @@ from metaline.metabelian import GroupElement, OmegaForm, element, multiply
 from metaline.omega_builder import build_omega
 from metaline.polynomials import Poly
 from metaline.sampling import RationalSampler
-from metaline.scalars import HALF, ONE, Q, ZERO, as_integers
+from metaline.scalars import HALF, ONE, Q, ZERO, as_integers, from_integers
 from metaline.varieties import (
     VarietyChart,
     builtin_names,
@@ -226,16 +226,22 @@ def test_symbolic_variation_matches_jets(veronese33):
         assert jet == symbolic
 
 
+def _frame_matrix(frame):
+    """A pencil frame's integer columns over their scales, as a Mat."""
+    return Mat.from_cols(from_integers(ints, scale) for ints, scale in frame)
+
+
 def test_pencil_frames_flat_conic(flat_conic):
     chart, omega, _ = flat_conic
     x = element(omega, (0, 0, 1))
     param = (Q(1),)
     pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
     frame0, frame_inf = fam.pencil_frames(chart, omega, param, x, pivots)
-    assert frame0.ncols == frame_inf.ncols == 1
+    m0, m_inf = _frame_matrix(frame0), _frame_matrix(frame_inf)
+    assert m0.ncols == m_inf.ncols == 1
     # frozen: j_inf column equals the slide shift at t = 1
-    assert [row[0] for row in frame_inf.entries] == [1, -2, -1, 2]
-    assert Mat.from_cols([*zip(*frame0.entries), *zip(*frame_inf.entries)]).rank() == 2
+    assert [row[0] for row in m_inf.entries] == [1, -2, -1, 2]
+    assert Mat.from_cols([*zip(*m0.entries), *zip(*m_inf.entries)]).rank() == 2
     assert fam.check_splitting_type(frame0, frame_inf)
 
 
@@ -248,7 +254,8 @@ def test_pencil_and_splitting_on_samples(twisted_cubic, veronese33):
             x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
             pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
             frame0, frame_inf = fam.pencil_frames(chart, omega, param, x, pivots)
-            cols = [*zip(*frame0.entries), *zip(*frame_inf.entries)]
+            m0, m_inf = _frame_matrix(frame0), _frame_matrix(frame_inf)
+            cols = [*zip(*m0.entries), *zip(*m_inf.entries)]
             assert Mat.from_cols(cols).rank() == 2 * d
             assert fam.check_splitting_type(frame0, frame_inf)
 
@@ -542,8 +549,8 @@ def test_family_dimension_rank_matches_coordinate_jacobian(fixture_cache, name):
 
 
 def test_splitting_rejects_rank_drop():
-    frame0 = Mat([[1], [0], [0], [0]])
-    collinear = Mat([[2], [0], [0], [0]])
+    frame0 = [([1, 0, 0, 0], 1)]
+    collinear = [([2, 0, 0, 0], 1)]
     assert not fam.check_splitting_type(frame0, collinear)
 
 
@@ -747,7 +754,8 @@ def test_limit_frame_is_minus_the_basepoint_variation_along_the_tangent(
             for a, partial in enumerate(chart.partials):
                 tangent = [p.evaluate(param) for p in partial]
                 image = bvm.times_vector(tangent + [ZERO] * omega.dim_u)
-                assert [row[a] for row in frame_inf.entries] == [-v for v in image], (kind, a)
+                column = [row[a] for row in _frame_matrix(frame_inf).entries]
+                assert column == [-v for v in image], (kind, a)
 
 
 @pytest.mark.parametrize("name, applies", [("flat-conic", 0), ("veronese-2-3", 1)])

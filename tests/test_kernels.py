@@ -53,7 +53,6 @@ from metaline.varieties import (
     chart_from_json,
     make_chart,
     omega_from_json,
-    symbolic_frame,
 )
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -375,7 +374,7 @@ def test_integer_wedges_are_the_symbolic_wedges(name):
     in the same order, and rows that are one positive multiple of the
     rational coefficient vectors."""
     chart, _ = _chart_and_form(name)
-    symbolic = symbolic_frame(chart)
+    symbolic = [chart.coords, *chart.partials]
     dim_l2 = pair_count(chart.ambient_dim)
     frame_pairs = zip(combinations(symbolic, 2), combinations(chart.integer_frame, 2))
     for (poly_a, poly_b), (row_a, row_b) in frame_pairs:

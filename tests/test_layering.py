@@ -1,7 +1,9 @@
-"""Each metaline module reaches another only through its public names, and
-only scalars.py reaches the Fraction backend."""
+"""Each metaline module reaches another only through its public names, every
+public name is reached from src/, and only scalars.py reaches the Fraction
+backend."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,51 @@ def test_one_function_decides_the_form():
         for function in _callers(path, "build_omega")
     }
     assert callers == {("runner.py", "form_and_dimensions"), ("cli.py", "_cmd_build_omega")}
+
+
+def test_the_package_root_imports_nothing():
+    """The root exports no name: every caller imports from a submodule."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imports = [n.lineno for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert imports == []
+
+
+# perfbench/tracer.py wraps Poly.compose, so it stays until the benchmark
+# stops tracing it, although nothing in src/ calls it.
+_UNREACHED_BY_DESIGN = ["polynomials.py Poly.compose"]
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public top-level function and class,
+    and of each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub
+
+
+def _names(node):
+    """Each name read inside node, as a bare name, an attribute or an
+    imported name, counted once per occurrence."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def test_every_public_name_is_reached_from_src():
+    """A public function, class or method that only tests reach is not
+    kept: some module in src/ names it outside its own definition."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    unreached = [
+        f"{name} {qualified}"
+        for name, tree in trees.items()
+        for qualified, node in _public_definitions(tree)
+        if everywhere[node.name] == _names(node)[node.name]
+    ]
+    assert unreached == _UNREACHED_BY_DESIGN

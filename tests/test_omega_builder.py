@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from metaline.linalg import SpanAccumulator, pair_count, wedge
-from metaline.omega_builder import build_omega, sl2_exterior_square_dims
+from conftest import sl2_exterior_square_dims
+from metaline.linalg import Mat, SpanAccumulator, pair_count, rational_rows, wedge
+from metaline.omega_builder import build_omega
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q
 from metaline.varieties import (
@@ -28,6 +29,12 @@ GOLDEN = {
 }
 
 
+def _w_prime_basis(construction):
+    """W' as the reduced rational basis of the construction's sparse rows."""
+    dim_l2 = pair_count(construction.omega.dim_w)
+    return Mat(rational_rows(construction.w_prime_rows, construction.w_prime_pivots, dim_l2))
+
+
 def test_sl2_oracle_dimensions():
     # second exterior square of binary forms: weights 2k-2, 2k-6, ...
     assert sl2_exterior_square_dims(3) == (5, 1)
@@ -43,7 +50,9 @@ def test_golden_dimensions(name, fixture_cache):
     assert construction.omega.dim_w == dim_w
     assert construction.dim_w_prime == dim_w_prime
     assert construction.omega.dim_u == dim_u
-    assert construction.w_prime_basis.ncols == dim_w * (dim_w - 1) // 2
+    assert len(construction.w_prime_rows) == len(construction.w_prime_pivots) == dim_w_prime
+    columns = range(dim_w * (dim_w - 1) // 2)
+    assert all(k in columns for row in construction.w_prime_rows for k in row)
 
 
 @pytest.mark.parametrize("name", ["veronese-2-3", "veronese-2-4", "flat-conic"])
@@ -74,7 +83,7 @@ def test_clebsch_gordan_cross_check():
 
 def test_form_vanishes_on_kernel_basis(twisted_cubic):
     _, omega, construction = twisted_cubic
-    for row in construction.w_prime_basis.entries:
+    for row in _w_prime_basis(construction).entries:
         assert all(v == 0 for v in omega.on_wedge(row))
 
 
@@ -96,7 +105,7 @@ def test_quotient_projection_structure(twisted_cubic):
     """Free exterior coordinates map to the matching unit vector of U."""
     _, omega, construction = twisted_cubic
     pivots = set()
-    reduced, pivot_cols = construction.w_prime_basis.rref()
+    reduced, pivot_cols = _w_prime_basis(construction).rref()
     pivots.update(pivot_cols)
     free = [k for k in range(pair_count(omega.dim_w)) if k not in pivots]
     assert len(free) == omega.dim_u
@@ -137,7 +146,7 @@ def _sampled_span(chart, frame_rows=_tangent_rows, window=25, budget=400):
             grew |= accumulator.insert(wedge(u, v))
         stable = 0 if grew else stable + 1
         if stable == window:
-            return accumulator.basis_matrix()
+            return Mat(rational_rows(accumulator.rows, accumulator.pivots, accumulator.dim))
     raise AssertionError(f"rank {accumulator.rank} still moving after {budget} points")
 
 
@@ -158,7 +167,7 @@ def _derived_charts():
 
 @pytest.mark.parametrize("chart", _derived_charts(), ids=lambda chart: chart.label)
 def test_exact_span_matches_sampled_saturation(chart):
-    assert build_omega(chart).w_prime_basis == _sampled_span(chart)
+    assert _w_prime_basis(build_omega(chart)) == _sampled_span(chart)
 
 
 def test_degenerate_frame_span_matches_pointwise_wedges():
@@ -169,4 +178,4 @@ def test_degenerate_frame_span_matches_pointwise_wedges():
         affine_tangent_frame(chart, (Q(1), Q(2)))
     construction = build_omega(chart)
     assert (construction.dim_w_prime, construction.omega.dim_u) == (5, 1)
-    assert construction.w_prime_basis == _sampled_span(chart, _raw_frame_rows)
+    assert _w_prime_basis(construction) == _sampled_span(chart, _raw_frame_rows)

@@ -89,6 +89,20 @@ def test_unknown_check_rejected():
         run_verification(chart, explicit, checks=["nonsense"])
 
 
+@pytest.mark.parametrize("checks", [[], ()])
+def test_empty_check_selection_rejected(checks, monkeypatch):
+    """Only checks=None means every check; an empty selection is an error,
+    raised before any form is built."""
+
+    def no_form(*args):
+        raise AssertionError("form built for an empty selection")
+
+    monkeypatch.setattr(runner, "form_and_dimensions", no_form)
+    chart, explicit = builtin_chart("veronese-2-3")
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_verification(chart, explicit, checks=checks)
+
+
 def test_parallel_matches_serial():
     chart, explicit = builtin_chart("veronese-2-3")
     serial = run_verification(chart, explicit, seed=42, samples=16, jobs=1)
