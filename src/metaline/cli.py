@@ -183,7 +183,6 @@ def _cmd_sample_line(args):
     x = element(omega, base[: omega.dim_w], base[omega.dim_w :])
     direction = chart.evaluate(param)
     line = line_through(omega, x, direction)
-    plane = pluecker_embed(omega, line)
     row_point, row_dir = line_matrix_rows(omega, x, line.direction)
     arc = [Poly.const(c, 1) + Poly.var(0, 1) * d for c, d in zip(row_point[:-1], row_dir[:-1])]
     datum = boundary_point(chart, omega, param, x)
@@ -194,7 +193,7 @@ def _cmd_sample_line(args):
         "canonicalDirection": [qstr(c) for c in line.direction],
         "canonicalBase": [qstr(c) for c in line.base.coords],
         "parametrization": [p.format(["t"]) for p in arc],
-        "plueckerVector": [qstr(c) for c in plane.vector],
+        "plueckerVector": [qstr(c) for c in pluecker_embed(omega, line)],
         "boundaryDirection": [qstr(c) for c in boundary_direction(omega, line)],
         "boundaryPoint": {
             "chart": datum.chart_label,

@@ -77,14 +77,13 @@ def bundle_to_space(omega: OmegaForm, point, fiber: BoundaryPoint):
 
 
 def compactified_line(
-    chart: VarietyChart, omega: OmegaForm, fiber: BoundaryPoint, x: GroupElement, t_grid
+    omega: OmegaForm, fiber: BoundaryPoint, marked: TangentDirectionPoint, t_grid
 ):
-    """The line through x over the chart point of fiber, a boundary point
-    there: its points at the grid parameters (interior) plus its single
-    boundary point, the coset of x in fiber."""
-    w = chart.evaluate(fiber.param)
-    interiors = [translate(omega, x, w, t) for t in t_grid]
-    return interiors, fiber.coset_of(omega, x)
+    """The line of a marked point over the chart point of fiber, a
+    boundary point there: its points at the grid parameters (interior)
+    plus its single boundary point, the coset of the marked base in fiber."""
+    interiors = [translate(omega, marked.base, marked.direction, t) for t in t_grid]
+    return interiors, fiber.coset_of(omega, marked.base)
 
 
 def g_action(omega: OmegaForm, g: GroupElement, point):
@@ -99,7 +98,7 @@ def g_action(omega: OmegaForm, g: GroupElement, point):
 def act_on_bundle(omega: OmegaForm, g: GroupElement, point):
     """Left translation on the bundle itself (lines and marked points)."""
     if isinstance(point, TangentDirectionPoint):
-        return TangentDirectionPoint(point.chart, point.param, multiply(omega, g, point.base))
+        return replace(point, base=multiply(omega, g, point.base))
     if isinstance(point, HorizontalLine) and point.param is not None:
         line = line_through(omega, multiply(omega, g, point.base), point.direction)
         return replace(line, param=point.param)

@@ -18,15 +18,16 @@ are that closed form.  Everything here differentiates the picture exactly:
 * pencil_frames / check_splitting_type: the one-parameter pencil of
   derivative frames is exactly linear in the slide parameter, and the
   combined frame has full rank with the limit frame nowhere dropping;
-* family_dimension: rank of the full parametrization Jacobian.
+* family_dimension: rank of the full parametrization Jacobian at one
+  point.
 
 Multiplied by P, a U direction off the pivot columns moves one entry of
 the block's first row and nothing else.  So the slide solve
-(solve_basepoint_variation) and the Jacobian rank eliminate each U
-unknown through its own row, a Schur complement (F. Zhang (ed.), The
-Schur Complement and Its Applications, Springer 2005), at every pivot
-pair and dim_u; the full basepoint_variation is solved only to give an
-out-of-span shift its residual.
+(solve_basepoint_variation) and the Jacobian rank (family_dimension)
+eliminate each U unknown through its own row, a Schur complement
+(F. Zhang (ed.), The Schur Complement and Its Applications, Springer
+2005), at every pivot pair and dim_u; the full basepoint_variation is
+solved only to give an out-of-span shift its residual.
 
 All of it runs fraction-free (after Bareiss, Math. Comp. 22, 1968), on
 integer rows with one positive scale each (_plane).  Scale row r of the
@@ -53,7 +54,7 @@ from math import gcd, lcm
 from .jets import Jet1
 from .linalg import Mat, NotInSpan, integer_rref, solve_in_span
 from .lines import line_matrix_rows, translate
-from .metabelian import GroupElement, OmegaForm, element
+from .metabelian import GroupElement, OmegaForm
 from .scalars import HALF, ONE, Q, ZERO, as_integers, from_integers
 from .varieties import VarietyChart, in_tangent_span
 
@@ -374,7 +375,6 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
 class SlideCheckResult:
     ok: bool
     tangent_span_ok: bool
-    coefficients: tuple
     residual: tuple
 
 
@@ -409,7 +409,7 @@ def check_slide_identity(
         all(c == 0 for c in coeffs[omega.dim_w :])
         and in_tangent_span(chart, param, coeffs[: omega.dim_w])
     )
-    return SlideCheckResult(ok, tangent_span_ok, tuple(coeffs), residual)
+    return SlideCheckResult(ok, tangent_span_ok, residual)
 
 
 def _slide_residual(omega: OmegaForm, coeffs, tangent, t, iw):
@@ -481,16 +481,15 @@ def _column_rank(columns):
 
 def check_splitting_type(frame0, frame_inf) -> bool:
     """Witness that every pencil member, including the limit, spans a
-    d-plane: s * frame0 + frame_inf keeps rank d at s = 0 and beyond,
-    while the combined frame has rank 2d.
+    d-plane: s * frame0 + frame_inf keeps rank d at s = 0 and beyond.
+    The frames are those pencil_frames returns, so the combined frame
+    already has rank 2d.
 
     The frames are pencil_frames' integer columns I / e; for s = sn / sd
     the column of s * frame0 + frame_inf is the integer column
     sn e_inf I_0 + sd e_0 I_inf over sd e_0 e_inf, and each rank is taken
     on those columns as integer rows."""
     d = len(frame0)
-    if _column_rank([ints for ints, _ in frame0 + frame_inf]) != 2 * d:
-        return False
     for s in SPLITTING_SAMPLES:
         sn, sd = s.numerator, s.denominator
         mixed = [
@@ -502,8 +501,12 @@ def check_splitting_type(frame0, frame_inf) -> bool:
     return True
 
 
-def _jacobian_rank(chart: VarietyChart, omega: OmegaForm, param, x, w, pivots) -> int:
-    """Rank of [direction variations | basepoint variation] at one point.
+def family_dimension(chart: VarietyChart, omega: OmegaForm, param, x, w, pivots) -> int:
+    """Rank at one point of the Jacobian of (parameter, base point) ->
+    chart coordinates of the line's plane: the direction variations along
+    the parameter axes beside the basepoint variation (moving the base by
+    x * exp(a) keeps the rank).  It is at most n - 1 + d: the basepoint
+    variation along the line direction is zero.
 
     Every column is read as P dB on one plane (_moved_rows): along
     parameter axis a the direction row moves by that of the chart partial
@@ -520,33 +523,3 @@ def _jacobian_rank(chart: VarietyChart, omega: OmegaForm, param, x, w, pivots) -
     ]
     reduced, _, u_pos = _schur_system(omega, plane, moves + _w_variation(omega, plane))
     return len(u_pos) + Mat(reduced).rank()
-
-
-def family_dimension(chart: VarietyChart, omega: OmegaForm, sampler, points: int = 10) -> int:
-    """Max rank over sample points of the Jacobian of
-    (parameter, base point) -> chart coordinates of the line's plane: the
-    direction variations along the parameter axes beside the basepoint
-    variation (moving the base by x * exp(a) keeps the rank).
-
-    No point exceeds rank n - 1 + d (n = dim_w + dim_u): the basepoint
-    variation along the line direction is zero.  So the scan stops at the
-    first point that reaches it; a chart that never does runs all points.
-    """
-    d = chart.param_dim
-    bound = omega.dim_w + omega.dim_u - 1 + d
-    best = 0
-    for _ in range(points):
-        param = sampler.vector(d)
-        w = chart.evaluate(param)
-        if all(c == 0 for c in w):
-            continue
-        x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
-        try:
-            pivots = primary_pivots(omega, x, w)
-            rank = _jacobian_rank(chart, omega, param, x, w, pivots)
-        except ChartMiss:
-            continue
-        best = max(best, rank)
-        if best == bound:
-            break
-    return best

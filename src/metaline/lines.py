@@ -42,7 +42,6 @@ class ZeroDirection(Exception):
 class HorizontalLine:
     direction: tuple
     base: GroupElement
-    pivot: int
     # chart parameter of the direction, set by line_of; None for a bare direction
     param: tuple | None = field(default=None, compare=False)
 
@@ -102,15 +101,16 @@ def line_through(omega: OmegaForm, x: GroupElement, w) -> HorizontalLine:
     lead = ints[pivot]
     w = tuple(Q(c, lead) if c else ZERO for c in ints)
     row = {k: c for k, c in enumerate(ints) if c}
-    return HorizontalLine(w, canonical_rep(omega, x, [row], [pivot]), pivot)
+    return HorizontalLine(w, canonical_rep(omega, x, [row], [pivot]))
 
 
 @dataclass(frozen=True)
 class TangentDirectionPoint:
     """A chart parameter together with a base point: one line with a
-    marked base, the direction being the chart value at the parameter."""
+    marked base, the direction being the chart value at the parameter,
+    evaluated once by direction_point."""
 
-    chart: VarietyChart
+    direction: tuple
     param: tuple
     base: GroupElement
 
@@ -119,19 +119,17 @@ def direction_point(chart: VarietyChart, param, base: GroupElement):
     param = tuple(Q(c) for c in param)
     if len(param) != chart.param_dim:
         raise ValueError("parameter arity mismatch")
-    return TangentDirectionPoint(chart, param, base)
+    return TangentDirectionPoint(chart.evaluate(param), param, base)
 
 
 def slide_action(omega: OmegaForm, t, alpha: TangentDirectionPoint) -> TangentDirectionPoint:
     """Slide the base along the marked direction: base -> base * (t w, 0)."""
-    w = alpha.chart.evaluate(alpha.param)
-    return TangentDirectionPoint(alpha.chart, alpha.param, translate(omega, alpha.base, w, t))
+    return replace(alpha, base=translate(omega, alpha.base, alpha.direction, t))
 
 
 def line_of(omega: OmegaForm, alpha: TangentDirectionPoint) -> HorizontalLine:
     """The marked point's line, carrying its chart parameter."""
-    line = line_through(omega, alpha.base, alpha.chart.evaluate(alpha.param))
-    return replace(line, param=alpha.param)
+    return replace(line_through(omega, alpha.base, alpha.direction), param=alpha.param)
 
 
 def line_matrix_rows(omega: OmegaForm, x: GroupElement, w):
@@ -142,18 +140,13 @@ def line_matrix_rows(omega: OmegaForm, x: GroupElement, w):
     return [row_point, row_dir]
 
 
-@dataclass(frozen=True)
-class PlueckerLine:
-    basis: Mat
-    pivots: tuple
-    vector: tuple
-
-
-def pluecker_embed(omega: OmegaForm, line: HorizontalLine) -> PlueckerLine:
+def pluecker_embed(omega: OmegaForm, line: HorizontalLine) -> tuple:
+    """The exterior-square coordinates of the line's plane, taken on its
+    reduced rows."""
     rows = line_matrix_rows(omega, line.base, line.direction)
     # rank 2: the rows end in 1 and 0, and the direction's W part is nonzero
-    reduced, pivots = Mat(rows).rref()
-    return PlueckerLine(reduced, pivots, tuple(wedge(*reduced.entries)))
+    reduced, _ = Mat(rows).rref()
+    return tuple(wedge(*reduced.entries))
 
 
 def boundary_direction(omega: OmegaForm, line: HorizontalLine):

@@ -32,8 +32,8 @@ from .varieties import (
     FrameDegenerate,
     IsotropyCertificate,
     VarietyChart,
+    affine_tangent_frame,
     certify_isotropic,
-    frame_is_degenerate,
 )
 
 def _sample_element(sampler, omega):
@@ -43,11 +43,11 @@ def _sample_element(sampler, omega):
 def _slide_outcome(chart, omega, cfg, variant):
     """One slide-identity sample on the primary chart ("primary"), on the
     next chart ("alt"), or on the primary chart after checking the
-    closed-form derivative against the symbolic oracle ("symbolic")."""
-    param, base_w, base_u, delta, t = cfg
-    x = meta.element(omega, base_w, base_u)
-    if frame_is_degenerate(chart, param):
+    closed-form derivative against the symbolic oracle ("symbolic"); a
+    configuration of None had a degenerate frame (_Run.slide_cfgs)."""
+    if cfg is None:
         return ("skip", "degenerate frame")
+    param, x, delta, t = cfg
     w = chart.evaluate(param)
     try:
         pivots = fam.primary_pivots(omega, x, w)
@@ -103,6 +103,7 @@ class _Run:
 
     chart: VarietyChart
     omega: OmegaForm
+    dims: dict
     seed: int
     samples: int
     jobs: int
@@ -113,18 +114,23 @@ class _Run:
 
     @cached_property
     def slide_cfgs(self):
+        """The configurations (param, x, delta, t) of the three slide
+        checks, drawn up front so that the --jobs pool gets them whole, and
+        None for one whose frame is degenerate.  Each draws all four parts,
+        degenerate or not, so no sample moves the draws of a later one."""
         sampler = self.stream("slide-identity")
-        chart, omega = self.chart, self.omega
-        return [
-            (
-                sampler.vector(chart.param_dim),
-                sampler.vector(omega.dim_w),
-                sampler.vector(omega.dim_u),
-                sampler.nonzero_vector(chart.param_dim),
-                sampler.nonzero_rational(),
-            )
-            for _ in range(self.samples)
-        ]
+        d = self.chart.param_dim
+        cfgs = []
+        for _ in range(self.samples):
+            param = sampler.vector(d)
+            x = _sample_element(sampler, self.omega)
+            cfg = (param, x, sampler.nonzero_vector(d), sampler.nonzero_rational())
+            try:
+                affine_tangent_frame(self.chart, param)
+            except FrameDegenerate:
+                cfg = None
+            cfgs.append(cfg)
+        return cfgs
 
     @cached_property
     def pencil(self):
@@ -164,41 +170,36 @@ def _group_law_outcomes(run):
     return [("pass" if holds(run.omega) else "fail", note) for holds, note in proofs]
 
 
-def _maurer_cartan_outcomes(run):
-    sampler = run.stream("maurer-cartan")
-    omega = run.omega
+def _element_samples(run, stream, body):
+    """Outcomes of run.samples group-element samples drawn from one
+    stream: each draws an element x and gives body(omega, sampler, x),
+    or a failure when the body finds an internal inconsistency."""
+    sampler = run.stream(stream)
     outcomes = []
     for _ in range(run.samples):
-        x = _sample_element(sampler, omega)
-        v = sampler.nonzero_vector(omega.dim_w)
+        x = _sample_element(sampler, run.omega)
         try:
-            meta.maurer_cartan_log_derivative(omega, x, v)
-            outcomes.append(("pass", None))
+            outcomes.append(body(run.omega, sampler, x))
         except InternalConsistencyError as exc:
             outcomes.append(("fail", str(exc)))
     return outcomes
 
 
-def _levi_tensor_outcomes(run):
-    sampler = run.stream("levi-tensor")
-    omega = run.omega
-    outcomes = []
-    for _ in range(run.samples):
-        x = _sample_element(sampler, omega)
-        u = sampler.vector(omega.dim_w)
-        v = sampler.vector(omega.dim_w)
-        try:
-            value = meta.levi_tensor(omega, x, u, v)
-        except InternalConsistencyError as exc:
-            outcomes.append(("fail", str(exc)))
-            continue
-        expected = tuple(omega.apply(u, v))
-        outcomes.append(
-            ("pass", None)
-            if value == expected
-            else ("fail", "field bracket disagrees with the form")
-        )
-    return outcomes
+def _element_check(stream, body):
+    """Table entry of a check made of group-element samples."""
+    return None, lambda run: _element_samples(run, stream, body)
+
+
+def _maurer_cartan_sample(omega, sampler, x):
+    meta.maurer_cartan_log_derivative(omega, x, sampler.nonzero_vector(omega.dim_w))
+    return ("pass", None)
+
+
+def _levi_tensor_sample(omega, sampler, x):
+    u, v = sampler.vector(omega.dim_w), sampler.vector(omega.dim_w)
+    if meta.levi_tensor(omega, x, u, v) == tuple(omega.apply(u, v)):
+        return ("pass", None)
+    return ("fail", "field bracket disagrees with the form")
 
 
 def _slide_outcomes(run, variant):
@@ -219,11 +220,28 @@ def _slide_outcomes(run, variant):
 
 
 def _family_dimension_outcomes(run):
+    """The largest family_dimension over up to 10 sample points, against
+    the family's dimension n - 1 + d.  No point exceeds it (the basepoint
+    variation along the line direction is zero), so the scan stops at
+    the first point that reaches it.  A parameter where the chart
+    vanishes, or a point whose pivots are singular, is passed over; a
+    degenerate frame is measured like any other."""
     chart, omega = run.chart, run.omega
-    measured = fam.family_dimension(chart, omega, run.stream("family-dim"), points=10)
-    expected = omega.dim_w + omega.dim_u - 1 + chart.param_dim
-    if measured == expected:
-        return [("pass", None)]
+    sampler = run.stream("family-dim")
+    expected, measured = run.dims["familyDim"], 0
+    for _ in range(10):
+        param = sampler.vector(chart.param_dim)
+        w = chart.evaluate(param)
+        if not any(w):
+            continue
+        x = _sample_element(sampler, omega)
+        try:
+            pivots = fam.primary_pivots(omega, x, w)
+            measured = max(measured, fam.family_dimension(chart, omega, param, x, w, pivots))
+        except fam.ChartMiss:
+            continue
+        if measured == expected:
+            return [("pass", None)]
     return [("fail", f"measured {measured}, expected {expected}")]
 
 
@@ -371,12 +389,12 @@ def _equivariance_sample(run, sampler, k, fiber, x):
 def _line_boundary_sample(run, sampler, k, fiber, x):
     chart, omega = run.chart, run.omega
     grid = sampler.distinct_rationals(5)
-    interiors, boundary = comp.compactified_line(chart, omega, fiber, x, grid)
+    marked = lin.direction_point(chart, fiber.param, x)
+    interiors, boundary = comp.compactified_line(omega, fiber, marked, grid)
     ok = len(set(interiors)) == len(grid)
     for interior in interiors:
         if boundary.coset_of(omega, interior) != boundary:
             ok = False
-    marked = lin.direction_point(chart, fiber.param, x)
     base_line = lin.line_of(omega, marked)
     for t in grid:
         slid = lin.slide_action(omega, t, marked)
@@ -391,8 +409,8 @@ def _line_boundary_sample(run, sampler, k, fiber, x):
 _CHECKS = {
     "isotropy": (None, _isotropy_outcomes),
     "group-law": (None, _group_law_outcomes),
-    "maurer-cartan": (None, _maurer_cartan_outcomes),
-    "levi-tensor": (None, _levi_tensor_outcomes),
+    "maurer-cartan": _element_check("maurer-cartan", _maurer_cartan_sample),
+    "levi-tensor": _element_check("levi-tensor", _levi_tensor_sample),
     "slide-identity": (lambda s: s, lambda run: _slide_outcomes(run, "primary")),
     "slide-identity-alt-chart": (lambda s: s, lambda run: _slide_outcomes(run, "alt")),
     "slide-identity-symbolic": (_symbolic, lambda run: _slide_outcomes(run, "symbolic")),
@@ -448,7 +466,7 @@ def run_verification(
     omega, dims = form_and_dimensions(chart, explicit_omega)
     report = VerificationReport(chart.label, seed, samples, dims)
     certificate = certify_isotropic(chart, omega)
-    run = _Run(chart, omega, seed, samples, jobs, certificate)
+    run = _Run(chart, omega, dims, seed, samples, jobs, certificate)
 
     for name, (count, outcomes) in _CHECKS.items():
         if name not in selected:

@@ -148,12 +148,6 @@ def make_chart(label, coords) -> VarietyChart:
     return VarietyChart(label, d, len(coords), coords, partials)
 
 
-def _reduced_frame(chart: VarietyChart, point):
-    """The leftmost-pivot reduction of the frame at the point, taken on
-    its integer rows: (sparse integer pivot rows, pivots)."""
-    return integer_rref([ints for ints, _ in chart.frame_integers(point)], chart.ambient_dim)
-
-
 def affine_tangent_frame(chart: VarietyChart, point):
     """Frame of the cone's tangent space, chart value plus all partials,
     as (rows, pivots) of its one leftmost-pivot reduction, the rows sparse
@@ -163,18 +157,13 @@ def affine_tangent_frame(chart: VarietyChart, point):
     Raises FrameDegenerate unless the d+1 frame vectors are independent.
     """
     point = tuple(point)
-    rows, pivots = _reduced_frame(chart, point)
+    frame = [ints for ints, _ in chart.frame_integers(point)]
+    rows, pivots = integer_rref(frame, chart.ambient_dim)
     if len(pivots) != chart.param_dim + 1:
         raise FrameDegenerate(
             f"frame rank below {chart.param_dim + 1} at {tuple(map(qstr, point))}"
         )
     return rows, pivots
-
-
-def frame_is_degenerate(chart: VarietyChart, point) -> bool:
-    """Whether the d+1 frame vectors are dependent at the point, the test
-    of affine_tangent_frame, read off the pivot count alone."""
-    return len(_reduced_frame(chart, point)[1]) != chart.param_dim + 1
 
 
 def in_tangent_span(chart: VarietyChart, point, vector) -> bool:

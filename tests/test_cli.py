@@ -631,6 +631,25 @@ def test_fixture_file_verifies(tmp_path, capsys, name):
             assert counts[1] == counts[0] and check["witness"] is None, check["name"]
 
 
+# sha256 of the no-recovery.json report at seed 72, --samples 25.  The cusp
+# (1, t^2, t^3) has a degenerate frame only at t = 0, which this run's slide
+# stream draws twice and its equivariance stream once, so the bytes pin the
+# draws that follow a degenerate sample.
+DEGENERATE_DRAW_DIGEST = "ac9570de34b61712debe705815115d9b14de0429662e2c483d7c435955c9a071"
+
+
+def test_draws_after_a_degenerate_parameter_are_pinned(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, _, _ = run_cli(
+        "verify", str(_FIXTURE_DIR / "no-recovery.json"), "--seed", "72", "--samples", "25",
+        "--out", str(out), capsys=capsys,
+    )
+    assert code == 0
+    skips = {c["name"]: c["skips"] for c in json.loads(out.read_text())["checks"] if c["skips"]}
+    assert skips == {"slide-identity": 2, "slide-identity-alt-chart": 2, "equivariance": 1}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEGENERATE_DRAW_DIGEST
+
+
 # sha256 of each build-omega output (omegaTable, wPrimeBasis and the
 # dimensions), pinned when the form was stored as a dense table of rationals.
 BUILD_OMEGA_DIGESTS = {

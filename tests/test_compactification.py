@@ -104,7 +104,8 @@ def test_compactified_line_single_boundary(twisted_cubic):
     param = (Q(3),)
     x = element(omega, (1, 0, 2, 0), (1,))
     grid = (Q(0), Q(1), Q(-1), Q(5, 2))
-    interiors, boundary = compactified_line(chart, omega, _fiber(chart, omega, param), x, grid)
+    marked = direction_point(chart, param, x)
+    interiors, boundary = compactified_line(omega, _fiber(chart, omega, param), marked, grid)
     assert len(interiors) == len(grid)
     assert len(set(interiors)) == len(grid)
     for interior in interiors:

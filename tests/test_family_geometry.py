@@ -15,6 +15,7 @@ from metaline.lines import line_matrix_rows, translate
 from metaline.metabelian import GroupElement, OmegaForm, element, multiply
 from metaline.omega_builder import build_omega
 from metaline.polynomials import Poly
+from metaline.runner import run_verification
 from metaline.sampling import RationalSampler
 from metaline.scalars import HALF, ONE, Q, ZERO, as_integers, from_integers
 from metaline.varieties import (
@@ -126,14 +127,28 @@ def test_slide_identity_fails_off_isotropy():
     assert any(c != 0 for c in result.residual)
 
 
-def test_tangent_span_check_rejects_a_u_component():
+def _recording_solve(monkeypatch):
+    """The coefficients each solve_basepoint_variation call returns."""
+    solved = []
+    original = fam.solve_basepoint_variation
+
+    def recording(*args):
+        solved.append(original(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(fam, "solve_basepoint_variation", recording)
+    return solved
+
+
+def test_tangent_span_check_rejects_a_u_component(monkeypatch):
     """Off isotropy the pulled-back shift gains a U-component, while its
     W-part stays in the tangent span (here all of W)."""
     chart = linear_chart(2, "p1")
     x = element(HEIS, (0, 1), (0,))
+    solved = _recording_solve(monkeypatch)
     result = fam.check_slide_identity(chart, HEIS, (Q(0),), x, (Q(1),), Q(2), (0, 1))
-    assert result.coefficients == (0, -2, -2)
-    assert in_tangent_span(chart, (Q(0),), result.coefficients[:2])
+    assert solved == [(0, -2, -2)]
+    assert in_tangent_span(chart, (Q(0),), solved[0][:2])
     assert not result.tangent_span_ok
 
 
@@ -149,7 +164,7 @@ def test_tangent_span_check_rejects_a_w_part_off_the_frame(twisted_cubic, monkey
         assert result.tangent_span_ok is inside
 
 
-def test_slide_identity_frozen_flat_conic(flat_conic):
+def test_slide_identity_frozen_flat_conic(flat_conic, monkeypatch):
     chart, omega, _ = flat_conic
     x = element(omega, (0, 0, 1))
     param, delta, t = (Q(1),), (Q(1),), Q(1)
@@ -158,9 +173,10 @@ def test_slide_identity_frozen_flat_conic(flat_conic):
     j0 = fam.direction_variation(chart, omega, param, x, delta, Q(0), pivots)
     shift = [a - b for ra, rb in zip(j1.entries, j0.entries) for a, b in zip(ra, rb)]
     assert shift == [1, -2, -1, 2]
+    solved = _recording_solve(monkeypatch)
     result = fam.check_slide_identity(chart, omega, param, x, delta, t, pivots)
     assert result.ok and result.tangent_span_ok
-    assert result.coefficients == (2, 1, 0)
+    assert solved == [(2, 1, 0)]
     assert all(r == 0 for r in result.residual)
 
 
@@ -260,7 +276,15 @@ def test_pencil_and_splitting_on_samples(twisted_cubic, veronese33):
             assert fam.check_splitting_type(frame0, frame_inf)
 
 
+def _family_dimension_row(chart, omega, seed=42):
+    """The family-dimension row of a run, with the run's familyDim."""
+    report = run_verification(chart, omega, seed=seed, samples=1, checks=["family-dimension"])
+    [row] = report.checks
+    return row, report.dims["familyDim"]
+
+
 def test_family_dimension(fixture_cache):
+    """The runner's scan measures n - 1 + d on each curve and surface."""
     expected = {
         "veronese-2-3": 5,
         "veronese-2-4": 8,
@@ -269,12 +293,14 @@ def test_family_dimension(fixture_cache):
     }
     for name, value in expected.items():
         chart, omega, _ = fixture_cache(name)
-        assert fam.family_dimension(chart, omega, RationalSampler(43)) == value
+        row, family_dim = _family_dimension_row(chart, omega, seed=43)
+        assert (row.passes, family_dim) == (1, value), name
 
 
 def test_family_dimension_veronese33(veronese33):
     chart, omega, _ = veronese33
-    assert fam.family_dimension(chart, omega, RationalSampler(43), points=4) == 21
+    row, family_dim = _family_dimension_row(chart, omega, seed=43)
+    assert (row.passes, family_dim) == (1, 21)
 
 
 def _count_basepoint_variations(monkeypatch):
@@ -292,24 +318,25 @@ def _count_basepoint_variations(monkeypatch):
 
 
 def test_family_dimension_stops_at_the_rank_bound(twisted_cubic, monkeypatch):
-    """The first sampled point already reaches n - 1 + d; no later point
-    can exceed it, so no later point is sampled."""
+    """The runner's scan: the first sampled point already reaches
+    n - 1 + d; no later point can exceed it, so no later point is
+    sampled."""
     chart, omega, _ = twisted_cubic
     calls = _count_basepoint_variations(monkeypatch)
-    bound = omega.dim_w + omega.dim_u - 1 + chart.param_dim
-    assert fam.family_dimension(chart, omega, RationalSampler(43)) == bound
+    row, _ = _family_dimension_row(chart, omega, seed=43)
+    assert row.passes == 1
     assert len(calls) == 1
 
 
 def test_family_dimension_below_the_bound_scans_every_point(monkeypatch):
-    """A chart whose frame drops rank everywhere stays one below the
-    bound, so all ten points are sampled."""
+    """The runner's scan: a chart whose frame drops rank everywhere stays
+    one below the bound, so all ten points are sampled."""
     data = json.loads((FIXTURE_DIR / "degenerate-frame.json").read_text())
     chart = chart_from_json(data)
     omega = build_omega(chart).omega
     calls = _count_basepoint_variations(monkeypatch)
-    bound = omega.dim_w + omega.dim_u - 1 + chart.param_dim
-    assert fam.family_dimension(chart, omega, RationalSampler(43)) == bound - 1
+    row, bound = _family_dimension_row(chart, omega, seed=43)
+    assert (row.failures, row.witness) == (1, f"measured {bound - 1}, expected {bound}")
     assert len(calls) == 10
 
 
@@ -523,18 +550,6 @@ def _coordinate_jacobian_rank(chart, omega, param, base_w, base_u):
     return Mat([[e.eps[k] for k in range(width)] for row in block for e in row]).rank()
 
 
-class _Replay:
-    """A sampler that hands out the given vectors in order."""
-
-    def __init__(self, *vectors):
-        self.vectors = list(vectors)
-
-    def vector(self, length):
-        vec = self.vectors.pop(0)
-        assert len(vec) == length
-        return vec
-
-
 # The isotropic builtins but veronese3-of-conic, whose width-45 jets are slow.
 @pytest.mark.parametrize(
     "name", ["veronese-2-3", "veronese-2-4", "veronese-3-3", "flat-conic", "flat-linear"]
@@ -544,14 +559,23 @@ def test_family_dimension_rank_matches_coordinate_jacobian(fixture_cache, name):
     sampler = RationalSampler(61)
     for _ in range(3):
         draws = [sampler.vector(k) for k in (chart.param_dim, omega.dim_w, omega.dim_u)]
-        rank = fam.family_dimension(chart, omega, _Replay(*draws), points=1)
+        param, x, w = draws[0], element(omega, *draws[1:]), chart.evaluate(draws[0])
+        pivots = fam.primary_pivots(omega, x, w)
+        rank = fam.family_dimension(chart, omega, param, x, w, pivots)
         assert rank == _coordinate_jacobian_rank(chart, omega, *draws) > 0
 
 
-def test_splitting_rejects_rank_drop():
-    frame0 = [([1, 0, 0, 0], 1)]
-    collinear = [([2, 0, 0, 0], 1)]
-    assert not fam.check_splitting_type(frame0, collinear)
+def test_pencil_frames_reject_a_rank_drop():
+    """At the cusp of (1, t^2, t^3) the chart partial vanishes, so both
+    pencil frames are zero and the combined rank is 0, not 2d = 2."""
+    data = json.loads((FIXTURE_DIR / "no-recovery.json").read_text())
+    chart = chart_from_json(data)
+    omega = build_omega(chart).omega
+    param = (Q(0),)
+    x = element(omega, (1, 2, 3), (5,) * omega.dim_u)
+    pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+    with pytest.raises(fam.RankDeficient):
+        fam.pencil_frames(chart, omega, param, x, pivots)
 
 
 # The Schur solve over the U unknowns against the full solve.
@@ -700,7 +724,7 @@ def test_family_rank_matches_the_full_jacobian_rank(fixture_cache, name):
         w = chart.evaluate(param)
         for kind, pivots in _schur_pivot_choices(omega, x, w).items():
             args = (chart, omega, param, x, w, pivots)
-            assert fam._jacobian_rank(*args) == _full_jacobian_rank(*args), (kind, pivots)
+            assert fam.family_dimension(*args) == _full_jacobian_rank(*args), (kind, pivots)
 
 
 def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeypatch):
@@ -729,7 +753,7 @@ def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeyp
         )
         args = (chart, omega, param, x, w, pivots)
         rank = omega.dim_w + omega.dim_u - 1
-        assert fam._jacobian_rank(*args) == _full_jacobian_rank(*args) == rank, kind
+        assert fam.family_dimension(*args) == _full_jacobian_rank(*args) == rank, kind
 
 
 # Off isotropy the pencil is not linear in the slide, so the slide

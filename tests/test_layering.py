@@ -1,6 +1,6 @@
 """Each metaline module reaches another only through its public names, every
-public name is reached from src/, and only scalars.py reaches the Fraction
-backend."""
+public name is reached from src/, only scalars.py reaches the Fraction
+backend, and only the runner and the CLI draw samples."""
 
 import ast
 from collections import Counter
@@ -94,9 +94,36 @@ def test_the_package_root_imports_nothing():
     assert imports == []
 
 
+def _drawing_methods():
+    """The public methods of RationalSampler that draw: all but derive,
+    which only names a stream."""
+    tree = ast.parse((SRC / "sampling.py").read_text())
+    [sampler] = [n for n in tree.body if getattr(n, "name", None) == "RationalSampler"]
+    methods = {n.name for n in sampler.body if isinstance(n, ast.FunctionDef)}
+    return {m for m in methods if not m.startswith("_")} - {"derive"}
+
+
+def test_only_the_runner_and_the_cli_draw_samples():
+    """Every sample loop is the runner's (or the CLI's, for sample-line):
+    no other module calls a sampler's drawing methods, so a kernel takes
+    its sample point as arguments."""
+    draws = _drawing_methods()
+    drawing = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in draws
+    }
+    assert drawing == {"runner.py", "cli.py", "sampling.py"}
+
+
 # perfbench/tracer.py wraps Poly.compose, so it stays until the benchmark
-# stops tracing it, although nothing in src/ calls it.
-_UNREACHED_BY_DESIGN = ["polynomials.py Poly.compose"]
+# stops tracing it, although nothing in src/ calls it; its tracer also reads
+# OmegaConstruction.rank_history, which nothing in src/ reads.
+_UNREACHED_BY_DESIGN = [
+    "omega_builder.py OmegaConstruction.rank_history",
+    "polynomials.py Poly.compose",
+]
 
 
 def _public_definitions(tree):
@@ -111,6 +138,27 @@ def _public_definitions(tree):
                         yield f"{node.name}.{sub.name}", sub
 
 
+def _is_dataclass(node):
+    return any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list
+    )
+
+
+def _public_fields(tree):
+    """Qualified name and name of each public field of each public dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and _is_dataclass(node):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and not sub.target.id.startswith("_"):
+                    yield f"{node.name}.{sub.target.id}", sub.target.id
+
+
+def _attribute_reads(tree):
+    """Each attribute name the tree reads (obj.name in a load)."""
+    loads = (n for n in ast.walk(tree) if isinstance(getattr(n, "ctx", None), ast.Load))
+    return {n.attr for n in loads if isinstance(n, ast.Attribute)}
+
+
 def _names(node):
     """Each name read inside node, as a bare name, an attribute or an
     imported name, counted once per occurrence."""
@@ -123,13 +171,22 @@ def _names(node):
 
 def test_every_public_name_is_reached_from_src():
     """A public function, class or method that only tests reach is not
-    kept: some module in src/ names it outside its own definition."""
+    kept: some module in src/ names it outside its own definition.  Nor
+    is a public dataclass field that no module in src/ reads as an
+    attribute (by name, whatever the object)."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    read = set().union(*map(_attribute_reads, trees.values()))
     unreached = [
         f"{name} {qualified}"
         for name, tree in trees.items()
         for qualified, node in _public_definitions(tree)
         if everywhere[node.name] == _names(node)[node.name]
     ]
-    assert unreached == _UNREACHED_BY_DESIGN
+    unreached += [
+        f"{name} {qualified}"
+        for name, tree in trees.items()
+        for qualified, field in _public_fields(tree)
+        if field not in read
+    ]
+    assert sorted(unreached) == _UNREACHED_BY_DESIGN

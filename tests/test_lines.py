@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import HEISENBERG as HEIS
-from metaline.linalg import Mat
+from metaline.linalg import Mat, wedge
 from metaline.lines import (
     ZeroDirection,
     boundary_direction,
@@ -18,14 +18,19 @@ from metaline.sampling import RationalSampler
 from metaline.scalars import Q
 
 
+def _pivot(line):
+    """The canonical line's pivot: its direction's leftmost nonzero entry."""
+    return next(k for k, c in enumerate(line.direction) if c)
+
 
 def test_canonical_form_invariants():
     x = element(HEIS, (3, 5), (7,))
     line = line_through(HEIS, x, (2, 4))
     assert line.direction == (1, 2)
-    assert line.pivot == 0
-    assert line.direction[line.pivot] == 1
-    assert line.base.w_part[line.pivot] == 0
+    pivot = _pivot(line)
+    assert pivot == 0
+    assert line.direction[pivot] == 1
+    assert line.base.w_part[pivot] == 0
 
 
 def test_same_line_same_canonical_form():
@@ -70,7 +75,7 @@ def test_marked_point_slide_preserves_line(flat_conic):
     assert line == line_through(omega, x, chart.evaluate((Q(2),)))
     # the canonical base sits at parameter 0 and the direction is 1 at the
     # pivot, so a point's line parameter is its W-coordinate at the pivot
-    pivot = line.pivot
+    pivot = _pivot(line)
     for marked in (alpha, slid):
         t = marked.base.w_part[pivot]
         assert translate(omega, line.base, line.direction, t) == marked.base
@@ -78,11 +83,12 @@ def test_marked_point_slide_preserves_line(flat_conic):
     assert shift == Q(5) * chart.evaluate((Q(2),))[pivot]
 
 
-def _rank_with(plane, point):
-    """Rank of the plane's basis with the point's row (W, U, 1) appended:
-    2 exactly when the point lies on the embedded plane."""
-    row = (*point.w_part, *point.u_part, Q(1))
-    return Mat([*plane.basis.entries, row]).rank()
+def _rank_with(omega, line, point):
+    """Rank of the line's Pluecker vector beside that of the plane spanned
+    by the point's row (W, U, 1) and the line's direction row: 1 exactly
+    when the point lies on the embedded plane."""
+    spanned = wedge(*line_matrix_rows(omega, point, line.direction))
+    return Mat([pluecker_embed(omega, line), spanned]).rank()
 
 
 def test_pluecker_embedding_relations_and_membership(twisted_cubic):
@@ -92,11 +98,10 @@ def test_pluecker_embedding_relations_and_membership(twisted_cubic):
         x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
         w = chart.evaluate(sampler.vector(chart.param_dim))
         line = line_through(omega, x, w)
-        plane = pluecker_embed(omega, line)
         for t in (Q(0), Q(1), Q(-3, 2)):
-            assert _rank_with(plane, translate(omega, line.base, line.direction, t)) == 2
+            assert _rank_with(omega, line, translate(omega, line.base, line.direction, t)) == 1
         off_line = multiply(omega, x, element(omega, (0,) * omega.dim_w, (1,)))
-        assert _rank_with(plane, off_line) == 3
+        assert _rank_with(omega, line, off_line) == 2
 
 
 def test_pluecker_injective_on_canonical_lines(twisted_cubic):
@@ -109,7 +114,7 @@ def test_pluecker_injective_on_canonical_lines(twisted_cubic):
         lines.append(line_through(omega, x, w))
     embedded = {}
     for line in lines:
-        key = pluecker_embed(omega, line).basis
+        key = pluecker_embed(omega, line)
         if key in embedded:
             assert embedded[key] == line
         else:
@@ -170,9 +175,5 @@ def test_slide_action_is_additive(twisted_cubic):
 def test_pluecker_basis_heisenberg_example():
     # base (e2, 0), direction e1: rows (0,1,0,1) and (1,0,-1/2,0)
     line = line_through(HEIS, element(HEIS, (0, 1), (0,)), (1, 0))
-    plane = pluecker_embed(HEIS, line)
-    assert plane.pivots == (0, 1)
-    assert plane.basis.entries == (
-        (Q(1), Q(0), Q(-1, 2), Q(0)),
-        (Q(0), Q(1), Q(0), Q(1)),
-    )
+    # reduced: (1, 0, -1/2, 0) and (0, 1, 0, 1), wedged in lex order of pairs
+    assert pluecker_embed(HEIS, line) == (Q(1), Q(0), Q(1), Q(1, 2), Q(0), Q(-1, 2))

@@ -396,12 +396,15 @@ def test_escape_vector_is_the_first_unit_vector_off_the_frame(name, spans_w):
 
 
 def test_each_boundary_sample_builds_one_tangent_frame(monkeypatch):
-    """A boundary point carries its fiber, and only boundary points reduce
-    tangent frames: every affine_tangent_frame call, at every module that
-    binds it, comes from compactification.boundary_point, which reduces
-    its frame exactly once.  A chart sample reduces its frame once, as the
-    fiber that tests its rank, degenerate or not, and every boundary point
-    of the sample is taken in that fiber: one frame per sample."""
+    """A boundary point carries its fiber, and only boundary points and
+    slide configurations reduce tangent frames: every affine_tangent_frame
+    call, at every module that binds it, comes from
+    compactification.boundary_point, which reduces its frame exactly
+    once, or from the runner's slide configurations, which test each
+    frame once for the three slide checks.  A chart sample reduces its
+    frame once, as the fiber that tests its rank, degenerate or not, and
+    every boundary point of the sample is taken in that fiber: one frame
+    per sample."""
     built = []
     reductions = []
     per_point = []
@@ -441,9 +444,11 @@ def test_each_boundary_sample_builds_one_tangent_frame(monkeypatch):
     del built[:]
     chart, explicit = builtin_chart("veronese-2-3")
     assert run_verification(chart, explicit, samples=10).passed
-    # 10 coset, 5 action, 5 equivariance, 5 line and 2 pencil samples
-    assert len(built) == 27
-    assert set(built) == {original_point.__code__}
+    # 10 coset, 5 action, 5 equivariance, 5 line and 2 pencil samples, and
+    # 10 slide configurations
+    assert len(built) == 27 + 10
+    slide_cfgs = runner._Run.slide_cfgs.func.__code__
+    assert set(built) == {original_point.__code__, slide_cfgs}
 
 
 def test_the_boundary_checks_reduce_each_chart_point_once(monkeypatch):
