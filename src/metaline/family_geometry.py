@@ -17,9 +17,14 @@ are that closed form.  Everything here differentiates the picture exactly:
   derivative by -t times the chart tangent, modulo the line direction;
 * pencil_frames / check_splitting_type: the one-parameter pencil of
   derivative frames is exactly linear in the slide parameter, and the
-  combined frame has full rank with the limit frame nowhere dropping;
+  combined frame has rank 2d, so no member, the limit included, drops;
 * family_dimension: rank of the full parametrization Jacobian at one
   point.
+
+These closed forms read the chart only through its frame at the sample's
+parameter, as VarietyChart.frame_integers gives it: the value row, then
+the d partial rows, each (integers, scale).  Only the symbolic oracle
+(direction_variation_symbolic) takes the chart and the parameter.
 
 Multiplied by P, a U direction off the pivot columns moves one entry of
 the block's first row and nothing else.  So the slide solve
@@ -59,15 +64,10 @@ from .scalars import HALF, ONE, Q, ZERO, as_integers, from_integers
 from .varieties import VarietyChart, in_tangent_span
 
 PENCIL_SLIDES = (Q(1), Q(2), Q(-1), Q(1, 2), Q(7))
-SPLITTING_SAMPLES = (ZERO, Q(1), Q(-1), Q(2), Q(1, 3), Q(5))
 
 
 class ChartMiss(Exception):
     """The chosen pivot columns are singular at this plane."""
-
-
-class RankDeficient(Exception):
-    """A frame expected to have full rank dropped rank."""
 
 
 def _pivot_pairs(rows):
@@ -198,13 +198,25 @@ def _tangent_variation(omega: OmegaForm, plane: _Plane, tangent):
     return _block_variation(plane, _tangent_rows(omega, plane, tangent))
 
 
-def direction_variation(chart: VarietyChart, omega: OmegaForm, param, x, delta, t, pivots) -> Mat:
+def _tangent(frame, delta):
+    """Differential of the chart at the frame's point applied to delta, as
+    (ints, scale): the sum of delta_a times the frame's partial row a over
+    the lcm of their scales."""
+    terms = [(x.numerator, x.denominator * s, ints) for x, (ints, s) in zip(delta, frame[1:]) if x]
+    scale = lcm(*(den for _, den, _ in terms))
+    out = [0] * len(frame[0][0])
+    for num, den, ints in terms:
+        f = num * (scale // den)
+        out = [a + f * v for a, v in zip(out, ints)]
+    return out, scale
+
+
+def direction_variation(omega: OmegaForm, frame, x, delta, t, pivots) -> Mat:
     """Derivative of the chart coordinates of the line's plane as the
     parameter moves along delta, the base slid by t along the line."""
-    w = chart.evaluate(param)
+    w = from_integers(*frame[0])
     plane = _plane(omega, translate(omega, x, w, t), w, pivots)
-    tangent = chart.tangent_integers(param, delta)
-    return Mat(_rational(*_tangent_variation(omega, plane, tangent)))
+    return Mat(_rational(*_tangent_variation(omega, plane, _tangent(frame, delta))))
 
 
 def direction_variation_symbolic(
@@ -378,9 +390,7 @@ class SlideCheckResult:
     residual: tuple
 
 
-def check_slide_identity(
-    chart: VarietyChart, omega: OmegaForm, param, x, delta, t, pivots
-) -> SlideCheckResult:
+def check_slide_identity(omega: OmegaForm, frame, x, delta, t, pivots) -> SlideCheckResult:
     """Verify: (variation slid by t) - (variation at 0), pulled back
     through the basepoint variation, equals -t times the chart tangent
     modulo the line direction.  Exact, zero tolerance.  The pulled-back
@@ -392,8 +402,8 @@ def check_slide_identity(
     others are solved.  Its coefficients, and the residual of NotInSpan
     when the shift is out of span, are those of the full solve.  The
     variation at 0 and the pull-back share the plane at slide zero."""
-    w = chart.evaluate(param)
-    tangent = chart.tangent_integers(param, delta)
+    w = from_integers(*frame[0])
+    tangent = _tangent(frame, delta)
     plane = _plane(omega, x, w, pivots)
     slid = _plane(omega, translate(omega, x, w, t), w, pivots)
     j_t, e_t = _tangent_variation(omega, slid, tangent)
@@ -404,10 +414,12 @@ def check_slide_identity(
     ok = not any(residual)
 
     # When ok, coeffs = -t (tangent, 0) + scale (w, 0) lies in the frame span
-    # by construction, so the frame is rebuilt only to explain a failure.
+    # by construction, so the frame is reduced only to explain a failure.
     tangent_span_ok = ok or (
         all(c == 0 for c in coeffs[omega.dim_w :])
-        and in_tangent_span(chart, param, coeffs[: omega.dim_w])
+        and in_tangent_span(
+            integer_rref([ints for ints, _ in frame], omega.dim_w), coeffs[: omega.dim_w]
+        )
     )
     return SlideCheckResult(ok, tangent_span_ok, residual)
 
@@ -432,16 +444,14 @@ def _slide_residual(omega: OmegaForm, coeffs, tangent, t, iw):
     return tuple(from_integers([c * a - b * v for c, v in zip(r, iw)], scale * dt * td * a))
 
 
-def pencil_frames(chart: VarietyChart, omega: OmegaForm, param, x, pivots):
+def pencil_frames(omega: OmegaForm, frame, x, pivots):
     """Frames spanning the pencil of direction-derivative planes.
 
     Returns (frame at slide zero, limit frame), each d columns given as
     (integers, scale).  Asserts the pencil is exactly linear in the slide
-    parameter at several slides, and that the two frames together have
-    rank 2d.  Raises RankDeficient when the combined rank drops.
+    parameter at several slides.
     """
-    d = chart.param_dim
-    value, *tangents = chart.frame_integers(param)
+    value, *tangents = frame
     w = from_integers(*value)
     plane = _plane(omega, x, w, pivots)
     (point, direction), (l0, l1) = plane.rows, plane.scales
@@ -468,40 +478,20 @@ def pencil_frames(chart: VarietyChart, omega: OmegaForm, param, x, pivots):
             col = sum(rows, [])
             if any(s * lhs != scale * (u * a + v * b) for s, u, v in zip(col, col_0, col_inf)):
                 raise AssertionError(f"pencil not linear at slide {t}")
-
-    if _column_rank([col for col, _ in f0 + f_inf]) != 2 * d:
-        raise RankDeficient("combined pencil frames drop rank")
     return f0, f_inf
-
-
-def _column_rank(columns):
-    """Rank of a matrix given by its integer columns, read as rows."""
-    return len(integer_rref(columns, len(columns[0]))[1]) if columns else 0
 
 
 def check_splitting_type(frame0, frame_inf) -> bool:
     """Witness that every pencil member, including the limit, spans a
-    d-plane: s * frame0 + frame_inf keeps rank d at s = 0 and beyond.
-    The frames are those pencil_frames returns, so the combined frame
-    already has rank 2d.
-
-    The frames are pencil_frames' integer columns I / e; for s = sn / sd
-    the column of s * frame0 + frame_inf is the integer column
-    sn e_inf I_0 + sd e_0 I_inf over sd e_0 e_inf, and each rank is taken
-    on those columns as integer rows."""
-    d = len(frame0)
-    for s in SPLITTING_SAMPLES:
-        sn, sd = s.numerator, s.denominator
-        mixed = [
-            [sn * e_inf * a + sd * e_0 * b for a, b in zip(i_0, i_inf)]
-            for (i_0, e_0), (i_inf, e_inf) in zip(frame0, frame_inf)
-        ]
-        if _column_rank(mixed) != d:
-            return False
-    return True
+    d-plane: the combined frame [frame0 | frame_inf] has rank 2d, so each
+    member s * frame0 + frame_inf = [frame0 | frame_inf] [s I; I] keeps
+    rank d.  The frames are pencil_frames' integer columns, ranked as
+    integer rows."""
+    columns = [col for col, _ in frame0 + frame_inf]
+    return len(integer_rref(columns, len(columns[0]))[1]) == 2 * len(frame0)
 
 
-def family_dimension(chart: VarietyChart, omega: OmegaForm, param, x, w, pivots) -> int:
+def family_dimension(omega: OmegaForm, frame, x, pivots) -> int:
     """Rank at one point of the Jacobian of (parameter, base point) ->
     chart coordinates of the line's plane: the direction variations along
     the parameter axes beside the basepoint variation (moving the base by
@@ -516,10 +506,7 @@ def family_dimension(chart: VarietyChart, omega: OmegaForm, param, x, w, pivots)
     those plus the rank of the other rows over the other columns
     (_schur_system).
     """
-    plane = _plane(omega, x, w, pivots)
-    moves = [
-        _moved_rows(plane, _tangent_rows(omega, plane, partial))
-        for partial in chart.frame_integers(param)[1:]
-    ]
+    plane = _plane(omega, x, from_integers(*frame[0]), pivots)
+    moves = [_moved_rows(plane, _tangent_rows(omega, plane, partial)) for partial in frame[1:]]
     reduced, _, u_pos = _schur_system(omega, plane, moves + _w_variation(omega, plane))
     return len(u_pos) + Mat(reduced).rank()

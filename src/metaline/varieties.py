@@ -103,29 +103,6 @@ class VarietyChart:
         [value] = self._integer_rows(point, self._compiled[1][:1])
         return tuple(from_integers(*value))
 
-    def tangent_integers(self, point, delta):
-        """Differential of the chart at point applied to delta, as (ints,
-        scale): the sum of delta_a times partial a over the lcm of their
-        denominators."""
-        rows = self._integer_rows(point, self._compiled[1][1:])
-        terms = [(x.numerator, x.denominator * s, ints) for x, (ints, s) in zip(delta, rows) if x]
-        scale = lcm(*(den for _, den, _ in terms))
-        out = [0] * self.ambient_dim
-        for num, den, ints in terms:
-            f = num * (scale // den)
-            out = [a + f * v for a, v in zip(out, ints)]
-        return out, scale
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VarietyChart)
-            and self.label == other.label
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.label, self.coords))
-
 
 # Every builtin has at most 10; building the form for 32 takes about 1 s.
 MAX_COORDINATES = 32
@@ -166,11 +143,12 @@ def affine_tangent_frame(chart: VarietyChart, point):
     return rows, pivots
 
 
-def in_tangent_span(chart: VarietyChart, point, vector) -> bool:
-    """Whether a W-vector lies in the span of the tangent frame at the
-    point: whether it is the combination of the reduced frame rows with
-    its own entries at their pivots, compared in integers."""
-    rows, pivots = affine_tangent_frame(chart, point)
+def in_tangent_span(tangent, vector) -> bool:
+    """Whether a W-vector lies in the span of a reduced tangent frame,
+    (rows, pivots) as affine_tangent_frame gives it: whether it is the
+    combination of the reduced rows with its own entries at their pivots,
+    compared in integers."""
+    rows, pivots = tangent
     ints, _ = as_integers(vector)
     sums, den = combine_rows(rows, pivots, [ints[p] for p in pivots], len(ints))
     return all(s == den * v for s, v in zip(sums, ints))

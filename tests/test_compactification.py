@@ -12,7 +12,7 @@ from metaline.linalg import rational_rows
 from metaline.lines import direction_point, line_of, line_through
 from metaline.metabelian import element, identity_element, inverse, multiply
 from metaline.sampling import RationalSampler
-from metaline.scalars import Q, from_integers
+from metaline.scalars import Q
 from metaline.varieties import affine_tangent_frame, in_tangent_span
 
 
@@ -67,10 +67,11 @@ def test_in_tangent_span(twisted_cubic):
     chart, omega, _ = twisted_cubic
     param = (Q(2),)
     w = chart.evaluate(param)
-    tangent = from_integers(*chart.tangent_integers(param, (Q(1),)))
+    tangent = [p.evaluate(param) for p in chart.partials[0]]
     combo = tuple(3 * a - 2 * b for a, b in zip(w, tangent))
-    assert in_tangent_span(chart, param, combo)
-    assert not in_tangent_span(chart, param, (1, 0, 0, 0))
+    frame = affine_tangent_frame(chart, param)
+    assert in_tangent_span(frame, combo)
+    assert not in_tangent_span(frame, (1, 0, 0, 0))
 
 
 def test_bundle_to_space_off_section(twisted_cubic):

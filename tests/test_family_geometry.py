@@ -20,6 +20,7 @@ from metaline.sampling import RationalSampler
 from metaline.scalars import HALF, ONE, Q, ZERO, as_integers, from_integers
 from metaline.varieties import (
     VarietyChart,
+    affine_tangent_frame,
     builtin_names,
     chart_from_json,
     in_tangent_span,
@@ -108,10 +109,11 @@ def test_direction_variation_frozen_heisenberg():
     """Hand-computed control values on the flat projective line."""
     chart = linear_chart(2, "p1")
     x = element(HEIS, (0, 1), (0,))
+    frame = chart.frame_integers((Q(0),))
     pivots = fam.primary_pivots(HEIS, x, chart.evaluate((Q(0),)))
     assert pivots == (0, 1)
-    j2 = fam.direction_variation(chart, HEIS, (Q(0),), x, (Q(1),), Q(2), pivots)
-    j0 = fam.direction_variation(chart, HEIS, (Q(0),), x, (Q(1),), Q(0), pivots)
+    j2 = fam.direction_variation(HEIS, frame, x, (Q(1),), Q(2), pivots)
+    j0 = fam.direction_variation(HEIS, frame, x, (Q(1),), Q(0), pivots)
     assert j2 == Mat([[1, -1], [-2, 2]])
     assert j0 == Mat([[0, -1], [0, 0]])
 
@@ -122,7 +124,8 @@ def test_slide_identity_fails_off_isotropy():
     chart = linear_chart(2, "p1")
     x = element(HEIS, (0, 1), (0,))
     pivots = (0, 1)
-    result = fam.check_slide_identity(chart, HEIS, (Q(0),), x, (Q(1),), Q(2), pivots)
+    frame = chart.frame_integers((Q(0),))
+    result = fam.check_slide_identity(HEIS, frame, x, (Q(1),), Q(2), pivots)
     assert not result.ok
     assert any(c != 0 for c in result.residual)
 
@@ -146,9 +149,10 @@ def test_tangent_span_check_rejects_a_u_component(monkeypatch):
     chart = linear_chart(2, "p1")
     x = element(HEIS, (0, 1), (0,))
     solved = _recording_solve(monkeypatch)
-    result = fam.check_slide_identity(chart, HEIS, (Q(0),), x, (Q(1),), Q(2), (0, 1))
+    frame = chart.frame_integers((Q(0),))
+    result = fam.check_slide_identity(HEIS, frame, x, (Q(1),), Q(2), (0, 1))
     assert solved == [(0, -2, -2)]
-    assert in_tangent_span(chart, (Q(0),), solved[0][:2])
+    assert in_tangent_span(affine_tangent_frame(chart, (Q(0),)), solved[0][:2])
     assert not result.tangent_span_ok
 
 
@@ -158,9 +162,10 @@ def test_tangent_span_check_rejects_a_w_part_off_the_frame(twisted_cubic, monkey
     chart, omega, _ = twisted_cubic
     param, x, delta = (Q(2),), element(omega, (1, 2, 3, 4), (5,)), (Q(1),)
     pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+    frame = chart.frame_integers(param)
     for coeffs, inside in (((1, 2, 4, 8, 0), True), ((1, 0, 0, 0, 0), False)):
         monkeypatch.setattr(fam, "solve_basepoint_variation", lambda *args, c=coeffs: c)
-        result = fam.check_slide_identity(chart, omega, param, x, delta, Q(3), pivots)
+        result = fam.check_slide_identity(omega, frame, x, delta, Q(3), pivots)
         assert result.tangent_span_ok is inside
 
 
@@ -169,12 +174,13 @@ def test_slide_identity_frozen_flat_conic(flat_conic, monkeypatch):
     x = element(omega, (0, 0, 1))
     param, delta, t = (Q(1),), (Q(1),), Q(1)
     pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
-    j1 = fam.direction_variation(chart, omega, param, x, delta, t, pivots)
-    j0 = fam.direction_variation(chart, omega, param, x, delta, Q(0), pivots)
+    frame = chart.frame_integers(param)
+    j1 = fam.direction_variation(omega, frame, x, delta, t, pivots)
+    j0 = fam.direction_variation(omega, frame, x, delta, Q(0), pivots)
     shift = [a - b for ra, rb in zip(j1.entries, j0.entries) for a, b in zip(ra, rb)]
     assert shift == [1, -2, -1, 2]
     solved = _recording_solve(monkeypatch)
-    result = fam.check_slide_identity(chart, omega, param, x, delta, t, pivots)
+    result = fam.check_slide_identity(omega, frame, x, delta, t, pivots)
     assert result.ok and result.tangent_span_ok
     assert solved == [(2, 1, 0)]
     assert all(r == 0 for r in result.residual)
@@ -204,7 +210,8 @@ def test_slide_identity_on_samples(twisted_cubic, quartic):
             t = sampler.nonzero_rational()
             w = chart.evaluate(param)
             pivots = fam.primary_pivots(omega, x, w)
-            result = fam.check_slide_identity(chart, omega, param, x, delta, t, pivots)
+            frame = chart.frame_integers(param)
+            result = fam.check_slide_identity(omega, frame, x, delta, t, pivots)
             assert result.ok and result.tangent_span_ok
 
 
@@ -221,7 +228,7 @@ def test_slide_identity_in_second_chart(twisted_cubic):
         if alt is None:
             continue
         result = fam.check_slide_identity(
-            chart, omega, param, x, (Q(1),), sampler.nonzero_rational(), alt
+            omega, chart.frame_integers(param), x, (Q(1),), sampler.nonzero_rational(), alt
         )
         assert result.ok and result.tangent_span_ok
         checked += 1
@@ -237,7 +244,7 @@ def test_symbolic_variation_matches_jets(veronese33):
         t = sampler.rational()
         w = chart.evaluate(param)
         pivots = fam.primary_pivots(omega, x, w)
-        jet = fam.direction_variation(chart, omega, param, x, delta, t, pivots)
+        jet = fam.direction_variation(omega, chart.frame_integers(param), x, delta, t, pivots)
         symbolic = fam.direction_variation_symbolic(chart, omega, param, x, delta, t, pivots)
         assert jet == symbolic
 
@@ -252,7 +259,7 @@ def test_pencil_frames_flat_conic(flat_conic):
     x = element(omega, (0, 0, 1))
     param = (Q(1),)
     pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
-    frame0, frame_inf = fam.pencil_frames(chart, omega, param, x, pivots)
+    frame0, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), x, pivots)
     m0, m_inf = _frame_matrix(frame0), _frame_matrix(frame_inf)
     assert m0.ncols == m_inf.ncols == 1
     # frozen: j_inf column equals the slide shift at t = 1
@@ -269,7 +276,7 @@ def test_pencil_and_splitting_on_samples(twisted_cubic, veronese33):
             param = sampler.vector(d)
             x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
             pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
-            frame0, frame_inf = fam.pencil_frames(chart, omega, param, x, pivots)
+            frame0, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), x, pivots)
             m0, m_inf = _frame_matrix(frame0), _frame_matrix(frame_inf)
             cols = [*zip(*m0.entries), *zip(*m_inf.entries)]
             assert Mat.from_cols(cols).rank() == 2 * d
@@ -516,17 +523,15 @@ def test_closed_form_variations_match_jets(fixture_cache, name):
         x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
         delta = sampler.nonzero_vector(chart.param_dim)
         t = sampler.nonzero_rational()
-        w = chart.evaluate(param)
+        w, frame = chart.evaluate(param), chart.frame_integers(param)
         for kind, pivots in _pivot_choices(omega, x, w).items():
             kinds.add(kind)
             assert fam.basepoint_variation(omega, x, w, pivots) == _jet_basepoint_variation(
                 omega, x, w, pivots
             ), (kind, pivots)
+            closed = fam.direction_variation(omega, frame, x, delta, t, pivots)
             args = (chart, omega, param, x, delta, t, pivots)
-            assert fam.direction_variation(*args) == _jet_direction_variation(*args), (
-                kind,
-                pivots,
-            )
+            assert closed == _jet_direction_variation(*args), (kind, pivots)
     expected = {"primary", "next"} | ({"w-u", "u-constant"} if omega.dim_u else set())
     expected |= {"u-u"} if omega.dim_u >= 2 else set()
     assert kinds == expected
@@ -561,21 +566,22 @@ def test_family_dimension_rank_matches_coordinate_jacobian(fixture_cache, name):
         draws = [sampler.vector(k) for k in (chart.param_dim, omega.dim_w, omega.dim_u)]
         param, x, w = draws[0], element(omega, *draws[1:]), chart.evaluate(draws[0])
         pivots = fam.primary_pivots(omega, x, w)
-        rank = fam.family_dimension(chart, omega, param, x, w, pivots)
+        rank = fam.family_dimension(omega, chart.frame_integers(param), x, pivots)
         assert rank == _coordinate_jacobian_rank(chart, omega, *draws) > 0
 
 
-def test_pencil_frames_reject_a_rank_drop():
+def test_splitting_type_rejects_a_rank_drop():
     """At the cusp of (1, t^2, t^3) the chart partial vanishes, so both
-    pencil frames are zero and the combined rank is 0, not 2d = 2."""
+    pencil frames are zero: the pencil is linear, and the combined rank is
+    0, not 2d = 2."""
     data = json.loads((FIXTURE_DIR / "no-recovery.json").read_text())
     chart = chart_from_json(data)
     omega = build_omega(chart).omega
     param = (Q(0),)
     x = element(omega, (1, 2, 3), (5,) * omega.dim_u)
     pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
-    with pytest.raises(fam.RankDeficient):
-        fam.pencil_frames(chart, omega, param, x, pivots)
+    frame0, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), x, pivots)
+    assert not fam.check_splitting_type(frame0, frame_inf)
 
 
 # The Schur solve over the U unknowns against the full solve.
@@ -599,8 +605,9 @@ def _schur_pivot_choices(omega, x, w):
 
 
 def _slide_shift(chart, omega, param, x, delta, t, pivots):
-    j_t = fam.direction_variation(chart, omega, param, x, delta, t, pivots)
-    j_0 = fam.direction_variation(chart, omega, param, x, delta, 0, pivots)
+    frame = chart.frame_integers(param)
+    j_t = fam.direction_variation(omega, frame, x, delta, t, pivots)
+    j_0 = fam.direction_variation(omega, frame, x, delta, 0, pivots)
     return [a - b for ra, rb in zip(j_t.entries, j_0.entries) for a, b in zip(ra, rb)]
 
 
@@ -687,13 +694,14 @@ def test_schur_solve_with_a_pivot_in_u(quartic, monkeypatch):
     got = fam.solve_basepoint_variation(omega, x, w, pivots, as_integers(shift))
     assert got == _full_solve(omega, x, w, pivots, shift)
     assert len(calls) == 1 and calls[0][0].ncols == omega.dim_w + 1
-    assert fam.check_slide_identity(chart, omega, param, x, delta, t, pivots).ok
+    assert fam.check_slide_identity(omega, chart.frame_integers(param), x, delta, t, pivots).ok
 
 
 def _full_jacobian_rank(chart, omega, param, x, w, pivots):
     d = chart.param_dim
     units = [tuple(Q(int(k == a)) for k in range(d)) for a in range(d)]
-    variations = [fam.direction_variation(chart, omega, param, x, u, 0, pivots) for u in units]
+    frame = chart.frame_integers(param)
+    variations = [fam.direction_variation(omega, frame, x, u, 0, pivots) for u in units]
     cols = [[e for row in var.entries for e in row] for var in variations]
     bvm = fam.basepoint_variation(omega, x, w, pivots)
     return Mat.from_cols([*cols, *zip(*bvm.entries)]).rank()
@@ -722,9 +730,10 @@ def test_family_rank_matches_the_full_jacobian_rank(fixture_cache, name):
         param = sampler.vector(chart.param_dim)
         x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
         w = chart.evaluate(param)
+        frame = chart.frame_integers(param)
         for kind, pivots in _schur_pivot_choices(omega, x, w).items():
-            args = (chart, omega, param, x, w, pivots)
-            assert fam.family_dimension(*args) == _full_jacobian_rank(*args), (kind, pivots)
+            rank = fam.family_dimension(omega, frame, x, pivots)
+            assert rank == _full_jacobian_rank(chart, omega, param, x, w, pivots), (kind, pivots)
 
 
 def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeypatch):
@@ -738,6 +747,7 @@ def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeyp
     param = sampler.vector(chart.param_dim)
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
     w = chart.evaluate(param)
+    frame = chart.frame_integers(param)
     for kind, pivots in _schur_pivot_choices(omega, x, w).items():
         bvm = fam.basepoint_variation(omega, x, w, pivots)
         image = bvm.times_vector(sampler.vector(bvm.ncols))
@@ -748,12 +758,12 @@ def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeyp
             rest = iter(ints)
             drows.append(([0 if c in pivots else next(rest) for c in range(width)], scale))
         monkeypatch.setattr(fam, "_tangent_rows", lambda *a: drows)
-        assert fam.direction_variation(chart, omega, param, x, (Q(1),), Q(0), pivots) == Mat(
+        assert fam.direction_variation(omega, frame, x, (Q(1),), Q(0), pivots) == Mat(
             [image[: len(image) // 2], image[len(image) // 2 :]]
         )
-        args = (chart, omega, param, x, w, pivots)
         rank = omega.dim_w + omega.dim_u - 1
-        assert fam.family_dimension(*args) == _full_jacobian_rank(*args) == rank, kind
+        full = _full_jacobian_rank(chart, omega, param, x, w, pivots)
+        assert fam.family_dimension(omega, frame, x, pivots) == full == rank, kind
 
 
 # Off isotropy the pencil is not linear in the slide, so the slide
@@ -773,7 +783,7 @@ def test_limit_frame_is_minus_the_basepoint_variation_along_the_tangent(
         x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
         w = chart.evaluate(param)
         for kind, pivots in _schur_pivot_choices(omega, x, w).items():
-            _, frame_inf = fam.pencil_frames(chart, omega, param, x, pivots)
+            _, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), x, pivots)
             bvm = fam.basepoint_variation(omega, x, w, pivots)
             for a, partial in enumerate(chart.partials):
                 tangent = [p.evaluate(param) for p in partial]
@@ -822,13 +832,12 @@ def test_symbolic_variation_matches_at_every_pivot_pair(fixture_cache, name):
     param = sampler.vector(chart.param_dim)
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
+    frame = chart.frame_integers(param)
     for kind, pivots in _pivot_choices(omega, x, chart.evaluate(param)).items():
         for slide in (t, ZERO):
-            args = (chart, omega, param, x, delta, slide, pivots)
-            assert fam.direction_variation_symbolic(*args) == fam.direction_variation(*args), (
-                kind,
-                slide,
-            )
+            oracle = (chart, omega, param, x, delta, slide, pivots)
+            closed = fam.direction_variation(omega, frame, x, delta, slide, pivots)
+            assert fam.direction_variation_symbolic(*oracle) == closed, (kind, slide)
 
 
 def test_symbolic_variation_uses_no_closed_form(twisted_cubic, monkeypatch):
@@ -841,7 +850,7 @@ def test_symbolic_variation_uses_no_closed_form(twisted_cubic, monkeypatch):
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
     pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
     args = (chart, omega, param, x, delta, t, pivots)
-    expected = fam.direction_variation(*args)
+    expected = fam.direction_variation(omega, chart.frame_integers(param), x, delta, t, pivots)
 
     def closed_form(*_):
         raise AssertionError("the oracle reached the closed form")
@@ -853,9 +862,44 @@ def test_symbolic_variation_uses_no_closed_form(twisted_cubic, monkeypatch):
         (fam, "_block_variation"),
         (fam, "line_matrix_rows"),
         (VarietyChart, "frame_integers"),
-        (VarietyChart, "tangent_integers"),
+        (fam, "_tangent"),
         (Poly, "diff"),
         (Poly, "compose"),
     ):
         monkeypatch.setattr(owner, attr, closed_form)
     assert fam.direction_variation_symbolic(*args) == expected
+
+
+def test_closed_forms_read_the_chart_only_through_its_frame(twisted_cubic, monkeypatch):
+    """The closed-form kernels take the sample's chart frame: with the frame
+    computed first and the chart evaluator then made to raise, the slide
+    check (its tangent-span test included), the direction variation, the
+    pencil and the family dimension all still run, to the results they
+    give before."""
+    chart, omega, _ = twisted_cubic
+    sampler = RationalSampler(103)
+    param = sampler.vector(chart.param_dim)
+    x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+    delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
+    frame = chart.frame_integers(param)
+    pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+
+    def kernels():
+        return (
+            fam.check_slide_identity(omega, frame, x, delta, t, pivots),
+            fam.direction_variation(omega, frame, x, delta, t, pivots),
+            fam.pencil_frames(omega, frame, x, pivots),
+            fam.family_dimension(omega, frame, x, pivots),
+        )
+
+    expected = kernels()
+    assert expected[0].ok and fam.check_splitting_type(*expected[2])
+
+    def evaluate(*_):
+        raise AssertionError("a closed form evaluated the chart")
+
+    monkeypatch.setattr(VarietyChart, "_integer_rows", evaluate)
+    assert kernels() == expected
+    # a W-part off the frame: the failing slide check reduces the frame it holds
+    monkeypatch.setattr(fam, "solve_basepoint_variation", lambda *args: (1, 0, 0, 0, 0))
+    assert not fam.check_slide_identity(omega, frame, x, delta, t, pivots).tangent_span_ok

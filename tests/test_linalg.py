@@ -168,8 +168,9 @@ def _conic_slide_solve():
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
     w = chart.evaluate(param)
     pivots = fam.primary_pivots(omega, x, w)
-    j_t = fam.direction_variation(chart, omega, param, x, delta, t, pivots)
-    j_0 = fam.direction_variation(chart, omega, param, x, delta, 0, pivots)
+    frame = chart.frame_integers(param)
+    j_t = fam.direction_variation(omega, frame, x, delta, t, pivots)
+    j_0 = fam.direction_variation(omega, frame, x, delta, 0, pivots)
     shift = [a - b for ra, rb in zip(j_t.entries, j_0.entries) for a, b in zip(ra, rb)]
     return fam.basepoint_variation(omega, x, w, pivots), shift
 
