@@ -27,7 +27,7 @@ from .omega_builder import build_omega
 from .polynomials import Poly, PolyParseError
 from .runner import CHECK_NAMES, form_and_dimensions, run_verification
 from .sampling import RationalSampler
-from .scalars import parse_rational, qstr
+from .scalars import from_integers, parse_rational, qstr
 from .varieties import (
     FrameDegenerate,
     builtin_chart,
@@ -181,16 +181,15 @@ def _cmd_sample_line(args):
     if len(base) != n:
         raise FixtureError(f"base point needs {n} coordinates")
     x = element(omega, base[: omega.dim_w], base[omega.dim_w :])
-    direction = chart.evaluate(param)
-    line = line_through(omega, x, direction)
-    row_point, row_dir = line_matrix_rows(omega, x, line.direction)
+    line = line_through(omega, x, chart.frame_integers(param)[0])
+    row_point, row_dir = (from_integers(*row) for row in line_matrix_rows(omega, x, line.direction))
     arc = [Poly.const(c, 1) + Poly.var(0, 1) * d for c, d in zip(row_point[:-1], row_dir[:-1])]
     datum = boundary_point(chart, omega, param, x)
     payload = {
         "fixture": chart.label,
         "param": [qstr(c) for c in param],
         "base": [qstr(c) for c in x.coords],
-        "canonicalDirection": [qstr(c) for c in line.direction],
+        "canonicalDirection": [qstr(c) for c in from_integers(*line.direction)],
         "canonicalBase": [qstr(c) for c in line.base.coords],
         "parametrization": [p.format(["t"]) for p in arc],
         "plueckerVector": [qstr(c) for c in pluecker_embed(omega, line)],

@@ -7,14 +7,16 @@ space is the disjoint union of the group (interior) and, over every
 chart point, the coset space G / T (boundary).  Cosets are stored by a
 canonical representative (lines.canonical_rep): the unique coset member
 whose W-part vanishes at all pivot coordinates of the frame span.  A
-boundary point carries its frame as affine_tangent_frame reduced it,
-once: the tangent subalgebra of its fiber.  Every boundary point over the
-same chart point shares that frame: coset_of moves within the fiber
-without reducing it again, and the evaluation map and the compactified
-line take a boundary point over their chart point (a fiber) and give
-their boundary points in it.  The verification runner reduces the frame
-once per chart sample, as the fiber at the identity, where it tests the
-frame's rank, and takes every boundary point of the sample in that fiber.
+boundary point carries the chart's frame at its point and that frame as
+affine_tangent_frame reduced it: the tangent subalgebra of its fiber.
+Every boundary point over the same chart point shares both: coset_of
+moves within the fiber without reducing the frame again, marked_point
+takes the frame's value row as its direction, and the evaluation map and
+the compactified line take a boundary point over their chart point (a
+fiber) and give their boundary points in it.  The verification runner
+evaluates the chart and reduces its frame once per chart sample, as the
+fiber at the identity, where it tests the frame's rank, and takes every
+boundary point and marked point of the sample in that fiber.
 
 Points are the objects themselves, told apart by type:
 
@@ -45,22 +47,29 @@ class BoundaryPoint:
     chart_label: str
     param: tuple
     coset_rep: GroupElement
-    # (sparse integer pivot rows, pivots) of the tangent frame at the chart
-    # point, as affine_tangent_frame gives them
+    # the chart's frame at param (VarietyChart.frame_integers) and its
+    # reduction (sparse integer pivot rows, pivots; affine_tangent_frame)
+    frame: list = field(compare=False, repr=False)
     tangent: tuple = field(compare=False, repr=False)
 
     def coset_of(self, omega: OmegaForm, x: GroupElement) -> BoundaryPoint:
         """The boundary point over the same chart point whose coset holds x."""
         rep = canonical_rep(omega, x, *self.tangent)
-        return BoundaryPoint(self.chart_label, self.param, rep, self.tangent)
+        return BoundaryPoint(self.chart_label, self.param, rep, self.frame, self.tangent)
+
+    def marked_point(self, x: GroupElement) -> TangentDirectionPoint:
+        """The marked point with base x over this chart point, the frame's
+        value row its direction."""
+        return TangentDirectionPoint(self.frame[0], self.param, x)
 
 
 def boundary_point(
     chart: VarietyChart, omega: OmegaForm, param, x: GroupElement
 ) -> BoundaryPoint:
     param = tuple(Q(c) for c in param)
-    tangent = affine_tangent_frame(chart, param)
-    return BoundaryPoint(chart.label, param, canonical_rep(omega, x, *tangent), tangent)
+    frame = chart.frame_integers(param)
+    tangent = affine_tangent_frame(frame, param)
+    return BoundaryPoint(chart.label, param, canonical_rep(omega, x, *tangent), frame, tangent)
 
 
 def bundle_to_space(omega: OmegaForm, point, fiber: BoundaryPoint):

@@ -22,9 +22,9 @@ are that closed form.  Everything here differentiates the picture exactly:
   point.
 
 These closed forms read the chart only through its frame at the sample's
-parameter, as VarietyChart.frame_integers gives it: the value row, then
-the d partial rows, each (integers, scale).  Only the symbolic oracle
-(direction_variation_symbolic) takes the chart and the parameter.
+parameter, as VarietyChart.frame_integers gives it: the value row (the
+line direction w), then the d partial rows, each (integers, scale).  Only
+the symbolic oracle (direction_variation_symbolic) takes the chart.
 
 Multiplied by P, a U direction off the pivot columns moves one entry of
 the block's first row and nothing else.  So the slide solve
@@ -45,22 +45,22 @@ N' = diag(l) N, so B = P^-1 N = P'^-1 N' and
 A row move D_r / m_r (integer row D_r, scale m_r) gives P dB = dN - dP B
 row by row as (det DN_r - DP_r adj(P') N') / (m_r det): an integer row
 over one scale (_moved_rows).  P^-1 = adj(P') diag(l) / det then gives dB
-(_times_inverse).  Columns of P dB share one scale per block row, so each
-row of the slide system is cleared to integers by the lcm of its block
-row's scales, which leaves the solution alone.  A Q is built only for
-what leaves the module: matrices, coefficients and residuals.
+(_times_inverse).  Each column of P dB is brought to lowest terms, and
+each row of the slide system is cleared to integers by the lcm of its
+block row's scales, which leaves the solution alone.  A Q is built only
+for what leaves the module: matrices, coefficients and residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .jets import Jet1
 from .linalg import Mat, NotInSpan, integer_rref, solve_in_span
-from .lines import line_matrix_rows, translate
+from .lines import direction_row, line_matrix_rows, translate
 from .metabelian import GroupElement, OmegaForm
-from .scalars import HALF, ONE, Q, ZERO, as_integers, from_integers
+from .scalars import HALF, ONE, Q, ZERO, as_integers, from_integers, lowest_terms
 from .varieties import VarietyChart, in_tangent_span
 
 PENCIL_SLIDES = (Q(1), Q(2), Q(-1), Q(1, 2), Q(7))
@@ -70,11 +70,11 @@ class ChartMiss(Exception):
     """The chosen pivot columns are singular at this plane."""
 
 
-def _pivot_pairs(rows):
-    """Column pairs, in lex order, where the plane's two rows have a
-    nonzero 2 x 2 minor.  The first is the echelon pivot pair: the first
+def _pivot_pairs(omega: OmegaForm, x: GroupElement, w):
+    """Column pairs, in lex order, where the rows of the line's plane have
+    a nonzero 2 x 2 minor.  The first is the echelon pivot pair: the first
     nonzero column and the first column not parallel to it."""
-    top, bottom = rows
+    (top, _), (bottom, _) = line_matrix_rows(omega, x, w)
     ncols = len(top)
     for i in range(ncols):
         for j in range(i + 1, ncols):
@@ -84,7 +84,7 @@ def _pivot_pairs(rows):
 
 def primary_pivots(omega: OmegaForm, x: GroupElement, w):
     """Leftmost valid pivot pair: the echelon pivots of the line's plane."""
-    pivots = next(_pivot_pairs(line_matrix_rows(omega, x, w)), None)
+    pivots = next(_pivot_pairs(omega, x, w), None)
     if pivots is None:
         raise ChartMiss("line span is degenerate")
     return pivots
@@ -93,8 +93,7 @@ def primary_pivots(omega: OmegaForm, x: GroupElement, w):
 def next_pivots(omega: OmegaForm, x: GroupElement, w, exclude):
     """Next pivot pair (lex order) with invertible minor, or None."""
     exclude = tuple(exclude)
-    pairs = _pivot_pairs(line_matrix_rows(omega, x, w))
-    return next((pair for pair in pairs if pair != exclude), None)
+    return next((pair for pair in _pivot_pairs(omega, x, w) if pair != exclude), None)
 
 
 def chart_block(rows, pivots):
@@ -127,21 +126,10 @@ class _Plane:
     block: tuple
 
 
-def _direction_row(omega: OmegaForm, point, scale, iv, dv):
-    """(v, (1/2) form(x_w, v), 0) as an integer row and its scale, for
-    v = iv / dv and x the point whose integer row over scale is point."""
-    form, den = omega.apply_integers(point[: omega.dim_w], iv)
-    return [*(2 * scale * den * c for c in iv), *form, 0], 2 * scale * dv * den
-
-
 def _plane(omega: OmegaForm, x: GroupElement, w, pivots):
-    """The line's plane through x: its point row (x_w, x_u, 1) and
-    direction row (w, (1/2) form(x_w, w), 0), each scaled to integers once,
-    and chart_block at the pivots."""
-    point, l0 = as_integers((*x.w_part, *x.u_part, ONE))
-    direction, l1 = _direction_row(omega, point, l0, *as_integers(w))
-    g = gcd(l1, *direction)
-    direction, l1 = [c // g for c in direction], l1 // g
+    """The line's plane through x, its rows as line_matrix_rows gives them,
+    and their chart_block at the pivots."""
+    (point, l0), (direction, l1) = line_matrix_rows(omega, x, w)
     rows = (point, direction)
     return _Plane(rows, (l0, l1), pivots, *chart_block(rows, pivots))
 
@@ -181,16 +169,11 @@ def _block_variation(plane: _Plane, drows):
     return _times_inverse(plane, _moved_rows(plane, drows))
 
 
-def _rational(rows, scale):
-    """The rational block rows of integer rows over one scale."""
-    return [from_integers(row, scale) for row in rows]
-
-
 def _tangent_rows(omega: OmegaForm, plane: _Plane, tangent):
     """The plane's row moves of the direction variation: the direction row
     moves by that of the chart tangent, given as (integers, scale)."""
     point, l0 = plane.rows[0], plane.scales[0]
-    return [([0] * len(point), 1), _direction_row(omega, point, l0, *tangent)]
+    return [([0] * len(point), 1), direction_row(omega, point, l0, *tangent)]
 
 
 def _tangent_variation(omega: OmegaForm, plane: _Plane, tangent):
@@ -214,9 +197,10 @@ def _tangent(frame, delta):
 def direction_variation(omega: OmegaForm, frame, x, delta, t, pivots) -> Mat:
     """Derivative of the chart coordinates of the line's plane as the
     parameter moves along delta, the base slid by t along the line."""
-    w = from_integers(*frame[0])
+    w = frame[0]
     plane = _plane(omega, translate(omega, x, w, t), w, pivots)
-    return Mat(_rational(*_tangent_variation(omega, plane, _tangent(frame, delta))))
+    rows, scale = _tangent_variation(omega, plane, _tangent(frame, delta))
+    return Mat([from_integers(row, scale) for row in rows])
 
 
 def direction_variation_symbolic(
@@ -229,7 +213,7 @@ def direction_variation_symbolic(
     The form is bilinear, so form(x_w, v + tau s) = form(x_w, v) +
     tau form(x_w, s): two rational contractions.  No closed form
     (chart_block, line_matrix_rows, the chart partials) is used."""
-    xt = translate(omega, x, chart.evaluate(param), t)
+    xt = translate(omega, x, as_integers(chart.evaluate(param)), t)
     jets = [Jet1(Q(p), (Q(d),)) for p, d in zip(param, delta)]
     w_tau = [poly.evaluate(jets, zero=Jet1.const(0, 1)) for poly in chart.coords]
     w_tau = [c if isinstance(c, Jet1) else Jet1.const(c, 1) for c in w_tau]
@@ -286,7 +270,7 @@ def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, plane=None
         d_point = [0] * width
         d_point[k] = 1
         cols.append(_block_variation(plane, [(d_point, 1), ([0] * width, 1)]))
-    return Mat.from_cols(sum(_rational(*col), []) for col in cols)
+    return Mat.from_cols([v for row in rows for v in from_integers(row, s)] for rows, s in cols)
 
 
 def _times_minor(plane: _Plane, flat):
@@ -308,9 +292,9 @@ def _schur_system(omega: OmegaForm, plane: _Plane, cols):
     """Eliminate the U unknowns off the pivot columns from a system of
     columns, each two block rows of P dB as integer rows with scales:
     cols, then one column per U direction at a pivot column.  Returns the
-    rows left over all of those columns, each scaled to integers by the
-    lcm of its block row's scales, the U pivot columns, and the positions
-    in block row 0 of the eliminated U unknowns.
+    rows left over all those columns (each column in lowest terms, each
+    row cleared by the lcm of its block row's scales), the U pivot
+    columns, and the positions in block row 0 of the eliminated U unknowns.
 
     A U direction off the pivot columns moves one entry of the point row
     and not P, so its column of P dB is the unit vector at its own
@@ -329,8 +313,9 @@ def _schur_system(omega: OmegaForm, plane: _Plane, cols):
     u_pos = range(first, first + omega.dim_u - len(kept))
     rows = []
     for r in (0, 1):
-        common = lcm(*(col[r][1] for col in cols))
-        scaled = [[a * (common // scale) for a in ints] for ints, scale in (col[r] for col in cols)]
+        block_row = [lowest_terms(*col[r]) for col in cols]
+        common = lcm(*(scale for _, scale in block_row))
+        scaled = [[a * (common // scale) for a in ints] for ints, scale in block_row]
         rows += [[col[p] for col in scaled] for p in range(half) if r or p not in u_pos]
     return rows, kept, u_pos
 
@@ -372,7 +357,7 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
     dim_w = omega.dim_w
     ints, scale = as_integers(coeffs)
     point, l0 = plane.rows[0], plane.scales[0]
-    d_point, m0 = _direction_row(omega, point, l0, ints[:dim_w], scale)
+    d_point, m0 = direction_row(omega, point, l0, ints[:dim_w], scale)
     for c, value in zip(kept, ints[dim_w:]):
         d_point[c] += value * (m0 // scale)
     [(moved, s0)] = _moved_rows(plane, [(d_point, m0)])
@@ -402,14 +387,14 @@ def check_slide_identity(omega: OmegaForm, frame, x, delta, t, pivots) -> SlideC
     others are solved.  Its coefficients, and the residual of NotInSpan
     when the shift is out of span, are those of the full solve.  The
     variation at 0 and the pull-back share the plane at slide zero."""
-    w = from_integers(*frame[0])
+    w = frame[0]
     tangent = _tangent(frame, delta)
     plane = _plane(omega, x, w, pivots)
     slid = _plane(omega, translate(omega, x, w, t), w, pivots)
     j_t, e_t = _tangent_variation(omega, slid, tangent)
     j_0, e_0 = _tangent_variation(omega, plane, tangent)
     shift = [a * e_0 - b * e_t for row_t, row_0 in zip(j_t, j_0) for a, b in zip(row_t, row_0)]
-    coeffs = solve_basepoint_variation(omega, x, w, pivots, (shift, e_t * e_0), plane)
+    coeffs = solve_basepoint_variation(omega, x, w, pivots, lowest_terms(shift, e_t * e_0), plane)
     residual = _slide_residual(omega, coeffs, tangent, t, plane.rows[1][: omega.dim_w])
     ok = not any(residual)
 
@@ -451,8 +436,7 @@ def pencil_frames(omega: OmegaForm, frame, x, pivots):
     (integers, scale).  Asserts the pencil is exactly linear in the slide
     parameter at several slides.
     """
-    value, *tangents = frame
-    w = from_integers(*value)
+    w, *tangents = frame
     plane = _plane(omega, x, w, pivots)
     (point, direction), (l0, l1) = plane.rows, plane.scales
     f0, f_inf = [], []
@@ -462,7 +446,7 @@ def pencil_frames(omega: OmegaForm, frame, x, pivots):
         # the limit frame is minus the basepoint variation along (tangent, 0):
         # the point row moves by the tangent's direction row, the direction
         # row by (0, (1/2) form(tangent, w), 0)
-        d_point = _direction_row(omega, point, l0, it, dt)
+        d_point = direction_row(omega, point, l0, it, dt)
         form, den = omega.apply_integers(it, direction[: omega.dim_w])
         d_dir = ([*(0 for _ in it), *form, 0], 2 * dt * l1 * den)
         rows, scale = _block_variation(plane, [d_point, d_dir])
@@ -506,7 +490,7 @@ def family_dimension(omega: OmegaForm, frame, x, pivots) -> int:
     those plus the rank of the other rows over the other columns
     (_schur_system).
     """
-    plane = _plane(omega, x, from_integers(*frame[0]), pivots)
+    plane = _plane(omega, x, frame[0], pivots)
     moves = [_moved_rows(plane, _tangent_rows(omega, plane, partial)) for partial in frame[1:]]
     reduced, _, u_pos = _schur_system(omega, plane, moves + _w_variation(omega, plane))
     return len(u_pos) + Mat(reduced).rank()

@@ -15,23 +15,25 @@ the row span of the base point (affine part 1) and the direction
 (affine part 0); the exterior-square coordinates of that span satisfy
 the classical quadratic relations.
 
-Sliding along a line (translate) and the coset normal form
-(canonical_rep) run in Python integers: x_w, the direction and the
-slide are each scaled to integers over one positive denominator, the
-form is contracted on those (OmegaForm.apply_integers), and every moved
-coordinate is built as one Q from its numerator and denominator.  The
-span of a coset is given as _rref's sparse integer pivot rows, as the
-tangent frame of a boundary point keeps them.
+Sliding along a line (translate), the coset normal form (canonical_rep)
+and the canonical line (line_through) run in Python integers: a rational
+element keeps each part as integers over one lowest-terms denominator
+(metabelian.GroupElement), and a direction is an integer row over a
+positive scale, such as a chart frame's value row.  The form is
+contracted on those (OmegaForm.apply_integers), the moved parts are
+written back as integers, and a Q is built only when a coordinate is
+read.  The span of a coset is given as _rref's sparse integer pivot
+rows, as the tangent frame of a boundary point keeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import gcd, lcm
 
 from .linalg import Mat, combine_rows, wedge
-from .metabelian import GroupElement, OmegaForm
-from .scalars import HALF, ONE, Q, ZERO, as_integers
-from .varieties import VarietyChart
+from .metabelian import GroupElement, OmegaForm, rational_element
+from .scalars import Q, lowest_terms
 
 
 class ZeroDirection(Exception):
@@ -40,6 +42,8 @@ class ZeroDirection(Exception):
 
 @dataclass(frozen=True)
 class HorizontalLine:
+    # (ints, den): the direction scaled to 1 at its leftmost nonzero entry,
+    # integers over one denominator in lowest terms
     direction: tuple
     base: GroupElement
     # chart parameter of the direction, set by line_of; None for a bare direction
@@ -48,31 +52,29 @@ class HorizontalLine:
 
 def translate(omega: OmegaForm, x: GroupElement, w, t) -> GroupElement:
     """x * exp(t w) = (x_w + t w, x_u + (t/2) form(x_w, w)): x slid by t
-    along the horizontal line in direction w; x itself if t or w is 0."""
-    if not t or not any(w):
+    along the horizontal line in direction w, an integer row over a
+    positive scale; x itself if t or w is 0."""
+    iw, dw = w
+    if not t or not any(iw):
         return x
-    return _slid(omega, x, *as_integers(x.w_part), *as_integers(w), t.numerator, t.denominator)
+    return _slid(omega, x, iw, dw, t.numerator, t.denominator)
 
 
-def _slid(omega: OmegaForm, x: GroupElement, ix, dx, iw, dw, tn, td) -> GroupElement:
-    """translate(omega, x, w, tn / td) for x_w = ix / dx and w = iw / dw,
-    all integers with dx, dw, td > 0.  Over the common denominators
+def _slid(omega: OmegaForm, x: GroupElement, iw, dw, tn, td) -> GroupElement:
+    """translate(omega, x, (iw, dw), tn / td), all integers with dw, td > 0.
+    With x_w = ix / dx, x_u = iu / du and form(ix, iw) = F / e,
 
         x_w + t w = (ix dw td + tn iw dx) / (dx dw td),
-        x_u + (t/2) form(x_w, w) = x_u + tn F / (2 td dx dw e),
+        x_u + (t/2) form(x_w, w) = (iu m + tn F du) / (du m),
 
-    with form(ix, iw) = F / e, each moved coordinate is one Q."""
+    for m = 2 td e dx dw; each part is then reduced to lowest terms."""
+    (ix, dx), (iu, du) = x.w, x.u
     den = dx * dw * td
-    w_part = tuple(
-        Q(i * dw * td + tn * c * dx, den) if c else a for a, i, c in zip(x.w_part, ix, iw)
-    )
+    w_part = [i * dw * td + tn * c * dx for i, c in zip(ix, iw)]
     form, e = omega.apply_integers(ix, iw)
-    den = 2 * den * e
-    u_part = tuple(
-        Q(a.numerator * den + tn * f * a.denominator, a.denominator * den) if f else a
-        for a, f in zip(x.u_part, form)
-    )
-    return GroupElement(w_part, u_part)
+    m = 2 * den * e
+    u_part = [a * m + tn * f * du for a, f in zip(iu, form)]
+    return rational_element((w_part, den), (u_part, du * m))
 
 
 def canonical_rep(omega: OmegaForm, x: GroupElement, rows, pivots) -> GroupElement:
@@ -82,44 +84,37 @@ def canonical_rep(omega: OmegaForm, x: GroupElement, rows, pivots) -> GroupEleme
     -1 along shift = sum of x_w[pivot_r] * row r.  With x_w = ix / dx the
     shift is combine_rows of the ix[pivot_r], S / den, over dx.  x itself
     when x_w vanishes at every pivot."""
-    ix, dx = as_integers(x.w_part)
+    ix, dx = x.w
     shift, den = combine_rows(rows, pivots, [ix[p] for p in pivots], omega.dim_w)
     if not any(shift):
         return x
-    return _slid(omega, x, ix, dx, shift, dx * den, -1, 1)
+    return _slid(omega, x, shift, dx * den, -1, 1)
 
 
 def line_through(omega: OmegaForm, x: GroupElement, w) -> HorizontalLine:
-    """Canonical horizontal line through x in direction w."""
-    w = tuple(c if type(c) is Q else Q(c) for c in w)
-    if len(w) != omega.dim_w:
+    """Canonical horizontal line through x in direction w, an integer row
+    over a positive scale."""
+    ints, _ = w
+    if len(ints) != omega.dim_w:
         raise ValueError("direction must lie in W")
-    ints, _ = as_integers(w)
     pivot = next((k for k, c in enumerate(ints) if c), None)
     if pivot is None:
         raise ZeroDirection("direction is the zero vector")
-    lead = ints[pivot]
-    w = tuple(Q(c, lead) if c else ZERO for c in ints)
-    row = {k: c for k, c in enumerate(ints) if c}
-    return HorizontalLine(w, canonical_rep(omega, x, [row], [pivot]))
+    g = gcd(*ints) if ints[pivot] > 0 else -gcd(*ints)
+    direction = tuple(c // g for c in ints)
+    row = {k: c for k, c in enumerate(direction) if c}
+    return HorizontalLine((direction, direction[pivot]), canonical_rep(omega, x, [row], [pivot]))
 
 
 @dataclass(frozen=True)
 class TangentDirectionPoint:
     """A chart parameter together with a base point: one line with a
-    marked base, the direction being the chart value at the parameter,
-    evaluated once by direction_point."""
+    marked base, its direction the chart value at the parameter, the value
+    row of the chart's frame there (BoundaryPoint.marked_point)."""
 
     direction: tuple
     param: tuple
     base: GroupElement
-
-
-def direction_point(chart: VarietyChart, param, base: GroupElement):
-    param = tuple(Q(c) for c in param)
-    if len(param) != chart.param_dim:
-        raise ValueError("parameter arity mismatch")
-    return TangentDirectionPoint(chart.evaluate(param), param, base)
 
 
 def slide_action(omega: OmegaForm, t, alpha: TangentDirectionPoint) -> TangentDirectionPoint:
@@ -132,18 +127,29 @@ def line_of(omega: OmegaForm, alpha: TangentDirectionPoint) -> HorizontalLine:
     return replace(line_through(omega, alpha.base, alpha.direction), param=alpha.param)
 
 
+def direction_row(omega: OmegaForm, point, scale, iv, dv):
+    """(v, (1/2) form(x_w, v), 0) as an integer row and its scale, for
+    v = iv / dv and x the point whose integer row over scale is point."""
+    form, den = omega.apply_integers(point[: omega.dim_w], iv)
+    return [*(2 * scale * den * c for c in iv), *form, 0], 2 * scale * dv * den
+
+
 def line_matrix_rows(omega: OmegaForm, x: GroupElement, w):
-    """Spanning rows of the line's 2-plane in V = W + U + I."""
-    half_corr = [HALF * c for c in omega.apply(x.w_part, w)]
-    row_point = list(x.w_part) + list(x.u_part) + [ONE]
-    row_dir = list(w) + half_corr + [ZERO]
-    return [row_point, row_dir]
+    """Spanning rows of the line's 2-plane in V = W + U + I through x in
+    direction w, an integer row over a positive scale, as integer rows
+    with one positive scale each: the point row (x_w, x_u, 1) over the lcm
+    of x's denominators, and the direction row (w, (1/2) form(x_w, w), 0)
+    in lowest terms."""
+    (iw, dw), (iu, du) = x.w, x.u
+    l0 = lcm(dw, du)
+    point = [*(c * (l0 // dw) for c in iw), *(c * (l0 // du) for c in iu), l0]
+    return [(point, l0), lowest_terms(*direction_row(omega, point, l0, *w))]
 
 
 def pluecker_embed(omega: OmegaForm, line: HorizontalLine) -> tuple:
     """The exterior-square coordinates of the line's plane, taken on its
     reduced rows."""
-    rows = line_matrix_rows(omega, line.base, line.direction)
+    rows = [row for row, _ in line_matrix_rows(omega, line.base, line.direction)]
     # rank 2: the rows end in 1 and 0, and the direction's W part is nonzero
     reduced, _ = Mat(rows).rref()
     return tuple(wedge(*reduced.entries))
@@ -155,6 +161,6 @@ def boundary_direction(omega: OmegaForm, line: HorizontalLine):
     Coordinates [w : (1/2) form(x_w, w)], scaled so the leftmost nonzero
     entry is one; independent of the base point chosen on the line.
     """
-    vec = line_matrix_rows(omega, line.base, line.direction)[1][:-1]
-    lead = next(c for c in vec if c != 0)
-    return tuple(c / lead for c in vec)
+    vec = line_matrix_rows(omega, line.base, line.direction)[1][0][:-1]
+    lead = next(c for c in vec if c)
+    return tuple(Q(c, lead) for c in vec)

@@ -10,22 +10,23 @@ exponential map is the identity on coordinates.  The group law is
 generic over the coordinate ring: polynomials (the symbolic identity
 proofs below) and first-order jets (the one derivative ring, in which the
 Maurer-Cartan and Levi-tensor oracles differentiate) run the code that
-rationals run, except that rationals take Python integers in two places:
-OmegaForm.apply contracts them as integer minors, and multiply builds
-each coordinate of a rational product as one Q from integers over the
-operands' common denominators.
+rationals run, except that rationals take Python integers: OmegaForm.apply
+contracts them as integer minors, and a rational element keeps each part
+as integers over one denominator in lowest terms, which multiply, inverse
+and the line kernels (lines) read and write directly.  Its Q coordinates
+are built only when something reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 
 from .jets import Jet1
 from .linalg import pair_count, pair_index
 from .polynomials import Poly
-from .scalars import HALF, Q, ZERO, as_integers, from_integers
+from .scalars import HALF, Q, ZERO, as_integers, from_integers, lowest_terms
 
 
 class OmegaForm:
@@ -155,20 +156,50 @@ class OmegaForm:
         return hash(self._key())
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """Group (equivalently, algebra) element in logarithmic coordinates."""
+    """Group (equivalently, algebra) element in logarithmic coordinates.
 
-    w_part: tuple
-    u_part: tuple
+    A rational element keeps each part as (ints, den), integers over one
+    denominator in lowest terms (den > 0, gcd(den, *ints) == 1): `w` and
+    `u`.  Its Q tuples w_part and u_part are built only when read.  An
+    element with polynomial or jet coordinates keeps the parts as given,
+    and its `w` and `u` are None.  Equality and hash compare a rational
+    element's integers, so it equals the same element built from Qs."""
+
+    def __init__(self, w_part, u_part):
+        parts = tuple(w_part), tuple(u_part)
+        ints = [as_integers(part) for part in parts]
+        self.w, self.u = (None, None) if None in ints else (lowest_terms(*i) for i in ints)
+        if self.w is None:
+            self.w_part, self.u_part = parts
+
+    w_part = cached_property(lambda self: tuple(from_integers(*self.w)))
+    u_part = cached_property(lambda self: tuple(from_integers(*self.u)))
 
     @property
     def coords(self):
         return self.w_part + self.u_part
 
+    def _key(self):
+        return (self.w, self.u) if self.w is not None else (None, self.w_part, self.u_part)
+
+    def __eq__(self, other):
+        return isinstance(other, GroupElement) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+def rational_element(w, u) -> GroupElement:
+    """The rational element with parts w = (ints, den) and u = (ints, den),
+    integers over positive denominators, reduced to lowest terms."""
+    x = GroupElement.__new__(GroupElement)
+    x.w, x.u = lowest_terms(*w), lowest_terms(*u)
+    return x
+
 
 def identity_element(omega: OmegaForm) -> GroupElement:
-    return GroupElement((ZERO,) * omega.dim_w, (ZERO,) * omega.dim_u)
+    return rational_element(((0,) * omega.dim_w, 1), ((0,) * omega.dim_u, 1))
 
 
 def element(omega: OmegaForm, w, u=None) -> GroupElement:
@@ -182,37 +213,33 @@ def element(omega: OmegaForm, w, u=None) -> GroupElement:
 def multiply(omega: OmegaForm, a: GroupElement, b: GroupElement) -> GroupElement:
     """The product (a_w + b_w, a_u + b_u + (1/2) form(a_w, b_w)).
 
-    Rational operands run in integers: the W-parts over one denominator
-    dw, a_w = A / dw and b_w = B / dw, and the U-parts over one du.  With
-    form(A, B) = F / e, U coordinate c is (a_u + b_u)[c] + F_c / m for
-    m = 2 e dw^2, one Q from integers; a coordinate where one summand is
-    zero keeps the other.  Polynomial and jet operands take the generic
-    loop in their own ring."""
-    sw, su = as_integers(a.w_part + b.w_part), as_integers(a.u_part + b.u_part)
-    if sw is None or su is None:
+    Rational operands run on their integers, a_w = A / p and b_w = B / q:
+    with form(A, B) = F / e, the correction is F / m for m = 2 e p q, and
+    each part is summed over the lcm of its denominators and reduced to
+    lowest terms.  No Q is built.  Polynomial and jet operands take the
+    generic loop in their own ring."""
+    if a.w is None or b.w is None:
         correction = omega.apply(a.w_part, b.w_part)
         w = tuple(x + y for x, y in zip(a.w_part, b.w_part))
         u = tuple(x + y + HALF * c for x, y, c in zip(a.u_part, b.u_part, correction))
         return GroupElement(w, u)
-    (iw, dw), (iu, du) = sw, su
-    dim_w, dim_u = omega.dim_w, omega.dim_u
-    if len(a.w_part) != dim_w or len(b.w_part) != dim_w:
+    (iw, p), (iu, r) = a.w, a.u
+    (jw, q), (ju, s) = b.w, b.u
+    if len(iw) != omega.dim_w or len(jw) != omega.dim_w:
         raise ValueError("vectors must have length dim_w")
-    w = tuple(
-        y if not i else x if not j else Q(i + j, dw)
-        for x, y, i, j in zip(a.w_part, b.w_part, iw, iw[dim_w:])
-    )
-    form, e = omega.apply_integers(iw[:dim_w], iw[dim_w:])
-    m = 2 * e * dw * dw
-    u = tuple(
-        Q((i + j) * m + f * du, du * m) if f else y if not i else x if not j else Q(i + j, du)
-        for x, y, i, j, f in zip(a.u_part, b.u_part, iu, iu[dim_u:], form)
-    )
-    return GroupElement(w, u)
+    form, e = omega.apply_integers(iw, jw)
+    m = 2 * e * p * q
+    dw, du = lcm(p, q), lcm(r, s, m)
+    fp, fq, fr, fs, fm = dw // p, dw // q, du // r, du // s, du // m
+    w = [i * fp + j * fq for i, j in zip(iw, jw)]
+    u = [i * fr + j * fs + f * fm for i, j, f in zip(iu, ju, form)]
+    return rational_element((w, dw), (u, du))
 
 
 def inverse(a: GroupElement) -> GroupElement:
-    return GroupElement(tuple(-x for x in a.w_part), tuple(-x for x in a.u_part))
+    if a.w is None:
+        return GroupElement(tuple(-x for x in a.w_part), tuple(-x for x in a.u_part))
+    return rational_element(*(([-c for c in ints], den) for ints, den in (a.w, a.u)))
 
 
 class InternalConsistencyError(AssertionError):
@@ -228,21 +255,12 @@ def maurer_cartan_log_derivative(omega: OmegaForm, x: GroupElement, v) -> GroupE
     v = tuple(Q(c) for c in v)
     if len(v) != omega.dim_w:
         raise ValueError("direction must lie in W")
-    half_corr = omega.apply(x.w_part, v)
-    closed = GroupElement(v, tuple(HALF * c for c in half_corr))
-
-    jet_x = GroupElement(
-        tuple(Jet1.const(c, 1) for c in x.w_part),
-        tuple(Jet1.const(c, 1) for c in x.u_part),
-    )
-    jet_arg = GroupElement(
-        tuple(Jet1(ZERO, (c,)) for c in v),
-        tuple(Jet1.const(0, 1) for _ in range(omega.dim_u)),
-    )
+    closed = GroupElement(v, (HALF * c for c in omega.apply(x.w_part, v)))
+    jet_x = GroupElement([Jet1.const(c, 1) for c in x.w_part], [Jet1.const(c, 1) for c in x.u_part])
+    jet_arg = GroupElement([Jet1(ZERO, (c,)) for c in v], [Jet1.const(0, 1)] * omega.dim_u)
     moved = multiply(omega, jet_x, jet_arg)
-    jet_w = tuple(c.eps[0] for c in moved.w_part)
-    jet_u = tuple(c.eps[0] for c in moved.u_part)
-    if jet_w != closed.w_part or jet_u != closed.u_part:
+    derivative = GroupElement([c.eps[0] for c in moved.w_part], [c.eps[0] for c in moved.u_part])
+    if derivative != closed:
         raise InternalConsistencyError("closed form and jet derivative disagree")
     return closed
 
@@ -269,62 +287,42 @@ def levi_tensor(omega: OmegaForm, x: GroupElement, u, v):
         field = _invariant_field(omega, direction, z_w)
         return [c.eps[0] if isinstance(c, Jet1) else ZERO for c in field]
 
-    values = [
-        a - b
-        for a, b in zip(
-            derivative(v, _invariant_field(omega, u, x.w_part)),
-            derivative(u, _invariant_field(omega, v, x.w_part)),
-        )
-    ]
+    along_u = derivative(v, _invariant_field(omega, u, x.w_part))
+    along_v = derivative(u, _invariant_field(omega, v, x.w_part))
+    values = [a - b for a, b in zip(along_u, along_v)]
     if any(c != 0 for c in values[: omega.dim_w]):
         raise InternalConsistencyError("field bracket left the center")
     return tuple(values[omega.dim_w :])
 
 
 def _symbolic_element(omega: OmegaForm, nvars, offset):
-    w = tuple(Poly.var(offset + i, nvars) for i in range(omega.dim_w))
-    u = tuple(Poly.var(offset + omega.dim_w + c, nvars) for c in range(omega.dim_u))
-    return GroupElement(w, u)
+    coords = [Poly.var(offset + i, nvars) for i in range(omega.dim_w + omega.dim_u)]
+    return GroupElement(coords[: omega.dim_w], coords[omega.dim_w :])
 
 
 def associativity_holds(omega: OmegaForm) -> bool:
     """Prove (a b) c == a (b c) as a polynomial identity."""
     n = omega.dim_w + omega.dim_u
-    a = _symbolic_element(omega, 3 * n, 0)
-    b = _symbolic_element(omega, 3 * n, n)
-    c = _symbolic_element(omega, 3 * n, 2 * n)
+    a, b, c = (_symbolic_element(omega, 3 * n, k * n) for k in range(3))
     return multiply(omega, multiply(omega, a, b), c) == multiply(omega, a, multiply(omega, b, c))
 
 
 def commutator_matches_bracket(omega: OmegaForm) -> bool:
     """Prove a b a^-1 b^-1 == exp(bracket) symbolically for W-directions."""
     m = omega.dim_w
-    a = GroupElement(
-        tuple(Poly.var(i, 2 * m) for i in range(m)),
-        tuple(Poly.zero(2 * m) for _ in range(omega.dim_u)),
-    )
-    b = GroupElement(
-        tuple(Poly.var(m + i, 2 * m) for i in range(m)),
-        tuple(Poly.zero(2 * m) for _ in range(omega.dim_u)),
-    )
+    zeros_u = tuple(Poly.zero(2 * m) for _ in range(omega.dim_u))
+    a = GroupElement((Poly.var(i, 2 * m) for i in range(m)), zeros_u)
+    b = GroupElement((Poly.var(m + i, 2 * m) for i in range(m)), zeros_u)
     left = multiply(omega, multiply(omega, multiply(omega, a, b), inverse(a)), inverse(b))
-    expected = GroupElement(
-        tuple(Poly.zero(2 * m) for _ in range(m)),
-        tuple(omega.apply(a.w_part, b.w_part)),
-    )
-    return left == expected
+    bracket = omega.apply(a.w_part, b.w_part)
+    return left == GroupElement((Poly.zero(2 * m) for _ in range(m)), bracket)
 
 
 def one_parameter_subgroup_holds(omega: OmegaForm) -> bool:
     """Prove (s w, 0) (t w, 0) == ((s+t) w, 0) symbolically in s, t and w."""
     m = omega.dim_w
-    nvars = m + 2
-    s = Poly.var(m, nvars)
-    t = Poly.var(m + 1, nvars)
-    w = [Poly.var(i, nvars) for i in range(m)]
-    zeros_u = tuple(Poly.zero(nvars) for _ in range(omega.dim_u))
-    a = GroupElement(tuple(s * wi for wi in w), zeros_u)
-    b = GroupElement(tuple(t * wi for wi in w), zeros_u)
-    product = multiply(omega, a, b)
-    expected = GroupElement(tuple((s + t) * wi for wi in w), zeros_u)
-    return product == expected
+    *w, s, t = (Poly.var(i, m + 2) for i in range(m + 2))
+    zeros_u = tuple(Poly.zero(m + 2) for _ in range(omega.dim_u))
+    a = GroupElement((s * wi for wi in w), zeros_u)
+    b = GroupElement((t * wi for wi in w), zeros_u)
+    return multiply(omega, a, b) == GroupElement(((s + t) * wi for wi in w), zeros_u)

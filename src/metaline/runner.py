@@ -27,7 +27,7 @@ from .metabelian import InternalConsistencyError, OmegaForm
 from .omega_builder import build_omega
 from .report import CheckResult, VerificationReport
 from .sampling import RationalSampler
-from .scalars import Q, as_integers, from_integers, qstr
+from .scalars import Q, as_integers, qstr
 from .varieties import (
     FrameDegenerate,
     IsotropyCertificate,
@@ -47,13 +47,11 @@ def _slide_outcome(chart, omega, cfg, variant):
     configuration of None had a degenerate frame (_Run.slide_cfgs)."""
     if cfg is None:
         return ("skip", "degenerate frame")
-    param, x, delta, t = cfg
-    frame = chart.frame_integers(param)
-    w = from_integers(*frame[0])
+    param, frame, x, delta, t = cfg
     try:
-        pivots = fam.primary_pivots(omega, x, w)
+        pivots = fam.primary_pivots(omega, x, frame[0])
         if variant == "alt":
-            pivots = fam.next_pivots(omega, x, w, pivots)
+            pivots = fam.next_pivots(omega, x, frame[0], pivots)
             if pivots is None:
                 return ("skip", "no second chart")
         elif variant == "symbolic":
@@ -116,19 +114,21 @@ class _Run:
 
     @cached_property
     def slide_cfgs(self):
-        """The configurations (param, x, delta, t) of the three slide
-        checks, drawn up front so that the --jobs pool gets them whole, and
-        None for one whose frame is degenerate.  Each draws all four parts,
-        degenerate or not, so no sample moves the draws of a later one."""
+        """The configurations (param, frame, x, delta, t) of the three
+        slide checks, frame the chart's frame at param, drawn up front so
+        that the --jobs pool gets them whole, and None for one whose frame
+        is degenerate.  Each draws all four sampled parts, degenerate or
+        not, so no sample moves the draws of a later one."""
         sampler = self.stream("slide-identity")
         d = self.chart.param_dim
         cfgs = []
         for _ in range(self.samples):
             param = sampler.vector(d)
+            frame = self.chart.frame_integers(param)
             x = _sample_element(sampler, self.omega)
-            cfg = (param, x, sampler.nonzero_vector(d), sampler.nonzero_rational())
+            cfg = (param, frame, x, sampler.nonzero_vector(d), sampler.nonzero_rational())
             try:
-                affine_tangent_frame(self.chart, param)
+                affine_tangent_frame(frame, param)
             except FrameDegenerate:
                 cfg = None
             cfgs.append(cfg)
@@ -233,12 +233,11 @@ def _family_dimension_outcomes(run):
     expected, measured = run.dims["familyDim"], 0
     for _ in range(10):
         frame = chart.frame_integers(sampler.vector(chart.param_dim))
-        w = from_integers(*frame[0])
-        if not any(w):
+        if not any(frame[0][0]):
             continue
         x = _sample_element(sampler, omega)
         try:
-            pivots = fam.primary_pivots(omega, x, w)
+            pivots = fam.primary_pivots(omega, x, frame[0])
             measured = max(measured, fam.family_dimension(omega, frame, x, pivots))
         except fam.ChartMiss:
             continue
@@ -282,9 +281,9 @@ def _chart_check(stream, count, body):
 
 def _pencil_sample(run, sampler, k, fiber, x):
     """(pencil-split outcome, splitting-type outcome) of one pencil."""
-    omega, frame = run.omega, run.chart.frame_integers(fiber.param)
+    omega, frame = run.omega, fiber.frame
     try:
-        pivots = fam.primary_pivots(omega, x, from_integers(*frame[0]))
+        pivots = fam.primary_pivots(omega, x, frame[0])
         frame0, frame_inf = fam.pencil_frames(omega, frame, x, pivots)
     except fam.ChartMiss as exc:
         return ("skip", f"chart miss: {exc}")
@@ -302,14 +301,14 @@ def _coset_sample(run, sampler, k, fiber, x):
     shifted out of the frame, or x on another chart direction.  Each
     image is taken in the fiber over its line's chart point."""
     chart, omega = run.chart, run.omega
-    line_a = lin.line_of(omega, lin.direction_point(chart, fiber.param, x))
+    line_a = lin.line_of(omega, fiber.marked_point(x))
     image_a = comp.bundle_to_space(omega, line_a, fiber)
     frame = fiber.tangent
     fiber_b = fiber
     if k % 2 == 0:
         coeffs, scale = as_integers(sampler.vector(chart.param_dim + 1))
         sums, den = combine_rows(*frame, coeffs, omega.dim_w)
-        x2 = lin.translate(omega, x, from_integers(sums, den * scale), 1)
+        x2 = lin.translate(omega, x, (sums, den * scale), 1)
     elif omega.dim_u > 0 and (k // 2) % 2 == 0:
         u_shift = sampler.nonzero_vector(omega.dim_u)
         x2 = meta.multiply(omega, x, meta.element(omega, [Q(0)] * omega.dim_w, u_shift))
@@ -322,7 +321,7 @@ def _coset_sample(run, sampler, k, fiber, x):
             if fiber_b is None:
                 return ("skip", "no distinguishable coset available")
             x2 = x
-    line_b = lin.line_of(omega, lin.direction_point(chart, fiber_b.param, x2))
+    line_b = lin.line_of(omega, fiber_b.marked_point(x2))
     expect_equal = k % 2 == 0
     equal = image_a == comp.bundle_to_space(omega, line_b, fiber_b)
     if equal == expect_equal:
@@ -332,13 +331,14 @@ def _coset_sample(run, sampler, k, fiber, x):
 
 def _escape_vector(frame, ncols):
     """The first unit vector of length ncols outside the span of the
-    reduced frame, or None: e_i lies in the span exactly when i is a pivot
-    whose reduced row is e_i, a row with one nonzero entry."""
+    reduced frame, as an integer row over scale 1, or None: e_i lies in
+    the span exactly when i is a pivot whose reduced row is e_i, a row
+    with one nonzero entry."""
     reduced, pivots = frame
     inside = {p for p, row in zip(pivots, reduced) if len(row) == 1}
     for i in range(ncols):
         if i not in inside:
-            return tuple(Q(1) if j == i else Q(0) for j in range(ncols))
+            return [int(j == i) for j in range(ncols)], 1
     return None
 
 
@@ -375,9 +375,9 @@ def _action_sample(run, sampler, k, fiber, x):
 
 
 def _equivariance_sample(run, sampler, k, fiber, x):
-    chart, omega = run.chart, run.omega
+    omega = run.omega
     g = _sample_element(sampler, omega)
-    marked = lin.direction_point(chart, fiber.param, x)
+    marked = fiber.marked_point(x)
     ok = True
     for point in (marked, lin.line_of(omega, marked)):
         moved = comp.act_on_bundle(omega, g, point)
@@ -389,9 +389,9 @@ def _equivariance_sample(run, sampler, k, fiber, x):
 
 
 def _line_boundary_sample(run, sampler, k, fiber, x):
-    chart, omega = run.chart, run.omega
+    omega = run.omega
     grid = sampler.distinct_rationals(5)
-    marked = lin.direction_point(chart, fiber.param, x)
+    marked = fiber.marked_point(x)
     interiors, boundary = comp.compactified_line(omega, fiber, marked, grid)
     ok = len(set(interiors)) == len(grid)
     for interior in interiors:

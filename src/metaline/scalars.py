@@ -10,7 +10,7 @@ denominator and expose .numerator / .denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as Q
@@ -30,6 +30,13 @@ def as_integers(vec):
     except AttributeError:
         return None
     return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def lowest_terms(ints, den):
+    """(ints, den) for integers over a positive den, divided by
+    gcd(den, *ints): the same rationals in lowest terms, ints a tuple."""
+    g = gcd(den, *ints)
+    return (tuple(ints), den) if g == 1 else (tuple(c // g for c in ints), den // g)
 
 
 def from_integers(ints, den):

@@ -125,21 +125,18 @@ def make_chart(label, coords) -> VarietyChart:
     return VarietyChart(label, d, len(coords), coords, partials)
 
 
-def affine_tangent_frame(chart: VarietyChart, point):
-    """Frame of the cone's tangent space, chart value plus all partials,
-    as (rows, pivots) of its one leftmost-pivot reduction, the rows sparse
-    integer pivot rows as integer_rref gives them: reduced row r reads
+def affine_tangent_frame(frame, point):
+    """Frame of the cone's tangent space at point, chart value plus all
+    partials, given as VarietyChart.frame_integers gives it, as (rows,
+    pivots) of its one leftmost-pivot reduction, the rows sparse integer
+    pivot rows as integer_rref gives them: reduced row r reads
     row[k] / row[pivots[r]] at column k and zero where k is absent.
 
     Raises FrameDegenerate unless the d+1 frame vectors are independent.
     """
-    point = tuple(point)
-    frame = [ints for ints, _ in chart.frame_integers(point)]
-    rows, pivots = integer_rref(frame, chart.ambient_dim)
-    if len(pivots) != chart.param_dim + 1:
-        raise FrameDegenerate(
-            f"frame rank below {chart.param_dim + 1} at {tuple(map(qstr, point))}"
-        )
+    rows, pivots = integer_rref([ints for ints, _ in frame], len(frame[0][0]))
+    if len(pivots) != len(frame):
+        raise FrameDegenerate(f"frame rank below {len(frame)} at {tuple(map(qstr, point))}")
     return rows, pivots
 
 

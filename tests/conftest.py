@@ -6,6 +6,7 @@ import pytest
 
 from metaline.metabelian import OmegaForm
 from metaline.omega_builder import build_omega
+from metaline.scalars import HALF, ONE, ZERO
 from metaline.varieties import builtin_chart
 
 # The Heisenberg form: dimW 2, dimU 1, form(e_0, e_1) = f_0.
@@ -16,6 +17,14 @@ def form_from_table(dim_w, dim_u, table):
     """The form with one U-vector per index pair i < j, in lex order."""
     pairs = combinations(range(dim_w), 2)
     return OmegaForm.from_entries(dim_w, dim_u, [(i, j, r) for (i, j), r in zip(pairs, table)])
+
+
+def line_rows(omega, x, w):
+    """The rows (x_w, x_u, 1) and (w, (1/2) form(x_w, w), 0) of the line's
+    plane in the coordinate ring of x and w (rationals, jets): the formula
+    that lines.line_matrix_rows computes in integers."""
+    half_corr = [HALF * c for c in omega.apply(x.w_part, w)]
+    return [[*x.w_part, *x.u_part, ONE], [*w, *half_corr, ZERO]]
 
 
 def sl2_exterior_square_dims(k):

@@ -329,7 +329,7 @@ def test_sample_line_uses_the_fixture_form(capsys):
     )
     assert code == 0
     x = element(omega, [parse_rational(c) for c in base[:5]], [parse_rational(base[5])])
-    line = line_through(omega, x, (1, 2, 4, 8, 16))
+    line = line_through(omega, x, ((1, 2, 4, 8, 16), 1))
     payload = json.loads(out)
     assert payload["canonicalBase"] == [qstr(c) for c in line.base.coords]
     assert payload["boundaryDirection"] == [qstr(c) for c in boundary_direction(omega, line)]

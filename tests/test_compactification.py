@@ -9,7 +9,7 @@ from metaline.compactification import (
     g_action,
 )
 from metaline.linalg import rational_rows
-from metaline.lines import direction_point, line_of, line_through
+from metaline.lines import line_of, line_through
 from metaline.metabelian import element, identity_element, inverse, multiply
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q
@@ -30,7 +30,7 @@ def test_canonical_rep_vanishes_on_pivots(twisted_cubic):
     param = (Q(2),)
     x = element(omega, (3, 1, 4, 1), (5,))
     rep = boundary_point(chart, omega, param, x).coset_rep
-    _, pivots = affine_tangent_frame(chart, param)
+    _, pivots = affine_tangent_frame(chart.frame_integers(param), param)
     assert all(rep.w_part[p] == 0 for p in pivots)
 
 
@@ -39,7 +39,7 @@ def test_canonical_rep_is_coset_invariant(twisted_cubic):
     chart, omega, _ = twisted_cubic
     param = (Q(2),)
     sampler = RationalSampler(47)
-    rows = rational_rows(*affine_tangent_frame(chart, param), omega.dim_w)
+    rows = rational_rows(*affine_tangent_frame(chart.frame_integers(param), param), omega.dim_w)
     x = _sample_element(sampler, omega)
     rep = boundary_point(chart, omega, param, x)
     for _ in range(5):
@@ -69,7 +69,7 @@ def test_in_tangent_span(twisted_cubic):
     w = chart.evaluate(param)
     tangent = [p.evaluate(param) for p in chart.partials[0]]
     combo = tuple(3 * a - 2 * b for a, b in zip(w, tangent))
-    frame = affine_tangent_frame(chart, param)
+    frame = affine_tangent_frame(chart.frame_integers(param), param)
     assert in_tangent_span(frame, combo)
     assert not in_tangent_span(frame, (1, 0, 0, 0))
 
@@ -77,7 +77,7 @@ def test_in_tangent_span(twisted_cubic):
 def test_bundle_to_space_off_section(twisted_cubic):
     chart, omega, _ = twisted_cubic
     x = element(omega, (1, 2, 3, 4), (5,))
-    alpha = direction_point(chart, (Q(2),), x)
+    alpha = _fiber(chart, omega, (Q(2),)).marked_point(x)
     assert bundle_to_space(omega, alpha, _fiber(chart, omega, (Q(2),))) == x
 
 
@@ -85,7 +85,7 @@ def test_bundle_to_space_on_section(twisted_cubic):
     chart, omega, _ = twisted_cubic
     param = (Q(2),)
     x = element(omega, (1, 2, 3, 4), (5,))
-    line = line_of(omega, direction_point(chart, param, x))
+    line = line_of(omega, _fiber(chart, omega, param).marked_point(x))
     assert line.param == param
     out = bundle_to_space(omega, line, _fiber(chart, omega, param))
     assert out == boundary_point(chart, omega, param, x)
@@ -95,7 +95,7 @@ def test_bundle_to_space_on_section(twisted_cubic):
 def test_bundle_to_space_rejects_a_fiber_over_another_chart_point(twisted_cubic):
     chart, omega, _ = twisted_cubic
     x = element(omega, (1, 2, 3, 4), (5,))
-    line = line_of(omega, direction_point(chart, (Q(2),), x))
+    line = line_of(omega, _fiber(chart, omega, (Q(2),)).marked_point(x))
     with pytest.raises(ValueError):
         bundle_to_space(omega, line, _fiber(chart, omega, (Q(3),)))
 
@@ -105,8 +105,9 @@ def test_compactified_line_single_boundary(twisted_cubic):
     param = (Q(3),)
     x = element(omega, (1, 0, 2, 0), (1,))
     grid = (Q(0), Q(1), Q(-1), Q(5, 2))
-    marked = direction_point(chart, param, x)
-    interiors, boundary = compactified_line(omega, _fiber(chart, omega, param), marked, grid)
+    fiber = _fiber(chart, omega, param)
+    marked = fiber.marked_point(x)
+    interiors, boundary = compactified_line(omega, fiber, marked, grid)
     assert len(interiors) == len(grid)
     assert len(set(interiors)) == len(grid)
     for interior in interiors:
@@ -155,7 +156,7 @@ def test_evaluation_equivariance(twisted_cubic):
         g = _sample_element(sampler, omega)
         param = sampler.vector(1)
         fiber = _fiber(chart, omega, param)
-        alpha = direction_point(chart, param, x)
+        alpha = fiber.marked_point(x)
         for point in (alpha, line_of(omega, alpha)):
             lhs = bundle_to_space(omega, act_on_bundle(omega, g, point), fiber)
             rhs = g_action(omega, g, bundle_to_space(omega, point, fiber))
@@ -169,9 +170,9 @@ def test_maps_reject_points_of_the_other_space(twisted_cubic):
     neither."""
     chart, omega, _ = twisted_cubic
     x = element(omega, (1, 2, 3, 4), (5,))
-    alpha = direction_point(chart, (Q(2),), x)
+    alpha = _fiber(chart, omega, (Q(2),)).marked_point(x)
     line = line_of(omega, alpha)
-    bare = line_through(omega, x, chart.evaluate((Q(2),)))
+    bare = line_through(omega, x, chart.frame_integers((Q(2),))[0])
     for point in (x, boundary_point(chart, omega, (Q(2),), x), bare):
         with pytest.raises(TypeError):
             bundle_to_space(omega, point, _fiber(chart, omega, (Q(2),)))

@@ -1,5 +1,6 @@
 import functools
 import json
+from math import gcd
 from pathlib import Path
 from unittest.mock import patch
 
@@ -8,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HEISENBERG as HEIS
+from conftest import line_rows
 from metaline import family_geometry as fam
 from metaline.jets import Jet1
 from metaline.linalg import Mat, NotInSpan, solve_in_span
-from metaline.lines import line_matrix_rows, translate
+from metaline.lines import translate
 from metaline.metabelian import GroupElement, OmegaForm, element, multiply
 from metaline.omega_builder import build_omega
 from metaline.polynomials import Poly
@@ -35,9 +37,9 @@ def test_primary_and_next_pivots(twisted_cubic):
     chart, omega, _ = twisted_cubic
     x = element(omega, (0, 1, 0, 0), (0,))
     w = chart.evaluate((Q(1),))
-    pivots = fam.primary_pivots(omega, x, w)
+    pivots = fam.primary_pivots(omega, x, as_integers(w))
     assert len(pivots) == 2 and pivots[0] < pivots[1]
-    alt = fam.next_pivots(omega, x, w, pivots)
+    alt = fam.next_pivots(omega, x, as_integers(w), pivots)
     assert alt is not None and alt != tuple(pivots)
 
 
@@ -79,7 +81,7 @@ def test_pivot_pair_scan_matches_rref_and_minor_scan(rows, parallel, data):
     if parallel:
         rows = [rows[0], [Q(3, 2) * c for c in rows[0]]]
     _, echelon = Mat(rows).rref()
-    with patch.object(fam, "line_matrix_rows", lambda *args: rows):
+    with patch.object(fam, "line_matrix_rows", lambda *args: [(row, 1) for row in rows]):
         if len(echelon) < 2:
             with pytest.raises(fam.ChartMiss):
                 fam.primary_pivots(None, None, None)
@@ -110,7 +112,7 @@ def test_direction_variation_frozen_heisenberg():
     chart = linear_chart(2, "p1")
     x = element(HEIS, (0, 1), (0,))
     frame = chart.frame_integers((Q(0),))
-    pivots = fam.primary_pivots(HEIS, x, chart.evaluate((Q(0),)))
+    pivots = fam.primary_pivots(HEIS, x, chart.frame_integers((Q(0),))[0])
     assert pivots == (0, 1)
     j2 = fam.direction_variation(HEIS, frame, x, (Q(1),), Q(2), pivots)
     j0 = fam.direction_variation(HEIS, frame, x, (Q(1),), Q(0), pivots)
@@ -152,7 +154,8 @@ def test_tangent_span_check_rejects_a_u_component(monkeypatch):
     frame = chart.frame_integers((Q(0),))
     result = fam.check_slide_identity(HEIS, frame, x, (Q(1),), Q(2), (0, 1))
     assert solved == [(0, -2, -2)]
-    assert in_tangent_span(affine_tangent_frame(chart, (Q(0),)), solved[0][:2])
+    point = (Q(0),)
+    assert in_tangent_span(affine_tangent_frame(chart.frame_integers(point), point), solved[0][:2])
     assert not result.tangent_span_ok
 
 
@@ -161,7 +164,7 @@ def test_tangent_span_check_rejects_a_w_part_off_the_frame(twisted_cubic, monkey
     passes, a vector outside the tangent frame's span does not."""
     chart, omega, _ = twisted_cubic
     param, x, delta = (Q(2),), element(omega, (1, 2, 3, 4), (5,)), (Q(1),)
-    pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+    pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
     frame = chart.frame_integers(param)
     for coeffs, inside in (((1, 2, 4, 8, 0), True), ((1, 0, 0, 0, 0), False)):
         monkeypatch.setattr(fam, "solve_basepoint_variation", lambda *args, c=coeffs: c)
@@ -173,7 +176,7 @@ def test_slide_identity_frozen_flat_conic(flat_conic, monkeypatch):
     chart, omega, _ = flat_conic
     x = element(omega, (0, 0, 1))
     param, delta, t = (Q(1),), (Q(1),), Q(1)
-    pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+    pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
     frame = chart.frame_integers(param)
     j1 = fam.direction_variation(omega, frame, x, delta, t, pivots)
     j0 = fam.direction_variation(omega, frame, x, delta, Q(0), pivots)
@@ -190,8 +193,8 @@ def test_basepoint_variation_kernel_is_line_direction(flat_conic):
     chart, omega, _ = flat_conic
     x = element(omega, (0, 0, 1))
     w = chart.evaluate((Q(1),))
-    pivots = fam.primary_pivots(omega, x, w)
-    bvm = fam.basepoint_variation(omega, x, w, pivots)
+    pivots = fam.primary_pivots(omega, x, as_integers(w))
+    bvm = fam.basepoint_variation(omega, x, as_integers(w), pivots)
     n = omega.dim_w + omega.dim_u
     # rank n - 1 leaves a one-dimensional kernel, and the line direction lies in it
     assert bvm.rank() == n - 1
@@ -209,7 +212,7 @@ def test_slide_identity_on_samples(twisted_cubic, quartic):
             delta = sampler.nonzero_vector(chart.param_dim)
             t = sampler.nonzero_rational()
             w = chart.evaluate(param)
-            pivots = fam.primary_pivots(omega, x, w)
+            pivots = fam.primary_pivots(omega, x, as_integers(w))
             frame = chart.frame_integers(param)
             result = fam.check_slide_identity(omega, frame, x, delta, t, pivots)
             assert result.ok and result.tangent_span_ok
@@ -223,8 +226,8 @@ def test_slide_identity_in_second_chart(twisted_cubic):
         param = sampler.vector(1)
         x = element(omega, sampler.vector(4), sampler.vector(1))
         w = chart.evaluate(param)
-        pivots = fam.primary_pivots(omega, x, w)
-        alt = fam.next_pivots(omega, x, w, pivots)
+        pivots = fam.primary_pivots(omega, x, as_integers(w))
+        alt = fam.next_pivots(omega, x, as_integers(w), pivots)
         if alt is None:
             continue
         result = fam.check_slide_identity(
@@ -243,7 +246,7 @@ def test_symbolic_variation_matches_jets(veronese33):
         delta = sampler.nonzero_vector(2)
         t = sampler.rational()
         w = chart.evaluate(param)
-        pivots = fam.primary_pivots(omega, x, w)
+        pivots = fam.primary_pivots(omega, x, as_integers(w))
         jet = fam.direction_variation(omega, chart.frame_integers(param), x, delta, t, pivots)
         symbolic = fam.direction_variation_symbolic(chart, omega, param, x, delta, t, pivots)
         assert jet == symbolic
@@ -258,7 +261,7 @@ def test_pencil_frames_flat_conic(flat_conic):
     chart, omega, _ = flat_conic
     x = element(omega, (0, 0, 1))
     param = (Q(1),)
-    pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+    pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
     frame0, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), x, pivots)
     m0, m_inf = _frame_matrix(frame0), _frame_matrix(frame_inf)
     assert m0.ncols == m_inf.ncols == 1
@@ -275,7 +278,7 @@ def test_pencil_and_splitting_on_samples(twisted_cubic, veronese33):
         for _ in range(3):
             param = sampler.vector(d)
             x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
-            pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+            pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
             frame0, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), x, pivots)
             m0, m_inf = _frame_matrix(frame0), _frame_matrix(frame_inf)
             cols = [*zip(*m0.entries), *zip(*m_inf.entries)]
@@ -369,7 +372,7 @@ def _rational_block_variation(rows, pivots, drows):
 def _unit_basepoint_variation(omega, x, w, pivots):
     """basepoint_variation in Fractions, with each form block read off one
     apply call per unit vector a_w: form(x_w, a_w) and form(a_w, w)."""
-    rows = line_matrix_rows(omega, x, w)
+    rows = line_rows(omega, x, w)
     dim_w, width = omega.dim_w, len(rows[0])
     cols = []
     for k in range(dim_w + omega.dim_u):
@@ -395,7 +398,8 @@ def test_basepoint_variation_matches_unit_vector_oracle(fixture_cache, name):
         w = chart.evaluate(param)
         for kind, pivots in _pivot_choices(omega, x, w).items():
             expected = _unit_basepoint_variation(omega, x, w, pivots)
-            assert fam.basepoint_variation(omega, x, w, pivots) == expected, (kind, pivots)
+            got = fam.basepoint_variation(omega, x, as_integers(w), pivots)
+            assert got == expected, (kind, pivots)
 
 
 # Forward-mode oracles: the chart block computed on jets, whose partials
@@ -430,10 +434,10 @@ def _jet_block(rows, pivots):
 
 def _jet_direction_variation(chart, omega, param, x, delta, t, pivots):
     """direction_variation with the chart parameter as a width-1 jet."""
-    xt = translate(omega, x, chart.evaluate(param), t)
+    xt = translate(omega, x, chart.frame_integers(param)[0], t)
     jets = [Jet1(Q(pv), (Q(dv),)) for pv, dv in zip(param, delta)]
     w_tau = [poly.evaluate(jets, zero=Jet1.const(0, 1)) for poly in chart.coords]
-    block = _jet_block(line_matrix_rows(omega, xt, w_tau), pivots)
+    block = _jet_block(line_rows(omega, xt, w_tau), pivots)
     return Mat([[_eps(entry, 0) for entry in row] for row in block])
 
 
@@ -449,7 +453,7 @@ def _jet_basepoint_variation(omega, x, w, pivots):
         tuple(_jet_variable(0, n, omega.dim_w + c) for c in range(omega.dim_u)),
     )
     moved = multiply(omega, x_jets, arg)
-    block = _jet_block(line_matrix_rows(omega, moved, list(w)), pivots)
+    block = _jet_block(line_rows(omega, moved, list(w)), pivots)
     return Mat([[_eps(entry, k) for k in range(n)] for row in block for entry in row])
 
 
@@ -458,7 +462,7 @@ def _pivot_choices(omega, x, w):
     column, the first with a U and the constant column, and the first with
     two U columns.  With a pivot in U, a U-direction moves the pivot
     minor."""
-    rows = line_matrix_rows(omega, x, w)
+    rows = line_rows(omega, x, w)
     last = len(rows[0]) - 1
     u_cols = range(omega.dim_w, last)
 
@@ -472,10 +476,10 @@ def _pivot_choices(omega, x, w):
             None,
         )
 
-    primary = fam.primary_pivots(omega, x, w)
+    primary = fam.primary_pivots(omega, x, as_integers(w))
     choices = {
         "primary": primary,
-        "next": fam.next_pivots(omega, x, w, primary),
+        "next": fam.next_pivots(omega, x, as_integers(w), primary),
         "w-u": first_valid((i, j) for i in range(omega.dim_w) for j in u_cols),
         "u-constant": first_valid((j, last) for j in u_cols),
         "u-u": first_valid((i, j) for i in u_cols for j in u_cols if i < j),
@@ -526,9 +530,8 @@ def test_closed_form_variations_match_jets(fixture_cache, name):
         w, frame = chart.evaluate(param), chart.frame_integers(param)
         for kind, pivots in _pivot_choices(omega, x, w).items():
             kinds.add(kind)
-            assert fam.basepoint_variation(omega, x, w, pivots) == _jet_basepoint_variation(
-                omega, x, w, pivots
-            ), (kind, pivots)
+            got = fam.basepoint_variation(omega, x, as_integers(w), pivots)
+            assert got == _jet_basepoint_variation(omega, x, w, pivots), (kind, pivots)
             closed = fam.direction_variation(omega, frame, x, delta, t, pivots)
             args = (chart, omega, param, x, delta, t, pivots)
             assert closed == _jet_direction_variation(*args), (kind, pivots)
@@ -549,7 +552,7 @@ def _coordinate_jacobian_rank(chart, omega, param, base_w, base_u):
         tuple(_jet_variable(c, width, d + omega.dim_w + i) for i, c in enumerate(base_u)),
     )
     w_jets = [poly.evaluate(p_jets, zero=Jet1.const(0, width)) for poly in chart.coords]
-    rows = line_matrix_rows(omega, x_jets, w_jets)
+    rows = line_rows(omega, x_jets, w_jets)
     _, pivots = Mat([[getattr(e, "val", e) for e in row] for row in rows]).rref()
     block = _jet_block(rows, pivots)
     return Mat([[e.eps[k] for k in range(width)] for row in block for e in row]).rank()
@@ -565,7 +568,7 @@ def test_family_dimension_rank_matches_coordinate_jacobian(fixture_cache, name):
     for _ in range(3):
         draws = [sampler.vector(k) for k in (chart.param_dim, omega.dim_w, omega.dim_u)]
         param, x, w = draws[0], element(omega, *draws[1:]), chart.evaluate(draws[0])
-        pivots = fam.primary_pivots(omega, x, w)
+        pivots = fam.primary_pivots(omega, x, as_integers(w))
         rank = fam.family_dimension(omega, chart.frame_integers(param), x, pivots)
         assert rank == _coordinate_jacobian_rank(chart, omega, *draws) > 0
 
@@ -579,7 +582,7 @@ def test_splitting_type_rejects_a_rank_drop():
     omega = build_omega(chart).omega
     param = (Q(0),)
     x = element(omega, (1, 2, 3), (5,) * omega.dim_u)
-    pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+    pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
     frame0, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), x, pivots)
     assert not fam.check_splitting_type(frame0, frame_inf)
 
@@ -631,7 +634,7 @@ def _counting_solve_in_span(monkeypatch):
 
 
 def _full_solve(omega, x, w, pivots, target):
-    return solve_in_span(fam.basepoint_variation(omega, x, w, pivots), target)
+    return solve_in_span(fam.basepoint_variation(omega, x, as_integers(w), pivots), target)
 
 
 @pytest.mark.parametrize("name", _ALL_CHARTS)
@@ -654,7 +657,7 @@ def test_schur_solve_matches_the_full_solve(fixture_cache, name, monkeypatch):
         w = chart.evaluate(param)
         for kind, pivots in _schur_pivot_choices(omega, x, w).items():
             shift = _slide_shift(chart, omega, param, x, delta, t, pivots)
-            bvm = fam.basepoint_variation(omega, x, w, pivots)
+            bvm = fam.basepoint_variation(omega, x, as_integers(w), pivots)
             # the kernel is exactly the line direction (w, 0)
             assert bvm.rank() == omega.dim_w + omega.dim_u - 1, (kind, pivots)
             assert not any(bvm.times_vector(list(w) + [ZERO] * omega.dim_u)), (kind, pivots)
@@ -664,7 +667,8 @@ def test_schur_solve_matches_the_full_solve(fixture_cache, name, monkeypatch):
             for target in (shift, combination, off_last, off_first):
                 expected = _outcome(solve_in_span, bvm, target)
                 del calls[:]
-                got = _outcome(fam.solve_basepoint_variation, omega, x, w, pivots, as_integers(target))
+                args = (omega, x, as_integers(w), pivots, as_integers(target))
+                got = _outcome(fam.solve_basepoint_variation, *args)
                 assert got == expected, (kind, pivots)
                 seen.add(expected[0])
                 reduced = calls[0][0]
@@ -687,11 +691,11 @@ def test_schur_solve_with_a_pivot_in_u(quartic, monkeypatch):
     param, delta, t = (Q(2),), (Q(1),), Q(5)
     w = chart.evaluate(param)
     x = element(omega, tuple(Q(3) * c for c in w), (Q(1),) * omega.dim_u)
-    pivots = fam.primary_pivots(omega, x, w)
+    pivots = fam.primary_pivots(omega, x, as_integers(w))
     assert pivots[1] == omega.dim_w
     calls = _counting_solve_in_span(monkeypatch)
     shift = _slide_shift(chart, omega, param, x, delta, t, pivots)
-    got = fam.solve_basepoint_variation(omega, x, w, pivots, as_integers(shift))
+    got = fam.solve_basepoint_variation(omega, x, as_integers(w), pivots, as_integers(shift))
     assert got == _full_solve(omega, x, w, pivots, shift)
     assert len(calls) == 1 and calls[0][0].ncols == omega.dim_w + 1
     assert fam.check_slide_identity(omega, chart.frame_integers(param), x, delta, t, pivots).ok
@@ -703,7 +707,7 @@ def _full_jacobian_rank(chart, omega, param, x, w, pivots):
     frame = chart.frame_integers(param)
     variations = [fam.direction_variation(omega, frame, x, u, 0, pivots) for u in units]
     cols = [[e for row in var.entries for e in row] for var in variations]
-    bvm = fam.basepoint_variation(omega, x, w, pivots)
+    bvm = fam.basepoint_variation(omega, x, as_integers(w), pivots)
     return Mat.from_cols([*cols, *zip(*bvm.entries)]).rank()
 
 
@@ -749,9 +753,9 @@ def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeyp
     w = chart.evaluate(param)
     frame = chart.frame_integers(param)
     for kind, pivots in _schur_pivot_choices(omega, x, w).items():
-        bvm = fam.basepoint_variation(omega, x, w, pivots)
+        bvm = fam.basepoint_variation(omega, x, as_integers(w), pivots)
         image = bvm.times_vector(sampler.vector(bvm.ncols))
-        plane = fam._plane(omega, x, w, pivots)
+        plane = fam._plane(omega, x, as_integers(w), pivots)
         width = len(plane.rows[0])
         drows = []
         for ints, scale in fam._times_minor(plane, as_integers(image)):
@@ -784,7 +788,7 @@ def test_limit_frame_is_minus_the_basepoint_variation_along_the_tangent(
         w = chart.evaluate(param)
         for kind, pivots in _schur_pivot_choices(omega, x, w).items():
             _, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), x, pivots)
-            bvm = fam.basepoint_variation(omega, x, w, pivots)
+            bvm = fam.basepoint_variation(omega, x, as_integers(w), pivots)
             for a, partial in enumerate(chart.partials):
                 tangent = [p.evaluate(param) for p in partial]
                 image = bvm.times_vector(tangent + [ZERO] * omega.dim_u)
@@ -804,9 +808,9 @@ def test_slide_solve_back_substitutes_only_eliminated_unknowns(fixture_cache, na
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
     w = chart.evaluate(param)
-    pivots = fam.primary_pivots(omega, x, w)
+    pivots = fam.primary_pivots(omega, x, as_integers(w))
     shift = _slide_shift(chart, omega, param, x, delta, t, pivots)
-    plane = fam._plane(omega, x, w, pivots)
+    plane = fam._plane(omega, x, as_integers(w), pivots)
     apply = OmegaForm.apply_integers
     calls = []
 
@@ -815,9 +819,36 @@ def test_slide_solve_back_substitutes_only_eliminated_unknowns(fixture_cache, na
         return apply(*args)
 
     with patch.object(OmegaForm, "apply_integers", counting):
-        coeffs = fam.solve_basepoint_variation(omega, x, w, pivots, as_integers(shift), plane)
+        args = (omega, x, as_integers(w), pivots, as_integers(shift), plane)
+        coeffs = fam.solve_basepoint_variation(*args)
     assert len(calls) == applies
     assert coeffs == _full_solve(omega, x, w, pivots, shift)
+
+
+def test_the_slide_solve_keeps_its_operands_in_lowest_terms(monkeypatch):
+    """Guard: on moment-curve-12.json every slide shift reaches the solve in
+    lowest terms, and the Schur systems, each column reduced before the lcm
+    of its block row is taken, stay under 400 bits an entry: 171 to 184
+    bits here, where unreduced columns gave 373 to 1,586."""
+    chart, omega = _fixture_file("moment-curve-12.json")
+    schur, solve = fam._schur_system, fam.solve_basepoint_variation
+    bits, gcds = [], []
+
+    def recording_schur(*args):
+        rows, kept, u_pos = schur(*args)
+        bits.append(max(abs(v).bit_length() for row in rows for v in row))
+        return rows, kept, u_pos
+
+    def recording_solve(omega, x, w, pivots, shift, plane=None):
+        gcds.append(gcd(shift[1], *shift[0]))
+        return solve(omega, x, w, pivots, shift, plane)
+
+    monkeypatch.setattr(fam, "_schur_system", recording_schur)
+    monkeypatch.setattr(fam, "solve_basepoint_variation", recording_solve)
+    checks = ["slide-identity", "family-dimension"]
+    assert run_verification(chart, omega, seed=42, samples=3, checks=checks).passed
+    assert gcds == [1, 1, 1] and len(bits) == 4
+    assert max(bits) < 400
 
 
 # The symbolic direction variation is an independent oracle of the closed form.
@@ -848,7 +879,7 @@ def test_symbolic_variation_uses_no_closed_form(twisted_cubic, monkeypatch):
     param = sampler.vector(chart.param_dim)
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
-    pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+    pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
     args = (chart, omega, param, x, delta, t, pivots)
     expected = fam.direction_variation(omega, chart.frame_integers(param), x, delta, t, pivots)
 
@@ -882,7 +913,7 @@ def test_closed_forms_read_the_chart_only_through_its_frame(twisted_cubic, monke
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
     frame = chart.frame_integers(param)
-    pivots = fam.primary_pivots(omega, x, chart.evaluate(param))
+    pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
 
     def kernels():
         return (

@@ -13,16 +13,20 @@ evaluator on every builtin and fixture chart.
 
 import functools
 import json
+import pickle
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import form_from_table
+from conftest import form_from_table, line_rows
 from metaline import family_geometry as fam
+from metaline import lines as lin
+from metaline import metabelian as meta
 from metaline.jets import Jet1
 from metaline.linalg import (
     Mat,
@@ -33,7 +37,7 @@ from metaline.linalg import (
     solve_in_span,
     wedge,
 )
-from metaline.lines import canonical_rep, line_matrix_rows, translate
+from metaline.lines import canonical_rep, line_through, translate
 from metaline.metabelian import (
     GroupElement,
     OmegaForm,
@@ -48,6 +52,7 @@ from metaline.runner import run_verification
 from metaline.sampling import RationalSampler
 from metaline.scalars import HALF, ONE, Q, ZERO, as_integers
 from metaline.varieties import (
+    affine_tangent_frame,
     builtin_chart,
     builtin_names,
     chart_from_json,
@@ -317,7 +322,7 @@ def _chart_and_form(name):
 def _pivot_kinds(omega, x, w):
     """Primary and next pivots, and the first valid pair of each kind with
     a U column: W-U, U-constant, U-U."""
-    rows = line_matrix_rows(omega, x, w)
+    rows = line_rows(omega, x, w)
     last = len(rows[0]) - 1
     u_cols = range(omega.dim_w, last)
 
@@ -327,10 +332,10 @@ def _pivot_kinds(omega, x, w):
             None,
         )
 
-    primary = fam.primary_pivots(omega, x, w)
+    primary = fam.primary_pivots(omega, x, as_integers(w))
     kinds = {
         "primary": primary,
-        "next": fam.next_pivots(omega, x, w, primary),
+        "next": fam.next_pivots(omega, x, as_integers(w), primary),
         "w-u": first_valid((i, j) for i in range(omega.dim_w) for j in u_cols),
         "u-constant": first_valid((j, last) for j in u_cols),
         "u-u": first_valid((i, j) for i in u_cols for j in u_cols if i < j),
@@ -342,7 +347,7 @@ def _rational_basepoint_variation(omega, x, w, pivots):
     """The full basepoint variation in Fractions: one column per algebra
     direction a, the point row moved by (a_w, (1/2) form(x_w, a_w) + a_u, 0)
     and the direction row by (0, (1/2) form(a_w, w), 0)."""
-    rows = line_matrix_rows(omega, x, w)
+    rows = line_rows(omega, x, w)
     dim_w, width = omega.dim_w, len(rows[0])
     cols = []
     for k in range(dim_w + omega.dim_u):
@@ -420,12 +425,14 @@ def test_slide_solve_matches_the_rational_full_solve(name):
         j_0 = fam.direction_variation(omega, frame, x, delta, 0, pivots)
         shift = [a - b for ra, rb in zip(j_t.entries, j_0.entries) for a, b in zip(ra, rb)]
         full = _rational_basepoint_variation(omega, x, w, pivots)
-        assert fam.basepoint_variation(omega, x, w, pivots) == full, kind
+        assert fam.basepoint_variation(omega, x, as_integers(w), pivots) == full, kind
         combination = list(full.times_vector(sampler.vector(full.ncols)))
         off_span = [shift[0] + 1] + shift[1:]
         for target in (shift, combination, off_span):
             expected = _outcome(solve_in_span, full, target)
-            got = _outcome(fam.solve_basepoint_variation, omega, x, w, pivots, as_integers(target))
+            got = _outcome(
+                fam.solve_basepoint_variation, omega, x, as_integers(w), pivots, as_integers(target)
+            )
             assert got == expected, kind
             assert all(type(v) is Q for v in got[1]), kind
             seen.add(expected[0])
@@ -439,9 +446,10 @@ def test_translate_is_the_group_product(data):
     x = element(form, data.draw(_vectors(form.dim_w)), data.draw(_vectors(form.dim_u)))
     w = data.draw(_vectors(form.dim_w))
     t = data.draw(scalars)
-    assert translate(form, x, w, t) == multiply(form, x, element(form, [t * c for c in w]))
-    assert translate(form, x, w, 0) is x
-    assert translate(form, x, [0] * form.dim_w, t) is x
+    row = as_integers(w)
+    assert translate(form, x, row, t) == multiply(form, x, element(form, [t * c for c in w]))
+    assert translate(form, x, row, 0) is x
+    assert translate(form, x, ([0] * form.dim_w, 1), t) is x
 
 
 def _rational_canonical_rep(form, x, reduced_rows, pivots):
@@ -569,6 +577,85 @@ def test_rational_multiply_matches_the_generic_formula(case):
     assert multiply(form, a, inverse(a)) == identity_element(form)
     cancelling = GroupElement(inverse(a).w_part, b.u_part)
     assert multiply(form, a, cancelling) == _generic_multiply(form, a, cancelling)
+
+
+# The rational group element: integers over one lowest-terms denominator
+# per part, its Q coordinates built only on read.
+
+
+def _assert_lowest_terms(x):
+    for ints, den in (x.w, x.u):
+        assert den > 0 and gcd(den, *ints) == 1 and all(type(c) is int for c in ints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_pairs(), st.data())
+def test_an_element_built_from_qs_equals_the_one_built_in_integers(case, data):
+    """multiply, inverse, translate and canonical_rep write integers over
+    one lowest-terms denominator per part.  The element built from the Q
+    coordinates of each result equals it, hashes like it and holds the same
+    integers, and the coordinates read back as the same Qs."""
+    form, a, b = case
+    w, t = as_integers(data.draw(_vectors(form.dim_w))), data.draw(scalars)
+    spanning = data.draw(st.lists(_vectors(form.dim_w), min_size=1, max_size=max(1, form.dim_w)))
+    span = integer_rref([as_integers(v)[0] for v in spanning], form.dim_w)
+    results = [multiply(form, a, b), inverse(a), translate(form, a, w, t), identity_element(form)]
+    results.append(canonical_rep(form, b, *span))
+    for x in results:
+        _assert_lowest_terms(x)
+        built = GroupElement(x.w_part, x.u_part)
+        assert built == x and hash(built) == hash(x) and (built.w, built.u) == (x.w, x.u)
+        assert element(form, x.w_part, x.u_part) == x
+        assert built.coords == x.coords and all(type(c) is Q for c in x.coords)
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_a_rational_element_survives_pickling(twisted_cubic, read_first):
+    """The --jobs pool pickles the sampled elements into its workers: an
+    element comes back equal, with the same integers, hash and coordinates,
+    whether or not its Q coordinates were read before."""
+    _, omega, _ = twisted_cubic
+    a = element(omega, (1, Q(1, 2), 0, -3), (Q(2, 3),))
+    x = multiply(omega, a, element(omega, (Q(5, 7), 0, 1, 1), (4,)))
+    if read_first:
+        assert x.coords
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and hash(y) == hash(x) and (y.w, y.u) == (x.w, x.u)
+    assert y.coords == x.coords
+
+
+def test_the_group_kernels_take_no_q_round_trip(twisted_cubic, monkeypatch):
+    """Guard: once the sampled elements and the chart frame exist, the
+    rational product, inverse, slide, coset normal form, canonical line and
+    line plane read and write integers alone: with as_integers made to
+    raise in metabelian, lines and family_geometry they give the results
+    they give before."""
+    chart, omega, _ = twisted_cubic
+    sampler = RationalSampler(113)
+    x, g = (element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u)) for _ in "xg")
+    param, t = sampler.vector(chart.param_dim), sampler.nonzero_rational()
+    frame = chart.frame_integers(param)
+    tangent, value = affine_tangent_frame(frame, param), frame[0]
+    pivots = fam.primary_pivots(omega, x, value)
+
+    def kernels():
+        return (
+            multiply(omega, g, x),
+            inverse(x),
+            translate(omega, x, value, t),
+            canonical_rep(omega, x, *tangent),
+            line_through(omega, x, value),
+            fam._plane(omega, x, value, pivots),
+        )
+
+    expected = kernels()
+
+    def as_integers_raising(*_):
+        raise AssertionError("a kernel scaled Qs back to integers")
+
+    for module in (meta, lin, fam):
+        monkeypatch.setattr(module, "as_integers", as_integers_raising, raising=False)
+    assert kernels() == expected
 
 
 # Backend parity: a stand-in for gmpy2's mpq.

@@ -16,7 +16,7 @@ from metaline.linalg import (
 from metaline.metabelian import element
 from metaline.omega_builder import build_omega
 from metaline.sampling import RationalSampler
-from metaline.scalars import Q
+from metaline.scalars import Q, as_integers
 from metaline.varieties import builtin_chart
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(
@@ -167,12 +167,12 @@ def _conic_slide_solve():
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
     w = chart.evaluate(param)
-    pivots = fam.primary_pivots(omega, x, w)
+    pivots = fam.primary_pivots(omega, x, as_integers(w))
     frame = chart.frame_integers(param)
     j_t = fam.direction_variation(omega, frame, x, delta, t, pivots)
     j_0 = fam.direction_variation(omega, frame, x, delta, 0, pivots)
     shift = [a - b for ra, rb in zip(j_t.entries, j_0.entries) for a, b in zip(ra, rb)]
-    return fam.basepoint_variation(omega, x, w, pivots), shift
+    return fam.basepoint_variation(omega, x, as_integers(w), pivots), shift
 
 
 def test_real_slide_solve_matches_rational_elimination():

@@ -125,7 +125,7 @@ def _raw_frame_rows(chart, point):
 
 
 def _tangent_rows(chart, point):
-    affine_tangent_frame(chart, point)  # raises FrameDegenerate
+    affine_tangent_frame(chart.frame_integers(point), point)  # raises FrameDegenerate
     return _raw_frame_rows(chart, point)
 
 
@@ -175,7 +175,7 @@ def test_degenerate_frame_span_matches_pointwise_wedges():
     the pointwise frame wedges."""
     chart = chart_from_json(json.loads((_FIXTURE_DIR / _DEGENERATE).read_text()))
     with pytest.raises(FrameDegenerate):
-        affine_tangent_frame(chart, (Q(1), Q(2)))
+        affine_tangent_frame(chart.frame_integers((Q(1), Q(2))), (Q(1), Q(2)))
     construction = build_omega(chart)
     assert (construction.dim_w_prime, construction.omega.dim_u) == (5, 1)
     assert _w_prime_basis(construction) == _sampled_span(chart, _raw_frame_rows)

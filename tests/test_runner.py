@@ -451,15 +451,15 @@ def test_escape_vector_is_the_first_unit_vector_off_the_frame(name, spans_w):
     chart, _ = builtin_chart(name)
     sampler = RationalSampler(5)
     units = [
-        tuple(Q(int(j == i)) for j in range(chart.ambient_dim)) for i in range(chart.ambient_dim)
+        ([int(j == i) for j in range(chart.ambient_dim)], 1) for i in range(chart.ambient_dim)
     ]
     for _ in range(10):
         param = sampler.vector(chart.param_dim)
         try:
-            frame = affine_tangent_frame(chart, param)
+            frame = affine_tangent_frame(chart.frame_integers(param), param)
         except FrameDegenerate:
             continue
-        expected = next((e for e in units if not in_tangent_span(frame, e)), None)
+        expected = next((e for e in units if not in_tangent_span(frame, e[0])), None)
         assert runner._escape_vector(frame, chart.ambient_dim) == expected
         assert (expected is None) == spans_w
 
@@ -481,9 +481,9 @@ def test_each_boundary_sample_builds_one_tangent_frame(monkeypatch):
     original_point = comp.boundary_point
     original_rref = linalg._rref
 
-    def counting_frame(chart, point):
+    def counting_frame(frame, point):
         built.append(sys._getframe(1).f_code)
-        return original_frame(chart, point)
+        return original_frame(frame, point)
 
     def counting_point(*args):
         before = len(reductions)
@@ -567,19 +567,29 @@ def _counting_chart_evaluations(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "checks", [["slide-identity"], ["slide-identity-alt-chart"], ["pencil-split", "splitting-type"]]
+    "checks",
+    [
+        ["slide-identity"],
+        ["slide-identity-alt-chart"],
+        ["pencil-split", "splitting-type"],
+        ["boundary-cosets"],
+        ["equivariance"],
+        ["line-boundary"],
+    ],
 )
-def test_a_slide_or_pencil_sample_evaluates_the_chart_at_most_twice(checks, monkeypatch):
-    """Guard: a slide sample evaluates the chart once to test its frame and
-    once for the kernels, which take that frame; a pencil sample once for
-    its fiber and once for the kernels.  (The symbolic oracle evaluates the
-    chart itself.)"""
+def test_a_chart_sample_evaluates_the_chart_once(checks, monkeypatch):
+    """Guard: a slide sample evaluates the chart once, to test its frame,
+    and its kernels take that frame; a pencil, coset, equivariance or
+    line-boundary sample evaluates it once for its fiber, and its kernels
+    and marked points take the fiber's frame.  (The symbolic oracle
+    evaluates the chart itself.)  veronese-2-3's frame never spans W, so
+    no coset sample draws a second fiber."""
     chart, _ = builtin_chart("veronese-2-3")
     omega = build_omega(chart).omega
     calls = _counting_chart_evaluations(monkeypatch)
     report = run_verification(chart, omega, samples=10, checks=checks)
     assert report.passed
-    assert 0 < len(calls) <= 2 * report.checks[0].samples
+    assert 0 < len(calls) <= report.checks[0].samples
 
 
 @pytest.mark.parametrize("name, points", [("veronese-2-3", 1), ("degenerate-frame.json", 10)])

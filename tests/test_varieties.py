@@ -56,7 +56,7 @@ def _frame_rows(chart, point):
 
 def test_affine_tangent_frame_rank():
     chart = veronese_chart(3, 2)
-    rows, pivots = affine_tangent_frame(chart, (Q(1), Q(2)))
+    rows, pivots = affine_tangent_frame(chart.frame_integers((Q(1), Q(2))), (Q(1), Q(2)))
     assert len(rows) == 3 and len(pivots) == 3
 
 
@@ -70,9 +70,9 @@ def test_affine_tangent_frame_is_the_rref_of_the_frame(name):
         reduced, pivots = frame.rref()
         if len(pivots) < chart.param_dim + 1:
             with pytest.raises(FrameDegenerate):
-                affine_tangent_frame(chart, point)
+                affine_tangent_frame(chart.frame_integers(point), point)
         else:
-            rows, frame_pivots = affine_tangent_frame(chart, point)
+            rows, frame_pivots = affine_tangent_frame(chart.frame_integers(point), point)
             assert frame_pivots == pivots
             assert all(type(v) is int for row in rows for v in row.values())
             assert Mat(rational_rows(rows, pivots, chart.ambient_dim)) == reduced
@@ -89,7 +89,7 @@ def test_in_tangent_span_matches_the_frame_solve(name):
         point = sampler.vector(chart.param_dim)
         rows = _frame_rows(chart, point)
         try:
-            frame = affine_tangent_frame(chart, point)
+            frame = affine_tangent_frame(chart.frame_integers(point), point)
         except FrameDegenerate:
             continue
         combination = Mat.from_cols(rows).times_vector(sampler.vector(len(rows)))
@@ -109,8 +109,8 @@ def test_frame_degenerate():
         "cusp", [parse_poly(s, vars1) for s in ("1", "t^2", "t^3")]
     )
     with pytest.raises(FrameDegenerate):
-        affine_tangent_frame(cusp, (Q(0),))
-    assert affine_tangent_frame(cusp, (Q(1),))[1] == (0, 1)
+        affine_tangent_frame(cusp.frame_integers((Q(0),)), (Q(0),))
+    assert affine_tangent_frame(cusp.frame_integers((Q(1),)), (Q(1),))[1] == (0, 1)
 
 
 def test_certify_isotropic_positive(twisted_cubic):
@@ -199,7 +199,7 @@ def test_frame_rank_on_builtin_charts_100_points():
         while seen < 100:
             p = sampler.vector(chart.param_dim)
             try:
-                frame = affine_tangent_frame(chart, p)
+                frame = affine_tangent_frame(chart.frame_integers(p), p)
             except FrameDegenerate:
                 continue
             assert len(frame[1]) == chart.param_dim + 1
