@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, replace
 
 from .lines import HorizontalLine, TangentDirectionPoint, canonical_rep, line_through, translate
 from .metabelian import GroupElement, OmegaForm, multiply
-from .scalars import Q
 from .varieties import VarietyChart, affine_tangent_frame
 
 
@@ -66,7 +65,6 @@ class BoundaryPoint:
 def boundary_point(
     chart: VarietyChart, omega: OmegaForm, param, x: GroupElement
 ) -> BoundaryPoint:
-    param = tuple(Q(c) for c in param)
     frame = chart.frame_integers(param)
     tangent = affine_tangent_frame(frame, param)
     return BoundaryPoint(chart.label, param, canonical_rep(omega, x, *tangent), frame, tangent)

@@ -214,7 +214,8 @@ def direction_variation_symbolic(
     tau form(x_w, s): two rational contractions.  No closed form
     (chart_block, line_matrix_rows, the chart partials) is used."""
     xt = translate(omega, x, as_integers(chart.evaluate(param)), t)
-    jets = [Jet1(Q(p), (Q(d),)) for p, d in zip(param, delta)]
+    param, delta = ([c if type(c) is Q else Q(c) for c in v] for v in (param, delta))
+    jets = [Jet1(p, (d,)) for p, d in zip(param, delta)]
     w_tau = [poly.evaluate(jets, zero=Jet1.const(0, 1)) for poly in chart.coords]
     w_tau = [c if isinstance(c, Jet1) else Jet1.const(c, 1) for c in w_tau]
     values = omega.apply(xt.w_part, [c.val for c in w_tau])

@@ -21,12 +21,10 @@ class Jet1:
 
     @classmethod
     def const(cls, value, width):
-        return cls(Q(value), (ZERO,) * width)
+        return cls(value if type(value) is Q else Q(value), (ZERO,) * width)
 
     def _lift(self, other):
-        if isinstance(other, Jet1):
-            return other
-        return Jet1(Q(other), (ZERO,) * len(self.eps))
+        return other if isinstance(other, Jet1) else Jet1.const(other, len(self.eps))
 
     def __add__(self, other):
         o = self._lift(other)
@@ -49,7 +47,7 @@ class Jet1:
         if isinstance(other, Jet1):
             a, b = self.val, other.val
             return Jet1(a * b, (a * db + b * da for da, db in zip(self.eps, other.eps)))
-        c = Q(other)
+        c = other if type(other) is Q else Q(other)
         return Jet1(self.val * c, tuple(c * da for da in self.eps))
 
     __rmul__ = __mul__

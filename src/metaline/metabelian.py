@@ -35,12 +35,13 @@ class OmegaForm:
     Stored as its nonzero coefficients alone.  `terms` keeps the index
     pairs i < j (lex order) whose U-vector is nonzero, each as (pair
     index, i, j, ((c, coefficient), ...)) over its nonzero coordinates in
-    increasing c; the form is contracted over those alone.  `_int_terms`
-    has them as integers over one denominator `_den`.  The dense `table`,
-    one U-vector per pair, is built on first read (for printing) and kept.
+    increasing c; the form is contracted over those alone.  `_int_rows`
+    (by pair index) and `_int_terms` have them as integers over one
+    denominator `den`.  The dense `table`, one U-vector per pair, is built
+    on first read (for printing) and kept.
     """
 
-    __slots__ = ("dim_w", "dim_u", "terms", "_int_terms", "_den", "_table")
+    __slots__ = ("dim_w", "dim_u", "terms", "_int_rows", "_int_terms", "den", "_table")
 
     def __init__(self, dim_w, dim_u, rows):
         """From one row per index pair in lex order, each the pair's
@@ -52,11 +53,12 @@ class OmegaForm:
             for k, ((i, j), row) in enumerate(zip(combinations(range(self.dim_w), 2), rows))
             if row
         )
-        den = self._den = lcm(*(x.denominator for *_, row in self.terms for _, x in row))
-        self._int_terms = tuple(
-            (i, j, tuple((c, x.numerator * (den // x.denominator)) for c, x in row))
-            for _, i, j, row in self.terms
-        )
+        den = self.den = lcm(*(x.denominator for *_, row in self.terms for _, x in row))
+        self._int_rows = {
+            k: tuple((c, x.numerator * (den // x.denominator)) for c, x in row)
+            for k, _, _, row in self.terms
+        }
+        self._int_terms = tuple((i, j, self._int_rows[k]) for k, i, j, _ in self.terms)
 
     @classmethod
     def from_entries(cls, dim_w, dim_u, entries):
@@ -106,7 +108,7 @@ class OmegaForm:
         form(iu, iv)[c] == ints[c] / den, den > 0 one denominator for the
         whole table."""
         minors = ((iu[i] * iv[j] - iu[j] * iv[i], row) for i, j, row in self._int_terms)
-        return self._contract(minors, 0), self._den
+        return self._contract(minors, 0), self.den
 
     def columns(self, ix):
         """form(x, e_k) for every basis vector e_k of W, x an integer vector,
@@ -128,11 +130,13 @@ class OmegaForm:
                 col = cols[i]
                 for c, coeff in row:
                     col[c] -= xj * coeff
-        return cols, self._den
+        return cols, self.den
 
     def on_wedge(self, vector):
-        """Form on a second-exterior-power vector, pairs in lex order."""
-        return self._contract((vector[k], row) for k, _, _, row in self.terms)
+        """Form on a second-exterior-power vector of integers, sparse as
+        {pair index: integer} over pairs in lex order: integers over den."""
+        rows = self._int_rows
+        return self._contract(((x, rows[k]) for k, x in vector.items() if k in rows), 0)
 
     def _contract(self, minors, zero=ZERO):
         """Sum from zero of minor * coefficient into U, over (minor, row) pairs."""
@@ -147,7 +151,7 @@ class OmegaForm:
     def _key(self):
         """The form's coefficients, canonical: in increasing c per pair,
         as integers over the lcm of their reduced denominators."""
-        return self.dim_w, self.dim_u, self._den, self._int_terms
+        return self.dim_w, self.dim_u, self.den, self._int_terms
 
     def __eq__(self, other):
         return isinstance(other, OmegaForm) and self._key() == other._key()
@@ -252,7 +256,7 @@ def maurer_cartan_log_derivative(omega: OmegaForm, x: GroupElement, v) -> GroupE
     Computed in closed form and re-derived by jet differentiation of
     t -> x * (t v, 0); the two must agree exactly.
     """
-    v = tuple(Q(c) for c in v)
+    v = tuple(c if type(c) is Q else Q(c) for c in v)
     if len(v) != omega.dim_w:
         raise ValueError("direction must lie in W")
     closed = GroupElement(v, (HALF * c for c in omega.apply(x.w_part, v)))

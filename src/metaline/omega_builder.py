@@ -8,15 +8,15 @@ its values over all parameter points is exactly the span of its
 monomial coefficient vectors.  Those vectors, over all frame pairs,
 span W'; the quotient by W' defines the form, with the non-pivot
 exterior coordinates as the basis of the value space U.  No point is
-sampled, and the symbolic isotropy certificate checks the result
-independently.
+sampled.  The isotropy certificate (varieties) checks the result apart
+from it, sharing only the chart's compiled frame and OmegaForm.on_wedge.
 
 The wedges are taken on the chart's integer frame (each row a positive
 multiple of its symbolic frame row), so every coefficient vector is an
 integer row, a positive multiple of the rational one, and W' is kept as
-the span's sparse integer rows.  The form is read off those rows: a
+the span's sparse integer rows.  The form is read off those rows (a
 pivot pair p maps to -row[c] / row[p] at each free pair c, a free pair
-to its unit vector.
+to its unit vector) and must vanish on each of them, by on_wedge.
 """
 
 from __future__ import annotations
@@ -78,9 +78,8 @@ def build_omega(chart: VarietyChart, seed=None) -> OmegaConstruction:
         rows[p] = [(slot[c], Q(-x, row[p])) for c, x in sorted(row.items()) if c != p]
     omega = OmegaForm(chart.ambient_dim, len(slot), rows)
 
-    for row in accumulator.rows:
-        if any(omega.on_wedge([row.get(k, 0) for k in range(dim_l2)])):
-            raise InternalConsistencyError("form failed to vanish on its own kernel basis")
+    if any(any(omega.on_wedge(row)) for row in accumulator.rows):
+        raise InternalConsistencyError("form failed to vanish on its own kernel basis")
 
     return OmegaConstruction(
         omega=omega,

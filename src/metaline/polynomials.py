@@ -47,9 +47,6 @@ class Poly:
         exps[index] = 1
         return cls(nvars, {tuple(exps): Q(1)})
 
-    def is_zero(self):
-        return not self.terms
-
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
@@ -340,7 +337,7 @@ class _Parser:
             else:
                 if not rhs.is_constant():
                     raise PolyParseError("division only by rational constants")
-                if rhs.is_zero():
+                if not rhs.terms:
                     raise PolyParseError("division by zero")
                 node = node / rhs
         return node

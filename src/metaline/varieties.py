@@ -13,10 +13,11 @@ frame row (the coordinates, then each partial) to integer coefficients
 over one denominator; at a rational point p_i = n_i / d_i every
 coordinate and every partial is then read off one table of the powers
 n_i^e d_i^(deg_i - e), deg_i the chart's maximum degree in variable i,
-as integer rows with one positive scale each (frame_integers).  The
-frame reduction takes those rows as they are, and evaluate builds one Q
-per coordinate from them.  Poly.evaluate stays the generic evaluator,
-for jets and polynomials.
+as integer rows with one positive scale each (frame_integers), which
+the frame reduction takes as they are.  The isotropy certificate reads
+the compiled rows as integer polynomials and contracts each frame pair
+with OmegaForm.on_wedge: those two are all it shares with the form's
+construction (omega_builder), whose wedge rows and span it never reads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
+from operator import add
 
 from .linalg import combine_rows, integer_rref, pair_count
 from .metabelian import OmegaForm
@@ -188,48 +190,48 @@ def _grid_by_sum(nvars, bound):
         yield from parts(nvars, total)
 
 
-def _nonzero_point(polys, nvars):
-    """Integer point where some polynomial in the list is nonzero.
-
-    A finite grid with per-variable size degree+1 must contain one.
-    """
-    degree = max(max((p.degree_in(a) for p in polys), default=0) for a in range(nvars))
-    for raw in _grid_by_sum(nvars, degree):
-        point = tuple(Q(c) for c in raw)
-        values = tuple(p.evaluate(point) for p in polys)
-        if any(v != 0 for v in values):
-            return point, values
-    raise AssertionError("nonzero polynomial vanished on a full grid")
+def _form_on_rows(omega, row_a, row_b):
+    """The form on two integer frame rows (VarietyChart.integer_frame) as
+    (monomial, U-vector of integers over omega.den) over its nonzero
+    monomials, from the minors at the form's nonzero pairs alone, grouped
+    by monomial into sparse wedge vectors for on_wedge."""
+    by_monomial = {}
+    for k, i, j, _ in omega.terms:
+        for sign, left, right in ((1, row_a[i], row_b[j]), (-1, row_a[j], row_b[i])):
+            for c, e in left:
+                for d, f in right:
+                    vec = by_monomial.setdefault(tuple(map(add, e, f)), {})
+                    vec[k] = vec.get(k, 0) + sign * c * d
+    return [(e, ints) for e, vec in by_monomial.items() if any(ints := omega.on_wedge(vec))]
 
 
 def certify_isotropic(chart: VarietyChart, omega: OmegaForm) -> IsotropyCertificate:
     """Prove the form vanishes identically on all frame pairs, or exhibit
-    a parameter point where it does not."""
+    a parameter point where it does not: the first point of _grid_by_sum
+    over {0..degree}^d, degree the pair's largest exponent, where its form
+    is nonzero (that grid holds one).  Runs in integers on the chart's
+    compiled frame rows, each over one positive scale (_form_on_rows)."""
     if omega.dim_w != chart.ambient_dim:
         raise ValueError("form and chart have different ambient dimension")
-    frame = [chart.coords, *chart.partials]
-    pairs = 0
-    for a in range(len(frame)):
-        for b in range(a + 1, len(frame)):
-            pairs += 1
-            values = omega.apply(frame[a], frame[b])
-            polys = [v if isinstance(v, Poly) else Poly.const(v, chart.param_dim) for v in values]
-            if all(p.is_zero() for p in polys):
-                continue
-            point, witness_values = _nonzero_point(polys, chart.param_dim)
-            witness = IsotropyWitness((a, b), point, witness_values)
-            return IsotropyCertificate(chart.label, False, pairs, witness)
-    return IsotropyCertificate(chart.label, True, pairs, None)
+    rows = itertools.combinations(enumerate(chart._compiled[1]), 2)
+    for pairs, ((a, (sa, row_a)), (b, (sb, row_b))) in enumerate(rows, 1):
+        if not (values := _form_on_rows(omega, row_a, row_b)):
+            continue
+        for point in _grid_by_sum(chart.param_dim, max(x for e, _ in values for x in e)):
+            terms = [(prod(map(pow, point, e)), ints) for e, ints in values]
+            totals = [sum(m * ints[c] for m, ints in terms) for c in range(omega.dim_u)]
+            if any(totals):
+                witness_values = tuple(Q(t, sa * sb * omega.den) for t in totals)
+                witness = IsotropyWitness((a, b), tuple(map(Q, point)), witness_values)
+                return IsotropyCertificate(chart.label, False, pairs, witness)
+        raise AssertionError("nonzero polynomial vanished on a full grid")
+    return IsotropyCertificate(chart.label, True, pair_count(chart.param_dim + 1), None)
 
 
 def _degree_exponents(nvars, degree):
     """Exponent tuples of total degree == degree, descending lex order."""
-    exps = [
-        e
-        for e in itertools.product(range(degree + 1), repeat=nvars)
-        if sum(e) == degree
-    ]
-    return sorted(exps, key=lambda e: tuple(-x for x in e))
+    exps = itertools.product(range(degree + 1), repeat=nvars)
+    return sorted((e for e in exps if sum(e) == degree), reverse=True)
 
 
 def veronese_chart(r, k, label=None) -> VarietyChart:

@@ -229,6 +229,15 @@ def _dense_on_wedge(form, vector):
     return out
 
 
+def _on_wedge(form, vector):
+    """on_wedge on a rational vector, passed as its nonzero entries scaled
+    to integers, {pair index: integer}, and read back as rationals."""
+    ints, scale = as_integers(vector)
+    out = form.on_wedge({k: x for k, x in enumerate(ints) if x})
+    assert all(type(x) is int for x in out)
+    return [Q(x, scale * form.den) for x in out]
+
+
 @pytest.mark.parametrize("source", _FORM_SOURCES)
 def test_sparse_contraction_matches_dense_table(source):
     form = _form_of(source)
@@ -241,7 +250,7 @@ def test_sparse_contraction_matches_dense_table(source):
             assert form.apply(u, v) == _dense_on_wedge(form, wedge(u, v))
     for _ in range(4):
         minors = sampler.vector(pair_count(m))
-        assert form.on_wedge(minors) == _dense_on_wedge(form, minors)
+        assert _on_wedge(form, minors) == _dense_on_wedge(form, minors)
 
 
 @pytest.mark.parametrize("source", _FORM_SOURCES)
@@ -257,7 +266,8 @@ def test_sparse_contraction_on_polynomials_and_jets(source):
     ju = [Jet1(a, (b,)) for a, b in zip(sampler.vector(m), sampler.vector(m))]
     jv = [Jet1(a, (b,)) for a, b in zip(sampler.vector(m), sampler.vector(m))]
     assert form.apply(ju, jv) == _dense_on_wedge(form, wedge(ju, jv))
-    assert form.on_wedge(wedge(ju, jv)) == _dense_on_wedge(form, wedge(ju, jv))
+    iu, iv = ([sampler.integer(7) - 3 for _ in range(m)] for _ in "uv")
+    assert _on_wedge(form, wedge(iu, iv)) == _dense_on_wedge(form, wedge(iu, iv))
 
 
 @pytest.mark.parametrize("source", _FORM_SOURCES)

@@ -8,7 +8,7 @@ from conftest import sl2_exterior_square_dims
 from metaline.linalg import Mat, SpanAccumulator, pair_count, rational_rows, wedge
 from metaline.omega_builder import build_omega
 from metaline.sampling import RationalSampler
-from metaline.scalars import Q
+from metaline.scalars import Q, as_integers
 from metaline.varieties import (
     FrameDegenerate,
     affine_tangent_frame,
@@ -83,7 +83,12 @@ def test_clebsch_gordan_cross_check():
 
 def test_form_vanishes_on_kernel_basis(twisted_cubic):
     _, omega, construction = twisted_cubic
-    for row in _w_prime_basis(construction).entries:
+    basis = _w_prime_basis(construction).entries
+    assert len(basis) == len(construction.w_prime_rows) == construction.dim_w_prime
+    for row in basis:
+        ints, _ = as_integers(row)
+        assert all(v == 0 for v in omega.on_wedge({k: x for k, x in enumerate(ints) if x}))
+    for row in construction.w_prime_rows:
         assert all(v == 0 for v in omega.on_wedge(row))
 
 

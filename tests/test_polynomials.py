@@ -111,7 +111,7 @@ def test_diff():
     q = p("x^3*y^2 + 5*x")
     assert q.diff(0) == p("3*x^2*y^2 + 5")
     assert q.diff(1) == p("2*x^3*y")
-    assert p("7").diff(0).is_zero()
+    assert p("7").diff(0).terms == {}
 
 
 def test_evaluate_on_jets_matches_diff():
@@ -142,7 +142,7 @@ def test_division_only_by_constants():
 def test_constant_queries():
     assert p("5/3").is_constant() and p("5/3").constant_value() == Q(5, 3)
     assert not p("x").is_constant()
-    assert Poly.zero(2).is_zero()
+    assert Poly.zero(2).terms == {}
 
 
 def test_degrees():

@@ -1,16 +1,23 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaline import family_geometry as fam
 from metaline.linalg import Mat, NotInSpan, pair_index, rational_rows, solve_in_span
 from metaline.metabelian import OmegaForm
+from metaline.omega_builder import build_omega
 from metaline.polynomials import Poly, parse_poly
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q, from_integers
 from metaline.varieties import (
     _grid_by_sum,
     FrameDegenerate,
+    IsotropyCertificate,
+    IsotropyWitness,
     affine_tangent_frame,
     builtin_chart,
     builtin_names,
@@ -265,3 +272,140 @@ def test_make_chart_caps_the_coordinate_count():
     assert make_chart("moment-31", moment[:32]).ambient_dim == 32
     with pytest.raises(ValueError, match="33 coordinates, more than 32"):
         make_chart("moment-32", moment)
+
+
+def _reference_certificate(chart, omega):
+    """The certificate by Poly arithmetic, as an independent reference: the
+    form contracted on the symbolic frame rows (chart.coords, then each of
+    chart.partials) by OmegaForm.apply, and a failing pair's witness the
+    first point of _grid_by_sum at which Poly.evaluate reads a nonzero
+    value."""
+    frame = [chart.coords, *chart.partials]
+    for pairs, (a, b) in enumerate(itertools.combinations(range(len(frame)), 2), 1):
+        values = omega.apply(frame[a], frame[b])
+        polys = [v if isinstance(v, Poly) else Poly.const(v, chart.param_dim) for v in values]
+        if not any(p.terms for p in polys):
+            continue
+        degree = max(p.degree_in(i) for p in polys for i in range(chart.param_dim))
+        for raw in _grid_by_sum(chart.param_dim, degree):
+            point = tuple(Q(c) for c in raw)
+            values = tuple(p.evaluate(point) for p in polys)
+            if any(v != 0 for v in values):
+                witness = IsotropyWitness((a, b), point, values)
+                return IsotropyCertificate(chart.label, False, pairs, witness)
+        raise AssertionError("nonzero polynomial vanished on a full grid")
+    return IsotropyCertificate(chart.label, True, pairs, None)
+
+
+def _same_certificate(chart, omega):
+    """certify_isotropic against the reference: proven, pairs_checked and
+    the exact witness description agree.  Returns the certificate."""
+    got, want = certify_isotropic(chart, omega), _reference_certificate(chart, omega)
+    assert (got.proven, got.pairs_checked) == (want.proven, want.pairs_checked)
+    describe = [c.witness.describe() if c.witness else None for c in (got, want)]
+    assert describe[0] == describe[1]
+    assert got == want
+    return got
+
+
+_COEFFICIENTS = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _charts(draw):
+    """A chart in d = 1 or 2 variables with d+1 to 4 coordinates, each of up
+    to three terms of degree at most 3 in each variable, with rational
+    coefficients (so the compiled frame rows carry scales)."""
+    d = draw(st.integers(1, 2))
+    exponents = st.tuples(*[st.integers(0, 3)] * d)
+    terms = st.dictionaries(exponents, _COEFFICIENTS, max_size=3)
+    n = draw(st.integers(d + 1, 4))
+    return make_chart(f"random-{d}", [Poly(d, draw(terms)) for _ in range(n)])
+
+
+@st.composite
+def _forms(draw, chart):
+    """An explicit form on the chart's W: the derived form composed with a
+    random map of U (isotropic), plus, when drawn, random entries at a few
+    index pairs (then most often not isotropic)."""
+    derived = build_omega(chart).omega
+    dim_u = draw(st.integers(0, 3))
+
+    def vectors(size):
+        return st.lists(_COEFFICIENTS, min_size=size, max_size=size)
+
+    mix = [draw(vectors(derived.dim_u)) for _ in range(dim_u)]
+    pairs = list(itertools.combinations(range(chart.ambient_dim), 2))
+    extra = draw(st.dictionaries(st.sampled_from(pairs), vectors(dim_u), max_size=2))
+    entries = []
+    for (i, j), row in zip(pairs, derived.table):
+        vec = [sum((m * x for m, x in zip(line, row)), Q(0)) for line in mix]
+        vec = [a + b for a, b in zip(vec, extra.get((i, j), [Q(0)] * dim_u))]
+        if any(vec):
+            entries.append((i, j, vec))
+    return OmegaForm.from_entries(chart.ambient_dim, dim_u, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_certificate_matches_the_poly_reference(data):
+    chart = data.draw(_charts())
+    _same_certificate(chart, data.draw(_forms(chart)))
+
+
+@pytest.mark.parametrize(
+    "variables, coordinates, entries, pair",
+    [
+        (["t"], ["1", "t", "t^2", "t^3"], [(0, 1, ["1"])], (0, 1)),
+        (["t"], ["1/2", "t/3", "t^2", "t^3"], [(1, 3, ["2/5", "0"]), (2, 3, ["0", "-1"])], (0, 1)),
+        (["p", "q"], ["1", "p", "q", "p*q"], [(0, 1, ["1"]), (1, 2, ["1"])], (0, 1)),
+        (["p", "q"], ["1", "p", "q", "p*q"], [(1, 3, ["-2"])], (0, 2)),
+        (["p", "q"], ["1", "p/2", "q", "p^2/3 + q^2"], [(2, 3, ["3/4", "1"])], (0, 1)),
+        (["p", "q"], ["1", "p/2", "q", "p*q/3"], [(1, 3, ["-2", "5/7"])], (0, 2)),
+    ],
+)
+def test_failing_certificates_match_the_poly_reference(variables, coordinates, entries, pair):
+    """Failing certificates at d = 1 and at d = 2, at either pair with the
+    chart value (a form that vanishes on both pairs (0, 1) and (0, 2)
+    vanishes on (1, 2) too: differentiate them in the other variable)."""
+    chart = chart_from_json({"label": "c", "variables": variables, "coordinates": coordinates})
+    omega = omega_from_json(chart.ambient_dim, {
+        "dimU": len(entries[0][2]),
+        "entries": [{"i": i, "j": j, "uVector": vec} for i, j, vec in entries],
+    })
+    cert = _same_certificate(chart, omega)
+    assert not cert.proven and cert.witness.pair == pair
+
+
+_SUMMED_FORM = Path(__file__).parent / "fixtures" / "veronese-2-4-summed-form.json"
+
+
+def test_certificate_and_self_check_build_no_poly_product_and_no_rational_apply(monkeypatch):
+    """build_omega and certify_isotropic run in integers: with Poly
+    products, differences and evaluation and OmegaForm.apply refused,
+    every derived form is built and proven isotropic, as is the summed
+    form, and the non-isotropic cubic still gives its witness."""
+    sources = [builtin_chart(name) for name in builtin_names()]
+    data = json.loads(_SUMMED_FORM.read_text())
+    summed = chart_from_json(data)
+    sources.append((summed, omega_from_json(summed.ambient_dim, data["omega"])))
+
+    def refuse(*_):
+        raise AssertionError("a proof reached Poly arithmetic or the rational apply")
+
+    for owner, attr in (
+        (Poly, "__mul__"),
+        (Poly, "__rmul__"),
+        (Poly, "__sub__"),
+        (Poly, "evaluate"),
+        (OmegaForm, "apply"),
+    ):
+        monkeypatch.setattr(owner, attr, refuse)
+    for chart, explicit in sources:
+        derived = build_omega(chart).omega
+        cert = certify_isotropic(chart, explicit or derived)
+        if chart.label == "nonisotropic-cubic":
+            assert not cert.proven and cert.pairs_checked == 1
+            assert cert.witness.describe() == "frame pair (0, 1) at point (0) maps to (1)"
+        else:
+            assert cert.proven, chart.label
