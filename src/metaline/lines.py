@@ -16,14 +16,14 @@ the row span of the base point (affine part 1) and the direction
 the classical quadratic relations.
 
 Sliding along a line (translate), the coset normal form (canonical_rep)
-and the canonical line (line_through) run in Python integers: a rational
+and the canonical line (line_through) are the group product
+(metabelian.multiply) by exp(t w), in Python integers: a rational
 element keeps each part as integers over one lowest-terms denominator
 (metabelian.GroupElement), and a direction is an integer row over a
-positive scale, such as a chart frame's value row.  The form is
-contracted on those (OmegaForm.apply_integers), the moved parts are
-written back as integers, and a Q is built only when a coordinate is
-read.  The span of a coset is given as _rref's sparse integer pivot
-rows, as the tangent frame of a boundary point keeps them.
+positive scale, such as a chart frame's value row.  This module
+contracts the form itself only in direction_row.  The span of a coset
+is given as _rref's sparse integer pivot rows, as the tangent frame of
+a boundary point keeps them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from math import gcd, lcm
 
 from .linalg import Mat, combine_rows, wedge
-from .metabelian import GroupElement, OmegaForm, rational_element
+from .metabelian import GroupElement, OmegaForm, multiply, rational_element
 from .scalars import Q, lowest_terms
 
 
@@ -57,24 +57,8 @@ def translate(omega: OmegaForm, x: GroupElement, w, t) -> GroupElement:
     iw, dw = w
     if not t or not any(iw):
         return x
-    return _slid(omega, x, iw, dw, t.numerator, t.denominator)
-
-
-def _slid(omega: OmegaForm, x: GroupElement, iw, dw, tn, td) -> GroupElement:
-    """translate(omega, x, (iw, dw), tn / td), all integers with dw, td > 0.
-    With x_w = ix / dx, x_u = iu / du and form(ix, iw) = F / e,
-
-        x_w + t w = (ix dw td + tn iw dx) / (dx dw td),
-        x_u + (t/2) form(x_w, w) = (iu m + tn F du) / (du m),
-
-    for m = 2 td e dx dw; each part is then reduced to lowest terms."""
-    (ix, dx), (iu, du) = x.w, x.u
-    den = dx * dw * td
-    w_part = [i * dw * td + tn * c * dx for i, c in zip(ix, iw)]
-    form, e = omega.apply_integers(ix, iw)
-    m = 2 * den * e
-    u_part = [a * m + tn * f * du for a, f in zip(iu, form)]
-    return rational_element((w_part, den), (u_part, du * m))
+    step = [t.numerator * c for c in iw], dw * t.denominator
+    return multiply(omega, x, rational_element(step, ((0,) * omega.dim_u, 1)))
 
 
 def canonical_rep(omega: OmegaForm, x: GroupElement, rows, pivots) -> GroupElement:
@@ -86,9 +70,7 @@ def canonical_rep(omega: OmegaForm, x: GroupElement, rows, pivots) -> GroupEleme
     when x_w vanishes at every pivot."""
     ix, dx = x.w
     shift, den = combine_rows(rows, pivots, [ix[p] for p in pivots], omega.dim_w)
-    if not any(shift):
-        return x
-    return _slid(omega, x, shift, dx * den, -1, 1)
+    return translate(omega, x, (shift, dx * den), -1)
 
 
 def line_through(omega: OmegaForm, x: GroupElement, w) -> HorizontalLine:

@@ -12,9 +12,9 @@ proofs below) and first-order jets (the one derivative ring, in which the
 Maurer-Cartan and Levi-tensor oracles differentiate) run the code that
 rationals run, except that rationals take Python integers: OmegaForm.apply
 contracts them as integer minors, and a rational element keeps each part
-as integers over one denominator in lowest terms, which multiply, inverse
-and the line kernels (lines) read and write directly.  Its Q coordinates
-are built only when something reads them.
+as integers over one denominator in lowest terms, which multiply and
+inverse read and write directly; the line kernels (lines) slide through
+multiply.  Its Q coordinates are built only when something reads them.
 """
 
 from __future__ import annotations
@@ -250,31 +250,33 @@ class InternalConsistencyError(AssertionError):
     pass
 
 
-def maurer_cartan_log_derivative(omega: OmegaForm, x: GroupElement, v) -> GroupElement:
-    """Log-derivative at x of left translation applied to a W-direction v.
-
-    Computed in closed form and re-derived by jet differentiation of
-    t -> x * (t v, 0); the two must agree exactly.
-    """
-    v = tuple(c if type(c) is Q else Q(c) for c in v)
-    if len(v) != omega.dim_w:
-        raise ValueError("direction must lie in W")
-    closed = GroupElement(v, (HALF * c for c in omega.apply(x.w_part, v)))
-    jet_x = GroupElement([Jet1.const(c, 1) for c in x.w_part], [Jet1.const(c, 1) for c in x.u_part])
-    jet_arg = GroupElement([Jet1(ZERO, (c,)) for c in v], [Jet1.const(0, 1)] * omega.dim_u)
-    moved = multiply(omega, jet_x, jet_arg)
-    derivative = GroupElement([c.eps[0] for c in moved.w_part], [c.eps[0] for c in moved.u_part])
-    if derivative != closed:
-        raise InternalConsistencyError("closed form and jet derivative disagree")
-    return closed
-
-
 def _invariant_field(omega: OmegaForm, direction, z_w):
     """Left-invariant vector field of a W-direction, valued at a point
     with W-part z_w: (direction, (1/2) form(z_w, direction))."""
     coeffs = list(direction)
     coeffs.extend(HALF * c for c in omega.apply(z_w, direction))
     return coeffs
+
+
+def maurer_cartan_log_derivative(omega: OmegaForm, x: GroupElement, v) -> GroupElement:
+    """Log-derivative at x of left translation applied to a W-direction v.
+
+    The left-invariant field of v at x (_invariant_field, the field that
+    levi_tensor differentiates), re-derived by jet differentiation of
+    t -> x * (t v, 0); the two must agree exactly.
+    """
+    v = tuple(c if type(c) is Q else Q(c) for c in v)
+    if len(v) != omega.dim_w:
+        raise ValueError("direction must lie in W")
+    field = _invariant_field(omega, v, x.w_part)
+    closed = GroupElement(field[: omega.dim_w], field[omega.dim_w :])
+    jet_x = GroupElement([Jet1.const(c, 1) for c in x.w_part], [Jet1.const(c, 1) for c in x.u_part])
+    jet_arg = GroupElement([Jet1(ZERO, (c,)) for c in v], [Jet1.const(ZERO, 1)] * omega.dim_u)
+    moved = multiply(omega, jet_x, jet_arg)
+    derivative = GroupElement([c.eps[0] for c in moved.w_part], [c.eps[0] for c in moved.u_part])
+    if derivative != closed:
+        raise InternalConsistencyError("closed form and jet derivative disagree")
+    return closed
 
 
 def levi_tensor(omega: OmegaForm, x: GroupElement, u, v):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import compactification as comp
 from . import family_geometry as fam
@@ -34,6 +34,7 @@ from .varieties import (
     VarietyChart,
     affine_tangent_frame,
     certify_isotropic,
+    in_tangent_span,
 )
 
 def _sample_element(sampler, omega):
@@ -73,18 +74,6 @@ def _slide_outcome(chart, omega, cfg, variant):
     if not result.tangent_span_ok:
         detail += "; coefficients outside the tangent span"
     return ("fail", f"nonzero residual {detail}")
-
-
-_WORKER_ARGS = {}
-
-
-def _worker_init(chart, omega, variant):
-    _WORKER_ARGS["state"] = (chart, omega, variant)
-
-
-def _worker_run(cfg):
-    chart, omega, variant = _WORKER_ARGS["state"]
-    return _slide_outcome(chart, omega, cfg, variant)
 
 
 def _tally(name, outcomes):
@@ -211,14 +200,14 @@ def _slide_outcomes(run, variant):
         cfgs, jobs = run.slide_cfgs[: _symbolic(run.samples)], 1
     else:
         cfgs, jobs = run.slide_cfgs, run.jobs
+    sample = partial(_slide_outcome, run.chart, run.omega, variant=variant)
     workers = min(jobs, os.cpu_count() or 1, len(cfgs))
     if workers <= 1:
-        return [_slide_outcome(run.chart, run.omega, cfg, variant) for cfg in cfgs]
+        return list(map(sample, cfgs))
     from concurrent.futures import ProcessPoolExecutor  # only --jobs above 1 loads it
 
-    args = (run.chart, run.omega, variant)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init, initargs=args) as pool:
-        return list(pool.map(_worker_run, cfgs, chunksize=max(1, len(cfgs) // (4 * workers))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(sample, cfgs, chunksize=max(1, len(cfgs) // (4 * workers))))
 
 
 def _family_dimension_outcomes(run):
@@ -331,15 +320,9 @@ def _coset_sample(run, sampler, k, fiber, x):
 
 def _escape_vector(frame, ncols):
     """The first unit vector of length ncols outside the span of the
-    reduced frame, as an integer row over scale 1, or None: e_i lies in
-    the span exactly when i is a pivot whose reduced row is e_i, a row
-    with one nonzero entry."""
-    reduced, pivots = frame
-    inside = {p for p, row in zip(pivots, reduced) if len(row) == 1}
-    for i in range(ncols):
-        if i not in inside:
-            return [int(j == i) for j in range(ncols)], 1
-    return None
+    reduced frame, as an integer row over scale 1, or None."""
+    units = ([int(j == i) for j in range(ncols)] for i in range(ncols))
+    return next(((e, 1) for e in units if not in_tangent_span(frame, e)), None)
 
 
 def _other_fiber(run, sampler, param):

@@ -452,6 +452,31 @@ def test_translate_is_the_group_product(data):
     assert translate(form, x, ([0] * form.dim_w, 1), t) is x
 
 
+def test_sliding_is_one_group_product(monkeypatch):
+    """translate by a nonzero t along a nonzero w and canonical_rep with a
+    nonzero shift each make one multiply call; the shortcuts for a zero t,
+    w or shift make none."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return multiply(*args)
+
+    monkeypatch.setattr(lin, "multiply", counted)
+    form = form_from_table(2, 1, [[1]])
+    x = element(form, (1, 2), (3,))
+    half, step = Q(1, 2), element(form, (Q(1, 3), Q(-2, 3)))  # (1/2) (2, -4) / 3
+    assert translate(form, x, ([2, -4], 3), half) == multiply(form, x, step)
+    assert len(calls) == 1
+    assert canonical_rep(form, x, [{0: 1, 1: 2}], [0]) == translate(form, x, ([1, 2], 1), -1)
+    assert len(calls) == 3
+    assert translate(form, x, ([2, -4], 3), 0) is x
+    assert translate(form, x, ([0, 0], 1), half) is x
+    on_pivots = element(form, (0, 2), (3,))
+    assert canonical_rep(form, on_pivots, [{0: 1, 1: 2}], [0]) is on_pivots
+    assert len(calls) == 3
+
+
 def _rational_canonical_rep(form, x, reduced_rows, pivots):
     """x * exp(-shift), shift = sum of x_w[pivot] * row, in Fractions."""
     shift = [Q(0)] * form.dim_w

@@ -1,6 +1,7 @@
 """Each metaline module reaches another only through its public names, every
 public name is reached from src/, only scalars.py reaches the Fraction
-backend, and only the runner and the CLI draw samples."""
+backend, only the runner and the CLI draw samples, and no function writes
+to module-level state."""
 
 import ast
 from collections import Counter
@@ -115,6 +116,78 @@ def test_only_the_runner_and_the_cli_draw_samples():
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in draws
     }
     assert drawing == {"runner.py", "cli.py", "sampling.py"}
+
+
+# Methods that change a list, dict or set in place.
+_MUTATORS = frozenset(
+    ("append", "extend", "insert", "update", "add", "setdefault", "pop", "clear", "remove")
+)
+
+
+def _module_names(tree):
+    """The names bound at the module's top level, outside its functions and
+    classes: assigned, imported, defined."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                names.add(n.id)
+            elif isinstance(n, ast.alias):
+                names.add((n.asname or n.name).split(".")[0])
+    return names
+
+
+def _root(node):
+    """The name an attribute or subscript chain starts from, or None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _written(target):
+    """The names whose objects an assignment or deletion target writes into."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _written(elt)]
+    if isinstance(target, ast.Starred):
+        return _written(target.value)
+    return [_root(target)] if isinstance(target, (ast.Attribute, ast.Subscript)) else []
+
+
+def _module_state_writes(tree):
+    """(function, name) for each write by a top-level function or method to
+    a module-level name that it does not bind itself: a global statement,
+    an item or attribute assignment or deletion, or a mutating call."""
+    module = _module_names(tree)
+    functions = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        functions += [n for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = set()
+    for function in functions:
+        nodes = list(ast.walk(function))
+        local = {n.arg for n in nodes if isinstance(n, ast.arg)}
+        local |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        written = []
+        for node in nodes:
+            if isinstance(node, ast.Global):
+                found.update((function.name, name) for name in node.names)
+            elif isinstance(node, (ast.Assign, ast.Delete)):
+                written += [name for target in node.targets for name in _written(target)]
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                written += _written(node.target)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _MUTATORS:
+                written.append(_root(node.func.value))
+        found.update((function.name, n) for n in written if n in module and n not in local)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_writes_module_state(path):
+    """A function gets its state as arguments: none writes to a name bound
+    at module level, so a --jobs worker needs no initializer to run one."""
+    assert _module_state_writes(ast.parse(path.read_text(), filename=str(path))) == []
 
 
 # perfbench/tracer.py wraps Poly.compose, so it stays until the benchmark

@@ -346,11 +346,12 @@ def test_levi_bracket_leaving_the_center_is_a_failure(monkeypatch):
 
 
 class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process.
+    It takes no initializer, so a pool can hand its workers their state
+    only through the mapped callable."""
 
-    def __init__(self, sizes, max_workers, initializer, initargs):
+    def __init__(self, sizes, max_workers):
         sizes.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
