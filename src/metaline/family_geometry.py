@@ -331,7 +331,8 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
     with one scale per block row.  Every U unknown off the pivot columns
     enters only its own row of block row 0 (_schur_system), so
     solve_in_span takes only the other rows, in integers, over the W
-    unknowns and any U unknown at a pivot column.  Each eliminated U
+    unknowns and any U unknown at a pivot column, and reduces only 11 of
+    those 52 rows on veronese3-of-conic.  Each eliminated U
     unknown is back-substituted: c_u = (P shift)[0][p] - (P dB along the
     reduced solution)[0][p], whose point row moves by (c_w,
     (1/2) form(x_w, c_w), 0) with the kept U values added: one form

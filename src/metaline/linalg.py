@@ -2,9 +2,11 @@
 
 Every row reduction in the package is one engine, _rref, which always
 takes the leftmost available pivot, so every rank, span, kernel and
-solve below is deterministic.  Matrices are immutable value types; the
-wedge helpers fix the lexicographic pair ordering used for second
-exterior powers throughout the package.
+solve below is deterministic; solve_in_span feeds it only the rows that
+raise the rank, past the first ncols + 1, and checks the rest by exact
+dot products.  Matrices are immutable value types; the wedge helpers fix
+the lexicographic pair ordering used for second exterior powers
+throughout the package.
 """
 
 from __future__ import annotations
@@ -175,17 +177,33 @@ def solve_in_span(basis: Mat, target):
     non-pivot columns under leftmost-pivot reduction).  The target is in
     the span exactly when its column in [basis | target] takes no pivot;
     otherwise NotInSpan carries its exact residual against the solution
-    of a second reduction, pivoting on the basis columns only.
+    of a reduction of every row, pivoting on the basis columns only.
+
+    The first ncols + 1 augmented rows are kept, then each row that the
+    kept rows' canonical solution fails (one integer dot product), which
+    raises their rank.  The kept pivots are a subset of the full system's,
+    so a kept solution that satisfies every row is zero on its free
+    columns: the canonical solution; a target pivot among the kept rows
+    is one of the full system.
     """
     target = [x if type(x) in _EXACT else Q(x) for x in target]
     if len(target) != basis.nrows:
         raise ValueError("dimension mismatch")
     ncols = basis.ncols
-    augmented = [row + (t,) for row, t in zip(basis.entries, target)]
-    rows, pivots = _rref(augmented, ncols + 1)
+    rows = [_integer_row(row + (t,)) for row, t in zip(basis.entries, target)]
+    kept, pivots, fresh = [], (), rows[: ncols + 1]
+    i = passed = len(fresh)  # rows[i - passed : i], cyclically, satisfy the kept rows
+    while fresh:
+        kept, pivots = _rref(kept + fresh, ncols + 1)
+        solved = [(c, r[ncols], r[c]) for r, c in zip(kept, pivots) if ncols in r]
+        den = lcm(*(pv for _, _, pv in solved))
+        solution, fresh = {c: t * (den // pv) for c, t, pv in solved} | {ncols: -den}, []
+        while passed < len(rows) and not fresh and ncols not in pivots:
+            row, i, passed = rows[i % len(rows)], i + 1, passed + 1
+            if sum(a * solution[k] for k, a in row.items() if k in solution):  # row . den (c, -1)
+                fresh, passed = [row], 1
     in_span = ncols not in pivots
-    if not in_span:
-        rows, pivots = _rref(augmented, ncols)
+    rows, pivots = (kept, pivots) if in_span else _rref(rows, ncols)
     coeffs = [ZERO] * ncols
     for row, c in zip(rows, pivots):
         if ncols in row:

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metaline import family_geometry as fam
+from metaline import linalg
 from metaline.linalg import (
     Mat,
     NotInSpan,
@@ -136,17 +137,69 @@ def test_rref_matches_rational_elimination(rows):
     assert Mat(rows).rank() == len(expected_pivots)
 
 
-@settings(max_examples=300, deadline=None)
-@given(any_matrices, st.data())
-def test_solve_in_span_matches_rational_elimination(rows, data):
-    """Targets drawn freely (mostly outside the span of a tall matrix) and
-    targets inside it, as the image of a sparse coefficient vector."""
-    if data.draw(st.booleans()):
-        target = data.draw(st.lists(sparse_rationals, min_size=len(rows), max_size=len(rows)))
-    else:
-        ncols = len(rows[0])
-        c = data.draw(st.lists(sparse_rationals, min_size=ncols, max_size=ncols))
-        target = Mat(rows).times_vector(c)
+@st.composite
+def free_systems(draw):
+    """(basis rows, target) with targets drawn freely (mostly outside the
+    span of a tall matrix) or inside it, as the image of a sparse
+    coefficient vector."""
+    rows = draw(any_matrices)
+    if draw(st.booleans()):
+        return rows, draw(st.lists(sparse_rationals, min_size=len(rows), max_size=len(rows)))
+    c = draw(st.lists(sparse_rationals, min_size=len(rows[0]), max_size=len(rows[0])))
+    return rows, list(Mat(rows).times_vector(c))
+
+
+@st.composite
+def staged_systems(draw):
+    """(basis rows, target) whose first ncols + 1 rows reach only the
+    columns below k, so their canonical solution is zero from column k
+    on.  A later trap row is zero below k and orthogonal to the planted
+    coefficients c, so its target is zero: that solution satisfies it
+    although it may be independent.  A row after it can make its columns
+    pivots, and then only a second look at the trap finds it failing.
+    The target is basis @ c, for a c that may be zero; half the systems
+    then move the last target entry, so an inconsistency can show only
+    there.  Zero rows, rank deficiency and a zero-width basis occur."""
+    ncols = draw(st.integers(0, 6))
+    k = draw(st.integers(0, ncols))
+    c = draw(st.lists(sparse_rationals, min_size=ncols, max_size=ncols))
+    lead = st.lists(sparse_rationals, min_size=k, max_size=k)
+    rows = draw(st.lists(lead, min_size=ncols + 1, max_size=ncols + 1))
+    rows = [row + [Q(0)] * (ncols - k) for row in rows]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "trap", "zero"]))
+        if kind == "trap" and ncols - k >= 2:
+            i, j = draw(st.lists(st.integers(k, ncols - 1), min_size=2, max_size=2, unique=True))
+            a = draw(rationals)
+            row = [Q(0)] * ncols
+            row[i], row[j] = a * c[j], -a * c[i]
+        elif kind == "zero":
+            row = [Q(0)] * ncols
+        else:
+            row = draw(st.lists(sparse_rationals, min_size=ncols, max_size=ncols))
+        rows.append(row)
+    target = [sum((a * x for a, x in zip(row, c)), Q(0)) for row in rows]
+    if draw(st.booleans()):
+        target[-1] += draw(rationals.filter(bool))
+    return rows, target
+
+
+# Kept rows: (1, 0, 0 | 1) and then (0, 1, 1 | 1).  The trap row
+# (0, 1, 0 | 0) passes the first kept solution (1, 0, 0) and fails the
+# second, (1, 1, 0); the solution is (1, 0, 1).
+_RECHECKED = (
+    [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 1, 1]],
+    [1, 0, 0, 0, 0, 1],
+)
+
+
+@settings(max_examples=600, deadline=None)
+@example(_RECHECKED)
+@given(st.one_of(free_systems(), staged_systems()))
+def test_solve_in_span_matches_rational_elimination(system):
+    """Against the reference elimination: the coefficients in span, the
+    exact residual off it."""
+    rows, target = system
     coeffs, residual = _rational_solve(rows, target)
     if any(x != 0 for x in residual):
         with pytest.raises(NotInSpan) as err:
@@ -156,10 +209,10 @@ def test_solve_in_span_matches_rational_elimination(rows, data):
         assert solve_in_span(Mat(rows), target) == coeffs
 
 
-def _conic_slide_solve():
-    """The basepoint variation and the slide shift of one slide-identity
-    sample on veronese3-of-conic, as check_slide_identity hands them to
-    solve_in_span (an 86 x 44 solve)."""
+def _conic_slide_sample():
+    """One slide-identity sample on veronese3-of-conic: the form, the
+    chart frame and (x, delta, t, pivots) as check_slide_identity takes
+    them, and the line direction w."""
     chart, omega = builtin_chart("veronese3-of-conic")
     omega = build_omega(chart).omega
     sampler = RationalSampler(42).derive("linalg-replay")
@@ -168,11 +221,44 @@ def _conic_slide_solve():
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
     w = chart.evaluate(param)
     pivots = fam.primary_pivots(omega, x, as_integers(w))
-    frame = chart.frame_integers(param)
+    return omega, chart.frame_integers(param), x, delta, t, pivots, w
+
+
+def _conic_slide_solve():
+    """The basepoint variation and the slide shift of the sample, as
+    check_slide_identity hands them to solve_in_span before the Schur
+    reduction (an 86 x 44 solve)."""
+    omega, frame, x, delta, t, pivots, w = _conic_slide_sample()
     j_t = fam.direction_variation(omega, frame, x, delta, t, pivots)
     j_0 = fam.direction_variation(omega, frame, x, delta, 0, pivots)
     shift = [a - b for ra, rb in zip(j_t.entries, j_0.entries) for a, b in zip(ra, rb)]
     return fam.basepoint_variation(omega, x, as_integers(w), pivots), shift
+
+
+def test_the_conic_slide_solve_reduces_only_rank_raising_rows(monkeypatch):
+    """Guard: the in-span solve of a conic slide sample (52 x 10, rank 9)
+    hands no _rref call more than ncols + 1 rows; the rows the kept
+    solution already satisfies are checked, not eliminated."""
+    omega, frame, x, delta, t, pivots, _ = _conic_slide_sample()
+    sizes, solves = [], []
+    original_rref = linalg._rref
+
+    def recording_rref(rows, ncols):
+        sizes.append(len(rows))
+        return original_rref(rows, ncols)
+
+    def recording_solve(basis, target):
+        del sizes[:]
+        coeffs = solve_in_span(basis, target)
+        solves.append((basis.nrows, basis.ncols, list(sizes)))
+        return coeffs
+
+    monkeypatch.setattr(linalg, "_rref", recording_rref)
+    monkeypatch.setattr(fam, "solve_in_span", recording_solve)
+    assert fam.check_slide_identity(omega, frame, x, delta, t, pivots).ok
+    [(nrows, ncols, sizes)] = solves
+    assert (nrows, ncols) == (52, 10)
+    assert sizes and max(sizes) <= ncols + 1
 
 
 def test_real_slide_solve_matches_rational_elimination():

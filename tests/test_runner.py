@@ -13,7 +13,7 @@ from metaline import family_geometry as fam
 from metaline import linalg
 from metaline import metabelian as meta
 from metaline import runner, varieties
-from metaline.linalg import Mat, NotInSpan
+from metaline.linalg import Mat, NotInSpan, rational_rows
 from metaline.metabelian import OmegaForm
 from metaline.omega_builder import build_omega
 from metaline.runner import CHECK_NAMES, run_verification
@@ -23,7 +23,6 @@ from metaline.varieties import (
     FrameDegenerate,
     affine_tangent_frame,
     builtin_chart,
-    in_tangent_span,
     veronese_chart,
 )
 
@@ -460,7 +459,10 @@ def test_escape_vector_is_the_first_unit_vector_off_the_frame(name, spans_w):
             frame = affine_tangent_frame(chart.frame_integers(param), param)
         except FrameDegenerate:
             continue
-        expected = next((e for e in units if not in_tangent_span(frame, e[0])), None)
+        # independent of in_tangent_span: e_i escapes when it raises the rank
+        rows = rational_rows(*frame, chart.ambient_dim)
+        rank = Mat(rows).rank()
+        expected = next((e for e in units if Mat(rows + [e[0]]).rank() > rank), None)
         assert runner._escape_vector(frame, chart.ambient_dim) == expected
         assert (expected is None) == spans_w
 
