@@ -179,29 +179,31 @@ def solve_in_span(basis: Mat, target):
     otherwise NotInSpan carries its exact residual against the solution
     of a reduction of every row, pivoting on the basis columns only.
 
-    The first ncols + 1 augmented rows are kept, then each row that the
-    kept rows' canonical solution fails (one integer dot product), which
-    raises their rank.  The kept pivots are a subset of the full system's,
-    so a kept solution that satisfies every row is zero on its free
-    columns: the canonical solution; a target pivot among the kept rows
-    is one of the full system.
+    The first ncols + 1 augmented rows are kept.  While later rows
+    remain, they are scanned from the top against the kept rows'
+    canonical solution (one integer dot product each), and the first row
+    it fails, which raises their rank, is kept too.  The kept pivots are
+    a subset of the full system's, so a kept solution that satisfies
+    every row is zero on its free columns: the canonical solution; a
+    target pivot among the kept rows is one of the full system.
     """
     target = [x if type(x) in _EXACT else Q(x) for x in target]
     if len(target) != basis.nrows:
         raise ValueError("dimension mismatch")
     ncols = basis.ncols
     rows = [_integer_row(row + (t,)) for row, t in zip(basis.entries, target)]
-    kept, pivots, fresh = [], (), rows[: ncols + 1]
-    i = passed = len(fresh)  # rows[i - passed : i], cyclically, satisfy the kept rows
-    while fresh:
-        kept, pivots = _rref(kept + fresh, ncols + 1)
+    rest = rows[ncols + 1 :]
+    kept, pivots = _rref(rows[: ncols + 1], ncols + 1)
+    while rest and ncols not in pivots:
         solved = [(c, r[ncols], r[c]) for r, c in zip(kept, pivots) if ncols in r]
         den = lcm(*(pv for _, _, pv in solved))
-        solution, fresh = {c: t * (den // pv) for c, t, pv in solved} | {ncols: -den}, []
-        while passed < len(rows) and not fresh and ncols not in pivots:
-            row, i, passed = rows[i % len(rows)], i + 1, passed + 1
-            if sum(a * solution[k] for k, a in row.items() if k in solution):  # row . den (c, -1)
-                fresh, passed = [row], 1
+        solution = {c: t * (den // pv) for c, t, pv in solved} | {ncols: -den}
+        failed = (  # row . den (c, -1) != 0
+            row for row in rest if sum(a * solution[k] for k, a in row.items() if k in solution)
+        )
+        if (row := next(failed, None)) is None:
+            break
+        kept, pivots = _rref([*kept, row], ncols + 1)
     in_span = ncols not in pivots
     rows, pivots = (kept, pivots) if in_span else _rref(rows, ncols)
     coeffs = [ZERO] * ncols

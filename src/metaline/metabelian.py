@@ -35,13 +35,13 @@ class OmegaForm:
     Stored as its nonzero coefficients alone.  `terms` keeps the index
     pairs i < j (lex order) whose U-vector is nonzero, each as (pair
     index, i, j, ((c, coefficient), ...)) over its nonzero coordinates in
-    increasing c; the form is contracted over those alone.  `_int_rows`
-    (by pair index) and `_int_terms` have them as integers over one
-    denominator `den`.  The dense `table`, one U-vector per pair, is built
-    on first read (for printing) and kept.
+    increasing c; the form is contracted over those alone.  `_int_terms`,
+    the one integer table, has them in the same layout as integers over
+    one denominator `den`.  The dense `table`, one U-vector per pair, is
+    built on first read (for printing) and kept.
     """
 
-    __slots__ = ("dim_w", "dim_u", "terms", "_int_rows", "_int_terms", "den", "_table")
+    __slots__ = ("dim_w", "dim_u", "terms", "_int_terms", "den", "_table")
 
     def __init__(self, dim_w, dim_u, rows):
         """From one row per index pair in lex order, each the pair's
@@ -54,11 +54,10 @@ class OmegaForm:
             if row
         )
         den = self.den = lcm(*(x.denominator for *_, row in self.terms for _, x in row))
-        self._int_rows = {
-            k: tuple((c, x.numerator * (den // x.denominator)) for c, x in row)
-            for k, _, _, row in self.terms
-        }
-        self._int_terms = tuple((i, j, self._int_rows[k]) for k, i, j, _ in self.terms)
+        self._int_terms = tuple(
+            (k, i, j, tuple((c, x.numerator * (den // x.denominator)) for c, x in row))
+            for k, i, j, row in self.terms
+        )
 
     @classmethod
     def from_entries(cls, dim_w, dim_u, entries):
@@ -107,7 +106,7 @@ class OmegaForm:
         """The form on two integer vectors of length dim_w, as (ints, den):
         form(iu, iv)[c] == ints[c] / den, den > 0 one denominator for the
         whole table."""
-        minors = ((iu[i] * iv[j] - iu[j] * iv[i], row) for i, j, row in self._int_terms)
+        minors = ((iu[i] * iv[j] - iu[j] * iv[i], row) for _, i, j, row in self._int_terms)
         return self._contract(minors, 0), self.den
 
     def columns(self, ix):
@@ -121,7 +120,7 @@ class OmegaForm:
         if len(ix) != self.dim_w:
             raise ValueError("vector must have length dim_w")
         cols = [[0] * self.dim_u for _ in range(self.dim_w)]
-        for i, j, row in self._int_terms:
+        for _, i, j, row in self._int_terms:
             if xi := ix[i]:
                 col = cols[j]
                 for c, coeff in row:
@@ -135,8 +134,7 @@ class OmegaForm:
     def on_wedge(self, vector):
         """Form on a second-exterior-power vector of integers, sparse as
         {pair index: integer} over pairs in lex order: integers over den."""
-        rows = self._int_rows
-        return self._contract(((x, rows[k]) for k, x in vector.items() if k in rows), 0)
+        return self._contract(((vector.get(k), row) for k, _, _, row in self._int_terms), 0)
 
     def _contract(self, minors, zero=ZERO):
         """Sum from zero of minor * coefficient into U, over (minor, row) pairs."""

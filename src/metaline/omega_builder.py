@@ -8,22 +8,21 @@ its values over all parameter points is exactly the span of its
 monomial coefficient vectors.  Those vectors, over all frame pairs,
 span W'; the quotient by W' defines the form, with the non-pivot
 exterior coordinates as the basis of the value space U.  No point is
-sampled.  The isotropy certificate (varieties) checks the result apart
-from it, sharing only the chart's compiled frame and OmegaForm.on_wedge.
+sampled.
 
-The wedges are taken on the chart's integer frame (each row a positive
-multiple of its symbolic frame row), so every coefficient vector is an
-integer row, a positive multiple of the rational one, and W' is kept as
-the span's sparse integer rows.  The form is read off those rows (a
-pivot pair p maps to -row[c] / row[p] at each free pair c, a free pair
-to its unit vector) and must vanish on each of them, by on_wedge.
+The wedges are VarietyChart.frame_wedges at every index pair, taken on
+the chart's integer frame (each row a positive multiple of its symbolic
+frame row), so every coefficient vector is an integer row, a positive
+multiple of the rational one, and W' is kept as the span's sparse
+integer rows.  The form is read off those rows (a pivot pair p maps to
+-row[c] / row[p] at each free pair c, a free pair to its unit vector)
+and must vanish on each of them, by on_wedge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add
 
 from .linalg import SpanAccumulator, pair_count
 from .metabelian import InternalConsistencyError, OmegaForm
@@ -40,22 +39,6 @@ class OmegaConstruction:
     rank_history: tuple
 
 
-def _wedge_rows(row_a, row_b):
-    """The monomial coefficient vectors of the wedge of two integer frame
-    rows (VarietyChart.integer_frame), as (monomial, row) by increasing
-    monomial, each row sparse {pair index: integer coefficient}; a
-    monomial whose vector cancels is left out."""
-    by_monomial = {}
-    for k, (i, j) in enumerate(combinations(range(len(row_a)), 2)):
-        for sign, left, right in ((1, row_a[i], row_b[j]), (-1, row_a[j], row_b[i])):
-            for c, e in left:
-                for d, f in right:
-                    vec = by_monomial.setdefault(tuple(map(add, e, f)), {})
-                    vec[k] = vec.get(k, 0) + sign * c * d
-    rows = ((e, {k: x for k, x in vec.items() if x}) for e, vec in sorted(by_monomial.items()))
-    return [(e, row) for e, row in rows if row]
-
-
 def build_omega(chart: VarietyChart, seed=None) -> OmegaConstruction:
     """Quotient form by the exact span W' of the tangent-plane wedges.
 
@@ -65,10 +48,10 @@ def build_omega(chart: VarietyChart, seed=None) -> OmegaConstruction:
     """
     dim_l2 = pair_count(chart.ambient_dim)
     accumulator = SpanAccumulator(dim_l2)
-    frame = chart.integer_frame
+    pairs = [(k, i, j) for k, (i, j) in enumerate(combinations(range(chart.ambient_dim), 2))]
     history = []
-    for row_a, row_b in combinations(frame, 2):
-        for _, vec in _wedge_rows(row_a, row_b):
+    for a, b in combinations(range(chart.param_dim + 1), 2):
+        for _, vec in chart.frame_wedges(a, b, pairs):
             accumulator.insert(vec)
         history.append(accumulator.rank)
 

@@ -14,10 +14,13 @@ over one denominator; at a rational point p_i = n_i / d_i every
 coordinate and every partial is then read off one table of the powers
 n_i^e d_i^(deg_i - e), deg_i the chart's maximum degree in variable i,
 as integer rows with one positive scale each (frame_integers), which
-the frame reduction takes as they are.  The isotropy certificate reads
-the compiled rows as integer polynomials and contracts each frame pair
-with OmegaForm.on_wedge: those two are all it shares with the form's
-construction (omega_builder), whose wedge rows and span it never reads.
+the frame reduction takes as they are.  The wedge of two frame rows is
+taken in one place, frame_wedges, on the compiled rows as integer
+polynomials: the form's construction (omega_builder) takes it at every
+index pair, the isotropy certificate at the form's nonzero pairs, each
+vector contracted by OmegaForm.on_wedge.  So the certificate shares
+that kernel and on_wedge with the construction; its independent checks
+are the Poly-arithmetic references of the test suite.
 """
 
 from __future__ import annotations
@@ -63,12 +66,25 @@ class VarietyChart:
             rows.append((den, terms))
         return degrees, tuple(rows)
 
-    @property
-    def integer_frame(self):
-        """The frame as integer polynomials: per frame row (the coordinates,
-        then each partial) that row times its positive denominator, per
-        coordinate its terms as (integer coefficient, exponents)."""
-        return tuple(terms for _, terms in self._compiled[1])
+    def frame_wedges(self, a, b, pairs):
+        """The wedge of frame rows a and b (0 the coordinates, then each
+        partial) at the index pairs (k, i, j), k the index of the pair
+        i < j: its monomial coefficient vectors, sparse {k: integer}, as
+        (monomial, vector) by increasing monomial, zero entries and empty
+        vectors dropped.  Each vector is the symbolic wedge's times the
+        rows' positive denominators."""
+        (_, row_a), (_, row_b) = self._compiled[1][a], self._compiled[1][b]
+        by_monomial = {}
+        for k, i, j in pairs:
+            for sign, left, right in ((1, row_a[i], row_b[j]), (-1, row_a[j], row_b[i])):
+                for c, e in left:
+                    for d, f in right:
+                        vec = by_monomial.setdefault(tuple(map(add, e, f)), {})
+                        vec[k] = vec.get(k, 0) + sign * c * d
+        sparse = (
+            (e, {k: x for k, x in vec.items() if x}) for e, vec in sorted(by_monomial.items())
+        )
+        return [(e, vec) for e, vec in sparse if vec]
 
     def _integer_rows(self, point, rows):
         """The compiled rows at a rational point, as (ints, scale) with
@@ -190,40 +206,28 @@ def _grid_by_sum(nvars, bound):
         yield from parts(nvars, total)
 
 
-def _form_on_rows(omega, row_a, row_b):
-    """The form on two integer frame rows (VarietyChart.integer_frame) as
-    (monomial, U-vector of integers over omega.den) over its nonzero
-    monomials, from the minors at the form's nonzero pairs alone, grouped
-    by monomial into sparse wedge vectors for on_wedge."""
-    by_monomial = {}
-    for k, i, j, _ in omega.terms:
-        for sign, left, right in ((1, row_a[i], row_b[j]), (-1, row_a[j], row_b[i])):
-            for c, e in left:
-                for d, f in right:
-                    vec = by_monomial.setdefault(tuple(map(add, e, f)), {})
-                    vec[k] = vec.get(k, 0) + sign * c * d
-    return [(e, ints) for e, vec in by_monomial.items() if any(ints := omega.on_wedge(vec))]
-
-
 def certify_isotropic(chart: VarietyChart, omega: OmegaForm) -> IsotropyCertificate:
     """Prove the form vanishes identically on all frame pairs, or exhibit
     a parameter point where it does not: the first point of _grid_by_sum
     over {0..degree}^d, degree the pair's largest exponent, where its form
     is nonzero (that grid holds one).  Runs in integers on the chart's
-    compiled frame rows, each over one positive scale (_form_on_rows)."""
+    frame wedges at the form's nonzero pairs, contracted by
+    OmegaForm.on_wedge and each over the rows' positive denominators."""
     if omega.dim_w != chart.ambient_dim:
         raise ValueError("form and chart have different ambient dimension")
-    rows = itertools.combinations(enumerate(chart._compiled[1]), 2)
-    for pairs, ((a, (sa, row_a)), (b, (sb, row_b))) in enumerate(rows, 1):
-        if not (values := _form_on_rows(omega, row_a, row_b)):
+    pairs = [(k, i, j) for k, i, j, _ in omega.terms]
+    scales = [den for den, _ in chart._compiled[1]]
+    for count, (a, b) in enumerate(itertools.combinations(range(len(scales)), 2), 1):
+        wedges = chart.frame_wedges(a, b, pairs)
+        if not (values := [(e, ints) for e, vec in wedges if any(ints := omega.on_wedge(vec))]):
             continue
         for point in _grid_by_sum(chart.param_dim, max(x for e, _ in values for x in e)):
             terms = [(prod(map(pow, point, e)), ints) for e, ints in values]
             totals = [sum(m * ints[c] for m, ints in terms) for c in range(omega.dim_u)]
             if any(totals):
-                witness_values = tuple(Q(t, sa * sb * omega.den) for t in totals)
+                witness_values = tuple(Q(t, scales[a] * scales[b] * omega.den) for t in totals)
                 witness = IsotropyWitness((a, b), tuple(map(Q, point)), witness_values)
-                return IsotropyCertificate(chart.label, False, pairs, witness)
+                return IsotropyCertificate(chart.label, False, count, witness)
         raise AssertionError("nonzero polynomial vanished on a full grid")
     return IsotropyCertificate(chart.label, True, pair_count(chart.param_dim + 1), None)
 
@@ -249,15 +253,6 @@ def veronese_chart(r, k, label=None) -> VarietyChart:
     return make_chart(label or f"veronese-{r}-{k}", coords)
 
 
-def linear_chart(dim_w, label=None) -> VarietyChart:
-    """Affine chart of the full projectivization of W."""
-    if dim_w < 2:
-        raise ValueError("need dim_w >= 2")
-    d = dim_w - 1
-    coords = [Poly.const(1, d)] + [Poly.var(a, d) for a in range(d)]
-    return make_chart(label or f"linear-{dim_w}", coords)
-
-
 def compose_veronese3(chart: VarietyChart, label=None) -> VarietyChart:
     """Compose a chart with the third Veronese map of its ambient space."""
     coords = []
@@ -275,7 +270,7 @@ _BUILTIN_BUILDERS = {
     "veronese-2-4": lambda: (veronese_chart(2, 4, "veronese-2-4"), None),
     "veronese-3-3": lambda: (veronese_chart(3, 3, "veronese-3-3"), None),
     "flat-conic": lambda: (veronese_chart(2, 2, "flat-conic"), None),
-    "flat-linear": lambda: (linear_chart(3, "flat-linear"), None),
+    "flat-linear": lambda: (veronese_chart(3, 1, "flat-linear"), None),
     "veronese3-of-conic": lambda: (
         compose_veronese3(veronese_chart(2, 2), "veronese3-of-conic"),
         None,

@@ -26,8 +26,8 @@ from metaline.varieties import (
     builtin_names,
     chart_from_json,
     in_tangent_span,
-    linear_chart,
     omega_from_json,
+    veronese_chart,
 )
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -109,7 +109,7 @@ def test_chart_block_normalizes_pivots():
 
 def test_direction_variation_frozen_heisenberg():
     """Hand-computed control values on the flat projective line."""
-    chart = linear_chart(2, "p1")
+    chart = veronese_chart(2, 1, "p1")
     x = element(HEIS, (0, 1), (0,))
     frame = chart.frame_integers((Q(0),))
     pivots = fam.primary_pivots(HEIS, x, chart.frame_integers((Q(0),))[0])
@@ -123,7 +123,7 @@ def test_direction_variation_frozen_heisenberg():
 def test_slide_identity_fails_off_isotropy():
     """The Heisenberg form does not vanish on the flat line's tangents,
     and the identity genuinely breaks there (negative control)."""
-    chart = linear_chart(2, "p1")
+    chart = veronese_chart(2, 1, "p1")
     x = element(HEIS, (0, 1), (0,))
     pivots = (0, 1)
     frame = chart.frame_integers((Q(0),))
@@ -148,7 +148,7 @@ def _recording_solve(monkeypatch):
 def test_tangent_span_check_rejects_a_u_component(monkeypatch):
     """Off isotropy the pulled-back shift gains a U-component, while its
     W-part stays in the tangent span (here all of W)."""
-    chart = linear_chart(2, "p1")
+    chart = veronese_chart(2, 1, "p1")
     x = element(HEIS, (0, 1), (0,))
     solved = _recording_solve(monkeypatch)
     frame = chart.frame_integers((Q(0),))

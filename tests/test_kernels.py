@@ -46,7 +46,7 @@ from metaline.metabelian import (
     inverse,
     multiply,
 )
-from metaline.omega_builder import _wedge_rows, build_omega
+from metaline.omega_builder import build_omega
 from metaline.polynomials import Poly
 from metaline.runner import run_verification
 from metaline.sampling import RationalSampler
@@ -372,29 +372,42 @@ def _outcome(solve, *args):
 _ALL_CHARTS = builtin_names() + sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
 
 
+def _assert_frame_wedges_are_symbolic(chart, pairs):
+    """VarietyChart.frame_wedges at the index pairs (k, i, j) against
+    linalg.wedge on the symbolic frame at those pairs: per frame pair the
+    same monomials in the same order, and integer vectors that are one
+    positive multiple of the rational coefficient vectors."""
+    symbolic = [chart.coords, *chart.partials]
+    for a, b in combinations(range(len(symbolic)), 2):
+        minors = wedge(symbolic[a], symbolic[b])
+        minors = {k: minors[k] for k, _, _ in pairs}
+        monomials = sorted({e for p in minors.values() for e in p.terms})
+        vectors = chart.frame_wedges(a, b, pairs)
+        assert [e for e, _ in vectors] == monomials
+        scales = set()
+        for e, vec in vectors:
+            assert all(type(v) is int and v for v in vec.values())
+            assert set(vec) == {k for k, p in minors.items() if e in p.terms}
+            scales |= {Q(v) / minors[k].terms[e] for k, v in vec.items()}
+        assert len(scales) <= 1 and all(s > 0 for s in scales)
+
+
 @pytest.mark.parametrize("name", _ALL_CHARTS)
 def test_integer_wedges_are_the_symbolic_wedges(name):
-    """build_omega's monomial rows, wedged from the integer frame, against
-    linalg.wedge on the symbolic frame: per frame pair the same monomials
-    in the same order, and rows that are one positive multiple of the
-    rational coefficient vectors."""
+    """build_omega's monomial vectors: frame_wedges over every index pair."""
     chart, _ = _chart_and_form(name)
-    symbolic = [chart.coords, *chart.partials]
-    dim_l2 = pair_count(chart.ambient_dim)
-    frame_pairs = zip(combinations(symbolic, 2), combinations(chart.integer_frame, 2))
-    for (poly_a, poly_b), (row_a, row_b) in frame_pairs:
-        minors = wedge(poly_a, poly_b)
-        monomials = sorted({e for p in minors for e in p.terms})
-        rows = _wedge_rows(row_a, row_b)
-        assert [e for e, _ in rows] == monomials
-        scales = set()
-        for e, row in rows:
-            vector = [p.terms.get(e, ZERO) for p in minors]
-            ints = [row.get(k, 0) for k in range(dim_l2)]
-            assert all(type(v) is int for v in row.values())
-            assert [v != 0 for v in ints] == [x != 0 for x in vector]
-            scales |= {Q(v) / x for v, x in zip(ints, vector) if x}
-        assert len(scales) <= 1 and all(s > 0 for s in scales)
+    pairs = [(k, i, j) for k, (i, j) in enumerate(combinations(range(chart.ambient_dim), 2))]
+    _assert_frame_wedges_are_symbolic(chart, pairs)
+
+
+@pytest.mark.parametrize("name", ["nonisotropic-cubic", "veronese-2-4-summed-form.json"])
+def test_frame_wedges_at_a_sparse_forms_pairs_are_the_symbolic_wedges(name):
+    """The certificate's monomial vectors: frame_wedges at exactly the
+    nonzero pairs of an explicit sparse form."""
+    chart, omega = _chart_and_form(name)
+    pairs = [(k, i, j) for k, i, j, _ in omega.terms]
+    assert 0 < len(pairs) < pair_count(chart.ambient_dim)
+    _assert_frame_wedges_are_symbolic(chart, pairs)
 
 
 @pytest.mark.parametrize("name", _ALL_CHARTS)

@@ -1,7 +1,7 @@
 """Each metaline module reaches another only through its public names, every
-public name is reached from src/, only scalars.py reaches the Fraction
-backend, only the runner and the CLI draw samples, and no function writes
-to module-level state."""
+public name and every private function is reached from src/, only
+scalars.py reaches the Fraction backend, only the runner and the CLI draw
+samples, and no function writes to module-level state."""
 
 import ast
 from collections import Counter
@@ -263,3 +263,33 @@ def test_every_public_name_is_reached_from_src():
         if field not in read
     ]
     assert sorted(unreached) == _UNREACHED_BY_DESIGN
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_functions(tree):
+    """(qualified name, node) of each private top-level function and of
+    each private method of a top-level class; dunders are not private."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and _is_private(node.name):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and _is_private(sub.name):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_private_function_is_reached_from_src():
+    """A private helper is no test-only kernel either: some module in src/
+    names each private function and method outside its own definition."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    unreached = [
+        f"{name} {qualified}"
+        for name, tree in trees.items()
+        for qualified, node in _private_functions(tree)
+        if everywhere[node.name] == _names(node)[node.name]
+    ]
+    assert unreached == []

@@ -25,7 +25,6 @@ from metaline.varieties import (
     chart_from_json,
     compose_veronese3,
     in_tangent_span,
-    linear_chart,
     make_chart,
     omega_from_json,
     veronese_chart,
@@ -43,9 +42,10 @@ def test_veronese_values():
 
 
 def test_linear_chart():
-    chart = linear_chart(3)
+    chart = veronese_chart(3, 1)
     assert chart.evaluate((Q(5), Q(7))) == (1, 5, 7)
     assert chart.param_dim == 2
+    assert chart.coords == (Poly.const(1, 2), Poly.var(0, 2), Poly.var(1, 2))
 
 
 def test_tangent_vector_matches_partials():
