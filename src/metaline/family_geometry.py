@@ -217,7 +217,6 @@ def direction_variation_symbolic(
     param, delta = ([c if type(c) is Q else Q(c) for c in v] for v in (param, delta))
     jets = [Jet1(p, (d,)) for p, d in zip(param, delta)]
     w_tau = [poly.evaluate(jets, zero=Jet1.const(ZERO, 1)) for poly in chart.coords]
-    w_tau = [c if isinstance(c, Jet1) else Jet1.const(c, 1) for c in w_tau]
     values = omega.apply(xt.w_part, [c.val for c in w_tau])
     slopes = omega.apply(xt.w_part, [c.eps[0] for c in w_tau])
     rows = [

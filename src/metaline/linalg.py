@@ -2,11 +2,11 @@
 
 Every row reduction in the package is one engine, _rref, which always
 takes the leftmost available pivot, so every rank, span, kernel and
-solve below is deterministic; solve_in_span feeds it only the rows that
-raise the rank, past the first ncols + 1, and checks the rest by exact
-dot products.  Matrices are immutable value types; the wedge helpers fix
-the lexicographic pair ordering used for second exterior powers
-throughout the package.
+solve below is deterministic; solve_in_span feeds it the first ncols + 1
+rows and checks the rest by exact dot products, reducing all rows only
+when one of those checks fails.  Matrices are immutable value types;
+the wedge helpers fix the lexicographic pair ordering used for second
+exterior powers throughout the package.
 """
 
 from __future__ import annotations
@@ -179,31 +179,29 @@ def solve_in_span(basis: Mat, target):
     otherwise NotInSpan carries its exact residual against the solution
     of a reduction of every row, pivoting on the basis columns only.
 
-    The first ncols + 1 augmented rows are kept.  While later rows
-    remain, they are scanned from the top against the kept rows'
-    canonical solution (one integer dot product each), and the first row
-    it fails, which raises their rank, is kept too.  The kept pivots are
-    a subset of the full system's, so a kept solution that satisfies
-    every row is zero on its free columns: the canonical solution; a
-    target pivot among the kept rows is one of the full system.
+    The first ncols + 1 augmented rows are reduced, and every later row
+    is checked against their canonical solution by one integer dot
+    product.  Their pivots are a subset of the full system's, so a
+    solution of theirs that satisfies every row is zero on the full
+    system's free columns: the canonical solution; and a target pivot
+    among them is one of the full system.  When some later row fails the
+    check, all rows are reduced once instead.
     """
     target = [x if type(x) in _EXACT else Q(x) for x in target]
     if len(target) != basis.nrows:
         raise ValueError("dimension mismatch")
     ncols = basis.ncols
     rows = [_integer_row(row + (t,)) for row, t in zip(basis.entries, target)]
-    rest = rows[ncols + 1 :]
     kept, pivots = _rref(rows[: ncols + 1], ncols + 1)
-    while rest and ncols not in pivots:
+    if ncols not in pivots and len(rows) > ncols + 1:
         solved = [(c, r[ncols], r[c]) for r, c in zip(kept, pivots) if ncols in r]
         den = lcm(*(pv for _, _, pv in solved))
         solution = {c: t * (den // pv) for c, t, pv in solved} | {ncols: -den}
-        failed = (  # row . den (c, -1) != 0
-            row for row in rest if sum(a * solution[k] for k, a in row.items() if k in solution)
-        )
-        if (row := next(failed, None)) is None:
-            break
-        kept, pivots = _rref([*kept, row], ncols + 1)
+        if any(  # row . den (c, -1) != 0
+            sum(a * solution[k] for k, a in row.items() if k in solution)
+            for row in rows[ncols + 1 :]
+        ):
+            kept, pivots = _rref(rows, ncols + 1)
     in_span = ncols not in pivots
     rows, pivots = (kept, pivots) if in_span else _rref(rows, ncols)
     coeffs = [ZERO] * ncols

@@ -3,9 +3,11 @@
 Terms live in a dict mapping exponent tuples to nonzero rational
 coefficients.  Evaluation is generic: the inputs may be rationals,
 first-order jets (the symbolic slide oracle differentiates a chart
-along a direction that way), or other polynomials (compose).  A chart
-at a rational point is evaluated by its own compiled integer evaluator
-(varieties), not here.  A small
+along a direction that way), or other polynomials (compose, which
+builds the third Veronese composite of a chart).  The sum starts at the
+given zero of the inputs' ring, so even a constant polynomial evaluates
+to an element of that ring.  A chart at a rational point is evaluated by
+its own compiled integer evaluator (varieties), not here.  A small
 recursive-descent parser covers the input grammar: integers, rational
 literals a/b, variables, + - * ^ (also **), unary minus and parentheses.
 """
@@ -156,11 +158,12 @@ class Poly:
         return Poly(self.nvars, terms)
 
     def evaluate(self, values, zero=ZERO):
-        """Evaluate on ring elements supporting + * ** and rational mixing."""
+        """Evaluate on ring elements supporting + * ** and rational mixing,
+        summing from zero, an element of their ring."""
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
         powers = [{} for _ in range(self.nvars)]
-        total = None
+        total = zero
         for exps, coeff in self.terms.items():
             factor = None
             for i, e in enumerate(exps):
@@ -171,21 +174,15 @@ class Poly:
                     p = values[i] ** e
                     powers[i][e] = p
                 factor = p if factor is None else factor * p
-            piece = coeff if factor is None else factor * coeff
-            total = piece if total is None else total + piece
-        return zero if total is None else total
+            total = total + (coeff if factor is None else factor * coeff)
+        return total
 
     def compose(self, substitutions):
         """Substitute a polynomial for every variable."""
         subs = list(substitutions)
         if len(subs) != self.nvars:
             raise ValueError("wrong number of substitutions")
-        arity = subs[0].nvars if subs else 0
-        # evaluate leaves constant terms as bare scalars; lift them back
-        result = self.evaluate(subs, zero=Poly.zero(arity))
-        if not isinstance(result, Poly):
-            result = Poly.const(result, arity)
-        return result
+        return self.evaluate(subs, zero=Poly.zero(subs[0].nvars if subs else 0))
 
     def __eq__(self, other):
         if isinstance(other, Poly):

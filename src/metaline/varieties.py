@@ -183,7 +183,6 @@ class IsotropyWitness:
 
 @dataclass(frozen=True)
 class IsotropyCertificate:
-    label: str
     proven: bool
     pairs_checked: int
     witness: IsotropyWitness | None
@@ -216,8 +215,7 @@ def certify_isotropic(chart: VarietyChart, omega: OmegaForm) -> IsotropyCertific
     if omega.dim_w != chart.ambient_dim:
         raise ValueError("form and chart have different ambient dimension")
     pairs = [(k, i, j) for k, i, j, _ in omega.terms]
-    scales = [den for den, _ in chart._compiled[1]]
-    for count, (a, b) in enumerate(itertools.combinations(range(len(scales)), 2), 1):
+    for count, (a, b) in enumerate(itertools.combinations(range(chart.param_dim + 1), 2), 1):
         wedges = chart.frame_wedges(a, b, pairs)
         if not (values := [(e, ints) for e, vec in wedges if any(ints := omega.on_wedge(vec))]):
             continue
@@ -225,11 +223,14 @@ def certify_isotropic(chart: VarietyChart, omega: OmegaForm) -> IsotropyCertific
             terms = [(prod(map(pow, point, e)), ints) for e, ints in values]
             totals = [sum(m * ints[c] for m, ints in terms) for c in range(omega.dim_u)]
             if any(totals):
-                witness_values = tuple(Q(t, scales[a] * scales[b] * omega.den) for t in totals)
+                # at an integer point each row's scale is its denominator
+                frame = chart.frame_integers(point)
+                scale = frame[a][1] * frame[b][1] * omega.den
+                witness_values = tuple(Q(t, scale) for t in totals)
                 witness = IsotropyWitness((a, b), tuple(map(Q, point)), witness_values)
-                return IsotropyCertificate(chart.label, False, count, witness)
+                return IsotropyCertificate(False, count, witness)
         raise AssertionError("nonzero polynomial vanished on a full grid")
-    return IsotropyCertificate(chart.label, True, pair_count(chart.param_dim + 1), None)
+    return IsotropyCertificate(True, pair_count(chart.param_dim + 1), None)
 
 
 def _degree_exponents(nvars, degree):
@@ -255,13 +256,8 @@ def veronese_chart(r, k, label=None) -> VarietyChart:
 
 def compose_veronese3(chart: VarietyChart, label=None) -> VarietyChart:
     """Compose a chart with the third Veronese map of its ambient space."""
-    coords = []
-    for exps in _degree_exponents(chart.ambient_dim, 3):
-        poly = Poly.const(1, chart.param_dim)
-        for i, e in enumerate(exps):
-            if e:
-                poly = poly * chart.coords[i] ** e
-        coords.append(poly)
+    n = chart.ambient_dim
+    coords = [Poly(n, {e: 1}).compose(chart.coords) for e in _degree_exponents(n, 3)]
     return make_chart(label or f"veronese3-of-{chart.label}", coords)
 
 

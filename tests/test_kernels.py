@@ -33,7 +33,6 @@ from metaline.linalg import (
     NotInSpan,
     integer_rref,
     pair_count,
-    rational_rows,
     solve_in_span,
     wedge,
 )

@@ -190,13 +190,9 @@ def test_no_function_writes_module_state(path):
     assert _module_state_writes(ast.parse(path.read_text(), filename=str(path))) == []
 
 
-# perfbench/tracer.py wraps Poly.compose, so it stays until the benchmark
-# stops tracing it, although nothing in src/ calls it; its tracer also reads
-# OmegaConstruction.rank_history, which nothing in src/ reads.
-_UNREACHED_BY_DESIGN = [
-    "omega_builder.py OmegaConstruction.rank_history",
-    "polynomials.py Poly.compose",
-]
+# perfbench/tracer.py reads OmegaConstruction.rank_history, which nothing in
+# src/ reads, so it stays until the benchmark stops reading it.
+_UNREACHED_BY_DESIGN = ["omega_builder.py OmegaConstruction.rank_history"]
 
 
 def _public_definitions(tree):
@@ -293,3 +289,73 @@ def test_every_private_function_is_reached_from_src():
         if everywhere[node.name] == _names(node)[node.name]
     ]
     assert unreached == []
+
+
+def _class_attributes(cls):
+    """The names a class defines: its methods, the names its body assigns,
+    and each attribute its methods assign on self."""
+    names = {n.name for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for node in cls.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if getattr(node.value, "id", None) == "self":
+                names.add(node.attr)
+    return names
+
+
+def _foreign_private_reads(tree):
+    """(function, name.attribute) for each private attribute read on a name
+    other than self or cls outside the methods of a class defining it."""
+    found = []
+
+    def visit(node, owner, function):
+        if isinstance(node, ast.ClassDef):
+            owner = _class_attributes(node)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and _is_private(node.attr)
+            and isinstance(node.value, ast.Name)
+            and node.value.id not in ("self", "cls")
+            and node.attr not in owner
+        ):
+            found.append((function, f"{node.value.id}.{node.attr}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, function)
+
+    visit(tree, set(), None)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_private_attributes_are_read_by_their_own_class(path):
+    """An underscore attribute is read on another object only inside a
+    method of a class that defines it (as OmegaForm reads other._key()),
+    so a private table or helper has one reader: its own class."""
+    assert _foreign_private_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def _unused_imports(tree):
+    """Each name the module imports that it never reads."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(name for name in imported if name not in read)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*SRC.glob("*.py"), *Path(__file__).resolve().parent.glob("*.py")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []

@@ -123,11 +123,23 @@ def test_evaluate_on_jets_matches_diff():
     assert out.eps == (q.diff(0).evaluate(point), q.diff(1).evaluate(point))
 
 
+def test_constant_polynomial_evaluates_to_a_jet_on_jets():
+    """Evaluation starts its sum at zero, so a polynomial with only a
+    constant term gives an element of the jets' ring, not a bare scalar."""
+    jets = [Jet1(Q(3), (Q(1),)), Jet1(Q(-2), (Q(0),))]
+    for text, value in (("7/2", Q(7, 2)), ("0", Q(0))):
+        out = p(text).evaluate(jets, zero=Jet1.const(0, 1))
+        assert isinstance(out, Jet1) and (out.val, out.eps) == (value, (Q(0),))
+
+
 def test_compose_is_substitution():
     q = p("x^2 + y")
     s = parse_poly("t + 1", ["t"])
     r = parse_poly("t^2", ["t"])
     assert q.compose([s, r]) == parse_poly("t^2 + 2*t + 1 + t^2", ["t"])
+    for text, value in (("5/3", Q(5, 3)), ("0", Q(0))):  # a constant composes to a Poly
+        out = p(text).compose([s, r])
+        assert isinstance(out, Poly) and out == Poly.const(value, 1)
 
 
 def test_division_only_by_constants():

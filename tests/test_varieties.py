@@ -14,6 +14,7 @@ from metaline.polynomials import Poly, parse_poly
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q, from_integers
 from metaline.varieties import (
+    _degree_exponents,
     _grid_by_sum,
     FrameDegenerate,
     IsotropyCertificate,
@@ -161,6 +162,33 @@ def test_compose_veronese3_values():
     assert value == (1, 2, 4, 4, 8, 16, 8, 16, 32, 64)
 
 
+def _hand_veronese3_coords(chart):
+    """The coordinates of compose_veronese3 as products of powers of the
+    chart's coordinates, one monomial of degree 3 at a time."""
+    coords = []
+    for exps in _degree_exponents(chart.ambient_dim, 3):
+        poly = Poly.const(1, chart.param_dim)
+        for i, e in enumerate(exps):
+            if e:
+                poly = poly * chart.coords[i] ** e
+        coords.append(poly)
+    return coords
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        veronese_chart(2, 2),
+        make_chart("plane", [parse_poly(t, ["x", "y"]) for t in ("1", "x/2 + y", "x*y - 1/3")]),
+    ],
+    ids=["conic", "rational-plane"],
+)
+def test_compose_veronese3_matches_hand_power_products(chart):
+    sextic = compose_veronese3(chart)
+    assert list(sextic.coords) == _hand_veronese3_coords(chart)
+    assert sextic.param_dim == chart.param_dim and sextic.label == f"veronese3-of-{chart.label}"
+
+
 def test_builtin_catalog():
     names = builtin_names()
     assert "veronese-2-3" in names and "nonisotropic-cubic" in names
@@ -292,9 +320,9 @@ def _reference_certificate(chart, omega):
             values = tuple(p.evaluate(point) for p in polys)
             if any(v != 0 for v in values):
                 witness = IsotropyWitness((a, b), point, values)
-                return IsotropyCertificate(chart.label, False, pairs, witness)
+                return IsotropyCertificate(False, pairs, witness)
         raise AssertionError("nonzero polynomial vanished on a full grid")
-    return IsotropyCertificate(chart.label, True, pairs, None)
+    return IsotropyCertificate(True, pairs, None)
 
 
 def _same_certificate(chart, omega):
