@@ -2,11 +2,13 @@
 
 Every row reduction in the package is one engine, _rref, which always
 takes the leftmost available pivot, so every rank, span, kernel and
-solve below is deterministic; solve_in_span feeds it the first ncols + 1
-rows and checks the rest by exact dot products, reducing all rows only
-when one of those checks fails.  Matrices are immutable value types;
-the wedge helpers fix the lexicographic pair ordering used for second
-exterior powers throughout the package.
+solve below is deterministic.  Each caller hands it all its rows at
+once: solve_in_span the first ncols + 1 rows, then all rows only when
+their solution fails an exact dot product with some row, and
+SpanAccumulator.insert its stored rows with a whole batch of vectors.
+Matrices are immutable value types; the wedge helpers fix the
+lexicographic pair ordering used for second exterior powers throughout
+the package.
 """
 
 from __future__ import annotations
@@ -174,43 +176,37 @@ def solve_in_span(basis: Mat, target):
 
     When the columns are dependent the solution is the canonical
     representative with every free coordinate set to zero (free = the
-    non-pivot columns under leftmost-pivot reduction).  The target is in
-    the span exactly when its column in [basis | target] takes no pivot;
-    otherwise NotInSpan carries its exact residual against the solution
-    of a reduction of every row, pivoting on the basis columns only.
+    non-pivot columns under leftmost-pivot reduction).  Off the span,
+    NotInSpan carries the exact residual of that representative for a
+    reduction of every row.
 
-    The first ncols + 1 augmented rows are reduced, and every later row
-    is checked against their canonical solution by one integer dot
-    product.  Their pivots are a subset of the full system's, so a
-    solution of theirs that satisfies every row is zero on the full
-    system's free columns: the canonical solution; and a target pivot
-    among them is one of the full system.  When some later row fails the
-    check, all rows are reduced once instead.
+    Each reduction pivots on the basis columns only and carries the
+    target column; its candidate is zero at the free columns, and one
+    integer dot product per row tests whether it solves the system.  The
+    first ncols + 1 rows are reduced first.  Their pivots are a subset of
+    the full system's, so a candidate of theirs that solves every row is
+    zero on the full system's free columns: the canonical solution.
+    Otherwise all rows are reduced once, and a candidate that still fails
+    a row shows that the target is off the span.
     """
     target = [x if type(x) in _EXACT else Q(x) for x in target]
     if len(target) != basis.nrows:
         raise ValueError("dimension mismatch")
     ncols = basis.ncols
     rows = [_integer_row(row + (t,)) for row, t in zip(basis.entries, target)]
-    kept, pivots = _rref(rows[: ncols + 1], ncols + 1)
-    if ncols not in pivots and len(rows) > ncols + 1:
-        solved = [(c, r[ncols], r[c]) for r, c in zip(kept, pivots) if ncols in r]
+    for block in (rows[: ncols + 1], rows) if len(rows) > ncols + 1 else (rows,):
+        reduced, pivots = _rref(block, ncols)
+        solved = [(c, r[ncols], r[c]) for r, c in zip(reduced, pivots) if ncols in r]
+        coeffs = [ZERO] * ncols
+        for c, t, pv in solved:
+            coeffs[c] = Q(t, pv)
         den = lcm(*(pv for _, _, pv in solved))
         solution = {c: t * (den // pv) for c, t, pv in solved} | {ncols: -den}
-        if any(  # row . den (c, -1) != 0
-            sum(a * solution[k] for k, a in row.items() if k in solution)
-            for row in rows[ncols + 1 :]
+        if not any(  # row . den (c, -1) != 0
+            sum(a * solution[k] for k, a in row.items() if k in solution) for row in rows
         ):
-            kept, pivots = _rref(rows, ncols + 1)
-    in_span = ncols not in pivots
-    rows, pivots = (kept, pivots) if in_span else _rref(rows, ncols)
-    coeffs = [ZERO] * ncols
-    for row, c in zip(rows, pivots):
-        if ncols in row:
-            coeffs[c] = Q(row[ncols], row[c])
-    if not in_span:
-        raise NotInSpan([t - s for t, s in zip(target, basis.times_vector(coeffs))])
-    return tuple(coeffs)
+            return tuple(coeffs)
+    raise NotInSpan([t - s for t, s in zip(target, basis.times_vector(coeffs))])
 
 
 def pair_count(m):
@@ -246,17 +242,16 @@ class SpanAccumulator:
     def rank(self):
         return len(self.rows)
 
-    def insert(self, vec):
-        """Add a vector; returns True when it increases the rank.
+    def insert(self, vecs):
+        """Add a batch of vectors; returns True when they increase the rank.
 
-        The stored rows and the new vector are reduced again by _rref.
-        The stored rows are already reduced, so each of their pivots
-        clears at most the new row, and a remainder clears its own column
-        from the rows above it.  The reduced row echelon form of a span is
-        unique, so the rows equal those of a full reduction.
+        The stored rows and the whole batch are reduced together by one
+        _rref, so the stored rows are eliminated once per batch, not once
+        per vector.  The reduced row echelon form of a span is unique, so the
+        rows equal those of a full reduction of every vector inserted.
         """
         rank = len(self.rows)
-        self.rows, self.pivots = _rref([*self.rows, vec], self.dim)
+        self.rows, self.pivots = _rref([*self.rows, *vecs], self.dim)
         return len(self.rows) > rank
 
     def free_columns(self):

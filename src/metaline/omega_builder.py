@@ -51,8 +51,7 @@ def build_omega(chart: VarietyChart, seed=None) -> OmegaConstruction:
     pairs = [(k, i, j) for k, (i, j) in enumerate(combinations(range(chart.ambient_dim), 2))]
     history = []
     for a, b in combinations(range(chart.param_dim + 1), 2):
-        for _, vec in chart.frame_wedges(a, b, pairs):
-            accumulator.insert(vec)
+        accumulator.insert([vec for _, vec in chart.frame_wedges(a, b, pairs)])
         history.append(accumulator.rank)
 
     slot = {c: n for n, c in enumerate(accumulator.free_columns())}

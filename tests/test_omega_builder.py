@@ -7,6 +7,7 @@ import pytest
 from conftest import sl2_exterior_square_dims
 from metaline.linalg import Mat, SpanAccumulator, pair_count, rational_rows, wedge
 from metaline.omega_builder import build_omega
+from metaline.polynomials import Poly
 from metaline.sampling import RationalSampler
 from metaline.scalars import Q, as_integers
 from metaline.varieties import (
@@ -16,6 +17,7 @@ from metaline.varieties import (
     builtin_names,
     certify_isotropic,
     chart_from_json,
+    make_chart,
 )
 
 # frozen after three-seed stability runs (42, 7, 1234)
@@ -125,6 +127,50 @@ def test_dims_property(twisted_cubic):
     assert dims == (4, 1, 5)
 
 
+def _lagrangian_grassmannian_chart():
+    """LG(3,6) in its big cell: the 14 distinct minors of a symmetric 3 x 3
+    matrix of 6 variables, the empty minor 1 included (d = 6, dimW 14)."""
+    entry = {}
+    for k, (i, j) in enumerate(itertools.combinations_with_replacement(range(3), 2)):
+        entry[i, j] = entry[j, i] = Poly.var(k, 6)
+
+    def minor(rows, cols):  # Laplace expansion along the first row
+        if not rows:
+            return Poly.const(1, 6)
+        return sum(
+            (
+                (-1) ** n * entry[rows[0], c] * minor(rows[1:], cols[:n] + cols[n + 1 :])
+                for n, c in enumerate(cols)
+            ),
+            Poly.zero(6),
+        )
+
+    subsets = [s for size in range(4) for s in itertools.combinations(range(3), size)]
+    return make_chart(
+        "lg-3-6", [minor(r, c) for r in subsets for c in subsets if len(r) == len(c) and r <= c]
+    )
+
+
+def test_the_form_build_inserts_one_batch_per_frame_pair(monkeypatch):
+    """Guard: on LG(3,6) build_omega hands each of the 21 frame pairs' wedge
+    vectors to one SpanAccumulator.insert, and derives the contact form:
+    W' of rank 90 in the 91-dimensional exterior square, dimU 1."""
+    chart = _lagrangian_grassmannian_chart()
+    assert (chart.param_dim, chart.ambient_dim) == (6, 14)
+    batches = []
+    original_insert = SpanAccumulator.insert
+
+    def counting_insert(self, vecs):
+        batches.append(vecs)
+        return original_insert(self, vecs)
+
+    monkeypatch.setattr(SpanAccumulator, "insert", counting_insert)
+    construction = build_omega(chart)
+    assert len(batches) == len(construction.rank_history) == 21
+    assert construction.dim_w_prime == 90
+    assert construction.omega.dim_u == 1
+
+
 def _raw_frame_rows(chart, point):
     return [tuple(p.evaluate(point) for p in row) for row in (chart.coords, *chart.partials)]
 
@@ -146,9 +192,7 @@ def _sampled_span(chart, frame_rows=_tangent_rows, window=25, budget=400):
             rows = frame_rows(chart, sampler.vector(chart.param_dim))
         except FrameDegenerate:
             continue
-        grew = False
-        for u, v in itertools.combinations(rows, 2):
-            grew |= accumulator.insert(wedge(u, v))
+        grew = accumulator.insert([wedge(u, v) for u, v in itertools.combinations(rows, 2)])
         stable = 0 if grew else stable + 1
         if stable == window:
             return Mat(rational_rows(accumulator.rows, accumulator.pivots, accumulator.dim))
