@@ -53,14 +53,12 @@ class Jet1:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet1):
-            if other.val == 0:
-                raise ZeroDivisionError("jet with zero value part")
-            a, b = self.val, other.val
-            bb = b * b
-            return Jet1(a / b, tuple((da * b - a * db) / bb for da, db in zip(self.eps, other.eps)))
-        c = Q(other)
-        return Jet1(self.val / c, tuple(da / c for da in self.eps))
+        o = self._lift(other)
+        if o.val == 0:
+            raise ZeroDivisionError("jet with zero value part")
+        a, b = self.val, o.val
+        bb = b * b
+        return Jet1(a / b, tuple((da * b - a * db) / bb for da, db in zip(self.eps, o.eps)))
 
     def __rtruediv__(self, other):
         return self._lift(other) / self

@@ -18,7 +18,7 @@ from math import comb
 
 from .scalars import Q, ZERO, qstr
 
-_SCALARS = (int,) + ((type(Q(0)),) if not isinstance(Q(0), int) else ())
+_SCALARS = (int, type(ZERO))
 
 
 class Poly:
@@ -35,13 +35,22 @@ class Poly:
                 clean[tuple(int(e) for e in exps)] = c
         self.terms = clean
 
+    @staticmethod
+    def _of(nvars, terms):
+        """A computed result: terms already map nvars-tuples to nonzero
+        rationals, so the checks of __init__ are skipped."""
+        out = Poly.__new__(Poly)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
     @classmethod
     def const(cls, value, nvars):
         return cls(nvars, {(0,) * nvars: Q(value)})
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars, {})
+        return cls._of(nvars, {})
 
     @classmethod
     def var(cls, index, nvars):
@@ -71,10 +80,7 @@ class Poly:
                 terms.pop(exps, None)
             else:
                 terms[exps] = s
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return Poly._of(self.nvars, terms)
 
     __radd__ = __add__
 
@@ -85,10 +91,7 @@ class Poly:
         return self._lift(other) + (-self)
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Poly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -103,29 +106,13 @@ class Poly:
                         terms.pop(key, None)
                     else:
                         terms[key] = s
-            out = Poly.__new__(Poly)
-            out.nvars = self.nvars
-            out.terms = terms
-            return out
+            return Poly._of(self.nvars, terms)
         c = Q(other)
         if c == 0:
             return Poly.zero(self.nvars)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {e: c * v for e, v in self.terms.items()}
-        return out
+        return Poly._of(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Poly):
-            if not other.is_constant():
-                raise ValueError("division only by constants")
-            other = other.constant_value()
-        c = Q(other)
-        if c == 0:
-            raise ZeroDivisionError("polynomial division by zero")
-        return self * (Q(1) / c)
 
     def __pow__(self, exponent):
         e = int(exponent)
@@ -140,12 +127,6 @@ class Poly:
             e >>= 1
         return out
 
-    def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self):
-        return self.terms.get((0,) * self.nvars, ZERO)
-
     def diff(self, index):
         terms = {}
         for exps, c in self.terms.items():
@@ -155,7 +136,7 @@ class Poly:
             e = list(exps)
             e[index] = k - 1
             terms[tuple(e)] = c * k
-        return Poly(self.nvars, terms)
+        return Poly._of(self.nvars, terms)
 
     def evaluate(self, values, zero=ZERO):
         """Evaluate on ring elements supporting + * ** and rational mixing,
@@ -332,11 +313,12 @@ class _Parser:
                 _check_terms(len(node.terms) * len(rhs.terms))
                 node = node * rhs
             else:
-                if not rhs.is_constant():
+                if rhs.total_degree() > 0:
                     raise PolyParseError("division only by rational constants")
                 if not rhs.terms:
                     raise PolyParseError("division by zero")
-                node = node / rhs
+                (c,) = rhs.terms.values()
+                node = node * (1 / c)
         return node
 
     def factor(self):

@@ -9,7 +9,7 @@ print to stderr, and is in neither the JSON nor the text rendering.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -25,14 +25,7 @@ class CheckResult:
         return self.samples - self.passes - self.skips
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "passes": self.passes,
-            "skips": self.skips,
-            "failures": self.failures,
-            "witness": self.witness,
-        }
+        return {**asdict(self), "failures": self.failures}
 
 
 @dataclass

@@ -1,13 +1,24 @@
-"""Shared fixtures: charts and constructed forms, built once per session."""
+"""Shared fixtures and helpers: charts and constructed forms, built once per
+session, and the rational references more than one test module compares
+against."""
 
+import functools
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from metaline.linalg import NotInSpan
 from metaline.metabelian import OmegaForm
 from metaline.omega_builder import build_omega
-from metaline.scalars import HALF, ONE, ZERO
-from metaline.varieties import builtin_chart
+from metaline.scalars import HALF, ONE, Q, ZERO
+from metaline.varieties import builtin_chart, builtin_names, chart_from_json, omega_from_json
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
+
+# Every builtin and every tests/fixtures file, by the name chart_and_form takes.
+ALL_CHARTS = builtin_names() + sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
 
 # The Heisenberg form: dimW 2, dimU 1, form(e_0, e_1) = f_0.
 HEISENBERG = OmegaForm.from_entries(2, 1, [(0, 1, (1,))])
@@ -40,22 +51,75 @@ def sl2_exterior_square_dims(k):
     return tuple(dims)
 
 
+def rational_chart(rows, pivots):
+    """P^-1 and B = P^-1 N of a plane's rational rows, P the pivot minor
+    and N the other columns, or None when P is singular."""
+    c1, c2 = pivots
+    (a, b), (c, d) = ((Q(row[c1]), Q(row[c2])) for row in rows)
+    det = a * d - b * c
+    if det == 0:
+        return None
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    block = [
+        [i0 * p + i1 * q for col, (p, q) in enumerate(zip(*rows)) if col not in pivots]
+        for i0, i1 in inv
+    ]
+    return inv, block
+
+
+def rational_moved(rows, pivots, drows):
+    """dN - dP B in Fractions, block row by block row."""
+    _, block = rational_chart(rows, pivots)
+    rest = [[v for col, v in enumerate(drow) if col not in pivots] for drow in drows]
+    return [
+        [n - drow[pivots[0]] * b0 - drow[pivots[1]] * b1 for n, b0, b1 in zip(row, *block)]
+        for row, drow in zip(rest, drows)
+    ]
+
+
+def rational_block_variation(rows, pivots, drows):
+    """P^-1 (dN - dP B) in Fractions."""
+    inv, _ = rational_chart(rows, pivots)
+    moved = rational_moved(rows, pivots, drows)
+    return [[i0 * m0 + i1 * m1 for m0, m1 in zip(*moved)] for i0, i1 in inv]
+
+
+def solve_outcome(solve, *args):
+    """("coefficients", c) from a solve, or ("residual", r) from its NotInSpan."""
+    try:
+        return "coefficients", solve(*args)
+    except NotInSpan as exc:
+        return "residual", exc.residual
+
+
+@functools.cache
+def _builtin(name):
+    """(chart, omega, construction-or-None) of a builtin, constructed once."""
+    chart, explicit = builtin_chart(name)
+    if explicit is not None:
+        return chart, explicit, None
+    construction = build_omega(chart)
+    return chart, construction.omega, construction
+
+
+@functools.cache
+def chart_and_form(name):
+    """Chart and form of a builtin or a tests/fixtures file, the form
+    constructed when none is given."""
+    if not name.endswith(".json"):
+        chart, omega, _ = _builtin(name)
+        return chart, omega
+    data = json.loads((FIXTURE_DIR / name).read_text())
+    chart = chart_from_json(data)
+    if "omega" in data:
+        return chart, omega_from_json(chart.ambient_dim, data["omega"])
+    return chart, build_omega(chart).omega
+
+
 @pytest.fixture(scope="session")
 def fixture_cache():
-    """name -> (chart, omega, construction-or-None), constructed lazily."""
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            chart, explicit = builtin_chart(name)
-            if explicit is None:
-                construction = build_omega(chart, seed=42)
-                cache[name] = (chart, construction.omega, construction)
-            else:
-                cache[name] = (chart, explicit, None)
-        return cache[name]
-
-    return get
+    """name -> (chart, omega, construction-or-None) of a builtin."""
+    return _builtin
 
 
 @pytest.fixture(scope="session")

@@ -688,3 +688,126 @@ def test_build_omega_bytes_are_pinned(tmp_path, capsys, name):
     code, _, _ = run_cli("build-omega", source, "--out", str(out), capsys=capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_OMEGA_DIGESTS[name]
+
+
+# (exit code, sha256 of stdout) of info, sample-line at seed 42 and
+# verify --format text --seed 42 --samples 10, on every builtin and fixture
+# file: sample-line prints its parametrization through Poly arithmetic and
+# Poly.format, and every digest was taken before the polynomial ring's
+# results were built through one constructor.  degenerate-frame.json's
+# frame drops rank at its seed-42 parameter, so sample-line exits 2 there
+# and prints nothing.
+INFO_DIGESTS = {
+    "builtin:flat-conic": (0, "2874daa4b8a0f7e38154740b0d1d965bb882f6be1758678ede76d687632c813c"),
+    "builtin:flat-linear": (0, "26a27b1ac0032c30b3fe07b9c5f00b2b57c38195b9d1837e892f0208e83a5ba7"),
+    "builtin:nonisotropic-cubic": (
+        0, "45994c300f195daa52e44cc31d30ec3c19b2a1b7cf3a5ed6d09eee4ecf0a612c"
+    ),
+    "builtin:veronese-2-3": (0, "8fe3f8ae7edb051fb57f9507d032857b549abb8e17d5527462daa4c7de25fab2"),
+    "builtin:veronese-2-4": (0, "9e986288fd52b6fddf93d7ddfd2d7b86e1f0014281140ccd489ff19c60f4d61e"),
+    "builtin:veronese-3-3": (0, "8c0b867ebbfc734b7977d40f3975ca4eea0f464c231653404516e4a2962221c1"),
+    "builtin:veronese3-of-conic": (
+        0, "84b1d84c19a4f3188945a22370f1f8f2347a4a026bd164b42deb06d888a90e30"
+    ),
+    "degenerate-frame.json": (
+        0, "fa011e5883372aa9fe58bed0cdf38220e7246f38d239204cbeb547567bcc6223"
+    ),
+    "moment-curve-12.json": (0, "fb728230186f75664071672c718959850b81e946775bb2ef218497468c2d73e5"),
+    "moved-twisted-cubic.json": (
+        0, "cf9609c6ff2fc42790e64cdad4621e503521c0c3a6f5b867b6a73e5beebfff1d"
+    ),
+    "no-recovery.json": (0, "f30d22b39b36404e65f28b16cf54d6aad9de8752dbb95b2ba93d0a77c6f92e6b"),
+    "rational-quartic.json": (
+        0, "18dc0b7879154cd78b0fc94b04e1a1cbf5ab342b355b7d1a3f656696557c0095"
+    ),
+    "scroll-2-2.json": (0, "a0244948e1cf1b5a14bc9351889d03dd4e0a3eecd92df54f94f1ff1640f72c56"),
+    "sheared-veronese-2-4.json": (
+        0, "758a5c23eaa5641f0759e5006e86905972378adf67d6b607c3b975227b0e3369"
+    ),
+    "surface-s3.json": (0, "443520e1b343dab0a7927eb4e98f53ae7fce583653269f52d4d6c91a91b182d3"),
+    "veronese-2-4-summed-form.json": (
+        0, "c6e042371602aa360ffe109070577fee2da58fc4e0eac7cdcddf14bca15f5135"
+    ),
+}
+SAMPLE_LINE_DIGESTS = {
+    "builtin:flat-conic": (0, "038e690ba6c0d1cc1fbb2183a6c039517de668d53fed77c1041790fdf1a16bfb"),
+    "builtin:flat-linear": (0, "2d3919d9b0032d12557e56716e621b8fcf93f3240f5b155a423b83698a48b04f"),
+    "builtin:nonisotropic-cubic": (
+        0, "a24b290bacf0e44a32d6cfa59a0d6b48a40dcc6c347058c8cce2482eee0e79f9"
+    ),
+    "builtin:veronese-2-3": (0, "609ed77746d1ce6e56a4a9070bcdfc93319db48d615e998d17092e0298f34530"),
+    "builtin:veronese-2-4": (0, "86a95a1c1ba747067a037e5a01481c7d3773f2af251075e466609057faefd70e"),
+    "builtin:veronese-3-3": (0, "a2276e07ba465fd0e5dd85aab767dc6d7095fa2985963ff386967e2641b8c394"),
+    "builtin:veronese3-of-conic": (
+        0, "b57322c6e9c57dc3bfafc07e99d1985cb3895f432424dd485a9e07f67bad2e6e"
+    ),
+    "degenerate-frame.json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "moment-curve-12.json": (0, "aef9b9ec15b5865611901f75d82d3aceaaff98477b27de75d1ed8a5e7fbcf396"),
+    "moved-twisted-cubic.json": (
+        0, "140e314832bd66704ed71a5bef55de801065ddd0756a60dd8244b4ace0b59c8d"
+    ),
+    "no-recovery.json": (0, "16f57cb520557d11be8be69b13404b51bb34409bb6e596c58cf03c560d28d7ab"),
+    "rational-quartic.json": (
+        0, "a96bfe9c067d2f31c5af9f31dd7d611b7092f45738ea48cab7a7e12cffd55cd3"
+    ),
+    "scroll-2-2.json": (0, "49118b17a8e1910a155c5557e449238f5f289d0ab76c0a86efaa87d546943a25"),
+    "sheared-veronese-2-4.json": (
+        0, "7c9d0ccee1253abbb7552247ea38ba9710a0d7a3a7051138b0c195b4c07b3e68"
+    ),
+    "surface-s3.json": (0, "c27ae45e7b7ef55bcae408e500a5f0ae324a680fcafcf763f006aa0eb290c914"),
+    "veronese-2-4-summed-form.json": (
+        0, "37eb38bc1fda2031668372548a4f34e16376d590cebed499566cf55f627de47b"
+    ),
+}
+VERIFY_TEXT_DIGESTS = {
+    "builtin:flat-conic": (0, "594b2fba2a54d2476eac655cc34a7c7d395816fe36166d8e3f59d3065cc1f4ac"),
+    "builtin:flat-linear": (0, "ec3f2b06b20efd1ec7373cbb473d91ceee7ee4a1fdde011943dfdc7d79046dde"),
+    "builtin:nonisotropic-cubic": (
+        1, "62a6d8436001a1faae2e0a581c4e7e859af852965fd9e99dada06d1caa13b57d"
+    ),
+    "builtin:veronese-2-3": (0, "5b0065d18431dd59ea9cdb33fa056fad97169430b38dcc0453305679ba6ad22f"),
+    "builtin:veronese-2-4": (0, "3f10f5764f88fae70c676c833ddbb4b7c577186d989693c349308c59394b4bae"),
+    "builtin:veronese-3-3": (0, "2308aecb1eef623b6848ca7420d441410f5ae0cbd243960b34f8f0375859a5e0"),
+    "builtin:veronese3-of-conic": (
+        0, "aa05c257766b33bdbf82a3f8fc829138f690b6e0e6a90bf25b48660b9e32da32"
+    ),
+    "degenerate-frame.json": (
+        1, "ea35ef84b12616a615f5f33ea4490eff326c5c1ddb0177154f656e14df78c7b1"
+    ),
+    "moment-curve-12.json": (0, "93bc38ccaaf44c287a1565c2980e7d2a1ce5501a5031ec9bfca774a7d9f276d5"),
+    "moved-twisted-cubic.json": (
+        0, "c18b80c35d14367928d096887a69f8c71a030064d8b10991fa22b54b3967f3cb"
+    ),
+    "no-recovery.json": (0, "c3f2e397f10ede4b253d8262ea14565f3a963a7ab3c647dfccd91c5991510b7a"),
+    "rational-quartic.json": (
+        0, "3b01e50d6f31ea96d016adcc74f7287c2590b205d7632dc4e45db0b424e66576"
+    ),
+    "scroll-2-2.json": (0, "2b0ef8e2b65a0d48323df7a8e27bc91f06fe5dd4a3a689d05b78929d0a51016e"),
+    "sheared-veronese-2-4.json": (
+        0, "ef90699ac7e006e4bdb6832a497a847ad328e86fb993fa134b43525e47c1cb43"
+    ),
+    "surface-s3.json": (0, "6cbd866dd41faa841314cd87fdd097d99605e5918a2bb5b6d1a88cc11a21d616"),
+    "veronese-2-4-summed-form.json": (
+        0, "41d84e03b838d52703380f2c60c6a1cc47c736c865ca31c19e9374e6dd1c103d"
+    ),
+}
+
+_PINNED_COMMANDS = {
+    "info": (["info"], INFO_DIGESTS),
+    "sample-line": (["sample-line", "--seed", "42"], SAMPLE_LINE_DIGESTS),
+    "verify-text": (
+        ["verify", "--format", "text", "--seed", "42", "--samples", "10"],
+        VERIFY_TEXT_DIGESTS,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_COMMANDS))
+@pytest.mark.parametrize("name", sorted(BUILD_OMEGA_DIGESTS))
+def test_command_output_is_pinned(capsys, command, name):
+    argv, digests = _PINNED_COMMANDS[command]
+    source = name if name.startswith("builtin:") else str(_FIXTURE_DIR / name)
+    code, out, _ = run_cli(argv[0], source, *argv[1:], capsys=capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == digests[name]

@@ -1,7 +1,5 @@
-import functools
 import json
 from math import gcd
-from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -9,10 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HEISENBERG as HEIS
-from conftest import line_rows
+from conftest import (
+    ALL_CHARTS,
+    FIXTURE_DIR,
+    chart_and_form,
+    line_rows,
+    rational_block_variation,
+    solve_outcome,
+)
 from metaline import family_geometry as fam
 from metaline.jets import Jet1
-from metaline.linalg import Mat, NotInSpan, solve_in_span
+from metaline.linalg import Mat, solve_in_span
 from metaline.lines import translate
 from metaline.metabelian import GroupElement, OmegaForm, element, multiply
 from metaline.omega_builder import build_omega
@@ -23,14 +28,10 @@ from metaline.scalars import HALF, ONE, Q, ZERO, as_integers, from_integers
 from metaline.varieties import (
     VarietyChart,
     affine_tangent_frame,
-    builtin_names,
     chart_from_json,
     in_tangent_span,
-    omega_from_json,
     veronese_chart,
 )
-
-FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 def test_primary_and_next_pivots(twisted_cubic):
@@ -350,25 +351,6 @@ def test_family_dimension_below_the_bound_scans_every_point(monkeypatch):
     assert len(calls) == 10
 
 
-def _rational_block_variation(rows, pivots, drows):
-    """P^-1 (dN - dP B) in Fractions, P the pivot minor of the plane's
-    rows, N the other columns and B = P^-1 N."""
-    c1, c2 = pivots
-    (a, b), (c, d) = ((Q(row[c1]), Q(row[c2])) for row in rows)
-    det = a * d - b * c
-    inv = ((d / det, -b / det), (-c / det, a / det))
-
-    def rest(row):
-        return [v for k, v in enumerate(row) if k != c1 and k != c2]
-
-    block = [[i0 * p + i1 * q for p, q in zip(*map(rest, rows))] for i0, i1 in inv]
-    moved = [
-        [n - drow[c1] * b0 - drow[c2] * b1 for n, b0, b1 in zip(rest(drow), *block)]
-        for drow in drows
-    ]
-    return [[i0 * m0 + i1 * m1 for m0, m1 in zip(*moved)] for i0, i1 in inv]
-
-
 def _unit_basepoint_variation(omega, x, w, pivots):
     """basepoint_variation in Fractions, with each form block read off one
     apply call per unit vector a_w: form(x_w, a_w) and form(a_w, w)."""
@@ -383,7 +365,7 @@ def _unit_basepoint_variation(omega, x, w, pivots):
             a_w = tuple(ONE if i == k else ZERO for i in range(dim_w))
             d_point[dim_w:-1] = [HALF * c for c in omega.apply(x.w_part, a_w)]
             d_dir[dim_w:-1] = [HALF * c for c in omega.apply(a_w, w)]
-        moved = _rational_block_variation(rows, pivots, [d_point, d_dir])
+        moved = rational_block_variation(rows, pivots, [d_point, d_dir])
         cols.append(moved[0] + moved[1])
     return Mat.from_cols(cols)
 
@@ -487,24 +469,6 @@ def _pivot_choices(omega, x, w):
     return {kind: pivots for kind, pivots in choices.items() if pivots is not None}
 
 
-@functools.cache
-def _fixture_file(name):
-    """Chart and form of a tests/fixtures file, the form constructed when
-    the file gives none."""
-    data = json.loads((FIXTURE_DIR / name).read_text())
-    chart = chart_from_json(data)
-    if "omega" in data:
-        return chart, omega_from_json(chart.ambient_dim, data["omega"])
-    return chart, build_omega(chart).omega
-
-
-def _chart_and_form(fixture_cache, name):
-    if name.endswith(".json"):
-        return _fixture_file(name)
-    chart, omega, _ = fixture_cache(name)
-    return chart, omega
-
-
 # The isotropic builtins but veronese3-of-conic, whose width-44 jets are
 # slow, and a fixture with an explicit form.
 @pytest.mark.parametrize(
@@ -518,8 +482,8 @@ def _chart_and_form(fixture_cache, name):
         "veronese-2-4-summed-form.json",
     ],
 )
-def test_closed_form_variations_match_jets(fixture_cache, name):
-    chart, omega = _chart_and_form(fixture_cache, name)
+def test_closed_form_variations_match_jets(name):
+    chart, omega = chart_and_form(name)
     sampler = RationalSampler(67)
     kinds = set()
     for _ in range(3):
@@ -589,9 +553,6 @@ def test_splitting_type_rejects_a_rank_drop():
 
 # The Schur solve over the U unknowns against the full solve.
 
-_ALL_CHARTS = builtin_names() + sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
-
-
 def _eliminated(omega, pivots):
     """How many U unknowns lie off the pivot columns: the Schur solve
     eliminates one row and one column for each."""
@@ -614,14 +575,6 @@ def _slide_shift(chart, omega, param, x, delta, t, pivots):
     return [a - b for ra, rb in zip(j_t.entries, j_0.entries) for a, b in zip(ra, rb)]
 
 
-def _outcome(solve, *args):
-    """("coefficients", c) from a solve, or ("residual", r) from its NotInSpan."""
-    try:
-        return "coefficients", solve(*args)
-    except NotInSpan as exc:
-        return "residual", exc.residual
-
-
 def _counting_solve_in_span(monkeypatch):
     calls = []
 
@@ -637,8 +590,8 @@ def _full_solve(omega, x, w, pivots, target):
     return solve_in_span(fam.basepoint_variation(omega, x, as_integers(w), pivots), target)
 
 
-@pytest.mark.parametrize("name", _ALL_CHARTS)
-def test_schur_solve_matches_the_full_solve(fixture_cache, name, monkeypatch):
+@pytest.mark.parametrize("name", ALL_CHARTS)
+def test_schur_solve_matches_the_full_solve(name, monkeypatch):
     """On the slide shift, on a combination of the variation's columns and
     on two shifts moved off the span, at every pivot choice: the same
     coefficients, or the same NotInSpan residual.  solve_in_span runs once
@@ -646,7 +599,7 @@ def test_schur_solve_matches_the_full_solve(fixture_cache, name, monkeypatch):
     unknown, and a second time on the full variation only off the span.
     The variation's kernel is exactly (w, 0), so the Schur solve needs no
     rank test."""
-    chart, omega = _chart_and_form(fixture_cache, name)
+    chart, omega = chart_and_form(name)
     calls = _counting_solve_in_span(monkeypatch)
     sampler = RationalSampler(73).derive(name)
     seen = set()
@@ -665,10 +618,10 @@ def test_schur_solve_matches_the_full_solve(fixture_cache, name, monkeypatch):
             off_last = shift[:-1] + [shift[-1] + 1]
             off_first = [shift[0] + 1] + shift[1:]
             for target in (shift, combination, off_last, off_first):
-                expected = _outcome(solve_in_span, bvm, target)
+                expected = solve_outcome(solve_in_span, bvm, target)
                 del calls[:]
                 args = (omega, x, as_integers(w), pivots, as_integers(target))
-                got = _outcome(fam.solve_basepoint_variation, *args)
+                got = solve_outcome(fam.solve_basepoint_variation, *args)
                 assert got == expected, (kind, pivots)
                 seen.add(expected[0])
                 reduced = calls[0][0]
@@ -723,12 +676,12 @@ def _full_jacobian_rank(chart, omega, param, x, w, pivots):
         "scroll-2-2.json",
     ],
 )
-def test_family_rank_matches_the_full_jacobian_rank(fixture_cache, name):
+def test_family_rank_matches_the_full_jacobian_rank(name):
     """The Schur rank, the number of U unknowns off the pivot columns plus
     the rank of the rows none of them enters, equals the rank of the full
     Jacobian at every pivot choice; degenerate-frame.json stays one below
     the bound."""
-    chart, omega = _chart_and_form(fixture_cache, name)
+    chart, omega = chart_and_form(name)
     sampler = RationalSampler(79).derive(name)
     for _ in range(2):
         param = sampler.vector(chart.param_dim)
@@ -776,11 +729,9 @@ def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeyp
 @pytest.mark.parametrize(
     "name", ["veronese-2-3", "veronese-3-3", "flat-conic", "scroll-2-2.json", "nonisotropic-cubic"]
 )
-def test_limit_frame_is_minus_the_basepoint_variation_along_the_tangent(
-    fixture_cache, name, monkeypatch
-):
+def test_limit_frame_is_minus_the_basepoint_variation_along_the_tangent(name, monkeypatch):
     monkeypatch.setattr(fam, "PENCIL_SLIDES", ())
-    chart, omega = _chart_and_form(fixture_cache, name)
+    chart, omega = chart_and_form(name)
     sampler = RationalSampler(83).derive(name)
     for _ in range(2):
         param = sampler.vector(chart.param_dim)
@@ -797,12 +748,12 @@ def test_limit_frame_is_minus_the_basepoint_variation_along_the_tangent(
 
 
 @pytest.mark.parametrize("name, applies", [("flat-conic", 0), ("veronese-2-3", 1)])
-def test_slide_solve_back_substitutes_only_eliminated_unknowns(fixture_cache, name, applies):
+def test_slide_solve_back_substitutes_only_eliminated_unknowns(name, applies):
     """With the plane given, the slide solve reads the form through
     columns alone, and contracts it once, on the point row's move, only to
     back-substitute eliminated U unknowns: flat-conic (dim_u 0) eliminates
     none."""
-    chart, omega = _chart_and_form(fixture_cache, name)
+    chart, omega = chart_and_form(name)
     sampler = RationalSampler(97).derive(name)
     param = sampler.vector(chart.param_dim)
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
@@ -830,7 +781,7 @@ def test_the_slide_solve_keeps_its_operands_in_lowest_terms(monkeypatch):
     lowest terms, and the Schur systems, each column reduced before the lcm
     of its block row is taken, stay under 400 bits an entry: 171 to 184
     bits here, where unreduced columns gave 373 to 1,586."""
-    chart, omega = _fixture_file("moment-curve-12.json")
+    chart, omega = chart_and_form("moment-curve-12.json")
     schur, solve = fam._schur_system, fam.solve_basepoint_variation
     bits, gcds = [], []
 
@@ -854,11 +805,11 @@ def test_the_slide_solve_keeps_its_operands_in_lowest_terms(monkeypatch):
 # The symbolic direction variation is an independent oracle of the closed form.
 
 
-@pytest.mark.parametrize("name", _ALL_CHARTS)
-def test_symbolic_variation_matches_at_every_pivot_pair(fixture_cache, name):
+@pytest.mark.parametrize("name", ALL_CHARTS)
+def test_symbolic_variation_matches_at_every_pivot_pair(name):
     """At every _pivot_choices kind, at the slide and at slide zero; constant
     coordinates and the constant column enter the jet rows as rationals."""
-    chart, omega = _chart_and_form(fixture_cache, name)
+    chart, omega = chart_and_form(name)
     sampler = RationalSampler(101).derive(name)
     param = sampler.vector(chart.param_dim)
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))

@@ -47,6 +47,16 @@ def test_quotient_rule():
         a / jet(0, 1)
 
 
+def test_a_scalar_divisor_takes_the_quotient_rule():
+    for a in (jet(5, 7), Jet1(Q(2), (Q(3), Q(-1, 4)))):
+        for c in (2, Q(-5, 3)):
+            assert a / c == a / Jet1.const(c, len(a.eps))
+            assert a / c == Jet1(a.val / c, tuple(da / c for da in a.eps))
+        for zero in (0, Q(0)):
+            with pytest.raises(ZeroDivisionError):
+                a / zero
+
+
 def test_power_rule():
     x = jet(3, 1)
     assert x ** 4 == jet(81, 4 * 27)

@@ -1,4 +1,4 @@
-"""The integer kernels against rational references kept only here.
+"""The integer kernels against rational references kept only in the tests.
 
 OmegaForm.apply and OmegaForm.columns, chart_block, the block variation
 of family_geometry (_moved_rows, _block_variation), the Schur slide solve,
@@ -11,26 +11,31 @@ int entries and large denominators), and the slide solve and the chart
 evaluator on every builtin and fixture chart.
 """
 
-import functools
-import json
 import pickle
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import form_from_table, line_rows
+from conftest import (
+    ALL_CHARTS,
+    chart_and_form,
+    form_from_table,
+    line_rows,
+    rational_block_variation,
+    rational_chart,
+    rational_moved,
+    solve_outcome,
+)
 from metaline import family_geometry as fam
 from metaline import lines as lin
 from metaline import metabelian as meta
 from metaline.jets import Jet1
 from metaline.linalg import (
     Mat,
-    NotInSpan,
     integer_rref,
     pair_count,
     solve_in_span,
@@ -54,12 +59,8 @@ from metaline.varieties import (
     affine_tangent_frame,
     builtin_chart,
     builtin_names,
-    chart_from_json,
     make_chart,
-    omega_from_json,
 )
-
-FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 large_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**15).map(
     lambda f: Q(f.numerator, f.denominator)
@@ -204,39 +205,6 @@ def test_levi_tensor_check_passes_on_every_builtin(name):
     assert [(c.name, c.passes, c.failures) for c in report.checks] == [("levi-tensor", 3, 0)]
 
 
-def _rational_chart(rows, pivots):
-    """P^-1 and B = P^-1 N of a plane's rational rows, or None when the
-    pivot minor P is singular."""
-    c1, c2 = pivots
-    (a, b), (c, d) = ((Q(row[c1]), Q(row[c2])) for row in rows)
-    det = a * d - b * c
-    if det == 0:
-        return None
-    inv = ((d / det, -b / det), (-c / det, a / det))
-    block = [
-        [i0 * p + i1 * q for col, (p, q) in enumerate(zip(*rows)) if col not in pivots]
-        for i0, i1 in inv
-    ]
-    return inv, block
-
-
-def _rational_moved(rows, pivots, drows):
-    """dN - dP B in Fractions, block row by block row."""
-    _, block = _rational_chart(rows, pivots)
-    rest = [[v for col, v in enumerate(drow) if col not in pivots] for drow in drows]
-    return [
-        [n - drow[pivots[0]] * b0 - drow[pivots[1]] * b1 for n, b0, b1 in zip(row, *block)]
-        for row, drow in zip(rest, drows)
-    ]
-
-
-def _rational_block_variation(rows, pivots, drows):
-    """P^-1 (dN - dP B) in Fractions."""
-    inv, _ = _rational_chart(rows, pivots)
-    moved = _rational_moved(rows, pivots, drows)
-    return [[i0 * m0 + i1 * m1 for m0, m1 in zip(*moved)] for i0, i1 in inv]
-
-
 @st.composite
 def planes(draw, singular=True):
     """Two rational rows, a pivot pair, and, at random, a singular pivot
@@ -265,7 +233,7 @@ def test_chart_block_matches_the_rational_formula(case):
     P^-1 = adj diag(l_0, l_1) / det and B = block / det, with det > 0;
     a singular minor raises ChartMiss with its message."""
     rows, pivots = case
-    expected = _rational_chart(rows, pivots)
+    expected = rational_chart(rows, pivots)
     if expected is None:
         with pytest.raises(fam.ChartMiss) as err:
             _integer_plane(rows, pivots)
@@ -288,7 +256,7 @@ def test_block_variation_matches_the_rational_formula(case, data):
     rows, pivots = case
     ncols = len(rows[0])
     drows = data.draw(st.lists(_vectors(ncols), min_size=2, max_size=2))
-    if _rational_chart(rows, pivots) is None:
+    if rational_chart(rows, pivots) is None:
         with pytest.raises(fam.ChartMiss) as err:
             _integer_plane(rows, pivots)
         assert str(err.value) == f"pivot columns {pivots} are singular here"
@@ -296,26 +264,14 @@ def test_block_variation_matches_the_rational_formula(case, data):
     plane = _integer_plane(rows, pivots)
     scaled = [as_integers(drow) for drow in drows]
     moved = fam._moved_rows(plane, scaled)
-    assert [[Q(v, scale) for v in row] for row, scale in moved] == _rational_moved(
+    assert [[Q(v, scale) for v in row] for row, scale in moved] == rational_moved(
         rows, pivots, drows
     )
     dB, scale = fam._block_variation(plane, scaled)
     assert scale > 0 and all(type(v) is int for row in dB for v in row)
-    assert [[Q(v, scale) for v in row] for row in dB] == _rational_block_variation(
+    assert [[Q(v, scale) for v in row] for row in dB] == rational_block_variation(
         rows, pivots, drows
     )
-
-
-@functools.cache
-def _chart_and_form(name):
-    if name.endswith(".json"):
-        data = json.loads((FIXTURE_DIR / name).read_text())
-        chart = chart_from_json(data)
-        if "omega" in data:
-            return chart, omega_from_json(chart.ambient_dim, data["omega"])
-        return chart, build_omega(chart).omega
-    chart, omega = builtin_chart(name)
-    return chart, omega if omega is not None else build_omega(chart).omega
 
 
 def _pivot_kinds(omega, x, w):
@@ -356,19 +312,9 @@ def _rational_basepoint_variation(omega, x, w, pivots):
             unit = [ONE if i == k else ZERO for i in range(dim_w)]
             d_point[dim_w:-1] = [HALF * c for c in _generic_apply(omega, x.w_part, unit)]
             d_dir[dim_w:-1] = [HALF * c for c in _generic_apply(omega, unit, w)]
-        moved = _rational_block_variation(rows, pivots, [d_point, d_dir])
+        moved = rational_block_variation(rows, pivots, [d_point, d_dir])
         cols.append(moved[0] + moved[1])
     return Mat.from_cols(cols)
-
-
-def _outcome(solve, *args):
-    try:
-        return "coefficients", solve(*args)
-    except NotInSpan as exc:
-        return "residual", exc.residual
-
-
-_ALL_CHARTS = builtin_names() + sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
 
 
 def _assert_frame_wedges_are_symbolic(chart, pairs):
@@ -391,10 +337,10 @@ def _assert_frame_wedges_are_symbolic(chart, pairs):
         assert len(scales) <= 1 and all(s > 0 for s in scales)
 
 
-@pytest.mark.parametrize("name", _ALL_CHARTS)
+@pytest.mark.parametrize("name", ALL_CHARTS)
 def test_integer_wedges_are_the_symbolic_wedges(name):
     """build_omega's monomial vectors: frame_wedges over every index pair."""
-    chart, _ = _chart_and_form(name)
+    chart, _ = chart_and_form(name)
     pairs = [(k, i, j) for k, (i, j) in enumerate(combinations(range(chart.ambient_dim), 2))]
     _assert_frame_wedges_are_symbolic(chart, pairs)
 
@@ -403,28 +349,28 @@ def test_integer_wedges_are_the_symbolic_wedges(name):
 def test_frame_wedges_at_a_sparse_forms_pairs_are_the_symbolic_wedges(name):
     """The certificate's monomial vectors: frame_wedges at exactly the
     nonzero pairs of an explicit sparse form."""
-    chart, omega = _chart_and_form(name)
+    chart, omega = chart_and_form(name)
     pairs = [(k, i, j) for k, i, j, _ in omega.terms]
     assert 0 < len(pairs) < pair_count(chart.ambient_dim)
     _assert_frame_wedges_are_symbolic(chart, pairs)
 
 
-@pytest.mark.parametrize("name", _ALL_CHARTS)
+@pytest.mark.parametrize("name", ALL_CHARTS)
 def test_built_form_is_its_dense_table(name):
     """build_omega's sparse form equals the form of its own dense table."""
-    chart, _ = _chart_and_form(name)
+    chart, _ = chart_and_form(name)
     omega = build_omega(chart).omega
     dense = form_from_table(omega.dim_w, omega.dim_u, omega.table)
     assert dense == omega and hash(dense) == hash(omega) and dense.terms == omega.terms
 
 
-@pytest.mark.parametrize("name", _ALL_CHARTS)
+@pytest.mark.parametrize("name", ALL_CHARTS)
 def test_slide_solve_matches_the_rational_full_solve(name):
     """solve_basepoint_variation, on integer rows, against solve_in_span on
     the Fraction basepoint variation, at every pivot kind: on the slide
     shift, on a combination of the columns and on a shift moved off the
     span, the same coefficients or the same NotInSpan residual."""
-    chart, omega = _chart_and_form(name)
+    chart, omega = chart_and_form(name)
     sampler = RationalSampler(107).derive(name)
     param = sampler.vector(chart.param_dim)
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
@@ -441,8 +387,8 @@ def test_slide_solve_matches_the_rational_full_solve(name):
         combination = list(full.times_vector(sampler.vector(full.ncols)))
         off_span = [shift[0] + 1] + shift[1:]
         for target in (shift, combination, off_span):
-            expected = _outcome(solve_in_span, full, target)
-            got = _outcome(
+            expected = solve_outcome(solve_in_span, full, target)
+            got = solve_outcome(
                 fam.solve_basepoint_variation, omega, x, as_integers(w), pivots, as_integers(target)
             )
             assert got == expected, kind
@@ -568,9 +514,9 @@ def test_compiled_chart_matches_poly_evaluate(chart, data):
     _assert_compiled_matches_poly_evaluate(chart, point, delta)
 
 
-@pytest.mark.parametrize("name", _ALL_CHARTS)
+@pytest.mark.parametrize("name", ALL_CHARTS)
 def test_compiled_chart_matches_poly_evaluate_on_every_chart(name):
-    chart, _ = _chart_and_form(name)
+    chart, _ = chart_and_form(name)
     sampler = RationalSampler(109).derive(name)
     d = chart.param_dim
     points = [sampler.vector(d) for _ in range(3)]
