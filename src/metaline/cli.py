@@ -53,7 +53,7 @@ def _load_fixture(source):
             data = json.load(handle)
     except OSError as exc:
         raise FixtureError(f"cannot read fixture {source!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FixtureError(f"fixture {source!r} is not valid JSON: {exc}")
     except RecursionError:
         raise FixtureError(f"fixture {source!r} is nested too deeply")

@@ -23,8 +23,12 @@ are that closed form.  Everything here differentiates the picture exactly:
 
 These closed forms read the chart only through its frame at the sample's
 parameter, as VarietyChart.frame_integers gives it: the value row (the
-line direction w), then the d partial rows, each (integers, scale).  Only
-the symbolic oracle (direction_variation_symbolic) takes the chart.
+line direction w), then the d partial rows, each (integers, scale).  They
+read the line through its plane at the sample's base point and pivot
+columns (_Plane), which line_planes builds once per sample, and build
+another plane only at a slid base point.  Only the symbolic oracle
+(direction_variation_symbolic) takes the chart, and of the plane only its
+pivot pair.
 
 Multiplied by P, a U direction off the pivot columns moves one entry of
 the block's first row and nothing else.  So the slide solve
@@ -70,32 +74,6 @@ class ChartMiss(Exception):
     """The chosen pivot columns are singular at this plane."""
 
 
-def _pivot_pairs(omega: OmegaForm, x: GroupElement, w):
-    """Column pairs, in lex order, where the rows of the line's plane have
-    a nonzero 2 x 2 minor.  The first is the echelon pivot pair: the first
-    nonzero column and the first column not parallel to it."""
-    (top, _), (bottom, _) = line_matrix_rows(omega, x, w)
-    ncols = len(top)
-    for i in range(ncols):
-        for j in range(i + 1, ncols):
-            if top[i] * bottom[j] != top[j] * bottom[i]:
-                yield (i, j)
-
-
-def primary_pivots(omega: OmegaForm, x: GroupElement, w):
-    """Leftmost valid pivot pair: the echelon pivots of the line's plane."""
-    pivots = next(_pivot_pairs(omega, x, w), None)
-    if pivots is None:
-        raise ChartMiss("line span is degenerate")
-    return pivots
-
-
-def next_pivots(omega: OmegaForm, x: GroupElement, w, exclude):
-    """Next pivot pair (lex order) with invertible minor, or None."""
-    exclude = tuple(exclude)
-    return next((pair for pair in _pivot_pairs(omega, x, w) if pair != exclude), None)
-
-
 def chart_block(rows, pivots):
     """The plane's chart at the pivot columns, from its two rows scaled to
     integers: (adj, det, block) with det > 0, adj the adjugate of the
@@ -115,9 +93,11 @@ def chart_block(rows, pivots):
 
 @dataclass(frozen=True)
 class _Plane:
-    """The line's plane in integers: row r is rows[r] / scales[r], and
-    (adj, det, block) is its chart_block at the pivots."""
+    """The line's plane through the base point x in integers: row r is
+    rows[r] / scales[r], and (adj, det, block) is its chart_block at the
+    pivots."""
 
+    x: GroupElement
     rows: tuple
     scales: tuple
     pivots: tuple
@@ -126,12 +106,37 @@ class _Plane:
     block: tuple
 
 
-def _plane(omega: OmegaForm, x: GroupElement, w, pivots):
-    """The line's plane through x, its rows as line_matrix_rows gives them,
-    and their chart_block at the pivots."""
-    (point, l0), (direction, l1) = line_matrix_rows(omega, x, w)
+def _plane(x: GroupElement, line_rows, pivots):
+    """The _Plane of the line's rows through x, as line_matrix_rows gives
+    them, at the pivots."""
+    (point, l0), (direction, l1) = line_rows
     rows = (point, direction)
-    return _Plane(rows, (l0, l1), pivots, *chart_block(rows, pivots))
+    return _Plane(x, rows, (l0, l1), pivots, *chart_block(rows, pivots))
+
+
+def line_planes(omega: OmegaForm, x: GroupElement, w):
+    """The line's plane through x in direction w at each column pair, in
+    lex order, where its rows have a nonzero 2 x 2 minor.  The first is at
+    the echelon pivot pair: the first nonzero column and the first column
+    not parallel to it.  The point row ends in its positive scale and the
+    direction row in 0, so there is a first unless w is zero, when
+    ChartMiss is raised instead."""
+    line_rows = line_matrix_rows(omega, x, w)
+    (top, _), (bottom, _) = line_rows
+    if not any(bottom):
+        raise ChartMiss("line span is degenerate")
+    ncols = len(top)
+    for i in range(ncols):
+        for j in range(i + 1, ncols):
+            if top[i] * bottom[j] != top[j] * bottom[i]:
+                yield _plane(x, line_rows, (i, j))
+
+
+def _slid(omega: OmegaForm, plane: _Plane, w, t):
+    """The plane at the same pivots through plane.x slid by t along w.
+    Raises ChartMiss when the pivots are singular there."""
+    xt = translate(omega, plane.x, w, t)
+    return _plane(xt, line_matrix_rows(omega, xt, w), plane.pivots)
 
 
 def _moved_rows(plane: _Plane, drows):
@@ -194,12 +199,11 @@ def _tangent(frame, delta):
     return out, scale
 
 
-def direction_variation(omega: OmegaForm, frame, x, delta, t, pivots) -> Mat:
+def direction_variation(omega: OmegaForm, frame, plane: _Plane, delta, t) -> Mat:
     """Derivative of the chart coordinates of the line's plane as the
     parameter moves along delta, the base slid by t along the line."""
-    w = frame[0]
-    plane = _plane(omega, translate(omega, x, w, t), w, pivots)
-    rows, scale = _tangent_variation(omega, plane, _tangent(frame, delta))
+    slid = _slid(omega, plane, frame[0], t)
+    rows, scale = _tangent_variation(omega, slid, _tangent(frame, delta))
     return Mat([from_integers(row, scale) for row in rows])
 
 
@@ -257,13 +261,12 @@ def _w_variation(omega: OmegaForm, plane: _Plane):
     return moves
 
 
-def basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, plane=None) -> Mat:
-    """Derivative of the plane as the base moves to x * exp(a): one
+def basepoint_variation(omega: OmegaForm, plane: _Plane) -> Mat:
+    """Derivative of the plane as its base x moves to x * exp(a): one
     column per algebra basis direction a, rows the flattened chart
     block.  A W-direction moves both rows (_w_variation); a U-direction
     moves one entry of the point row.  The kernel is the span of the
     line direction."""
-    plane = plane or _plane(omega, x, w, pivots)
     cols = [_times_inverse(plane, moved) for moved in _w_variation(omega, plane)]
     width = len(plane.rows[0])
     for k in range(omega.dim_w, width - 1):
@@ -320,10 +323,10 @@ def _schur_system(omega: OmegaForm, plane: _Plane, cols):
     return rows, kept, u_pos
 
 
-def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shift, plane=None):
-    """solve_in_span(basepoint_variation(omega, x, w, pivots), S / s) for
-    the shift given as (integers S, scale s > 0), through a Schur
-    complement over the U unknowns (on the given _plane).
+def solve_basepoint_variation(omega: OmegaForm, plane: _Plane, shift):
+    """solve_in_span(basepoint_variation(omega, plane), S / s) for the
+    shift given as (integers S, scale s > 0), through a Schur complement
+    over the U unknowns.
 
     The shift is multiplied by the pivot minor P, and the W columns are
     built in the same un-inverted form (_w_variation), all as integer rows
@@ -345,13 +348,12 @@ def solve_basepoint_variation(omega: OmegaForm, x: GroupElement, w, pivots, shif
     of span the full variation is solved instead, on the rational shift,
     so that NotInSpan carries the full system's residual.
     """
-    plane = plane or _plane(omega, x, w, pivots)
     target = _times_minor(plane, shift)
     reduced, kept, u_pos = _schur_system(omega, plane, [target] + _w_variation(omega, plane))
     try:
         coeffs = solve_in_span(Mat([row[1:] for row in reduced]), [row[0] for row in reduced])
     except NotInSpan:
-        full = basepoint_variation(omega, x, w, pivots, plane)
+        full = basepoint_variation(omega, plane)
         return solve_in_span(full, from_integers(*shift))
     if not u_pos:  # every U unknown is kept, in column order
         return coeffs
@@ -376,7 +378,7 @@ class SlideCheckResult:
     residual: tuple
 
 
-def check_slide_identity(omega: OmegaForm, frame, x, delta, t, pivots) -> SlideCheckResult:
+def check_slide_identity(omega: OmegaForm, frame, plane: _Plane, delta, t) -> SlideCheckResult:
     """Verify: (variation slid by t) - (variation at 0), pulled back
     through the basepoint variation, equals -t times the chart tangent
     modulo the line direction.  Exact, zero tolerance.  The pulled-back
@@ -387,15 +389,13 @@ def check_slide_identity(omega: OmegaForm, frame, x, delta, t, pivots) -> SlideC
     pivot columns are eliminated through their own rows and only the
     others are solved.  Its coefficients, and the residual of NotInSpan
     when the shift is out of span, are those of the full solve.  The
-    variation at 0 and the pull-back share the plane at slide zero."""
-    w = frame[0]
+    variation at 0 and the pull-back share the given plane, at slide zero."""
     tangent = _tangent(frame, delta)
-    plane = _plane(omega, x, w, pivots)
-    slid = _plane(omega, translate(omega, x, w, t), w, pivots)
+    slid = _slid(omega, plane, frame[0], t)
     j_t, e_t = _tangent_variation(omega, slid, tangent)
     j_0, e_0 = _tangent_variation(omega, plane, tangent)
     shift = [a * e_0 - b * e_t for row_t, row_0 in zip(j_t, j_0) for a, b in zip(row_t, row_0)]
-    coeffs = solve_basepoint_variation(omega, x, w, pivots, lowest_terms(shift, e_t * e_0), plane)
+    coeffs = solve_basepoint_variation(omega, plane, lowest_terms(shift, e_t * e_0))
     residual = _slide_residual(omega, coeffs, tangent, t, plane.rows[1][: omega.dim_w])
     ok = not any(residual)
 
@@ -430,15 +430,15 @@ def _slide_residual(omega: OmegaForm, coeffs, tangent, t, iw):
     return tuple(from_integers([c * a - b * v for c, v in zip(r, iw)], scale * dt * td * a))
 
 
-def pencil_frames(omega: OmegaForm, frame, x, pivots):
-    """Frames spanning the pencil of direction-derivative planes.
+def pencil_frames(omega: OmegaForm, frame, plane: _Plane):
+    """Frames spanning the pencil of direction-derivative planes at the
+    given plane.
 
     Returns (frame at slide zero, limit frame), each d columns given as
     (integers, scale).  Asserts the pencil is exactly linear in the slide
     parameter at several slides.
     """
     w, *tangents = frame
-    plane = _plane(omega, x, w, pivots)
     (point, direction), (l0, l1) = plane.rows, plane.scales
     f0, f_inf = [], []
     for it, dt in tangents:
@@ -454,7 +454,7 @@ def pencil_frames(omega: OmegaForm, frame, x, pivots):
         f_inf.append(([-v for row in rows for v in row], scale))
 
     for t in PENCIL_SLIDES:
-        slid_plane = _plane(omega, translate(omega, x, w, t), w, pivots)
+        slid_plane = _slid(omega, plane, w, t)
         tn, td = t.numerator, t.denominator
         for tangent, (col_0, e_0), (col_inf, e_inf) in zip(tangents, f0, f_inf):
             rows, scale = _tangent_variation(omega, slid_plane, tangent)
@@ -476,7 +476,7 @@ def check_splitting_type(frame0, frame_inf) -> bool:
     return len(integer_rref(columns, len(columns[0]))[1]) == 2 * len(frame0)
 
 
-def family_dimension(omega: OmegaForm, frame, x, pivots) -> int:
+def family_dimension(omega: OmegaForm, frame, plane: _Plane) -> int:
     """Rank at one point of the Jacobian of (parameter, base point) ->
     chart coordinates of the line's plane: the direction variations along
     the parameter axes beside the basepoint variation (moving the base by
@@ -491,7 +491,6 @@ def family_dimension(omega: OmegaForm, frame, x, pivots) -> int:
     those plus the rank of the other rows over the other columns
     (_schur_system).
     """
-    plane = _plane(omega, x, frame[0], pivots)
     moves = [_moved_rows(plane, _tangent_rows(omega, plane, partial)) for partial in frame[1:]]
     reduced, _, u_pos = _schur_system(omega, plane, moves + _w_variation(omega, plane))
     return len(u_pos) + Mat(reduced).rank()

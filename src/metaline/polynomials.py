@@ -14,7 +14,7 @@ literals a/b, variables, + - * ^ (also **), unary minus and parentheses.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 
 from .scalars import Q, ZERO, qstr
 
@@ -260,6 +260,13 @@ MAX_DEGREE = 64
 MAX_TERMS = 1000
 
 
+# Cap on the bit length of the numerator and the denominator of every
+# parsed coefficient, checked on a bound before each literal, sum, product
+# or power is formed, so that no parse builds a huge integer and every
+# coefficient prints (Python prints integers of up to 4300 digits).
+MAX_COEFFICIENT_BITS = 1024
+
+
 def _check_degree(what, value):
     if value > MAX_DEGREE:
         raise PolyParseError(f"{what} {value} exceeds the cap of {MAX_DEGREE}")
@@ -268,6 +275,26 @@ def _check_degree(what, value):
 def _check_terms(bound):
     if bound > MAX_TERMS:
         raise PolyParseError(f"up to {bound} terms exceeds the cap of {MAX_TERMS}")
+
+
+def _check_bits(bound):
+    if bound > MAX_COEFFICIENT_BITS:
+        raise PolyParseError(
+            f"coefficients of up to {bound} bits exceed the cap of {MAX_COEFFICIENT_BITS}"
+        )
+
+
+def _height(poly):
+    """(n, d): the coefficients of poly are integers of at most n bits over
+    one common denominator of d bits.  A sum of such polynomials with
+    heights (n, d) and (m, e) has coefficients of at most
+    max(n + e, m + d) + 1 bits over d + e, a product with p terms in the
+    shorter factor n + m + bits(p - 1) over d + e, and the k-th power of
+    the first, with p terms, k (n + bits(p - 1)) over k d."""
+    coeffs = poly.terms.values()
+    den = lcm(*(c.denominator for c in coeffs))
+    top = max((abs(c.numerator) * (den // c.denominator) for c in coeffs), default=0)
+    return top.bit_length(), den.bit_length()
 
 
 class _Parser:
@@ -300,6 +327,8 @@ class _Parser:
             op = self.take()[1]
             rhs = self.term()
             _check_terms(len(node.terms) + len(rhs.terms))
+            (n, d), (m, e) = _height(node), _height(rhs)
+            _check_bits(max(n + e + 1, m + d + 1, d + e))
             node = node + rhs if op == "+" else node - rhs
         return node
 
@@ -308,17 +337,19 @@ class _Parser:
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             op = self.take()[1]
             rhs = self.factor()
-            if op == "*":
-                _check_degree("degree", node.total_degree() + rhs.total_degree())
-                _check_terms(len(node.terms) * len(rhs.terms))
-                node = node * rhs
-            else:
+            if op == "/":
                 if rhs.total_degree() > 0:
                     raise PolyParseError("division only by rational constants")
                 if not rhs.terms:
                     raise PolyParseError("division by zero")
                 (c,) = rhs.terms.values()
-                node = node * (1 / c)
+                rhs = Poly.const(1 / c, self.nvars)
+            _check_degree("degree", node.total_degree() + rhs.total_degree())
+            _check_terms(len(node.terms) * len(rhs.terms))
+            (n, d), (m, e) = _height(node), _height(rhs)
+            shorter = min(len(node.terms), len(rhs.terms))
+            _check_bits(max(n + m + (shorter - 1).bit_length(), d + e))
+            node = node * rhs
         return node
 
     def factor(self):
@@ -339,12 +370,15 @@ class _Parser:
             _check_degree("exponent", exponent)
             _check_degree("degree", node.total_degree() * exponent)
             _check_terms(comb(max(len(node.terms), 1) + exponent - 1, exponent))
+            n, d = _height(node)
+            _check_bits(exponent * max(n + (len(node.terms) - 1).bit_length(), d))
             node = node ** exponent
         return node
 
     def atom(self):
         kind, text = self.take()
         if kind == "int":
+            _check_bits(len(text) * 10 // 3 + 1)  # 10^digits < 2^(digits * 10/3)
             return Poly.const(int(text), self.nvars)
         if kind == "name":
             if text not in self.index:
@@ -356,6 +390,20 @@ class _Parser:
                 raise PolyParseError("missing closing parenthesis")
             return node
         raise PolyParseError(f"unexpected token {text!r}")
+
+
+def check_variable_names(names):
+    """Raise PolyParseError naming the first name that the tokenizer does
+    not read as one name token, since no coordinate could mention it."""
+    for name in names:
+        try:
+            tokens = _tokenize(name)
+        except PolyParseError:
+            tokens = None
+        if tokens != [("name", name), ("end", "")]:
+            raise PolyParseError(
+                f"variable {name!r} is not a name: a letter or _, then letters, digits or _"
+            )
 
 
 def parse_poly(text, variables):

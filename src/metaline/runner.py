@@ -49,20 +49,21 @@ def _slide_outcome(chart, omega, cfg, variant):
     if cfg is None:
         return ("skip", "degenerate frame")
     param, frame, x, delta, t = cfg
+    planes = fam.line_planes(omega, x, frame[0])
     try:
-        pivots = fam.primary_pivots(omega, x, frame[0])
+        plane = next(planes)
         if variant == "alt":
-            pivots = fam.next_pivots(omega, x, frame[0], pivots)
-            if pivots is None:
+            plane = next(planes, None)
+            if plane is None:
                 return ("skip", "no second chart")
         elif variant == "symbolic":
             for slide in (t, Q(0)):
-                closed = (omega, frame, x, delta, slide, pivots)
-                oracle = (chart, omega, param, x, delta, slide, pivots)
-                if fam.direction_variation(*closed) != fam.direction_variation_symbolic(*oracle):
+                closed = fam.direction_variation(omega, frame, plane, delta, slide)
+                oracle = (chart, omega, param, x, delta, slide, plane.pivots)
+                if closed != fam.direction_variation_symbolic(*oracle):
                     note = f"closed-form and symbolic derivatives disagree at slide {qstr(slide)}"
                     return ("fail", note)
-        result = fam.check_slide_identity(omega, frame, x, delta, t, pivots)
+        result = fam.check_slide_identity(omega, frame, plane, delta, t)
     except fam.ChartMiss as exc:
         return ("skip", f"chart miss: {exc}")
     except NotInSpan as exc:
@@ -215,8 +216,8 @@ def _family_dimension_outcomes(run):
     the family's dimension n - 1 + d.  No point exceeds it (the basepoint
     variation along the line direction is zero), so the scan stops at
     the first point that reaches it.  A parameter where the chart
-    vanishes, or a point whose pivots are singular, is passed over; a
-    degenerate frame is measured like any other."""
+    vanishes gives no line and is passed over; every other point has a
+    plane.  A degenerate frame is measured like any other."""
     chart, omega = run.chart, run.omega
     sampler = run.stream("family-dim")
     expected, measured = run.dims["familyDim"], 0
@@ -225,11 +226,8 @@ def _family_dimension_outcomes(run):
         if not any(frame[0][0]):
             continue
         x = _sample_element(sampler, omega)
-        try:
-            pivots = fam.primary_pivots(omega, x, frame[0])
-            measured = max(measured, fam.family_dimension(omega, frame, x, pivots))
-        except fam.ChartMiss:
-            continue
+        plane = next(fam.line_planes(omega, x, frame[0]))
+        measured = max(measured, fam.family_dimension(omega, frame, plane))
         if measured == expected:
             return [("pass", None)]
     return [("fail", f"measured {measured}, expected {expected}")]
@@ -272,8 +270,8 @@ def _pencil_sample(run, sampler, k, fiber, x):
     """(pencil-split outcome, splitting-type outcome) of one pencil."""
     omega, frame = run.omega, fiber.frame
     try:
-        pivots = fam.primary_pivots(omega, x, frame[0])
-        frame0, frame_inf = fam.pencil_frames(omega, frame, x, pivots)
+        plane = next(fam.line_planes(omega, x, frame[0]))
+        frame0, frame_inf = fam.pencil_frames(omega, frame, plane)
     except fam.ChartMiss as exc:
         return ("skip", f"chart miss: {exc}")
     except AssertionError as exc:

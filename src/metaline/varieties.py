@@ -34,7 +34,7 @@ from operator import add
 
 from .linalg import combine_rows, integer_rref, pair_count
 from .metabelian import OmegaForm
-from .polynomials import Poly, parse_poly
+from .polynomials import Poly, check_variable_names, parse_poly
 from .scalars import Q, as_integers, from_integers, parse_rational, qstr
 
 
@@ -190,21 +190,23 @@ class IsotropyCertificate:
     witness: IsotropyWitness | None
 
 
+def _compositions(n, total, bound):
+    """The tuples of n entries in 0..bound that sum to total, in ascending
+    lexicographic order, generated lazily."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(max(0, total - bound * (n - 1)), min(bound, total) + 1):
+        for rest in _compositions(n - 1, total - first, bound):
+            yield (first, *rest)
+
+
 def _grid_by_sum(nvars, bound):
     """Points of {0..bound}^nvars, by coordinate sum and then lexicographically,
     generated lazily."""
-
-    def parts(n, total):
-        if n == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(max(0, total - bound * (n - 1)), min(bound, total) + 1):
-            for rest in parts(n - 1, total - first):
-                yield (first, *rest)
-
     for total in range(nvars * bound + 1):
-        yield from parts(nvars, total)
+        yield from _compositions(nvars, total, bound)
 
 
 def certify_isotropic(chart: VarietyChart, omega: OmegaForm) -> IsotropyCertificate:
@@ -237,8 +239,7 @@ def certify_isotropic(chart: VarietyChart, omega: OmegaForm) -> IsotropyCertific
 
 def _degree_exponents(nvars, degree):
     """Exponent tuples of total degree == degree, descending lex order."""
-    exps = itertools.product(range(degree + 1), repeat=nvars)
-    return sorted((e for e in exps if sum(e) == degree), reverse=True)
+    return list(_compositions(nvars, degree, degree))[::-1]
 
 
 def veronese_chart(r, k, label=None) -> VarietyChart:
@@ -316,6 +317,7 @@ def chart_from_json(data) -> VarietyChart:
     variables = _json_field(data, "variables", list)
     if any(type(v) is not str for v in variables) or len(set(variables)) != len(variables):
         raise ValueError(f"variables must be distinct strings, got {json.dumps(variables)}")
+    check_variable_names(variables)
     coordinates = _json_field(data, "coordinates", list)
     if any(type(c) is not str for c in coordinates):
         raise ValueError(f"coordinates must be strings, got {json.dumps(coordinates)}")

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from metaline import family_geometry as fam
 from metaline.linalg import NotInSpan
+from metaline.lines import line_matrix_rows
 from metaline.metabelian import OmegaForm
 from metaline.omega_builder import build_omega
-from metaline.scalars import HALF, ONE, Q, ZERO
+from metaline.scalars import HALF, ONE, Q, ZERO, as_integers
 from metaline.varieties import builtin_chart, builtin_names, chart_from_json, omega_from_json
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -36,6 +38,41 @@ def line_rows(omega, x, w):
     that lines.line_matrix_rows computes in integers."""
     half_corr = [HALF * c for c in omega.apply(x.w_part, w)]
     return [[*x.w_part, *x.u_part, ONE], [*w, *half_corr, ZERO]]
+
+
+def plane_at(omega, x, w, pivots):
+    """The line's plane through x in direction w, an integer row over a
+    positive scale, at the given pivot columns: the plane that
+    family_geometry.line_planes yields at that pair."""
+    return fam._plane(x, line_matrix_rows(omega, x, w), pivots)
+
+
+def pivot_planes(omega, x, w):
+    """The line's planes through x in direction w (rationals) at the
+    primary and next pivots, and at the first valid pair of each kind with
+    a U column: W-U, U-constant, U-U.  With a pivot in U, a U-direction
+    moves the pivot minor."""
+    rows = line_rows(omega, x, w)
+    last = len(rows[0]) - 1
+    u_cols = range(omega.dim_w, last)
+
+    def first_valid(pairs):
+        return next(
+            ((i, j) for i, j in pairs if rows[0][i] * rows[1][j] != rows[0][j] * rows[1][i]),
+            None,
+        )
+
+    pairs = {
+        "w-u": first_valid((i, j) for i in range(omega.dim_w) for j in u_cols),
+        "u-constant": first_valid((j, last) for j in u_cols),
+        "u-u": first_valid((i, j) for i in u_cols for j in u_cols if i < j),
+    }
+    planes = fam.line_planes(omega, x, as_integers(w))
+    kinds = {"primary": next(planes), "next": next(planes, None)}
+    kinds.update(
+        (kind, plane_at(omega, x, as_integers(w), pair)) for kind, pair in pairs.items() if pair
+    )
+    return {kind: plane for kind, plane in kinds.items() if plane is not None}
 
 
 def sl2_exterior_square_dims(k):

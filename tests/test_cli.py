@@ -551,6 +551,38 @@ def test_chart_past_the_coordinate_cap_exits_two(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "malformed" in err and "33 coordinates, more than 32" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "info", "build-omega", "sample-line"])
+@pytest.mark.parametrize(
+    "fixture, message",
+    [
+        (
+            {"variables": ["t"], "coordinates": ["1", "t", "((2^64)^64)^64*t^2", "t^3"]},
+            "coefficients of up to 4160 bits exceed the cap of 1024",
+        ),
+        ({"variables": ["t", ""], "coordinates": ["1", "t", "t^2"]}, "variable '' is not a name"),
+        ({"variables": ["2t"], "coordinates": ["1", "t", "t^2"]}, "variable '2t' is not a name"),
+        ({"variables": ["a b"], "coordinates": ["1", "a", "a^2"]}, "variable 'a b' is not a name"),
+    ],
+)
+def test_unreadable_chart_exits_two_at_load(tmp_path, capsys, command, fixture, message):
+    """A coefficient past the bit cap, and a variable name that no
+    coordinate could mention, stop every command at load."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"label": "x", **fixture}))
+    code, out, err = run_cli(command, str(bad), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "malformed" in err and message in err
+
+
+def test_fixture_that_is_not_utf8_exits_two(tmp_path, capsys):
+    bad = tmp_path / "latin-1.json"
+    fixture = json.dumps({"label": "caf\xe9", **_CUBIC}, ensure_ascii=False)
+    bad.write_bytes(fixture.encode("latin-1"))
+    code, _, err = run_cli("info", str(bad), capsys=capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and f"fixture {str(bad)!r} is not valid JSON: 'utf-8' codec" in err
+
+
 # Fixture files under tests/fixtures, with the exit code of `verify
 # --samples 4` and each check's (samples, passes, skips, failures).
 # Checks not listed pass every sample.

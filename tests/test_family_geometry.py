@@ -12,6 +12,8 @@ from conftest import (
     FIXTURE_DIR,
     chart_and_form,
     line_rows,
+    pivot_planes,
+    plane_at,
     rational_block_variation,
     solve_outcome,
 )
@@ -38,15 +40,17 @@ def test_primary_and_next_pivots(twisted_cubic):
     chart, omega, _ = twisted_cubic
     x = element(omega, (0, 1, 0, 0), (0,))
     w = chart.evaluate((Q(1),))
-    pivots = fam.primary_pivots(omega, x, as_integers(w))
-    assert len(pivots) == 2 and pivots[0] < pivots[1]
-    alt = fam.next_pivots(omega, x, as_integers(w), pivots)
-    assert alt is not None and alt != tuple(pivots)
+    planes = fam.line_planes(omega, x, as_integers(w))
+    primary, alt = next(planes), next(planes)
+    assert primary.pivots[0] < primary.pivots[1] and primary.pivots < alt.pivots
+    assert primary.x is x and alt.x is x and alt.rows == primary.rows
+    with pytest.raises(fam.ChartMiss, match="line span is degenerate"):
+        next(fam.line_planes(omega, x, ([0] * 4, 1)))
 
 
 def _minor_scan(rows, exclude):
-    """The earlier next_pivots: the first pair (lex order) but exclude
-    whose 2 x 2 minor is nonzero, or None."""
+    """The first pair (lex order) but exclude whose 2 x 2 minor is
+    nonzero, or None."""
     ncols = len(rows[0])
     for i in range(ncols):
         for j in range(i + 1, ncols):
@@ -76,23 +80,26 @@ _plane_entries = st.one_of(
     st.data(),
 )
 def test_pivot_pair_scan_matches_rref_and_minor_scan(rows, parallel, data):
-    """On 2-row planes of every rank: primary_pivots is the echelon pivot
-    pair of the plane, or ChartMiss when its rank is below 2, and
-    next_pivots is the earlier minor scan."""
+    """On 2-row planes of every rank: line_planes yields its first plane
+    at the echelon pivot pair of the plane, none when its rank is below 2,
+    and ChartMiss at once when the second row is zero; the first of its
+    pairs but any one is the minor scan."""
     if parallel:
         rows = [rows[0], [Q(3, 2) * c for c in rows[0]]]
     _, echelon = Mat(rows).rref()
     with patch.object(fam, "line_matrix_rows", lambda *args: [(row, 1) for row in rows]):
-        if len(echelon) < 2:
+        planes = fam.line_planes(None, None, None)
+        if not any(rows[1]):
             with pytest.raises(fam.ChartMiss):
-                fam.primary_pivots(None, None, None)
-        else:
-            assert fam.primary_pivots(None, None, None) == echelon
-        ncols = len(rows[0])
-        exclude = data.draw(
-            st.sampled_from([(i, j) for i in range(ncols) for j in range(i + 1, ncols)])
-        )
-        assert fam.next_pivots(None, None, None, exclude) == _minor_scan(rows, exclude)
+                next(planes)
+            return
+        pairs = [plane.pivots for plane in planes]
+    assert pairs[:1] == ([echelon] if len(echelon) == 2 else [])
+    ncols = len(rows[0])
+    exclude = data.draw(
+        st.sampled_from([(i, j) for i in range(ncols) for j in range(i + 1, ncols)])
+    )
+    assert next((pair for pair in pairs if pair != exclude), None) == _minor_scan(rows, exclude)
 
 
 def test_chart_block_normalizes_pivots():
@@ -113,10 +120,10 @@ def test_direction_variation_frozen_heisenberg():
     chart = veronese_chart(2, 1, "p1")
     x = element(HEIS, (0, 1), (0,))
     frame = chart.frame_integers((Q(0),))
-    pivots = fam.primary_pivots(HEIS, x, chart.frame_integers((Q(0),))[0])
-    assert pivots == (0, 1)
-    j2 = fam.direction_variation(HEIS, frame, x, (Q(1),), Q(2), pivots)
-    j0 = fam.direction_variation(HEIS, frame, x, (Q(1),), Q(0), pivots)
+    plane = next(fam.line_planes(HEIS, x, frame[0]))
+    assert plane.pivots == (0, 1)
+    j2 = fam.direction_variation(HEIS, frame, plane, (Q(1),), Q(2))
+    j0 = fam.direction_variation(HEIS, frame, plane, (Q(1),), Q(0))
     assert j2 == Mat([[1, -1], [-2, 2]])
     assert j0 == Mat([[0, -1], [0, 0]])
 
@@ -126,9 +133,9 @@ def test_slide_identity_fails_off_isotropy():
     and the identity genuinely breaks there (negative control)."""
     chart = veronese_chart(2, 1, "p1")
     x = element(HEIS, (0, 1), (0,))
-    pivots = (0, 1)
     frame = chart.frame_integers((Q(0),))
-    result = fam.check_slide_identity(HEIS, frame, x, (Q(1),), Q(2), pivots)
+    plane = plane_at(HEIS, x, frame[0], (0, 1))
+    result = fam.check_slide_identity(HEIS, frame, plane, (Q(1),), Q(2))
     assert not result.ok
     assert any(c != 0 for c in result.residual)
 
@@ -153,7 +160,8 @@ def test_tangent_span_check_rejects_a_u_component(monkeypatch):
     x = element(HEIS, (0, 1), (0,))
     solved = _recording_solve(monkeypatch)
     frame = chart.frame_integers((Q(0),))
-    result = fam.check_slide_identity(HEIS, frame, x, (Q(1),), Q(2), (0, 1))
+    plane = plane_at(HEIS, x, frame[0], (0, 1))
+    result = fam.check_slide_identity(HEIS, frame, plane, (Q(1),), Q(2))
     assert solved == [(0, -2, -2)]
     point = (Q(0),)
     assert in_tangent_span(affine_tangent_frame(chart.frame_integers(point), point), solved[0][:2])
@@ -165,11 +173,11 @@ def test_tangent_span_check_rejects_a_w_part_off_the_frame(twisted_cubic, monkey
     passes, a vector outside the tangent frame's span does not."""
     chart, omega, _ = twisted_cubic
     param, x, delta = (Q(2),), element(omega, (1, 2, 3, 4), (5,)), (Q(1),)
-    pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
     frame = chart.frame_integers(param)
+    plane = next(fam.line_planes(omega, x, frame[0]))
     for coeffs, inside in (((1, 2, 4, 8, 0), True), ((1, 0, 0, 0, 0), False)):
         monkeypatch.setattr(fam, "solve_basepoint_variation", lambda *args, c=coeffs: c)
-        result = fam.check_slide_identity(omega, frame, x, delta, Q(3), pivots)
+        result = fam.check_slide_identity(omega, frame, plane, delta, Q(3))
         assert result.tangent_span_ok is inside
 
 
@@ -177,14 +185,14 @@ def test_slide_identity_frozen_flat_conic(flat_conic, monkeypatch):
     chart, omega, _ = flat_conic
     x = element(omega, (0, 0, 1))
     param, delta, t = (Q(1),), (Q(1),), Q(1)
-    pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
     frame = chart.frame_integers(param)
-    j1 = fam.direction_variation(omega, frame, x, delta, t, pivots)
-    j0 = fam.direction_variation(omega, frame, x, delta, Q(0), pivots)
+    plane = next(fam.line_planes(omega, x, frame[0]))
+    j1 = fam.direction_variation(omega, frame, plane, delta, t)
+    j0 = fam.direction_variation(omega, frame, plane, delta, Q(0))
     shift = [a - b for ra, rb in zip(j1.entries, j0.entries) for a, b in zip(ra, rb)]
     assert shift == [1, -2, -1, 2]
     solved = _recording_solve(monkeypatch)
-    result = fam.check_slide_identity(omega, frame, x, delta, t, pivots)
+    result = fam.check_slide_identity(omega, frame, plane, delta, t)
     assert result.ok and result.tangent_span_ok
     assert solved == [(2, 1, 0)]
     assert all(r == 0 for r in result.residual)
@@ -194,8 +202,7 @@ def test_basepoint_variation_kernel_is_line_direction(flat_conic):
     chart, omega, _ = flat_conic
     x = element(omega, (0, 0, 1))
     w = chart.evaluate((Q(1),))
-    pivots = fam.primary_pivots(omega, x, as_integers(w))
-    bvm = fam.basepoint_variation(omega, x, as_integers(w), pivots)
+    bvm = fam.basepoint_variation(omega, next(fam.line_planes(omega, x, as_integers(w))))
     n = omega.dim_w + omega.dim_u
     # rank n - 1 leaves a one-dimensional kernel, and the line direction lies in it
     assert bvm.rank() == n - 1
@@ -212,10 +219,9 @@ def test_slide_identity_on_samples(twisted_cubic, quartic):
             x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
             delta = sampler.nonzero_vector(chart.param_dim)
             t = sampler.nonzero_rational()
-            w = chart.evaluate(param)
-            pivots = fam.primary_pivots(omega, x, as_integers(w))
             frame = chart.frame_integers(param)
-            result = fam.check_slide_identity(omega, frame, x, delta, t, pivots)
+            plane = next(fam.line_planes(omega, x, frame[0]))
+            result = fam.check_slide_identity(omega, frame, plane, delta, t)
             assert result.ok and result.tangent_span_ok
 
 
@@ -226,14 +232,13 @@ def test_slide_identity_in_second_chart(twisted_cubic):
     while checked < 5:
         param = sampler.vector(1)
         x = element(omega, sampler.vector(4), sampler.vector(1))
-        w = chart.evaluate(param)
-        pivots = fam.primary_pivots(omega, x, as_integers(w))
-        alt = fam.next_pivots(omega, x, as_integers(w), pivots)
+        frame = chart.frame_integers(param)
+        planes = fam.line_planes(omega, x, frame[0])
+        next(planes)
+        alt = next(planes, None)
         if alt is None:
             continue
-        result = fam.check_slide_identity(
-            omega, chart.frame_integers(param), x, (Q(1),), sampler.nonzero_rational(), alt
-        )
+        result = fam.check_slide_identity(omega, frame, alt, (Q(1),), sampler.nonzero_rational())
         assert result.ok and result.tangent_span_ok
         checked += 1
 
@@ -246,10 +251,12 @@ def test_symbolic_variation_matches_jets(veronese33):
         x = element(omega, sampler.vector(10), sampler.vector(10))
         delta = sampler.nonzero_vector(2)
         t = sampler.rational()
-        w = chart.evaluate(param)
-        pivots = fam.primary_pivots(omega, x, as_integers(w))
-        jet = fam.direction_variation(omega, chart.frame_integers(param), x, delta, t, pivots)
-        symbolic = fam.direction_variation_symbolic(chart, omega, param, x, delta, t, pivots)
+        frame = chart.frame_integers(param)
+        plane = next(fam.line_planes(omega, x, frame[0]))
+        jet = fam.direction_variation(omega, frame, plane, delta, t)
+        symbolic = fam.direction_variation_symbolic(
+            chart, omega, param, x, delta, t, plane.pivots
+        )
         assert jet == symbolic
 
 
@@ -262,8 +269,8 @@ def test_pencil_frames_flat_conic(flat_conic):
     chart, omega, _ = flat_conic
     x = element(omega, (0, 0, 1))
     param = (Q(1),)
-    pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
-    frame0, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), x, pivots)
+    frame = chart.frame_integers(param)
+    frame0, frame_inf = fam.pencil_frames(omega, frame, next(fam.line_planes(omega, x, frame[0])))
     m0, m_inf = _frame_matrix(frame0), _frame_matrix(frame_inf)
     assert m0.ncols == m_inf.ncols == 1
     # frozen: j_inf column equals the slide shift at t = 1
@@ -279,8 +286,9 @@ def test_pencil_and_splitting_on_samples(twisted_cubic, veronese33):
         for _ in range(3):
             param = sampler.vector(d)
             x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
-            pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
-            frame0, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), x, pivots)
+            frame = chart.frame_integers(param)
+            plane = next(fam.line_planes(omega, x, frame[0]))
+            frame0, frame_inf = fam.pencil_frames(omega, frame, plane)
             m0, m_inf = _frame_matrix(frame0), _frame_matrix(frame_inf)
             cols = [*zip(*m0.entries), *zip(*m_inf.entries)]
             assert Mat.from_cols(cols).rank() == 2 * d
@@ -378,10 +386,9 @@ def test_basepoint_variation_matches_unit_vector_oracle(fixture_cache, name):
         param = sampler.vector(chart.param_dim)
         x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
         w = chart.evaluate(param)
-        for kind, pivots in _pivot_choices(omega, x, w).items():
-            expected = _unit_basepoint_variation(omega, x, w, pivots)
-            got = fam.basepoint_variation(omega, x, as_integers(w), pivots)
-            assert got == expected, (kind, pivots)
+        for kind, plane in pivot_planes(omega, x, w).items():
+            expected = _unit_basepoint_variation(omega, x, w, plane.pivots)
+            assert fam.basepoint_variation(omega, plane) == expected, (kind, plane.pivots)
 
 
 # Forward-mode oracles: the chart block computed on jets, whose partials
@@ -439,36 +446,6 @@ def _jet_basepoint_variation(omega, x, w, pivots):
     return Mat([[_eps(entry, k) for k in range(n)] for row in block for entry in row])
 
 
-def _pivot_choices(omega, x, w):
-    """Primary and next pivots, the first valid pair with a W and a U
-    column, the first with a U and the constant column, and the first with
-    two U columns.  With a pivot in U, a U-direction moves the pivot
-    minor."""
-    rows = line_rows(omega, x, w)
-    last = len(rows[0]) - 1
-    u_cols = range(omega.dim_w, last)
-
-    def first_valid(pairs):
-        return next(
-            (
-                (i, j)
-                for i, j in pairs
-                if rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i] != 0
-            ),
-            None,
-        )
-
-    primary = fam.primary_pivots(omega, x, as_integers(w))
-    choices = {
-        "primary": primary,
-        "next": fam.next_pivots(omega, x, as_integers(w), primary),
-        "w-u": first_valid((i, j) for i in range(omega.dim_w) for j in u_cols),
-        "u-constant": first_valid((j, last) for j in u_cols),
-        "u-u": first_valid((i, j) for i in u_cols for j in u_cols if i < j),
-    }
-    return {kind: pivots for kind, pivots in choices.items() if pivots is not None}
-
-
 # The isotropic builtins but veronese3-of-conic, whose width-44 jets are
 # slow, and a fixture with an explicit form.
 @pytest.mark.parametrize(
@@ -492,11 +469,12 @@ def test_closed_form_variations_match_jets(name):
         delta = sampler.nonzero_vector(chart.param_dim)
         t = sampler.nonzero_rational()
         w, frame = chart.evaluate(param), chart.frame_integers(param)
-        for kind, pivots in _pivot_choices(omega, x, w).items():
+        for kind, plane in pivot_planes(omega, x, w).items():
             kinds.add(kind)
-            got = fam.basepoint_variation(omega, x, as_integers(w), pivots)
+            pivots = plane.pivots
+            got = fam.basepoint_variation(omega, plane)
             assert got == _jet_basepoint_variation(omega, x, w, pivots), (kind, pivots)
-            closed = fam.direction_variation(omega, frame, x, delta, t, pivots)
+            closed = fam.direction_variation(omega, frame, plane, delta, t)
             args = (chart, omega, param, x, delta, t, pivots)
             assert closed == _jet_direction_variation(*args), (kind, pivots)
     expected = {"primary", "next"} | ({"w-u", "u-constant"} if omega.dim_u else set())
@@ -531,9 +509,9 @@ def test_family_dimension_rank_matches_coordinate_jacobian(fixture_cache, name):
     sampler = RationalSampler(61)
     for _ in range(3):
         draws = [sampler.vector(k) for k in (chart.param_dim, omega.dim_w, omega.dim_u)]
-        param, x, w = draws[0], element(omega, *draws[1:]), chart.evaluate(draws[0])
-        pivots = fam.primary_pivots(omega, x, as_integers(w))
-        rank = fam.family_dimension(omega, chart.frame_integers(param), x, pivots)
+        param, x = draws[0], element(omega, *draws[1:])
+        frame = chart.frame_integers(param)
+        rank = fam.family_dimension(omega, frame, next(fam.line_planes(omega, x, frame[0])))
         assert rank == _coordinate_jacobian_rank(chart, omega, *draws) > 0
 
 
@@ -546,8 +524,8 @@ def test_splitting_type_rejects_a_rank_drop():
     omega = build_omega(chart).omega
     param = (Q(0),)
     x = element(omega, (1, 2, 3), (5,) * omega.dim_u)
-    pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
-    frame0, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), x, pivots)
+    frame = chart.frame_integers(param)
+    frame0, frame_inf = fam.pencil_frames(omega, frame, next(fam.line_planes(omega, x, frame[0])))
     assert not fam.check_splitting_type(frame0, frame_inf)
 
 
@@ -559,19 +537,19 @@ def _eliminated(omega, pivots):
     return omega.dim_u - sum(omega.dim_w <= c < omega.dim_w + omega.dim_u for c in pivots)
 
 
-def _schur_pivot_choices(omega, x, w):
-    """_pivot_choices and the first W column paired with the constant
+def _schurpivot_planes(omega, x, w):
+    """pivot_planes and the first W column paired with the constant
     column, which leaves two non-pivot W columns fewer than (0, 1) does."""
-    choices = _pivot_choices(omega, x, w)
-    last = omega.dim_w + omega.dim_u
-    choices["w-constant"] = (next(k for k, c in enumerate(w) if c != 0), last)
+    choices = pivot_planes(omega, x, w)
+    pivots = (next(k for k, c in enumerate(w) if c != 0), omega.dim_w + omega.dim_u)
+    choices["w-constant"] = plane_at(omega, x, as_integers(w), pivots)
     return choices
 
 
-def _slide_shift(chart, omega, param, x, delta, t, pivots):
+def _slide_shift(chart, omega, param, plane, delta, t):
     frame = chart.frame_integers(param)
-    j_t = fam.direction_variation(omega, frame, x, delta, t, pivots)
-    j_0 = fam.direction_variation(omega, frame, x, delta, 0, pivots)
+    j_t = fam.direction_variation(omega, frame, plane, delta, t)
+    j_0 = fam.direction_variation(omega, frame, plane, delta, 0)
     return [a - b for ra, rb in zip(j_t.entries, j_0.entries) for a, b in zip(ra, rb)]
 
 
@@ -586,8 +564,8 @@ def _counting_solve_in_span(monkeypatch):
     return calls
 
 
-def _full_solve(omega, x, w, pivots, target):
-    return solve_in_span(fam.basepoint_variation(omega, x, as_integers(w), pivots), target)
+def _full_solve(omega, plane, target):
+    return solve_in_span(fam.basepoint_variation(omega, plane), target)
 
 
 @pytest.mark.parametrize("name", ALL_CHARTS)
@@ -608,9 +586,10 @@ def test_schur_solve_matches_the_full_solve(name, monkeypatch):
         x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
         delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
         w = chart.evaluate(param)
-        for kind, pivots in _schur_pivot_choices(omega, x, w).items():
-            shift = _slide_shift(chart, omega, param, x, delta, t, pivots)
-            bvm = fam.basepoint_variation(omega, x, as_integers(w), pivots)
+        for kind, plane in _schurpivot_planes(omega, x, w).items():
+            pivots = plane.pivots
+            shift = _slide_shift(chart, omega, param, plane, delta, t)
+            bvm = fam.basepoint_variation(omega, plane)
             # the kernel is exactly the line direction (w, 0)
             assert bvm.rank() == omega.dim_w + omega.dim_u - 1, (kind, pivots)
             assert not any(bvm.times_vector(list(w) + [ZERO] * omega.dim_u)), (kind, pivots)
@@ -620,7 +599,7 @@ def test_schur_solve_matches_the_full_solve(name, monkeypatch):
             for target in (shift, combination, off_last, off_first):
                 expected = solve_outcome(solve_in_span, bvm, target)
                 del calls[:]
-                args = (omega, x, as_integers(w), pivots, as_integers(target))
+                args = (omega, plane, as_integers(target))
                 got = solve_outcome(fam.solve_basepoint_variation, *args)
                 assert got == expected, (kind, pivots)
                 seen.add(expected[0])
@@ -644,23 +623,24 @@ def test_schur_solve_with_a_pivot_in_u(quartic, monkeypatch):
     param, delta, t = (Q(2),), (Q(1),), Q(5)
     w = chart.evaluate(param)
     x = element(omega, tuple(Q(3) * c for c in w), (Q(1),) * omega.dim_u)
-    pivots = fam.primary_pivots(omega, x, as_integers(w))
-    assert pivots[1] == omega.dim_w
+    frame = chart.frame_integers(param)
+    plane = next(fam.line_planes(omega, x, frame[0]))
+    assert plane.pivots[1] == omega.dim_w
     calls = _counting_solve_in_span(monkeypatch)
-    shift = _slide_shift(chart, omega, param, x, delta, t, pivots)
-    got = fam.solve_basepoint_variation(omega, x, as_integers(w), pivots, as_integers(shift))
-    assert got == _full_solve(omega, x, w, pivots, shift)
+    shift = _slide_shift(chart, omega, param, plane, delta, t)
+    got = fam.solve_basepoint_variation(omega, plane, as_integers(shift))
+    assert got == _full_solve(omega, plane, shift)
     assert len(calls) == 1 and calls[0][0].ncols == omega.dim_w + 1
-    assert fam.check_slide_identity(omega, chart.frame_integers(param), x, delta, t, pivots).ok
+    assert fam.check_slide_identity(omega, frame, plane, delta, t).ok
 
 
-def _full_jacobian_rank(chart, omega, param, x, w, pivots):
+def _full_jacobian_rank(chart, omega, param, plane):
     d = chart.param_dim
     units = [tuple(Q(int(k == a)) for k in range(d)) for a in range(d)]
     frame = chart.frame_integers(param)
-    variations = [fam.direction_variation(omega, frame, x, u, 0, pivots) for u in units]
+    variations = [fam.direction_variation(omega, frame, plane, u, 0) for u in units]
     cols = [[e for row in var.entries for e in row] for var in variations]
-    bvm = fam.basepoint_variation(omega, x, as_integers(w), pivots)
+    bvm = fam.basepoint_variation(omega, plane)
     return Mat.from_cols([*cols, *zip(*bvm.entries)]).rank()
 
 
@@ -688,9 +668,9 @@ def test_family_rank_matches_the_full_jacobian_rank(name):
         x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
         w = chart.evaluate(param)
         frame = chart.frame_integers(param)
-        for kind, pivots in _schur_pivot_choices(omega, x, w).items():
-            rank = fam.family_dimension(omega, frame, x, pivots)
-            assert rank == _full_jacobian_rank(chart, omega, param, x, w, pivots), (kind, pivots)
+        for kind, plane in _schurpivot_planes(omega, x, w).items():
+            rank = fam.family_dimension(omega, frame, plane)
+            assert rank == _full_jacobian_rank(chart, omega, param, plane), (kind, plane.pivots)
 
 
 def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeypatch):
@@ -705,22 +685,21 @@ def test_family_rank_of_a_direction_column_inside_the_variation(quartic, monkeyp
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
     w = chart.evaluate(param)
     frame = chart.frame_integers(param)
-    for kind, pivots in _schur_pivot_choices(omega, x, w).items():
-        bvm = fam.basepoint_variation(omega, x, as_integers(w), pivots)
+    for kind, plane in _schurpivot_planes(omega, x, w).items():
+        bvm = fam.basepoint_variation(omega, plane)
         image = bvm.times_vector(sampler.vector(bvm.ncols))
-        plane = fam._plane(omega, x, as_integers(w), pivots)
         width = len(plane.rows[0])
         drows = []
         for ints, scale in fam._times_minor(plane, as_integers(image)):
             rest = iter(ints)
-            drows.append(([0 if c in pivots else next(rest) for c in range(width)], scale))
+            drows.append(([0 if c in plane.pivots else next(rest) for c in range(width)], scale))
         monkeypatch.setattr(fam, "_tangent_rows", lambda *a: drows)
-        assert fam.direction_variation(omega, frame, x, (Q(1),), Q(0), pivots) == Mat(
+        assert fam.direction_variation(omega, frame, plane, (Q(1),), Q(0)) == Mat(
             [image[: len(image) // 2], image[len(image) // 2 :]]
         )
         rank = omega.dim_w + omega.dim_u - 1
-        full = _full_jacobian_rank(chart, omega, param, x, w, pivots)
-        assert fam.family_dimension(omega, frame, x, pivots) == full == rank, kind
+        full = _full_jacobian_rank(chart, omega, param, plane)
+        assert fam.family_dimension(omega, frame, plane) == full == rank, kind
 
 
 # Off isotropy the pencil is not linear in the slide, so the slide
@@ -737,9 +716,9 @@ def test_limit_frame_is_minus_the_basepoint_variation_along_the_tangent(name, mo
         param = sampler.vector(chart.param_dim)
         x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
         w = chart.evaluate(param)
-        for kind, pivots in _schur_pivot_choices(omega, x, w).items():
-            _, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), x, pivots)
-            bvm = fam.basepoint_variation(omega, x, as_integers(w), pivots)
+        for kind, plane in _schurpivot_planes(omega, x, w).items():
+            _, frame_inf = fam.pencil_frames(omega, chart.frame_integers(param), plane)
+            bvm = fam.basepoint_variation(omega, plane)
             for a, partial in enumerate(chart.partials):
                 tangent = [p.evaluate(param) for p in partial]
                 image = bvm.times_vector(tangent + [ZERO] * omega.dim_u)
@@ -758,10 +737,8 @@ def test_slide_solve_back_substitutes_only_eliminated_unknowns(name, applies):
     param = sampler.vector(chart.param_dim)
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
-    w = chart.evaluate(param)
-    pivots = fam.primary_pivots(omega, x, as_integers(w))
-    shift = _slide_shift(chart, omega, param, x, delta, t, pivots)
-    plane = fam._plane(omega, x, as_integers(w), pivots)
+    plane = next(fam.line_planes(omega, x, chart.frame_integers(param)[0]))
+    shift = _slide_shift(chart, omega, param, plane, delta, t)
     apply = OmegaForm.apply_integers
     calls = []
 
@@ -770,10 +747,9 @@ def test_slide_solve_back_substitutes_only_eliminated_unknowns(name, applies):
         return apply(*args)
 
     with patch.object(OmegaForm, "apply_integers", counting):
-        args = (omega, x, as_integers(w), pivots, as_integers(shift), plane)
-        coeffs = fam.solve_basepoint_variation(*args)
+        coeffs = fam.solve_basepoint_variation(omega, plane, as_integers(shift))
     assert len(calls) == applies
-    assert coeffs == _full_solve(omega, x, w, pivots, shift)
+    assert coeffs == _full_solve(omega, plane, shift)
 
 
 def test_the_slide_solve_keeps_its_operands_in_lowest_terms(monkeypatch):
@@ -790,9 +766,9 @@ def test_the_slide_solve_keeps_its_operands_in_lowest_terms(monkeypatch):
         bits.append(max(abs(v).bit_length() for row in rows for v in row))
         return rows, kept, u_pos
 
-    def recording_solve(omega, x, w, pivots, shift, plane=None):
+    def recording_solve(omega, plane, shift):
         gcds.append(gcd(shift[1], *shift[0]))
-        return solve(omega, x, w, pivots, shift, plane)
+        return solve(omega, plane, shift)
 
     monkeypatch.setattr(fam, "_schur_system", recording_schur)
     monkeypatch.setattr(fam, "solve_basepoint_variation", recording_solve)
@@ -807,7 +783,7 @@ def test_the_slide_solve_keeps_its_operands_in_lowest_terms(monkeypatch):
 
 @pytest.mark.parametrize("name", ALL_CHARTS)
 def test_symbolic_variation_matches_at_every_pivot_pair(name):
-    """At every _pivot_choices kind, at the slide and at slide zero; constant
+    """At every pivot_planes kind, at the slide and at slide zero; constant
     coordinates and the constant column enter the jet rows as rationals."""
     chart, omega = chart_and_form(name)
     sampler = RationalSampler(101).derive(name)
@@ -815,10 +791,10 @@ def test_symbolic_variation_matches_at_every_pivot_pair(name):
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
     frame = chart.frame_integers(param)
-    for kind, pivots in _pivot_choices(omega, x, chart.evaluate(param)).items():
+    for kind, plane in pivot_planes(omega, x, chart.evaluate(param)).items():
         for slide in (t, ZERO):
-            oracle = (chart, omega, param, x, delta, slide, pivots)
-            closed = fam.direction_variation(omega, frame, x, delta, slide, pivots)
+            oracle = (chart, omega, param, x, delta, slide, plane.pivots)
+            closed = fam.direction_variation(omega, frame, plane, delta, slide)
             assert fam.direction_variation_symbolic(*oracle) == closed, (kind, slide)
 
 
@@ -830,9 +806,10 @@ def test_symbolic_variation_uses_no_closed_form(twisted_cubic, monkeypatch):
     param = sampler.vector(chart.param_dim)
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
-    pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
-    args = (chart, omega, param, x, delta, t, pivots)
-    expected = fam.direction_variation(omega, chart.frame_integers(param), x, delta, t, pivots)
+    frame = chart.frame_integers(param)
+    plane = next(fam.line_planes(omega, x, frame[0]))
+    args = (chart, omega, param, x, delta, t, plane.pivots)
+    expected = fam.direction_variation(omega, frame, plane, delta, t)
 
     def closed_form(*_):
         raise AssertionError("the oracle reached the closed form")
@@ -864,14 +841,14 @@ def test_closed_forms_read_the_chart_only_through_its_frame(twisted_cubic, monke
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
     frame = chart.frame_integers(param)
-    pivots = fam.primary_pivots(omega, x, chart.frame_integers(param)[0])
+    plane = next(fam.line_planes(omega, x, frame[0]))
 
     def kernels():
         return (
-            fam.check_slide_identity(omega, frame, x, delta, t, pivots),
-            fam.direction_variation(omega, frame, x, delta, t, pivots),
-            fam.pencil_frames(omega, frame, x, pivots),
-            fam.family_dimension(omega, frame, x, pivots),
+            fam.check_slide_identity(omega, frame, plane, delta, t),
+            fam.direction_variation(omega, frame, plane, delta, t),
+            fam.pencil_frames(omega, frame, plane),
+            fam.family_dimension(omega, frame, plane),
         )
 
     expected = kernels()
@@ -884,4 +861,4 @@ def test_closed_forms_read_the_chart_only_through_its_frame(twisted_cubic, monke
     assert kernels() == expected
     # a W-part off the frame: the failing slide check reduces the frame it holds
     monkeypatch.setattr(fam, "solve_basepoint_variation", lambda *args: (1, 0, 0, 0, 0))
-    assert not fam.check_slide_identity(omega, frame, x, delta, t, pivots).tangent_span_ok
+    assert not fam.check_slide_identity(omega, frame, plane, delta, t).tangent_span_ok

@@ -25,6 +25,7 @@ from conftest import (
     chart_and_form,
     form_from_table,
     line_rows,
+    pivot_planes,
     rational_block_variation,
     rational_chart,
     rational_moved,
@@ -223,7 +224,7 @@ def _integer_plane(rows, pivots):
     scaled = [as_integers(row) for row in rows]
     ints = tuple(row for row, _ in scaled)
     scales = tuple(scale for _, scale in scaled)
-    return fam._Plane(ints, scales, pivots, *fam.chart_block(ints, pivots))
+    return fam._Plane(None, ints, scales, pivots, *fam.chart_block(ints, pivots))
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,30 +273,6 @@ def test_block_variation_matches_the_rational_formula(case, data):
     assert [[Q(v, scale) for v in row] for row in dB] == rational_block_variation(
         rows, pivots, drows
     )
-
-
-def _pivot_kinds(omega, x, w):
-    """Primary and next pivots, and the first valid pair of each kind with
-    a U column: W-U, U-constant, U-U."""
-    rows = line_rows(omega, x, w)
-    last = len(rows[0]) - 1
-    u_cols = range(omega.dim_w, last)
-
-    def first_valid(pairs):
-        return next(
-            ((i, j) for i, j in pairs if rows[0][i] * rows[1][j] != rows[0][j] * rows[1][i]),
-            None,
-        )
-
-    primary = fam.primary_pivots(omega, x, as_integers(w))
-    kinds = {
-        "primary": primary,
-        "next": fam.next_pivots(omega, x, as_integers(w), primary),
-        "w-u": first_valid((i, j) for i in range(omega.dim_w) for j in u_cols),
-        "u-constant": first_valid((j, last) for j in u_cols),
-        "u-u": first_valid((i, j) for i in u_cols for j in u_cols if i < j),
-    }
-    return {kind: pivots for kind, pivots in kinds.items() if pivots is not None}
 
 
 def _rational_basepoint_variation(omega, x, w, pivots):
@@ -378,19 +355,17 @@ def test_slide_solve_matches_the_rational_full_solve(name):
     w = chart.evaluate(param)
     seen = set()
     frame = chart.frame_integers(param)
-    for kind, pivots in _pivot_kinds(omega, x, w).items():
-        j_t = fam.direction_variation(omega, frame, x, delta, t, pivots)
-        j_0 = fam.direction_variation(omega, frame, x, delta, 0, pivots)
+    for kind, plane in pivot_planes(omega, x, w).items():
+        j_t = fam.direction_variation(omega, frame, plane, delta, t)
+        j_0 = fam.direction_variation(omega, frame, plane, delta, 0)
         shift = [a - b for ra, rb in zip(j_t.entries, j_0.entries) for a, b in zip(ra, rb)]
-        full = _rational_basepoint_variation(omega, x, w, pivots)
-        assert fam.basepoint_variation(omega, x, as_integers(w), pivots) == full, kind
+        full = _rational_basepoint_variation(omega, x, w, plane.pivots)
+        assert fam.basepoint_variation(omega, plane) == full, kind
         combination = list(full.times_vector(sampler.vector(full.ncols)))
         off_span = [shift[0] + 1] + shift[1:]
         for target in (shift, combination, off_span):
             expected = solve_outcome(solve_in_span, full, target)
-            got = solve_outcome(
-                fam.solve_basepoint_variation, omega, x, as_integers(w), pivots, as_integers(target)
-            )
+            got = solve_outcome(fam.solve_basepoint_variation, omega, plane, as_integers(target))
             assert got == expected, kind
             assert all(type(v) is Q for v in got[1]), kind
             seen.add(expected[0])
@@ -619,7 +594,6 @@ def test_the_group_kernels_take_no_q_round_trip(twisted_cubic, monkeypatch):
     param, t = sampler.vector(chart.param_dim), sampler.nonzero_rational()
     frame = chart.frame_integers(param)
     tangent, value = affine_tangent_frame(frame, param), frame[0]
-    pivots = fam.primary_pivots(omega, x, value)
 
     def kernels():
         return (
@@ -628,7 +602,7 @@ def test_the_group_kernels_take_no_q_round_trip(twisted_cubic, monkeypatch):
             translate(omega, x, value, t),
             canonical_rep(omega, x, *tangent),
             line_through(omega, x, value),
-            fam._plane(omega, x, value, pivots),
+            next(fam.line_planes(omega, x, value)),
         )
 
     expected = kernels()

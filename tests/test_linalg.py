@@ -17,7 +17,7 @@ from metaline.linalg import (
 from metaline.metabelian import element
 from metaline.omega_builder import build_omega
 from metaline.sampling import RationalSampler
-from metaline.scalars import Q, as_integers
+from metaline.scalars import Q
 from metaline.varieties import builtin_chart
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8).map(
@@ -231,35 +231,34 @@ def test_solve_in_span_matches_rational_elimination(system):
 
 def _conic_slide_sample():
     """One slide-identity sample on veronese3-of-conic: the form, the
-    chart frame and (x, delta, t, pivots) as check_slide_identity takes
-    them, and the line direction w."""
+    chart frame and (plane, delta, t) as check_slide_identity takes them,
+    the plane at the primary pivots."""
     chart, omega = builtin_chart("veronese3-of-conic")
     omega = build_omega(chart).omega
     sampler = RationalSampler(42).derive("linalg-replay")
     param = sampler.vector(chart.param_dim)
     x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
     delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
-    w = chart.evaluate(param)
-    pivots = fam.primary_pivots(omega, x, as_integers(w))
-    return omega, chart.frame_integers(param), x, delta, t, pivots, w
+    frame = chart.frame_integers(param)
+    return omega, frame, next(fam.line_planes(omega, x, frame[0])), delta, t
 
 
 def _conic_slide_solve():
     """The basepoint variation and the slide shift of the sample, as
     check_slide_identity hands them to solve_in_span before the Schur
     reduction (an 86 x 44 solve)."""
-    omega, frame, x, delta, t, pivots, w = _conic_slide_sample()
-    j_t = fam.direction_variation(omega, frame, x, delta, t, pivots)
-    j_0 = fam.direction_variation(omega, frame, x, delta, 0, pivots)
+    omega, frame, plane, delta, t = _conic_slide_sample()
+    j_t = fam.direction_variation(omega, frame, plane, delta, t)
+    j_0 = fam.direction_variation(omega, frame, plane, delta, 0)
     shift = [a - b for ra, rb in zip(j_t.entries, j_0.entries) for a, b in zip(ra, rb)]
-    return fam.basepoint_variation(omega, x, as_integers(w), pivots), shift
+    return fam.basepoint_variation(omega, plane), shift
 
 
 def test_the_conic_slide_solve_reduces_only_rank_raising_rows(monkeypatch):
     """Guard: the in-span solve of a conic slide sample (52 x 10, rank 9)
     hands no _rref call more than ncols + 1 rows; the rows the kept
     solution already satisfies are checked, not eliminated."""
-    omega, frame, x, delta, t, pivots, _ = _conic_slide_sample()
+    omega, frame, plane, delta, t = _conic_slide_sample()
     sizes, solves = [], []
     original_rref = linalg._rref
 
@@ -275,7 +274,7 @@ def test_the_conic_slide_solve_reduces_only_rank_raising_rows(monkeypatch):
 
     monkeypatch.setattr(linalg, "_rref", recording_rref)
     monkeypatch.setattr(fam, "solve_in_span", recording_solve)
-    assert fam.check_slide_identity(omega, frame, x, delta, t, pivots).ok
+    assert fam.check_slide_identity(omega, frame, plane, delta, t).ok
     [(nrows, ncols, sizes)] = solves
     assert (nrows, ncols) == (52, 10)
     assert sizes and max(sizes) <= ncols + 1

@@ -4,14 +4,16 @@ from hypothesis import strategies as st
 
 from metaline.jets import Jet1
 from metaline.polynomials import (
+    MAX_COEFFICIENT_BITS,
     MAX_DEGREE,
     MAX_NESTING,
     MAX_TERMS,
     Poly,
     PolyParseError,
+    _height,
     parse_poly,
 )
-from metaline.scalars import Q
+from metaline.scalars import Q, qstr
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12).map(
     lambda f: Q(f.numerator, f.denominator)
@@ -94,6 +96,59 @@ def test_parser_caps_terms():
             p(big)
     with pytest.raises(PolyParseError, match="terms exceeds the cap"):
         p("(1+x+y+z)^64", "xyz")
+
+
+def _bits(poly):
+    """The largest bit length of a numerator or denominator of poly."""
+    coeffs = poly.terms.values()
+    return max((max(abs(c.numerator), c.denominator).bit_length() for c in coeffs), default=0)
+
+
+def test_parser_caps_coefficient_bits():
+    """Literals, sums, products, quotients and powers are rejected on a
+    coefficient bit bound before they are formed; below the cap every
+    coefficient prints."""
+    assert MAX_COEFFICIENT_BITS == 1024  # the inputs below sit at the cap and just past it
+    big = "(2^31)^16*(2^31)^16"  # 2^992: factors of 497 bits, bound 994
+    for text in (
+        str(10**305),  # 306 digits, bound 1021
+        "(2^15)^64",  # 16 bits, bound 64 * 16
+        big + "*x + y/2^29",  # bound 993 + 30 + 1
+        "x/(2^31)^16/(2^31)^16",  # denominators of 497 bits, bound 994
+    ):
+        poly = p(text)
+        assert 0 < _bits(poly) <= MAX_COEFFICIENT_BITS, text
+        assert all(qstr(c) for c in poly.terms.values())
+    for text in (
+        str(2**1024),
+        "(2^16)^64",  # 17 bits, bound 64 * 17
+        "(2^32)^16*(2^32)^16",  # factors of 513 bits
+        big + "*x + y/2^31",  # bound 993 + 32 + 1
+        "x/(2^32)^16/(2^32)^16",
+        "((2^64)^64)^64*x",
+    ):
+        with pytest.raises(PolyParseError, match="bits exceed the cap of 1024"):
+            p(text)
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+    max_size=6,
+).map(lambda terms: Poly(2, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_polys, small_polys, st.integers(1, 4))
+def test_coefficient_bit_bounds_hold(a, b, k):
+    """The parser's bounds, from the heights (bits of the numerators over
+    one common denominator, bits of that denominator), bound the sum, the
+    product and the power."""
+    (n, d), (m, e) = _height(a), _height(b)
+    shorter = min(len(a.terms), len(b.terms))
+    assert _bits(a + b) <= max(n + e + 1, m + d + 1, d + e)
+    assert _bits(a * b) <= max(n + m + (shorter - 1).bit_length(), d + e)
+    assert _bits(a**k) <= k * max(n + (len(a.terms) - 1).bit_length(), d)
 
 
 def test_parser_rejects_division_by_zero():

@@ -421,8 +421,8 @@ def test_symbolic_variant_reports_a_derivative_disagreement(monkeypatch):
     witness names that slide, after the sample's own slide agreed."""
     closed_form = fam.direction_variation
 
-    def perturbed(omega, frame, x, delta, t, pivots):
-        mat = closed_form(omega, frame, x, delta, t, pivots)
+    def perturbed(omega, frame, plane, delta, t):
+        mat = closed_form(omega, frame, plane, delta, t)
         if t != 0:
             return mat
         entries = [list(row) for row in mat.entries]
@@ -613,3 +613,28 @@ def test_a_family_dimension_point_evaluates_the_chart_once(name, points, monkeyp
     run_verification(chart, omega, seed=43, samples=1, checks=["family-dimension"])
     assert len(scanned) == points
     assert len(calls) == points
+
+
+@pytest.mark.parametrize(
+    "check, builds",
+    [
+        ("slide-identity", 2),
+        ("slide-identity-alt-chart", 2),
+        ("pencil-split", 6),
+        ("family-dimension", 1),
+    ],
+)
+def test_a_line_sample_builds_its_plane_once(check, builds, monkeypatch):
+    """Guard: one slide, pencil or family-dimension sample builds the rows
+    of its line's plane once, for family_geometry.line_planes, and the
+    kernels take that plane; rows are built again only at a slid point:
+    one for the slide identity (the alt chart takes the next plane of the
+    same rows) and five for the pencil's slides."""
+    chart, _ = builtin_chart("veronese-2-3")
+    omega = build_omega(chart).omega
+    calls = []
+    original = fam.line_matrix_rows
+    monkeypatch.setattr(fam, "line_matrix_rows", lambda *a: calls.append(a) or original(*a))
+    report = run_verification(chart, omega, seed=43, samples=1, checks=[check])
+    assert report.passed and report.checks[0].samples == 1
+    assert len(calls) == builds
