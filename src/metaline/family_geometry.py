@@ -58,6 +58,7 @@ for what leaves the module: matrices, coefficients and residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
 from math import lcm
 
 from .jets import Jet1
@@ -114,22 +115,21 @@ def _plane(x: GroupElement, line_rows, pivots):
     return _Plane(x, rows, (l0, l1), pivots, *chart_block(rows, pivots))
 
 
-def line_planes(omega: OmegaForm, x: GroupElement, w):
+def line_planes(omega: OmegaForm, x: GroupElement, w, skip=0):
     """The line's plane through x in direction w at each column pair, in
-    lex order, where its rows have a nonzero 2 x 2 minor.  The first is at
-    the echelon pivot pair: the first nonzero column and the first column
-    not parallel to it.  The point row ends in its positive scale and the
-    direction row in 0, so there is a first unless w is zero, when
-    ChartMiss is raised instead."""
+    lex order, where its rows have a nonzero 2 x 2 minor, but the first
+    `skip` such pairs, unbuilt.  The first pair is the echelon pivots: the
+    first nonzero column and the first column not parallel to it.  The
+    point row ends in its positive scale and the direction row in 0, so
+    there is one unless w is zero, when ChartMiss is raised instead."""
     line_rows = line_matrix_rows(omega, x, w)
     (top, _), (bottom, _) = line_rows
     if not any(bottom):
         raise ChartMiss("line span is degenerate")
-    ncols = len(top)
-    for i in range(ncols):
-        for j in range(i + 1, ncols):
-            if top[i] * bottom[j] != top[j] * bottom[i]:
-                yield _plane(x, line_rows, (i, j))
+    pairs = combinations(range(len(top)), 2)
+    valid = ((i, j) for i, j in pairs if top[i] * bottom[j] != top[j] * bottom[i])
+    for pivots in islice(valid, skip, None):
+        yield _plane(x, line_rows, pivots)
 
 
 def _slid(omega: OmegaForm, plane: _Plane, w, t):

@@ -4,8 +4,8 @@ A Jet1 carries a value and a tuple of partial derivatives along a fixed
 number of independent perturbation directions.  Products of two
 perturbations vanish (second order is truncated), so evaluating any
 polynomial expression on jets yields the exact value together with all
-first partials in one pass.
-"""
+first partials in one pass.  Only the symbolic slide oracle differentiates
+on them: the Maurer-Cartan and Levi-tensor oracles take exact increments."""
 
 from __future__ import annotations
 

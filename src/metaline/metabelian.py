@@ -8,14 +8,14 @@ group lives on W + U in logarithmic coordinates with product
 The commutator subgroup sits inside U, which is central, and the
 exponential map is the identity on coordinates.  The group law is
 generic over the coordinate ring: polynomials (the symbolic identity
-proofs below) and first-order jets (the one derivative ring, in which the
-Maurer-Cartan and Levi-tensor oracles differentiate) run the code that
-rationals run, except that rationals take Python integers: OmegaForm.apply
-contracts them as integer minors, and a rational element keeps each part
-as integers over one denominator in lowest terms, which multiply and
-inverse read and write directly; the line kernels (lines) slide through
-multiply.  Its Q coordinates are built only when something reads them.
-"""
+proofs below) run the code that rationals run, except that rationals
+take Python integers: OmegaForm.apply contracts them as integer minors,
+and a rational element keeps each part as integers over one denominator
+in lowest terms, which multiply and inverse read and write directly; the
+line kernels (lines) slide through multiply.  Its Q coordinates are
+built only when something reads them.  The form is bilinear, so what the
+Maurer-Cartan and Levi-tensor oracles differentiate is affine: each
+derivative is an exact increment, and no derivative ring is needed."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .jets import Jet1
 from .linalg import pair_count, pair_index
 from .polynomials import Poly
 from .scalars import HALF, Q, ZERO, as_integers, from_integers, lowest_terms
@@ -92,7 +91,7 @@ class OmegaForm:
         """Form on coordinate vectors, from the minors u_i v_j - u_j v_i of
         the pairs in `terms` alone.  Rationals are scaled to integers, one
         denominator per vector (fraction-free, after Bareiss, Math. Comp. 22,
-        1968); polynomials and jets are contracted in their own ring."""
+        1968); other entries (polynomials) are contracted in their own ring."""
         if len(u) != self.dim_w or len(v) != self.dim_w:
             raise ValueError("vectors must have length dim_w")
         su, sv = as_integers(u), as_integers(v)
@@ -260,39 +259,40 @@ def maurer_cartan_log_derivative(omega: OmegaForm, x: GroupElement, v) -> GroupE
     """Log-derivative at x of left translation applied to a W-direction v.
 
     The left-invariant field of v at x (_invariant_field, the field that
-    levi_tensor differentiates), re-derived by jet differentiation of
-    t -> x * (t v, 0); the two must agree exactly.
+    levi_tensor differentiates), checked against the product: the form is
+    bilinear, so t -> x * (t v, 0) is affine in t, and its derivative is
+    exactly the increment x * (v, 0) - x, on the integers of multiply.
     """
     v = tuple(c if type(c) is Q else Q(c) for c in v)
     if len(v) != omega.dim_w:
         raise ValueError("direction must lie in W")
     field = _invariant_field(omega, v, x.w_part)
     closed = GroupElement(field[: omega.dim_w], field[omega.dim_w :])
-    jet_x = GroupElement([Jet1.const(c, 1) for c in x.w_part], [Jet1.const(c, 1) for c in x.u_part])
-    jet_arg = GroupElement([Jet1(ZERO, (c,)) for c in v], [Jet1.const(ZERO, 1)] * omega.dim_u)
-    moved = multiply(omega, jet_x, jet_arg)
-    derivative = GroupElement([c.eps[0] for c in moved.w_part], [c.eps[0] for c in moved.u_part])
-    if derivative != closed:
-        raise InternalConsistencyError("closed form and jet derivative disagree")
+    moved = multiply(omega, x, rational_element(as_integers(v), ((0,) * omega.dim_u, 1)))
+    increment = []
+    for (ia, p), (ib, q) in ((moved.w, x.w), (moved.u, x.u)):
+        den = lcm(p, q)
+        increment.append(([a * (den // p) - b * (den // q) for a, b in zip(ia, ib)], den))
+    if rational_element(*increment) != closed:
+        raise InternalConsistencyError("closed form and increment derivative disagree")
     return closed
 
 
 def levi_tensor(omega: OmegaForm, x: GroupElement, u, v):
     """U-component of the bracket of the left-invariant extensions of u, v.
 
-    The bracket at x is D_{X_u} X_v - D_{X_v} X_u; each term evaluates
-    one field on first-order jets at x.w_part that move along the other
-    field's value at x (the fields do not depend on the U coordinates).
+    The bracket at x is D_{X_u} X_v - D_{X_v} X_u.  The form is bilinear,
+    so the field X_v(z) = (v, (1/2) form(z_w, v)) is affine in z and free
+    of z_u: along a, its derivative is exactly X_v(x_w + a_w) - X_v(x_w).
     """
     u, v = tuple(u), tuple(v)
+    field_u, field_v = (_invariant_field(omega, d, x.w_part) for d in (u, v))
 
-    def derivative(direction, along):
-        z_w = tuple(Jet1(c, (d,)) for c, d in zip(x.w_part, along))
-        field = _invariant_field(omega, direction, z_w)
-        return [c.eps[0] if isinstance(c, Jet1) else ZERO for c in field]
+    def derivative(direction, field, along):
+        moved = _invariant_field(omega, direction, [a + b for a, b in zip(x.w_part, along)])
+        return [b - a for a, b in zip(field, moved)]
 
-    along_u = derivative(v, _invariant_field(omega, u, x.w_part))
-    along_v = derivative(u, _invariant_field(omega, v, x.w_part))
+    along_u, along_v = derivative(v, field_v, field_u), derivative(u, field_u, field_v)
     values = [a - b for a, b in zip(along_u, along_v)]
     if any(c != 0 for c in values[: omega.dim_w]):
         raise InternalConsistencyError("field bracket left the center")

@@ -366,7 +366,10 @@ class _Parser:
             kind, text = self.take()
             if kind != "int":
                 raise PolyParseError("exponent must be a nonnegative integer")
-            exponent = int(text)
+            digits = text.lstrip("0") or "0"
+            if (n := len(digits)) > len(str(MAX_DEGREE)):
+                raise PolyParseError(f"exponent of {n} digits exceeds the cap of {MAX_DEGREE}")
+            exponent = int(digits)
             _check_degree("exponent", exponent)
             _check_degree("degree", node.total_degree() * exponent)
             _check_terms(comb(max(len(node.terms), 1) + exponent - 1, exponent))

@@ -38,7 +38,7 @@ from .varieties import (
 )
 
 def _sample_element(sampler, omega):
-    return meta.element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+    return meta.rational_element(sampler.integers(omega.dim_w), sampler.integers(omega.dim_u))
 
 
 def _slide_outcome(chart, omega, cfg, variant):
@@ -49,14 +49,11 @@ def _slide_outcome(chart, omega, cfg, variant):
     if cfg is None:
         return ("skip", "degenerate frame")
     param, frame, x, delta, t = cfg
-    planes = fam.line_planes(omega, x, frame[0])
     try:
-        plane = next(planes)
-        if variant == "alt":
-            plane = next(planes, None)
-            if plane is None:
-                return ("skip", "no second chart")
-        elif variant == "symbolic":
+        plane = next(fam.line_planes(omega, x, frame[0], skip=int(variant == "alt")), None)
+        if plane is None:  # only the alt chart can lack a plane
+            return ("skip", "no second chart")
+        if variant == "symbolic":
             for slide in (t, Q(0)):
                 closed = fam.direction_variation(omega, frame, plane, delta, slide)
                 oracle = (chart, omega, param, x, delta, slide, plane.pivots)

@@ -10,6 +10,7 @@ Rationals have numerator and denominator bounded by 97.
 from __future__ import annotations
 
 import zlib
+from math import lcm
 
 from .scalars import Q
 
@@ -41,10 +42,12 @@ class RationalSampler:
             raise ValueError("bound must be positive")
         return self._step() % bound
 
-    def rational(self):
+    def _draw(self):
         num = self.integer(2 * NUMERATOR_BOUND + 1) - NUMERATOR_BOUND
-        den = self.integer(DENOMINATOR_BOUND) + 1
-        return Q(num, den)
+        return num, self.integer(DENOMINATOR_BOUND) + 1
+
+    def rational(self):
+        return Q(*self._draw())
 
     def nonzero_rational(self):
         while True:
@@ -54,6 +57,12 @@ class RationalSampler:
 
     def vector(self, length: int):
         return tuple(self.rational() for _ in range(length))
+
+    def integers(self, length: int):
+        """vector(length) from the same draws, as (ints, den): ints[k] / den."""
+        draws = [self._draw() for _ in range(length)]
+        den = lcm(*(d for _, d in draws))
+        return [n * (den // d) for n, d in draws], den
 
     def nonzero_vector(self, length: int):
         while True:

@@ -11,6 +11,7 @@ import metaline
 from metaline.cli import main
 from metaline.lines import boundary_direction, line_through
 from metaline.metabelian import OmegaForm, element
+from metaline.polynomials import MAX_DEGREE
 from metaline.scalars import parse_rational, qstr
 from metaline.varieties import omega_from_json
 
@@ -562,11 +563,16 @@ def test_chart_past_the_coordinate_cap_exits_two(tmp_path, capsys, command):
         ({"variables": ["t", ""], "coordinates": ["1", "t", "t^2"]}, "variable '' is not a name"),
         ({"variables": ["2t"], "coordinates": ["1", "t", "t^2"]}, "variable '2t' is not a name"),
         ({"variables": ["a b"], "coordinates": ["1", "a", "a^2"]}, "variable 'a b' is not a name"),
+        (
+            {"variables": ["t"], "coordinates": ["1", "t", "t^" + "1" * 4401]},
+            f"exponent of 4401 digits exceeds the cap of {MAX_DEGREE}",
+        ),
     ],
 )
 def test_unreadable_chart_exits_two_at_load(tmp_path, capsys, command, fixture, message):
-    """A coefficient past the bit cap, and a variable name that no
-    coordinate could mention, stop every command at load."""
+    """A coefficient past the bit cap, an exponent too long to convert,
+    and a variable name that no coordinate could mention, stop every
+    command at load."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"label": "x", **fixture}))
     code, out, err = run_cli(command, str(bad), capsys=capsys)

@@ -206,6 +206,19 @@ def test_levi_tensor_check_passes_on_every_builtin(name):
     assert [(c.name, c.passes, c.failures) for c in report.checks] == [("levi-tensor", 3, 0)]
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_the_element_oracles_build_no_jet(name, monkeypatch):
+    """Guard: the maps that maurer-cartan and levi-tensor differentiate are
+    affine, so both take exact increments and build no Jet1."""
+    built = []
+    init = Jet1.__init__
+    monkeypatch.setattr(Jet1, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    chart, omega = builtin_chart(name)
+    report = run_verification(chart, omega, samples=3, checks=["maurer-cartan", "levi-tensor"])
+    assert report.passed and [c.passes for c in report.checks] == [3, 3]
+    assert built == []
+
+
 @st.composite
 def planes(draw, singular=True):
     """Two rational rows, a pivot pair, and, at random, a singular pivot

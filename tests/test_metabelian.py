@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HEISENBERG as HEIS
+from metaline import metabelian as meta
 from metaline.jets import Jet1
 from metaline.linalg import pair_count, pair_index, wedge
 from metaline.metabelian import (
@@ -103,6 +104,23 @@ def test_maurer_cartan_closed_form():
     out = maurer_cartan_log_derivative(HEIS, x, (2, 4))
     assert out.w_part == (2, 4)
     assert out.u_part == (Q(3 * 4 - 5 * 2, 2),)
+
+
+def test_maurer_cartan_catches_a_wrong_product(monkeypatch):
+    """The oracle holds multiply against the closed-form field: a product
+    that doubles its U correction (1/2) form(a_w, b_w) makes it raise."""
+    product = meta.multiply
+
+    def doubled(omega, a, b):
+        out = product(omega, a, b)
+        u = [2 * c - p - q for c, p, q in zip(out.u_part, a.u_part, b.u_part)]
+        return element(omega, out.w_part, u)
+
+    monkeypatch.setattr(meta, "multiply", doubled)
+    x = element(HEIS, (3, 5), (7,))
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        maurer_cartan_log_derivative(HEIS, x, (2, 4))
+    assert maurer_cartan_log_derivative(HEIS, x, (3, 5)).u_part == (0,)  # form(x_w, v) = 0
 
 
 def test_maurer_cartan_is_identity_at_origin():

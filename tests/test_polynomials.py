@@ -71,6 +71,18 @@ def test_parser_caps_degree():
             p(big)
 
 
+def test_exponent_is_read_without_its_leading_zeros():
+    """A zero-padded exponent is its value, however long the padding; one
+    with more digits than the cap is refused by its digit count before it
+    is converted (int() refuses strings of over 4,300 digits)."""
+    assert p("x^" + "0" * 5000 + "2") == p("x^2")
+    assert p(f"x^00{MAX_DEGREE}").total_degree() == MAX_DEGREE
+    with pytest.raises(PolyParseError, match=f"exponent {MAX_DEGREE + 1} exceeds"):
+        p(f"x^000{MAX_DEGREE + 1}")
+    with pytest.raises(PolyParseError, match=f"of 4401 digits exceeds the cap of {MAX_DEGREE}$"):
+        p("x^" + "1" * 4401)
+
+
 def test_parser_caps_terms():
     """Sums, products and powers are rejected on a term bound before they
     are formed: a + b, a * b and C(a + e - 1, e) for a- and b-term inputs."""

@@ -344,6 +344,28 @@ def test_levi_bracket_leaving_the_center_is_a_failure(monkeypatch):
     assert not report.passed
 
 
+def test_a_wrongly_scaled_field_fails_the_levi_tensor_check(monkeypatch):
+    """Fields scaled by 2 have a bracket of 4 form(u, v): the check holds
+    the increment derivative of the field formula against the form."""
+    invariant_field = meta._invariant_field
+    monkeypatch.setattr(
+        meta, "_invariant_field", lambda *args: [2 * c for c in invariant_field(*args)]
+    )
+    chart, explicit = builtin_chart("veronese-2-3")
+    report = run_verification(chart, explicit, samples=3, checks=["levi-tensor"])
+    assert [c.to_dict() for c in report.checks] == [
+        {
+            "name": "levi-tensor",
+            "samples": 3,
+            "passes": 0,
+            "skips": 0,
+            "failures": 3,
+            "witness": "field bracket disagrees with the form",
+        }
+    ]
+    assert not report.passed
+
+
 class _InlineExecutor:
     """Stands in for ProcessPoolExecutor: records its size, runs in-process.
     It takes no initializer, so a pool can hand its workers their state
