@@ -63,8 +63,8 @@ from math import lcm
 
 from .jets import Jet1
 from .linalg import Mat, NotInSpan, integer_rref, solve_in_span
-from .lines import direction_row, line_matrix_rows, translate
-from .metabelian import GroupElement, OmegaForm
+from .lines import line_matrix_rows, translate
+from .metabelian import GroupElement, OmegaForm, invariant_field
 from .scalars import HALF, ONE, Q, ZERO, as_integers, from_integers, lowest_terms
 from .varieties import VarietyChart, in_tangent_span
 
@@ -176,9 +176,11 @@ def _block_variation(plane: _Plane, drows):
 
 def _tangent_rows(omega: OmegaForm, plane: _Plane, tangent):
     """The plane's row moves of the direction variation: the direction row
-    moves by that of the chart tangent, given as (integers, scale)."""
+    moves by that of the chart tangent, given as (integers, scale), its
+    left-invariant field at the plane's point with a 0 appended."""
     point, l0 = plane.rows[0], plane.scales[0]
-    return [([0] * len(point), 1), direction_row(omega, point, l0, *tangent)]
+    field, scale = invariant_field(omega, point[: omega.dim_w], l0, *tangent)
+    return [([0] * len(point), 1), ([*field, 0], scale)]
 
 
 def _tangent_variation(omega: OmegaForm, plane: _Plane, tangent):
@@ -336,8 +338,8 @@ def solve_basepoint_variation(omega: OmegaForm, plane: _Plane, shift):
     unknowns and any U unknown at a pivot column, and reduces only 11 of
     those 52 rows on veronese3-of-conic.  Each eliminated U
     unknown is back-substituted: c_u = (P shift)[0][p] - (P dB along the
-    reduced solution)[0][p], whose point row moves by (c_w,
-    (1/2) form(x_w, c_w), 0) with the kept U values added: one form
+    reduced solution)[0][p], whose point row moves by the field row of
+    c_w (_tangent_rows) with the kept U values added: one form
     contraction, since block row 0 of P dB reads the point row alone.
     With none eliminated (dim_u 0, or every U column a pivot) the reduced
     solution is the solution.
@@ -359,8 +361,7 @@ def solve_basepoint_variation(omega: OmegaForm, plane: _Plane, shift):
         return coeffs
     dim_w = omega.dim_w
     ints, scale = as_integers(coeffs)
-    point, l0 = plane.rows[0], plane.scales[0]
-    d_point, m0 = direction_row(omega, point, l0, ints[:dim_w], scale)
+    [_, (d_point, m0)] = _tangent_rows(omega, plane, (ints[:dim_w], scale))
     for c, value in zip(kept, ints[dim_w:]):
         d_point[c] += value * (m0 // scale)
     [(moved, s0)] = _moved_rows(plane, [(d_point, m0)])
@@ -439,18 +440,18 @@ def pencil_frames(omega: OmegaForm, frame, plane: _Plane):
     parameter at several slides.
     """
     w, *tangents = frame
-    (point, direction), (l0, l1) = plane.rows, plane.scales
+    direction, l1 = plane.rows[1], plane.scales[1]
     f0, f_inf = [], []
     for it, dt in tangents:
-        rows, scale = _tangent_variation(omega, plane, (it, dt))
+        tangent_rows = _tangent_rows(omega, plane, (it, dt))
+        rows, scale = _block_variation(plane, tangent_rows)
         f0.append((sum(rows, []), scale))
         # the limit frame is minus the basepoint variation along (tangent, 0):
         # the point row moves by the tangent's direction row, the direction
         # row by (0, (1/2) form(tangent, w), 0)
-        d_point = direction_row(omega, point, l0, it, dt)
         form, den = omega.apply_integers(it, direction[: omega.dim_w])
         d_dir = ([*(0 for _ in it), *form, 0], 2 * dt * l1 * den)
-        rows, scale = _block_variation(plane, [d_point, d_dir])
+        rows, scale = _block_variation(plane, [tangent_rows[1], d_dir])
         f_inf.append(([-v for row in rows for v in row], scale))
 
     for t in PENCIL_SLIDES:

@@ -21,7 +21,8 @@ and the canonical line (line_through) are the group product
 element keeps each part as integers over one lowest-terms denominator
 (metabelian.GroupElement), and a direction is an integer row over a
 positive scale, such as a chart frame's value row.  This module
-contracts the form itself only in direction_row.  The span of a coset
+contracts the form itself nowhere: a direction row is the left-invariant
+field metabelian.invariant_field with a 0 appended.  The span of a coset
 is given as _rref's sparse integer pivot rows, as the tangent frame of
 a boundary point keeps them.
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from math import gcd, lcm
 
 from .linalg import Mat, combine_rows, wedge
-from .metabelian import GroupElement, OmegaForm, multiply, rational_element
+from .metabelian import GroupElement, OmegaForm, invariant_field, multiply, rational_element
 from .scalars import Q, lowest_terms
 
 
@@ -109,13 +110,6 @@ def line_of(omega: OmegaForm, alpha: TangentDirectionPoint) -> HorizontalLine:
     return replace(line_through(omega, alpha.base, alpha.direction), param=alpha.param)
 
 
-def direction_row(omega: OmegaForm, point, scale, iv, dv):
-    """(v, (1/2) form(x_w, v), 0) as an integer row and its scale, for
-    v = iv / dv and x the point whose integer row over scale is point."""
-    form, den = omega.apply_integers(point[: omega.dim_w], iv)
-    return [*(2 * scale * den * c for c in iv), *form, 0], 2 * scale * dv * den
-
-
 def line_matrix_rows(omega: OmegaForm, x: GroupElement, w):
     """Spanning rows of the line's 2-plane in V = W + U + I through x in
     direction w, an integer row over a positive scale, as integer rows
@@ -125,7 +119,8 @@ def line_matrix_rows(omega: OmegaForm, x: GroupElement, w):
     (iw, dw), (iu, du) = x.w, x.u
     l0 = lcm(dw, du)
     point = [*(c * (l0 // dw) for c in iw), *(c * (l0 // du) for c in iu), l0]
-    return [(point, l0), lowest_terms(*direction_row(omega, point, l0, *w))]
+    field, scale = invariant_field(omega, iw, dw, *w)
+    return [(point, l0), lowest_terms([*field, 0], scale)]
 
 
 def pluecker_embed(omega: OmegaForm, line: HorizontalLine) -> tuple:

@@ -13,9 +13,10 @@ take Python integers: OmegaForm.apply contracts them as integer minors,
 and a rational element keeps each part as integers over one denominator
 in lowest terms, which multiply and inverse read and write directly; the
 line kernels (lines) slide through multiply.  Its Q coordinates are
-built only when something reads them.  The form is bilinear, so what the
-Maurer-Cartan and Levi-tensor oracles differentiate is affine: each
-derivative is an exact increment, and no derivative ring is needed."""
+built only when something reads them.  Every line row and both oracles
+run one left-invariant field, invariant_field.  The form is bilinear, so
+what the oracles differentiate is affine: each derivative is an exact
+increment, and no derivative ring is needed."""
 
 from __future__ import annotations
 
@@ -31,31 +32,28 @@ from .scalars import HALF, Q, ZERO, as_integers, from_integers, lowest_terms
 class OmegaForm:
     """Antisymmetric bilinear form on W with values in U.
 
-    Stored as its nonzero coefficients alone.  `terms` keeps the index
-    pairs i < j (lex order) whose U-vector is nonzero, each as (pair
-    index, i, j, ((c, coefficient), ...)) over its nonzero coordinates in
-    increasing c; the form is contracted over those alone.  `_int_terms`,
-    the one integer table, has them in the same layout as integers over
-    one denominator `den`.  The dense `table`, one U-vector per pair, is
-    built on first read (for printing) and kept.
+    Stored once, as its nonzero coefficients alone, in integers over one
+    positive denominator `den`: `terms` keeps the index pairs i < j (lex
+    order) whose U-vector is nonzero, each as (pair index, i, j,
+    ((c, integer), ...)) over its nonzero coordinates in increasing c, so
+    coordinate c of pair (i, j) is integer / den; the form is contracted
+    over those alone.  The dense rational `table`, one U-vector per pair,
+    is built on first read (for printing) and kept.
     """
 
-    __slots__ = ("dim_w", "dim_u", "terms", "_int_terms", "den", "_table")
+    __slots__ = ("dim_w", "dim_u", "terms", "den", "_table")
 
     def __init__(self, dim_w, dim_u, rows):
         """From one row per index pair in lex order, each the pair's
         nonzero coordinates as (c, rational) in increasing c, taken as
         given; from_entries is the checked constructor."""
         self.dim_w, self.dim_u, self._table = int(dim_w), int(dim_u), None
+        pairs = enumerate(zip(combinations(range(self.dim_w), 2), rows))
+        kept = [(k, i, j, row) for k, ((i, j), row) in pairs if row]
+        den = self.den = lcm(*(x.denominator for *_, row in kept for _, x in row))
         self.terms = tuple(
-            (k, i, j, tuple(row))
-            for k, ((i, j), row) in enumerate(zip(combinations(range(self.dim_w), 2), rows))
-            if row
-        )
-        den = self.den = lcm(*(x.denominator for *_, row in self.terms for _, x in row))
-        self._int_terms = tuple(
             (k, i, j, tuple((c, x.numerator * (den // x.denominator)) for c, x in row))
-            for k, i, j, row in self.terms
+            for k, i, j, row in kept
         )
 
     @classmethod
@@ -83,7 +81,7 @@ class OmegaForm:
             table = [[ZERO] * self.dim_u for _ in range(pair_count(self.dim_w))]
             for k, _, _, row in self.terms:
                 for c, x in row:
-                    table[k][c] = x
+                    table[k][c] = Q(x, self.den)
             self._table = tuple(map(tuple, table))
         return self._table
 
@@ -91,12 +89,14 @@ class OmegaForm:
         """Form on coordinate vectors, from the minors u_i v_j - u_j v_i of
         the pairs in `terms` alone.  Rationals are scaled to integers, one
         denominator per vector (fraction-free, after Bareiss, Math. Comp. 22,
-        1968); other entries (polynomials) are contracted in their own ring."""
+        1968); other entries (polynomials) are contracted in their own ring
+        on the integer table, each U coordinate then scaled once by 1 / den."""
         if len(u) != self.dim_w or len(v) != self.dim_w:
             raise ValueError("vectors must have length dim_w")
         su, sv = as_integers(u), as_integers(v)
         if su is None or sv is None:
-            return self._contract((u[i] * v[j] - u[j] * v[i], row) for _, i, j, row in self.terms)
+            minors = ((u[i] * v[j] - u[j] * v[i], row) for _, i, j, row in self.terms)
+            return [x * Q(1, self.den) for x in self._contract(minors)]
         (iu, du), (iv, dv) = su, sv
         ints, den = self.apply_integers(iu, iv)
         return from_integers(ints, du * dv * den)
@@ -105,12 +105,12 @@ class OmegaForm:
         """The form on two integer vectors of length dim_w, as (ints, den):
         form(iu, iv)[c] == ints[c] / den, den > 0 one denominator for the
         whole table."""
-        minors = ((iu[i] * iv[j] - iu[j] * iv[i], row) for _, i, j, row in self._int_terms)
+        minors = ((iu[i] * iv[j] - iu[j] * iv[i], row) for _, i, j, row in self.terms)
         return self._contract(minors, 0), self.den
 
     def columns(self, ix):
         """form(x, e_k) for every basis vector e_k of W, x an integer vector,
-        from one pass over `_int_terms`, as (cols, den): form(x, e_k)[c] ==
+        from one pass over `terms`, as (cols, den): form(x, e_k)[c] ==
         cols[k][c] / den, so apply(x, v) == sum over k of v_k * cols[k] / den.
 
         At pair (i, j) the minor of (x, e_j) is x_i and that of (x, e_i)
@@ -119,7 +119,7 @@ class OmegaForm:
         if len(ix) != self.dim_w:
             raise ValueError("vector must have length dim_w")
         cols = [[0] * self.dim_u for _ in range(self.dim_w)]
-        for _, i, j, row in self._int_terms:
+        for _, i, j, row in self.terms:
             if xi := ix[i]:
                 col = cols[j]
                 for c, coeff in row:
@@ -133,7 +133,7 @@ class OmegaForm:
     def on_wedge(self, vector):
         """Form on a second-exterior-power vector of integers, sparse as
         {pair index: integer} over pairs in lex order: integers over den."""
-        return self._contract(((vector.get(k), row) for k, _, _, row in self._int_terms), 0)
+        return self._contract(((vector.get(k), row) for k, _, _, row in self.terms), 0)
 
     def _contract(self, minors, zero=ZERO):
         """Sum from zero of minor * coefficient into U, over (minor, row) pairs."""
@@ -148,7 +148,7 @@ class OmegaForm:
     def _key(self):
         """The form's coefficients, canonical: in increasing c per pair,
         as integers over the lcm of their reduced denominators."""
-        return self.dim_w, self.dim_u, self.den, self._int_terms
+        return self.dim_w, self.dim_u, self.den, self.terms
 
     def __eq__(self, other):
         return isinstance(other, OmegaForm) and self._key() == other._key()
@@ -247,33 +247,34 @@ class InternalConsistencyError(AssertionError):
     pass
 
 
-def _invariant_field(omega: OmegaForm, direction, z_w):
-    """Left-invariant vector field of a W-direction, valued at a point
-    with W-part z_w: (direction, (1/2) form(z_w, direction))."""
-    coeffs = list(direction)
-    coeffs.extend(HALF * c for c in omega.apply(z_w, direction))
-    return coeffs
+def invariant_field(omega: OmegaForm, iw, dw, iv, dv):
+    """The left-invariant field X_v(x) = (v, (1/2) form(x_w, v)) at x_w = iw / dw
+    and v = iv / dv, as integers over one positive scale, dw, dv > 0."""
+    form, den = omega.apply_integers(iw, iv)
+    return [*(2 * dw * den * c for c in iv), *form], 2 * dw * dv * den
+
+
+def _difference(a, b):
+    """a - b for two integer rows over positive scales, over their lcm."""
+    (ia, p), (ib, q) = a, b
+    den = lcm(p, q)
+    return [x * (den // p) - y * (den // q) for x, y in zip(ia, ib)], den
 
 
 def maurer_cartan_log_derivative(omega: OmegaForm, x: GroupElement, v) -> GroupElement:
     """Log-derivative at x of left translation applied to a W-direction v.
 
-    The left-invariant field of v at x (_invariant_field, the field that
-    levi_tensor differentiates), checked against the product: the form is
-    bilinear, so t -> x * (t v, 0) is affine in t, and its derivative is
-    exactly the increment x * (v, 0) - x, on the integers of multiply.
-    """
-    v = tuple(c if type(c) is Q else Q(c) for c in v)
-    if len(v) != omega.dim_w:
+    The left-invariant field of v at x (invariant_field, which every line
+    row runs), checked against the product: the form is bilinear, so
+    t -> x * (t v, 0) is affine in t, and its derivative is exactly the
+    increment x * (v, 0) - x, on the integers of multiply."""
+    iv, dv = as_integers(v)
+    if len(iv) != omega.dim_w:
         raise ValueError("direction must lie in W")
-    field = _invariant_field(omega, v, x.w_part)
-    closed = GroupElement(field[: omega.dim_w], field[omega.dim_w :])
-    moved = multiply(omega, x, rational_element(as_integers(v), ((0,) * omega.dim_u, 1)))
-    increment = []
-    for (ia, p), (ib, q) in ((moved.w, x.w), (moved.u, x.u)):
-        den = lcm(p, q)
-        increment.append(([a * (den // p) - b * (den // q) for a, b in zip(ia, ib)], den))
-    if rational_element(*increment) != closed:
+    field, scale = invariant_field(omega, *x.w, iv, dv)
+    closed = rational_element((field[: omega.dim_w], scale), (field[omega.dim_w :], scale))
+    moved = multiply(omega, x, rational_element((iv, dv), ((0,) * omega.dim_u, 1)))
+    if rational_element(_difference(moved.w, x.w), _difference(moved.u, x.u)) != closed:
         raise InternalConsistencyError("closed form and increment derivative disagree")
     return closed
 
@@ -283,20 +284,21 @@ def levi_tensor(omega: OmegaForm, x: GroupElement, u, v):
 
     The bracket at x is D_{X_u} X_v - D_{X_v} X_u.  The form is bilinear,
     so the field X_v(z) = (v, (1/2) form(z_w, v)) is affine in z and free
-    of z_u: along a, its derivative is exactly X_v(x_w + a_w) - X_v(x_w).
+    of z_u: along a, its derivative is exactly X_v(x_w + a_w) - X_v(x_w),
+    and X_u(x) has W-part u.  The four fields are invariant_field's
+    integers, x_w + a over dx * da; a Q is built only for the U-part.
     """
-    u, v = tuple(u), tuple(v)
-    field_u, field_v = (_invariant_field(omega, d, x.w_part) for d in (u, v))
+    (iw, dx), a, b = x.w, as_integers(u), as_integers(v)
 
-    def derivative(direction, field, along):
-        moved = _invariant_field(omega, direction, [a + b for a, b in zip(x.w_part, along)])
-        return [b - a for a, b in zip(field, moved)]
+    def derivative(direction, ia, da):
+        moved = [c * da + d * dx for c, d in zip(iw, ia)]
+        at_x = invariant_field(omega, iw, dx, *direction)
+        return _difference(invariant_field(omega, moved, dx * da, *direction), at_x)
 
-    along_u, along_v = derivative(v, field_v, field_u), derivative(u, field_u, field_v)
-    values = [a - b for a, b in zip(along_u, along_v)]
-    if any(c != 0 for c in values[: omega.dim_w]):
+    values, den = _difference(derivative(b, *a), derivative(a, *b))
+    if any(values[: omega.dim_w]):
         raise InternalConsistencyError("field bracket left the center")
-    return tuple(values[omega.dim_w :])
+    return tuple(from_integers(values[omega.dim_w :], den))
 
 
 def _symbolic_element(omega: OmegaForm, nvars, offset):

@@ -381,8 +381,9 @@ class _Parser:
     def atom(self):
         kind, text = self.take()
         if kind == "int":
-            _check_bits(len(text) * 10 // 3 + 1)  # 10^digits < 2^(digits * 10/3)
-            return Poly.const(int(text), self.nvars)
+            digits = text.lstrip("0") or "0"
+            _check_bits(len(digits) * 10 // 3 + 1)  # 10^digits < 2^(digits * 10/3)
+            return Poly.const(int(digits), self.nvars)
         if kind == "name":
             if text not in self.index:
                 raise PolyParseError(f"unknown variable {text!r}")

@@ -567,6 +567,10 @@ def test_chart_past_the_coordinate_cap_exits_two(tmp_path, capsys, command):
             {"variables": ["t"], "coordinates": ["1", "t", "t^" + "1" * 4401]},
             f"exponent of 4401 digits exceeds the cap of {MAX_DEGREE}",
         ),
+        (
+            {"variables": ["t"], "coordinates": ["1", "t", "0" * 400 + str(10**307) + "*t^2"]},
+            "coefficients of up to 1027 bits exceed the cap of 1024",
+        ),
     ],
 )
 def test_unreadable_chart_exits_two_at_load(tmp_path, capsys, command, fixture, message):

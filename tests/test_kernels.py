@@ -17,7 +17,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -89,8 +89,13 @@ def forms_and_vectors(draw):
 
 
 def _generic_apply(form, u, v):
-    """The contraction that polynomials and jets take, on the same vectors."""
-    return form._contract((u[i] * v[j] - u[j] * v[i], row) for _, i, j, row in form.terms)
+    """The form on the same vectors in their own ring, each coefficient
+    read as Q(x, form.den)."""
+    out = [Q(0)] * form.dim_u
+    for _, i, j, row in form.terms:
+        for c, x in row:
+            out[c] = out[c] + (u[i] * v[j] - u[j] * v[i]) * Q(x, form.den)
+    return out
 
 
 @st.composite
@@ -123,11 +128,13 @@ def test_every_constructor_stores_one_sparse_form(case, data):
         assert form.terms == dense.terms
         assert form == dense and hash(form) == hash(dense)
     for k, i, j, row in dense.terms:
-        assert pairs[k] == (i, j) and row == tuple((c, x) for c, x in enumerate(expected[k]) if x)
+        coefficients = tuple((c, Q(x, dense.den)) for c, x in row)
+        assert pairs[k] == (i, j) and all(type(x) is int for _, x in row)
+        assert coefficients == tuple((c, x) for c, x in enumerate(expected[k]) if x)
     if dense.terms:
         k, _, _, ((c, x), *_) = dense.terms[0]
         changed = [list(r) for r in table]
-        changed[k][c] = x + 1
+        changed[k][c] = Q(x, dense.den) + 1
         assert form_from_table(dim_w, dim_u, changed) != dense
 
 
@@ -140,6 +147,24 @@ def test_integer_apply_matches_the_generic_contraction(case):
     assert len(got) == form.dim_u and all(type(x) is Q for x in got)
     zero = [0] * form.dim_w
     assert form.apply(zero, v) == form.apply(u, zero) == [Q(0)] * form.dim_u
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms_and_vectors())
+@example((OmegaForm.from_entries(3, 0, []), [Q(5, 3), Q(-7, 3), 1], [Q(1, 3), 0, Q(-2, 3)]))
+def test_invariant_field_is_the_rational_field(case):
+    """invariant_field over its scale is (v, (1/2) form(x_w, v)), the form
+    read from its rational table in Fractions; dim_u 0 included."""
+    form, x, v = case
+    (iw, dw), (iv, dv) = as_integers(x), as_integers(v)
+    ints, scale = meta.invariant_field(form, iw, dw, iv, dv)
+    assert scale > 0 and len(ints) == form.dim_w + form.dim_u
+    xf, vf = [Fraction(c) for c in x], [Fraction(c) for c in v]
+    half_form = [Fraction(0)] * form.dim_u
+    for (i, j), row in zip(combinations(range(form.dim_w), 2), form.table):
+        for c, coeff in enumerate(row):
+            half_form[c] += (xf[i] * vf[j] - xf[j] * vf[i]) * Fraction(coeff) / 2
+    assert [Fraction(c, scale) for c in ints] == vf + half_form
 
 
 @settings(max_examples=200, deadline=None)

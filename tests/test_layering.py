@@ -60,11 +60,12 @@ def test_only_scalars_reaches_the_fraction_backend(path):
 
 def _callers(path, name):
     """The functions of the file whose bodies call name, by bare name or as
-    an attribute; a call outside any function is listed as None."""
+    an attribute; a call in a nested function is listed under the function
+    that encloses it, and a call outside any function as None."""
     found = []
 
     def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and function is None:
             function = node.name
         if isinstance(node, ast.Call):
             func = node.func
@@ -86,6 +87,27 @@ def test_one_function_decides_the_form():
         for function in _callers(path, "build_omega")
     }
     assert callers == {("runner.py", "form_and_dimensions"), ("cli.py", "_cmd_build_omega")}
+
+
+def test_one_left_invariant_field():
+    """The field (v, (1/2) form(x_w, v)) has one implementation: the line
+    rows and both oracles call metabelian.invariant_field, and neither
+    lines.direction_row nor metabelian._invariant_field is left."""
+    callers = {
+        (path.name, function)
+        for path in SRC.glob("*.py")
+        for function in _callers(path, "invariant_field")
+    }
+    assert {name for name, _ in callers} == {"lines.py", "family_geometry.py", "metabelian.py"}
+    assert {function for name, function in callers if name == "metabelian.py"} == {
+        "maurer_cartan_log_derivative",
+        "levi_tensor",
+    }
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        names = set(_names(tree)) | defined
+        assert not names & {"direction_row", "_invariant_field"}, path.name
 
 
 def test_the_package_root_imports_nothing():

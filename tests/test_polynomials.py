@@ -143,6 +143,18 @@ def test_parser_caps_coefficient_bits():
             p(text)
 
 
+def test_leading_zeros_do_not_count_toward_the_bit_cap():
+    """A literal is bounded on its significant digits, as an exponent is:
+    zero padding parses to the same polynomial, and 308 significant
+    digits (bound 1027) are refused however they are padded."""
+    assert p("0" * 400 + "1*t", "t") == Poly.var(0, 1)
+    assert p("0" * 500) == Poly.zero(2)
+    assert p("0" * 400 + str(10**305) + "*y") == p(str(10**305) + "*y")
+    for text in (str(10**307), "0" * 400 + str(10**307)):
+        with pytest.raises(PolyParseError, match="coefficients of up to 1027 bits"):
+            p(text)
+
+
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
     st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),

@@ -321,14 +321,14 @@ def test_rank_deficient_pencil_passes_split_and_fails_splitting_type(monkeypatch
 def test_levi_bracket_leaving_the_center_is_a_failure(monkeypatch):
     """A field that is not left-invariant makes the bracket leave the center;
     levi-tensor records that as a failed sample, not a traceback."""
-    invariant_field = meta._invariant_field
+    invariant_field = meta.invariant_field
 
-    def drifting_field(omega, direction, z_w):
-        coeffs = invariant_field(omega, direction, z_w)
-        coeffs[0] = coeffs[0] + z_w[0]
-        return coeffs
+    def drifting_field(omega, iw, dw, iv, dv):
+        ints, scale = invariant_field(omega, iw, dw, iv, dv)
+        ints[0] += iw[0] * (scale // dw)  # x_w[0] added to the first coordinate
+        return ints, scale
 
-    monkeypatch.setattr(meta, "_invariant_field", drifting_field)
+    monkeypatch.setattr(meta, "invariant_field", drifting_field)
     chart, explicit = builtin_chart("flat-conic")
     report = run_verification(chart, explicit, samples=3, checks=["levi-tensor"])
     assert [c.to_dict() for c in report.checks] == [
@@ -345,12 +345,16 @@ def test_levi_bracket_leaving_the_center_is_a_failure(monkeypatch):
 
 
 def test_a_wrongly_scaled_field_fails_the_levi_tensor_check(monkeypatch):
-    """Fields scaled by 2 have a bracket of 4 form(u, v): the check holds
-    the increment derivative of the field formula against the form."""
-    invariant_field = meta._invariant_field
-    monkeypatch.setattr(
-        meta, "_invariant_field", lambda *args: [2 * c for c in invariant_field(*args)]
-    )
+    """Fields with a doubled U-part have a bracket of 2 form(u, v): the
+    check holds the increment derivative of the field formula against
+    the form."""
+    invariant_field = meta.invariant_field
+
+    def doubled_field(omega, *args):
+        ints, scale = invariant_field(omega, *args)
+        return ints[: omega.dim_w] + [2 * c for c in ints[omega.dim_w :]], scale
+
+    monkeypatch.setattr(meta, "invariant_field", doubled_field)
     chart, explicit = builtin_chart("veronese-2-3")
     report = run_verification(chart, explicit, samples=3, checks=["levi-tensor"])
     assert [c.to_dict() for c in report.checks] == [
