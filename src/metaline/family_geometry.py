@@ -14,7 +14,7 @@ are that closed form.  Everything here differentiates the picture exactly:
 * basepoint_variation: derivative when the base point moves through the
   group, one column per algebra direction (kernel: the line direction);
 * check_slide_identity: sliding the base by t shifts the direction
-  derivative by -t times the chart tangent, modulo the line direction;
+  derivative by -t times the basepoint variation along the chart tangent;
 * pencil_frames / check_splitting_type: the one-parameter pencil of
   derivative frames is exactly linear in the slide parameter, and the
   combined frame has rank 2d, so no member, the limit included, drops;
@@ -32,11 +32,12 @@ pivot pair.
 
 Multiplied by P, a U direction off the pivot columns moves one entry of
 the block's first row and nothing else.  So the slide solve
-(solve_basepoint_variation) and the Jacobian rank (family_dimension)
+(solve_basepoint_variation, which explains a failing slide check and is
+the symbolic variant's oracle) and the Jacobian rank (family_dimension)
 eliminate each U unknown through its own row, a Schur complement
 (F. Zhang (ed.), The Schur Complement and Its Applications, Springer
-2005), at every pivot pair and dim_u; the full basepoint_variation is
-solved only to give an out-of-span shift its residual.
+2005); the full basepoint_variation is solved only to give an
+out-of-span shift its residual.
 
 All of it runs fraction-free (after Bareiss, Math. Comp. 22, 1968), on
 integer rows with one positive scale each (_plane).  Scale row r of the
@@ -188,6 +189,29 @@ def _tangent_variation(omega: OmegaForm, plane: _Plane, tangent):
     return _block_variation(plane, _tangent_rows(omega, plane, tangent))
 
 
+def _pencil_columns(omega: OmegaForm, plane: _Plane, tangent):
+    """The tangent's pencil columns at the plane, flat integers over a scale:
+    its direction variation, and minus the basepoint variation along
+    (tangent, 0), which moves the point row by the tangent's field row and
+    the direction row by (0, (1/2) form(tangent, w), 0)."""
+    tangent_rows = _tangent_rows(omega, plane, tangent)
+    rows, scale = _block_variation(plane, tangent_rows)
+    it, dt = tangent
+    form, den = omega.apply_integers(it, plane.rows[1][: omega.dim_w])
+    d_dir = ([*(0 for _ in it), *form, 0], 2 * dt * plane.scales[1] * den)
+    limit, s = _block_variation(plane, [tangent_rows[1], d_dir])
+    return (sum(rows, []), scale), ([-v for row in limit for v in row], s)
+
+
+def _on_pencil(omega: OmegaForm, slid: _Plane, tangent, columns, t):
+    """Whether the tangent's direction variation at the slid plane is
+    col_0 / e_0 + t col_inf / e_inf, its _pencil_columns, cross-multiplied."""
+    rows, scale = _tangent_variation(omega, slid, tangent)
+    (col_0, e_0), (col_inf, e_inf) = columns
+    lhs, a, b = e_0 * e_inf * t.denominator, e_inf * t.denominator, t.numerator * e_0
+    return all(s * lhs == scale * (u * a + v * b) for s, u, v in zip(sum(rows, []), col_0, col_inf))
+
+
 def _tangent(frame, delta):
     """Differential of the chart at the frame's point applied to delta, as
     (ints, scale): the sum of delta_a times the frame's partial row a over
@@ -336,20 +360,20 @@ def solve_basepoint_variation(omega: OmegaForm, plane: _Plane, shift):
     enters only its own row of block row 0 (_schur_system), so
     solve_in_span takes only the other rows, in integers, over the W
     unknowns and any U unknown at a pivot column, and reduces only 11 of
-    those 52 rows on veronese3-of-conic.  Each eliminated U
-    unknown is back-substituted: c_u = (P shift)[0][p] - (P dB along the
+    those 52 rows on veronese3-of-conic.  Each eliminated U unknown is
+    back-substituted: c_u = (P shift)[0][p] - (P dB along the
     reduced solution)[0][p], whose point row moves by the field row of
     c_w (_tangent_rows) with the kept U values added: one form
     contraction, since block row 0 of P dB reads the point row alone.
     With none eliminated (dim_u 0, or every U column a pivot) the reduced
     solution is the solution.
 
-    For w nonzero the kernel of the full variation is exactly the line
-    direction (w, 0), so the reduced solution with its free coordinate
-    zero is the full solve's canonical solution.  When the shift is out
-    of span the full variation is solved instead, on the rational shift,
-    so that NotInSpan carries the full system's residual.
-    """
+    The full variation's kernel is exactly the line direction (w, 0)
+    (check_slide_identity), so the reduced solution with its free
+    coordinate zero is the full solve's canonical solution.  Off the span
+    the full variation is solved instead, on the rational shift, so that
+    NotInSpan carries the full system's residual.  solve_slide_identity
+    runs it to explain a failing slide check and as the symbolic oracle."""
     target = _times_minor(plane, shift)
     reduced, kept, u_pos = _schur_system(omega, plane, [target] + _w_variation(omega, plane))
     try:
@@ -380,17 +404,28 @@ class SlideCheckResult:
 
 
 def check_slide_identity(omega: OmegaForm, frame, plane: _Plane, delta, t) -> SlideCheckResult:
-    """Verify: (variation slid by t) - (variation at 0), pulled back
-    through the basepoint variation, equals -t times the chart tangent
-    modulo the line direction.  Exact, zero tolerance.  The pulled-back
-    coefficients must also have no U-part and a W-part in the tangent
-    frame's span (tangent_span_ok).
+    """Verify: (variation slid by t) - (variation at 0) equals -t times the
+    basepoint variation along (chart tangent, 0), exactly: the pencil's
+    column of the tangent is linear at slide t (_on_pencil).  That is the
+    slide identity, whose pull-back is -t (tangent, 0) modulo the line
+    direction, because the variation's kernel is (w, 0): a move a fixing
+    the plane moves each row within the span, and the point row's move
+    (a_w, (1/2) form(x_w, a_w) + a_u, 0) ends in 0 where the point row ends
+    in its scale, so it is mu times the direction row
+    (w, (1/2) form(x_w, w), 0): a_w = mu w, a_u = 0.  A mismatch returns
+    solve_slide_identity, whose residual (or NotInSpan) explains it."""
+    tangent = _tangent(frame, delta)
+    columns = _pencil_columns(omega, plane, tangent)
+    if _on_pencil(omega, _slid(omega, plane, frame[0], t), tangent, columns, t):
+        return SlideCheckResult(True, True, (ZERO,) * (omega.dim_w + omega.dim_u))
+    return solve_slide_identity(omega, frame, plane, delta, t)
 
-    The pull-back is solve_basepoint_variation: the U unknowns off the
-    pivot columns are eliminated through their own rows and only the
-    others are solved.  Its coefficients, and the residual of NotInSpan
-    when the shift is out of span, are those of the full solve.  The
-    variation at 0 and the pull-back share the given plane, at slide zero."""
+
+def solve_slide_identity(omega: OmegaForm, frame, plane: _Plane, delta, t) -> SlideCheckResult:
+    """The slide identity by pulling the shift back through the basepoint
+    variation (solve_basepoint_variation): -t (tangent, 0) modulo the line
+    direction, with no U-part and a W-part in the tangent frame's span
+    (tangent_span_ok).  The oracle of a passing check_slide_identity."""
     tangent = _tangent(frame, delta)
     slid = _slid(omega, plane, frame[0], t)
     j_t, e_t = _tangent_variation(omega, slid, tangent)
@@ -436,35 +471,16 @@ def pencil_frames(omega: OmegaForm, frame, plane: _Plane):
     given plane.
 
     Returns (frame at slide zero, limit frame), each d columns given as
-    (integers, scale).  Asserts the pencil is exactly linear in the slide
-    parameter at several slides.
+    (integers, scale) (_pencil_columns).  Asserts the pencil is exactly
+    linear in the slide parameter at several slides (_on_pencil).
     """
     w, *tangents = frame
-    direction, l1 = plane.rows[1], plane.scales[1]
-    f0, f_inf = [], []
-    for it, dt in tangents:
-        tangent_rows = _tangent_rows(omega, plane, (it, dt))
-        rows, scale = _block_variation(plane, tangent_rows)
-        f0.append((sum(rows, []), scale))
-        # the limit frame is minus the basepoint variation along (tangent, 0):
-        # the point row moves by the tangent's direction row, the direction
-        # row by (0, (1/2) form(tangent, w), 0)
-        form, den = omega.apply_integers(it, direction[: omega.dim_w])
-        d_dir = ([*(0 for _ in it), *form, 0], 2 * dt * l1 * den)
-        rows, scale = _block_variation(plane, [tangent_rows[1], d_dir])
-        f_inf.append(([-v for row in rows for v in row], scale))
-
+    columns = [_pencil_columns(omega, plane, tangent) for tangent in tangents]
     for t in PENCIL_SLIDES:
-        slid_plane = _slid(omega, plane, w, t)
-        tn, td = t.numerator, t.denominator
-        for tangent, (col_0, e_0), (col_inf, e_inf) in zip(tangents, f0, f_inf):
-            rows, scale = _tangent_variation(omega, slid_plane, tangent)
-            # rows / scale == col_0 / e_0 + t col_inf / e_inf, over e_0 e_inf td
-            lhs, a, b = e_0 * e_inf * td, e_inf * td, tn * e_0
-            col = sum(rows, [])
-            if any(s * lhs != scale * (u * a + v * b) for s, u, v in zip(col, col_0, col_inf)):
-                raise AssertionError(f"pencil not linear at slide {t}")
-    return f0, f_inf
+        slid = _slid(omega, plane, w, t)
+        if not all(_on_pencil(omega, slid, *pair, t) for pair in zip(tangents, columns)):
+            raise AssertionError(f"pencil not linear at slide {t}")
+    return [col_0 for col_0, _ in columns], [col_inf for _, col_inf in columns]
 
 
 def check_splitting_type(frame0, frame_inf) -> bool:

@@ -90,13 +90,13 @@ class OmegaForm:
         the pairs in `terms` alone.  Rationals are scaled to integers, one
         denominator per vector (fraction-free, after Bareiss, Math. Comp. 22,
         1968); other entries (polynomials) are contracted in their own ring
-        on the integer table, each U coordinate then scaled once by 1 / den."""
+        on the coefficients as rationals x / den, one product each."""
         if len(u) != self.dim_w or len(v) != self.dim_w:
             raise ValueError("vectors must have length dim_w")
         su, sv = as_integers(u), as_integers(v)
         if su is None or sv is None:
-            minors = ((u[i] * v[j] - u[j] * v[i], row) for _, i, j, row in self.terms)
-            return [x * Q(1, self.den) for x in self._contract(minors)]
+            terms = ((i, j, ((c, Q(x, self.den)) for c, x in row)) for _, i, j, row in self.terms)
+            return self._contract((u[i] * v[j] - u[j] * v[i], row) for i, j, row in terms)
         (iu, du), (iv, dv) = su, sv
         ints, den = self.apply_integers(iu, iv)
         return from_integers(ints, du * dv * den)

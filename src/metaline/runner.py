@@ -43,8 +43,9 @@ def _sample_element(sampler, omega):
 
 def _slide_outcome(chart, omega, cfg, variant):
     """One slide-identity sample on the primary chart ("primary"), on the
-    next chart ("alt"), or on the primary chart after checking the
-    closed-form derivative against the symbolic oracle ("symbolic"); a
+    next chart ("alt"), or on the primary chart with the closed-form
+    derivative and a passing product check held to their oracles, the
+    symbolic derivative and the solved pull-back ("symbolic"); a
     configuration of None had a degenerate frame (_Run.slide_cfgs)."""
     if cfg is None:
         return ("skip", "degenerate frame")
@@ -60,7 +61,10 @@ def _slide_outcome(chart, omega, cfg, variant):
                 if closed != fam.direction_variation_symbolic(*oracle):
                     note = f"closed-form and symbolic derivatives disagree at slide {qstr(slide)}"
                     return ("fail", note)
-        result = fam.check_slide_identity(omega, frame, plane, delta, t)
+        args = (omega, frame, plane, delta, t)
+        result = fam.check_slide_identity(*args)
+        if variant == "symbolic" and result.ok and fam.solve_slide_identity(*args) != result:
+            return ("fail", "product check and solved pull-back disagree")
     except fam.ChartMiss as exc:
         return ("skip", f"chart miss: {exc}")
     except NotInSpan as exc:

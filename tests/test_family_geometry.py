@@ -19,7 +19,7 @@ from conftest import (
 )
 from metaline import family_geometry as fam
 from metaline.jets import Jet1
-from metaline.linalg import Mat, solve_in_span
+from metaline.linalg import Mat, NotInSpan, solve_in_span
 from metaline.lines import translate
 from metaline.metabelian import GroupElement, OmegaForm, element, multiply
 from metaline.omega_builder import build_omega
@@ -30,6 +30,7 @@ from metaline.scalars import HALF, ONE, Q, ZERO, as_integers, from_integers
 from metaline.varieties import (
     VarietyChart,
     affine_tangent_frame,
+    builtin_names,
     chart_from_json,
     in_tangent_span,
     veronese_chart,
@@ -153,6 +154,18 @@ def _recording_solve(monkeypatch):
     return solved
 
 
+def _force_mismatch(monkeypatch):
+    """Move the limit column that check_slide_identity compares against by
+    one unit, so that every slide check takes its failure path."""
+    original = fam._pencil_columns
+
+    def moved(*args):
+        col_0, (col_inf, scale) = original(*args)
+        return col_0, ([col_inf[0] + 1, *col_inf[1:]], scale)
+
+    monkeypatch.setattr(fam, "_pencil_columns", moved)
+
+
 def test_tangent_span_check_rejects_a_u_component(monkeypatch):
     """Off isotropy the pulled-back shift gains a U-component, while its
     W-part stays in the tangent span (here all of W)."""
@@ -175,6 +188,7 @@ def test_tangent_span_check_rejects_a_w_part_off_the_frame(twisted_cubic, monkey
     param, x, delta = (Q(2),), element(omega, (1, 2, 3, 4), (5,)), (Q(1),)
     frame = chart.frame_integers(param)
     plane = next(fam.line_planes(omega, x, frame[0]))
+    _force_mismatch(monkeypatch)
     for coeffs, inside in (((1, 2, 4, 8, 0), True), ((1, 0, 0, 0, 0), False)):
         monkeypatch.setattr(fam, "solve_basepoint_variation", lambda *args, c=coeffs: c)
         result = fam.check_slide_identity(omega, frame, plane, delta, Q(3))
@@ -194,8 +208,10 @@ def test_slide_identity_frozen_flat_conic(flat_conic, monkeypatch):
     solved = _recording_solve(monkeypatch)
     result = fam.check_slide_identity(omega, frame, plane, delta, t)
     assert result.ok and result.tangent_span_ok
-    assert solved == [(2, 1, 0)]
+    assert solved == []  # the passing product check solves nothing
+    assert fam.solve_basepoint_variation(omega, plane, as_integers(shift)) == (2, 1, 0)
     assert all(r == 0 for r in result.residual)
+    assert fam.solve_slide_identity(omega, frame, plane, delta, t) == result
 
 
 def test_basepoint_variation_kernel_is_line_direction(flat_conic):
@@ -241,6 +257,92 @@ def test_slide_identity_in_second_chart(twisted_cubic):
         result = fam.check_slide_identity(omega, frame, alt, (Q(1),), sampler.nonzero_rational())
         assert result.ok and result.tangent_span_ok
         checked += 1
+
+
+# A passing slide check is one product of integer rows.  The solve explains
+# a failure and is the oracle of slide-identity-symbolic.
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_names() if n != "nonisotropic-cubic"])
+def test_a_passing_slide_check_eliminates_nothing(name, monkeypatch):
+    """Guard: the first slide sample of each isotropic builtin passes at the
+    primary and at the alt plane with the slide solve and solve_in_span
+    made to raise."""
+
+    def eliminate(*_):
+        raise AssertionError("a passing slide check ran an elimination")
+
+    monkeypatch.setattr(fam, "solve_basepoint_variation", eliminate)
+    monkeypatch.setattr(fam, "solve_in_span", eliminate)
+    chart, omega = chart_and_form(name)
+    checks = ["slide-identity", "slide-identity-alt-chart"]
+    report = run_verification(chart, omega, seed=42, samples=1, checks=checks)
+    assert [(c.name, c.passes) for c in report.checks] == [(check, 1) for check in checks]
+
+
+def _slide_verdict(check, omega, frame, plane, delta, t):
+    """The check's SlideCheckResult, or the residual of its NotInSpan."""
+    try:
+        return check(omega, frame, plane, delta, t)
+    except NotInSpan as exc:
+        return "residual", exc.residual
+
+
+def _slid_variation_off_by_one(plane):
+    """_tangent_variation with the last entry moved by one unit at every
+    plane but the given one, which moves the slide shift by that unit."""
+    variation = fam._tangent_variation
+
+    def moved(omega, at, tangent):
+        rows, scale = variation(omega, at, tangent)
+        if at is not plane:
+            rows = [rows[0], [*rows[1][:-1], rows[1][-1] + 1]]
+        return rows, scale
+
+    return moved
+
+
+@pytest.mark.parametrize("name", ALL_CHARTS)
+def test_the_product_check_gives_the_verdict_of_the_solve(name, monkeypatch):
+    """On two samples of every chart, at the primary and the alt plane:
+    check_slide_identity returns what solve_slide_identity (the pull-back
+    solve every sample ran before) returns, or raises the same NotInSpan
+    residual; with the shift moved by one unit both fail, alike.  The
+    form of nonisotropic-cubic does not vanish on its tangents, so its
+    unmoved samples are negative controls too."""
+    chart, omega = chart_and_form(name)
+    sampler = RationalSampler(107).derive(name)
+    verdicts = set()
+    for _ in range(2):
+        param = sampler.vector(chart.param_dim)
+        x = element(omega, sampler.vector(omega.dim_w), sampler.vector(omega.dim_u))
+        delta, t = sampler.nonzero_vector(chart.param_dim), sampler.nonzero_rational()
+        frame = chart.frame_integers(param)
+        for kind, plane in zip(("primary", "alt"), fam.line_planes(omega, x, frame[0])):
+            args = (omega, frame, plane, delta, t)
+            try:
+                solved = _slide_verdict(fam.solve_slide_identity, *args)
+            except fam.ChartMiss:
+                continue
+            assert _slide_verdict(fam.check_slide_identity, *args) == solved, kind
+            verdicts.add(not isinstance(solved, tuple) and solved.ok)
+            with patch.object(fam, "_tangent_variation", _slid_variation_off_by_one(plane)):
+                moved = _slide_verdict(fam.solve_slide_identity, *args)
+                assert _slide_verdict(fam.check_slide_identity, *args) == moved, kind
+            assert isinstance(moved, tuple) or not moved.ok, kind
+    assert verdicts == {name != "nonisotropic-cubic"}
+
+
+def test_the_product_check_fails_off_isotropy_as_the_solve_does():
+    """Negative control: on the Heisenberg form, off isotropy, the product
+    check fails and returns the solve's result, U-component and all."""
+    chart = veronese_chart(2, 1, "p1")
+    frame = chart.frame_integers((Q(0),))
+    plane = plane_at(HEIS, element(HEIS, (0, 1), (0,)), frame[0], (0, 1))
+    args = (HEIS, frame, plane, (Q(1),), Q(2))
+    result = fam.check_slide_identity(*args)
+    assert result == fam.solve_slide_identity(*args)
+    assert not result.ok and not result.tangent_span_ok
 
 
 def test_symbolic_variation_matches_jets(veronese33):
@@ -753,10 +855,11 @@ def test_slide_solve_back_substitutes_only_eliminated_unknowns(name, applies):
 
 
 def test_the_slide_solve_keeps_its_operands_in_lowest_terms(monkeypatch):
-    """Guard: on moment-curve-12.json every slide shift reaches the solve in
-    lowest terms, and the Schur systems, each column reduced before the lcm
-    of its block row is taken, stay under 400 bits an entry: 171 to 184
-    bits here, where unreduced columns gave 373 to 1,586."""
+    """Guard: on moment-curve-12.json every slide shift reaches the solve
+    (the slide-identity-symbolic oracle) in lowest terms, and the Schur
+    systems, each column reduced before the lcm of its block row is taken,
+    stay under 400 bits an entry: 171 to 184 bits here, where unreduced
+    columns gave 373 to 1,586."""
     chart, omega = chart_and_form("moment-curve-12.json")
     schur, solve = fam._schur_system, fam.solve_basepoint_variation
     bits, gcds = [], []
@@ -772,7 +875,7 @@ def test_the_slide_solve_keeps_its_operands_in_lowest_terms(monkeypatch):
 
     monkeypatch.setattr(fam, "_schur_system", recording_schur)
     monkeypatch.setattr(fam, "solve_basepoint_variation", recording_solve)
-    checks = ["slide-identity", "family-dimension"]
+    checks = ["slide-identity-symbolic", "family-dimension"]
     assert run_verification(chart, omega, seed=42, samples=3, checks=checks).passed
     assert gcds == [1, 1, 1] and len(bits) == 4
     assert max(bits) < 400
@@ -860,5 +963,6 @@ def test_closed_forms_read_the_chart_only_through_its_frame(twisted_cubic, monke
     monkeypatch.setattr(VarietyChart, "_integer_rows", evaluate)
     assert kernels() == expected
     # a W-part off the frame: the failing slide check reduces the frame it holds
+    _force_mismatch(monkeypatch)
     monkeypatch.setattr(fam, "solve_basepoint_variation", lambda *args: (1, 0, 0, 0, 0))
     assert not fam.check_slide_identity(omega, frame, plane, delta, t).tangent_span_ok

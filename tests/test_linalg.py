@@ -245,7 +245,7 @@ def _conic_slide_sample():
 
 def _conic_slide_solve():
     """The basepoint variation and the slide shift of the sample, as
-    check_slide_identity hands them to solve_in_span before the Schur
+    solve_slide_identity hands them to solve_in_span before the Schur
     reduction (an 86 x 44 solve)."""
     omega, frame, plane, delta, t = _conic_slide_sample()
     j_t = fam.direction_variation(omega, frame, plane, delta, t)
@@ -274,7 +274,7 @@ def test_the_conic_slide_solve_reduces_only_rank_raising_rows(monkeypatch):
 
     monkeypatch.setattr(linalg, "_rref", recording_rref)
     monkeypatch.setattr(fam, "solve_in_span", recording_solve)
-    assert fam.check_slide_identity(omega, frame, plane, delta, t).ok
+    assert fam.solve_slide_identity(omega, frame, plane, delta, t).ok
     [(nrows, ncols, sizes)] = solves
     assert (nrows, ncols) == (52, 10)
     assert sizes and max(sizes) <= ncols + 1

@@ -470,6 +470,58 @@ def test_symbolic_variant_reports_a_derivative_disagreement(monkeypatch):
     ]
 
 
+def _coefficients_off_by_one(solve):
+    def off(*args):
+        coeffs = solve(*args)
+        return (*coeffs[:-1], coeffs[-1] + 1)
+
+    return off
+
+
+def _escaping(solve):
+    def escape(*args):
+        raise NotInSpan((Q(1),))
+
+    return escape
+
+
+@pytest.mark.parametrize(
+    "disagreeing, witness",
+    [
+        (_coefficients_off_by_one, "product check and solved pull-back disagree"),
+        (_escaping, "shift escaped the basepoint-variation image (1,...)"),
+    ],
+)
+def test_symbolic_variant_checks_the_product_against_the_solve(disagreeing, witness, monkeypatch):
+    """A slide solve made to disagree fails slide-identity-symbolic, whose
+    oracle it is: off by one in its last coefficient with the disagreement
+    note, out of span with the NotInSpan note.  slide-identity, which
+    solves only to explain a failure, passes."""
+    solve = disagreeing(fam.solve_basepoint_variation)
+    monkeypatch.setattr(fam, "solve_basepoint_variation", solve)
+    chart, explicit = builtin_chart("flat-conic")
+    checks = ["slide-identity", "slide-identity-symbolic"]
+    report = run_verification(chart, explicit, samples=5, checks=checks)
+    assert [c.to_dict() for c in report.checks] == [
+        {
+            "name": "slide-identity",
+            "samples": 5,
+            "passes": 5,
+            "skips": 0,
+            "failures": 0,
+            "witness": None,
+        },
+        {
+            "name": "slide-identity-symbolic",
+            "samples": 5,
+            "passes": 0,
+            "skips": 0,
+            "failures": 5,
+            "witness": witness,
+        },
+    ]
+
+
 @pytest.mark.parametrize(
     "name, spans_w", [("veronese-2-3", False), ("veronese-3-3", False), ("flat-linear", True)]
 )
