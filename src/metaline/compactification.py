@@ -34,7 +34,7 @@ representatives and recanonicalizing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .lines import HorizontalLine, TangentDirectionPoint, canonical_rep, line_through, translate
 from .metabelian import GroupElement, OmegaForm, multiply
@@ -105,8 +105,8 @@ def g_action(omega: OmegaForm, g: GroupElement, point):
 def act_on_bundle(omega: OmegaForm, g: GroupElement, point):
     """Left translation on the bundle itself (lines and marked points)."""
     if isinstance(point, TangentDirectionPoint):
-        return replace(point, base=multiply(omega, g, point.base))
+        return TangentDirectionPoint(point.direction, point.param, multiply(omega, g, point.base))
     if isinstance(point, HorizontalLine) and point.param is not None:
         line = line_through(omega, multiply(omega, g, point.base), point.direction)
-        return replace(line, param=point.param)
+        return HorizontalLine(line.direction, line.base, point.param)
     raise TypeError(f"not a bundle point: {point!r}")

@@ -16,24 +16,26 @@ the row span of the base point (affine part 1) and the direction
 the classical quadratic relations.
 
 Sliding along a line (translate), the coset normal form (canonical_rep)
-and the canonical line (line_through) are the group product
-(metabelian.multiply) by exp(t w), in Python integers: a rational
-element keeps each part as integers over one lowest-terms denominator
-(metabelian.GroupElement), and a direction is an integer row over a
-positive scale, such as a chart frame's value row.  This module
-contracts the form itself nowhere: a direction row is the left-invariant
-field metabelian.invariant_field with a 0 appended.  The span of a coset
-is given as _rref's sparse integer pivot rows, as the tangent frame of
-a boundary point keeps them.
+and the canonical line (line_through) are the group product by exp(t w),
+in Python integers: a rational element keeps each part as integers over
+one lowest-terms denominator (metabelian.GroupElement), and a direction
+is an integer row over a positive scale, such as a chart frame's value
+row.  A slide hands the step t w, the direction's integers times t and
+unreduced, straight to the integer kernel of metabelian.multiply
+(metabelian.integer_product), so it builds and reduces no step element.
+This module contracts the form itself nowhere: a direction row is the
+left-invariant field metabelian.invariant_field with a 0 appended.  The
+span of a coset is given as _rref's sparse integer pivot rows, as the
+tangent frame of a boundary point keeps them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .linalg import Mat, combine_rows, wedge
-from .metabelian import GroupElement, OmegaForm, invariant_field, multiply, rational_element
+from .metabelian import GroupElement, OmegaForm, integer_product, invariant_field
 from .scalars import Q, lowest_terms
 
 
@@ -59,7 +61,7 @@ def translate(omega: OmegaForm, x: GroupElement, w, t) -> GroupElement:
     if not t or not any(iw):
         return x
     step = [t.numerator * c for c in iw], dw * t.denominator
-    return multiply(omega, x, rational_element(step, ((0,) * omega.dim_u, 1)))
+    return integer_product(omega, x.w, x.u, step, ((0,) * omega.dim_u, 1))
 
 
 def canonical_rep(omega: OmegaForm, x: GroupElement, rows, pivots) -> GroupElement:
@@ -102,12 +104,14 @@ class TangentDirectionPoint:
 
 def slide_action(omega: OmegaForm, t, alpha: TangentDirectionPoint) -> TangentDirectionPoint:
     """Slide the base along the marked direction: base -> base * (t w, 0)."""
-    return replace(alpha, base=translate(omega, alpha.base, alpha.direction, t))
+    base = translate(omega, alpha.base, alpha.direction, t)
+    return TangentDirectionPoint(alpha.direction, alpha.param, base)
 
 
 def line_of(omega: OmegaForm, alpha: TangentDirectionPoint) -> HorizontalLine:
     """The marked point's line, carrying its chart parameter."""
-    return replace(line_through(omega, alpha.base, alpha.direction), param=alpha.param)
+    line = line_through(omega, alpha.base, alpha.direction)
+    return HorizontalLine(line.direction, line.base, alpha.param)
 
 
 def line_matrix_rows(omega: OmegaForm, x: GroupElement, w):

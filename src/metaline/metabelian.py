@@ -11,12 +11,15 @@ generic over the coordinate ring: polynomials (the symbolic identity
 proofs below) run the code that rationals run, except that rationals
 take Python integers: OmegaForm.apply contracts them as integer minors,
 and a rational element keeps each part as integers over one denominator
-in lowest terms, which multiply and inverse read and write directly; the
-line kernels (lines) slide through multiply.  Its Q coordinates are
-built only when something reads them.  Every line row and both oracles
-run one left-invariant field, invariant_field.  The form is bilinear, so
-what the oracles differentiate is affine: each derivative is an exact
-increment, and no derivative ring is needed."""
+in lowest terms, which multiply and inverse read and write directly; its
+Q coordinates are built only when something reads them.  The rational
+product is one integer kernel, integer_product, over parts with any
+positive denominator: multiply calls it, and the line kernels (lines)
+slide by calling it with the step's integers, so a slide builds no step
+element.  Every line row and both oracles run one left-invariant field,
+invariant_field.  The form is bilinear, so what the oracles differentiate
+is affine: each derivative is an exact increment, and no derivative ring
+is needed."""
 
 from __future__ import annotations
 
@@ -105,8 +108,12 @@ class OmegaForm:
         """The form on two integer vectors of length dim_w, as (ints, den):
         form(iu, iv)[c] == ints[c] / den, den > 0 one denominator for the
         whole table."""
-        minors = ((iu[i] * iv[j] - iu[j] * iv[i], row) for _, i, j, row in self.terms)
-        return self._contract(minors, 0), self.den
+        out = [0] * self.dim_u
+        for _, i, j, row in self.terms:
+            if minor := iu[i] * iv[j] - iu[j] * iv[i]:
+                for c, coeff in row:
+                    out[c] += minor * coeff
+        return out, self.den
 
     def columns(self, ix):
         """form(x, e_k) for every basis vector e_k of W, x an integer vector,
@@ -214,18 +221,23 @@ def element(omega: OmegaForm, w, u=None) -> GroupElement:
 def multiply(omega: OmegaForm, a: GroupElement, b: GroupElement) -> GroupElement:
     """The product (a_w + b_w, a_u + b_u + (1/2) form(a_w, b_w)).
 
-    Rational operands run on their integers, a_w = A / p and b_w = B / q:
-    with form(A, B) = F / e, the correction is F / m for m = 2 e p q, and
-    each part is summed over the lcm of its denominators and reduced to
-    lowest terms.  No Q is built.  Polynomial and jet operands take the
-    generic loop in their own ring."""
+    Rational operands run on their integers (integer_product).
+    Polynomial and jet operands take the generic loop in their own ring."""
     if a.w is None or b.w is None:
         correction = omega.apply(a.w_part, b.w_part)
         w = tuple(x + y for x, y in zip(a.w_part, b.w_part))
         u = tuple(x + y + HALF * c for x, y, c in zip(a.u_part, b.u_part, correction))
         return GroupElement(w, u)
-    (iw, p), (iu, r) = a.w, a.u
-    (jw, q), (ju, s) = b.w, b.u
+    return integer_product(omega, a.w, a.u, b.w, b.u)
+
+
+def integer_product(omega: OmegaForm, aw, au, bw, bu) -> GroupElement:
+    """The product of the rational elements (aw, au) and (bw, bu), each part
+    (ints, den) integers over any positive den: with aw = A / p, bw = B / q
+    and form(A, B) = F / e, the correction is F / m for m = 2 e p q, and
+    each part is summed over the lcm of its denominators and reduced to
+    lowest terms once.  No Q is built."""
+    (iw, p), (iu, r), (jw, q), (ju, s) = aw, au, bw, bu
     if len(iw) != omega.dim_w or len(jw) != omega.dim_w:
         raise ValueError("vectors must have length dim_w")
     form, e = omega.apply_integers(iw, jw)

@@ -15,6 +15,7 @@ literals a/b, variables, + - * ^ (also **), unary minus and parentheses.
 from __future__ import annotations
 
 from math import comb, lcm
+from operator import add
 
 from .scalars import Q, ZERO, qstr
 
@@ -22,6 +23,10 @@ _SCALARS = (int, type(ZERO))
 
 
 class Poly:
+    """A polynomial in nvars variables: terms maps exponent tuples to
+    nonzero rationals.  A Poly is never mutated after construction, so a
+    result may be an operand itself (p ** 1 is p)."""
+
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
@@ -100,7 +105,7 @@ class Poly:
             terms = {}
             for ea, ca in self.terms.items():
                 for eb, cb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(ea, eb))
+                    key = tuple(map(add, ea, eb))
                     s = terms.get(key, ZERO) + ca * cb
                     if s == 0:
                         terms.pop(key, None)
@@ -118,14 +123,16 @@ class Poly:
         e = int(exponent)
         if e < 0:
             raise ValueError("negative polynomial exponent")
-        out = Poly.const(1, self.nvars)
-        base = self
-        while e:
+        if e == 0:
+            return Poly.const(1, self.nvars)
+        out, base = None, self
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     def diff(self, index):
         terms = {}

@@ -37,14 +37,13 @@ class RationalSampler:
         """Independent stream for a named check, same base seed."""
         return RationalSampler(self.seed ^ (zlib.crc32(name.encode()) << 17))
 
-    def integer(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self._step() % bound
-
     def _draw(self):
-        num = self.integer(2 * NUMERATOR_BOUND + 1) - NUMERATOR_BOUND
-        return num, self.integer(DENOMINATOR_BOUND) + 1
+        """(numerator, denominator) from the next two states: the top 31
+        bits of each, reduced into the bounds."""
+        first = (self.state * _MULT + _INC) & _MASK
+        self.state = (first * _MULT + _INC) & _MASK
+        num = (first >> 33) % (2 * NUMERATOR_BOUND + 1) - NUMERATOR_BOUND
+        return num, (self.state >> 33) % DENOMINATOR_BOUND + 1
 
     def rational(self):
         return Q(*self._draw())

@@ -26,6 +26,12 @@ ALL_CHARTS = builtin_names() + sorted(p.name for p in FIXTURE_DIR.glob("*.json")
 HEISENBERG = OmegaForm.from_entries(2, 1, [(0, 1, (1,))])
 
 
+def draw_integer(sampler, bound):
+    """An integer in [0, bound) from the sampler's next state: its top 31
+    bits reduced mod bound, as the sampler's own draws reduce a state."""
+    return sampler._step() % bound
+
+
 def form_from_table(dim_w, dim_u, table):
     """The form with one U-vector per index pair i < j, in lex order."""
     pairs = combinations(range(dim_w), 2)

@@ -193,8 +193,9 @@ def test_integer_apply_is_apply_over_one_denominator(case):
 
 
 def test_polynomial_and_jet_operands_take_the_generic_loop(monkeypatch):
-    """Rational operands reach the contraction as integer minors; any
-    polynomial or jet operand keeps them in its own ring."""
+    """Rational operands are contracted as integer minors in
+    apply_integers' own loop and never reach _contract; any polynomial or
+    jet operand is contracted there, in its own ring."""
     form = OmegaForm.from_entries(3, 2, [(0, 1, (1, Q(2, 3))), (1, 2, (0, -5))])
     minor_types = []
     contract = OmegaForm._contract
@@ -209,17 +210,17 @@ def test_polynomial_and_jet_operands_take_the_generic_loop(monkeypatch):
     z = [Poly.var(i, 3) for i in range(3)]
     jets = [Jet1(Q(c), (Q(1),)) for c in (1, 2, 3)]
     cases = (
-        (rational, [Q(2), 0, Q(1, 9)], int),
-        (z, z[::-1], Poly),
-        (rational, z, Poly),
-        (z, rational, Poly),
-        (jets, jets[::-1], Jet1),
+        (rational, [Q(2), 0, Q(1, 9)], []),
+        (z, z[::-1], [{Poly}]),
+        (rational, z, [{Poly}]),
+        (z, rational, [{Poly}]),
+        (jets, jets[::-1], [{Jet1}]),
     )
-    for u, v, ring in cases:
+    for u, v, contracted in cases:
         expected = _generic_apply(form, u, v)
         del minor_types[:]
         assert form.apply(u, v) == expected
-        assert minor_types == [{ring}]
+        assert minor_types == contracted
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -423,17 +424,41 @@ def test_translate_is_the_group_product(data):
     assert translate(form, x, ([0] * form.dim_w, 1), t) is x
 
 
+@pytest.mark.parametrize("dim_u", [0, 2])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_translate_is_the_product_by_the_step_element(dim_u, data):
+    """translate along an integer row over a den > 1, not always in lowest
+    terms, is multiply by the step element built from Fractions, on forms
+    with dim_u 0 and 2; and the integer kernel gives that product on
+    unreduced parts as on the same parts in lowest terms."""
+    dim_w = data.draw(st.integers(1, 5))
+    count = pair_count(dim_w)
+    table = data.draw(st.lists(_vectors(dim_u), min_size=count, max_size=count))
+    form = form_from_table(dim_w, dim_u, table)
+    x = element(form, data.draw(_vectors(dim_w)), data.draw(_vectors(dim_u)))
+    ints = data.draw(st.lists(st.integers(-60, 60), min_size=dim_w, max_size=dim_w))
+    den, t = data.draw(st.integers(2, 60)), data.draw(scalars)
+    step = element(form, [Q(t) * Q(c, den) for c in ints])
+    product = multiply(form, x, step)
+    assert translate(form, x, (ints, den), t) == product
+    parts = x.w, x.u, step.w, step.u
+    factors = data.draw(st.lists(st.integers(1, 12), min_size=4, max_size=4))
+    unreduced = [([c * k for c in part], d * k) for (part, d), k in zip(parts, factors)]
+    assert meta.integer_product(form, *unreduced) == meta.integer_product(form, *parts) == product
+
+
 def test_sliding_is_one_group_product(monkeypatch):
     """translate by a nonzero t along a nonzero w and canonical_rep with a
-    nonzero shift each make one multiply call; the shortcuts for a zero t,
-    w or shift make none."""
+    nonzero shift each make one call of the integer product kernel; the
+    shortcuts for a zero t, w or shift make none."""
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return multiply(*args)
+        return meta.integer_product(*args)
 
-    monkeypatch.setattr(lin, "multiply", counted)
+    monkeypatch.setattr(lin, "integer_product", counted)
     form = form_from_table(2, 1, [[1]])
     x = element(form, (1, 2), (3,))
     half, step = Q(1, 2), element(form, (Q(1, 3), Q(-2, 3)))  # (1/2) (2, -4) / 3

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HEISENBERG as HEIS
+from conftest import draw_integer
 from metaline import metabelian as meta
 from metaline.jets import Jet1
 from metaline.linalg import pair_count, pair_index, wedge
@@ -284,7 +285,7 @@ def test_sparse_contraction_on_polynomials_and_jets(source):
     ju = [Jet1(a, (b,)) for a, b in zip(sampler.vector(m), sampler.vector(m))]
     jv = [Jet1(a, (b,)) for a, b in zip(sampler.vector(m), sampler.vector(m))]
     assert form.apply(ju, jv) == _dense_on_wedge(form, wedge(ju, jv))
-    iu, iv = ([sampler.integer(7) - 3 for _ in range(m)] for _ in "uv")
+    iu, iv = ([draw_integer(sampler, 7) - 3 for _ in range(m)] for _ in "uv")
     assert _on_wedge(form, wedge(iu, iv)) == _dense_on_wedge(form, wedge(iu, iv))
 
 

@@ -258,4 +258,8 @@ def test_ring_homomorphism_of_evaluation(a, b, c):
 def test_pow_matches_repeated_product():
     q = p("x + 2*y")
     assert q ** 3 == q * q * q
+    assert q ** 1 == q
     assert q ** 0 == Poly.const(1, 2)
+    zero = Poly.zero(2)
+    assert zero ** 0 == Poly.const(1, 2)
+    assert zero ** 1 == zero ** 3 == zero

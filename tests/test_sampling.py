@@ -1,9 +1,11 @@
+import zlib
 from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import draw_integer
 from metaline import metabelian as meta
 from metaline.runner import _sample_element, form_and_dimensions
 from metaline.sampling import DENOMINATOR_BOUND, NUMERATOR_BOUND, RationalSampler
@@ -53,7 +55,32 @@ def test_distinct_rationals():
 
 def test_integer_bound():
     sampler = RationalSampler(3)
-    assert all(0 <= sampler.integer(7) < 7 for _ in range(100))
+    assert all(0 <= draw_integer(sampler, 7) < 7 for _ in range(100))
+
+
+def _lcg_draws(seed, count):
+    """The first count (numerator, denominator) draws of the stream of
+    seed, written out: the state starts at seed XOR 0x9E3779B97F4A7C15 mod
+    2**64 and takes two steps; each step is state * 6364136223846793005 +
+    1442695040888963407 mod 2**64 and yields its top 31 bits; a draw
+    takes two, the numerator in [-97, 97] and the denominator in [1, 97]."""
+    state = (seed ^ 0x9E3779B97F4A7C15) % 2**64
+    outputs = []
+    for _ in range(2 + 2 * count):
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        outputs.append(state >> 33)
+    pairs = zip(outputs[2::2], outputs[3::2])
+    return [(a % 195 - 97, b % 97 + 1) for a, b in pairs]
+
+
+@pytest.mark.parametrize("seed, name", [(0, None), (42, None), (2**64, None), (42, "slide-identity")])
+def test_draws_follow_the_written_out_lcg(seed, name):
+    """The sampled stream is pinned: the first 64 draws of seeds 0, 42,
+    2**64 and of one derived stream are those of the LCG written out."""
+    sampler = RationalSampler(seed)
+    if name is not None:
+        sampler, seed = sampler.derive(name), seed ^ (zlib.crc32(name.encode()) << 17)
+    assert [sampler._draw() for _ in range(64)] == _lcg_draws(seed, 64)
 
 
 seeds = st.integers(min_value=0, max_value=2**64)

@@ -268,6 +268,7 @@ def _substituted_chart(chart, matrix):
 
 
 def test_isotropy_invariant_under_reparametrization(veronese33, adversarial):
+    from conftest import draw_integer
     from metaline.sampling import RationalSampler
 
     chart, omega, _ = veronese33
@@ -277,9 +278,9 @@ def test_isotropy_invariant_under_reparametrization(veronese33, adversarial):
         # a product of random integer shears: determinant 1
         m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
         for _ in range(6):
-            i, j = sampler.integer(d), sampler.integer(d)
+            i, j = draw_integer(sampler, d), draw_integer(sampler, d)
             if i != j:
-                factor = sampler.integer(5) - 2
+                factor = draw_integer(sampler, 5) - 2
                 m[i] = [a + factor * b for a, b in zip(m[i], m[j])]
         again = certify_isotropic(_substituted_chart(chart, m), omega)
         assert again.proven
